@@ -2,14 +2,17 @@
 
 Every benchmark records its comparison rows through the ``report`` fixture;
 the collected tables are printed in the pytest terminal summary (so they
-survive output capturing) and written to ``benchmarks/results/*.txt`` for the
-record. EXPERIMENTS.md is the curated version of these outputs.
+survive output capturing) and, on a regeneration run
+(``REPRO_WRITE_BASELINE=1``), written to ``benchmarks/results/*.txt`` for
+the record. EXPERIMENTS.md is the curated version of these outputs.
 """
 
 import time
 from pathlib import Path
 
 import pytest
+
+from benchmarks import writing_baseline
 
 RESULTS_DIR = Path(__file__).parent / "results"
 _TABLES = []
@@ -41,6 +44,7 @@ def report(request):
     yield rep
     if rep.lines:
         _TABLES.append(rep)
+    if rep.lines and writing_baseline():
         RESULTS_DIR.mkdir(exist_ok=True)
         out = RESULTS_DIR / f"{rep.name}.txt"
         out.write_text("\n".join(rep.lines) + "\n")
@@ -51,7 +55,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.write_line("")
     terminalreporter.write_line("=" * 78)
-    terminalreporter.write_line("PAPER-VS-MEASURED REPORT (also in benchmarks/results/)")
+    terminalreporter.write_line("PAPER-VS-MEASURED REPORT (written to "
+                                "benchmarks/results/ when REPRO_WRITE_BASELINE=1)")
     terminalreporter.write_line("=" * 78)
     for table in _TABLES:
         terminalreporter.write_line("")

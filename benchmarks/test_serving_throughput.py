@@ -32,7 +32,10 @@ fleet, where each worker's owned range fits its buffer.
 Run standalone with ``PYTHONPATH=src python -m
 benchmarks.test_serving_throughput`` or under pytest (uses the ``report``
 fixture). ``--smoke`` runs a reduced config without touching the
-committed baseline.
+committed baseline. Only a regeneration run (the standalone entry point
+without ``--smoke``, or ``REPRO_WRITE_BASELINE=1``) writes the baseline
+and asserts the QPS comparisons; a plain pytest run checks swaps/1k,
+recall and pruning only.
 """
 
 import http.client
@@ -45,6 +48,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from benchmarks import enable_baseline_writes, writing_baseline
 from repro.graph import load_freebase86m_mini
 from repro.graph.partition import PartitionScheme
 from repro.serve import ServingEngine, make_query_stream, serve_link_prediction
@@ -372,7 +376,8 @@ def run_all():
 
 
 def _write(results):
-    BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    if writing_baseline():
+        BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def test_serving_throughput(report):
@@ -421,32 +426,35 @@ def test_serving_throughput(report):
                    f"{run['swaps_per_1k']:.1f}", widths=[24, 10, 9, 9])
     report.line(f"written to {BENCH_PATH.name}")
 
-    # The acceptance floor: batching + locality ordering must clearly beat
-    # per-query execution on the skewed mix with a 25%-resident buffer.
-    assert serving["zipf"]["speedup"] >= 3.0
-    assert serving["random"]["speedup"] >= 3.0
+    timing = writing_baseline()
+    if timing:
+        # The acceptance floor: batching + locality ordering must clearly
+        # beat per-query execution with a 25%-resident buffer.
+        assert serving["zipf"]["speedup"] >= 3.0
+        assert serving["random"]["speedup"] >= 3.0
     # Batching shares swaps; it must never page more than naive does.
     for mix in ("random", "zipf"):
         assert (serving[mix]["batched"]["swaps_per_1k"]
                 <= serving[mix]["naive"]["swaps_per_1k"] + 1e-9)
-    assert_topk_section(topk)
-    assert_fleet_section(fleet, qps_floor=True)
+    assert_topk_section(topk, speedup=timing)
+    assert_fleet_section(fleet, qps_floor=timing)
 
 
-def assert_topk_section(topk):
+def assert_topk_section(topk, speedup=True):
     """The ANN acceptance floors, shared by the full run and --smoke.
 
     Recall@k must clear RECALL_FLOOR at every size (the property-tested
-    contract), the pruned sweep must actually prune (score a fraction of
-    the table), and its QPS advantage over the exact sweep must grow with
-    table size — the exact sweep is linear in the table, the pruned sweep
-    is not."""
+    contract) and the pruned sweep must actually prune (score a fraction
+    of the table). With ``speedup``, its QPS advantage over the exact
+    sweep must also grow with table size — the exact sweep is linear in
+    the table, the pruned sweep is not."""
     entries = topk["sizes"]
     for entry in entries:
         assert entry["ann"]["recall_at_k"] >= RECALL_FLOOR, entry
         assert entry["ann"]["rows_scored_frac"] < 0.6, entry
-    assert entries[-1]["speedup"] > 1.0
-    assert entries[-1]["speedup"] > entries[0]["speedup"]
+    if speedup:
+        assert entries[-1]["speedup"] > 1.0
+        assert entries[-1]["speedup"] > entries[0]["speedup"]
 
 
 def main(argv=None):
@@ -476,9 +484,7 @@ def main(argv=None):
         assert results["serving"]["random"]["speedup"] > 1.0
         # Smoke keeps the non-timing ANN floors (recall + real pruning);
         # the speedup *growth* assertion needs the full-size tables.
-        for entry in results["topk"]["sizes"]:
-            assert entry["ann"]["recall_at_k"] >= RECALL_FLOOR, entry
-            assert entry["ann"]["rows_scored_frac"] < 0.6, entry
+        assert_topk_section(results["topk"], speedup=False)
         # Fleet smoke keeps the swap direction check (affinity pages
         # less); the QPS floor needs the full-size run's timing headroom.
         assert_fleet_section(results["fleet"], qps_floor=False)
@@ -486,6 +492,7 @@ def main(argv=None):
               "ann top-k holds the recall floor while pruning; fleet "
               "affinity routing pages less than random routing")
         return
+    enable_baseline_writes()
     results = run_all()
     _write(results)
     print(json.dumps(results, indent=2))

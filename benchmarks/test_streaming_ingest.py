@@ -19,8 +19,9 @@ committed numbers always come from a correct stream.
 
 Run standalone with ``PYTHONPATH=src python -m
 benchmarks.test_streaming_ingest`` or under pytest (uses the ``report``
-fixture). ``--smoke`` runs a reduced config without touching the
-committed baseline.
+fixture). Only a regeneration run (the standalone entry point without
+``--smoke``, or ``REPRO_WRITE_BASELINE=1``) writes the baseline; a plain
+pytest run skips the events/s floors.
 """
 
 import json
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from benchmarks import enable_baseline_writes, writing_baseline
 from repro.core.sampler import DenseSampler
 from repro.graph.edge_list import Graph
 from repro.graph.partition import PartitionScheme
@@ -266,13 +268,16 @@ def run_all(cfg=STREAM_CFG):
 
 
 def _write(results):
-    BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    if writing_baseline():
+        BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
-def _check_directions(streaming):
+def _check_directions(streaming, floors=True):
+    """Structural checks always; the events/s floors only with ``floors``."""
     ingest = streaming["ingest"]
-    assert ingest["raw"]["events_per_sec"] > 10_000
-    assert ingest["coherent"]["events_per_sec"] > 1_000
+    if floors:
+        assert ingest["raw"]["events_per_sec"] > 10_000
+        assert ingest["coherent"]["events_per_sec"] > 1_000
     cadences = sorted(int(c) for c in streaming["staleness_vs_cadence"])
     rows = [streaming["staleness_vs_cadence"][str(c)] for c in cadences]
     # Tighter cadence => more compactions and lower observed staleness.
@@ -282,7 +287,8 @@ def _check_directions(streaming):
         for readers, r in curve.items():
             # Every arm must still ingest at a sane clip, every event must
             # land, and reader threads must have made real progress.
-            assert r["events_per_sec"] > 500, (arm, readers)
+            if floors:
+                assert r["events_per_sec"] > 500, (arm, readers)
             assert r["events"] == streaming["config"]["concurrent_events"]
             if int(readers):
                 assert r["queries"] > 0, (arm, readers)
@@ -320,7 +326,7 @@ def test_streaming_ingest(report):
     report.line(f"equivalence: {eq['checked_buckets']} buckets vs offline "
                 f"rebuild, {eq['live_edges']:,} live edges — identical")
     report.line(f"written to {BENCH_PATH.name}")
-    _check_directions(streaming)
+    _check_directions(streaming, floors=writing_baseline())
 
 
 def main(argv=None):
@@ -344,6 +350,7 @@ def main(argv=None):
         print("smoke ok: ingest throughput floors hold, staleness falls "
               "with tighter compaction cadence, equivalence verified")
         return
+    enable_baseline_writes()
     results = run_all()
     _write(results)
     print(json.dumps(results, indent=2))

@@ -37,8 +37,7 @@ from ..train import (DiskConfig, DiskLinkPredictionTrainer,
                      DiskNodeClassificationConfig,
                      DiskNodeClassificationTrainer, LinkPredictionConfig,
                      LinkPredictionTrainer, NodeClassificationConfig,
-                     NodeClassificationTrainer,
-                     PipelinedLinkPredictionTrainer, SnapshotManager)
+                     NodeClassificationTrainer, SnapshotManager)
 from ..train.hooks import ProgressListener
 from . import registry
 from .registry import JobError
@@ -156,7 +155,7 @@ class Job:
 # ---------------------------------------------------------------------------
 
 class _TrainJob(Job):
-    """Shared build/run/resume shape of the six trainer-backed kinds."""
+    """Shared build/run/resume shape of the trainer-backed kinds."""
 
     trainer = None
 
@@ -178,13 +177,12 @@ class _TrainJob(Job):
         meta = self.trainer.resume(self._resume_path(path))
         if verbose:
             print(f"resumed from snapshot at epoch {meta['epoch']}"
-                  + (f", step {meta['step']}" if "step" in meta else "")
-                  + (f", batch {meta['batch']}" if "batch" in meta else ""))
+                  + (f", step {meta['step']}" if "step" in meta else ""))
         return meta
 
 
 class LinkPredictionJob(_TrainJob):
-    """``lp-mem`` / ``lp-disk`` / ``lp-pipelined``."""
+    """``lp-mem`` / ``lp-disk``."""
 
     def build(self, verbose: bool = False,
               listeners: Iterable[ProgressListener] = ()) -> "LinkPredictionJob":
@@ -212,13 +210,6 @@ class LinkPredictionJob(_TrainJob):
                 self.dataset, self.config, disk,
                 checkpoint_incremental=spec.checkpoint.incremental,
                 listeners=listeners, **ckpt)
-        elif spec.kind == registry.LP_PIPELINED:
-            self.trainer = PipelinedLinkPredictionTrainer(
-                self.dataset, self.config,
-                num_sample_workers=train.workers,
-                pipeline_depth=train.pipeline_depth,
-                deterministic=train.deterministic,
-                listeners=listeners, **ckpt)
         else:
             self.trainer = LinkPredictionTrainer(self.dataset, self.config,
                                                  listeners=listeners, **ckpt)
@@ -230,15 +221,6 @@ class LinkPredictionJob(_TrainJob):
             print(f"\nfinal MRR {result.final_mrr:.4f} "
                   f"(hits@10 {result.final_metrics.hits_at_10:.4f}) "
                   f"mean epoch {result.mean_epoch_seconds:.2f}s")
-        if self.spec.train.save:
-            from ..train.checkpoint import save_checkpoint
-            embeddings = getattr(self.trainer, "embeddings", None)
-            save_checkpoint(
-                Path(self.spec.train.save), self.trainer.model, self.config,
-                embeddings=embeddings.table if embeddings else None,
-                optimizer_state=embeddings.state if embeddings else None)
-            if verbose:
-                print(f"checkpoint written to {self.spec.train.save}")
         return result
 
     def snapshot(self) -> Path:
@@ -246,8 +228,6 @@ class LinkPredictionJob(_TrainJob):
         epochs = self.config.num_epochs
         if self.spec.kind == registry.LP_DISK:
             return self.trainer.save_snapshot(epochs, 0, 1)
-        if self.spec.kind == registry.LP_PIPELINED:
-            return self.trainer.save_snapshot(epochs, 0, 1, None)
         return self.trainer.save_snapshot(epochs)
 
 
@@ -274,9 +254,7 @@ class NodeClassificationJob(_TrainJob):
                 num_partitions=storage.partitions,
                 buffer_capacity=storage.buffer)
             self.trainer = DiskNodeClassificationTrainer(
-                self.dataset, self.config, disk,
-                checkpoint_incremental=spec.checkpoint.incremental,
-                listeners=listeners, **ckpt)
+                self.dataset, self.config, disk, listeners=listeners, **ckpt)
         else:
             self.trainer = NodeClassificationTrainer(
                 self.dataset, self.config, listeners=listeners, **ckpt)
@@ -921,7 +899,7 @@ def _stream_snapshot_meta(path: Path) -> dict:
 # Factory bindings — the registry's executable half
 # ---------------------------------------------------------------------------
 
-for _kind in (registry.LP_MEM, registry.LP_DISK, registry.LP_PIPELINED):
+for _kind in (registry.LP_MEM, registry.LP_DISK):
     registry.bind(_kind, LinkPredictionJob)
 for _kind in (registry.NC_MEM, registry.NC_DISK):
     registry.bind(_kind, NodeClassificationJob)

@@ -1,6 +1,6 @@
 """The job-kind registry: the single authority for job and snapshot kinds.
 
-Every runnable workload in the reproduction — the six trainers, the
+Every runnable workload in the reproduction — the five trainers, the
 serving engine, and the streaming driver — is a *job kind*. This module
 owns the kind strings (trainer ``KIND`` attributes and the serving
 loader's accepted snapshot kinds reference them, so they cannot drift),
@@ -36,7 +36,6 @@ class JobError(ValueError):
 
 LP_MEM = "lp-mem"
 LP_DISK = "lp-disk"
-LP_PIPELINED = "lp-pipelined"
 NC_MEM = "nc-mem"
 NC_DISK = "nc-disk"
 LP_STREAM = "lp-stream"
@@ -45,7 +44,7 @@ SERVE_FLEET = "serve-fleet"
 STREAM = "stream"
 
 #: Snapshot kinds the link prediction serving loader accepts.
-LP_SNAPSHOT_KINDS: Tuple[str, ...] = (LP_MEM, LP_DISK, LP_PIPELINED)
+LP_SNAPSHOT_KINDS: Tuple[str, ...] = (LP_MEM, LP_DISK)
 #: Snapshot kinds the node classification serving loader accepts.
 NC_SNAPSHOT_KINDS: Tuple[str, ...] = (NC_MEM, NC_DISK)
 
@@ -111,11 +110,6 @@ _declare(KindInfo(
     sections=("data", "model", "train", "storage", "checkpoint", "telemetry"),
     defaults={**_LP_TRAIN_DEFAULTS,
               "storage.partitions": 16, "storage.buffer": 4}))
-_declare(KindInfo(
-    kind=LP_PIPELINED,
-    description="threaded mini-batch pipeline link prediction (Figure 2)",
-    sections=("data", "model", "train", "checkpoint", "telemetry"),
-    defaults=dict(_LP_TRAIN_DEFAULTS)))
 _declare(KindInfo(
     kind=NC_MEM,
     description="in-memory node classification trainer",

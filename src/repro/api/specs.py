@@ -78,10 +78,6 @@ class TrainSpec:
                                          "(kind default: 1; stream: 0)")
     eval_negatives: int = _f(200, "negatives per ranked eval edge (LP)")
     eval_max_edges: int = _f(2000, "eval edge-sample cap (LP)")
-    workers: int = _f(2, "sampling workers (lp-pipelined)")
-    pipeline_depth: int = _f(4, "bounded batch queue depth (lp-pipelined)")
-    deterministic: bool = _f(False, "replayable pipeline (lp-pipelined)")
-    save: Optional[str] = _f(None, "legacy model-export directory (LP)")
 
 
 @dataclass
@@ -111,7 +107,7 @@ class CheckpointSpec:
     resume_from: Optional[str] = _f(None, "snapshot dir (or checkpoint root) "
                                          "to resume from")
     incremental: bool = _f(False, "dirty-partition-only snapshots chained to "
-                                  "a base (disk trainers)")
+                                  "a base (lp-disk)")
 
 
 @dataclass
@@ -273,14 +269,9 @@ class JobSpec:
                                "must be non-negative")
             if not 0 <= fleet.port < 65536:
                 raise JobError("fleet.port must be in [0, 65535]")
-        if self.train.deterministic and self.kind != registry.LP_PIPELINED:
-            raise JobError("train.deterministic only applies to the "
-                             "lp-pipelined kind (the other trainers are "
-                             "already deterministic)")
-        if self.checkpoint.incremental and self.kind not in (
-                registry.LP_DISK, registry.NC_DISK):
-            raise JobError("checkpoint.incremental needs a disk trainer "
-                             f"(lp-disk or nc-disk), not {self.kind!r}")
+        if self.checkpoint.incremental and self.kind != registry.LP_DISK:
+            raise JobError("checkpoint.incremental needs the disk trainer "
+                           f"of a learnable table (lp-disk), not {self.kind!r}")
         if "storage" in info.sections:
             storage = self.storage
             if storage.buffer is not None and storage.buffer <= 0:

@@ -96,25 +96,14 @@ def _checkpoint_spec(args: argparse.Namespace,
 
 
 def _train_lp_spec(args: argparse.Namespace) -> JobSpec:
-    if args.disk and args.pipelined:
-        raise SystemExit("--disk and --pipelined select different trainers; "
-                         "pass one of them")
-    if args.deterministic and not args.pipelined:
-        raise SystemExit("--deterministic only applies to --pipelined "
-                         "(the other trainers are already deterministic)")
-    kind = (job_registry.LP_DISK if args.disk else
-            job_registry.LP_PIPELINED if args.pipelined else
-            job_registry.LP_MEM)
+    kind = job_registry.LP_DISK if args.disk else job_registry.LP_MEM
     spec = JobSpec(
         kind=kind,
         data=DataSpec(dataset=args.dataset, scale=args.scale),
         model=ModelSpec(dim=args.dim, encoder=args.encoder,
                         decoder=args.decoder, fanouts=tuple(args.fanouts)),
         train=TrainSpec(batch_size=args.batch_size, negatives=args.negatives,
-                        epochs=args.epochs, seed=args.seed,
-                        workers=args.workers,
-                        pipeline_depth=args.pipeline_depth,
-                        deterministic=args.deterministic, save=args.save),
+                        epochs=args.epochs, seed=args.seed),
         checkpoint=_checkpoint_spec(args, workdir_fallback=not args.disk))
     if args.disk:
         spec.storage = StorageSpec(workdir=args.workdir,
@@ -389,8 +378,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_checkpoint_flags(p: argparse.ArgumentParser, every_help: str,
-                          incremental: bool = False) -> None:
+def _add_checkpoint_flags(p: argparse.ArgumentParser, every_help: str) -> None:
     """The snapshot flags shared by every training-ish subcommand."""
     p.add_argument("--checkpoint-every", type=int, default=0, help=every_help)
     p.add_argument("--checkpoint-dir", default=None,
@@ -399,10 +387,6 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser, every_help: str,
                    help="zlib-compress snapshot array payloads")
     p.add_argument("--resume-from", default=None,
                    help="snapshot dir (or checkpoint root) to resume from")
-    if incremental:
-        p.add_argument("--checkpoint-incremental", action="store_true",
-                       help="dirty-partition-only snapshots chained to a "
-                            "full base (disk trainers)")
 
 
 def build_parser() -> Tuple[argparse.ArgumentParser,
@@ -465,20 +449,12 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--logical", type=int, default=8)
     p.add_argument("--buffer", type=int, default=4)
     p.add_argument("--workdir", default=None)
-    p.add_argument("--save", default=None, help="checkpoint directory")
-    p.add_argument("--pipelined", action="store_true",
-                   help="threaded mini-batch pipeline trainer (in-memory)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="sampling workers for --pipelined")
-    p.add_argument("--pipeline-depth", type=int, default=4)
-    p.add_argument("--deterministic", action="store_true",
-                   help="ordered, replayable pipeline (bit-exact resume)")
     _add_checkpoint_flags(
-        p, every_help="snapshot cadence: epochs (in-memory), plan steps "
-                      "(--disk), or consumed batches (--pipelined "
-                      "--deterministic; without --deterministic the racy "
-                      "pipeline only snapshots at epoch boundaries); 0 = off",
-        incremental=True)
+        p, every_help="snapshot cadence: epochs (in-memory) or plan steps "
+                      "(--disk); 0 = off")
+    p.add_argument("--checkpoint-incremental", action="store_true",
+                   help="dirty-partition-only snapshots chained to a full "
+                        "base (--disk)")
 
     p = subparser("stream", help="live-graph streaming: ingest, "
                                  "compact, refresh, query")
@@ -641,8 +617,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--workdir", default=None)
     _add_checkpoint_flags(
         p, every_help="snapshot cadence: epochs (in-memory) or epoch-plan "
-                      "steps (--disk); 0 = off",
-        incremental=True)
+                      "steps (--disk); 0 = off")
 
     return parser, subparsers
 

@@ -4,8 +4,8 @@
 adjacency index over the in-memory (sub)graph and produces
 :class:`~repro.core.dense.DenseBatch` objects via Algorithm 1. For in-memory
 training the index is a flat :class:`~repro.graph.csr.AdjacencyIndex`
-(optionally pre-built and shared read-only between samplers, e.g. one per
-pipeline worker). For disk-based training, :meth:`from_partitions` builds a
+(optionally pre-built and shared read-only between samplers). For
+disk-based training, :meth:`from_partitions` builds a
 two-level :class:`~repro.graph.csr.PartitionedAdjacencyIndex` and a
 partition-buffer swap costs only an incremental :meth:`update_graph` — the
 "preparing each S_i for training" cost of Section 6, Quantity 2 — instead of

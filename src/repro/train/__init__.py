@@ -1,9 +1,8 @@
-"""Training harness: trainers, negative sampling, evaluation, pipelining."""
+"""Training harness: trainers, negative sampling, evaluation, snapshots."""
 
 from .checkpoint import (InferenceRestore, SnapshotError, SnapshotManager,
-                         load_checkpoint, nc_dataset_fingerprint,
-                         open_snapshot, restore_for_inference,
-                         save_checkpoint)
+                         nc_dataset_fingerprint, open_snapshot,
+                         restore_for_inference)
 from .evaluation import (EpochRecord, RankingMetrics, TripleFilter,
                          filtered_ranks, multiclass_accuracy, ranking_metrics,
                          ranks_from_scores)
@@ -20,9 +19,6 @@ from .node_classification import (DiskNodeClassificationConfig,
                                   NodeClassificationTrainer, NodeClassifier,
                                   evaluate_classifier,
                                   relabel_for_training_cache)
-from .pipeline import (StageTimes, overlap_efficiency,
-                       pipelined_disk_epoch_seconds, pipelined_epoch_seconds)
-from .pipelined_trainer import PipelinedLinkPredictionTrainer, PipelineStats
 
 __all__ = [
     "LinkPredictionConfig", "LinkPredictionTrainer", "LinkPredictionModel",
@@ -33,10 +29,7 @@ __all__ = [
     "UniformNegativeSampler", "DegreeWeightedNegativeSampler", "NegativeSampleBatch",
     "RankingMetrics", "EpochRecord", "ranking_metrics", "ranks_from_scores",
     "multiclass_accuracy",
-    "StageTimes", "pipelined_epoch_seconds", "pipelined_disk_epoch_seconds",
-    "overlap_efficiency",
-    "PipelinedLinkPredictionTrainer", "PipelineStats",
-    "TripleFilter", "filtered_ranks", "save_checkpoint", "load_checkpoint",
+    "TripleFilter", "filtered_ranks",
     "SnapshotManager", "SnapshotError", "open_snapshot",
     "InferenceRestore", "restore_for_inference", "nc_dataset_fingerprint",
     "score_edges_offline",

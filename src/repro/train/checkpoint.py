@@ -1,21 +1,16 @@
-"""Checkpointing: atomic training snapshots plus legacy model export.
+"""Checkpointing: atomic training snapshots.
 
-Two layers live here:
-
-* :class:`SnapshotManager` — the crash-safe snapshot subsystem. A snapshot
-  is a directory ``snap-<step_id>`` holding ``arrays.npz`` (every numpy
-  array of the training state: node table, optimizer slabs, model
-  parameters, dense-optimizer moments) and ``manifest.json`` (format
-  version, CRC of the array payload, and the JSON-able metadata: epoch/step
-  cursors, buffer residency, per-stream RNG states, store fingerprints,
-  policy state). Writes follow the classic atomicity protocol:
-  **write-temp + fsync + rename** — the temp directory only becomes visible
-  under its final name via one atomic ``os.rename``, so a reader never
-  observes a partial snapshot and a crash mid-save leaves only a ``tmp-*``
-  directory that the next save or scan sweeps away.
-
-* :func:`save_checkpoint` / :func:`load_checkpoint` — the original
-  best-effort model/embedding export, kept for evaluation workflows.
+:class:`SnapshotManager` is the crash-safe snapshot subsystem. A snapshot
+is a directory ``snap-<step_id>`` holding ``arrays.npz`` (every numpy
+array of the training state: node table, optimizer slabs, model
+parameters, dense-optimizer moments) and ``manifest.json`` (format
+version, CRC of the array payload, and the JSON-able metadata: epoch/step
+cursors, buffer residency, per-stream RNG states, store fingerprints,
+policy state). Writes follow the classic atomicity protocol:
+**write-temp + fsync + rename** — the temp directory only becomes visible
+under its final name via one atomic ``os.rename``, so a reader never
+observes a partial snapshot and a crash mid-save leaves only a ``tmp-*``
+directory that the next save or scan sweeps away.
 
 The resume guarantee (enforced by ``tests/test_checkpoint_recovery.py``):
 restoring the latest snapshot and continuing produces **bit-identical**
@@ -506,7 +501,7 @@ def validate_meta(meta: Dict[str, Any], trainer_kind: str,
 
 
 # ---------------------------------------------------------------------------
-# Legacy model export (evaluation workflows)
+# Trainer config serialization (snapshot ``meta["config"]``)
 # ---------------------------------------------------------------------------
 
 def _config_to_dict(config: Any) -> Dict[str, Any]:
@@ -517,41 +512,3 @@ def _config_to_dict(config: Any) -> Dict[str, Any]:
         elif isinstance(value, Path):
             out[key] = str(value)
     return out
-
-
-def save_checkpoint(path: Path, model: Module, config: Any,
-                    embeddings: Optional[np.ndarray] = None,
-                    optimizer_state: Optional[np.ndarray] = None) -> Path:
-    """Write a checkpoint directory; returns its path."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    state = model.state_dict()
-    np.savez(path / "model.npz", **state)
-    if embeddings is not None:
-        np.save(path / "embeddings.npy", embeddings)
-    if optimizer_state is not None:
-        np.save(path / "optimizer.npy", optimizer_state)
-    (path / "config.json").write_text(
-        json.dumps({"class": type(config).__name__,
-                    "fields": _config_to_dict(config)}, indent=2))
-    return path
-
-
-def load_checkpoint(path: Path, model: Module
-                    ) -> Tuple[Dict[str, Any], Optional[np.ndarray], Optional[np.ndarray]]:
-    """Restore ``model`` in place; returns (config_fields, embeddings, opt_state).
-
-    The caller rebuilds its config dataclass from the returned fields (tuples
-    were serialized as lists — convert back as needed).
-    """
-    path = Path(path)
-    archive = np.load(path / "model.npz")
-    model.load_state_dict({name: archive[name] for name in archive.files})
-    embeddings = None
-    if (path / "embeddings.npy").exists():
-        embeddings = np.load(path / "embeddings.npy")
-    opt_state = None
-    if (path / "optimizer.npy").exists():
-        opt_state = np.load(path / "optimizer.npy")
-    meta = json.loads((path / "config.json").read_text())
-    return meta["fields"], embeddings, opt_state

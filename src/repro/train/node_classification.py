@@ -304,10 +304,8 @@ class DiskNodeClassificationTrainer(ListenerHooks):
     smaller than in-memory training — the effect behind M-GNN_Disk's slight
     accuracy drop and faster epochs in Table 3.
 
-    ``checkpoint_incremental`` is accepted for signature parity with the
-    disk LP trainer but is a no-op here: the feature store is immutable
-    (``learnable=False``), so NC snapshots carry no table to delta — every
-    save is already rows-free and minimal.
+    The feature store is immutable (``learnable=False``), so snapshots
+    carry no table: every save is already rows-free and minimal.
     """
 
     KIND = job_registry.NC_DISK
@@ -318,10 +316,8 @@ class DiskNodeClassificationTrainer(ListenerHooks):
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
                  checkpoint_compress: bool = False,
-                 checkpoint_incremental: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
         self._init_hooks(listeners)
-        self.checkpoint_incremental = bool(checkpoint_incremental)
         self.config = config or NodeClassificationConfig()
         self.disk = disk or DiskNodeClassificationConfig(workdir=Path("/tmp/repro-nc"))
         cfg, dsk = self.config, self.disk

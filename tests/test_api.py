@@ -30,7 +30,7 @@ SPEC_SAMPLES = {
                       model=ModelSpec(dim=48, encoder="gcn", decoder="transe",
                                       fanouts=(7, 3)),
                       train=TrainSpec(batch_size=128, negatives=32, epochs=2,
-                                      seed=9, save="out/ckpt"),
+                                      seed=9),
                       checkpoint=CheckpointSpec(every=1, dir="snaps",
                                                 compress=True)),
     "lp-disk": JobSpec(kind="lp-disk",
@@ -39,9 +39,6 @@ SPEC_SAMPLES = {
                                            logical=4, buffer=2,
                                            policy="beta"),
                        checkpoint=CheckpointSpec(every=3, incremental=True)),
-    "lp-pipelined": JobSpec(kind="lp-pipelined",
-                            train=TrainSpec(workers=3, pipeline_depth=2,
-                                            deterministic=True)),
     "nc-mem": JobSpec(kind="nc-mem",
                       data=DataSpec(nodes=800, edges=4000, classes=5),
                       model=ModelSpec(dim=16, fanouts=(4,)),
@@ -113,24 +110,23 @@ def test_serve_requires_snapshot():
         JobSpec(kind="serve").resolve()
 
 
-def test_deterministic_only_for_pipelined():
-    spec = JobSpec(kind="lp-mem", train=TrainSpec(deterministic=True))
-    with pytest.raises(ValueError, match="lp-pipelined"):
-        spec.resolve()
-
-
 def test_incremental_needs_disk_trainer():
-    spec = JobSpec(kind="lp-mem", checkpoint=CheckpointSpec(incremental=True))
-    with pytest.raises(ValueError, match="disk trainer"):
-        spec.resolve()
+    """Only lp-disk has a learnable table to delta; nc-disk's feature
+    store is immutable, so the option is rejected rather than ignored."""
+    for kind in ("lp-mem", "nc-mem", "nc-disk"):
+        spec = JobSpec(kind=kind, checkpoint=CheckpointSpec(incremental=True))
+        with pytest.raises(ValueError, match="disk trainer"):
+            spec.resolve()
+    JobSpec(kind="lp-disk",
+            checkpoint=CheckpointSpec(incremental=True)).resolve()
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-def test_registry_lists_all_nine_kinds():
-    assert set(api.job_kinds()) == {"lp-mem", "lp-disk", "lp-pipelined",
+def test_registry_lists_all_eight_kinds():
+    assert set(api.job_kinds()) == {"lp-mem", "lp-disk",
                                     "nc-mem", "nc-disk", "lp-stream",
                                     "serve", "serve-fleet", "stream"}
 
@@ -139,11 +135,9 @@ def test_registry_owns_trainer_kind_strings():
     from repro.stream import ContinualTrainer
     from repro.train import (DiskLinkPredictionTrainer,
                              DiskNodeClassificationTrainer,
-                             LinkPredictionTrainer, NodeClassificationTrainer,
-                             PipelinedLinkPredictionTrainer)
+                             LinkPredictionTrainer, NodeClassificationTrainer)
     assert LinkPredictionTrainer.KIND == registry.LP_MEM
     assert DiskLinkPredictionTrainer.KIND == registry.LP_DISK
-    assert PipelinedLinkPredictionTrainer.KIND == registry.LP_PIPELINED
     assert NodeClassificationTrainer.KIND == registry.NC_MEM
     assert DiskNodeClassificationTrainer.KIND == registry.NC_DISK
     assert ContinualTrainer.KIND == registry.LP_STREAM
@@ -190,11 +184,6 @@ PARITY_CASES = [
       "storage": {"workdir": "W", "partitions": 8, "logical": 4,
                   "buffer": 2, "policy": "beta"},
       "checkpoint": {"every": 2, "incremental": True}}),
-    (["train-lp", "--pipelined", "--workers", "3", "--deterministic",
-      "--fanouts", "5", "3"],
-     {"kind": "lp-pipelined",
-      "model": {"fanouts": [5, 3]},
-      "train": {"workers": 3, "deterministic": True}}),
     (["train-lp", "--workdir", "W", "--checkpoint-every", "1"],
      {"kind": "lp-mem", "checkpoint": {"every": 1, "dir": "W/checkpoints"}}),
     (["train-nc", "--nodes", "900", "--dim", "24", "--epochs", "2"],

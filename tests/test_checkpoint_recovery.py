@@ -3,8 +3,8 @@
 The contract under test (docs/checkpointing.md): a training run killed at
 *any* registered :class:`~tests.faultinject.CrashPoint` and resumed from
 the latest complete snapshot produces **bit-identical** final parameters to
-an uninterrupted run — for the disk link prediction trainer, the disk node
-classification trainer, and the deterministic pipelined trainer.
+an uninterrupted run — for the disk and in-memory link prediction and node
+classification trainers.
 
 The crash-matrix tests are marked ``slow`` (each runs a crashed training,
 a recovery training, and shares a module-scoped uninterrupted baseline).
@@ -22,8 +22,7 @@ from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
                          DiskNodeClassificationConfig,
                          DiskNodeClassificationTrainer, LinkPredictionConfig,
                          LinkPredictionTrainer, NodeClassificationConfig,
-                         NodeClassificationTrainer,
-                         PipelinedLinkPredictionTrainer, SnapshotError,
+                         NodeClassificationTrainer, SnapshotError,
                          SnapshotManager)
 from tests.faultinject import (CrashPoint, FaultInjector, FaultyStorage,
                                SimulatedCrash)
@@ -274,59 +273,6 @@ def test_disk_nc_crash_matrix(nc_data, nc_baseline, tmp_path, point, after):
 
 
 # ---------------------------------------------------------------------------
-# Pipelined trainer: quiesce → drain → snapshot → refill
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def pipelined_baseline(lp_data):
-    trainer = PipelinedLinkPredictionTrainer(lp_data, LP_CFG,
-                                             num_sample_workers=2,
-                                             deterministic=True)
-    trainer.train()
-    return trainer
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("point", [CrashPoint.SNAPSHOT_PRE_RENAME,
-                                   CrashPoint.SNAPSHOT_POST_RENAME])
-def test_pipelined_mid_epoch_crash(lp_data, pipelined_baseline, tmp_path, point):
-    """Kill the pipeline mid-epoch (checkpoints land every 5 consumed
-    batches); in-flight sampled batches die with the process and are
-    re-sampled identically on resume thanks to per-batch seeding."""
-    injector = FaultInjector(point, after=1)
-    crashed = PipelinedLinkPredictionTrainer(
-        lp_data, LP_CFG, num_sample_workers=2, deterministic=True,
-        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=5)
-    crashed.snapshots.fault_hook = injector.fire
-    with pytest.raises(SimulatedCrash):
-        crashed.train()
-    assert injector.fired
-
-    resumed = _recover(lambda: PipelinedLinkPredictionTrainer(
-        lp_data, LP_CFG, num_sample_workers=2, deterministic=True,
-        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=5))
-    np.testing.assert_array_equal(resumed.embeddings.table,
-                                  pipelined_baseline.embeddings.table)
-    assert _models_equal(resumed.model, pipelined_baseline.model)
-
-
-def test_pipelined_deterministic_worker_invariance(lp_data):
-    """Deterministic mode is a pure function of the seed: worker count and
-    scheduling cannot change the result (per-batch seeding + ordered
-    reassembly + inline write-back)."""
-    one = PipelinedLinkPredictionTrainer(lp_data, LP_CFG,
-                                         num_sample_workers=1,
-                                         deterministic=True)
-    one.train()
-    three = PipelinedLinkPredictionTrainer(lp_data, LP_CFG,
-                                           num_sample_workers=3,
-                                           deterministic=True)
-    three.train()
-    np.testing.assert_array_equal(one.embeddings.table, three.embeddings.table)
-    assert _models_equal(one.model, three.model)
-
-
-# ---------------------------------------------------------------------------
 # Determinism golden tests: checkpoint at epoch 1 of 3, resume, compare
 # ---------------------------------------------------------------------------
 
@@ -383,62 +329,59 @@ def test_golden_disk_nc_epoch_boundary(nc_data, tmp_path):
     assert _models_equal(second.model, straight.model)
 
 
-@pytest.mark.slow
-def test_golden_pipelined_epoch_boundary(lp_data, tmp_path):
-    cfg3, cfg1 = _three_epochs(LP_CFG), _one_epoch(LP_CFG)
-    straight = PipelinedLinkPredictionTrainer(lp_data, cfg3,
-                                              num_sample_workers=2,
-                                              deterministic=True)
-    straight.train()
-
-    first = PipelinedLinkPredictionTrainer(lp_data, cfg1,
-                                           num_sample_workers=2,
-                                           deterministic=True,
-                                           checkpoint_dir=tmp_path / "ckpt")
-    first.train()
-    first.save_snapshot(0, 1, 1, None)   # normalizes to (epoch 1, batch 0)
-
-    second = PipelinedLinkPredictionTrainer(lp_data, cfg3,
-                                            num_sample_workers=2,
-                                            deterministic=True,
-                                            checkpoint_dir=tmp_path / "ckpt")
-    meta = second.resume()
-    assert (meta["epoch"], meta["batch"]) == (1, 0)
-    second.train()
-    np.testing.assert_array_equal(second.embeddings.table,
-                                  straight.embeddings.table)
-    assert _models_equal(second.model, straight.model)
+# In-memory trainers by kind: (dataset fixture, constructor).
+IN_MEMORY_TRAINERS = {
+    "nc-mem": ("nc_data", lambda data, **kw: NodeClassificationTrainer(
+        data, NC_CFG, **kw)),
+    "lp-mem": ("lp_data", lambda data, **kw: LinkPredictionTrainer(
+        data, LP_CFG, **kw)),
+}
 
 
 @pytest.fixture(scope="module")
 def nc_mem_baseline(nc_data):
     trainer = NodeClassificationTrainer(nc_data, NC_CFG)
     trainer.train()
-    return trainer.model
+    return trainer
+
+
+@pytest.fixture(scope="module")
+def lp_mem_baseline(lp_data):
+    trainer = LinkPredictionTrainer(lp_data, LP_CFG)
+    trainer.train()
+    return trainer
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("point", [CrashPoint.SNAPSHOT_BEGIN,
-                                   CrashPoint.SNAPSHOT_PRE_RENAME,
-                                   CrashPoint.SNAPSHOT_POST_RENAME])
-def test_in_memory_nc_crash_matrix(nc_data, nc_mem_baseline, tmp_path, point):
-    """The in-memory NC trainer (epoch-granularity snapshots, the last
-    trainer to join the subsystem) killed mid-save must recover
-    bit-identically: either from the surviving snapshot or — when the
-    crash landed before the first complete save — from scratch."""
+@pytest.mark.parametrize("kind,point", [
+    # nc-mem cases use the bare crash-point id so their test ids stay
+    # stable.
+    pytest.param(kind, point,
+                 id=point if kind == "nc-mem" else f"{kind}-{point}")
+    for kind in IN_MEMORY_TRAINERS
+    for point in (CrashPoint.SNAPSHOT_BEGIN, CrashPoint.SNAPSHOT_PRE_RENAME,
+                  CrashPoint.SNAPSHOT_POST_RENAME)])
+def test_in_memory_nc_crash_matrix(request, tmp_path, kind, point):
+    """The in-memory trainers (epoch-granularity snapshots) killed
+    mid-save must recover bit-identically: either from the surviving
+    snapshot or — when the crash landed before the first complete save —
+    from scratch. For lp-mem that includes the embedding table."""
+    data_fixture, make = IN_MEMORY_TRAINERS[kind]
+    data = request.getfixturevalue(data_fixture)
+    baseline = request.getfixturevalue(f"{kind.replace('-', '_')}_baseline")
     injector = FaultInjector(point, after=1)
-    crashed = NodeClassificationTrainer(nc_data, NC_CFG,
-                                        checkpoint_dir=tmp_path / "ckpt",
-                                        checkpoint_every=1)
+    crashed = make(data, checkpoint_dir=tmp_path / "ckpt", checkpoint_every=1)
     crashed.snapshots.fault_hook = injector.fire
     with pytest.raises(SimulatedCrash):
         crashed.train()
     assert injector.fired, f"crash point {point} never hit"
 
-    resumed = _recover(lambda: NodeClassificationTrainer(
-        nc_data, NC_CFG, checkpoint_dir=tmp_path / "ckpt",
-        checkpoint_every=1))
-    assert _models_equal(resumed.model, nc_mem_baseline)
+    resumed = _recover(lambda: make(data, checkpoint_dir=tmp_path / "ckpt",
+                                    checkpoint_every=1))
+    if kind == "lp-mem":
+        np.testing.assert_array_equal(resumed.embeddings.table,
+                                      baseline.embeddings.table)
+    assert _models_equal(resumed.model, baseline.model)
 
 
 def test_golden_in_memory_nc(nc_data, tmp_path):
@@ -524,20 +467,6 @@ def test_resume_rejects_changed_config(lp_data, tmp_path):
     third = LinkPredictionTrainer(lp_data, longer,
                                   checkpoint_dir=tmp_path / "ckpt")
     assert third.resume()["epoch"] == 1
-
-
-def test_racy_pipeline_rejects_mid_epoch_snapshot(lp_data, tmp_path):
-    """A mid-epoch cut is only replayable under per-batch seeding; the racy
-    pipeline must refuse it instead of resuming into divergence."""
-    first = PipelinedLinkPredictionTrainer(
-        lp_data, _one_epoch(LP_CFG), num_sample_workers=2, deterministic=True,
-        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=5)
-    first._train_epoch(0, lp_data.split.train)   # leaves mid-epoch snapshots
-    racy = PipelinedLinkPredictionTrainer(
-        lp_data, LP_CFG, num_sample_workers=2,
-        checkpoint_dir=tmp_path / "ckpt")
-    with pytest.raises(SnapshotError, match="deterministic"):
-        racy.resume()
 
 
 def test_resume_rejects_changed_dataset(lp_data, tmp_path):

@@ -1,11 +1,9 @@
-"""Metric and pipeline-model tests."""
+"""Metric tests."""
 
 import numpy as np
 import pytest
 
-from repro.train import (StageTimes, multiclass_accuracy, overlap_efficiency,
-                         pipelined_disk_epoch_seconds, pipelined_epoch_seconds,
-                         ranking_metrics, ranks_from_scores)
+from repro.train import multiclass_accuracy, ranking_metrics, ranks_from_scores
 
 
 class TestRanks:
@@ -54,42 +52,3 @@ class TestAccuracy:
     def test_empty(self):
         assert multiclass_accuracy(np.empty(0), np.empty(0)) == 0.0
 
-
-class TestPipelineModel:
-    def test_bottleneck_dominates(self):
-        stages = StageTimes(sample=10.0, transfer=2.0, compute=3.0, update=1.0)
-        piped = pipelined_epoch_seconds(stages, num_batches=100)
-        assert 10.0 <= piped < stages.serial
-        assert piped == pytest.approx(10.0 + 6.0 / 100)
-
-    def test_zero_batches(self):
-        assert pipelined_epoch_seconds(StageTimes(), 0) == 0.0
-
-    def test_disk_prefetch_hides_io(self):
-        """Balanced IO fully hides behind compute (COMET's regime)."""
-        io = [2.0, 1.0, 1.0, 1.0]
-        train = [3.0, 3.0, 3.0, 3.0]
-        piped = pipelined_disk_epoch_seconds(io, train, prefetch=True)
-        assert piped == pytest.approx(2.0 + 12.0)  # first load + all train
-        assert overlap_efficiency(io, train) == pytest.approx(3.0 / 5.0)
-
-    def test_unbalanced_schedule_exposes_io(self):
-        """BETA's regime: early steps hold most work, late steps starve and
-        IO surfaces (Section 7.5)."""
-        io = [2.0, 2.0, 2.0, 2.0]
-        balanced = pipelined_disk_epoch_seconds(io, [3.0, 3.0, 3.0, 3.0])
-        frontloaded = pipelined_disk_epoch_seconds(io, [10.0, 1.0, 0.5, 0.5])
-        assert frontloaded > balanced
-
-    def test_no_prefetch_is_serial(self):
-        io = [1.0, 1.0]
-        train = [2.0, 2.0]
-        assert pipelined_disk_epoch_seconds(io, train, prefetch=False) == 6.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pipelined_disk_epoch_seconds([1.0], [1.0, 2.0])
-
-    def test_empty(self):
-        assert pipelined_disk_epoch_seconds([], []) == 0.0
-        assert overlap_efficiency([], []) == 1.0

@@ -1,8 +1,7 @@
-"""Tests for the extension modules: pipelined trainer, prefetching, TransE,
-filtered evaluation, Hilbert policy, checkpointing, preprocessing, CLI."""
+"""Tests for the extension modules: prefetching, TransE, filtered
+evaluation, Hilbert policy, preprocessing, CLI."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,51 +14,7 @@ from repro.policies import HilbertOrderingPolicy, hilbert_bucket_order
 from repro.storage import (NodeStore, PartitionBuffer, Prefetcher,
                            PrefetchingBufferManager)
 from repro.train import (LinkPredictionConfig, LinkPredictionTrainer,
-                         PipelinedLinkPredictionTrainer, TripleFilter,
-                         filtered_ranks, load_checkpoint, save_checkpoint)
-
-
-# ---------------------------------------------------------------------------
-# Pipelined trainer
-# ---------------------------------------------------------------------------
-
-class TestPipelinedTrainer:
-    @pytest.fixture(scope="class")
-    def data(self):
-        return load_fb15k237(scale=0.05, seed=0)
-
-    def config(self, **kw):
-        defaults = dict(embedding_dim=16, num_layers=1, fanouts=(8,),
-                        batch_size=256, num_negatives=32, num_epochs=2,
-                        eval_negatives=64, eval_max_edges=300, seed=0)
-        defaults.update(kw)
-        return LinkPredictionConfig(**defaults)
-
-    def test_pipelined_training_learns(self, data):
-        trainer = PipelinedLinkPredictionTrainer(data, self.config(num_epochs=3),
-                                                 num_sample_workers=2,
-                                                 pipeline_depth=4)
-        before = trainer.evaluate().mrr
-        result = trainer.train()
-        assert result.final_mrr > before * 1.5
-        assert result.epochs[-1].loss < result.epochs[0].loss
-        assert len(trainer.pipeline_stats) == 3
-        assert trainer.pipeline_stats[0].batches == result.epochs[0].num_batches
-
-    def test_pipelined_matches_sync_quality(self, data):
-        """Bounded staleness must not meaningfully hurt model quality."""
-        sync = LinkPredictionTrainer(data, self.config(num_epochs=3)).train()
-        piped = PipelinedLinkPredictionTrainer(
-            data, self.config(num_epochs=3)).train()
-        assert piped.final_mrr > sync.final_mrr * 0.8
-
-    def test_invalid_pipeline_params(self, data):
-        with pytest.raises(ValueError):
-            PipelinedLinkPredictionTrainer(data, self.config(),
-                                           num_sample_workers=0)
-        with pytest.raises(ValueError):
-            PipelinedLinkPredictionTrainer(data, self.config(),
-                                           pipeline_depth=0)
+                         TripleFilter, filtered_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -246,44 +201,6 @@ class TestHilbertPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        data = load_fb15k237(scale=0.05, seed=0)
-        cfg = LinkPredictionConfig(embedding_dim=16, num_layers=1, fanouts=(8,),
-                                   batch_size=256, num_negatives=32,
-                                   num_epochs=1, eval_negatives=64,
-                                   eval_max_edges=200, seed=0)
-        trainer = LinkPredictionTrainer(data, cfg)
-        trainer.train()
-        mrr_before = trainer.evaluate().mrr
-        save_checkpoint(tmp_path / "ckpt", trainer.model, cfg,
-                        embeddings=trainer.embeddings.table,
-                        optimizer_state=trainer.embeddings.state)
-
-        fresh = LinkPredictionTrainer(data, cfg)
-        fields, embeddings, state = load_checkpoint(tmp_path / "ckpt",
-                                                    fresh.model)
-        fresh.embeddings.table = embeddings
-        fresh.embeddings.state = state
-        assert fields["embedding_dim"] == 16
-        assert fresh.evaluate().mrr == pytest.approx(mrr_before, abs=1e-6)
-
-    def test_checkpoint_files_present(self, tmp_path):
-        data = load_fb15k237(scale=0.05, seed=0)
-        cfg = LinkPredictionConfig(embedding_dim=16, num_layers=1, fanouts=(8,))
-        trainer = LinkPredictionTrainer(data, cfg)
-        out = save_checkpoint(tmp_path / "c2", trainer.model, cfg,
-                              embeddings=trainer.embeddings.table)
-        assert (out / "model.npz").exists()
-        assert (out / "embeddings.npy").exists()
-        meta = json.loads((out / "config.json").read_text())
-        assert meta["class"] == "LinkPredictionConfig"
-
-
-# ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
 
@@ -374,8 +291,8 @@ class TestCLI:
                      "--disk", "--partitions", "8", "--logical", "4",
                      "--buffer", "4",
                      "--workdir", str(tmp_path / "wd"),
-                     "--save", str(tmp_path / "ckpt")]) == 0
-        assert (tmp_path / "ckpt" / "model.npz").exists()
+                     "--checkpoint-every", "1"]) == 0
+        assert list((tmp_path / "wd" / "checkpoints").glob("snap-*"))
 
     def test_train_nc_smoke(self, capsys):
         from repro.cli import main
