@@ -1,6 +1,6 @@
 """The unified job API: typed specs, a kind registry, one ``run()``.
 
-Every workload in the reproduction — five trainers, the serving engine,
+Every workload in the reproduction — four trainers, the serving engine,
 the streaming driver — is described by a declarative, JSON-serializable
 :class:`~repro.api.specs.JobSpec` and executed through one entrypoint::
 

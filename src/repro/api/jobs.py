@@ -149,130 +149,96 @@ class Job:
                verbose: bool = False) -> dict:
         raise JobError(f"{self.kind} jobs cannot resume from a snapshot")
 
+    def _resume_path(self, path: Optional[Path]) -> Optional[Path]:
+        """An explicit path wins over the spec's ``checkpoint.resume_from``
+        (``None`` = the trainer's own latest snapshot)."""
+        path = path if path is not None else self.spec.checkpoint.resume_from
+        return Path(path) if path else None
+
 
 # ---------------------------------------------------------------------------
 # Training jobs
 # ---------------------------------------------------------------------------
 
-class _TrainJob(Job):
-    """Shared build/run/resume shape of the trainer-backed kinds."""
+class TrainingJob(Job):
+    """``lp-mem`` / ``lp-disk`` / ``nc-mem`` / ``nc-disk``: one trainer
+    behind the shared training loop (:mod:`repro.train.loop`)."""
 
-    trainer = None
+    TRAINERS = {registry.LP_MEM: LinkPredictionTrainer,
+                registry.LP_DISK: DiskLinkPredictionTrainer,
+                registry.NC_MEM: NodeClassificationTrainer,
+                registry.NC_DISK: DiskNodeClassificationTrainer}
+
+    def build(self, verbose: bool = False,
+              listeners: Iterable[ProgressListener] = ()) -> "TrainingJob":
+        spec = self.spec
+        model, train, storage = spec.model, spec.train, spec.storage
+        workdir = storage.workdir if "storage" in spec.sections else None
+        kwargs: Dict[str, Any] = dict(
+            listeners=listeners,
+            **_checkpoint_kwargs(spec.checkpoint, workdir, verbose))
+        if spec.kind in registry.LP_SNAPSHOT_KINDS:
+            self.dataset = _lp_dataset(spec)
+            fanouts = tuple(model.fanouts) if model.encoder != "none" else ()
+            self.config = LinkPredictionConfig(
+                embedding_dim=model.dim, encoder=model.encoder,
+                num_layers=len(fanouts), fanouts=fanouts, decoder=model.decoder,
+                batch_size=train.batch_size, num_negatives=train.negatives,
+                num_epochs=train.epochs, eval_negatives=train.eval_negatives,
+                eval_max_edges=train.eval_max_edges,
+                eval_every=train.eval_every, seed=train.seed)
+            if spec.kind == registry.LP_DISK:
+                kwargs["disk"] = DiskConfig(
+                    workdir=Path(workdir) if workdir else Path(
+                        tempfile.mkdtemp(prefix="repro-disk-")),
+                    num_partitions=storage.partitions,
+                    num_logical=storage.logical,
+                    buffer_capacity=storage.buffer, policy=storage.policy)
+                kwargs["checkpoint_incremental"] = spec.checkpoint.incremental
+        else:
+            self.dataset = _nc_dataset(spec)
+            fanouts = tuple(model.fanouts)
+            self.config = NodeClassificationConfig(
+                encoder=model.encoder, hidden_dim=model.dim,
+                num_layers=len(fanouts), fanouts=fanouts,
+                batch_size=train.batch_size, num_epochs=train.epochs,
+                eval_every=train.eval_every, seed=train.seed)
+            if spec.kind == registry.NC_DISK:
+                kwargs["disk"] = DiskNodeClassificationConfig(
+                    workdir=Path(workdir) if workdir else Path(
+                        tempfile.mkdtemp(prefix="repro-nc-")),
+                    num_partitions=storage.partitions,
+                    buffer_capacity=storage.buffer)
+        self.trainer = self.TRAINERS[spec.kind](self.dataset, self.config,
+                                                **kwargs)
+        return self
 
     def telemetry_sources(self) -> Dict[str, Any]:
-        io = getattr(self.trainer, "io", None)
-        if io is None:
-            io = getattr(getattr(self.trainer, "buffer", None), "stats", None)
-        return {"storage": io.as_dict} if io is not None else {}
+        return {"storage": self.trainer.io.as_dict}
 
-    def _resume_path(self, path: Optional[Path]) -> Optional[Path]:
-        if path is not None:
-            return Path(path)
-        if self.spec.checkpoint.resume_from:
-            return Path(self.spec.checkpoint.resume_from)
-        return None
+    def run(self, verbose: bool = False):
+        result = self.trainer.train(verbose=verbose)
+        if verbose:
+            if self.spec.kind in registry.LP_SNAPSHOT_KINDS:
+                print(f"\nfinal MRR {result.final_mrr:.4f} "
+                      f"(hits@10 {result.final_metrics.hits_at_10:.4f}) "
+                      f"mean epoch {result.mean_epoch_seconds:.2f}s")
+            else:
+                print(f"\nfinal accuracy {result.final_accuracy:.4f} "
+                      f"mean epoch {result.mean_epoch_seconds:.2f}s")
+        return result
+
+    def snapshot(self) -> Path:
+        self._ensure_snapshot_manager()
+        return self.trainer.save_snapshot(self.config.num_epochs)
 
     def resume(self, path: Optional[Path] = None,
                verbose: bool = False) -> dict:
         meta = self.trainer.resume(self._resume_path(path))
         if verbose:
-            print(f"resumed from snapshot at epoch {meta['epoch']}"
-                  + (f", step {meta['step']}" if "step" in meta else ""))
+            print(f"resumed from snapshot at epoch {meta['epoch']}, "
+                  f"step {meta.get('step', 0)}")
         return meta
-
-
-class LinkPredictionJob(_TrainJob):
-    """``lp-mem`` / ``lp-disk``."""
-
-    def build(self, verbose: bool = False,
-              listeners: Iterable[ProgressListener] = ()) -> "LinkPredictionJob":
-        spec = self.spec
-        model, train, storage = spec.model, spec.train, spec.storage
-        self.dataset = _lp_dataset(spec)
-        fanouts = tuple(model.fanouts) if model.encoder != "none" else ()
-        self.config = LinkPredictionConfig(
-            embedding_dim=model.dim, encoder=model.encoder,
-            num_layers=len(fanouts), fanouts=fanouts, decoder=model.decoder,
-            batch_size=train.batch_size, num_negatives=train.negatives,
-            num_epochs=train.epochs, eval_negatives=train.eval_negatives,
-            eval_max_edges=train.eval_max_edges,
-            eval_every=train.eval_every, seed=train.seed)
-        workdir = storage.workdir if "storage" in spec.sections else None
-        ckpt = _checkpoint_kwargs(spec.checkpoint, workdir, verbose)
-        if spec.kind == registry.LP_DISK:
-            disk = DiskConfig(
-                workdir=Path(workdir) if workdir else
-                Path(tempfile.mkdtemp(prefix="repro-disk-")),
-                num_partitions=storage.partitions,
-                num_logical=storage.logical,
-                buffer_capacity=storage.buffer, policy=storage.policy)
-            self.trainer = DiskLinkPredictionTrainer(
-                self.dataset, self.config, disk,
-                checkpoint_incremental=spec.checkpoint.incremental,
-                listeners=listeners, **ckpt)
-        else:
-            self.trainer = LinkPredictionTrainer(self.dataset, self.config,
-                                                 listeners=listeners, **ckpt)
-        return self
-
-    def run(self, verbose: bool = False):
-        result = self.trainer.train(verbose=verbose)
-        if verbose:
-            print(f"\nfinal MRR {result.final_mrr:.4f} "
-                  f"(hits@10 {result.final_metrics.hits_at_10:.4f}) "
-                  f"mean epoch {result.mean_epoch_seconds:.2f}s")
-        return result
-
-    def snapshot(self) -> Path:
-        self._ensure_snapshot_manager()
-        epochs = self.config.num_epochs
-        if self.spec.kind == registry.LP_DISK:
-            return self.trainer.save_snapshot(epochs, 0, 1)
-        return self.trainer.save_snapshot(epochs)
-
-
-class NodeClassificationJob(_TrainJob):
-    """``nc-mem`` / ``nc-disk``."""
-
-    def build(self, verbose: bool = False,
-              listeners: Iterable[ProgressListener] = ()) -> "NodeClassificationJob":
-        spec = self.spec
-        model, train, storage = spec.model, spec.train, spec.storage
-        self.dataset = _nc_dataset(spec)
-        fanouts = tuple(model.fanouts)
-        self.config = NodeClassificationConfig(
-            encoder=model.encoder, hidden_dim=model.dim,
-            num_layers=len(fanouts), fanouts=fanouts,
-            batch_size=train.batch_size, num_epochs=train.epochs,
-            eval_every=train.eval_every, seed=train.seed)
-        workdir = storage.workdir if "storage" in spec.sections else None
-        ckpt = _checkpoint_kwargs(spec.checkpoint, workdir, verbose)
-        if spec.kind == registry.NC_DISK:
-            disk = DiskNodeClassificationConfig(
-                workdir=Path(workdir) if workdir else
-                Path(tempfile.mkdtemp(prefix="repro-nc-")),
-                num_partitions=storage.partitions,
-                buffer_capacity=storage.buffer)
-            self.trainer = DiskNodeClassificationTrainer(
-                self.dataset, self.config, disk, listeners=listeners, **ckpt)
-        else:
-            self.trainer = NodeClassificationTrainer(
-                self.dataset, self.config, listeners=listeners, **ckpt)
-        return self
-
-    def run(self, verbose: bool = False):
-        result = self.trainer.train(verbose=verbose)
-        if verbose:
-            print(f"\nfinal accuracy {result.final_accuracy:.4f} "
-                  f"mean epoch {result.mean_epoch_seconds:.2f}s")
-        return result
-
-    def snapshot(self) -> Path:
-        self._ensure_snapshot_manager()
-        epochs = self.config.num_epochs
-        if self.spec.kind == registry.NC_DISK:
-            return self.trainer.save_snapshot(epochs, 0, 1)
-        return self.trainer.save_snapshot(epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +619,7 @@ class StreamJob(Job):
     # ------------------------------------------------------------------
     def resume(self, path: Optional[Path] = None,
                verbose: bool = False) -> dict:
-        p = Path(path) if path is not None else (
-            Path(self.spec.checkpoint.resume_from)
-            if self.spec.checkpoint.resume_from else None)
-        meta = self.trainer.resume(p)
+        meta = self.trainer.resume(self._resume_path(path))
         self.live.nodes_added = int(meta["stream"]["nodes_added"])
         if self._wal_replay:
             # Snapshot restore + WAL replay compose: the snapshot pinned the
@@ -899,10 +862,8 @@ def _stream_snapshot_meta(path: Path) -> dict:
 # Factory bindings — the registry's executable half
 # ---------------------------------------------------------------------------
 
-for _kind in (registry.LP_MEM, registry.LP_DISK):
-    registry.bind(_kind, LinkPredictionJob)
-for _kind in (registry.NC_MEM, registry.NC_DISK):
-    registry.bind(_kind, NodeClassificationJob)
+for _kind in TrainingJob.TRAINERS:
+    registry.bind(_kind, TrainingJob)
 registry.bind(registry.SERVE, ServeJob)
 registry.bind(registry.SERVE_FLEET, ServeFleetJob)
 registry.bind(registry.STREAM, StreamJob)

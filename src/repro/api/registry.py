@@ -1,6 +1,6 @@
 """The job-kind registry: the single authority for job and snapshot kinds.
 
-Every runnable workload in the reproduction — the five trainers, the
+Every runnable workload in the reproduction — the four trainers, the
 serving engine, and the streaming driver — is a *job kind*. This module
 owns the kind strings (trainer ``KIND`` attributes and the serving
 loader's accepted snapshot kinds reference them, so they cannot drift),

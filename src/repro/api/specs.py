@@ -99,8 +99,8 @@ class StorageSpec:
 class CheckpointSpec:
     """Crash-safe snapshot cadence and resume source."""
 
-    every: int = _f(0, "snapshot cadence (epochs / plan steps / batches / "
-                       "refreshes, per kind); 0 = off")
+    every: int = _f(0, "snapshot cadence in plan steps (an in-memory "
+                       "epoch is one) or refreshes (streaming); 0 = off")
     dir: Optional[str] = _f(None, "snapshot root (default: "
                                   "<workdir>/checkpoints or a temp dir)")
     compress: bool = _f(False, "zlib-compress snapshot array payloads")

@@ -108,10 +108,9 @@ class PrefetchingBufferManager:
     taking staged prefetch data and applying it to the buffer).
     """
 
-    def __init__(self, buffer: PartitionBuffer, enabled: bool = True,
+    def __init__(self, buffer: PartitionBuffer,
                  fault_hook: Optional[Callable[[str], None]] = None) -> None:
         self.buffer = buffer
-        self.enabled = enabled
         self.prefetcher = Prefetcher(buffer.store)
         self.fault_hook = fault_hook
 
@@ -129,8 +128,7 @@ class PrefetchingBufferManager:
         if len(wanted) > self.buffer.capacity:
             raise ValueError(
                 f"requested {len(wanted)} partitions, capacity {self.buffer.capacity}")
-        if self.enabled:
-            self.prefetcher.wait()
+        self.prefetcher.wait()
         removed = []
         added = []
         for part in [q for q in self.buffer.resident if q not in wanted]:
@@ -140,7 +138,7 @@ class PrefetchingBufferManager:
         for part in sorted(wanted):
             if self.buffer.is_resident(part):
                 continue
-            staged = self.prefetcher.take(part) if self.enabled else None
+            staged = self.prefetcher.take(part)
             if staged is not None:
                 self._fire("prefetch-staged")
                 self.buffer.admit_preloaded(part, *staged)
@@ -149,7 +147,7 @@ class PrefetchingBufferManager:
             added.append(part)
         moved = len(added) + len(removed)
         self.buffer.notify_swap(added, removed)
-        if self.enabled and next_partitions is not None:
+        if next_partitions is not None:
             incoming = [p for p in next_partitions
                         if not self.buffer.is_resident(int(p))]
             if incoming:

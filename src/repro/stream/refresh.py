@@ -36,9 +36,10 @@ from ..core.sampler import DenseSampler
 from ..nn.optim import RowAdagrad
 from ..storage.buffer import PartitionBuffer
 from ..train.checkpoint import (SnapshotManager, _config_to_dict,
-                                pack_model, pack_optimizer, resolve_snapshot,
-                                rng_state, set_rng_state, unpack_model,
-                                unpack_optimizer, validate_meta)
+                                pack_model_state, pack_store_table,
+                                resolve_snapshot, restore_store_table,
+                                rng_state, set_rng_state, unpack_model_state,
+                                validate_meta)
 from ..train.evaluation import EpochRecord
 from ..train.hooks import ListenerHooks, ProgressListener
 from ..train.link_prediction import (LinkPredictionConfig,
@@ -167,7 +168,6 @@ class ContinualTrainer(ListenerHooks):
         buckets and leaves the pending accumulator untouched.
         """
         live = self.live
-        cfg = self.config
         explicit = pairs is not None
         if not explicit:
             pairs = sorted(self._pending_pairs)
@@ -187,19 +187,11 @@ class ContinualTrainer(ListenerHooks):
             with live.table_write():
                 self.buffer.set_partitions(parts)
             self.negatives.set_allowed(self.buffer.resident_nodes())
-            chunks = [live.bucket_edges(i, j) for i, j in group_pairs]
-            edges = np.concatenate(chunks, axis=0) if chunks else None
-            if edges is None or len(edges) == 0:
-                continue
-            order = self.rng.permutation(len(edges))
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                loss = self.step_runner.run(edges[idx], self.sampler,
-                                            self.negatives,
-                                            self.buffer.gather,
-                                            self.buffer.apply_gradients,
-                                            record)
-                losses.append(loss)
+            edges = np.concatenate([live.bucket_edges(i, j)
+                                    for i, j in group_pairs], axis=0)
+            losses += self.step_runner.train_edges(
+                edges, self.sampler, self.negatives, self.buffer.gather,
+                self.buffer.apply_gradients, record)
         # Land the updates and tell the stream: the snapshot table must
         # reflect the refresh, and read-only serving buffers over the same
         # live graph must re-read the retrained partitions. The row writes
@@ -236,14 +228,9 @@ class ContinualTrainer(ListenerHooks):
         """Atomic snapshot of model, table, and the stream log position."""
         if self.snapshots is None:
             raise RuntimeError("trainer was built without a checkpoint_dir")
-        self.buffer.flush()
-        self.live.node_store.flush()
-        arrays = {"node_table": self.live.node_store.read_all()}
-        state = self.live.node_store.read_all_state()
-        if state is not None:
-            arrays["node_state"] = state
-        pack_model(self.model, arrays)
-        pack_optimizer("gnn_opt", self.step_runner.gnn_optimizer, arrays)
+        arrays: Dict[str, np.ndarray] = {}
+        pack_store_table(arrays, self.buffer, self.live.node_store)
+        pack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
         log = self.live.log
         meta = {"trainer": self.KIND,
                 "stream": {"seq": int(log.seq),
@@ -276,11 +263,8 @@ class ContinualTrainer(ListenerHooks):
         validate_meta(meta, self.KIND, stores=self._store_fingerprints(),
                       config=self.config)
         stream = meta["stream"]
-        self.buffer.drop_all()
-        self.live.node_store.restore(arrays["node_table"],
-                                     arrays.get("node_state"))
-        unpack_model(self.model, arrays)
-        unpack_optimizer("gnn_opt", self.step_runner.gnn_optimizer, arrays)
+        restore_store_table(arrays, self.buffer, self.live.node_store)
+        unpack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
         set_rng_state(self.rng, meta["rng"])
         log = self.live.log
         horizon = int(stream["compacted_seq"])

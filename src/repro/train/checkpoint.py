@@ -28,7 +28,7 @@ import os
 import shutil
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -440,24 +440,58 @@ def nc_dataset_fingerprint(dataset) -> str:
             f"{graph.node_features.shape[1]}:{crc:08x}")
 
 
-def pack_model(model: Module, arrays: Dict[str, np.ndarray]) -> None:
+def pack_model_state(arrays: Dict[str, np.ndarray], model: Module,
+                     gnn_optimizer) -> None:
+    """Model parameters under ``model/``, the dense optimizer's moments
+    (if there is one) under ``gnn_opt/``."""
     flatten_arrays("model", model.state_dict(), arrays)
+    if gnn_optimizer is not None:
+        flatten_arrays("gnn_opt", gnn_optimizer.state_dict(), arrays)
 
 
-def unpack_model(model: Module, arrays: Dict[str, np.ndarray]) -> None:
+def unpack_model_state(arrays: Dict[str, np.ndarray], model: Module,
+                       gnn_optimizer) -> None:
     model.load_state_dict(unflatten_arrays("model", arrays))
+    if gnn_optimizer is not None:
+        gnn_optimizer.load_state_dict(unflatten_arrays("gnn_opt", arrays))
 
 
-def pack_optimizer(prefix: str, optimizer,
-                   arrays: Dict[str, np.ndarray]) -> None:
-    if optimizer is not None:
-        flatten_arrays(prefix, optimizer.state_dict(), arrays)
+def pack_store_table(arrays: Dict[str, np.ndarray], buffer, store,
+                     parts: Optional[Sequence[int]] = None) -> None:
+    """A buffered node store's table (+ Adagrad state) as snapshot arrays.
+
+    The buffer is flushed first, so the copy holds the in-buffer slab's
+    exact values (flushing writes the same bytes an eviction would later —
+    training math is unaffected). ``parts=None`` packs the full
+    ``node_table``/``node_state``; otherwise only those partitions' rows,
+    as ``delta/...`` spans over a base snapshot (see :func:`compose_arrays`).
+    """
+    buffer.flush()
+    store.flush()
+    if parts is None:
+        arrays["node_table"] = store.read_all()
+        state = store.read_all_state()
+        if state is not None:
+            arrays["node_state"] = state
+        return
+    for part in sorted(parts):
+        data, state = store.read_partition(part)
+        lo = int(store.scheme.boundaries[part])
+        arrays[delta_key("node_table", lo)] = data
+        if state is not None:
+            arrays[delta_key("node_state", lo)] = state
 
 
-def unpack_optimizer(prefix: str, optimizer,
-                     arrays: Dict[str, np.ndarray]) -> None:
-    if optimizer is not None:
-        optimizer.load_state_dict(unflatten_arrays(prefix, arrays))
+def restore_store_table(arrays: Dict[str, np.ndarray], buffer,
+                        store) -> None:
+    """Rewrite a buffered node store wholesale from snapshot arrays.
+
+    The buffer's resident partitions are dropped without write-back, and
+    the workdir memmaps are overwritten: partition writes torn by a crash
+    after the snapshot cannot leak into the resumed run.
+    """
+    buffer.drop_all()
+    store.restore(arrays["node_table"], arrays.get("node_state"))
 
 
 # Config fields a resume may legitimately change: they steer how *long* or

@@ -118,9 +118,6 @@ class EpochRecord:
     loss: float
     seconds: float
     metric: float                      # MRR (lp) or accuracy (nc)
-    sample_seconds: float = 0.0
-    compute_seconds: float = 0.0
-    io_seconds: float = 0.0
     io_bytes: int = 0
     partition_loads: int = 0
     num_batches: int = 0

@@ -6,7 +6,7 @@ callback shape instead of each trainer growing bespoke loop plumbing:
 ``payload`` a JSON-able dict. Every trainer emits at least:
 
 * ``"epoch"`` — after each completed epoch (``epoch``, ``loss``,
-  ``seconds``, ``metric``);
+  ``seconds``, ``metric``, ``io_bytes``);
 * ``"snapshot"`` — after each atomic snapshot lands (``path`` plus the
   kind's cursor fields);
 

@@ -9,15 +9,15 @@ The mini-batch lifecycle follows Figure 2 of the paper:
 5. update GNN parameters,
 6. write base-representation updates back (to the table / partition buffer).
 
-Both trainers share the same model and batch step; the disk trainer layers a
+Both trainers share the same model, batch step and training loop
+(:mod:`repro.train.loop`); the disk trainer layers a
 :class:`~repro.storage.buffer.PartitionBuffer`, an epoch plan from the chosen
 replacement policy, and in-buffer negative/neighbor restrictions on top.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,18 +35,16 @@ from ..nn.loss import link_prediction_loss
 from ..nn.module import Module
 from ..nn.optim import Adam, RowAdagrad
 from ..nn.tensor import Tensor, no_grad
-from ..policies.base import EpochPlan, PartitionPolicy
+from ..policies.base import EpochStep, PartitionPolicy
 from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
-from ..storage.io_stats import IOStats
 from ..storage.node_store import NodeStore
-from .checkpoint import (SnapshotError, SnapshotManager, _config_to_dict,
-                         dataset_fingerprint, delta_key, pack_model,
-                         pack_optimizer, resolve_snapshot,
-                         resolve_snapshot_dir, rng_state, set_rng_state,
-                         unpack_model, unpack_optimizer, validate_meta)
+from ..storage.prefetch import PrefetchingBufferManager
+from .checkpoint import (SnapshotError, dataset_fingerprint, pack_store_table,
+                         resolve_snapshot_dir, restore_store_table)
 from .evaluation import EpochRecord, RankingMetrics, ranking_metrics, ranks_from_scores
-from .hooks import ListenerHooks, ProgressListener
+from .hooks import ProgressListener
+from .loop import _TrainingLoop, _TrainingResult
 from .negative_sampling import UniformNegativeSampler
 
 
@@ -87,22 +85,15 @@ class LinkPredictionConfig:
 
 
 @dataclass
-class TrainResult:
-    """Outcome of a training run."""
+class TrainResult(_TrainingResult):
+    """Outcome of a link prediction training run."""
 
-    epochs: List[EpochRecord]
     final_metrics: RankingMetrics
     model_name: str
 
     @property
     def final_mrr(self) -> float:
         return self.final_metrics.mrr
-
-    @property
-    def mean_epoch_seconds(self) -> float:
-        if not self.epochs:
-            return 0.0
-        return float(np.mean([e.seconds for e in self.epochs]))
 
 
 class LinkPredictionModel(Module):
@@ -155,6 +146,16 @@ class _BatchStep:
         params = model.parameters()
         self.gnn_optimizer = Adam(params, lr=config.gnn_lr) if params else None
 
+    def train_edges(self, edges: np.ndarray, sampler: DenseSampler,
+                    negatives: UniformNegativeSampler, gather_fn, apply_fn,
+                    record: EpochRecord) -> List[float]:
+        """One pass over ``edges`` in shuffled mini-batches; their losses."""
+        order = self.rng.permutation(len(edges))
+        size = self.config.batch_size
+        return [self.run(edges[order[start : start + size]], sampler,
+                         negatives, gather_fn, apply_fn, record)
+                for start in range(0, len(order), size)]
+
     def run(self, edges: np.ndarray, sampler: DenseSampler,
             negatives: UniformNegativeSampler, gather_fn, apply_fn,
             record: EpochRecord) -> float:
@@ -162,14 +163,12 @@ class _BatchStep:
         dst = edges[:, -1]
         rel = edges[:, 1] if edges.shape[1] == 3 else np.zeros(len(edges), dtype=np.int64)
 
-        t0 = time.perf_counter()
         neg_nodes = negatives.sample().nodes
         targets = np.unique(np.concatenate([src, dst, neg_nodes]))
         if self.config.num_layers > 0:
             batch = sampler.sample(targets)
         else:
             batch = sampler.sample_no_neighbors(targets)
-        t1 = time.perf_counter()
 
         h0 = Tensor(gather_fn(batch.node_ids), requires_grad=True)
         out = self.model.encode(h0, batch)
@@ -191,22 +190,48 @@ class _BatchStep:
             self.gnn_optimizer.step()
         if h0.grad is not None:
             apply_fn(batch.node_ids, h0.grad)
-        t2 = time.perf_counter()
-
-        record.sample_seconds += t1 - t0
-        record.compute_seconds += t2 - t1
         record.num_batches += 1
         return float(loss.data)
 
 
-class LinkPredictionTrainer(ListenerHooks):
+class _LinkPredictionLoop(_TrainingLoop):
+    """What the two link prediction trainers share around the loop."""
+
+    METRIC = "mrr"
+
+    @property
+    def _gnn_optimizer(self) -> Optional[Adam]:
+        return self.step_runner.gnn_optimizer
+
+    def _epoch_metric(self) -> float:
+        return self.evaluate().mrr
+
+    def _result(self, records: List[EpochRecord]) -> TrainResult:
+        return TrainResult(epochs=records, final_metrics=self.evaluate(),
+                           model_name=self._model_name())
+
+    def evaluate(self, edges: Optional[np.ndarray] = None,
+                 seed: int = 1234) -> RankingMetrics:
+        """Ranked MRR of test edges against sampled negative destinations,
+        full-graph sampling over the trained table."""
+        cfg = self.config
+        if edges is None:
+            edges = self.dataset.split.test
+        if len(edges) > cfg.eval_max_edges:
+            pick = np.random.default_rng(seed).choice(len(edges), cfg.eval_max_edges,
+                                                      replace=False)
+            edges = edges[pick]
+        return evaluate_model(self.model, self._table(), self.dataset.graph,
+                              edges, cfg, seed=seed)
+
+
+class LinkPredictionTrainer(_LinkPredictionLoop):
     """Single-machine, full-graph-in-memory trainer (M-GNN_Mem).
 
-    ``checkpoint_dir``/``checkpoint_every`` (in epochs) enable the atomic
-    snapshot subsystem; :meth:`resume` restores the latest snapshot so a
-    continued :meth:`train` is bit-identical to an uninterrupted run.
-    ``listeners`` observe progress/snapshot events (see
-    :mod:`repro.train.hooks`).
+    An epoch is one plan step: the whole training split in shuffled mini
+    batches over an in-memory table. ``checkpoint_dir``/``checkpoint_every``
+    (in epochs), :meth:`resume` and ``listeners`` are the shared loop's
+    (:mod:`repro.train.loop`).
     """
 
     KIND = job_registry.LP_MEM
@@ -217,11 +242,10 @@ class LinkPredictionTrainer(ListenerHooks):
                  checkpoint_every: int = 0,
                  checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
-        self._init_hooks(listeners)
+        super().__init__(config or LinkPredictionConfig(), checkpoint_dir,
+                         checkpoint_every, checkpoint_compress, listeners)
         self.dataset = dataset
-        self.config = config or LinkPredictionConfig()
         cfg = self.config
-        self.rng = np.random.default_rng(cfg.seed)
         graph = dataset.graph
         self.model = LinkPredictionModel(cfg, graph.num_relations, rng=self.rng)
         self.embeddings = _EmbeddingTable(graph.num_nodes, cfg.embedding_dim,
@@ -230,92 +254,35 @@ class LinkPredictionTrainer(ListenerHooks):
                                     directions=cfg.directions, rng=self.rng)
         self.negatives = UniformNegativeSampler(graph.num_nodes, cfg.num_negatives,
                                                 rng=self.rng)
-        self.step = _BatchStep(self.model, cfg, self.rng)
-        self.snapshots = (SnapshotManager(checkpoint_dir,
-                                          compress=checkpoint_compress)
-                          if checkpoint_dir is not None else None)
-        self.checkpoint_every = int(checkpoint_every)
-        self._start_epoch = 0
+        self.step_runner = _BatchStep(self.model, cfg, self.rng)
 
-    # ------------------------------------------------------------------
-    def save_snapshot(self, next_epoch: int) -> Path:
-        """Atomically snapshot full training state; resume at ``next_epoch``."""
-        if self.snapshots is None:
-            raise RuntimeError("trainer was built without a checkpoint_dir")
-        arrays = {"emb_table": self.embeddings.table.copy(),
-                  "emb_state": self.embeddings.state.copy()}
-        pack_model(self.model, arrays)
-        pack_optimizer("gnn_opt", self.step.gnn_optimizer, arrays)
-        meta = {"trainer": self.KIND, "epoch": int(next_epoch),
-                "rng": rng_state(self.rng),
-                "stores": {"dataset": dataset_fingerprint(self.dataset)},
-                "config": _config_to_dict(self.config)}
-        path = self.snapshots.save(next_epoch, meta, arrays)
-        self._emit("snapshot", trainer=self.KIND, path=str(path),
-                   epoch=int(next_epoch))
-        return path
+    @property
+    def step(self) -> _BatchStep:
+        """The batch step, the same object as ``step_runner``."""
+        return self.step_runner
 
-    def resume(self, path: Optional[Path] = None) -> dict:
-        """Restore a snapshot (latest under the checkpoint dir by default)."""
-        meta, arrays = resolve_snapshot(path, self.snapshots)
-        validate_meta(meta, self.KIND, config=self.config,
-                      stores={"dataset": dataset_fingerprint(self.dataset)})
+    def _run_step(self, steps, idx: int, record: EpochRecord) -> List[float]:
+        return self.step_runner.train_edges(
+            self.dataset.split.train, self.sampler, self.negatives,
+            self.embeddings.gather, self.embeddings.apply, record)
+
+    def _pack_state(self, arrays: dict, meta: dict) -> None:
+        arrays["emb_table"] = self.embeddings.table
+        arrays["emb_state"] = self.embeddings.state
+
+    def _restore_state(self, meta: dict, arrays: dict,
+                       path: Optional[Path]) -> None:
         self.embeddings.table[:] = arrays["emb_table"]
         self.embeddings.state[:] = arrays["emb_state"]
-        unpack_model(self.model, arrays)
-        unpack_optimizer("gnn_opt", self.step.gnn_optimizer, arrays)
-        set_rng_state(self.rng, meta["rng"])
-        self._start_epoch = int(meta["epoch"])
-        return meta
 
-    # ------------------------------------------------------------------
-    def train(self, verbose: bool = False) -> TrainResult:
-        cfg = self.config
-        train_edges = self.dataset.split.train
-        records: List[EpochRecord] = []
-        for epoch in range(self._start_epoch, cfg.num_epochs):
-            t0 = time.perf_counter()
-            record = EpochRecord(epoch=epoch, loss=0.0, seconds=0.0, metric=0.0)
-            losses = []
-            order = self.rng.permutation(len(train_edges))
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                loss = self.step.run(train_edges[idx], self.sampler, self.negatives,
-                                     self.embeddings.gather, self.embeddings.apply,
-                                     record)
-                losses.append(loss)
-            record.seconds = time.perf_counter() - t0
-            record.loss = float(np.mean(losses)) if losses else 0.0
-            if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-                record.metric = self.evaluate().mrr
-            records.append(record)
-            self._emit("epoch", trainer=self.KIND, epoch=epoch,
-                       loss=record.loss, seconds=record.seconds,
-                       metric=record.metric)
-            if (self.snapshots is not None and self.checkpoint_every
-                    and (epoch + 1) % self.checkpoint_every == 0):
-                self.save_snapshot(epoch + 1)
-            if verbose:
-                print(f"[epoch {epoch}] loss={record.loss:.4f} "
-                      f"time={record.seconds:.1f}s mrr={record.metric:.4f}")
-        self._start_epoch = 0
-        metrics = self.evaluate()
-        return TrainResult(epochs=records, final_metrics=metrics,
-                           model_name=f"{cfg.encoder}-mem")
+    def _fingerprints(self) -> dict:
+        return {"dataset": dataset_fingerprint(self.dataset)}
 
-    # ------------------------------------------------------------------
-    def evaluate(self, edges: Optional[np.ndarray] = None,
-                 seed: int = 1234) -> RankingMetrics:
-        """Ranked MRR of test edges against sampled negative destinations."""
-        cfg = self.config
-        if edges is None:
-            edges = self.dataset.split.test
-        if len(edges) > cfg.eval_max_edges:
-            pick = np.random.default_rng(seed).choice(len(edges), cfg.eval_max_edges,
-                                                      replace=False)
-            edges = edges[pick]
-        return evaluate_model(self.model, self.embeddings.table, self.dataset.graph,
-                              edges, cfg, seed=seed)
+    def _table(self) -> np.ndarray:
+        return self.embeddings.table
+
+    def _model_name(self) -> str:
+        return f"{self.config.encoder}-mem"
 
 
 def evaluate_model(model: LinkPredictionModel, table: np.ndarray, graph: Graph,
@@ -426,19 +393,19 @@ class DiskConfig:
     num_logical: int = 8
     buffer_capacity: int = 4
     policy: str = "comet"               # comet | beta
-    prefetch: bool = True
 
     def __post_init__(self) -> None:
         self.workdir = Path(self.workdir)
 
 
-class DiskLinkPredictionTrainer(ListenerHooks):
+class DiskLinkPredictionTrainer(_LinkPredictionLoop):
     """Out-of-core trainer: partition buffer + COMET/BETA epoch plans.
 
     Each epoch: the policy produces (S, X); for each step the buffer swaps to
-    S_i (real memmap IO), the sampler re-indexes the in-buffer subgraph, and
-    mini batches are drawn from X_i's buckets with negatives restricted to
-    resident nodes.
+    S_i (real memmap IO, the next step's partitions prefetched meanwhile),
+    the sampler re-indexes the in-buffer subgraph, and mini batches are
+    drawn from X_i's buckets with negatives restricted to resident nodes.
+    ``checkpoint_every`` counts plan steps, so snapshots land mid-epoch.
 
     ``checkpoint_incremental=True`` switches to dirty-partition-only
     snapshots: the first save is a full base, later saves carry only the
@@ -458,15 +425,13 @@ class DiskLinkPredictionTrainer(ListenerHooks):
                  checkpoint_compress: bool = False,
                  checkpoint_incremental: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
-        self._init_hooks(listeners)
+        super().__init__(config or LinkPredictionConfig(), checkpoint_dir,
+                         checkpoint_every, checkpoint_compress, listeners)
         self.dataset = dataset
-        self.config = config or LinkPredictionConfig()
         self.disk = disk or DiskConfig(workdir=Path("/tmp/repro-disk"))
         cfg, dsk = self.config, self.disk
-        self.rng = np.random.default_rng(cfg.seed)
         graph = self._train_graph()
         self.scheme = PartitionScheme.uniform(graph.num_nodes, dsk.num_partitions)
-        self.io = IOStats()
         dsk.workdir.mkdir(parents=True, exist_ok=True)
         self.node_store = NodeStore(dsk.workdir / "embeddings.bin", self.scheme,
                                     cfg.embedding_dim, learnable=True, stats=self.io)
@@ -475,9 +440,7 @@ class DiskLinkPredictionTrainer(ListenerHooks):
                                           self.scheme, stats=self.io)
         self.buffer = PartitionBuffer(self.node_store, dsk.buffer_capacity,
                                       optimizer=RowAdagrad(lr=cfg.embedding_lr))
-        from ..storage.prefetch import PrefetchingBufferManager
-        self.buffer_manager = PrefetchingBufferManager(self.buffer,
-                                                       enabled=dsk.prefetch)
+        self.buffer_manager = PrefetchingBufferManager(self.buffer)
         # Partition-aware sampler: buffer swaps report their diff and only
         # the new partitions' edge buckets are read + sorted (Section 6,
         # Quantity 2) instead of re-indexing the whole in-buffer subgraph.
@@ -491,107 +454,77 @@ class DiskLinkPredictionTrainer(ListenerHooks):
         self.negatives = UniformNegativeSampler(graph.num_nodes, cfg.num_negatives,
                                                 rng=self.rng)
         self.step_runner = _BatchStep(self.model, cfg, self.rng)
-        self.snapshots = (SnapshotManager(checkpoint_dir,
-                                          compress=checkpoint_compress)
-                          if checkpoint_dir is not None else None)
-        self.checkpoint_every = int(checkpoint_every)  # in epoch-plan steps
         self.checkpoint_incremental = bool(checkpoint_incremental)
         self._ckpt_base: Optional[str] = None       # full snapshot deltas chain to
         self._touched_since_base: set = set()       # partitions dirtied since it
-        self._start_epoch = 0
-        self._start_step = 0
-        self._steps_done = 0
 
     # ------------------------------------------------------------------
-    def _store_fingerprints(self) -> dict:
+    def _plan_epoch(self, epoch: int) -> List[EpochStep]:
+        return self.policy.plan_epoch(
+            epoch, rng=np.random.default_rng((epoch + 1) * 7919)).steps
+
+    def _run_step(self, steps: List[EpochStep], idx: int,
+                  record: EpochRecord) -> List[float]:
+        step = steps[idx]
+        next_parts = steps[idx + 1].partitions if idx + 1 < len(steps) else None
+        # The swap listener updates self.sampler's index incrementally.
+        self.buffer_manager.load_step(step.partitions, next_parts)
+        self.negatives.set_allowed(self.buffer.resident_nodes())
+        edges = self.edge_store.read_buckets(step.buckets)
+        losses = self.step_runner.train_edges(
+            edges, self.sampler, self.negatives, self.buffer.gather,
+            self.buffer.apply_gradients, record)
+        if self.checkpoint_incremental:
+            # Updates land only inside the step's batches, and evictions
+            # only at the next swap — so the buffer's dirty set here is
+            # exactly the partitions this step's gradients touched.
+            self._touched_since_base.update(self.buffer.dirty_partitions())
+        return losses
+
+    def _end_epoch(self) -> None:
+        self.buffer_manager.finish()
+
+    # ------------------------------------------------------------------
+    def _fingerprints(self) -> dict:
         # The plan entry pins everything the epoch-step cursor's meaning
         # depends on: a resume under a different policy or grouping would
-        # skip steps of the WRONG plan (prefetch only shifts IO timing, so
-        # it may be toggled).
+        # skip steps of the WRONG plan.
         dsk = self.disk
         return {"node": self.node_store.fingerprint(),
                 "edge": self.edge_store.fingerprint(),
                 "plan": f"{dsk.policy}:p{dsk.num_partitions}"
                         f":l{dsk.num_logical}:c{dsk.buffer_capacity}"}
 
-    def save_snapshot(self, epoch: int, next_step: int, num_steps: int) -> Path:
-        """Quiesce and atomically snapshot the full out-of-core state.
-
-        ``next_step`` is the plan step the resumed run starts at; a cursor
-        past the last step normalizes to the next epoch's step 0. The buffer
-        is flushed first, so the snapshot's table copy holds the in-buffer
-        parameter slab's exact values (flushing writes the same bytes an
-        eviction would later — training math is unaffected).
-        """
-        if self.snapshots is None:
-            raise RuntimeError("trainer was built without a checkpoint_dir")
-        if next_step >= num_steps:
-            epoch, next_step = epoch + 1, 0
-        self.buffer.flush()
-        self.node_store.flush()
+    def _pack_state(self, arrays: dict, meta: dict) -> Optional[str]:
+        meta["resident"] = self.buffer.resident
+        meta["policy"] = self.policy.state_dict()
         # Incremental mode: once a full base exists, carry only the rows of
         # partitions touched since it (a delta covering every partition is
         # pointless — re-base with a fresh full snapshot instead).
         delta = (self.checkpoint_incremental and self._ckpt_base is not None
                  and len(self._touched_since_base) < self.scheme.num_partitions)
-        if delta:
-            arrays = {}
-            for part in sorted(self._touched_since_base):
-                data, state = self.node_store.read_partition(part)
-                lo = int(self.scheme.boundaries[part])
-                arrays[delta_key("node_table", lo)] = data
-                if state is not None:
-                    arrays[delta_key("node_state", lo)] = state
-        else:
-            arrays = {"node_table": self.node_store.read_all()}
-            state = self.node_store.read_all_state()
-            if state is not None:
-                arrays["node_state"] = state
-        pack_model(self.model, arrays)
-        pack_optimizer("gnn_opt", self.step_runner.gnn_optimizer, arrays)
-        meta = {"trainer": self.KIND, "epoch": int(epoch), "step": int(next_step),
-                "resident": self.buffer.resident,
-                "rng": rng_state(self.rng),
-                "policy": self.policy.state_dict(),
-                "stores": self._store_fingerprints(),
-                "config": _config_to_dict(self.config)}
-        if delta:
-            meta["incremental"] = {
-                "base": self._ckpt_base,
-                "parts": sorted(int(p) for p in self._touched_since_base)}
-        path = self.snapshots.save(epoch * 1_000_000 + next_step, meta, arrays,
-                                   base=self._ckpt_base if delta else None)
-        if self.checkpoint_incremental and not delta:
+        pack_store_table(arrays, self.buffer, self.node_store,
+                         parts=self._touched_since_base if delta else None)
+        if not delta:
+            return None
+        meta["incremental"] = {
+            "base": self._ckpt_base,
+            "parts": sorted(int(p) for p in self._touched_since_base)}
+        return self._ckpt_base
+
+    def _snapshot_saved(self, path: Path, base: Optional[str]) -> None:
+        if self.checkpoint_incremental and base is None:
             self._ckpt_base = path.name
             self._touched_since_base.clear()
-        self._emit("snapshot", trainer=self.KIND, path=str(path),
-                   epoch=int(epoch), step=int(next_step),
-                   incremental=bool(delta))
-        return path
 
-    def resume(self, path: Optional[Path] = None) -> dict:
-        """Restore the latest (or given) snapshot; next train() continues.
-
-        The workdir memmaps are rewritten wholesale from the snapshot, so
-        any partition writes torn by the crash are discarded — the snapshot
-        directory is the durable source of truth.
-        """
-        meta, arrays = resolve_snapshot(path, self.snapshots)
-        validate_meta(meta, self.KIND, stores=self._store_fingerprints(),
-                      config=self.config)
+    def _restore_state(self, meta: dict, arrays: dict,
+                       path: Optional[Path]) -> None:
         self.buffer_manager.reset()
-        self.buffer.drop_all()
-        self.node_store.restore(arrays["node_table"], arrays.get("node_state"))
-        unpack_model(self.model, arrays)
-        unpack_optimizer("gnn_opt", self.step_runner.gnn_optimizer, arrays)
+        restore_store_table(arrays, self.buffer, self.node_store)
         self.policy.load_state_dict(meta.get("policy", {}))
         self.buffer.set_partitions(meta["resident"])
         self.negatives.set_allowed(self.buffer.resident_nodes())
-        set_rng_state(self.rng, meta["rng"])
-        self._start_epoch = int(meta["epoch"])
-        self._start_step = int(meta["step"])
         self._restore_incremental_chain(path, meta)
-        return meta
 
     def _restore_incremental_chain(self, path: Optional[Path],
                                    meta: dict) -> None:
@@ -620,6 +553,7 @@ class DiskLinkPredictionTrainer(ListenerHooks):
             if inc:
                 self._touched_since_base = set(int(p) for p in inc["parts"])
 
+    # ------------------------------------------------------------------
     def _train_graph(self) -> Graph:
         """Training edges only, as a graph (disk stores what we train on)."""
         from ..graph.datasets import training_graph
@@ -635,93 +569,10 @@ class DiskLinkPredictionTrainer(ListenerHooks):
             return BetaPolicy(dsk.num_partitions, dsk.buffer_capacity)
         raise ValueError(f"unknown policy {dsk.policy!r} (expected comet/beta)")
 
-    # ------------------------------------------------------------------
-    def train(self, verbose: bool = False) -> TrainResult:
-        cfg = self.config
-        records: List[EpochRecord] = []
-        for epoch in range(self._start_epoch, cfg.num_epochs):
-            start_step = self._start_step if epoch == self._start_epoch else 0
-            record = self._train_epoch(epoch, start_step=start_step)
-            if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-                record.metric = self.evaluate().mrr
-            records.append(record)
-            self._emit("epoch", trainer=self.KIND, epoch=epoch,
-                       loss=record.loss, seconds=record.seconds,
-                       metric=record.metric, io_bytes=record.io_bytes)
-            if verbose:
-                print(f"[epoch {epoch}] loss={record.loss:.4f} "
-                      f"time={record.seconds:.1f}s io={record.io_bytes >> 20}MiB "
-                      f"loads={record.partition_loads} mrr={record.metric:.4f}")
-        self._start_epoch = 0
-        self._start_step = 0
-        metrics = self.evaluate()
+    def _table(self) -> np.ndarray:
+        """The stored table (the buffer flushed first), for evaluation."""
         self.buffer.flush()
-        return TrainResult(epochs=records, final_metrics=metrics,
-                           model_name=f"{cfg.encoder}-disk-{self.disk.policy}")
+        return self.node_store.read_all()
 
-    def _train_epoch(self, epoch: int, start_step: int = 0) -> EpochRecord:
-        cfg = self.config
-        t_epoch = time.perf_counter()
-        record = EpochRecord(epoch=epoch, loss=0.0, seconds=0.0, metric=0.0)
-        io_before = self.io.snapshot()
-        plan = self.policy.plan_epoch(epoch, rng=np.random.default_rng((epoch + 1) * 7919))
-        losses: List[float] = []
-
-        for step_idx, step in enumerate(plan.steps):
-            if step_idx < start_step:
-                # Already trained before the snapshot this run resumed from;
-                # the restored rng state and buffer residency account for it.
-                continue
-            t_io = time.perf_counter()
-            next_parts = (plan.steps[step_idx + 1].partitions
-                          if step_idx + 1 < len(plan.steps) else None)
-            # The swap listener updates self.sampler's index incrementally.
-            self.buffer_manager.load_step(step.partitions, next_parts)
-            self.negatives.set_allowed(self.buffer.resident_nodes())
-            record.io_seconds += time.perf_counter() - t_io
-
-            edges = self.edge_store.read_buckets(step.buckets)
-            if len(edges) > 0:
-                order = self.rng.permutation(len(edges))
-                for start in range(0, len(order), cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    loss = self.step_runner.run(edges[idx], self.sampler,
-                                                self.negatives,
-                                                self.buffer.gather,
-                                                self.buffer.apply_gradients,
-                                                record)
-                    losses.append(loss)
-
-            if self.checkpoint_incremental:
-                # Updates land only inside the step's batches, and evictions
-                # only at the next swap — so the buffer's dirty set here is
-                # exactly the partitions this step's gradients touched.
-                self._touched_since_base.update(self.buffer.dirty_partitions())
-            self._steps_done += 1
-            if (self.snapshots is not None and self.checkpoint_every
-                    and self._steps_done % self.checkpoint_every == 0):
-                self.save_snapshot(epoch, step_idx + 1, len(plan.steps))
-
-        self.buffer_manager.finish()
-        io_epoch = self.io.diff(io_before)
-        record.io_bytes = io_epoch.total_bytes
-        record.partition_loads = io_epoch.partition_loads
-        record.seconds = time.perf_counter() - t_epoch
-        record.loss = float(np.mean(losses)) if losses else 0.0
-        return record
-
-    # ------------------------------------------------------------------
-    def evaluate(self, edges: Optional[np.ndarray] = None,
-                 seed: int = 1234) -> RankingMetrics:
-        """In-memory evaluation over the full graph using the stored table."""
-        cfg = self.config
-        if edges is None:
-            edges = self.dataset.split.test
-        if len(edges) > cfg.eval_max_edges:
-            pick = np.random.default_rng(seed).choice(len(edges), cfg.eval_max_edges,
-                                                      replace=False)
-            edges = edges[pick]
-        self.buffer.flush()
-        table = self.node_store.read_all()
-        return evaluate_model(self.model, table, self.dataset.graph, edges, cfg,
-                              seed=seed)
+    def _model_name(self) -> str:
+        return f"{self.config.encoder}-disk-{self.disk.policy}"

@@ -10,7 +10,6 @@ epochs — giving zero intra-epoch partition swaps.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -31,14 +30,11 @@ from ..nn.tensor import Tensor, no_grad
 from ..policies.node_cache import TrainingNodeCachePolicy
 from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
-from ..storage.io_stats import IOStats
 from ..storage.node_store import NodeStore
-from .checkpoint import (SnapshotManager, _config_to_dict,
-                         nc_dataset_fingerprint, pack_model, pack_optimizer,
-                         resolve_snapshot, rng_state, set_rng_state,
-                         unpack_model, unpack_optimizer, validate_meta)
+from .checkpoint import nc_dataset_fingerprint
 from .evaluation import EpochRecord, multiclass_accuracy
-from .hooks import ListenerHooks, ProgressListener
+from .hooks import ProgressListener
+from .loop import _TrainingLoop, _TrainingResult
 
 
 @dataclass
@@ -63,16 +59,11 @@ class NodeClassificationConfig:
 
 
 @dataclass
-class NodeClassificationResult:
-    epochs: List[EpochRecord]
+class NodeClassificationResult(_TrainingResult):
+    """Outcome of a node classification training run."""
+
     final_accuracy: float
     model_name: str
-
-    @property
-    def mean_epoch_seconds(self) -> float:
-        if not self.epochs:
-            return 0.0
-        return float(np.mean([e.seconds for e in self.epochs]))
 
 
 class NodeClassifier(Module):
@@ -90,13 +81,57 @@ class NodeClassifier(Module):
         return self.head(self.encoder(h0, batch))
 
 
-class NodeClassificationTrainer(ListenerHooks):
+class _NodeClassificationLoop(_TrainingLoop):
+    """What the two node classification trainers share around the loop:
+    the NC batch step, evaluation and the result."""
+
+    METRIC = "acc"
+
+    @property
+    def _gnn_optimizer(self) -> Adam:
+        return self.optimizer
+
+    def _train_nodes(self, nodes: np.ndarray, gather,
+                     record: EpochRecord) -> List[float]:
+        """Shuffled mini-batches over ``nodes``; ``gather(rows)`` returns
+        the base representations of sampled node ids. The batch losses."""
+        batch_size = self.config.batch_size
+        labels = self.dataset.graph.node_labels
+        order = self.rng.permutation(nodes)
+        losses = []
+        for start in range(0, len(order), batch_size):
+            targets = np.unique(order[start : start + batch_size])
+            batch = self.sampler.sample(targets)
+            logits = self.model(Tensor(gather(batch.node_ids)), batch)
+            loss = softmax_cross_entropy(logits, labels[targets])
+            self.model.zero_grad()
+            loss.backward()
+            self.optimizer.step()
+            record.num_batches += 1
+            losses.append(float(loss.data))
+        return losses
+
+    def _epoch_metric(self) -> float:
+        return self.evaluate(self.dataset.valid_nodes)
+
+    def _result(self, records: List[EpochRecord]) -> NodeClassificationResult:
+        return NodeClassificationResult(
+            epochs=records, final_accuracy=self.evaluate(self.dataset.test_nodes),
+            model_name=self._model_name())
+
+    def evaluate(self, nodes: np.ndarray, batch_size: int = 1000) -> float:
+        """Full-graph in-memory evaluation (standard protocol)."""
+        return evaluate_classifier(self.model, self.dataset.graph, nodes,
+                                   self.config, batch_size=batch_size)
+
+
+class NodeClassificationTrainer(_NodeClassificationLoop):
     """In-memory trainer (M-GNN_Mem for Table 3).
 
-    ``checkpoint_dir``/``checkpoint_every`` (in epochs) enable the atomic
-    snapshot subsystem; :meth:`resume` restores the latest snapshot so a
-    continued :meth:`train` is bit-identical to an uninterrupted run (the
-    same epoch-granularity contract as :class:`LinkPredictionTrainer`).
+    An epoch is one plan step over every training node. Snapshots carry
+    no table — features and labels are immutable dataset state, pinned by
+    the dataset fingerprint — and ``checkpoint_every`` counts epochs
+    (:mod:`repro.train.loop`).
     """
 
     KIND = job_registry.NC_MEM
@@ -107,11 +142,10 @@ class NodeClassificationTrainer(ListenerHooks):
                  checkpoint_every: int = 0,
                  checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
-        self._init_hooks(listeners)
+        super().__init__(config or NodeClassificationConfig(), checkpoint_dir,
+                         checkpoint_every, checkpoint_compress, listeners)
         self.dataset = dataset
-        self.config = config or NodeClassificationConfig()
         cfg = self.config
-        self.rng = np.random.default_rng(cfg.seed)
         graph = dataset.graph
         if graph.node_features is None or graph.node_labels is None:
             raise ValueError("node classification needs features and labels")
@@ -120,100 +154,17 @@ class NodeClassificationTrainer(ListenerHooks):
         self.optimizer = Adam(self.model.parameters(), lr=cfg.lr)
         self.sampler = DenseSampler(graph, list(cfg.fanouts),
                                     directions=cfg.directions, rng=self.rng)
-        self.snapshots = (SnapshotManager(checkpoint_dir,
-                                          compress=checkpoint_compress)
-                          if checkpoint_dir is not None else None)
-        self.checkpoint_every = int(checkpoint_every)
-        self._start_epoch = 0
 
-    # ------------------------------------------------------------------
-    def save_snapshot(self, next_epoch: int) -> Path:
-        """Atomically snapshot model + optimizer + rng; resume at ``next_epoch``.
+    def _run_step(self, steps, idx: int, record: EpochRecord) -> List[float]:
+        features = self.dataset.graph.node_features
+        return self._train_nodes(self.dataset.train_nodes,
+                                 features.__getitem__, record)
 
-        Features and labels are immutable dataset state, so — like the disk
-        NC trainer — the snapshot carries no table, only the dataset
-        fingerprint to validate the data on resume.
-        """
-        if self.snapshots is None:
-            raise RuntimeError("trainer was built without a checkpoint_dir")
-        arrays: dict = {}
-        pack_model(self.model, arrays)
-        pack_optimizer("gnn_opt", self.optimizer, arrays)
-        meta = {"trainer": self.KIND, "epoch": int(next_epoch),
-                "rng": rng_state(self.rng),
-                "stores": {"dataset": nc_dataset_fingerprint(self.dataset)},
-                "config": _config_to_dict(self.config)}
-        path = self.snapshots.save(next_epoch, meta, arrays)
-        self._emit("snapshot", trainer=self.KIND, path=str(path),
-                   epoch=int(next_epoch))
-        return path
+    def _fingerprints(self) -> dict:
+        return {"dataset": nc_dataset_fingerprint(self.dataset)}
 
-    def resume(self, path: Optional[Path] = None) -> dict:
-        """Restore a snapshot (latest under the checkpoint dir by default)."""
-        meta, arrays = resolve_snapshot(path, self.snapshots)
-        validate_meta(meta, self.KIND, config=self.config,
-                      stores={"dataset": nc_dataset_fingerprint(self.dataset)})
-        unpack_model(self.model, arrays)
-        unpack_optimizer("gnn_opt", self.optimizer, arrays)
-        set_rng_state(self.rng, meta["rng"])
-        self._start_epoch = int(meta["epoch"])
-        return meta
-
-    # ------------------------------------------------------------------
-    def _train_batch(self, nodes: np.ndarray, sampler: DenseSampler,
-                     features: np.ndarray, labels: np.ndarray,
-                     record: EpochRecord) -> float:
-        t0 = time.perf_counter()
-        targets = np.unique(nodes)
-        batch = sampler.sample(targets)
-        t1 = time.perf_counter()
-        h0 = Tensor(features[batch.node_ids])
-        logits = self.model(h0, batch)
-        loss = softmax_cross_entropy(logits, labels[targets])
-        self.model.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        record.sample_seconds += t1 - t0
-        record.compute_seconds += time.perf_counter() - t1
-        record.num_batches += 1
-        return float(loss.data)
-
-    def train(self, verbose: bool = False) -> NodeClassificationResult:
-        cfg = self.config
-        graph = self.dataset.graph
-        records: List[EpochRecord] = []
-        for epoch in range(self._start_epoch, cfg.num_epochs):
-            t0 = time.perf_counter()
-            record = EpochRecord(epoch=epoch, loss=0.0, seconds=0.0, metric=0.0)
-            losses = []
-            order = self.rng.permutation(self.dataset.train_nodes)
-            for start in range(0, len(order), cfg.batch_size):
-                nodes = order[start : start + cfg.batch_size]
-                losses.append(self._train_batch(nodes, self.sampler,
-                                                graph.node_features,
-                                                graph.node_labels, record))
-            record.seconds = time.perf_counter() - t0
-            record.loss = float(np.mean(losses)) if losses else 0.0
-            if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-                record.metric = self.evaluate(self.dataset.valid_nodes)
-            records.append(record)
-            self._emit("epoch", trainer=self.KIND, epoch=epoch,
-                       loss=record.loss, seconds=record.seconds,
-                       metric=record.metric)
-            if (self.snapshots is not None and self.checkpoint_every
-                    and (epoch + 1) % self.checkpoint_every == 0):
-                self.save_snapshot(epoch + 1)
-            if verbose:
-                print(f"[epoch {epoch}] loss={record.loss:.4f} "
-                      f"time={record.seconds:.1f}s acc={record.metric:.4f}")
-        self._start_epoch = 0
-        acc = self.evaluate(self.dataset.test_nodes)
-        return NodeClassificationResult(epochs=records, final_accuracy=acc,
-                                        model_name=f"{cfg.encoder}-mem")
-
-    def evaluate(self, nodes: np.ndarray, batch_size: int = 1000) -> float:
-        return evaluate_classifier(self.model, self.dataset.graph, nodes,
-                                   self.config, batch_size=batch_size)
+    def _model_name(self) -> str:
+        return f"{self.config.encoder}-mem"
 
 
 def evaluate_classifier(model: NodeClassifier, graph: Graph, nodes: np.ndarray,
@@ -297,15 +248,18 @@ class DiskNodeClassificationConfig:
         self.workdir = Path(self.workdir)
 
 
-class DiskNodeClassificationTrainer(ListenerHooks):
+class DiskNodeClassificationTrainer(_NodeClassificationLoop):
     """Out-of-core node classification with training-node caching.
 
     Sampling sees only the in-buffer subgraph, so neighborhoods can be
     smaller than in-memory training — the effect behind M-GNN_Disk's slight
-    accuracy drop and faster epochs in Table 3.
+    accuracy drop and faster epochs in Table 3. The batch step is the
+    in-memory trainer's, gathering through the buffer.
 
-    The feature store is immutable (``learnable=False``), so snapshots
-    carry no table: every save is already rows-free and minimal.
+    The feature store is immutable (``learnable=False``) and rebuilt
+    bit-identically from the dataset on restart, so snapshots carry no
+    table, only the store fingerprints plus buffer residency and policy
+    state; ``checkpoint_every`` counts plan steps.
     """
 
     KIND = job_registry.NC_DISK
@@ -317,16 +271,14 @@ class DiskNodeClassificationTrainer(ListenerHooks):
                  checkpoint_every: int = 0,
                  checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
-        self._init_hooks(listeners)
-        self.config = config or NodeClassificationConfig()
+        super().__init__(config or NodeClassificationConfig(), checkpoint_dir,
+                         checkpoint_every, checkpoint_compress, listeners)
         self.disk = disk or DiskNodeClassificationConfig(workdir=Path("/tmp/repro-nc"))
         cfg, dsk = self.config, self.disk
-        self.rng = np.random.default_rng(cfg.seed)
         self.dataset, self._old_to_new, train_parts = relabel_for_training_cache(
             dataset, dsk.num_partitions)
         graph = self.dataset.graph
         self.scheme = PartitionScheme.uniform(graph.num_nodes, dsk.num_partitions)
-        self.io = IOStats()
         dsk.workdir.mkdir(parents=True, exist_ok=True)
         self.node_store = NodeStore(dsk.workdir / "features.bin", self.scheme,
                                     graph.node_features.shape[1], learnable=False,
@@ -348,129 +300,35 @@ class DiskNodeClassificationTrainer(ListenerHooks):
         self.model = NodeClassifier(cfg, graph.node_features.shape[1],
                                     self.dataset.num_classes, rng=self.rng)
         self.optimizer = Adam(self.model.parameters(), lr=cfg.lr)
-        self.snapshots = (SnapshotManager(checkpoint_dir,
-                                          compress=checkpoint_compress)
-                          if checkpoint_dir is not None else None)
-        self.checkpoint_every = int(checkpoint_every)  # in epoch-plan steps
-        self._start_epoch = 0
-        self._start_step = 0
-        self._steps_done = 0
 
     # ------------------------------------------------------------------
-    def _store_fingerprints(self) -> dict:
+    def _plan_epoch(self, epoch: int) -> list:
+        return self.policy.plan_epoch(
+            epoch, rng=np.random.default_rng(epoch * 31 + 7)).steps
+
+    def _run_step(self, steps: list, idx: int,
+                  record: EpochRecord) -> List[float]:
+        step = steps[idx]
+        # The swap listener updates self.sampler's index incrementally.
+        self.buffer.set_partitions(step.partitions)
+        return self._train_nodes(step.train_nodes, self.buffer.gather, record)
+
+    def _fingerprints(self) -> dict:
         dsk = self.disk
         return {"node": self.node_store.fingerprint(),
                 "edge": self.edge_store.fingerprint(),
                 "plan": f"node-cache:p{dsk.num_partitions}"
                         f":c{dsk.buffer_capacity}"}
 
-    def save_snapshot(self, epoch: int, next_step: int, num_steps: int) -> Path:
-        """Atomic snapshot of the GNN + cursors; features are read-only.
+    def _pack_state(self, arrays: dict, meta: dict) -> None:
+        meta["resident"] = self.buffer.resident
+        meta["policy"] = self.policy.state_dict()
 
-        The feature store is immutable (``learnable=False``) and rebuilt
-        bit-identically from the dataset on restart, so — unlike the link
-        prediction trainers — the snapshot carries no table copy, only the
-        store fingerprints to validate the layout on resume.
-        """
-        if self.snapshots is None:
-            raise RuntimeError("trainer was built without a checkpoint_dir")
-        if next_step >= num_steps:
-            epoch, next_step = epoch + 1, 0
-        arrays: dict = {}
-        pack_model(self.model, arrays)
-        pack_optimizer("gnn_opt", self.optimizer, arrays)
-        meta = {"trainer": self.KIND, "epoch": int(epoch), "step": int(next_step),
-                "resident": self.buffer.resident,
-                "rng": rng_state(self.rng),
-                "policy": self.policy.state_dict(),
-                "stores": self._store_fingerprints(),
-                "config": _config_to_dict(self.config)}
-        path = self.snapshots.save(epoch * 1_000_000 + next_step, meta, arrays)
-        self._emit("snapshot", trainer=self.KIND, path=str(path),
-                   epoch=int(epoch), step=int(next_step))
-        return path
-
-    def resume(self, path: Optional[Path] = None) -> dict:
-        """Restore the latest (or given) snapshot; next train() continues."""
-        meta, arrays = resolve_snapshot(path, self.snapshots)
-        validate_meta(meta, self.KIND, stores=self._store_fingerprints(),
-                      config=self.config)
-        unpack_model(self.model, arrays)
-        unpack_optimizer("gnn_opt", self.optimizer, arrays)
+    def _restore_state(self, meta: dict, arrays: dict,
+                       path: Optional[Path]) -> None:
         self.policy.load_state_dict(meta.get("policy", {}))
         self.buffer.drop_all()
         self.buffer.set_partitions(meta["resident"])
-        set_rng_state(self.rng, meta["rng"])
-        self._start_epoch = int(meta["epoch"])
-        self._start_step = int(meta["step"])
-        return meta
 
-    # ------------------------------------------------------------------
-    def train(self, verbose: bool = False) -> NodeClassificationResult:
-        cfg = self.config
-        records: List[EpochRecord] = []
-        for epoch in range(self._start_epoch, cfg.num_epochs):
-            start_step = self._start_step if epoch == self._start_epoch else 0
-            record = self._train_epoch(epoch, start_step=start_step)
-            if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-                record.metric = self.evaluate(self.dataset.valid_nodes)
-            records.append(record)
-            self._emit("epoch", trainer=self.KIND, epoch=epoch,
-                       loss=record.loss, seconds=record.seconds,
-                       metric=record.metric, io_bytes=record.io_bytes)
-            if verbose:
-                print(f"[epoch {epoch}] loss={record.loss:.4f} "
-                      f"time={record.seconds:.1f}s io={record.io_bytes >> 20}MiB")
-        self._start_epoch = 0
-        self._start_step = 0
-        acc = self.evaluate(self.dataset.test_nodes)
-        return NodeClassificationResult(epochs=records, final_accuracy=acc,
-                                        model_name=f"{cfg.encoder}-disk")
-
-    def _train_epoch(self, epoch: int, start_step: int = 0) -> EpochRecord:
-        cfg = self.config
-        t0 = time.perf_counter()
-        record = EpochRecord(epoch=epoch, loss=0.0, seconds=0.0, metric=0.0)
-        io_before = self.io.snapshot()
-        plan = self.policy.plan_epoch(epoch, rng=np.random.default_rng(epoch * 31 + 7))
-        losses: List[float] = []
-        for step_idx, step in enumerate(plan.steps):
-            if step_idx < start_step:
-                continue
-            t_io = time.perf_counter()
-            # The swap listener updates self.sampler's index incrementally.
-            self.buffer.set_partitions(step.partitions)
-            record.io_seconds += time.perf_counter() - t_io
-            if len(step.train_nodes) > 0:
-                order = self.rng.permutation(step.train_nodes)
-                labels = self.dataset.graph.node_labels
-                for start in range(0, len(order), cfg.batch_size):
-                    nodes = np.unique(order[start : start + cfg.batch_size])
-                    t1 = time.perf_counter()
-                    batch = self.sampler.sample(nodes)
-                    t2 = time.perf_counter()
-                    h0 = Tensor(self.buffer.gather(batch.node_ids))
-                    logits = self.model(h0, batch)
-                    loss = softmax_cross_entropy(logits, labels[nodes])
-                    self.model.zero_grad()
-                    loss.backward()
-                    self.optimizer.step()
-                    record.sample_seconds += t2 - t1
-                    record.compute_seconds += time.perf_counter() - t2
-                    record.num_batches += 1
-                    losses.append(float(loss.data))
-            self._steps_done += 1
-            if (self.snapshots is not None and self.checkpoint_every
-                    and self._steps_done % self.checkpoint_every == 0):
-                self.save_snapshot(epoch, step_idx + 1, len(plan.steps))
-        io_epoch = self.io.diff(io_before)
-        record.io_bytes = io_epoch.total_bytes
-        record.partition_loads = io_epoch.partition_loads
-        record.seconds = time.perf_counter() - t0
-        record.loss = float(np.mean(losses)) if losses else 0.0
-        return record
-
-    def evaluate(self, nodes: np.ndarray, batch_size: int = 1000) -> float:
-        """Full-graph in-memory evaluation (standard protocol)."""
-        return evaluate_classifier(self.model, self.dataset.graph, nodes,
-                                   self.config, batch_size=batch_size)
+    def _model_name(self) -> str:
+        return f"{self.config.encoder}-disk"

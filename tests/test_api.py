@@ -401,7 +401,7 @@ def test_internal_errors_keep_their_traceback(monkeypatch, tmp_path):
 
     def boom(self, verbose=False):
         raise ValueError("internal defect")
-    monkeypatch.setattr(jobs.LinkPredictionJob, "run", boom)
+    monkeypatch.setattr(jobs.TrainingJob, "run", boom)
     spec_file = api.save_spec(_tiny_lp_spec(), tmp_path / "job.json")
     with pytest.raises(ValueError, match="internal defect"):
         cli.main(["run", str(spec_file)])

@@ -679,3 +679,142 @@ def test_disk_lp_incremental_crash_matrix(lp_data, lp_baseline, tmp_path,
     ref_table, ref_model = lp_baseline
     np.testing.assert_array_equal(resumed.node_store.read_all(), ref_table)
     assert _models_equal(resumed.model, ref_model)
+
+
+# ---------------------------------------------------------------------------
+# The one training loop: snapshot/resume and cadence contract of every kind
+# ---------------------------------------------------------------------------
+
+def _job_spec(kind, tmp_path, epochs, ckpt):
+    from repro.api import JobSpec
+    lp = kind.startswith("lp")
+    spec = {"kind": kind, "checkpoint": {"dir": str(ckpt)},
+            "data": ({"dataset": "fb15k237", "scale": 0.03} if lp else
+                     {"nodes": 800, "edges": 6400, "feat_dim": 8,
+                      "classes": 5, "seed": 0}),
+            "model": {"dim": 8, "fanouts": [4]},
+            "train": {"epochs": epochs, "batch_size": 256 if lp else 128,
+                      "seed": 0, "eval_every": 0}}
+    if lp:
+        spec["train"].update(negatives=16, eval_negatives=32,
+                             eval_max_edges=100)
+    if kind.endswith("disk"):
+        spec["storage"] = {"workdir": str(tmp_path), "partitions": 8,
+                           "buffer": 4}
+        if lp:
+            spec["storage"]["logical"] = 4
+    return JobSpec.from_dict(spec)
+
+
+def _trained_state(trainer):
+    state = dict(trainer.model.state_dict())
+    if trainer.KIND == "lp-mem":
+        state["table"] = trainer.embeddings.table
+    elif trainer.KIND == "lp-disk":
+        state["table"] = trainer.node_store.read_all()
+    return state
+
+
+@pytest.mark.parametrize("kind", ["lp-mem", "lp-disk", "nc-mem", "nc-disk"])
+def test_job_snapshot_resumes_bit_identically(kind, tmp_path):
+    """Every kind's job.snapshot() writes the same (epoch, step) cursor,
+    and training on from it matches an uninterrupted run bit for bit."""
+    from repro import api
+    first = api.build_job(_job_spec(kind, tmp_path / "a", 1, tmp_path / "ck"))
+    first.run()
+    meta = json.loads((first.snapshot() / "manifest.json").read_text())["meta"]
+    assert (meta["epoch"], meta["step"]) == (1, 0)
+
+    resumed = api.build_job(_job_spec(kind, tmp_path / "b", 2,
+                                      tmp_path / "ck"))
+    resumed.resume()
+    resumed.run()
+    straight = api.build_job(_job_spec(kind, tmp_path / "c", 2,
+                                       tmp_path / "ck-c"))
+    straight.run()
+    got, want = _trained_state(resumed.trainer), _trained_state(
+        straight.trainer)
+    assert set(got) == set(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_in_memory_snapshot_without_step_still_resumes(lp_data, tmp_path):
+    """Snapshots written before the step cursor existed carry only
+    ``epoch``; they resume at that epoch's start, counting one plan step
+    per epoch for the cadence."""
+    first = LinkPredictionTrainer(lp_data, _one_epoch(LP_CFG),
+                                  checkpoint_dir=tmp_path / "ckpt",
+                                  checkpoint_every=1)
+    first.train()
+    manifest_path = first.snapshots.latest() / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["meta"]["step"], manifest["meta"]["global_step"]
+    manifest_path.write_text(json.dumps(manifest))   # the CRC covers arrays
+
+    cursors = []
+    second = LinkPredictionTrainer(
+        lp_data, _three_epochs(LP_CFG), checkpoint_dir=tmp_path / "ckpt",
+        checkpoint_every=2, listeners=[
+            lambda e, p: e == "snapshot" and cursors.append(
+                (p["epoch"], p["step"]))])
+    assert second.resume()["epoch"] == 1
+    second.train()
+    assert cursors == [(2, 0)]
+    straight = LinkPredictionTrainer(lp_data, _three_epochs(LP_CFG))
+    straight.train()
+    np.testing.assert_array_equal(second.embeddings.table,
+                                  straight.embeddings.table)
+    assert _models_equal(second.model, straight.model)
+
+
+def _snapshot_cursors(make, **kw):
+    cursors = []
+    trainer = make(listeners=[lambda e, p: e == "snapshot" and cursors.append(
+        (p["epoch"], p["step"]))], **kw)
+    return trainer, cursors
+
+
+def test_cadence_after_resume_counts_global_plan_steps(lp_data, tmp_path):
+    """checkpoint_every counts plan steps since epoch 0 step 0, so a run
+    resumed from a snapshot off the cadence still snapshots exactly where
+    the uninterrupted run does (the count travels in the snapshot)."""
+    cfg2 = dataclasses.replace(LP_CFG, num_epochs=2)
+    make = lambda name, cfg, **kw: DiskLinkPredictionTrainer(
+        lp_data, cfg, DiskConfig(workdir=tmp_path / name, num_partitions=8,
+                                 num_logical=4, buffer_capacity=4), **kw)
+    # Epoch 0 alone, a snapshot after every step: its last is (1, 0).
+    first, epoch0 = _snapshot_cursors(
+        lambda **kw: make("a", _one_epoch(LP_CFG), **kw),
+        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=1)
+    first.train()
+    steps = len(epoch0)
+    assert steps >= 3 and epoch0[-1] == (1, 0)
+    every = steps - 1                  # off the epoch boundary
+
+    straight, want = _snapshot_cursors(
+        lambda **kw: make("b", cfg2, **kw),
+        checkpoint_dir=tmp_path / "ckpt-b", checkpoint_every=every)
+    straight.train()
+    resumed, got = _snapshot_cursors(
+        lambda **kw: make("c", cfg2, **kw),
+        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=every)
+    resumed.resume()
+    resumed.train()
+    assert got and got == [c for c in want if c > (1, 0)]
+
+
+def test_in_memory_cadence_after_resume_counts_epochs(nc_data, tmp_path):
+    """One plan step per epoch: checkpoint_every counts epochs, across a
+    resume too."""
+    make = lambda cfg, **kw: NodeClassificationTrainer(nc_data, cfg, **kw)
+    first = make(_one_epoch(NC_CFG), checkpoint_dir=tmp_path / "ckpt",
+                 checkpoint_every=1)
+    first.train()
+    cfg4 = dataclasses.replace(NC_CFG, num_epochs=4)
+    resumed, got = _snapshot_cursors(
+        lambda **kw: make(cfg4, **kw), checkpoint_dir=tmp_path / "ckpt",
+        checkpoint_every=2)
+    resumed.resume()
+    resumed.train()
+    assert got == [(2, 0), (4, 0)]

@@ -254,7 +254,7 @@ class TestBufferSwapListeners:
         buf = self.make(tmp_path)
         events = []
         buf.add_swap_listener(lambda a, r: events.append((a, r)))
-        mgr = PrefetchingBufferManager(buf, enabled=True)
+        mgr = PrefetchingBufferManager(buf)
         mgr.load_step([0, 1], next_partitions=[1, 2])
         mgr.load_step([1, 2], None)
         mgr.finish()

@@ -41,7 +41,7 @@ class TestPrefetching:
 
     def test_manager_walks_plan_with_hits(self, tmp_path):
         _, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf, enabled=True)
+        mgr = PrefetchingBufferManager(buf)
         steps = [[0, 1], [1, 2], [2, 3]]
         for idx, parts in enumerate(steps):
             nxt = steps[idx + 1] if idx + 1 < len(steps) else None
@@ -63,19 +63,12 @@ class TestPrefetching:
         with pytest.raises(ValueError):
             buf.admit_preloaded(0, np.zeros((3, 4), dtype=np.float32), None)
 
-    def test_disabled_manager_reads_directly(self, tmp_path):
-        _, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf, enabled=False)
-        mgr.load_step([0, 1], [[1, 2]])
-        assert buf.resident == [0, 1]
-        assert mgr.hits == 0
-
     def test_writeback_survives_prefetch_path(self, tmp_path):
         """Updates applied to a prefetched partition must reach disk."""
         store, buf = self.make(tmp_path)
         initial, _ = store.read_partition(0)
         row3_before = initial[3].copy()
-        mgr = PrefetchingBufferManager(buf, enabled=True)
+        mgr = PrefetchingBufferManager(buf)
         mgr.load_step([0, 1], [1, 2])
         buf.apply_gradients(np.array([3]), np.ones((1, 4), dtype=np.float32))
         mgr.load_step([1, 2], None)   # evicts dirty partition 0

@@ -56,11 +56,10 @@ class TestInMemoryTraining:
         result = trainer.train()
         assert np.isfinite(result.final_mrr)
 
-    def test_epoch_records_stage_times(self, small_lp_data):
+    def test_epoch_records_batches(self, small_lp_data):
         trainer = LinkPredictionTrainer(small_lp_data, fast_config(num_epochs=1))
         result = trainer.train()
         rec = result.epochs[0]
-        assert rec.sample_seconds > 0 and rec.compute_seconds > 0
         assert rec.num_batches > 0
 
     def test_eval_every(self, small_lp_data):
