@@ -246,8 +246,10 @@ def build_dense(
     """
     rng = rng or np.random.default_rng()
     target_nodes = np.asarray(target_nodes, dtype=np.int64)
-    if len(np.unique(target_nodes)) != len(target_nodes):
-        target_nodes = np.unique(target_nodes)
+    if not np.all(target_nodes[1:] > target_nodes[:-1]):   # else already unique
+        unique = np.unique(target_nodes)
+        if len(unique) != len(target_nodes):
+            target_nodes = unique
     k = len(fanouts)
     if k == 0:
         return _empty_batch(target_nodes)

@@ -6,6 +6,17 @@ decoder on top of a GNN encoder (Tables 4, 5, 8) and as the specialized
 decoder-only knowledge-graph-embedding model Marius supports (Table 8 "DM"
 rows). Node classification feeds the final GNN representation into a linear
 softmax layer (Section 2).
+
+Linear decoders. DistMult, DotProduct and ComplEx score a candidate
+linearly: ``score(s, r, d) = q . h_d`` with ``q = target_query_rows(s, r)``.
+Each also has ``query_rows_vjp(s, r, dq) -> (d_s, d_rel_rows)``, the
+vector-Jacobian product of that map (``d_rel_rows`` is per row, ``None``
+without relations). Two users rely on the pair: the ANN index bounds a
+cluster's best score from ``q`` alone (:mod:`repro.serve.ann`), and
+:func:`repro.nn.loss.decoder_ranking_loss` computes the whole ranking-loss
+gradient in closed form from ``q`` and the VJP instead of through the
+tape. A decoder without ``target_query_rows`` (TransE) is trained through
+the tape.
 """
 
 from __future__ import annotations
@@ -60,6 +71,11 @@ class DistMult(Module):
         """
         return src * self.relations.data[np.asarray(rel, dtype=np.int64)]
 
+    def query_rows_vjp(self, src: np.ndarray, rel: np.ndarray,
+                       dq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradients of ``q = src * r`` w.r.t. ``src`` and each row's ``r``."""
+        return dq * self.relations.data[np.asarray(rel, dtype=np.int64)], dq * src
+
 
 class DotProduct(Module):
     """Relation-free dot-product decoder (used for homogeneous graphs)."""
@@ -76,6 +92,10 @@ class DotProduct(Module):
     def target_query_rows(self, src: np.ndarray, rel: np.ndarray) -> np.ndarray:
         """``score(s, d) = s . d`` — the query vector is the source row."""
         return src
+
+    def query_rows_vjp(self, src: np.ndarray, rel: np.ndarray,
+                       dq: np.ndarray) -> Tuple[np.ndarray, None]:
+        return dq, None
 
 
 class ComplExDecoder(Module):
@@ -133,6 +153,20 @@ class ComplExDecoder(Module):
         sr, si = src[:, :h], src[:, h:]
         rr, ri = rel_emb[:, :h], rel_emb[:, h:]
         return np.concatenate([sr * rr - si * ri, si * rr + sr * ri], axis=1)
+
+    def query_rows_vjp(self, src: np.ndarray, rel: np.ndarray,
+                       dq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradients of :meth:`target_query_rows` w.r.t. ``src`` and each
+        row's relation: ``q`` is ``s * r`` as complex numbers, so the VJP
+        multiplies ``dq`` by the conjugate of the other factor."""
+        rel_emb = self.relations.data[np.asarray(rel, dtype=np.int64)]
+        h = self.half
+        sr, si = src[:, :h], src[:, h:]
+        rr, ri = rel_emb[:, :h], rel_emb[:, h:]
+        ar, ai = dq[:, :h], dq[:, h:]
+        d_src = np.concatenate([ar * rr + ai * ri, ai * rr - ar * ri], axis=1)
+        d_rel = np.concatenate([ar * sr + ai * si, ai * sr - ar * si], axis=1)
+        return d_src, d_rel
 
 
 def _col_split(t: Tensor, half: int) -> Tuple[Tensor, Tensor]:

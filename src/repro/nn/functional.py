@@ -41,15 +41,13 @@ def segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
     length ``total``. Empty segments are allowed.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    ids = np.zeros(total, dtype=np.int64)
     if len(offsets) == 0:
-        return ids
-    # Mark segment starts (skipping duplicates from empty segments handled below)
-    np.add.at(ids, offsets[offsets < total], 1)
-    ids = np.cumsum(ids) - 1
-    # Elements before the first offset (should not happen when offsets[0] == 0)
-    np.clip(ids, 0, len(offsets) - 1, out=ids)
-    return ids
+        return np.zeros(total, dtype=np.int64)
+    counts = np.diff(np.minimum(offsets, total), append=total)
+    # Elements before the first offset (none when offsets[0] == 0) join
+    # segment 0.
+    counts[0] += min(int(offsets[0]), total)
+    return np.repeat(np.arange(len(offsets), dtype=np.int64), counts)
 
 
 def segment_counts(offsets: np.ndarray, total: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, scatter_add_rows
 
 
 class Optimizer:
@@ -181,16 +181,16 @@ class RowAdagrad:
 
         Duplicate rows in a batch are merged (gradient accumulation) before the
         state update so the result is independent of duplicate ordering.
+        Strictly increasing rows (a batch's unique node ids) skip the check.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) == 0:
             return
-        unique, inverse = np.unique(rows, return_inverse=True)
-        if len(unique) != len(rows):
-            merged = np.zeros((len(unique), grads.shape[1]), dtype=grads.dtype)
-            np.add.at(merged, inverse, grads)
-            grads = merged
-            rows = unique
+        if not np.all(rows[1:] > rows[:-1]):
+            unique, inverse = np.unique(rows, return_inverse=True)
+            if len(unique) != len(rows):
+                grads = scatter_add_rows(inverse, grads, len(unique))
+                rows = unique
         state[rows] += grads**2
         table[rows] -= self.lr * grads / (np.sqrt(state[rows]) + self.eps)
 

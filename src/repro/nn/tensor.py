@@ -16,8 +16,11 @@ Design notes
   gradients into ``.grad`` of leaf tensors with ``requires_grad=True``.
 * Broadcasting is supported for elementwise ops; gradients are un-broadcast
   by summing over broadcast axes.
-* Gather gradients use ``np.add.at`` (scatter-add), which is the same
-  semantics as PyTorch's ``index_select`` backward.
+* Gather gradients are a scatter-add (PyTorch's ``index_select`` backward)
+  through :func:`scatter_add_rows`, not ``np.add.at``: one sort of the
+  index, then each duplicate "layer" is one vectorised ``+=`` — the same
+  values as ``np.add.at`` (additions land in index order), several times
+  faster on 2-D gradients.
 """
 
 from __future__ import annotations
@@ -55,6 +58,66 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
             return value
         return value.astype(dtype)
     return np.asarray(value, dtype=dtype)
+
+
+#: Below this many rows still carrying duplicates, one ``np.add.at`` over
+#: the remainder is cheaper than another Python-level layer.
+_SCATTER_TAIL = 32
+
+
+def scatter_add_rows(index: np.ndarray, values: np.ndarray,
+                     num_rows: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` into a fresh zero ``(num_rows, ...)``.
+
+    Equal to ``np.add.at`` value for value: one stable sort groups equal
+    indices, the first occurrence of every row is assigned, and the k-th
+    occurrences are added as one fancy-indexed ``+=`` per k (rows inside
+    one such layer are distinct, so each row's additions keep index order).
+    The few rows with very many repeats finish in one ``np.add.at``.
+    1-D values go straight to ``np.add.at``, which has a fast path for them.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    values = values.reshape((index.size,) + values.shape[index.ndim:])
+    index = index.ravel()
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
+    m = len(index)
+    if m == 0:
+        return out
+    if values.ndim == 1:
+        np.add.at(out, index, values)
+        return out
+    index = np.where(index < 0, index + num_rows, index)
+    if num_rows <= np.iinfo(np.int64).max // m:
+        # Sorting (row, position) keys is a stable sort by row, and sorting
+        # values is several times faster than a stable argsort.
+        key = np.sort(index * m + np.arange(m))
+        order, rows = key % m, key // m
+    else:
+        order = np.argsort(index, kind="stable")
+        rows = index[order]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if len(starts) == m:                     # no duplicates: one assignment
+        out[index] = values
+        return out
+    out[rows[starts]] = values[order[starts]]
+    ends = np.append(starts[1:], m)
+    pos = starts + 1
+    live = pos < ends
+    pos, ends = pos[live], ends[live]
+    while len(pos) >= _SCATTER_TAIL:
+        out[rows[pos]] += values[order[pos]]
+        pos += 1
+        live = pos < ends
+        pos, ends = pos[live], ends[live]
+    if len(pos):
+        counts = ends - pos
+        rest = (np.repeat(pos - np.cumsum(counts) + counts, counts)
+                + np.arange(counts.sum()))
+        np.add.at(out, rows[rest], values[order[rest]])
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -161,9 +224,11 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _backward=backward, _parents=parents)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``.grad``; ``owned`` hands over a fresh array
+        the caller will not touch again, which then needs no copy."""
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            self.grad = grad.astype(self.data.dtype, copy=not owned)
         else:
             self.grad += grad
 
@@ -388,9 +453,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                acc = np.zeros_like(self.data)
-                np.add.at(acc, indices, grad)
-                self._accumulate(acc)
+                self._accumulate(scatter_add_rows(indices, grad, len(self.data)),
+                                 owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -86,8 +86,8 @@ class ContinualTrainer(ListenerHooks):
     ----------
     live:
         The :class:`LiveGraph` to follow. The trainer registers bucket /
-        growth listeners so its sampler index and buffer stay coherent
-        with every ingest.
+        growth listeners so its buffer (and, with an encoder, its sampler
+        index) stays coherent with every ingest.
     config:
         Standard :class:`LinkPredictionConfig` (model shape, batch size,
         learning rates, seed).
@@ -120,9 +120,11 @@ class ContinualTrainer(ListenerHooks):
         self.sampler = DenseSampler.from_partitions(
             live.scheme, live.bucket_endpoints, (), list(cfg.fanouts),
             directions=cfg.directions, rng=self.rng)
-        self.buffer.add_swap_listener(
-            lambda added, removed: self.sampler.update_graph(added, removed))
-        live.add_bucket_listener(self.sampler.index.refresh_buckets)
+        if self.model.encoder is not None:
+            # A decoder-only model never reads the neighbor index.
+            self.buffer.add_swap_listener(
+                lambda added, removed: self.sampler.update_graph(added, removed))
+            live.add_bucket_listener(self.sampler.index.refresh_buckets)
         # The trainer's own touched-pair accumulator: unlike the log (which
         # forgets merged events at compaction), this survives compactions,
         # so a post-compaction refresh still knows what drifted. The

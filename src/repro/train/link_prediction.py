@@ -31,7 +31,7 @@ from ..graph.datasets import LinkPredictionDataset
 from ..graph.edge_list import Graph
 from ..graph.partition import PartitionScheme
 from ..nn.decoders import make_decoder
-from ..nn.loss import link_prediction_loss
+from ..nn.loss import decoder_ranking_loss
 from ..nn.module import Module
 from ..nn.optim import Adam, RowAdagrad
 from ..nn.tensor import Tensor, no_grad
@@ -174,15 +174,10 @@ class _BatchStep:
         out = self.model.encode(h0, batch)
         # One concatenated lookup instead of three sorted searches.
         rows = np.searchsorted(targets, np.concatenate([src, dst, neg_nodes]))
-        rows_src = rows[: len(src)]
-        rows_dst = rows[len(src) : len(src) + len(dst)]
-        rows_neg = rows[len(src) + len(dst) :]
-        src_repr = out.index_select(rows_src)
-        dst_repr = out.index_select(rows_dst)
-        neg_repr = out.index_select(rows_neg)
-        pos_scores = self.model.decoder.score_edges(src_repr, rel, dst_repr)
-        neg_scores = self.model.decoder.score_against(src_repr, rel, neg_repr)
-        loss = link_prediction_loss(pos_scores, neg_scores)
+        loss = decoder_ranking_loss(
+            self.model.decoder, out, rows[: len(src)],
+            rows[len(src) : len(src) + len(dst)], rows[len(src) + len(dst) :],
+            rel)
 
         self.model.zero_grad()
         loss.backward()
@@ -444,12 +439,15 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         # Partition-aware sampler: buffer swaps report their diff and only
         # the new partitions' edge buckets are read + sorted (Section 6,
         # Quantity 2) instead of re-indexing the whole in-buffer subgraph.
+        # A decoder-only model never samples neighbors, so its index is
+        # never kept up to date.
         self.sampler = DenseSampler.from_partitions(
             self.scheme, self.edge_store.bucket_endpoints, (),
             list(cfg.fanouts), directions=cfg.directions, rng=self.rng)
-        self.buffer.add_swap_listener(
-            lambda added, removed: self.sampler.update_graph(added, removed))
         self.model = LinkPredictionModel(cfg, graph.num_relations, rng=self.rng)
+        if self.model.encoder is not None:
+            self.buffer.add_swap_listener(
+                lambda added, removed: self.sampler.update_graph(added, removed))
         self.policy = self._make_policy()
         self.negatives = UniformNegativeSampler(graph.num_nodes, cfg.num_negatives,
                                                 rng=self.rng)
@@ -467,7 +465,8 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
                   record: EpochRecord) -> List[float]:
         step = steps[idx]
         next_parts = steps[idx + 1].partitions if idx + 1 < len(steps) else None
-        # The swap listener updates self.sampler's index incrementally.
+        # With an encoder, the swap listener updates self.sampler's index
+        # incrementally.
         self.buffer_manager.load_step(step.partitions, next_parts)
         self.negatives.set_allowed(self.buffer.resident_nodes())
         edges = self.edge_store.read_buckets(step.buckets)

@@ -30,6 +30,29 @@ class TestSegmentIds:
         counts = F.segment_counts(np.array([0, 2, 2, 3]), 4)
         np.testing.assert_array_equal(counts, [2, 0, 1, 1])
 
+    @staticmethod
+    def _marked_cumsum(offsets, total):
+        """The scatter-and-cumsum formulation the repeat replaced."""
+        ids = np.zeros(total, dtype=np.int64)
+        if len(offsets) == 0:
+            return ids
+        np.add.at(ids, offsets[offsets < total], 1)
+        ids = np.cumsum(ids) - 1
+        np.clip(ids, 0, len(offsets) - 1, out=ids)
+        return ids
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 12), st.integers(0, 30),
+           st.integers(0, 3))
+    def test_matches_marked_cumsum(self, seed, num_segments, total, lead):
+        """Empty segments (equal offsets, offsets at ``total``) included;
+        ``lead`` elements before the first offset join segment 0."""
+        offsets = random_offsets(np.random.default_rng(seed), num_segments, total)
+        if len(offsets):
+            offsets[0] = min(lead, offsets[1] if len(offsets) > 1 else total)
+        np.testing.assert_array_equal(F.segment_ids_from_offsets(offsets, total),
+                                      self._marked_cumsum(offsets, total))
+
 
 class TestSegmentSum:
     def test_matches_manual(self):
