@@ -6,9 +6,9 @@ from .buffer import PartitionBuffer
 from .edge_store import EdgeBucketStore
 from .io_stats import IOStats
 from .node_store import NodeStore
-from .prefetch import PrefetchError, Prefetcher, PrefetchingBufferManager
+from .prefetch import PrefetchError, PrefetchingBufferManager
 
 __all__ = ["IOStats", "NodeStore", "EdgeBucketStore", "PartitionBuffer",
-           "Prefetcher", "PrefetchingBufferManager", "PrefetchError",
+           "PrefetchingBufferManager", "PrefetchError",
            "atomic_write", "atomic_write_bytes", "atomic_write_json",
            "atomic_write_npz", "fsync_dir"]

@@ -6,11 +6,13 @@ MariusGNN "uses a buffer with capacity of c physical node partitions"
 mini-batch construction, applies row-sparse Adagrad updates in place (Step 6
 of the mini-batch lifecycle), and writes dirty partitions back on eviction.
 
-Resident partitions live in one flat *slab* array of ``capacity`` equal
-slots; ``_slab_row`` maps each resident global node ID to its slab row.
-:meth:`gather` and :meth:`apply_gradients` are therefore a single vectorized
-fancy-index over the slab — no per-partition Python loop on the mini-batch
-hot path.
+Partitions live in one flat *slab* array of equal slots; ``_slab_row`` maps
+each resident global node ID to its slab row. :meth:`gather` and
+:meth:`apply_gradients` are therefore a single vectorized fancy-index over
+the slab — no per-partition Python loop on the mini-batch hot path. Disk
+reads land directly in a slot (``NodeStore.read_partition(out=...)``) and
+write-backs go straight from it: a partition's bytes are copied once each
+way.
 
 Swapping to the next partition set is a diff: only partitions leaving the
 buffer are written back and only arriving ones are read — one logical-
@@ -18,6 +20,20 @@ partition swap per step under COMET (Steps A-D in Figure 2). Registered
 *swap listeners* receive that diff (``fn(added, removed)``) after every
 swap, which is how samplers keep their partition-aware adjacency index
 incremental instead of re-sorting the in-buffer edge list.
+
+**Staging slots.** A buffer driven through an epoch plan by
+:class:`~repro.storage.prefetch.PrefetchingBufferManager` gets ``capacity``
+spare slots beyond its ``capacity`` resident ones (a plan step admits at
+most ``capacity`` partitions). A swap then only remaps rows: leaving
+partitions are *detached* (unmapped, their slot held for write-back) and
+arriving ones are *attached* from slots an I/O thread has already filled.
+Slot ownership: the training thread owns resident slots; the I/O thread
+owns detached and staged slots while its job runs; every other access to
+the store or to the free slots (:meth:`admit`, :meth:`evict`,
+:meth:`flush`, :meth:`drop_all`, :meth:`refresh_from_store`) first waits
+for that job through the barrier the manager installs. Buffers without a
+manager (node classification, continual training, serving) have no
+staging slots and no thread.
 
 Inference serving reuses the same buffer in **read-only mode**
 (``read_only=True``): gradient application is refused, eviction never
@@ -30,7 +46,7 @@ instead of a precomputed epoch plan.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +56,8 @@ from .io_stats import IOStats
 from .node_store import NodeStore
 
 SwapListener = Callable[[List[int], List[int]], None]
+#: ``(partition, (data, state))`` — a slot's views, handed to the I/O thread.
+SlotIO = Tuple[int, Tuple[np.ndarray, Optional[np.ndarray]]]
 
 
 class PartitionBuffer:
@@ -65,17 +83,19 @@ class PartitionBuffer:
         # choose_victims(candidates, count) -> list of partition ids.
         self.replacement_policy = replacement_policy
         self.stats: IOStats = store.stats
-        # One flat slab of `capacity` fixed-size slots; `_data[part]` values
-        # are views into it so eviction write-back needs no extra copies.
         self._slot_size = int(store.scheme.sizes().max())
-        self._slab = np.empty((capacity * self._slot_size, store.dim),
-                              dtype=np.float32)
-        self._state_slab: Optional[np.ndarray] = None
+        self._num_slots = capacity
         self._free_slots = list(range(capacity - 1, -1, -1))
-        self._slot_of: Dict[int, int] = {}
-        self._data: Dict[int, np.ndarray] = {}
-        self._state: Dict[int, Optional[np.ndarray]] = {}
+        self._slab = self._new_slab()
+        # Adagrad state rows beside the slab, allocated at the first fill
+        # from a learnable store.
+        self._state_slab: Optional[np.ndarray] = None
+        self._slot_of: Dict[int, int] = {}          # resident partition -> slot
         self._dirty: Dict[int, bool] = {}
+        self._staged: Dict[int, int] = {}           # read-ahead partition -> slot
+        self._detached: List[Tuple[int, int]] = []  # (partition, slot) to write back
+        # Blocks until the I/O thread's job (if any) is done; raises its error.
+        self._io_barrier: Callable[[], None] = lambda: None
         # Global node id -> row in the slab; -1 if not resident.
         self._slab_row = np.full(store.num_nodes, -1, dtype=np.int64)
         self._partition_of_row = np.full(store.num_nodes, -1, dtype=np.int32)
@@ -84,10 +104,10 @@ class PartitionBuffer:
     # ------------------------------------------------------------------
     @property
     def resident(self) -> List[int]:
-        return sorted(self._data)
+        return sorted(self._slot_of)
 
     def is_resident(self, part: int) -> bool:
-        return part in self._data
+        return part in self._slot_of
 
     def dirty_partitions(self) -> List[int]:
         """Resident partitions holding updates not yet written back."""
@@ -111,78 +131,127 @@ class PartitionBuffer:
             fn(added, removed)
 
     # ------------------------------------------------------------------
-    def _install(self, part: int, data: np.ndarray,
-                 state: Optional[np.ndarray]) -> None:
-        """Copy a partition's arrays into a free slab slot and map its rows."""
-        slot = self._free_slots.pop()
-        size = len(data)
+    def _new_slab(self) -> np.ndarray:
+        return np.empty((self._num_slots * self._slot_size, self.store.dim),
+                        dtype=np.float32)
+
+    def _views(self, slot: int, part: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """A slot's rows for ``part`` in the slab and the state slab."""
+        if self._state_slab is None and self.store.learnable:
+            self._state_slab = np.empty_like(self._slab)
         base = slot * self._slot_size
-        self._slab[base : base + size] = data
-        self._data[part] = self._slab[base : base + size]
-        if state is not None:
-            if self._state_slab is None:
-                self._state_slab = np.zeros_like(self._slab)
-            self._state_slab[base : base + size] = state
-            self._state[part] = self._state_slab[base : base + size]
-        else:
-            self._state[part] = None
+        rows = slice(base, base + self.store.scheme.partition_size(part))
+        state = self._state_slab[rows] if self._state_slab is not None else None
+        return self._slab[rows], state
+
+    def _map(self, part: int, slot: int) -> None:
+        """Make a filled slot the resident copy of ``part``."""
         self._slot_of[part] = slot
         self._dirty[part] = False
         lo = int(self.store.scheme.boundaries[part])
         hi = int(self.store.scheme.boundaries[part + 1])
+        base = slot * self._slot_size
         self._slab_row[lo:hi] = np.arange(base, base + (hi - lo), dtype=np.int64)
         self._partition_of_row[lo:hi] = part
 
-    def admit(self, part: int) -> None:
-        """Read a partition from disk into the buffer (must have room)."""
-        if part in self._data:
-            return
-        if len(self._data) >= self.capacity:
-            raise RuntimeError(
-                f"buffer full ({self.capacity}); evict before admitting {part}"
-            )
-        t0 = time.perf_counter()
-        data, state = self.store.read_partition(part)
-        obs = get_registry()
-        obs.histogram("storage.swap.load_ms").observe(
-            1000.0 * (time.perf_counter() - t0))
-        obs.counter("storage.swaps").inc()
-        self._install(part, data, state)
-
-    def admit_preloaded(self, part: int, data: np.ndarray,
-                        state: Optional[np.ndarray]) -> None:
-        """Admit a partition whose bytes were already read (by a prefetcher).
-
-        The disk read was performed — and accounted — when the prefetcher
-        fetched it; this call only installs the arrays.
-        """
-        if part in self._data:
-            return
-        if len(self._data) >= self.capacity:
-            raise RuntimeError(
-                f"buffer full ({self.capacity}); evict before admitting {part}"
-            )
-        expected = (self.store.scheme.partition_size(part), self.store.dim)
-        if data.shape != expected:
-            raise ValueError(f"preloaded partition {part} has shape {data.shape},"
-                             f" expected {expected}")
-        self._install(part, data, state)
-
-    def evict(self, part: int) -> None:
-        """Write a partition back (if dirty) and drop it from the buffer."""
-        if part not in self._data:
-            raise KeyError(f"partition {part} is not resident")
-        if self._dirty[part] and not self.read_only:
-            self.store.write_partition(part, self._data[part], self._state[part])
-        del self._data[part]
-        del self._state[part]
+    def _unmap(self, part: int) -> int:
+        """Drop ``part`` from residency; returns its (still filled) slot."""
         del self._dirty[part]
-        self._free_slots.append(self._slot_of.pop(part))
         lo = int(self.store.scheme.boundaries[part])
         hi = int(self.store.scheme.boundaries[part + 1])
         self._slab_row[lo:hi] = -1
         self._partition_of_row[lo:hi] = -1
+        return self._slot_of.pop(part)
 
+    def admit(self, part: int) -> None:
+        """Read a partition from disk into the buffer (must have room)."""
+        if part in self._slot_of:
+            return
+        if len(self._slot_of) >= self.capacity:
+            raise RuntimeError(
+                f"buffer full ({self.capacity}); evict before admitting {part}"
+            )
+        self._io_barrier()
+        slot = self._free_slots.pop()
+        t0 = time.perf_counter()
+        try:
+            self.store.read_partition(part, out=self._views(slot, part))
+        except BaseException:
+            self._free_slots.append(slot)
+            raise
+        obs = get_registry()
+        obs.histogram("storage.swap.load_ms").observe(
+            1000.0 * (time.perf_counter() - t0))
+        obs.counter("storage.swaps").inc()
+        self._map(part, slot)
+
+    def evict(self, part: int) -> None:
+        """Write a partition back (if dirty) and drop it from the buffer."""
+        if part not in self._slot_of:
+            raise KeyError(f"partition {part} is not resident")
+        self._io_barrier()
+        if self._dirty[part] and not self.read_only:
+            self.store.write_partition(part, *self._views(self._slot_of[part], part))
+        self._free_slots.append(self._unmap(part))
+
+    # -- staging (driven by PrefetchingBufferManager, training thread) -----
+    def enable_staging(self, barrier: Callable[[], None]) -> None:
+        """Add ``capacity`` staging slots; ``barrier`` waits for the I/O job.
+
+        Called once, on an empty buffer, by the manager that owns the I/O
+        thread.
+        """
+        if self._slot_of or self._num_slots != self.capacity:
+            raise RuntimeError("staging must be enabled once, on an empty buffer")
+        self._num_slots = 2 * self.capacity
+        self._slab = self._new_slab()
+        self._state_slab = None
+        self._free_slots = list(range(self._num_slots - 1, -1, -1))
+        self._io_barrier = barrier
+
+    def detach(self, part: int) -> None:
+        """Unmap a resident partition without copying it or freeing its slot.
+
+        A dirty partition's slot is handed to the next :meth:`stage` for
+        write-back; a clean one is freed at once.
+        """
+        dirty = self._dirty[part] and not self.read_only
+        slot = self._unmap(part)
+        if dirty:
+            self._detached.append((part, slot))
+        else:
+            self._free_slots.append(slot)
+
+    def attach_staged(self, part: int) -> bool:
+        """Map ``part`` from its staged slot; ``False`` if it was not staged."""
+        slot = self._staged.pop(part, None)
+        if slot is None:
+            return False
+        self._map(part, slot)
+        return True
+
+    def drop_staged(self) -> None:
+        """Free the slots of staged partitions that were not attached."""
+        self._free_slots.extend(self._staged.values())
+        self._staged.clear()
+
+    def stage(self, parts: Sequence[int]) -> Tuple[List[SlotIO], List[SlotIO]]:
+        """Plan the next I/O job: ``(write_backs, reads)``.
+
+        The write-backs are the dirty detached slots; ``parts`` are given
+        free slots to be read into. A detached slot may be reused for a
+        read because the job writes everything back before it reads.
+        """
+        writes = [(part, self._views(slot, part)) for part, slot in self._detached]
+        self._free_slots.extend(slot for _, slot in self._detached)
+        self._detached.clear()
+        reads = []
+        for part in parts:
+            slot = self._staged[part] = self._free_slots.pop()
+            reads.append((part, self._views(slot, part)))
+        return writes, reads
+
+    # ------------------------------------------------------------------
     def set_partitions(self, parts: Sequence[int]) -> int:
         """Swap the buffer contents to exactly ``parts``; returns #partitions moved.
 
@@ -194,11 +263,11 @@ class PartitionBuffer:
             raise ValueError(f"requested {len(wanted)} partitions, capacity {self.capacity}")
         removed = []
         added = []
-        for part in [q for q in self._data if q not in wanted]:
+        for part in [q for q in self._slot_of if q not in wanted]:
             self.evict(part)
             removed.append(part)
         for part in sorted(wanted):
-            if part not in self._data:
+            if part not in self._slot_of:
                 self.admit(part)
                 added.append(part)
         self.notify_swap(added, removed)
@@ -222,15 +291,15 @@ class PartitionBuffer:
             raise ValueError(
                 f"query batch needs {len(wanted)} partitions at once, "
                 f"capacity {self.capacity}")
-        missing = [q for q in wanted if q not in self._data]
+        missing = [q for q in wanted if q not in self._slot_of]
         if not missing:
             return 0
         removed: List[int] = []
-        need = len(missing) - len(self._free_slots)
+        need = len(missing) - (self.capacity - len(self._slot_of))
         if need > 0:
             keep = set(wanted)
             shielded = set(protect)
-            candidates = [q for q in self._data if q not in keep]
+            candidates = [q for q in self._slot_of if q not in keep]
             spared = [q for q in candidates if q not in shielded]
             fallback = [q for q in candidates if q in shielded]
 
@@ -260,12 +329,13 @@ class PartitionBuffer:
         must treat it as read-only and not hold it across an eviction.
         """
         try:
-            return self._data[part]
+            slot = self._slot_of[part]
         except KeyError:
             raise KeyError(f"partition {part} is not resident") from None
+        return self._views(slot, part)[0]
 
     def drop_all(self) -> None:
-        """Discard every resident partition WITHOUT write-back.
+        """Discard every resident and staged partition WITHOUT write-back.
 
         The crash-recovery path: whatever the buffer holds is about to be
         superseded by a snapshot restore, so flushing it would overwrite the
@@ -273,17 +343,21 @@ class PartitionBuffer:
         are notified so partition-aware sampler indexes drop the partitions
         too.
         """
-        dropped = sorted(self._data)
+        self._io_barrier()
+        self.drop_staged()
+        self._free_slots.extend(slot for _, slot in self._detached)
+        self._detached.clear()
+        dropped = sorted(self._slot_of)
         for part in dropped:
-            self._dirty[part] = False
-            self.evict(part)
+            self._free_slots.append(self._unmap(part))
         self.notify_swap([], dropped)
 
     def flush(self) -> None:
         """Write every dirty resident partition back without evicting."""
+        self._io_barrier()
         for part, dirty in list(self._dirty.items()):
             if dirty:
-                self.store.write_partition(part, self._data[part], self._state[part])
+                self.store.write_partition(part, *self._views(self._slot_of[part], part))
                 self._dirty[part] = False
 
     def refresh_from_store(self, parts: Optional[Sequence[int]] = None) -> None:
@@ -303,18 +377,24 @@ class PartitionBuffer:
         slot size. Swap listeners are not notified: residency is
         unchanged, only contents.
         """
+        self._io_barrier()
         new_slot = int(self.store.scheme.sizes().max())
-        stale = sorted(self._data) if parts is None else sorted(
-            int(q) for q in parts if int(q) in self._data)
+        stale = sorted(self._slot_of) if parts is None else sorted(
+            int(q) for q in parts if int(q) in self._slot_of)
         if new_slot > self._slot_size:
             # Slot geometry changed: every view into the slab moves.
-            stale = sorted(self._data)
+            stale = sorted(self._slot_of)
         for part in stale:
             if self._dirty[part] and not self.read_only:
                 lo = int(self.store.scheme.boundaries[part])
-                self.store.write_span(lo, self._data[part], self._state[part])
+                # The slot holds the rows mapped at admission; a grown
+                # partition's new rows are not among them.
+                rows = self._slab_row[self._partition_of_row == part]
+                state = (self._state_slab[rows]
+                         if self._state_slab is not None else None)
+                self.store.write_span(lo, self._slab[rows], state)
             self._dirty[part] = False
-            self.evict(part)
+            self._free_slots.append(self._unmap(part))
         num_nodes = self.store.num_nodes
         if num_nodes > len(self._slab_row):
             pad = num_nodes - len(self._slab_row)
@@ -323,15 +403,10 @@ class PartitionBuffer:
             self._partition_of_row = np.concatenate(
                 [self._partition_of_row, np.full(pad, -1, dtype=np.int32)])
         if new_slot > self._slot_size:
+            # Every slot is free now: reallocate at the new slot size.
             self._slot_size = new_slot
-            self._slab = np.empty((self.capacity * new_slot, self.store.dim),
-                                  dtype=np.float32)
-            if self._state_slab is not None:
-                self._state_slab = np.zeros_like(self._slab)
-            self._slab_row.fill(-1)
-            self._partition_of_row.fill(-1)
-            self._free_slots = list(range(self.capacity - 1, -1, -1))
-            self._slot_of.clear()
+            self._slab = self._new_slab()
+            self._state_slab = None
         for part in stale:
             self.admit(part)
 
@@ -356,16 +431,15 @@ class PartitionBuffer:
         if (rows < 0).any():
             raise KeyError("gradient rows must be resident in the buffer")
         parts = [int(p) for p in np.unique(self._partition_of_row[node_ids])]
-        for part in parts:
-            if self._state[part] is None:
-                raise RuntimeError(f"partition {part} has no optimizer state")
+        if self._state_slab is None:
+            raise RuntimeError(f"partitions {parts} have no optimizer state")
         self.optimizer.update(self._slab, self._state_slab, rows, grads)
         for part in parts:
             self._dirty[part] = True
 
     def resident_nodes(self) -> np.ndarray:
         """All node IDs currently resident (for in-memory negative sampling)."""
-        parts = sorted(self._data)
+        parts = sorted(self._slot_of)
         ranges = [np.arange(self.store.scheme.boundaries[p],
                             self.store.scheme.boundaries[p + 1], dtype=np.int64)
                   for p in parts]

@@ -10,6 +10,7 @@ traffic our storage layer performs.
 from __future__ import annotations
 
 import os
+import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -31,7 +32,12 @@ def crc_file(path: os.PathLike, chunk: int = 1 << 20) -> int:
 
 @dataclass
 class IOStats:
-    """Counters for disk traffic (bytes are payload bytes, reads are calls)."""
+    """Counters for disk traffic (bytes are payload bytes, reads are calls).
+
+    The partition I/O thread and the training thread (edge-bucket reads)
+    count into one instance, so every update holds a lock: ``+=`` on an
+    attribute is not atomic across threads and would drop counts.
+    """
 
     bytes_read: int = 0
     bytes_written: int = 0
@@ -40,15 +46,21 @@ class IOStats:
     partition_loads: int = 0
     partition_evictions: int = 0
     read_sizes: List[int] = field(default_factory=list)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
 
-    def record_read(self, nbytes: int) -> None:
-        self.bytes_read += int(nbytes)
-        self.num_reads += 1
-        self.read_sizes.append(int(nbytes))
+    def record_read(self, nbytes: int, partition_loads: int = 0) -> None:
+        with self._lock:
+            self.bytes_read += int(nbytes)
+            self.num_reads += 1
+            self.read_sizes.append(int(nbytes))
+            self.partition_loads += partition_loads
 
-    def record_write(self, nbytes: int) -> None:
-        self.bytes_written += int(nbytes)
-        self.num_writes += 1
+    def record_write(self, nbytes: int, partition_evictions: int = 0) -> None:
+        with self._lock:
+            self.bytes_written += int(nbytes)
+            self.num_writes += 1
+            self.partition_evictions += partition_evictions
 
     @property
     def total_bytes(self) -> int:
@@ -80,15 +92,16 @@ class IOStats:
         self.read_sizes.clear()
 
     def snapshot(self) -> "IOStats":
-        return IOStats(
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            num_reads=self.num_reads,
-            num_writes=self.num_writes,
-            partition_loads=self.partition_loads,
-            partition_evictions=self.partition_evictions,
-            read_sizes=list(self.read_sizes),
-        )
+        with self._lock:
+            return IOStats(
+                bytes_read=self.bytes_read,
+                bytes_written=self.bytes_written,
+                num_reads=self.num_reads,
+                num_writes=self.num_writes,
+                partition_loads=self.partition_loads,
+                partition_evictions=self.partition_evictions,
+                read_sizes=list(self.read_sizes),
+            )
 
     def diff(self, earlier: "IOStats") -> "IOStats":
         """Traffic since an earlier snapshot."""

@@ -130,15 +130,30 @@ class NodeStore:
         self._table.flush()
 
     # ------------------------------------------------------------------
-    def read_partition(self, part: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Read one partition (and its optimizer state) into fresh RAM arrays."""
+    def read_partition(self, part: int,
+                       out: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+                       ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Read one partition (and its optimizer state).
+
+        Into fresh RAM arrays, or — with ``out=(data, state)`` — straight
+        into caller-owned arrays such as a partition buffer's slab slot, so
+        the bytes are copied once. Returns the ``(data, state)`` filled.
+        """
         lo, hi = int(self.scheme.boundaries[part]), int(self.scheme.boundaries[part + 1])
-        data = np.array(self._table[lo:hi])
-        self.stats.record_read(data.nbytes)
-        self.stats.partition_loads += 1
-        state = None
-        if self._state is not None:
-            state = np.array(self._state[lo:hi])
+        if out is None:
+            data = np.array(self._table[lo:hi])
+            state = None if self._state is None else np.array(self._state[lo:hi])
+        else:
+            data, state = out
+            if data.shape != (hi - lo, self.dim):
+                raise ValueError(f"partition {part} expects shape {(hi - lo, self.dim)}, got {data.shape}")
+            data[...] = self._table[lo:hi]
+            if self._state is None:
+                state = None
+            else:
+                state[...] = self._state[lo:hi]
+        self.stats.record_read(data.nbytes, partition_loads=1)
+        if state is not None:
             self.stats.record_read(state.nbytes)
         return data, state
 
@@ -149,8 +164,7 @@ class NodeStore:
         if data.shape != (hi - lo, self.dim):
             raise ValueError(f"partition {part} expects shape {(hi - lo, self.dim)}, got {data.shape}")
         self._table[lo:hi] = data
-        self.stats.record_write(data.nbytes)
-        self.stats.partition_evictions += 1
+        self.stats.record_write(data.nbytes, partition_evictions=1)
         if state is not None:
             if self._state is None:
                 raise ValueError("store has no optimizer state file")

@@ -1,185 +1,158 @@
 """Partition prefetching: overlap disk IO with training (paper Steps A-D).
 
 "When prefetching is used to mask the IO latency required to load S_{i+1}
-during mini-batch training on S_i ..." (Section 5.1). :class:`Prefetcher`
-reads the partitions of the *next* epoch step on a background thread while
-the trainer works on the current one; when the swap arrives, already-staged
-partitions are admitted from memory instead of disk.
+during mini-batch training on S_i ..." (Section 5.1).
+:class:`PrefetchingBufferManager` moves both halves of a swap's I/O off the
+training thread. At each plan step the training thread only remaps rows:
+leaving partitions are detached from the buffer, arriving ones are mapped
+from staging slots that are already filled. It then queues one job on the
+manager's I/O thread, which writes every dirty detached slot back to the
+store and reads the *next* step's partitions straight into free staging
+slots while the trainer works on the current one.
 
-The disk reads still happen (and are still counted by :class:`IOStats`) —
-prefetching changes *when* they happen, which is what the balanced-workload
-argument for COMET (Section 7.5) is about: a policy whose steps carry similar
-amounts of training work gives the prefetcher time to finish; a front-loaded
-policy exposes the tail IO.
+Slot ownership: the training thread owns the resident slots; the I/O
+thread owns detached and staged slots while its job runs. Jobs run one at a
+time, in order, so a partition evicted at step i and read again for step
+i+1 is written before it is read. Every other store access (the next
+``load_step``, a missed partition's synchronous read, ``finish``,
+``flush``/snapshots, ``drop_all``/``reset``, evaluation's table read)
+waits for the job first.
+
+The disk reads and writes still happen (and are still counted by
+:class:`IOStats`) — prefetching changes *when* they happen, which is what
+the balanced-workload argument for COMET (Section 7.5) is about: a policy
+whose steps carry similar amounts of training work gives the I/O thread
+time to finish; a front-loaded policy exposes the tail IO.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
-from .buffer import PartitionBuffer
-from .node_store import NodeStore
+from .buffer import PartitionBuffer, SlotIO
 
 
 class PrefetchError(RuntimeError):
-    """A background prefetch worker died; the original error is chained."""
+    """A partition I/O job failed; the original error is chained.
 
-
-class Prefetcher:
-    """Stages upcoming partitions in memory ahead of the buffer swap.
-
-    A worker-thread exception is captured and re-raised from the next
-    :meth:`wait` (hence from ``load_step``/``finish``) instead of dying
-    silently inside the daemon thread — a prefetch that failed to read a
-    partition must abort the swap that depended on it, not hand the trainer
-    a silent miss.
+    Write-backs of that job may be missing or torn: resume from a snapshot.
     """
-
-    def __init__(self, store: NodeStore) -> None:
-        self.store = store
-        self._staged: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._error: Optional[BaseException] = None
-        self.prefetch_hits = 0
-        self.prefetch_misses = 0
-
-    # ------------------------------------------------------------------
-    def start(self, partitions: Sequence[int]) -> None:
-        """Begin reading ``partitions`` in the background (non-blocking)."""
-        self.wait()
-        parts = [int(p) for p in partitions]
-
-        def work() -> None:
-            try:
-                for part in parts:
-                    data, state = self.store.read_partition(part)
-                    with self._lock:
-                        self._staged[part] = (data, state)
-            except BaseException as exc:  # surfaced by the next wait()
-                with self._lock:
-                    self._error = exc
-
-        self._thread = threading.Thread(target=work, daemon=True)
-        self._thread.start()
-
-    def wait(self) -> None:
-        """Block until the in-flight prefetch (if any) completes.
-
-        Raises :class:`PrefetchError` if the worker thread failed.
-        """
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        with self._lock:
-            error, self._error = self._error, None
-        if error is not None:
-            raise PrefetchError(
-                f"prefetch worker failed: {error!r}") from error
-
-    def take(self, part: int) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Hand over a staged partition, or ``None`` on a miss."""
-        with self._lock:
-            item = self._staged.pop(part, None)
-        if item is not None:
-            self.prefetch_hits += 1
-        else:
-            self.prefetch_misses += 1
-        return item
-
-    def drop_all(self) -> None:
-        with self._lock:
-            self._staged.clear()
 
 
 class PrefetchingBufferManager:
     """Drives a :class:`PartitionBuffer` through an epoch plan with prefetch.
 
     Usage: call :meth:`load_step` for each step; the manager swaps the buffer
-    (using staged data when the prefetcher finished in time) and immediately
-    starts prefetching the next step's incoming partitions.
+    (attaching staged slots when the I/O thread filled them in time) and
+    queues the write-back of the leaving partitions plus the read of the
+    next step's incoming ones.
+
+    An I/O-thread exception is re-raised as :class:`PrefetchError` from the
+    next wait (hence from ``load_step``/``finish`` or any buffer call that
+    touches the store) instead of dying silently on the thread — a failed
+    read must abort the swap that depended on it, not hand the trainer a
+    silent miss.
 
     ``fault_hook`` is a test-only crash-injection point, called with a
-    crash-point name at the swap's I/O boundaries (``swap-evicted`` between
-    the eviction and admission halves of a swap, ``prefetch-staged`` between
-    taking staged prefetch data and applying it to the buffer).
+    crash-point name: ``swap-evicted`` on the training thread between
+    detaching and attaching, ``prefetch-staged`` after attaching a staged
+    slot, and ``writeback-pending`` on the I/O thread before each dirty
+    partition's write-back.
     """
 
     def __init__(self, buffer: PartitionBuffer,
                  fault_hook: Optional[Callable[[str], None]] = None) -> None:
         self.buffer = buffer
-        self.prefetcher = Prefetcher(buffer.store)
         self.fault_hook = fault_hook
+        self._io = ThreadPoolExecutor(max_workers=1,
+                                      thread_name_prefix="partition-io")
+        self._pending: Optional[Future] = None
+        self.hits = 0
+        self.misses = 0
+        buffer.enable_staging(self.wait)
 
     def _fire(self, point: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(point)
 
+    def _job(self, writes: List[SlotIO], reads: List[SlotIO]) -> None:
+        """Runs on the I/O thread: write-backs first, then reads."""
+        store = self.buffer.store
+        for part, (data, state) in writes:
+            self._fire("writeback-pending")
+            store.write_partition(part, data, state)
+        for part, views in reads:
+            store.read_partition(part, out=views)
+
+    def wait(self) -> None:
+        """Block until the queued I/O job (if any) completes.
+
+        Raises :class:`PrefetchError` if it failed; the partitions it was
+        staging are dropped, so a later step reads them again.
+        """
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        error = pending.exception()
+        if error is not None:
+            self.buffer.drop_staged()
+            raise PrefetchError(f"partition I/O job failed: {error!r}") from error
+
     def load_step(self, partitions: Sequence[int],
                   next_partitions: Optional[Sequence[int]] = None) -> int:
-        """Swap the buffer to ``partitions``; start prefetching the next set.
+        """Swap the buffer to ``partitions``; start staging the next set.
 
         Returns the number of partitions moved (reads + evictions).
         """
+        buf = self.buffer
         wanted = set(int(x) for x in partitions)
-        if len(wanted) > self.buffer.capacity:
+        if len(wanted) > buf.capacity:
             raise ValueError(
-                f"requested {len(wanted)} partitions, capacity {self.buffer.capacity}")
-        self.prefetcher.wait()
-        removed = []
-        added = []
-        for part in [q for q in self.buffer.resident if q not in wanted]:
-            self.buffer.evict(part)
-            removed.append(part)
+                f"requested {len(wanted)} partitions, capacity {buf.capacity}")
+        self.wait()
+        removed = [q for q in buf.resident if q not in wanted]
+        for part in removed:
+            buf.detach(part)
         self._fire("swap-evicted")
-        for part in sorted(wanted):
-            if self.buffer.is_resident(part):
-                continue
-            staged = self.prefetcher.take(part)
-            if staged is not None:
+        added = sorted(q for q in wanted if not buf.is_resident(q))
+        missed = []
+        for part in added:
+            if buf.attach_staged(part):
+                self.hits += 1
                 self._fire("prefetch-staged")
-                self.buffer.admit_preloaded(part, *staged)
             else:
-                self.buffer.admit(part)
-            added.append(part)
-        moved = len(added) + len(removed)
-        self.buffer.notify_swap(added, removed)
-        if next_partitions is not None:
-            incoming = [p for p in next_partitions
-                        if not self.buffer.is_resident(int(p))]
-            if incoming:
-                self.prefetcher.start(incoming)
-        return moved
+                missed.append(part)
+        buf.drop_staged()
+        for part in missed:
+            self.misses += 1
+            buf.admit(part)
+        buf.notify_swap(added, removed)
+        incoming = sorted({int(p) for p in next_partitions or ()}
+                          - set(buf.resident))
+        writes, reads = buf.stage(incoming)
+        if writes or reads:
+            self._pending = self._io.submit(self._job, writes, reads)
+        return len(added) + len(removed)
 
     def finish(self) -> None:
-        """Flush dirty partitions and drop any staged data.
+        """Wait for the I/O thread, drop staged slots, flush dirty partitions.
 
-        Raises :class:`PrefetchError` if a prefetch worker died since the
-        last ``load_step`` — shutdown must not swallow worker failures.
+        Raises :class:`PrefetchError` if a job failed since the last
+        ``load_step`` — shutdown must not swallow I/O failures.
         """
-        self.prefetcher.wait()
-        self.prefetcher.drop_all()
+        self.wait()
+        self.buffer.drop_staged()
         self.buffer.flush()
 
     def reset(self) -> None:
-        """Discard in-flight and staged prefetch data (resume path).
+        """Discard in-flight and staged partitions (resume path).
 
-        A pending worker error is also cleared: after a restore the staged
-        data would be dropped anyway, so a failure to produce it is moot.
+        A pending job error is also cleared: a restore rewrites the store
+        and drops the buffer, so a failure to write or stage is moot.
         """
         try:
-            self.prefetcher.wait()
+            self.wait()
         except PrefetchError:
             pass
-        self.prefetcher.drop_all()
-
-    @property
-    def hits(self) -> int:
-        return self.prefetcher.prefetch_hits
-
-    @property
-    def misses(self) -> int:
-        return self.prefetcher.prefetch_misses
+        self.buffer.drop_staged()

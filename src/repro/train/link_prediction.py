@@ -397,7 +397,8 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
     """Out-of-core trainer: partition buffer + COMET/BETA epoch plans.
 
     Each epoch: the policy produces (S, X); for each step the buffer swaps to
-    S_i (real memmap IO, the next step's partitions prefetched meanwhile),
+    S_i (real memmap IO on an I/O thread: leaving partitions are written
+    back and the next step's read into spare buffer slots meanwhile),
     the sampler re-indexes the in-buffer subgraph, and mini batches are
     drawn from X_i's buckets with negatives restricted to resident nodes.
     ``checkpoint_every`` counts plan steps, so snapshots land mid-epoch.

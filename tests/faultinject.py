@@ -7,7 +7,9 @@ provides the other half: a :class:`FaultInjector` that "kills" the process
 (raises :class:`SimulatedCrash`) the N-th time a chosen :class:`CrashPoint`
 is hit, and :class:`FaultyStorage`, which wraps a live
 :class:`~repro.storage.node_store.NodeStore` *in place* so every holder of
-the store (buffer, prefetcher) sees the same faulty I/O boundaries.
+the store (buffer, the manager's I/O thread) sees the same faulty I/O
+boundaries. A crash raised on the I/O thread reaches the trainer as
+:class:`~repro.storage.prefetch.PrefetchError` at its next wait.
 
 A write crash is **torn**: half the partition's rows are replaced with NaNs
 before the crash fires, modelling a partial write-back. Recovery code must
@@ -32,12 +34,16 @@ class CrashPoint:
     """Registered crash points across the training stack."""
 
     # NodeStore I/O boundaries (FaultyStorage)
-    NODE_READ = "node-read"                  # partition read (admit/prefetch)
+    NODE_READ = "node-read"                  # partition read (admit/staging)
     NODE_WRITE = "node-write"                # partition write-back — torn
+                                             # (on the I/O thread for swaps)
 
     # PrefetchingBufferManager hooks
-    SWAP_EVICTED = "swap-evicted"            # mid-swap: evicted, not admitted
-    PREFETCH_STAGED = "prefetch-staged"      # staged data taken, not applied
+    SWAP_EVICTED = "swap-evicted"            # mid-swap: detached, not attached
+    PREFETCH_STAGED = "prefetch-staged"      # staged slot attached, swap
+                                             # not complete
+    WRITEBACK_PENDING = "writeback-pending"  # I/O thread: dirty partition
+                                             # detached, not yet written back
 
     # SnapshotManager hooks
     SNAPSHOT_BEGIN = "snapshot-begin"        # temp dir created, nothing in it
@@ -63,7 +69,7 @@ class CrashPoint:
                                              # trailing record
 
     ALL = (NODE_READ, NODE_WRITE, SWAP_EVICTED, PREFETCH_STAGED,
-           SNAPSHOT_BEGIN, SNAPSHOT_PRE_RENAME, SNAPSHOT_POST_RENAME,
+           WRITEBACK_PENDING, SNAPSHOT_BEGIN, SNAPSHOT_PRE_RENAME, SNAPSHOT_POST_RENAME,
            WAL_FRAME_MID, WAL_TRUNCATE_PRE, SPILL_POST_WRITE,
            REWRITE_STAGED, REWRITE_POST_RENAME, SINK_FLUSH_MID)
 
@@ -94,8 +100,9 @@ class FaultyStorage:
     """Wraps a :class:`NodeStore` in place with crash-injecting I/O.
 
     Because the instance's bound methods are replaced (not a subclass or a
-    copy), the buffer, prefetcher, and trainer all hit the faulty paths
-    without any re-plumbing. ``uninstall()`` restores the originals.
+    copy), the buffer, the I/O thread, and trainer all hit the faulty paths
+    without any re-plumbing — including reads straight into a buffer slot
+    (``out=``). ``uninstall()`` restores the originals.
     """
 
     def __init__(self, store: NodeStore, injector: FaultInjector) -> None:
@@ -111,9 +118,9 @@ class FaultyStorage:
         self.store.write_partition = self._write  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
-    def _read_hook(self, part: int):
+    def _read_hook(self, part: int, out=None):
         self.injector.fire(CrashPoint.NODE_READ)
-        return self._read(part)
+        return self._read(part, out=out)
 
     def _write_hook(self, part: int, data: np.ndarray,
                     state: Optional[np.ndarray] = None) -> None:

@@ -160,6 +160,13 @@ def lp_baseline(lp_data, tmp_path_factory):
     return trainer.node_store.read_all(), trainer.model
 
 
+def _checkpoint_every(point):
+    """Plan steps between snapshots in a crash-matrix run. Every snapshot
+    flushes the buffer, so with one after each step no swap would have a
+    dirty partition waiting for write-back."""
+    return 2 if point == CrashPoint.WRITEBACK_PENDING else 1
+
+
 def _recover(make_trainer):
     """Resume from the latest snapshot; restart from scratch if the crash
     landed before the first checkpoint (both are valid recoveries)."""
@@ -178,17 +185,21 @@ def _recover(make_trainer):
     (CrashPoint.NODE_WRITE, 6),
     (CrashPoint.SWAP_EVICTED, 3),
     (CrashPoint.PREFETCH_STAGED, 2),
+    (CrashPoint.WRITEBACK_PENDING, 5),
     (CrashPoint.SNAPSHOT_BEGIN, 1),
     (CrashPoint.SNAPSHOT_PRE_RENAME, 1),
     (CrashPoint.SNAPSHOT_POST_RENAME, 1),
 ])
 def test_disk_lp_crash_matrix(lp_data, lp_baseline, tmp_path, point, after):
-    """Kill mid-swap / mid-snapshot / between prefetch load and apply; the
-    resumed run must reach bit-identical final parameters."""
+    """Kill mid-swap / mid-snapshot / between attaching a staged slot and
+    completing the swap / between detaching a dirty partition and its
+    write-back on the I/O thread; the resumed run must reach bit-identical
+    final parameters."""
     injector = FaultInjector(point, after=after)
+    every = _checkpoint_every(point)
     crashed = make_disk_lp(lp_data, tmp_path / "crashed",
                            checkpoint_dir=tmp_path / "ckpt",
-                           checkpoint_every=1)
+                           checkpoint_every=every)
     FaultyStorage(crashed.node_store, injector)
     crashed.buffer_manager.fault_hook = injector.fire
     crashed.snapshots.fault_hook = injector.fire
@@ -198,7 +209,7 @@ def test_disk_lp_crash_matrix(lp_data, lp_baseline, tmp_path, point, after):
 
     resumed = _recover(lambda: make_disk_lp(
         lp_data, tmp_path / "resumed", checkpoint_dir=tmp_path / "ckpt",
-        checkpoint_every=1))
+        checkpoint_every=every))
     ref_table, ref_model = lp_baseline
     np.testing.assert_array_equal(resumed.node_store.read_all(), ref_table)
     assert _models_equal(resumed.model, ref_model)
@@ -654,18 +665,21 @@ class TestIncrementalSnapshots:
 @pytest.mark.parametrize("point,after", [
     (CrashPoint.NODE_WRITE, 6),
     (CrashPoint.SWAP_EVICTED, 3),
+    (CrashPoint.WRITEBACK_PENDING, 7),
     (CrashPoint.SNAPSHOT_PRE_RENAME, 2),
     (CrashPoint.SNAPSHOT_POST_RENAME, 2),
 ])
 def test_disk_lp_incremental_crash_matrix(lp_data, lp_baseline, tmp_path,
                                           point, after):
     """The crash matrix holds under incremental snapshots: a run killed
-    mid-swap or mid-(delta-)snapshot and resumed from the composed chain
-    reaches bit-identical final parameters."""
+    mid-swap, with a write-back pending, or mid-(delta-)snapshot and
+    resumed from the composed chain reaches bit-identical final
+    parameters."""
     injector = FaultInjector(point, after=after)
+    every = _checkpoint_every(point)
     crashed = make_disk_lp(lp_data, tmp_path / "crashed",
                            checkpoint_dir=tmp_path / "ckpt",
-                           checkpoint_every=1, checkpoint_incremental=True)
+                           checkpoint_every=every, checkpoint_incremental=True)
     FaultyStorage(crashed.node_store, injector)
     crashed.buffer_manager.fault_hook = injector.fire
     crashed.snapshots.fault_hook = injector.fire
@@ -675,7 +689,7 @@ def test_disk_lp_incremental_crash_matrix(lp_data, lp_baseline, tmp_path,
 
     resumed = _recover(lambda: make_disk_lp(
         lp_data, tmp_path / "resumed", checkpoint_dir=tmp_path / "ckpt",
-        checkpoint_every=1, checkpoint_incremental=True))
+        checkpoint_every=every, checkpoint_incremental=True))
     ref_table, ref_model = lp_baseline
     np.testing.assert_array_equal(resumed.node_store.read_all(), ref_table)
     assert _models_equal(resumed.model, ref_model)

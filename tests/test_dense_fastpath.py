@@ -258,6 +258,8 @@ class TestBufferSwapListeners:
         mgr.load_step([0, 1], next_partitions=[1, 2])
         mgr.load_step([1, 2], None)
         mgr.finish()
+        # A staged slot attached at step 1 reports the same diff as a read.
+        assert (mgr.hits, mgr.misses) == (1, 2)
         assert events == [([0, 1], []), ([2], [0])]
 
     def test_listener_keeps_sampler_in_sync(self, tmp_path):
@@ -280,16 +282,17 @@ class TestBufferSwapListeners:
     def test_stateless_partition_rejects_gradients(self, tmp_path):
         from repro.nn.optim import RowAdagrad
         scheme = PartitionScheme.uniform(40, 4)
-        store = NodeStore(tmp_path / "n.bin", scheme, dim=4, learnable=True)
+        store = NodeStore(tmp_path / "n.bin", scheme, dim=4, learnable=False)
         store.initialize(rng=np.random.default_rng(0))
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.1))
-        buf.admit(0)
-        # A partition installed without optimizer state must refuse updates
-        # rather than train against a stale slab slot.
-        buf.admit_preloaded(1, np.zeros((10, 4), dtype=np.float32), None)
-        buf.apply_gradients(np.array([0]), np.ones((1, 4), dtype=np.float32))
+        mgr = PrefetchingBufferManager(buf)
+        mgr.load_step([0], next_partitions=[0, 1])
+        mgr.load_step([0, 1])
+        # Partitions read (or staged) from a store without optimizer state
+        # must refuse updates rather than train against a stale slab slot.
         with pytest.raises(RuntimeError, match="no optimizer state"):
             buf.apply_gradients(np.array([12]), np.ones((1, 4), dtype=np.float32))
+        mgr.finish()
 
     def test_update_graph_requires_partitioned_index(self):
         g = power_law_graph(30, 200, seed=0)

@@ -11,8 +11,7 @@ from repro.graph import (Graph, PartitionScheme, chain_graph, deduplicate_edges,
                          load_fb15k237, power_law_graph, shuffle_node_ids)
 from repro.nn import RowAdagrad, Tensor, TransE
 from repro.policies import HilbertOrderingPolicy, hilbert_bucket_order
-from repro.storage import (NodeStore, PartitionBuffer, Prefetcher,
-                           PrefetchingBufferManager)
+from repro.storage import NodeStore, PartitionBuffer, PrefetchingBufferManager
 from repro.train import (LinkPredictionConfig, LinkPredictionTrainer,
                          TripleFilter, filtered_ranks)
 
@@ -22,22 +21,43 @@ from repro.train import (LinkPredictionConfig, LinkPredictionTrainer,
 # ---------------------------------------------------------------------------
 
 class TestPrefetching:
-    def make(self, tmp_path, capacity=2):
+    """Slot staging: the manager's I/O thread writes detached partitions
+    back and reads the next step's partitions into spare slab slots."""
+
+    # Six steps over four partitions, capacity 2: partition 0 leaves at
+    # step 1 and is staged for step 2, every step swaps something.
+    PLAN = [[0, 1], [1, 2], [0, 2], [0, 3], [1, 3], [2, 3]]
+
+    def make(self, tmp_path, capacity=2, name="pf.bin"):
         scheme = PartitionScheme.uniform(40, 4)
-        store = NodeStore(tmp_path / "pf.bin", scheme, dim=4, learnable=True)
+        store = NodeStore(tmp_path / name, scheme, dim=4, learnable=True)
         store.initialize(rng=np.random.default_rng(0))
         buf = PartitionBuffer(store, capacity, optimizer=RowAdagrad(lr=0.1))
         return store, buf
 
+    @staticmethod
+    def walk(swap, buf, plan, on_step=None):
+        """``swap(parts, next_parts)`` per step, then train-like updates."""
+        for idx, parts in enumerate(plan):
+            nxt = plan[idx + 1] if idx + 1 < len(plan) else None
+            swap(parts, nxt)
+            if on_step is not None:
+                on_step(idx)
+            # One update per resident partition, a function of the step.
+            nodes = np.array([10 * p + idx for p in parts])
+            buf.apply_gradients(nodes, np.full((len(nodes), 4), idx + 1.0,
+                                               dtype=np.float32))
+
     def test_prefetcher_stages_partitions(self, tmp_path):
-        store, _ = self.make(tmp_path)
-        pf = Prefetcher(store)
-        pf.start([0, 1])
-        pf.wait()
-        assert pf.take(0) is not None
-        assert pf.take(1) is not None
-        assert pf.take(2) is None
-        assert pf.prefetch_hits == 2 and pf.prefetch_misses == 1
+        store, buf = self.make(tmp_path)
+        mgr = PrefetchingBufferManager(buf)
+        mgr.load_step([0, 1], next_partitions=[2, 3])
+        mgr.wait()
+        assert store.stats.partition_loads == 4   # 0, 1 now; 2, 3 staged
+        assert mgr.load_step([2, 3]) == 4
+        assert (mgr.hits, mgr.misses) == (2, 2)
+        assert store.stats.partition_loads == 4   # the swap read nothing
+        mgr.finish()
 
     def test_manager_walks_plan_with_hits(self, tmp_path):
         _, buf = self.make(tmp_path)
@@ -48,20 +68,22 @@ class TestPrefetching:
             mgr.load_step(parts, nxt)
             assert sorted(buf.resident) == sorted(parts)
         mgr.finish()
-        assert mgr.hits >= 1  # steps 2 and 3 should hit staged partitions
+        assert (mgr.hits, mgr.misses) == (2, 2)
 
-    def test_admit_preloaded_equivalent_to_admit(self, tmp_path):
+    def test_staged_slot_equivalent_to_admit(self, tmp_path):
         store, buf = self.make(tmp_path)
-        data, state = store.read_partition(2)
-        buf.admit_preloaded(2, data, state)
-        rows = buf.gather(np.array([25]))
+        mgr = PrefetchingBufferManager(buf)
+        mgr.load_step([0], next_partitions=[0, 2])
+        mgr.load_step([0, 2])
+        assert mgr.hits == 1
         direct, _ = store.read_partition(2)
-        np.testing.assert_allclose(rows[0], direct[5])
+        np.testing.assert_array_equal(buf.gather(np.arange(20, 30)), direct)
 
-    def test_admit_preloaded_validates_shape(self, tmp_path):
-        _, buf = self.make(tmp_path)
+    def test_read_into_slot_validates_shape(self, tmp_path):
+        store, _ = self.make(tmp_path)
         with pytest.raises(ValueError):
-            buf.admit_preloaded(0, np.zeros((3, 4), dtype=np.float32), None)
+            store.read_partition(0, out=(np.zeros((3, 4), dtype=np.float32),
+                                         None))
 
     def test_writeback_survives_prefetch_path(self, tmp_path):
         """Updates applied to a prefetched partition must reach disk."""
@@ -71,11 +93,117 @@ class TestPrefetching:
         mgr = PrefetchingBufferManager(buf)
         mgr.load_step([0, 1], [1, 2])
         buf.apply_gradients(np.array([3]), np.ones((1, 4), dtype=np.float32))
-        mgr.load_step([1, 2], None)   # evicts dirty partition 0
+        mgr.load_step([1, 2], None)   # detaches dirty partition 0
+        mgr.wait()                    # its write-back ran on the I/O thread
         fresh, state = store.read_partition(0)
         assert not np.allclose(fresh[3], row3_before)
         assert (state[3] > 0).all()
         mgr.finish()
+
+    def test_evicted_then_staged_carries_its_updates(self, tmp_path):
+        """A partition detached at step i and staged for step i+1 is
+        written back before the I/O thread reads it again."""
+        _, buf = self.make(tmp_path)
+        mgr = PrefetchingBufferManager(buf)
+        mgr.load_step([0, 1], [1, 2])
+        buf.apply_gradients(np.array([3]), np.ones((1, 4), dtype=np.float32))
+        updated = buf.gather(np.array([3]))
+        mgr.load_step([1, 2], [0, 2])   # 0 leaves dirty and is staged
+        mgr.load_step([0, 2])
+        assert mgr.hits == 2            # 2 at step 1, 0 at step 2
+        np.testing.assert_array_equal(buf.gather(np.array([3])), updated)
+        mgr.finish()
+
+    def test_plan_walk_matches_synchronous_swaps(self, tmp_path):
+        """The store after a six-step walk through the manager is byte-equal
+        to the same walk through synchronous set_partitions."""
+        store_a, buf_a = self.make(tmp_path, name="a.bin")
+        mgr = PrefetchingBufferManager(buf_a)
+        self.walk(mgr.load_step, buf_a, self.PLAN)
+        mgr.finish()
+
+        store_b, buf_b = self.make(tmp_path, name="b.bin")
+        self.walk(lambda parts, nxt: buf_b.set_partitions(parts), buf_b,
+                  self.PLAN)
+        buf_b.flush()
+        assert (mgr.hits, mgr.misses) == (5, 2)
+        assert store_a.read_all().tobytes() == store_b.read_all().tobytes()
+        assert (store_a.read_all_state().tobytes()
+                == store_b.read_all_state().tobytes())
+
+    def test_warm_swaps_do_no_store_io_on_the_training_thread(self, tmp_path):
+        """With every arriving partition staged, the training thread only
+        remaps rows: all partition reads and write-backs run elsewhere."""
+        import threading
+        store, buf = self.make(tmp_path)
+        mgr = PrefetchingBufferManager(buf)
+        calls = []
+
+        def record(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.current_thread()
+                              is threading.main_thread()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def install(idx):
+            if idx == 0:          # after the cold first step's misses
+                store.read_partition = record("read", store.read_partition)
+                store.write_partition = record("write",
+                                               store.write_partition)
+
+        self.walk(mgr.load_step, buf, self.PLAN, on_step=install)
+        mgr.wait()
+        assert {name for name, _ in calls} == {"read", "write"}
+        assert not any(on_main for _, on_main in calls), calls
+        mgr.finish()
+
+    def test_snapshot_and_evaluate_wait_for_write_back(self, tmp_path):
+        """A mid-epoch snapshot and the table evaluation reads see every
+        row the I/O thread is still writing back."""
+        import threading
+        import time
+        from repro.train import DiskConfig, DiskLinkPredictionTrainer
+        from repro.train.evaluation import EpochRecord
+        data = load_fb15k237(scale=0.03, seed=0)
+        cfg = LinkPredictionConfig(embedding_dim=8, encoder="none",
+                                   batch_size=256, num_negatives=16,
+                                   num_epochs=1, seed=0)
+
+        def make(name, **kw):
+            disk = DiskConfig(workdir=tmp_path / name, num_partitions=8,
+                              num_logical=4, buffer_capacity=4)
+            return DiskLinkPredictionTrainer(data, cfg, disk, **kw)
+
+        trainer = make("slow", checkpoint_dir=tmp_path / "ckpt")
+        twin = make("twin")
+        write = trainer.node_store.write_partition
+
+        def slow_write(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)     # an I/O-thread write-back lags
+            write(*args, **kwargs)
+
+        trainer.node_store.write_partition = slow_write
+        steps = trainer._plan_epoch(0)
+        twin_steps = twin._plan_epoch(0)
+
+        def table_after(idx):
+            for t, s in ((trainer, steps), (twin, twin_steps)):
+                t._run_step(s, idx, EpochRecord(0, 0.0, 0.0, 0.0))
+            twin.buffer_manager.wait()
+            twin.buffer.flush()
+            return twin.node_store.read_all()
+
+        for idx in range(2):
+            table_after(idx)
+        want = table_after(2)
+        trainer.save_snapshot(0, 3, len(steps))
+        _, arrays = trainer.snapshots.load()
+        np.testing.assert_array_equal(arrays["node_table"], want)
+
+        want = table_after(3)
+        np.testing.assert_array_equal(trainer._table(), want)
 
 
 # ---------------------------------------------------------------------------

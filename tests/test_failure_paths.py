@@ -11,8 +11,8 @@ from repro.train import DiskConfig, DiskLinkPredictionTrainer, LinkPredictionCon
 
 
 class TestPrefetchWorkerFailures:
-    """Regression: prefetch-thread exceptions used to die silently inside
-    the daemon thread; they must surface at the next wait()/load_step/
+    """Regression: I/O-thread exceptions used to die silently inside the
+    daemon thread; they must surface at the next wait()/load_step/
     finish() with the original error chained."""
 
     def _store(self, tmp_path, boom_part=None):
@@ -22,10 +22,10 @@ class TestPrefetchWorkerFailures:
         if boom_part is not None:
             real = store.read_partition
 
-            def faulty(part):
+            def faulty(part, out=None):
                 if part == boom_part:
                     raise OSError(f"disk gone while reading {part}")
-                return real(part)
+                return real(part, out=out)
 
             store.read_partition = faulty
         return store

@@ -1,5 +1,8 @@
 """Storage layer tests: memmap node/edge stores, partition buffer, IO stats."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,33 @@ class TestIOStats:
         io.record_read(10)
         io.reset()
         assert io.total_bytes == 0 and io.smallest_read == 0
+
+    def test_two_threads_lose_no_counts(self):
+        """The partition I/O thread and the training thread count into one
+        IOStats; a forced thread switch inside ``+=`` must not drop any."""
+        io = IOStats()
+        workers, n = 4, 25_000
+
+        def work():
+            for _ in range(n):
+                io.record_read(8)
+                io.record_write(8)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = workers * n
+        assert (io.bytes_read, io.num_reads, len(io.read_sizes)) == (
+            8 * total, total, total)
+        assert (io.bytes_written, io.num_writes) == (8 * total, total)
 
 
 class TestNodeStore:
