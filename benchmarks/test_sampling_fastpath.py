@@ -70,33 +70,28 @@ def bench_swap_preparation(num_nodes, num_edges, p, capacity, num_swaps, seed):
         flat = AdjacencyIndex(sub, "both")
         t_old += time.perf_counter() - t0
 
-    results = {}
-    for label, cache in (("two_level", False), ("two_level_cached", True)):
-        index = PartitionedAdjacencyIndex(scheme, buckets.bucket_endpoints,
-                                          initial, cache_evicted=cache)
-        t_new = 0.0
-        for admit, evict, _ in steps:
-            t0 = time.perf_counter()
-            index.update_partitions([admit], [evict])
-            t_new += time.perf_counter() - t0
-        results[label] = t_new / num_swaps
+    index = PartitionedAdjacencyIndex(scheme, buckets.bucket_endpoints,
+                                      initial)
+    t_new = 0.0
+    for admit, evict, _ in steps:
+        t0 = time.perf_counter()
+        index.update_partitions([admit], [evict])
+        t_new += time.perf_counter() - t0
 
-        # Correctness: final two-level state == flat rebuild, sample for sample.
-        probe = np.random.default_rng(seed).choice(num_nodes, 2000, replace=False)
-        s1 = index.sample_one_hop(probe, 10, rng=np.random.default_rng(1))
-        s2 = flat.sample_one_hop(probe, 10, rng=np.random.default_rng(1))
-        np.testing.assert_array_equal(s1[0], s2[0])
-        np.testing.assert_array_equal(s1[1], s2[1])
+    # Correctness: final two-level state == flat rebuild, sample for sample.
+    probe = np.random.default_rng(seed).choice(num_nodes, 2000, replace=False)
+    s1 = index.sample_one_hop(probe, 10, rng=np.random.default_rng(1))
+    s2 = flat.sample_one_hop(probe, 10, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(s1[0], s2[0])
+    np.testing.assert_array_equal(s1[1], s2[1])
 
-    old = t_old / num_swaps
+    old, new = t_old / num_swaps, t_new / num_swaps
     return {
         "config": dict(num_nodes=num_nodes, num_edges=num_edges, p=p,
                        capacity=capacity, num_swaps=num_swaps),
         "full_rebuild_s_per_swap": old,
-        "two_level_s_per_swap": results["two_level"],
-        "two_level_cached_s_per_swap": results["two_level_cached"],
-        "speedup": old / results["two_level"],
-        "speedup_cached": old / results["two_level_cached"],
+        "two_level_s_per_swap": new,
+        "speedup": old / new,
     }
 
 
@@ -180,8 +175,6 @@ def test_sampling_fastpath(report):
                "1.0x", widths=[22, 10, 8])
     report.row("two-level", f"{swap['two_level_s_per_swap']*1e3:.1f}ms",
                f"{swap['speedup']:.1f}x", widths=[22, 10, 8])
-    report.row("two-level + cache", f"{swap['two_level_cached_s_per_swap']*1e3:.1f}ms",
-               f"{swap['speedup_cached']:.1f}x", widths=[22, 10, 8])
 
     report.header("build_dense fanouts "
                   f"{DENSE_CFG['fanouts']} batch {DENSE_CFG['batch']}")

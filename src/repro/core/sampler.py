@@ -83,8 +83,7 @@ class DenseSampler:
                                                 Tuple[np.ndarray, np.ndarray]],
                         partitions: Iterable[int], fanouts: Sequence[int],
                         directions: str = "both",
-                        rng: Optional[np.random.Generator] = None,
-                        cache_evicted: bool = False) -> "DenseSampler":
+                        rng: Optional[np.random.Generator] = None) -> "DenseSampler":
         """Build a sampler over the two-level partition-aware index.
 
         ``bucket_source(i, j)`` must return edge bucket ``(i, j)``'s endpoint
@@ -92,8 +91,7 @@ class DenseSampler:
         then go through :meth:`update_graph`.
         """
         index = PartitionedAdjacencyIndex(scheme, bucket_source, partitions,
-                                          directions=directions,
-                                          cache_evicted=cache_evicted)
+                                          directions=directions)
         return cls(None, fanouts, directions=directions, rng=rng, index=index)
 
     @property

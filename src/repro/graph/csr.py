@@ -19,8 +19,8 @@ here:
   runs together in canonical bucket order at sample time, so no neighbor
   array is ever re-copied. A partition-buffer swap therefore only sorts the
   buckets of partitions that actually entered the buffer
-  (``update_partitions``); sub-runs of untouched buckets are reused as-is
-  (and optionally cached across evictions). This is what makes the paper's
+  (``update_partitions``); sub-runs of untouched buckets are reused as-is.
+  This is what makes the paper's
   "preparing each S_i for training" (Section 6, Quantity 2) cheap.
 
 Sampling ``f`` neighbors for a batch of nodes is fully vectorized, standing
@@ -330,16 +330,11 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
     bucket_source:
         ``bucket_source(i, j) -> (src, dst)`` returning the endpoint arrays
         of edge bucket ``(i, j)`` in their canonical (on-disk) order. Called
-        lazily: only for buckets whose partitions are resident and whose
-        sub-runs are not cached.
+        lazily: only for buckets whose partitions just became resident.
     partitions:
         Initially resident partitions (may be empty).
     directions:
         Same semantics as :class:`AdjacencyIndex`.
-    cache_evicted:
-        Keep sorted bucket sub-runs of evicted partitions in memory so
-        re-admitting a partition costs no sorting (trades memory — up to the
-        full 2x sorted edge list — for swap speed). Default off.
 
     The virtual neighbor order of a node is identical to what a flat
     :class:`AdjacencyIndex` built over the bucket-major in-buffer subgraph
@@ -350,14 +345,12 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
     def __init__(self, scheme: PartitionScheme,
                  bucket_source: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
                  partitions: Iterable[int] = (),
-                 directions: str = "both",
-                 cache_evicted: bool = False) -> None:
+                 directions: str = "both") -> None:
         if directions not in ("out", "in", "both"):
             raise ValueError(f"directions must be out/in/both, got {directions!r}")
         self.scheme = scheme
         self.bucket_source = bucket_source
         self.directions = directions
-        self.cache_evicted = cache_evicted
         self.num_nodes = scheme.num_nodes
         self._views: List[_PartView] = []
         if directions in ("out", "both"):
@@ -365,7 +358,7 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
         if directions in ("in", "both"):
             self._views.append(_PartView("in", self.num_nodes))
         self._total_deg = np.zeros(self.num_nodes, dtype=np.int64)
-        # Bucket sub-run cache: (i, j) -> {"out": _BucketRun, "in": _BucketRun}
+        # Resident bucket sub-runs: (i, j) -> {"out": _BucketRun, "in": _BucketRun}
         self._buckets: Dict[Tuple[int, int], Dict[str, _BucketRun]] = {}
         self._resident: List[int] = []
         # Counters for the perf benchmark / tests.
@@ -426,8 +419,8 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
         """Apply a buffer-swap diff: sort only the *new* partitions' buckets.
 
         ``added`` partitions' buckets (against every resident partition) are
-        fetched and sorted — unless cached from a previous residency; buckets
-        of surviving partitions are reused as-is. Every resident partition's
+        fetched and sorted; buckets of surviving partitions are reused
+        as-is. Every resident partition's
         level-1 sub-index is then recomposed (a copy, not a sort).
         """
         added = sorted({int(p) for p in added})
@@ -442,11 +435,10 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
         new_resident = sorted((resident - set(removed)) | set(added))
         new_resident_set = set(new_resident)
 
-        # Drop (or cache) the sub-runs of buckets leaving the buffer.
-        if not self.cache_evicted:
-            for (i, j) in list(self._buckets):
-                if i not in new_resident_set or j not in new_resident_set:
-                    del self._buckets[(i, j)]
+        # Drop the sub-runs of buckets leaving the buffer.
+        for (i, j) in list(self._buckets):
+            if i not in new_resident_set or j not in new_resident_set:
+                del self._buckets[(i, j)]
 
         # Zero the degree ranges of evicted partitions.
         for view in self._views:
@@ -456,7 +448,7 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
                 view.parts.pop(q, None)
 
         # Fetch + sort only buckets not already held (new partitions' rows
-        # and columns, minus cache hits).
+        # and columns).
         for i in new_resident:
             for j in new_resident:
                 if (i, j) not in self._buckets:
@@ -480,24 +472,21 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
         The streaming ingest hook: when a live graph appends (or tombstones)
         edges in bucket ``(i, j)``, only that bucket's sub-runs are stale —
         the rest of the index is reused untouched, exactly like a buffer
-        swap. Pairs whose sub-runs are not currently held (neither resident
-        nor cached) cost nothing: they will be fetched fresh — and therefore
+        swap. Pairs whose sub-runs are not currently held (a partition not
+        resident) cost nothing: they will be fetched fresh — and therefore
         delta-aware — whenever their partitions next enter the buffer.
         """
         changed = sorted({(int(i), int(j)) for i, j in pairs})
-        resident = set(self._resident)
         touched_parts = set()
         for key in changed:
             if key not in self._buckets:
                 continue
-            del self._buckets[key]
             i, j = key
-            if i in resident and j in resident:
-                self._buckets[key] = self._build_bucket(i, j)
-                if self.directions in ("out", "both"):
-                    touched_parts.add(i)
-                if self.directions in ("in", "both"):
-                    touched_parts.add(j)
+            self._buckets[key] = self._build_bucket(i, j)
+            if self.directions in ("out", "both"):
+                touched_parts.add(i)
+            if self.directions in ("in", "both"):
+                touched_parts.add(j)
         if not touched_parts:
             return
         for view in self._views:
@@ -532,12 +521,8 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
         for view in self._views:
             view.deg = np.concatenate([view.deg, pad])
         self._total_deg = np.concatenate([self._total_deg, pad])
-        # Every held sub-run keyed by the last partition is stale (its
-        # per-node offset table is sized by the old partition) — including
-        # evicted-cache entries whose partitions are not resident right
-        # now. refresh_buckets drops them all and rebuilds only the
-        # resident ones; dropped cache entries are refetched on their next
-        # admission, sized by the new bounds.
+        # Every held sub-run keyed by the last partition is stale: its
+        # per-node offset table is sized by the old partition.
         last = old.num_partitions - 1
         p = old.num_partitions
         self.refresh_buckets([(last, q) for q in range(p)]
@@ -549,11 +534,6 @@ class PartitionedAdjacencyIndex(_OneHopSamplerBase):
         return int(sum(r.offsets.nbytes + r.neighbors.nbytes
                        for v in self._views
                        for e in v.parts.values() for r in e.runs))
-
-    def cache_bytes(self) -> int:
-        """Bytes held by level-2 bucket sub-runs (including any evicted cache)."""
-        return int(sum(r.offsets.nbytes + r.neighbors.nbytes
-                       for runs in self._buckets.values() for r in runs.values()))
 
     def neighbors_of(self, node: int) -> np.ndarray:
         """All neighbors of one node (out-run then in-run)."""

@@ -3,8 +3,8 @@
 MariusGNN "uses a buffer with capacity of c physical node partitions"
 (Section 3). :class:`PartitionBuffer` holds partitions read from the
 :class:`~repro.storage.node_store.NodeStore`, provides a global-id gather for
-mini-batch construction, applies row-sparse Adagrad updates in place (Step 6
-of the mini-batch lifecycle), and writes dirty partitions back on eviction.
+mini-batch construction, and applies row-sparse Adagrad updates in place
+(Step 6 of the mini-batch lifecycle).
 
 Partitions live in one flat *slab* array of equal slots; ``_slab_row`` maps
 each resident global node ID to its slab row. :meth:`gather` and
@@ -14,33 +14,29 @@ reads land directly in a slot (``NodeStore.read_partition(out=...)``) and
 write-backs go straight from it: a partition's bytes are copied once each
 way.
 
-Swapping to the next partition set is a diff: only partitions leaving the
-buffer are written back and only arriving ones are read — one logical-
-partition swap per step under COMET (Steps A-D in Figure 2). Registered
-*swap listeners* receive that diff (``fn(added, removed)``) after every
-swap, which is how samplers keep their partition-aware adjacency index
-incremental instead of re-sorting the in-buffer edge list.
+Swapping to the next partition set (:meth:`set_partitions`) is a diff that
+only remaps rows: leaving partitions are *detached* and arriving ones
+admitted — one logical-partition swap per step under COMET (Steps A-D in
+Figure 2). Registered *swap listeners* receive that diff
+(``fn(added, removed)``), which is how samplers keep their partition-aware
+adjacency index incremental instead of re-sorting the in-buffer edge list.
 
-**Staging slots.** A buffer driven through an epoch plan by
-:class:`~repro.storage.prefetch.PrefetchingBufferManager` gets ``capacity``
-spare slots beyond its ``capacity`` resident ones (a plan step admits at
-most ``capacity`` partitions). A swap then only remaps rows: leaving
-partitions are *detached* (unmapped, their slot held for write-back) and
-arriving ones are *attached* from slots an I/O thread has already filled.
-Slot ownership: the training thread owns resident slots; the I/O thread
-owns detached and staged slots while its job runs; every other access to
-the store or to the free slots (:meth:`admit`, :meth:`evict`,
-:meth:`flush`, :meth:`drop_all`, :meth:`refresh_from_store`) first waits
-for that job through the barrier the manager installs. Buffers without a
-manager (node classification, continual training, serving) have no
-staging slots and no thread.
+**One swap path.** The buffer never writes a detached partition back
+itself: every trainer swaps through
+:class:`~repro.storage.prefetch.PrefetchingBufferManager`, which adds
+``capacity`` spare *staging* slots and an I/O thread that writes detached
+dirty slots back and reads the next step into staging slots (which
+:meth:`admit` then maps instead of reading). The training thread owns
+resident slots, the I/O thread detached and staged ones while its job
+runs; every other store or free-slot access first waits for that job
+through the barrier the manager installs. Without a manager a buffer has
+no staging slots and no thread, and a dirty detach raises.
 
-Inference serving reuses the same buffer in **read-only mode**
-(``read_only=True``): gradient application is refused, eviction never
-writes back, and residency is driven by the live query stream through
-:meth:`ensure_resident` — victims are picked by a pluggable
-``replacement_policy`` (e.g. :class:`~repro.policies.query_lru.QueryLRU`)
-instead of a precomputed epoch plan.
+Inference serving uses a **read-only** buffer (``read_only=True``, no
+manager): gradients are refused, so nothing is ever dirty, and residency
+follows :meth:`set_partitions` or the query stream via
+:meth:`ensure_resident`, whose victims a pluggable ``replacement_policy``
+(e.g. :class:`~repro.policies.query_lru.QueryLRU`) picks.
 """
 
 from __future__ import annotations
@@ -93,9 +89,11 @@ class PartitionBuffer:
         self._slot_of: Dict[int, int] = {}          # resident partition -> slot
         self._dirty: Dict[int, bool] = {}
         self._staged: Dict[int, int] = {}           # read-ahead partition -> slot
-        self._detached: List[Tuple[int, int]] = []  # (partition, slot) to write back
+        self._detached: Dict[int, int] = {}         # partition -> slot to write back
         # Blocks until the I/O thread's job (if any) is done; raises its error.
         self._io_barrier: Callable[[], None] = lambda: None
+        # Swap events (``swap-evicted``, ``prefetch-staged``) for the manager.
+        self._event: Callable[[str], None] = lambda point: None
         # Global node id -> row in the slab; -1 if not resident.
         self._slab_row = np.full(store.num_nodes, -1, dtype=np.int64)
         self._partition_of_row = np.full(store.num_nodes, -1, dtype=np.int32)
@@ -144,12 +142,11 @@ class PartitionBuffer:
         state = self._state_slab[rows] if self._state_slab is not None else None
         return self._slab[rows], state
 
-    def _map(self, part: int, slot: int) -> None:
+    def _map(self, part: int, slot: int, dirty: bool = False) -> None:
         """Make a filled slot the resident copy of ``part``."""
         self._slot_of[part] = slot
-        self._dirty[part] = False
-        lo = int(self.store.scheme.boundaries[part])
-        hi = int(self.store.scheme.boundaries[part + 1])
+        self._dirty[part] = dirty
+        lo, hi = self.store.scheme.boundaries[part : part + 2]
         base = slot * self._slot_size
         self._slab_row[lo:hi] = np.arange(base, base + (hi - lo), dtype=np.int64)
         self._partition_of_row[lo:hi] = part
@@ -157,21 +154,33 @@ class PartitionBuffer:
     def _unmap(self, part: int) -> int:
         """Drop ``part`` from residency; returns its (still filled) slot."""
         del self._dirty[part]
-        lo = int(self.store.scheme.boundaries[part])
-        hi = int(self.store.scheme.boundaries[part + 1])
+        lo, hi = self.store.scheme.boundaries[part : part + 2]
         self._slab_row[lo:hi] = -1
         self._partition_of_row[lo:hi] = -1
         return self._slot_of.pop(part)
 
     def admit(self, part: int) -> None:
-        """Read a partition from disk into the buffer (must have room)."""
+        """Make ``part`` resident (the buffer must have room).
+
+        A partition the I/O thread staged is mapped from its slot, and one
+        detached but not yet handed to the I/O thread gets its (still
+        dirty) slot back: reading disk would lose its updates. Any other
+        is read from disk into a free slot.
+        """
         if part in self._slot_of:
             return
         if len(self._slot_of) >= self.capacity:
-            raise RuntimeError(
-                f"buffer full ({self.capacity}); evict before admitting {part}"
-            )
+            raise RuntimeError(f"buffer full ({self.capacity}); detach "
+                               f"before admitting {part}")
         self._io_barrier()
+        if part in self._detached:
+            self._map(part, self._detached.pop(part), dirty=True)
+            return
+        slot = self._staged.pop(part, None)
+        if slot is not None:
+            self._map(part, slot)
+            self._event("prefetch-staged")
+            return
         slot = self._free_slots.pop()
         t0 = time.perf_counter()
         try:
@@ -185,18 +194,32 @@ class PartitionBuffer:
         obs.counter("storage.swaps").inc()
         self._map(part, slot)
 
-    def evict(self, part: int) -> None:
-        """Write a partition back (if dirty) and drop it from the buffer."""
+    def detach(self, part: int) -> None:
+        """Unmap a resident partition without copying it.
+
+        A clean partition's slot is freed at once; a dirty one's is held
+        for the next :meth:`stage` to hand to the manager's I/O thread for
+        write-back. A buffer without a manager cannot write it back, so a
+        dirty detach raises there (flush first).
+        """
         if part not in self._slot_of:
             raise KeyError(f"partition {part} is not resident")
-        self._io_barrier()
-        if self._dirty[part] and not self.read_only:
-            self.store.write_partition(part, *self._views(self._slot_of[part], part))
-        self._free_slots.append(self._unmap(part))
+        dirty = self._dirty[part] and not self.read_only
+        if dirty and self._num_slots == self.capacity:
+            raise RuntimeError(
+                f"partition {part} is dirty and this buffer has no "
+                "PrefetchingBufferManager to write it back; flush first")
+        slot = self._unmap(part)
+        if dirty:
+            self._detached[part] = slot
+        else:
+            self._free_slots.append(slot)
 
     # -- staging (driven by PrefetchingBufferManager, training thread) -----
-    def enable_staging(self, barrier: Callable[[], None]) -> None:
-        """Add ``capacity`` staging slots; ``barrier`` waits for the I/O job.
+    def enable_staging(self, barrier: Callable[[], None],
+                       event: Callable[[str], None]) -> None:
+        """Add ``capacity`` staging slots; ``barrier`` waits for the I/O job
+        and ``event`` receives the swap events.
 
         Called once, on an empty buffer, by the manager that owns the I/O
         thread.
@@ -208,30 +231,10 @@ class PartitionBuffer:
         self._state_slab = None
         self._free_slots = list(range(self._num_slots - 1, -1, -1))
         self._io_barrier = barrier
-
-    def detach(self, part: int) -> None:
-        """Unmap a resident partition without copying it or freeing its slot.
-
-        A dirty partition's slot is handed to the next :meth:`stage` for
-        write-back; a clean one is freed at once.
-        """
-        dirty = self._dirty[part] and not self.read_only
-        slot = self._unmap(part)
-        if dirty:
-            self._detached.append((part, slot))
-        else:
-            self._free_slots.append(slot)
-
-    def attach_staged(self, part: int) -> bool:
-        """Map ``part`` from its staged slot; ``False`` if it was not staged."""
-        slot = self._staged.pop(part, None)
-        if slot is None:
-            return False
-        self._map(part, slot)
-        return True
+        self._event = event
 
     def drop_staged(self) -> None:
-        """Free the slots of staged partitions that were not attached."""
+        """Free the slots of staged partitions that were not admitted."""
         self._free_slots.extend(self._staged.values())
         self._staged.clear()
 
@@ -242,8 +245,9 @@ class PartitionBuffer:
         free slots to be read into. A detached slot may be reused for a
         read because the job writes everything back before it reads.
         """
-        writes = [(part, self._views(slot, part)) for part, slot in self._detached]
-        self._free_slots.extend(slot for _, slot in self._detached)
+        writes = [(part, self._views(slot, part))
+                  for part, slot in self._detached.items()]
+        self._free_slots.extend(self._detached.values())
         self._detached.clear()
         reads = []
         for part in parts:
@@ -253,29 +257,33 @@ class PartitionBuffer:
 
     # ------------------------------------------------------------------
     def set_partitions(self, parts: Sequence[int]) -> int:
-        """Swap the buffer contents to exactly ``parts``; returns #partitions moved.
+        """Remap the buffer to exactly ``parts``; returns #partitions moved.
 
-        Registered swap listeners are called with the (added, removed) diff
-        after the swap completes.
+        Leaving partitions are detached, staged slots the new set does not
+        use are freed, and arriving partitions are admitted. Registered
+        swap listeners are called with the (added, removed) diff. Trainers
+        reach this through :meth:`PrefetchingBufferManager.load_step`, which
+        writes detached dirty partitions back.
         """
-        wanted = set(int(x) for x in parts)
+        wanted = sorted(set(int(x) for x in parts))
         if len(wanted) > self.capacity:
             raise ValueError(f"requested {len(wanted)} partitions, capacity {self.capacity}")
-        removed = []
-        added = []
-        for part in [q for q in self._slot_of if q not in wanted]:
-            self.evict(part)
-            removed.append(part)
-        for part in sorted(wanted):
-            if part not in self._slot_of:
-                self.admit(part)
-                added.append(part)
+        keep = set(wanted)
+        removed = [q for q in self.resident if q not in keep]
+        for part in removed:
+            self.detach(part)
+        self._event("swap-evicted")
+        for part in [q for q in self._staged if q not in keep]:
+            self._free_slots.append(self._staged.pop(part))
+        added = [q for q in wanted if q not in self._slot_of]
+        for part in added:
+            self.admit(part)
         self.notify_swap(added, removed)
         return len(added) + len(removed)
 
     def ensure_resident(self, parts: Sequence[int],
                         protect: Sequence[int] = ()) -> int:
-        """Admit ``parts`` (if absent), evicting policy-chosen victims.
+        """Admit ``parts`` (if absent), detaching policy-chosen victims.
 
         The query-driven counterpart of :meth:`set_partitions`: instead of
         swapping to an exact plan step, the caller names only the partitions
@@ -314,7 +322,7 @@ class PartitionBuffer:
             if len(victims) < need:
                 victims += pick(fallback, need - len(victims))
             for victim in victims[:need]:
-                self.evict(int(victim))
+                self.detach(int(victim))
                 removed.append(int(victim))
         for part in missing:
             self.admit(part)
@@ -345,7 +353,7 @@ class PartitionBuffer:
         """
         self._io_barrier()
         self.drop_staged()
-        self._free_slots.extend(slot for _, slot in self._detached)
+        self._free_slots.extend(self._detached.values())
         self._detached.clear()
         dropped = sorted(self._slot_of)
         for part in dropped:
@@ -353,29 +361,30 @@ class PartitionBuffer:
         self.notify_swap([], dropped)
 
     def flush(self) -> None:
-        """Write every dirty resident partition back without evicting."""
+        """Write every dirty partition back: resident ones stay resident;
+        detached ones no I/O job has taken yet are freed."""
         self._io_barrier()
-        for part, dirty in list(self._dirty.items()):
-            if dirty:
-                self.store.write_partition(part, *self._views(self._slot_of[part], part))
+        writes = self.stage(())[0] + [
+            (part, self._views(self._slot_of[part], part))
+            for part in self.dirty_partitions()]
+        for part, (data, state) in writes:
+            self.store.write_partition(part, data, state)
+            if part in self._slot_of:
                 self._dirty[part] = False
 
     def refresh_from_store(self, parts: Optional[Sequence[int]] = None) -> None:
         """Re-sync with a store whose table changed underneath the buffer.
 
-        The invalidate-on-compact/growth listener of the streaming
-        subsystem: after the node table grows (new streamed nodes extend
-        the last partition) or a compaction rewrites rows, resident
-        in-buffer copies are stale. ``parts`` names the partitions whose
-        contents changed (``None`` = all of them — the conservative
-        compaction default); only resident ones among them are re-read.
-        Dirty partitions are written back *first* (row-span writes, since
-        a grown partition's in-buffer copy covers only its old rows), the
-        node-to-slab maps are extended to the store's current
-        ``num_nodes``, and the slab is reallocated — with every resident
+        The streaming subsystem's invalidation hook: after the node table
+        grows (new streamed nodes extend the last partition) or its rows
+        change, in-buffer copies are stale. ``parts`` names the changed
+        partitions (``None`` = all); resident ones among them are re-read.
+        Dirty partitions are written back
+        *first* (row-span writes: a grown partition's in-buffer copy covers
+        only its old rows), the node-to-slab maps are extended to the
+        store's ``num_nodes``, and the slab is reallocated — every resident
         partition reinstalled — only if the largest partition outgrew the
-        slot size. Swap listeners are not notified: residency is
-        unchanged, only contents.
+        slot size. Swap listeners are not notified: residency is unchanged.
         """
         self._io_barrier()
         new_slot = int(self.store.scheme.sizes().max())

@@ -13,7 +13,7 @@ import os
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 
 def crc_file(path: os.PathLike, chunk: int = 1 << 20) -> int:
@@ -37,6 +37,12 @@ class IOStats:
     The partition I/O thread and the training thread (edge-bucket reads)
     count into one instance, so every update holds a lock: ``+=`` on an
     attribute is not atomic across threads and would drop counts.
+
+    ``smallest_read`` is the paper's quantity R, the smallest disk read in
+    bytes (0 before the first read). It is a running minimum, so the
+    counters stay a few ints however long a stream or a serving worker
+    runs; a :meth:`diff` window therefore carries the minimum over the
+    whole history, not over the window.
     """
 
     bytes_read: int = 0
@@ -45,15 +51,16 @@ class IOStats:
     num_writes: int = 0
     partition_loads: int = 0
     partition_evictions: int = 0
-    read_sizes: List[int] = field(default_factory=list)
+    smallest_read: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   repr=False, compare=False)
 
     def record_read(self, nbytes: int, partition_loads: int = 0) -> None:
         with self._lock:
+            self.smallest_read = (int(nbytes) if self.num_reads == 0
+                                  else min(self.smallest_read, int(nbytes)))
             self.bytes_read += int(nbytes)
             self.num_reads += 1
-            self.read_sizes.append(int(nbytes))
             self.partition_loads += partition_loads
 
     def record_write(self, nbytes: int, partition_evictions: int = 0) -> None:
@@ -66,14 +73,8 @@ class IOStats:
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
 
-    @property
-    def smallest_read(self) -> int:
-        """The paper's quantity R: the smallest disk read size in bytes."""
-        return min(self.read_sizes) if self.read_sizes else 0
-
     def as_dict(self) -> Dict[str, int]:
-        """Counter export for telemetry (the unbounded per-read size list
-        collapses to the paper's quantity R, smallest_read)."""
+        """Counter export for telemetry."""
         return {"bytes_read": self.bytes_read,
                 "bytes_written": self.bytes_written,
                 "reads": self.num_reads,
@@ -89,7 +90,7 @@ class IOStats:
         self.num_writes = 0
         self.partition_loads = 0
         self.partition_evictions = 0
-        self.read_sizes.clear()
+        self.smallest_read = 0
 
     def snapshot(self) -> "IOStats":
         with self._lock:
@@ -100,7 +101,7 @@ class IOStats:
                 num_writes=self.num_writes,
                 partition_loads=self.partition_loads,
                 partition_evictions=self.partition_evictions,
-                read_sizes=list(self.read_sizes),
+                smallest_read=self.smallest_read,
             )
 
     def diff(self, earlier: "IOStats") -> "IOStats":
@@ -112,5 +113,6 @@ class IOStats:
             num_writes=self.num_writes - earlier.num_writes,
             partition_loads=self.partition_loads - earlier.partition_loads,
             partition_evictions=self.partition_evictions - earlier.partition_evictions,
-            read_sizes=self.read_sizes[len(earlier.read_sizes):],
+            smallest_read=(self.smallest_read
+                           if self.num_reads > earlier.num_reads else 0),
         )

@@ -2,13 +2,17 @@
 
 "When prefetching is used to mask the IO latency required to load S_{i+1}
 during mini-batch training on S_i ..." (Section 5.1).
-:class:`PrefetchingBufferManager` moves both halves of a swap's I/O off the
-training thread. At each plan step the training thread only remaps rows:
-leaving partitions are detached from the buffer, arriving ones are mapped
-from staging slots that are already filled. It then queues one job on the
+:class:`PrefetchingBufferManager` is the one way a writable
+:class:`PartitionBuffer` changes residency, and it moves both halves of a
+swap's I/O off the training thread. At each plan step the training thread
+only remaps rows (:meth:`PartitionBuffer.set_partitions`): leaving
+partitions are detached from the buffer, arriving ones are mapped from
+staging slots that are already filled. It then queues one job on the
 manager's I/O thread, which writes every dirty detached slot back to the
 store and reads the *next* step's partitions straight into free staging
-slots while the trainer works on the current one.
+slots while the trainer works on the current one. A step with no successor
+(the continual trainer's resident sets, a restore) queues only the
+write-backs.
 
 Slot ownership: the training thread owns the resident slots; the I/O
 thread owns detached and staged slots while its job runs. Jobs run one at a
@@ -16,7 +20,8 @@ time, in order, so a partition evicted at step i and read again for step
 i+1 is written before it is read. Every other store access (the next
 ``load_step``, a missed partition's synchronous read, ``finish``,
 ``flush``/snapshots, ``drop_all``/``reset``, evaluation's table read)
-waits for the job first.
+waits for the job first. (Read-only serving buffers have nothing to write
+back and swap without a manager.)
 
 The disk reads and writes still happen (and are still counted by
 :class:`IOStats`) — prefetching changes *when* they happen, which is what
@@ -44,9 +49,10 @@ class PrefetchingBufferManager:
     """Drives a :class:`PartitionBuffer` through an epoch plan with prefetch.
 
     Usage: call :meth:`load_step` for each step; the manager swaps the buffer
-    (attaching staged slots when the I/O thread filled them in time) and
+    (admitting staged slots when the I/O thread filled them in time) and
     queues the write-back of the leaving partitions plus the read of the
-    next step's incoming ones.
+    next step's incoming ones. ``hits`` counts partitions admitted from a
+    staged slot.
 
     An I/O-thread exception is re-raised as :class:`PrefetchError` from the
     next wait (hence from ``load_step``/``finish`` or any buffer call that
@@ -56,7 +62,7 @@ class PrefetchingBufferManager:
 
     ``fault_hook`` is a test-only crash-injection point, called with a
     crash-point name: ``swap-evicted`` on the training thread between
-    detaching and attaching, ``prefetch-staged`` after attaching a staged
+    detaching and admitting, ``prefetch-staged`` after admitting a staged
     slot, and ``writeback-pending`` on the I/O thread before each dirty
     partition's write-back.
     """
@@ -69,10 +75,11 @@ class PrefetchingBufferManager:
                                       thread_name_prefix="partition-io")
         self._pending: Optional[Future] = None
         self.hits = 0
-        self.misses = 0
-        buffer.enable_staging(self.wait)
+        buffer.enable_staging(self.wait, self._fire)
 
     def _fire(self, point: str) -> None:
+        if point == "prefetch-staged":
+            self.hits += 1
         if self.fault_hook is not None:
             self.fault_hook(point)
 
@@ -103,37 +110,19 @@ class PrefetchingBufferManager:
                   next_partitions: Optional[Sequence[int]] = None) -> int:
         """Swap the buffer to ``partitions``; start staging the next set.
 
-        Returns the number of partitions moved (reads + evictions).
+        With no ``next_partitions`` the queued job only writes back the
+        partitions that left dirty. Returns the number of partitions moved
+        (reads + evictions).
         """
         buf = self.buffer
-        wanted = set(int(x) for x in partitions)
-        if len(wanted) > buf.capacity:
-            raise ValueError(
-                f"requested {len(wanted)} partitions, capacity {buf.capacity}")
         self.wait()
-        removed = [q for q in buf.resident if q not in wanted]
-        for part in removed:
-            buf.detach(part)
-        self._fire("swap-evicted")
-        added = sorted(q for q in wanted if not buf.is_resident(q))
-        missed = []
-        for part in added:
-            if buf.attach_staged(part):
-                self.hits += 1
-                self._fire("prefetch-staged")
-            else:
-                missed.append(part)
-        buf.drop_staged()
-        for part in missed:
-            self.misses += 1
-            buf.admit(part)
-        buf.notify_swap(added, removed)
+        moved = buf.set_partitions(partitions)
         incoming = sorted({int(p) for p in next_partitions or ()}
                           - set(buf.resident))
         writes, reads = buf.stage(incoming)
         if writes or reads:
             self._pending = self._io.submit(self._job, writes, reads)
-        return len(added) + len(removed)
+        return moved
 
     def finish(self) -> None:
         """Wait for the I/O thread, drop staged slots, flush dirty partitions.
@@ -146,13 +135,14 @@ class PrefetchingBufferManager:
         self.buffer.flush()
 
     def reset(self) -> None:
-        """Discard in-flight and staged partitions (resume path).
+        """Discard in-flight, staged and resident partitions (resume path).
 
-        A pending job error is also cleared: a restore rewrites the store
-        and drops the buffer, so a failure to write or stage is moot.
+        Nothing is written back. A pending job error is also cleared: a
+        restore rewrites the store and refills the buffer, so a failure to
+        write or stage is moot.
         """
         try:
             self.wait()
         except PrefetchError:
             pass
-        self.buffer.drop_staged()
+        self.buffer.drop_all()

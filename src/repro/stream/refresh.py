@@ -35,6 +35,7 @@ from ..api import registry as job_registry
 from ..core.sampler import DenseSampler
 from ..nn.optim import RowAdagrad
 from ..storage.buffer import PartitionBuffer
+from ..storage.prefetch import PrefetchingBufferManager
 from ..train.checkpoint import (SnapshotManager, _config_to_dict,
                                 pack_model_state, pack_store_table,
                                 resolve_snapshot, restore_store_table,
@@ -117,6 +118,7 @@ class ContinualTrainer(ListenerHooks):
         self.model = LinkPredictionModel(cfg, num_relations, rng=self.rng)
         self.buffer = PartitionBuffer(live.node_store, buffer_capacity,
                                       optimizer=RowAdagrad(lr=cfg.embedding_lr))
+        self.buffer_manager = PrefetchingBufferManager(self.buffer)
         self.sampler = DenseSampler.from_partitions(
             live.scheme, live.bucket_endpoints, (), list(cfg.fanouts),
             directions=cfg.directions, rng=self.rng)
@@ -133,8 +135,9 @@ class ContinualTrainer(ListenerHooks):
         self._pending_pairs: set = set()
         live.add_bucket_listener(
             lambda pairs: self._pending_pairs.update(pairs))
+        # Growth re-reads the grown partition. Compaction needs no
+        # listener: it rewrites edge buckets only, never node rows.
         live.add_growth_listener(self._on_growth)
-        live.add_compact_listener(self.buffer.refresh_from_store)
         self.negatives = UniformNegativeSampler(live.num_nodes,
                                                 cfg.num_negatives, rng=self.rng)
         self.step_runner = _BatchStep(self.model, cfg, self.rng)
@@ -180,14 +183,15 @@ class ContinualTrainer(ListenerHooks):
         trained: set = set()
         for parts, group_pairs in pack_pairs(pairs, self.buffer.capacity):
             trained.update(parts)
-            # set_partitions writes the previous group's dirty partitions
-            # back to the shared store — under the table-version seqlock,
-            # so a concurrent serving query detects the write window and
-            # retries instead of reading a half-written row. (Gradient
-            # application between swaps touches only this trainer's
-            # private slab.)
+            # The swap queues the previous group's dirty partitions for
+            # write-back to the shared store; waiting for it inside the
+            # table-version seqlock window means a concurrent serving query
+            # detects the write and retries instead of reading a
+            # half-written row. (Gradient application between swaps touches
+            # only this trainer's private slab.)
             with live.table_write():
-                self.buffer.set_partitions(parts)
+                self.buffer_manager.load_step(parts)
+                self.buffer_manager.wait()
             self.negatives.set_allowed(self.buffer.resident_nodes())
             edges = np.concatenate([live.bucket_edges(i, j)
                                     for i, j in group_pairs], axis=0)
@@ -201,7 +205,7 @@ class ContinualTrainer(ListenerHooks):
         # retry); between the flush and the re-sync a reader serves its
         # still-consistent pre-refresh rows.
         with live.table_write():
-            self.buffer.flush()
+            self.buffer_manager.finish()
         live.notify_table_updated(sorted(trained))
         if not explicit:
             # The cursor only advances when the default full-coverage pass
@@ -265,6 +269,7 @@ class ContinualTrainer(ListenerHooks):
         validate_meta(meta, self.KIND, stores=self._store_fingerprints(),
                       config=self.config)
         stream = meta["stream"]
+        self.buffer_manager.reset()
         restore_store_table(arrays, self.buffer, self.live.node_store)
         unpack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
         set_rng_state(self.rng, meta["rng"])

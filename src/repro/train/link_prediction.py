@@ -522,7 +522,7 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         self.buffer_manager.reset()
         restore_store_table(arrays, self.buffer, self.node_store)
         self.policy.load_state_dict(meta.get("policy", {}))
-        self.buffer.set_partitions(meta["resident"])
+        self.buffer_manager.load_step(meta["resident"])
         self.negatives.set_allowed(self.buffer.resident_nodes())
         self._restore_incremental_chain(path, meta)
 

@@ -31,6 +31,7 @@ from ..policies.node_cache import TrainingNodeCachePolicy
 from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
+from ..storage.prefetch import PrefetchingBufferManager
 from .checkpoint import nc_dataset_fingerprint
 from .evaluation import EpochRecord, multiclass_accuracy
 from .hooks import ProgressListener
@@ -254,7 +255,10 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
     Sampling sees only the in-buffer subgraph, so neighborhoods can be
     smaller than in-memory training — the effect behind M-GNN_Disk's slight
     accuracy drop and faster epochs in Table 3. The batch step is the
-    in-memory trainer's, gathering through the buffer.
+    in-memory trainer's, gathering through the buffer, which swaps
+    through the same :class:`PrefetchingBufferManager` as the disk link
+    prediction trainer: when the training partitions do not fit, the
+    fallback plan's next step is read ahead on the I/O thread.
 
     The feature store is immutable (``learnable=False``) and rebuilt
     bit-identically from the dataset on restart, so snapshots carry no
@@ -287,6 +291,7 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
         self.edge_store = EdgeBucketStore(dsk.workdir / "edges.bin", graph,
                                           self.scheme, stats=self.io)
         self.buffer = PartitionBuffer(self.node_store, dsk.buffer_capacity)
+        self.buffer_manager = PrefetchingBufferManager(self.buffer)
         # Swap listener keeps the partition-aware sampler index incremental:
         # only the buckets of partitions that entered the buffer are read.
         self.sampler = DenseSampler.from_partitions(
@@ -309,9 +314,13 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
     def _run_step(self, steps: list, idx: int,
                   record: EpochRecord) -> List[float]:
         step = steps[idx]
+        next_parts = steps[idx + 1].partitions if idx + 1 < len(steps) else None
         # The swap listener updates self.sampler's index incrementally.
-        self.buffer.set_partitions(step.partitions)
+        self.buffer_manager.load_step(step.partitions, next_parts)
         return self._train_nodes(step.train_nodes, self.buffer.gather, record)
+
+    def _end_epoch(self) -> None:
+        self.buffer_manager.finish()
 
     def _fingerprints(self) -> dict:
         dsk = self.disk
@@ -327,8 +336,8 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
     def _restore_state(self, meta: dict, arrays: dict,
                        path: Optional[Path]) -> None:
         self.policy.load_state_dict(meta.get("policy", {}))
-        self.buffer.drop_all()
-        self.buffer.set_partitions(meta["resident"])
+        self.buffer_manager.reset()
+        self.buffer_manager.load_step(meta["resident"])
 
     def _model_name(self) -> str:
         return f"{self.config.encoder}-disk"

@@ -38,9 +38,11 @@ class CrashPoint:
     NODE_WRITE = "node-write"                # partition write-back — torn
                                              # (on the I/O thread for swaps)
 
-    # PrefetchingBufferManager hooks
-    SWAP_EVICTED = "swap-evicted"            # mid-swap: detached, not attached
-    PREFETCH_STAGED = "prefetch-staged"      # staged slot attached, swap
+    # PrefetchingBufferManager hooks: the one swap path of every disk
+    # trainer (lp-disk, nc-disk, lp-stream; see docs/checkpointing.md for
+    # which trainer reaches which point)
+    SWAP_EVICTED = "swap-evicted"            # mid-swap: detached, not admitted
+    PREFETCH_STAGED = "prefetch-staged"      # staged slot admitted, swap
                                              # not complete
     WRITEBACK_PENDING = "writeback-pending"  # I/O thread: dirty partition
                                              # detached, not yet written back

@@ -246,41 +246,58 @@ def nc_data():
                                 num_classes=5, seed=0)
 
 
-def make_disk_nc(data, workdir, **kw):
+def make_disk_nc(data, workdir, capacity=4, **kw):
     disk = DiskNodeClassificationConfig(workdir=workdir, num_partitions=8,
-                                        buffer_capacity=4)
+                                        buffer_capacity=capacity)
     return DiskNodeClassificationTrainer(data, NC_CFG, disk, **kw)
 
 
 @pytest.fixture(scope="module")
-def nc_baseline(nc_data, tmp_path_factory):
-    trainer = make_disk_nc(nc_data, tmp_path_factory.mktemp("nc-base"))
-    trainer.train()
-    return trainer.model
+def nc_baselines(nc_data, tmp_path_factory):
+    """Uninterrupted models by buffer capacity: 4 holds the training
+    partitions (one cached plan step per epoch, nothing to stage); 1 does
+    not, so the fallback plan swaps and stages every step."""
+    models = {}
+    for capacity in (4, 1):
+        trainer = make_disk_nc(nc_data, tmp_path_factory.mktemp("nc-base"),
+                               capacity=capacity)
+        trainer.train()
+        models[capacity] = trainer.model
+    return models
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("point,after", [
+@pytest.mark.parametrize("point,after,capacity", [
     # 4 reads fill the buffer in epoch 0; the 5th is a later epoch's swap.
-    (CrashPoint.NODE_READ, 4),
-    (CrashPoint.SNAPSHOT_PRE_RENAME, 1),
-    (CrashPoint.SNAPSHOT_POST_RENAME, 1),
+    pytest.param(CrashPoint.NODE_READ, 4, 4, id="node-read-4"),
+    pytest.param(CrashPoint.SNAPSHOT_PRE_RENAME, 1, 4,
+                 id="snapshot-pre-rename-1"),
+    pytest.param(CrashPoint.SNAPSHOT_POST_RENAME, 1, 4,
+                 id="snapshot-post-rename-1"),
+    pytest.param(CrashPoint.SWAP_EVICTED, 3, 1, id="fallback-swap-evicted-3"),
+    pytest.param(CrashPoint.PREFETCH_STAGED, 2, 1,
+                 id="fallback-prefetch-staged-2"),
+    pytest.param(CrashPoint.NODE_READ, 5, 1, id="fallback-node-read-5"),
 ])
-def test_disk_nc_crash_matrix(nc_data, nc_baseline, tmp_path, point, after):
+def test_disk_nc_crash_matrix(nc_data, nc_baselines, tmp_path, point, after,
+                              capacity):
+    """Kill nc-disk mid-read, mid-swap, after admitting a staged slot or
+    mid-snapshot; the resumed run must reach bit-identical parameters."""
     injector = FaultInjector(point, after=after)
-    crashed = make_disk_nc(nc_data, tmp_path / "crashed",
+    crashed = make_disk_nc(nc_data, tmp_path / "crashed", capacity=capacity,
                            checkpoint_dir=tmp_path / "ckpt",
                            checkpoint_every=1)
     FaultyStorage(crashed.node_store, injector)
+    crashed.buffer_manager.fault_hook = injector.fire
     crashed.snapshots.fault_hook = injector.fire
     with pytest.raises(CRASHES):
         crashed.train()
     assert injector.fired, f"crash point {point} never hit"
 
     resumed = _recover(lambda: make_disk_nc(
-        nc_data, tmp_path / "resumed", checkpoint_dir=tmp_path / "ckpt",
-        checkpoint_every=1))
-    assert _models_equal(resumed.model, nc_baseline)
+        nc_data, tmp_path / "resumed", capacity=capacity,
+        checkpoint_dir=tmp_path / "ckpt", checkpoint_every=1))
+    assert _models_equal(resumed.model, nc_baselines[capacity])
 
 
 # ---------------------------------------------------------------------------

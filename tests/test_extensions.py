@@ -36,17 +36,19 @@ class TestPrefetching:
         return store, buf
 
     @staticmethod
-    def walk(swap, buf, plan, on_step=None):
+    def step_update(idx, parts):
+        """One update per resident partition, a function of the step."""
+        nodes = np.array([10 * p + idx for p in parts])
+        return nodes, np.full((len(nodes), 4), idx + 1.0, dtype=np.float32)
+
+    def walk(self, swap, buf, plan, on_step=None):
         """``swap(parts, next_parts)`` per step, then train-like updates."""
         for idx, parts in enumerate(plan):
             nxt = plan[idx + 1] if idx + 1 < len(plan) else None
             swap(parts, nxt)
             if on_step is not None:
                 on_step(idx)
-            # One update per resident partition, a function of the step.
-            nodes = np.array([10 * p + idx for p in parts])
-            buf.apply_gradients(nodes, np.full((len(nodes), 4), idx + 1.0,
-                                               dtype=np.float32))
+            buf.apply_gradients(*self.step_update(idx, parts))
 
     def test_prefetcher_stages_partitions(self, tmp_path):
         store, buf = self.make(tmp_path)
@@ -55,12 +57,12 @@ class TestPrefetching:
         mgr.wait()
         assert store.stats.partition_loads == 4   # 0, 1 now; 2, 3 staged
         assert mgr.load_step([2, 3]) == 4
-        assert (mgr.hits, mgr.misses) == (2, 2)
+        assert mgr.hits == 2
         assert store.stats.partition_loads == 4   # the swap read nothing
         mgr.finish()
 
     def test_manager_walks_plan_with_hits(self, tmp_path):
-        _, buf = self.make(tmp_path)
+        store, buf = self.make(tmp_path)
         mgr = PrefetchingBufferManager(buf)
         steps = [[0, 1], [1, 2], [2, 3]]
         for idx, parts in enumerate(steps):
@@ -68,7 +70,8 @@ class TestPrefetching:
             mgr.load_step(parts, nxt)
             assert sorted(buf.resident) == sorted(parts)
         mgr.finish()
-        assert (mgr.hits, mgr.misses) == (2, 2)
+        assert mgr.hits == 2
+        assert store.stats.partition_loads == 4   # 2 read at step 0, 2 staged
 
     def test_staged_slot_equivalent_to_admit(self, tmp_path):
         store, buf = self.make(tmp_path)
@@ -116,20 +119,23 @@ class TestPrefetching:
 
     def test_plan_walk_matches_synchronous_swaps(self, tmp_path):
         """The store after a six-step walk through the manager is byte-equal
-        to the same walk through synchronous set_partitions."""
-        store_a, buf_a = self.make(tmp_path, name="a.bin")
-        mgr = PrefetchingBufferManager(buf_a)
-        self.walk(mgr.load_step, buf_a, self.PLAN)
+        to a reference walk applying the same updates synchronously to an
+        in-memory table with RowAdagrad."""
+        store, buf = self.make(tmp_path)
+        table = np.array(store.read_all())
+        state = np.array(store.read_all_state())
+        mgr = PrefetchingBufferManager(buf)
+        self.walk(mgr.load_step, buf, self.PLAN)
         mgr.finish()
 
-        store_b, buf_b = self.make(tmp_path, name="b.bin")
-        self.walk(lambda parts, nxt: buf_b.set_partitions(parts), buf_b,
-                  self.PLAN)
-        buf_b.flush()
-        assert (mgr.hits, mgr.misses) == (5, 2)
-        assert store_a.read_all().tobytes() == store_b.read_all().tobytes()
-        assert (store_a.read_all_state().tobytes()
-                == store_b.read_all_state().tobytes())
+        reference = RowAdagrad(lr=0.1)
+        for idx, parts in enumerate(self.PLAN):
+            nodes, grads = self.step_update(idx, parts)
+            reference.update(table, state, nodes, grads)
+        assert mgr.hits == 5
+        assert store.stats.partition_loads == 7   # 2 cold reads + 5 staged
+        assert store.read_all().tobytes() == table.tobytes()
+        assert store.read_all_state().tobytes() == state.tobytes()
 
     def test_warm_swaps_do_no_store_io_on_the_training_thread(self, tmp_path):
         """With every arriving partition staged, the training thread only

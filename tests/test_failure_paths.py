@@ -66,16 +66,17 @@ class TestPrefetchWorkerFailures:
 
 class TestCrashConsistency:
     def test_flush_midway_makes_disk_consistent(self, tmp_path):
-        """If training stops after flush(), a re-opened store sees every
-        update (the trainer flushes at epoch end and after eviction)."""
+        """If training stops after the epoch-end finish(), a re-opened store
+        sees every update (the I/O thread writes evicted partitions back)."""
         scheme = PartitionScheme.uniform(40, 4)
         store = NodeStore(tmp_path / "a.bin", scheme, dim=4, learnable=True)
         store.initialize(rng=np.random.default_rng(0))
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.5))
-        buf.set_partitions([0, 1])
+        manager = PrefetchingBufferManager(buf)
+        manager.load_step([0, 1])
         buf.apply_gradients(np.array([1, 12]), np.ones((2, 4), dtype=np.float32))
         updated = buf.gather(np.array([1, 12])).copy()
-        buf.flush()
+        manager.finish()
         store.flush()
 
         # Simulate a crash + restart: new memmap over the same file.
@@ -84,14 +85,14 @@ class TestCrashConsistency:
         np.testing.assert_allclose(np.array(reopened[[1, 12]]), updated)
 
     def test_unflushed_updates_stay_in_buffer_only(self, tmp_path):
-        """Without flush/evict, disk still holds the old values (the buffer
-        is the write cache, not write-through)."""
+        """Without a flush or an eviction, disk still holds the old values
+        (the buffer is the write cache, not write-through)."""
         scheme = PartitionScheme.uniform(40, 4)
         store = NodeStore(tmp_path / "b.bin", scheme, dim=4, learnable=True)
         store.initialize(rng=np.random.default_rng(0))
         original = store.read_rows(np.array([5]))
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.5))
-        buf.set_partitions([0])
+        PrefetchingBufferManager(buf).load_step([0])
         buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
         raw = np.memmap(tmp_path / "b.bin", dtype=np.float32, mode="r",
                         shape=(40, 4))

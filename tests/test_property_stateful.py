@@ -3,8 +3,12 @@
 The partition buffer is the piece of the system where a subtle bug silently
 corrupts training (a stale row, a lost write-back), so it gets a full model-
 based test: a reference in-memory table is updated in lockstep with the real
-memmap-backed buffer through random admit/evict/swap/update/flush sequences,
-and every gather must agree with the reference.
+memmap-backed buffer, driven the way every trainer drives it — through a
+:class:`PrefetchingBufferManager` — by random sequences of plan steps with
+a random next step to stage, bare detaches, updates and flushes. Every
+gather must agree with the reference, and every partition that left the
+buffer must be durable once the I/O thread is done: that covers slot
+staging and the write-back-before-reread ordering of the I/O thread.
 
 The machine also interleaves **checkpoint/resume**: a checkpoint rule
 snapshots the flushed store through the real :class:`SnapshotManager` (and
@@ -18,22 +22,29 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from repro.graph import PartitionScheme
 from repro.nn import RowAdagrad
-from repro.storage import NodeStore, PartitionBuffer
+from repro.storage import NodeStore, PartitionBuffer, PrefetchingBufferManager
 from repro.train import SnapshotManager
 
 NUM_NODES = 48
 NUM_PARTS = 6
 CAPACITY = 3
 DIM = 4
+PART_SIZE = NUM_NODES // NUM_PARTS
+
+
+def _nodes_of(parts):
+    return np.array([n for p in sorted(parts)
+                     for n in range(p * PART_SIZE, (p + 1) * PART_SIZE)],
+                    dtype=np.int64)
 
 
 class BufferMachine(RuleBasedStateMachine):
-    """Reference-model test of PartitionBuffer (+ checkpoint/resume)."""
+    """Reference-model test of the manager-driven buffer (+ resume)."""
 
     def __init__(self):
         super().__init__()
@@ -47,6 +58,7 @@ class BufferMachine(RuleBasedStateMachine):
         self.store.initialize(values=init)
         self.buffer = PartitionBuffer(self.store, CAPACITY,
                                       optimizer=RowAdagrad(lr=0.1))
+        self.manager = PrefetchingBufferManager(self.buffer)
         # Reference model: full table + optimizer state, updated in lockstep.
         self.ref_table = init.copy()
         self.ref_state = np.zeros_like(init)
@@ -57,41 +69,51 @@ class BufferMachine(RuleBasedStateMachine):
         self._snap_ref = None   # (ref_table, ref_state, resident) at snapshot
 
     def teardown(self):
+        self.manager.reset()
         self._tmp.cleanup()
 
     # ------------------------------------------------------------------
-    @rule(part=st.integers(0, NUM_PARTS - 1))
-    def admit(self, part):
-        if self.buffer.is_resident(part) or len(self.buffer.resident) >= CAPACITY:
-            return
-        self.buffer.admit(part)
-
-    @rule(part=st.integers(0, NUM_PARTS - 1))
-    def evict(self, part):
-        if not self.buffer.is_resident(part):
-            return
-        self.buffer.evict(part)
-
     @rule(parts=st.sets(st.integers(0, NUM_PARTS - 1), min_size=1,
-                        max_size=CAPACITY))
-    def swap(self, parts):
-        self.buffer.set_partitions(sorted(parts))
+                        max_size=CAPACITY),
+          nxt=st.sets(st.integers(0, NUM_PARTS - 1), max_size=CAPACITY))
+    def swap(self, parts, nxt):
+        self.manager.load_step(sorted(parts), sorted(nxt) or None)
+        assert self.buffer.resident == sorted(parts)
 
-    @rule(node=st.integers(0, NUM_NODES - 1),
-          seed=st.integers(0, 1000))
-    def update_row(self, node, seed):
-        part = int(node // (NUM_NODES // NUM_PARTS))
-        if not self.buffer.is_resident(part):
+    @rule(pick=st.integers(0, CAPACITY - 1))
+    def detach(self, pick):
+        # Dirty partitions first: their write-back is what can go wrong.
+        parts = self.buffer.dirty_partitions() or self.buffer.resident
+        if parts:
+            self.buffer.detach(parts[pick % len(parts)])
+
+    @precondition(lambda self: self.buffer._detached)
+    @rule()
+    def readmit_detached(self):
+        """A step that wants back partitions detached since the last step
+        (no I/O job has written them yet): their slots, not stale disk,
+        must come back."""
+        self.manager.load_step(sorted(set(self.buffer.resident)
+                                      | set(self.buffer._detached)))
+
+    @rule(pick=st.integers(0, NUM_NODES - 1), seed=st.integers(0, 1000))
+    def update_row(self, pick, seed):
+        nodes = self.buffer.resident_nodes()
+        if len(nodes) == 0:
             return
+        node = np.array([nodes[pick % len(nodes)]])
         grad = np.random.default_rng(seed).normal(
             0, 1, (1, DIM)).astype(np.float32)
-        self.buffer.apply_gradients(np.array([node]), grad)
-        self.ref_opt.update(self.ref_table, self.ref_state,
-                            np.array([node]), grad)
+        self.buffer.apply_gradients(node, grad)
+        self.ref_opt.update(self.ref_table, self.ref_state, node, grad)
 
     @rule()
     def flush(self):
         self.buffer.flush()
+
+    @rule()
+    def finish(self):
+        self.manager.finish()
 
     @rule()
     def checkpoint(self):
@@ -109,16 +131,16 @@ class BufferMachine(RuleBasedStateMachine):
     @precondition(lambda self: self._snap_ref is not None)
     @rule(damage=st.integers(0, NUM_PARTS - 1))
     def crash_and_resume(self, damage):
-        """Scribble NaNs into one partition (crash damage after the
-        snapshot), then recover: drop the buffer without write-back,
-        restore the store from the snapshot, re-admit the recorded
-        residency, and roll the reference model back in lockstep."""
-        junk = np.full((NUM_NODES // NUM_PARTS, DIM), np.nan, dtype=np.float32)
+        """Recover like the trainers: drop the buffer without write-back,
+        scribble NaNs into one partition (crash damage after the
+        snapshot), restore the store from the snapshot, reload the
+        recorded residency, and roll the reference model back."""
+        self.manager.reset()
+        junk = np.full((PART_SIZE, DIM), np.nan, dtype=np.float32)
         self.store.write_partition(damage, junk)
         meta, arrays = self.snapshots.load()
-        self.buffer.drop_all()
         self.store.restore(arrays["table"], arrays["state"])
-        self.buffer.set_partitions(meta["resident"])
+        self.manager.load_step(meta["resident"])
         self.ref_table, self.ref_state, _ = self._snap_ref
         self.ref_table = self.ref_table.copy()
         self.ref_state = self.ref_state.copy()
@@ -139,27 +161,33 @@ class BufferMachine(RuleBasedStateMachine):
 
     @invariant()
     def residency_bookkeeping_consistent(self):
-        """The slab row map, partition-of-row map, dirty set, and free-slot
-        list must all agree with the resident set — the buffer-residency
-        invariant checkpoint/resume is not allowed to violate."""
-        resident = self.buffer.resident
-        assert sorted(self.buffer._slot_of) == resident
-        assert sorted(self.buffer._dirty) == resident
-        assert set(self.buffer.dirty_partitions()) <= set(resident)
-        assert len(self.buffer._free_slots) == CAPACITY - len(resident)
-        mask = self.buffer.node_mask()
+        """The slab row map, partition-of-row map, dirty set, and the slot
+        lists must all agree with the resident set — the buffer-residency
+        invariant checkpoint/resume is not allowed to violate. Every slot
+        is exactly one of resident, staged, detached or free."""
+        buf = self.buffer
+        resident = buf.resident
+        assert sorted(buf._slot_of) == resident
+        assert sorted(buf._dirty) == resident
+        assert set(buf.dirty_partitions()) <= set(resident)
+        assert not set(buf._detached) & set(resident)
+        slots = (list(buf._slot_of.values()) + list(buf._staged.values())
+                 + list(buf._detached.values()) + buf._free_slots)
+        assert sorted(slots) == list(range(2 * CAPACITY))
+        mask = buf.node_mask()
         for part in range(NUM_PARTS):
-            lo = int(self.store.scheme.boundaries[part])
-            hi = int(self.store.scheme.boundaries[part + 1])
+            lo, hi = part * PART_SIZE, (part + 1) * PART_SIZE
             assert mask[lo:hi].all() == (part in resident)
             assert mask[lo:hi].any() == (part in resident)
 
     @invariant()
     def evicted_rows_are_durable(self):
-        """Every non-resident partition's disk contents equal the reference
-        (write-back happened for everything dirty that left the buffer)."""
-        mask = self.buffer.node_mask()
-        missing = np.flatnonzero(~mask)
+        """Once the I/O thread is done, every partition that is neither
+        resident nor detached-and-not-yet-queued has its reference contents
+        on disk (write-back happened for everything dirty that left)."""
+        self.manager.wait()
+        held = set(self.buffer.resident) | set(self.buffer._detached)
+        missing = _nodes_of(set(range(NUM_PARTS)) - held)
         if len(missing) == 0:
             return
         on_disk = self.store.read_rows(missing)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.graph import PartitionScheme, power_law_graph
 from repro.nn import RowAdagrad
-from repro.storage import EdgeBucketStore, IOStats, NodeStore, PartitionBuffer
+from repro.storage import (EdgeBucketStore, IOStats, NodeStore,
+                           PartitionBuffer, PrefetchingBufferManager)
 
 
 @pytest.fixture
@@ -38,13 +39,28 @@ class TestIOStats:
         io.record_write(7)
         d = io.diff(snap)
         assert d.bytes_read == 5 and d.bytes_written == 7
-        assert d.read_sizes == [5]
+        assert d.num_reads == 1 and d.smallest_read == 5
+        assert io.diff(io.snapshot()).smallest_read == 0   # no reads since
 
     def test_reset(self):
         io = IOStats()
         io.record_read(10)
         io.reset()
         assert io.total_bytes == 0 and io.smallest_read == 0
+
+    def test_read_accounting_is_constant_size(self):
+        """Serving workers and always-on streams read forever: 100k reads
+        leave the counters as a handful of ints, with the same R."""
+        import dataclasses
+        io = IOStats()
+        for i in range(100_000):
+            io.record_read(4096 + (i * 7919) % 1000)
+        assert io.num_reads == 100_000
+        assert io.smallest_read == 4096
+        assert io.as_dict()["smallest_read"] == 4096
+        for snap in (io, io.snapshot(), io.diff(IOStats())):
+            assert all(isinstance(getattr(snap, f.name), int)
+                       for f in dataclasses.fields(snap) if f.init)
 
     def test_two_threads_lose_no_counts(self):
         """The partition I/O thread and the training thread count into one
@@ -69,8 +85,8 @@ class TestIOStats:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         total = workers * n
-        assert (io.bytes_read, io.num_reads, len(io.read_sizes)) == (
-            8 * total, total, total)
+        assert (io.bytes_read, io.num_reads, io.smallest_read) == (
+            8 * total, total, 8)
         assert (io.bytes_written, io.num_writes) == (8 * total, total)
 
 
@@ -164,8 +180,7 @@ class TestEdgeBucketStore:
             for i in range(p):
                 for j in range(p):
                     es.read_bucket(i, j)
-            nonzero = [s for s in io.read_sizes if s > 0]
-            sizes.append(np.mean(nonzero))
+            sizes.append(io.bytes_read / io.num_reads)
         assert sizes[1] < sizes[0]
 
 
@@ -183,14 +198,27 @@ class TestPartitionBuffer:
         assert buf.resident == [0, 1]
         with pytest.raises(RuntimeError):
             buf.admit(2)
-        buf.evict(0)
+        buf.detach(0)
         buf.admit(2)
         assert buf.resident == [1, 2]
 
     def test_evict_not_resident(self, tmp_path):
         _, buf = self.make(tmp_path)
         with pytest.raises(KeyError):
-            buf.evict(3)
+            buf.detach(3)
+
+    def test_dirty_detach_needs_a_manager(self, tmp_path):
+        """Without a manager nothing can write a dirty partition back, so
+        swapping it out raises instead of dropping the update."""
+        store, buf = self.make(tmp_path)
+        buf.set_partitions([0, 1])
+        buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
+        with pytest.raises(RuntimeError, match="dirty"):
+            buf.set_partitions([1, 2])
+        assert buf.resident == [0, 1]
+        buf.flush()
+        buf.set_partitions([1, 2])    # clean now: detaching frees the slot
+        assert buf.resident == [1, 2]
 
     def test_set_partitions_diffs(self, tmp_path):
         _, buf = self.make(tmp_path)
@@ -216,15 +244,33 @@ class TestPartitionBuffer:
 
     def test_updates_written_back_on_evict(self, tmp_path):
         store, buf = self.make(tmp_path)
-        buf.set_partitions([0, 1])
+        mgr = PrefetchingBufferManager(buf)
+        mgr.load_step([0, 1])
         before = buf.gather(np.array([5]))
         buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
         after = buf.gather(np.array([5]))
         assert not np.allclose(before, after)
-        buf.set_partitions([2, 3])   # evicts dirty partition 0
+        mgr.load_step([2, 3])   # detaches dirty partition 0
+        mgr.wait()              # ...and the I/O thread wrote it back
         fresh, state = store.read_partition(0)
         np.testing.assert_allclose(fresh[5], after[0])
         assert (state[5] > 0).all()  # optimizer state paged with the partition
+
+    def test_detached_partition_readmitted_with_its_updates(self, tmp_path):
+        """A dirty partition detached and wanted again before any I/O job
+        wrote it back gets its slot back, not the stale disk copy."""
+        store, buf = self.make(tmp_path)
+        mgr = PrefetchingBufferManager(buf)
+        mgr.load_step([0, 1])
+        buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
+        updated = buf.gather(np.array([5]))
+        buf.detach(0)
+        mgr.load_step([0, 1])
+        np.testing.assert_array_equal(buf.gather(np.array([5])), updated)
+        assert buf.dirty_partitions() == [0]
+        mgr.finish()
+        np.testing.assert_array_equal(store.read_partition(0)[0][5],
+                                      updated[0])
 
     def test_node_mask_and_resident_nodes(self, tmp_path):
         _, buf = self.make(tmp_path)

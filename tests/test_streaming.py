@@ -253,27 +253,6 @@ class TestStreamedVsRebuilt:
         assert not live.edge_store.path.with_suffix(
             live.edge_store.path.suffix + ".tmp").exists()
 
-    def test_growth_drops_stale_evicted_bucket_cache(self, tmp_path):
-        """cache_evicted=True: sub-runs of the last partition cached across
-        an eviction are sized by the old partition — growth must drop them
-        or readmission reuses stale offset tables."""
-        from repro.graph.csr import PartitionedAdjacencyIndex
-        live = make_live(tmp_path, seed=8)
-        last = live.num_partitions - 1
-        index = PartitionedAdjacencyIndex(live.scheme, live.bucket_endpoints,
-                                          [0, last], cache_evicted=True)
-        live.add_growth_listener(index.extend_nodes)
-        live.add_bucket_listener(index.refresh_buckets)
-        index.update_partitions([1], [last])   # evict last; cache keeps it
-        ids = live.add_nodes(9)                # last partition grows
-        index.update_partitions([last], [1])   # readmit from (dropped) cache
-        fresh = PartitionedAdjacencyIndex(live.scheme, live.bucket_endpoints,
-                                          [0, last])
-        assert np.array_equal(index._total_deg, fresh._total_deg)
-        for node in ids:
-            assert np.array_equal(index.neighbors_of(int(node)),
-                                  fresh.neighbors_of(int(node)))
-
     def test_index_follows_stream_while_resident(self, tmp_path):
         """An index attached before ingest (resident partitions) sees the
         same virtual runs as one built fresh afterwards."""
@@ -672,6 +651,114 @@ class TestContinualTrainer:
                          rng.integers(0, live.num_nodes, 20)], axis=1)
         live.insert_edges(ins2)
         assert trainer._pending_pairs
+
+    def _ingested(self, tmp_path, name, seed, capacity=3, **kw):
+        live = make_live(tmp_path, seed=seed, name=name)
+        trainer = ContinualTrainer(live, LinkPredictionConfig(**self.CFG),
+                                   buffer_capacity=capacity, **kw)
+        rng = np.random.default_rng(seed + 100)
+        live.insert_edges(np.stack([rng.integers(0, live.num_nodes, 150),
+                                    rng.integers(0, live.num_nodes, 150)],
+                                   axis=1))
+        return live, trainer
+
+    def test_compaction_racing_a_refresh_leaves_its_buffer_alone(
+            self, tmp_path):
+        """Compaction rewrites edge buckets only, so a compaction on
+        another thread in the middle of a refresh's batch loop (no lock
+        held there) must not touch the refresh's buffer: with the
+        compactor thread's partition reads slowed, the refresh completes
+        and lands the table of a refresh nothing raced."""
+        import threading
+        import time
+        quiet_live, quiet = self._ingested(tmp_path, "quiet", seed=37)
+        quiet.refresh()
+        live, trainer = self._ingested(tmp_path, "raced", seed=37)
+        entered = threading.Event()
+        compactor = threading.Thread(target=Compactor(live).compact)
+        read = live.node_store.read_partition
+
+        def slow_read(part, out=None):
+            if threading.current_thread() is compactor:
+                entered.set()
+                time.sleep(0.2)
+            return read(part, out=out)
+
+        live.node_store.read_partition = slow_read
+        gather = trainer.buffer.gather
+        calls = []
+
+        def racing_gather(ids):
+            calls.append(len(ids))
+            if len(calls) == 2:        # mid batch loop, rows already dirty
+                compactor.start()
+                while compactor.is_alive() and not entered.wait(0.01):
+                    pass
+            return gather(ids)
+
+        trainer.buffer.gather = racing_gather
+        trainer.refresh()
+        compactor.join(timeout=60)
+        assert len(calls) > 2 and not compactor.is_alive()
+        assert live.log.compacted_seq == live.log.seq
+        assert np.array_equal(live.node_store.read_all(),
+                              quiet_live.node_store.read_all())
+        assert np.array_equal(live.node_store.read_all_state(),
+                              quiet_live.node_store.read_all_state())
+
+    def test_refresh_writes_only_inside_the_seqlock_window(self, tmp_path):
+        """Every partition write a refresh makes — write-backs on the I/O
+        thread between groups and the final flush — sees an odd
+        ``table_version``: a concurrent query can always detect it."""
+        import threading
+        live, trainer = self._ingested(tmp_path, "guard", seed=38, capacity=2)
+        seen = []
+        write = live.node_store.write_partition
+
+        def guarded(part, data, state=None):
+            seen.append((live.table_version.value,
+                         threading.current_thread() is threading.main_thread()))
+            write(part, data, state)
+
+        live.node_store.write_partition = guarded
+        trainer.refresh()
+        assert seen and all(version % 2 for version, _ in seen)
+        assert {on_main for _, on_main in seen} == {True, False}
+        assert live.table_version.value % 2 == 0
+
+    @pytest.mark.slow
+    def test_writeback_crash_in_refresh_resumes_bit_identically(
+            self, tmp_path):
+        """A write-back that dies on the I/O thread mid-refresh surfaces as
+        PrefetchError, leaves ``table_version`` even, and a resume from the
+        snapshot before the refresh followed by the same refresh lands the
+        uninterrupted table, optimizer state and parameters."""
+        from repro.storage import PrefetchError
+        straight_live, straight = self._ingested(
+            tmp_path, "straight", seed=39, capacity=2,
+            checkpoint_dir=tmp_path / "straight-ckpt")
+        straight.save_snapshot()
+        straight.refresh()
+        live, trainer = self._ingested(
+            tmp_path, "crashed", seed=39, capacity=2,
+            checkpoint_dir=tmp_path / "crashed-ckpt")
+        trainer.save_snapshot()
+        injector = FaultInjector(CrashPoint.WRITEBACK_PENDING, after=1)
+        trainer.buffer_manager.fault_hook = injector.fire
+        with pytest.raises(PrefetchError):
+            trainer.refresh()
+        assert injector.fired
+        assert live.table_version.value % 2 == 0
+        trainer.resume()
+        trainer.refresh()
+        assert np.array_equal(live.node_store.read_all(),
+                              straight_live.node_store.read_all())
+        assert np.array_equal(live.node_store.read_all_state(),
+                              straight_live.node_store.read_all_state())
+        sd_a, sd_b = trainer.model.state_dict(), straight.model.state_dict()
+        assert set(sd_a) == set(sd_b)
+        for key in sd_a:
+            assert np.array_equal(sd_a[key], sd_b[key]), key
 
     def test_reopened_stores_match_originals(self, tmp_path):
         """NodeStore.open / EdgeBucketStore.open reattach to a compacted,
