@@ -1,13 +1,18 @@
 """Sampling fast-path benchmark: swap preparation and DENSE construction.
 
 Establishes the perf baseline (``BENCH_sampling.json`` at the repo root) for
-the two hot paths the paper's throughput claims rest on:
+the three hot paths the paper's throughput claims rest on:
 
 * **Per-swap index preparation** (Section 6, Quantity 2): the old path
   re-reads all c^2 in-buffer edge buckets and re-sorts the whole subgraph
   into a fresh :class:`AdjacencyIndex` on every partition-buffer swap; the
   new two-level :class:`PartitionedAdjacencyIndex` sorts only the entering
-  partition's buckets and recomposes per-partition sub-runs with copies.
+  partition's buckets and copies the resident edges once into its flat
+  level 1.
+* **One-hop sampling** in the regime of disk-based GNN training (fanout 10,
+  1k targets, 4 of 16 partitions resident): the partitioned index must
+  sample about as fast as a flat index over the same resident subgraph,
+  because both gather from the same flat layout.
 * **build_dense** (Section 4, Algorithm 1): the reference transcription's
   per-hop prepend-concatenate chain and ``np.unique`` + ``np.isin`` dedup
   versus the allocation-lean membership-array fast path.
@@ -34,6 +39,8 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
 
 SWAP_CFG = dict(num_nodes=60_000, num_edges=1_500_000, p=16, capacity=4,
                 num_swaps=24, seed=0)
+ONE_HOP_CFG = dict(num_nodes=60_000, num_edges=1_500_000, p=16, capacity=4,
+                   num_targets=1000, fanout=10, num_calls=300, seed=0)
 DENSE_CFG = dict(num_nodes=60_000, num_edges=1_200_000, fanouts=(30, 20, 10),
                  batch=1000, n_batches=12, seed=0)
 
@@ -92,6 +99,46 @@ def bench_swap_preparation(num_nodes, num_edges, p, capacity, num_swaps, seed):
         "full_rebuild_s_per_swap": old,
         "two_level_s_per_swap": new,
         "speedup": old / new,
+    }
+
+
+def bench_one_hop(num_nodes, num_edges, p, capacity, num_targets, fanout,
+                  num_calls, seed):
+    graph = power_law_graph(num_nodes, num_edges, seed=seed)
+    scheme = PartitionScheme.uniform(num_nodes, p)
+    buckets = EdgeBuckets(graph, scheme)
+    resident = list(range(0, p, p // capacity))[:capacity]
+    index = PartitionedAdjacencyIndex(scheme, buckets.bucket_endpoints,
+                                      resident)
+    flat = AdjacencyIndex(buckets.subgraph_for_partitions(resident), "both")
+    resident_nodes = np.concatenate([scheme.partition_nodes(q) for q in resident])
+    pick = np.random.default_rng(seed + 1)
+    target_sets = [np.sort(pick.choice(resident_nodes, num_targets,
+                                       replace=False))
+                   for _ in range(num_calls)]
+
+    # Alternate the two indexes call by call so box drift hits both alike.
+    t_flat = t_part = 0.0
+    for c, targets in enumerate(target_sets):
+        t0 = time.perf_counter()
+        want = flat.sample_one_hop(targets, fanout,
+                                   rng=np.random.default_rng([seed, c]))
+        t1 = time.perf_counter()
+        got = index.sample_one_hop(targets, fanout,
+                                   rng=np.random.default_rng([seed, c]))
+        t2 = time.perf_counter()
+        t_flat += t1 - t0
+        t_part += t2 - t1
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    return {
+        "config": dict(num_nodes=num_nodes, num_edges=num_edges, p=p,
+                       capacity=capacity, num_targets=num_targets,
+                       fanout=fanout, num_calls=num_calls),
+        "flat_s_per_call": t_flat / num_calls,
+        "partitioned_s_per_call": t_part / num_calls,
+        "partitioned_over_flat": t_part / t_flat,
     }
 
 
@@ -154,6 +201,7 @@ def run_all():
     return {
         "bench": "sampling_fastpath",
         "swap_preparation": bench_swap_preparation(**SWAP_CFG),
+        "one_hop": bench_one_hop(**ONE_HOP_CFG),
         "build_dense": bench_build_dense(**DENSE_CFG),
     }
 
@@ -167,6 +215,7 @@ def test_sampling_fastpath(report):
     results = run_all()
     _write(results)
     swap, dense = results["swap_preparation"], results["build_dense"]
+    one_hop = results["one_hop"]
 
     report.header("Sampling fast path: per-swap index preparation "
                   f"(p={SWAP_CFG['p']}, c={SWAP_CFG['capacity']})")
@@ -175,6 +224,15 @@ def test_sampling_fastpath(report):
                "1.0x", widths=[22, 10, 8])
     report.row("two-level", f"{swap['two_level_s_per_swap']*1e3:.1f}ms",
                f"{swap['speedup']:.1f}x", widths=[22, 10, 8])
+
+    report.header(f"one-hop sample: {ONE_HOP_CFG['num_targets']} targets, "
+                  f"fanout {ONE_HOP_CFG['fanout']}, "
+                  f"{ONE_HOP_CFG['capacity']} of {ONE_HOP_CFG['p']} resident")
+    report.row("index", "s/call", "vs flat", widths=[22, 10, 8])
+    report.row("flat", f"{one_hop['flat_s_per_call']*1e3:.2f}ms", "1.0x",
+               widths=[22, 10, 8])
+    report.row("partitioned", f"{one_hop['partitioned_s_per_call']*1e3:.2f}ms",
+               f"{one_hop['partitioned_over_flat']:.2f}x", widths=[22, 10, 8])
 
     report.header("build_dense fanouts "
                   f"{DENSE_CFG['fanouts']} batch {DENSE_CFG['batch']}")
@@ -189,11 +247,14 @@ def test_sampling_fastpath(report):
     # bit-identity to the references is asserted inside the benches.
     if writing_baseline():
         assert swap["speedup"] > 1.5
+        assert one_hop["partitioned_over_flat"] <= 1.25
         assert dense["speedup"] > 1.1
 
 
 SMOKE_SWAP_CFG = dict(num_nodes=8_000, num_edges=120_000, p=8, capacity=4,
                       num_swaps=6, seed=0)
+SMOKE_ONE_HOP_CFG = dict(num_nodes=8_000, num_edges=120_000, p=16, capacity=4,
+                         num_targets=1000, fanout=10, num_calls=60, seed=0)
 SMOKE_DENSE_CFG = dict(num_nodes=8_000, num_edges=100_000, fanouts=(10, 5),
                        batch=256, n_batches=4, seed=0)
 
@@ -217,10 +278,12 @@ def main(argv=None):
         results = {
             "bench": "sampling_fastpath (smoke; baseline NOT updated)",
             "swap_preparation": bench_swap_preparation(**SMOKE_SWAP_CFG),
+            "one_hop": bench_one_hop(**SMOKE_ONE_HOP_CFG),
             "build_dense": bench_build_dense(**SMOKE_DENSE_CFG),
         }
         print(json.dumps(results, indent=2))
         assert results["swap_preparation"]["speedup"] > 1.0
+        assert results["one_hop"]["partitioned_over_flat"] < 2.0
         assert results["build_dense"]["speedup"] > 1.0
         print("smoke ok: fast paths bit-identical to references and not slower")
         return

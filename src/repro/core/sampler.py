@@ -8,9 +8,11 @@ training the index is a flat :class:`~repro.graph.csr.AdjacencyIndex`
 disk-based training, :meth:`from_partitions` builds a
 two-level :class:`~repro.graph.csr.PartitionedAdjacencyIndex` and a
 partition-buffer swap costs only an incremental :meth:`update_graph` — the
-"preparing each S_i for training" cost of Section 6, Quantity 2 — instead of
-a full re-sort of the in-buffer edge list (:meth:`set_graph`, kept as the
-fallback).
+"preparing each S_i for training" cost of Section 6, Quantity 2: it sorts
+the buckets of entering partitions and copies the resident edges once,
+instead of re-sorting the whole in-buffer edge list (:meth:`set_graph`,
+kept as the fallback). Both indexes hold the same flat neighbor layout, so
+a one-hop sample is one gather either way.
 
 The sampler also owns the reusable per-``num_nodes`` scratch arrays of the
 batch fast path: the boolean membership array that replaces ``np.isin``

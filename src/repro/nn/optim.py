@@ -191,8 +191,12 @@ class RowAdagrad:
             if len(unique) != len(rows):
                 grads = scatter_add_rows(inverse, grads, len(unique))
                 rows = unique
-        state[rows] += grads**2
-        table[rows] -= self.lr * grads / (np.sqrt(state[rows]) + self.eps)
+        # One gather and one scatter of the state rows (what a fancy ``+=``
+        # does), and the gathered rows serve the table step.
+        acc = state[rows]
+        acc += grads**2
+        state[rows] = acc
+        table[rows] -= self.lr * grads / (np.sqrt(acc) + self.eps)
 
 
 OPTIMIZER_REGISTRY = {"sgd": SGD, "adagrad": Adagrad, "adam": Adam}

@@ -14,7 +14,7 @@ of the final edge list — base edges with deletions applied, then surviving
 insertions appended, bucket-majored by the *stable* sort of
 :class:`~repro.graph.partition.EdgeBuckets` — produces exactly the same
 per-bucket edge order, so a :class:`~repro.graph.csr.
-PartitionedAdjacencyIndex` built over either sees identical virtual
+PartitionedAdjacencyIndex` built over either holds identical
 neighbor runs and samples bit-identically under a fixed RNG. Compaction
 (:class:`~repro.stream.compactor.Compactor`) writes the composed buckets
 as the new base, which by the same argument changes nothing observable.

@@ -164,7 +164,9 @@ class _BatchStep:
         rel = edges[:, 1] if edges.shape[1] == 3 else np.zeros(len(edges), dtype=np.int64)
 
         neg_nodes = negatives.sample().nodes
-        targets = np.unique(np.concatenate([src, dst, neg_nodes]))
+        # One sort gives both the batch's target ids and each id's row.
+        targets, rows = np.unique(np.concatenate([src, dst, neg_nodes]),
+                                  return_inverse=True)
         if self.config.num_layers > 0:
             batch = sampler.sample(targets)
         else:
@@ -172,8 +174,6 @@ class _BatchStep:
 
         h0 = Tensor(gather_fn(batch.node_ids), requires_grad=True)
         out = self.model.encode(h0, batch)
-        # One concatenated lookup instead of three sorted searches.
-        rows = np.searchsorted(targets, np.concatenate([src, dst, neg_nodes]))
         loss = decoder_ranking_loss(
             self.model.decoder, out, rows[: len(src)],
             rows[len(src) : len(src) + len(dst)], rows[len(src) + len(dst) :],
@@ -311,16 +311,17 @@ def evaluate_model(model: LinkPredictionModel, table: np.ndarray, graph: Graph,
             else:
                 negs = rng.integers(0, graph.num_nodes,
                                     size=config.eval_negatives, dtype=np.int64)
-            targets = np.unique(np.concatenate([src, dst, negs]))
+            targets, rows = np.unique(np.concatenate([src, dst, negs]),
+                                      return_inverse=True)
             if config.num_layers > 0:
                 batch = sampler.sample(targets)
             else:
                 batch = sampler.sample_no_neighbors(targets)
             h0 = Tensor(table[batch.node_ids])
             out = model.encode(h0, batch)
-            src_repr = out.index_select(np.searchsorted(targets, src))
-            dst_repr = out.index_select(np.searchsorted(targets, dst))
-            neg_repr = out.index_select(np.searchsorted(targets, negs))
+            src_repr = out.index_select(rows[: len(src)])
+            dst_repr = out.index_select(rows[len(src) : len(src) + len(dst)])
+            neg_repr = out.index_select(rows[len(src) + len(dst) :])
             pos = model.decoder.score_edges(src_repr, rel, dst_repr).data
             neg = model.decoder.score_against(src_repr, rel, neg_repr).data
             if all_candidates:

@@ -13,6 +13,9 @@ semantically:
   bucket-major in-buffer subgraph.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +134,60 @@ def reference_index(buckets, parts, directions):
                           directions)
 
 
+class GrowingBuckets:
+    """A bucket source over a graph that gains edges and nodes."""
+
+    def __init__(self, graph, scheme):
+        self.graph = graph
+        self.scheme = scheme
+        self.buckets = EdgeBuckets(graph, scheme)
+
+    def bucket_endpoints(self, i, j):
+        return self.buckets.bucket_endpoints(i, j)
+
+    def add_edges(self, src, dst):
+        """Append edges; returns the bucket pairs whose content changed."""
+        g = self.graph
+        self.graph = Graph(num_nodes=self.scheme.num_nodes,
+                           src=np.concatenate([g.src, src]),
+                           dst=np.concatenate([g.dst, dst]))
+        self.buckets = EdgeBuckets(self.graph, self.scheme)
+        return sorted(set(zip(self.scheme.partition_of(src).tolist(),
+                              self.scheme.partition_of(dst).tolist())))
+
+    def add_nodes(self, extra, rng):
+        """Append ``extra`` nodes to the last partition, each with an edge
+        to or from an old node."""
+        old = self.scheme.num_nodes
+        self.scheme = self.scheme.extended(extra)
+        new = np.arange(old, old + extra)
+        other = rng.integers(0, old, extra)
+        out = rng.random(extra) < 0.5
+        self.add_edges(np.where(out, new, other), np.where(out, other, new))
+
+
+def assert_samples_match(index, ref, rng):
+    num_nodes = ref.num_nodes
+    assert index.num_nodes == num_nodes
+    all_nodes = np.arange(num_nodes)
+    np.testing.assert_array_equal(index.degrees(all_nodes),
+                                  ref.degrees(all_nodes))
+    for node in range(0, num_nodes, max(1, num_nodes // 7)):
+        np.testing.assert_array_equal(index.neighbors_of(node),
+                                      ref.neighbors_of(int(node)))
+    probe = rng.choice(num_nodes, size=min(12, num_nodes), replace=False)
+    for fanout, replace in ((3, True), (0, True), (2, False)):
+        s = int(rng.integers(1 << 30))
+        got = index.sample_one_hop(probe, fanout,
+                                   rng=np.random.default_rng(s),
+                                   replace=replace)
+        want = ref.sample_one_hop(probe, fanout,
+                                  rng=np.random.default_rng(s),
+                                  replace=replace)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 class TestPartitionedIndex:
     @settings(max_examples=20, deadline=None)
     @given(num_nodes=st.integers(16, 100), num_edges=st.integers(10, 500),
@@ -138,49 +195,103 @@ class TestPartitionedIndex:
            seed=st.integers(0, 500))
     def test_update_equals_full_rebuild(self, num_nodes, num_edges, p,
                                         directions, seed):
-        g = random_graph(num_nodes, num_edges, seed)
-        scheme = PartitionScheme.uniform(num_nodes, p)
-        buckets = EdgeBuckets(g, scheme)
+        """Swaps, bucket refreshes and node growth in random order: after
+        each, the index equals a flat index built from scratch."""
+        source = GrowingBuckets(random_graph(num_nodes, num_edges, seed),
+                                PartitionScheme.uniform(num_nodes, p))
         rng = np.random.default_rng(seed)
 
         resident = set()
-        index = PartitionedAdjacencyIndex(scheme, buckets.bucket_endpoints,
+        index = PartitionedAdjacencyIndex(source.scheme,
+                                          source.bucket_endpoints,
                                           (), directions=directions)
-        for _ in range(6):
-            # Arbitrary admit/evict diff keeping at least one partition.
-            removed = ([int(x) for x in
-                        rng.choice(sorted(resident),
-                                   rng.integers(0, len(resident) + 1),
-                                   replace=False)] if resident else [])
-            candidates = [q for q in range(p) if q not in resident]
-            added = [int(x) for x in
-                     rng.choice(candidates,
-                                rng.integers(1 if not resident else 0,
-                                             len(candidates) + 1),
-                                replace=False)] if candidates else []
-            if not (added or removed):
-                continue
-            index.update_partitions(added, removed)
-            resident = (resident - set(removed)) | set(added)
+        for step in range(9):
+            action = "swap" if step < 2 else rng.choice(
+                ["swap", "refresh", "extend"])
+            n = source.scheme.num_nodes
+            if action == "refresh":
+                # Appended edges land in resident and absent buckets alike;
+                # absent ones are fetched fresh on their next admit.
+                k = int(rng.integers(1, 20))
+                pairs = source.add_edges(rng.integers(0, n, k),
+                                         rng.integers(0, n, k))
+                index.refresh_buckets(pairs)
+            elif action == "extend":
+                source.add_nodes(int(rng.integers(1, 6)), rng)
+                index.extend_nodes(source.scheme)
+            else:
+                # Arbitrary admit/evict diff keeping at least one partition.
+                removed = ([int(x) for x in
+                            rng.choice(sorted(resident),
+                                       rng.integers(0, len(resident) + 1),
+                                       replace=False)] if resident else [])
+                candidates = [q for q in range(p) if q not in resident]
+                added = [int(x) for x in
+                         rng.choice(candidates,
+                                    rng.integers(1 if not resident else 0,
+                                                 len(candidates) + 1),
+                                    replace=False)] if candidates else []
+                if not (added or removed):
+                    continue
+                index.update_partitions(added, removed)
+                resident = (resident - set(removed)) | set(added)
+            assert_samples_match(
+                index, reference_index(source.buckets, resident, directions),
+                rng)
 
-            ref = reference_index(buckets, resident, directions)
-            all_nodes = np.arange(num_nodes)
-            np.testing.assert_array_equal(index.degrees(all_nodes),
-                                          ref.degrees(all_nodes))
-            for node in range(0, num_nodes, max(1, num_nodes // 7)):
-                np.testing.assert_array_equal(index.neighbors_of(node),
-                                              ref.neighbors_of(int(node)))
-            probe = rng.choice(num_nodes, size=min(12, num_nodes), replace=False)
-            for fanout, replace in ((3, True), (0, True), (2, False)):
-                s = int(rng.integers(1 << 30))
-                got = index.sample_one_hop(probe, fanout,
-                                           rng=np.random.default_rng(s),
-                                           replace=replace)
-                want = ref.sample_one_hop(probe, fanout,
-                                          rng=np.random.default_rng(s),
-                                          replace=replace)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
+    def test_sampler_beside_refresh_sees_old_or_new_graph(self):
+        """A sampler thread racing a refresh thread only ever sees a whole
+        graph: every sample equals the pre- or the post-refresh one."""
+        g = power_law_graph(400, 4000, seed=3)
+        scheme = PartitionScheme.uniform(400, 4)
+        extra = random_graph(400, 600, 5)
+        before = EdgeBuckets(g, scheme)
+        after = GrowingBuckets(g, scheme)
+        pairs = after.add_edges(extra.src, extra.dst)
+        parts = [0, 1, 3]
+        current = {"buckets": before}
+        index = PartitionedAdjacencyIndex(
+            scheme, lambda i, j: current["buckets"].bucket_endpoints(i, j),
+            parts)
+        probe = np.random.default_rng(0).choice(400, 200, replace=False)
+
+        def draw(idx):
+            return idx.sample_one_hop(probe, 5, rng=np.random.default_rng(9))
+
+        wants = [draw(reference_index(b, parts, "both"))
+                 for b in (before, after.buckets)]
+        stop = threading.Event()
+        errors = []
+
+        def refresher():
+            try:
+                for k in range(60):
+                    current["buckets"] = (after.buckets, before)[k % 2]
+                    index.refresh_buckets(pairs)
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=refresher)
+            thread.start()
+            seen = set()
+            while not stop.is_set() or not seen:
+                nbrs, offsets = draw(index)
+                matches = [k for k, (w_nbrs, w_offsets) in enumerate(wants)
+                           if np.array_equal(nbrs, w_nbrs)
+                           and np.array_equal(offsets, w_offsets)]
+                assert matches, "sample mixes the old and the new graph"
+                seen.update(matches)
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not errors, errors
+        assert_samples_match(index, reference_index(before, parts, "both"),
+                             np.random.default_rng(1))
 
     def test_build_dense_matches_reference_over_partitioned_index(self):
         g = power_law_graph(400, 5000, seed=9)
@@ -204,13 +315,16 @@ class TestPartitionedIndex:
         index = PartitionedAdjacencyIndex(scheme, buckets.bucket_endpoints,
                                           range(4))
         flat = reference_index(buckets, range(4), "both")
-        # Same 2x sorted-neighbor payload; the two-level form adds one local
-        # offset array per bucket sub-run (2 * p^2 of them) instead of one
-        # global offset array per view.
-        offset_overhead = 8 * 2 * (4 * 4) * (200 // 4 + 1)
-        flat_offsets = 8 * 2 * (200 + 1)
-        payload = index.memory_bytes() - offset_overhead
-        assert payload == flat.memory_bytes() - flat_offsets
+        # Level 1 is the flat CSR a flat index holds: offsets (n + 1),
+        # degrees (n) and both sorted edge copies. Level 2 adds the bucket
+        # sub-runs: a local offset array per bucket and direction (2 * p^2
+        # of them), a second copy of both sorted edge lists, and each
+        # entry's uint16 local key.
+        level1 = 8 * (200 + 1) + 8 * 200 + 8 * 2 * g.num_edges
+        level2 = (8 * 2 * (4 * 4) * (200 // 4 + 1) + 8 * 2 * g.num_edges
+                  + 2 * 2 * g.num_edges)
+        assert flat.memory_bytes() == level1
+        assert index.memory_bytes() == level1 + level2
         assert index.memory_bytes() > 0
 
     def test_update_validates_removals(self):

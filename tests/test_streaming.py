@@ -271,8 +271,9 @@ class TestStreamedVsRebuilt:
         for node in range(live.num_nodes):
             assert np.array_equal(attached.index.neighbors_of(node),
                                   fresh.index.neighbors_of(node)), node
-        assert np.array_equal(attached.index._total_deg,
-                              fresh.index._total_deg)
+        all_nodes = np.arange(live.num_nodes)
+        assert np.array_equal(attached.index.degrees(all_nodes),
+                              fresh.index.degrees(all_nodes))
 
 
 # ---------------------------------------------------------------------------
