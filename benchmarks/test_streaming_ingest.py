@@ -54,8 +54,8 @@ SMOKE_CFG = dict(num_nodes=3_000, num_edges=15_000, dim=8, p=8, capacity=2,
                  concurrent_events=2_000, seed=0)
 
 
-def build_live(tmp: Path, num_nodes, num_edges, dim, p, seed, name,
-               lock_stripes=8) -> LiveGraph:
+def build_live(tmp: Path, num_nodes, num_edges, dim, p, seed,
+               name) -> LiveGraph:
     rng = np.random.default_rng(seed)
     graph = Graph(num_nodes=num_nodes, src=rng.integers(0, num_nodes, num_edges),
                   dst=rng.integers(0, num_nodes, num_edges))
@@ -63,7 +63,7 @@ def build_live(tmp: Path, num_nodes, num_edges, dim, p, seed, name,
     store = NodeStore(tmp / f"{name}-nodes.bin", scheme, dim, learnable=True)
     store.initialize(rng=np.random.default_rng(seed + 1))
     edges = EdgeBucketStore(tmp / f"{name}-edges.bin", graph, scheme)
-    return LiveGraph(store, edges, seed=seed, lock_stripes=lock_stripes)
+    return LiveGraph(store, edges, seed=seed)
 
 
 def run_stream(live, rng, num_events, event_batch, delete_fraction,
@@ -150,81 +150,78 @@ def bench_staleness_vs_cadence(tmp, cfg):
 
 def bench_concurrent_ingest_serve(tmp, cfg):
     """Ingest+serve concurrency curve: two writer threads race reader
-    threads against the same live graph, once with the striped ingest
-    locks (8 stripes) and once degenerated to a single stripe — the
-    events/s and query-QPS columns show what the per-bucket-range
-    striping buys when ingest and serving share the process."""
+    threads against the same live graph. Writers take turns on the live
+    graph's writer mutex while queries run on the shared side, so the
+    events/s and query-QPS columns show what serving costs ingest (and
+    vice versa) when both share the process."""
     import threading
     out = {}
     n_writers = 2
-    for arm, stripes in (("striped", 8), ("single", 1)):
-        per = {}
-        for readers in cfg["reader_threads"]:
-            live = build_live(tmp, cfg["num_nodes"], cfg["num_edges"],
-                              cfg["dim"], cfg["p"], cfg["seed"],
-                              f"conc-{arm}-{readers}", lock_stripes=stripes)
-            model_cfg = LinkPredictionConfig(embedding_dim=cfg["dim"],
-                                             encoder="none", seed=0)
-            model = LinkPredictionModel(model_cfg, 1,
-                                        rng=np.random.default_rng(0))
-            engine = ServingEngine.over_live(live, model,
-                                             buffer_capacity=cfg["capacity"])
-            engine.get_embeddings(np.arange(64))       # warm residency
-            per_writer = cfg["concurrent_events"] // n_writers
-            batches = []
-            for w in range(n_writers):
-                rng = np.random.default_rng(cfg["seed"] + 51 + w)
-                chunks = []
-                for start in range(0, per_writer, cfg["event_batch"]):
-                    n = min(cfg["event_batch"], per_writer - start)
-                    chunks.append(np.stack(
-                        [rng.integers(0, cfg["num_nodes"], n),
-                         rng.integers(0, cfg["num_nodes"], n)], axis=1))
-                batches.append(chunks)
-            stop = threading.Event()
-            counts = [0] * max(readers, 1)
-            errors = []
+    for readers in cfg["reader_threads"]:
+        live = build_live(tmp, cfg["num_nodes"], cfg["num_edges"],
+                          cfg["dim"], cfg["p"], cfg["seed"],
+                          f"conc-{readers}")
+        model_cfg = LinkPredictionConfig(embedding_dim=cfg["dim"],
+                                         encoder="none", seed=0)
+        model = LinkPredictionModel(model_cfg, 1,
+                                    rng=np.random.default_rng(0))
+        engine = ServingEngine.over_live(live, model,
+                                         buffer_capacity=cfg["capacity"])
+        engine.get_embeddings(np.arange(64))       # warm residency
+        per_writer = cfg["concurrent_events"] // n_writers
+        batches = []
+        for w in range(n_writers):
+            rng = np.random.default_rng(cfg["seed"] + 51 + w)
+            chunks = []
+            for start in range(0, per_writer, cfg["event_batch"]):
+                n = min(cfg["event_batch"], per_writer - start)
+                chunks.append(np.stack(
+                    [rng.integers(0, cfg["num_nodes"], n),
+                     rng.integers(0, cfg["num_nodes"], n)], axis=1))
+            batches.append(chunks)
+        stop = threading.Event()
+        counts = [0] * max(readers, 1)
+        errors = []
 
-            def write(w):
-                try:
-                    for chunk in batches[w]:
-                        live.insert_edges(chunk)
-                except Exception as exc:   # pragma: no cover - failure path
-                    errors.append(exc)
+        def write(w):
+            try:
+                for chunk in batches[w]:
+                    live.insert_edges(chunk)
+            except Exception as exc:   # pragma: no cover - failure path
+                errors.append(exc)
 
-            def read(k):
-                rng = np.random.default_rng(cfg["seed"] + 91 + k)
-                try:
-                    while not stop.is_set():
-                        engine.get_embeddings(
-                            rng.integers(0, cfg["num_nodes"], 64))
-                        counts[k] += 1
-                except Exception as exc:   # pragma: no cover - failure path
-                    errors.append(exc)
+        def read(k):
+            rng = np.random.default_rng(cfg["seed"] + 91 + k)
+            try:
+                while not stop.is_set():
+                    engine.get_embeddings(
+                        rng.integers(0, cfg["num_nodes"], 64))
+                    counts[k] += 1
+            except Exception as exc:   # pragma: no cover - failure path
+                errors.append(exc)
 
-            writer_threads = [threading.Thread(target=write, args=(w,))
-                              for w in range(n_writers)]
-            reader_threads = [threading.Thread(target=read, args=(k,))
-                              for k in range(readers)]
-            t0 = time.perf_counter()
-            for t in writer_threads + reader_threads:
-                t.start()
-            for t in writer_threads:
-                t.join()
-            seconds = time.perf_counter() - t0
-            stop.set()
-            for t in reader_threads:
-                t.join()
-            assert not errors, errors
-            appended = live.log.events_appended
-            per[str(readers)] = {
-                "events": int(appended),
-                "seconds": seconds,
-                "events_per_sec": appended / max(seconds, 1e-9),
-                "queries": int(sum(counts[:readers])),
-                "query_qps": sum(counts[:readers]) / max(seconds, 1e-9),
-            }
-        out[arm] = per
+        writer_threads = [threading.Thread(target=write, args=(w,))
+                          for w in range(n_writers)]
+        reader_threads = [threading.Thread(target=read, args=(k,))
+                          for k in range(readers)]
+        t0 = time.perf_counter()
+        for t in writer_threads + reader_threads:
+            t.start()
+        for t in writer_threads:
+            t.join()
+        seconds = time.perf_counter() - t0
+        stop.set()
+        for t in reader_threads:
+            t.join()
+        assert not errors, errors
+        appended = live.log.events_appended
+        out[str(readers)] = {
+            "events": int(appended),
+            "seconds": seconds,
+            "events_per_sec": appended / max(seconds, 1e-9),
+            "queries": int(sum(counts[:readers])),
+            "query_qps": sum(counts[:readers]) / max(seconds, 1e-9),
+        }
     return out
 
 
@@ -283,15 +280,14 @@ def _check_directions(streaming, floors=True):
     # Tighter cadence => more compactions and lower observed staleness.
     assert rows[0]["compactions"] >= rows[-1]["compactions"]
     assert rows[0]["mean_staleness"] <= rows[-1]["mean_staleness"]
-    for arm, curve in streaming["concurrency"].items():
-        for readers, r in curve.items():
-            # Every arm must still ingest at a sane clip, every event must
-            # land, and reader threads must have made real progress.
-            if floors:
-                assert r["events_per_sec"] > 500, (arm, readers)
-            assert r["events"] == streaming["config"]["concurrent_events"]
-            if int(readers):
-                assert r["queries"] > 0, (arm, readers)
+    for readers, r in streaming["concurrency"].items():
+        # Ingest must still run at a sane clip beside the readers, every
+        # event must land, and reader threads must make real progress.
+        if floors:
+            assert r["events_per_sec"] > 500, readers
+        assert r["events"] == streaming["config"]["concurrent_events"]
+        if int(readers):
+            assert r["queries"] > 0, readers
 
 
 def test_streaming_ingest(report):
@@ -317,11 +313,11 @@ def test_streaming_ingest(report):
                    f"{r['compact_seconds']:.2f}", widths=[12, 12, 12, 12, 10])
     report.row("concurrency", "readers", "events/s", "query QPS",
                widths=[12, 10, 14, 14])
-    for arm, curve in streaming["concurrency"].items():
-        for readers in sorted(curve, key=int):
-            r = curve[readers]
-            report.row(arm, readers, f"{r['events_per_sec']:,.0f}",
-                       f"{r['query_qps']:,.0f}", widths=[12, 10, 14, 14])
+    concurrency = streaming["concurrency"]
+    for readers in sorted(concurrency, key=int):
+        r = concurrency[readers]
+        report.row("2 writers", readers, f"{r['events_per_sec']:,.0f}",
+                   f"{r['query_qps']:,.0f}", widths=[12, 10, 14, 14])
     eq = streaming["equivalence"]
     report.line(f"equivalence: {eq['checked_buckets']} buckets vs offline "
                 f"rebuild, {eq['live_edges']:,} live edges — identical")

@@ -45,19 +45,18 @@ __all__ = [
 def _telemetry_recorder(spec: JobSpec):
     """A :class:`~repro.obs.sinks.Recorder` for a resolved spec, or
     ``None`` when telemetry is off. The default log path lands next to
-    the job's data (``<storage.workdir>/telemetry.<ext>``) when the kind
+    the job's data (``<storage.workdir>/telemetry.jsonl``) when the kind
     has a workdir, else in the current directory."""
     tele = spec.telemetry
     if tele.sink == "none":
         return None
     from ..obs.sinks import Recorder, make_sink
-    ext = "jsonl" if tele.sink == "jsonl" else "csv"
     if tele.path:
         path = Path(tele.path)
     elif "storage" in spec.sections and spec.storage.workdir:
-        path = Path(spec.storage.workdir) / f"telemetry.{ext}"
+        path = Path(spec.storage.workdir) / "telemetry.jsonl"
     else:
-        path = Path(f"telemetry.{ext}")
+        path = Path("telemetry.jsonl")
     return Recorder(make_sink(tele.sink, path),
                     flush_every=tele.flush_every)
 

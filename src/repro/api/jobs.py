@@ -565,8 +565,7 @@ class StreamJob(Job):
         self.live = LiveGraph(store, edge_store, seed=train.seed,
                               spill_threshold=storage.spill_threshold,
                               wal_dir=None if recovery is not None else wal_dir,
-                              fsync_every=stream.fsync_every,
-                              lock_stripes=stream.lock_stripes)
+                              fsync_every=stream.fsync_every)
         if recovery is not None:
             # Rebuild the acknowledged overlay: reattach surviving spills,
             # then queue the WAL suffix past the durable floor for replay —

@@ -156,8 +156,6 @@ class StreamSpec:
     background_compaction: bool = _f(False, "compact on a worker thread "
                                             "with retry/backoff instead of "
                                             "inline on the ingest path")
-    lock_stripes: int = _f(8, "striped ingest locks over bucket ranges "
-                              "(1 = a single lock)")
 
 
 @dataclass
@@ -183,10 +181,11 @@ class FleetSpec:
 class ObsSpec:
     """Telemetry sink configuration (every kind reads it; off by default)."""
 
-    sink: str = _f("none", "run-log sink: none | jsonl | csv")
+    sink: str = _f("none", "run-log sink: none | jsonl")
     path: Optional[str] = _f(None, "run-log path (default: "
-                                   "<workdir>/telemetry.<ext> when the kind "
-                                   "has storage.workdir, else ./telemetry.<ext>)")
+                                   "<workdir>/telemetry.jsonl when the kind "
+                                   "has storage.workdir, else "
+                                   "./telemetry.jsonl)")
     flush_every: int = _f(25, "emit a metrics record every N events")
 
 

@@ -185,8 +185,7 @@ def _stream_spec(args: argparse.Namespace) -> JobSpec:
                           refresh=args.refresh, verify=args.verify,
                           repl=args.repl, wal=args.wal,
                           fsync_every=args.fsync_every,
-                          background_compaction=args.background_compaction,
-                          lock_stripes=args.lock_stripes),
+                          background_compaction=args.background_compaction),
         checkpoint=_checkpoint_spec(args))
 
 
@@ -497,8 +496,6 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
                    help="WAL group-commit window: fsync once per N frames")
     p.add_argument("--background-compaction", action="store_true",
                    help="compact on a worker thread with retry/backoff")
-    p.add_argument("--lock-stripes", type=int, default=8,
-                   help="striped ingest locks over bucket ranges")
     _add_checkpoint_flags(p, every_help="snapshot cadence in refreshes; "
                                         "0 = off")
 

@@ -19,14 +19,13 @@ Jobs enable it declaratively through the ``telemetry`` spec section
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        get_registry, merge_histogram_states,
                        summarize_histogram)
-from .sinks import (CsvSink, JsonlSink, NullSink, Recorder, Sink, make_sink,
-                    read_jsonl)
+from .sinks import JsonlSink, NullSink, Recorder, Sink, make_sink, read_jsonl
 from .trace import SpanRecord, clear_spans, recent_spans, span, traced
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "summarize_histogram", "merge_histogram_states",
-    "Sink", "NullSink", "JsonlSink", "CsvSink", "Recorder", "make_sink",
+    "Sink", "NullSink", "JsonlSink", "Recorder", "make_sink",
     "read_jsonl",
     "span", "traced", "SpanRecord", "recent_spans", "clear_spans",
 ]

@@ -27,25 +27,23 @@ zero records and zero files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..storage.atomic import fsync_dir
 from .registry import MetricsRegistry, get_registry
 
-__all__ = ["Sink", "NullSink", "JsonlSink", "CsvSink", "Recorder",
-           "make_sink", "read_jsonl", "SINK_KINDS", "CRASH_FLUSH_MID"]
+__all__ = ["Sink", "NullSink", "JsonlSink", "Recorder", "make_sink",
+           "read_jsonl", "SINK_KINDS", "CRASH_FLUSH_MID"]
 
 #: Crash point fired between the two halves of a flush's bytes.
 CRASH_FLUSH_MID = "sink-flush-mid"
 
-SINK_KINDS = ("none", "jsonl", "csv")
+SINK_KINDS = ("none", "jsonl")
 
 
 def _json_default(obj: Any) -> Any:
@@ -90,34 +88,29 @@ class NullSink(Sink):
         pass
 
 
-class _AppendingSink(Sink):
-    """Shared append+fsync machinery of the file-backed sinks."""
+class JsonlSink(Sink):
+    """One JSON object per line, appended and fsynced per flush."""
 
     def __init__(self, path: os.PathLike,
                  fault_hook: Optional[Callable[[str], None]] = None) -> None:
         self.path = Path(path)
         self.fault_hook = fault_hook
         self._lock = threading.Lock()
-        self._buffer: List[Any] = []
+        self._buffer: List[Dict[str, Any]] = []
         self._synced_dir = False
 
     def emit(self, record: Dict[str, Any]) -> None:
         with self._lock:
-            self._buffer.extend(self._encode(record))
-
-    def _encode(self, record: Dict[str, Any]) -> List[Any]:
-        raise NotImplementedError
-
-    def _serialize(self, items: List[Any]) -> bytes:
-        raise NotImplementedError
+            self._buffer.append(record)
 
     def flush(self) -> None:
         with self._lock:
-            items, self._buffer = self._buffer, []
-        if not items:
+            records, self._buffer = self._buffer, []
+        if not records:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = self._serialize(items)
+        data = "".join(json.dumps(r, default=_json_default) + "\n"
+                       for r in records).encode("utf-8")
         with open(self.path, "ab") as fh:
             if self.fault_hook is not None and len(data) > 1:
                 # Crash-injection path: land the first half so the
@@ -137,51 +130,9 @@ class _AppendingSink(Sink):
             self._synced_dir = True
 
 
-class JsonlSink(_AppendingSink):
-    """One JSON object per line, appended durably per flush."""
-
-    def _encode(self, record: Dict[str, Any]) -> List[Any]:
-        return [record]
-
-    def _serialize(self, items: List[Any]) -> bytes:
-        return "".join(json.dumps(r, default=_json_default) + "\n"
-                       for r in items).encode("utf-8")
-
-
-class CsvSink(_AppendingSink):
-    """Flat ``ts,type,name,value`` rows (numeric values only; histogram
-    summaries arrive pre-flattened as ``name.p99`` etc.)."""
-
-    HEADER = ("ts", "type", "name", "value")
-
-    def _encode(self, record: Dict[str, Any]) -> List[Any]:
-        ts = record.get("ts", time.time())
-        rows: List[Tuple[Any, ...]] = []
-        if record.get("type") == "event":
-            event = record.get("event", "?")
-            rows.append((ts, "event", event, 1))
-            for key, value in _flatten(record.get("payload", {})).items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    rows.append((ts, "event", f"{event}.{key}", value))
-        elif record.get("type") == "metrics":
-            label = record.get("label", "metrics")
-            for key, value in _flatten(record.get("metrics", {})).items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    rows.append((ts, label, key, value))
-        return rows
-
-    def _serialize(self, items: List[Any]) -> bytes:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        if not self.path.exists():
-            writer.writerow(self.HEADER)
-        writer.writerows(items)
-        return out.getvalue().encode("utf-8")
-
-
 def make_sink(kind: Optional[str], path: Optional[os.PathLike] = None,
               fault_hook: Optional[Callable[[str], None]] = None) -> Sink:
-    """Build a sink from its spec spelling (``none`` | ``jsonl`` | ``csv``)."""
+    """Build a sink from its spec spelling (``none`` | ``jsonl``)."""
     if kind in (None, "none"):
         return NullSink()
     if kind not in SINK_KINDS:
@@ -189,9 +140,7 @@ def make_sink(kind: Optional[str], path: Optional[os.PathLike] = None,
                          f"(expected one of {list(SINK_KINDS)})")
     if path is None:
         raise ValueError(f"telemetry sink {kind!r} needs a path")
-    if kind == "jsonl":
-        return JsonlSink(path, fault_hook=fault_hook)
-    return CsvSink(path, fault_hook=fault_hook)
+    return JsonlSink(path, fault_hook=fault_hook)
 
 
 def read_jsonl(path: os.PathLike) -> List[Dict[str, Any]]:

@@ -199,11 +199,11 @@ class ServingEngine:
             self.buffer.refresh_from_store()
             return fn()
 
-    # The stream listeners run on the *ingest* thread (under the live
-    # graph's shared lock and the touched bucket stripes) while queries
-    # run under the same shared lock on serving threads; the engine lock
-    # below is what orders them. Plain (non-live) engines keep a private
-    # lock and pay one uncontended acquire per query.
+    # The stream listeners run on the writer's thread (under the live
+    # graph's writer mutex) while queries run under its shared lock on
+    # serving threads; the engine lock below is what orders them. Plain
+    # (non-live) engines keep a private lock and pay one uncontended
+    # acquire per query.
     def _on_live_buckets(self, pairs: List[tuple]) -> None:
         with self._live_lock:
             if self.sampler is not None:

@@ -46,7 +46,7 @@ from ..graph.partition import PartitionScheme
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
 from .delta_log import OP_DELETE, OP_INSERT, GraphDeltaLog
-from .locks import SharedExclusiveLock, StripedLock, VersionCounter
+from .locks import SharedExclusiveLock, VersionCounter
 from .wal import KIND_NODES, WalFrame
 
 BucketListener = Callable[[List[Tuple[int, int]]], None]
@@ -75,17 +75,13 @@ class LiveGraph:
         the non-durable behaviour).
     fsync_every:
         Journal group-commit window (1 = fsync per acknowledged append).
-    lock_stripes:
-        Number of bucket-range lock stripes. Ingest batches and bucket
-        listeners touching disjoint stripes run in parallel; 1 degrades
-        to a single ingest lock (the benchmark's comparison arm).
     """
 
     def __init__(self, node_store: NodeStore, edge_store: EdgeBucketStore,
                  spill_dir: Optional[os.PathLike] = None,
                  spill_threshold: int = 1 << 20, seed: int = 0,
                  wal_dir: Optional[os.PathLike] = None,
-                 fsync_every: int = 1, lock_stripes: int = 8,
+                 fsync_every: int = 1,
                  wal_segment_bytes: int = 4 << 20) -> None:
         if node_store.num_partitions != edge_store.num_partitions:
             raise ValueError("node and edge stores disagree on partitions")
@@ -102,23 +98,17 @@ class LiveGraph:
                                  wal_dir=wal_dir, fsync_every=fsync_every,
                                  wal_segment_bytes=wal_segment_bytes)
         self.nodes_added = 0
-        # Lock hierarchy (outermost first; see repro.stream.locks):
+        # Locks (outermost first; the rule is in repro.stream.locks):
         #
-        # * ``lock`` — the structural mutex. Serializes the rare,
-        #   whole-graph mutations against each other: node growth,
-        #   compaction, refresh write-back, WAL replay. Held together
-        #   with ``rw.exclusive()`` where readers must be excluded too.
-        # * ``rw`` — shared/exclusive. Ingest and queries take the shared
-        #   side and run concurrently; growth/compaction/replay take the
-        #   exclusive side because they swap schemes and rename files.
-        # * ``stripes`` — per-bucket-range locks under the shared side:
-        #   ingest batches (and the listener invalidations they trigger)
-        #   for disjoint bucket ranges proceed in parallel.
+        # * ``lock`` — the writer mutex. Every writer holds it: ingest,
+        #   node growth, compaction, WAL replay, refresh write-back.
+        # * ``rw`` — shared/exclusive. Queries take the shared side;
+        #   growth/compaction/replay also take the exclusive side because
+        #   they swap schemes and rename files under the readers.
         # * ``table_version`` — seqlock over node-table *rows*: refresh
         #   write-back bumps it instead of blocking every query.
         self.lock = threading.RLock()
         self.rw = SharedExclusiveLock()
-        self.stripes = StripedLock(lock_stripes)
         self.table_version = VersionCounter()
         self._bucket_listeners: List[BucketListener] = []
         self._growth_listeners: List[GrowthListener] = []
@@ -220,10 +210,10 @@ class LiveGraph:
                              f"[src{', rel' if self.width == 3 else ''}, dst]")
         if len(edges) == 0:
             return self.log.seq, self.log.seq
-        # Shared side: ingest runs concurrently with queries and other
-        # ingest batches; only the touched bucket stripes serialize (the
-        # delta log itself orders seq assignment under its own mutex).
-        with self.rw.shared():
+        # The writer mutex: one ingest batch (and the bucket listeners it
+        # fires) at a time, excluded from every other writer. Queries hold
+        # only the shared side of ``rw`` and keep running.
+        with self.lock:
             src, dst = edges[:, 0], edges[:, -1]
             if ((src < 0).any() or (dst < 0).any()
                     or (src >= self.num_nodes).any()
@@ -234,10 +224,9 @@ class LiveGraph:
             bi = self.scheme.partition_of(src)
             bj = self.scheme.partition_of(dst)
             pairs = sorted({(int(i), int(j)) for i, j in zip(bi, bj)})
-            with self.stripes.pairs(pairs, self.num_partitions):
-                span = self.log.append(op, src, dst, rel, bi, bj)
-                for fn in self._bucket_listeners:
-                    fn(pairs)
+            span = self.log.append(op, src, dst, rel, bi, bj)
+            for fn in self._bucket_listeners:
+                fn(pairs)
         return span
 
     def insert_edges(self, edges: np.ndarray) -> Tuple[int, int]:
@@ -405,14 +394,13 @@ class LiveGraph:
 
     def health(self) -> dict:
         """One dict describing the service's liveness: overlay staleness,
-        journal state, lock configuration, and every registered source
+        journal state, the table version, and every registered source
         (e.g. background-compaction status)."""
         out = {"ts": time.time(),
                "num_nodes": self.num_nodes,
                "nodes_added": self.nodes_added,
                "base_edges": self.edge_store.num_edges,
                "staleness": self.staleness(),
-               "lock_stripes": self.stripes.num_stripes,
                "table_version": self.table_version.value,
                "log": self.log.stats()}
         for name, fn in self._health_sources.items():

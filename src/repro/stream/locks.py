@@ -1,39 +1,33 @@
 """Locking primitives for concurrent ingest + serve over a live graph.
 
-PR 4's streaming subsystem serialized *everything* — every ingest,
-compaction, refresh write-back, and query — behind one
-:class:`threading.RLock`. That is correct but means a long top-k sweep
-blocks ingestion and vice versa. This module provides the finer-grained
-pieces :class:`~repro.stream.live.LiveGraph` composes instead:
+:class:`~repro.stream.live.LiveGraph` follows one rule:
 
-* :class:`SharedExclusiveLock` — a reentrant readers/writer lock.
-  *Structural* mutations (node growth, compaction: they swap partition
-  schemes, rename bucket files, resize slab maps) take the exclusive
-  side; ingest and queries take the shared side and therefore run
-  concurrently with each other.
-* :class:`StripedLock` — per-bucket-range mutual exclusion under the
-  shared side. An ingest appending to buckets ``{(0,1), (2,3)}`` and a
-  query composing bucket ``(4,4)`` touch disjoint stripes and proceed in
-  parallel; same-stripe access serializes, which is what keeps one
-  bucket's delta segments consistent under composition.
-* :class:`VersionCounter` — a seqlock-style counter for the node table.
-  The continual trainer's refresh write-back touches table *rows* (not
-  structure), so instead of blocking queries it bumps the counter odd →
-  writes → even; a query validates the counter around its read and
-  retries on a concurrent write, falling back to the writer mutex after
-  repeated collisions so progress is guaranteed.
+* **Writers** hold the writer mutex ``LiveGraph.lock``: ingest, node
+  growth, compaction, WAL replay and a refresh's write-back window. So
+  one writer runs at a time, and every listener it fires (index
+  refreshes, buffer re-syncs) runs with no other writer beside it.
+* **Structural writers** — growth, compaction, replay: they swap
+  partition schemes, rename bucket files, resize slab maps — also take
+  the exclusive side of the :class:`SharedExclusiveLock` ``LiveGraph.rw``.
+* **Serving queries** take its shared side, so they run concurrently
+  with each other and with ingest, and drain for a structural writer.
+* **Row write-back** (the continual trainer's refresh) touches table
+  *rows*, not structure: inside ``LiveGraph.lock`` it opens a
+  :class:`VersionCounter` seqlock window instead of blocking queries. A
+  query validates the counter around its read and retries on a
+  concurrent write, and after repeated collisions reads inside a write
+  window of its own so progress is guaranteed.
 
-Lock ordering (outermost first), kept consistent everywhere to stay
-deadlock-free: ``LiveGraph.lock`` (writer mutex) → shared/exclusive →
-engine-local lock → stripes → delta-log mutex.
+Lock order (outermost first), the same everywhere so it stays
+deadlock-free: ``LiveGraph.lock`` → ``LiveGraph.rw`` → engine-local lock
+→ delta-log mutex.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Tuple
 
-__all__ = ["SharedExclusiveLock", "StripedLock", "VersionCounter"]
+__all__ = ["SharedExclusiveLock", "VersionCounter"]
 
 
 class SharedExclusiveLock:
@@ -133,52 +127,6 @@ class SharedExclusiveLock:
 
     def exclusive(self) -> "_Guard":
         return self._Guard(self.acquire_exclusive, self.release_exclusive)
-
-
-class StripedLock:
-    """``num_stripes`` reentrant locks over the bucket grid.
-
-    Bucket ``(i, j)`` of a ``p``-partition grid maps to stripe
-    ``(i * p + j) % num_stripes`` — contiguous bucket-major ranges land
-    on distinct stripes, so an ingest batch and a query sweeping a
-    different partition row rarely collide. Multi-stripe acquisition is
-    always in ascending stripe order (deadlock-free).
-    """
-
-    def __init__(self, num_stripes: int) -> None:
-        if num_stripes < 1:
-            raise ValueError("num_stripes must be at least 1")
-        self.num_stripes = int(num_stripes)
-        self._locks = [threading.RLock() for _ in range(self.num_stripes)]
-
-    def stripe_of(self, i: int, j: int, p: int) -> int:
-        return (int(i) * int(p) + int(j)) % self.num_stripes
-
-    def _stripes_for(self, pairs: Iterable[Tuple[int, int]],
-                     p: int) -> List[int]:
-        return sorted({self.stripe_of(i, j, p) for i, j in pairs})
-
-    class _Guard:
-        __slots__ = ("_locks",)
-
-        def __init__(self, locks) -> None:
-            self._locks = locks
-
-        def __enter__(self):
-            for lock in self._locks:
-                lock.acquire()
-            return self
-
-        def __exit__(self, *exc):
-            for lock in reversed(self._locks):
-                lock.release()
-
-    def pairs(self, pairs: Iterable[Tuple[int, int]], p: int) -> "_Guard":
-        """Guard holding the stripes of the given buckets, in order."""
-        return self._Guard([self._locks[s] for s in self._stripes_for(pairs, p)])
-
-    def all(self) -> "_Guard":
-        return self._Guard(list(self._locks))
 
 
 class VersionCounter:

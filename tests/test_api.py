@@ -100,6 +100,11 @@ def test_unknown_field_rejected():
         JobSpec.from_dict({"kind": "lp-mem", "train": {"epoches": 3}})
 
 
+def test_removed_stream_field_rejected():
+    with pytest.raises(ValueError, match="unknown field"):
+        JobSpec.from_dict({"kind": "stream", "stream": {"lock_stripes": 4}})
+
+
 def test_missing_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         JobSpec.from_dict({"train": {"epochs": 3}})

@@ -11,6 +11,7 @@ two worlds are compared structure-for-structure.
 
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,7 @@ from repro.storage.edge_store import EdgeBucketStore
 from repro.storage.node_store import NodeStore
 from repro.stream import (BackgroundCompactor, Compactor, ContinualTrainer,
                           GraphDeltaLog, LiveGraph, SharedExclusiveLock,
-                          StripedLock, VersionCounter, WriteAheadLog,
-                          pack_pairs)
+                          VersionCounter, WriteAheadLog, pack_pairs)
 from tests.faultinject import CrashPoint, FaultInjector, SimulatedCrash
 from repro.train import LinkPredictionConfig, SnapshotManager
 from repro.train.link_prediction import LinkPredictionModel
@@ -40,7 +40,7 @@ REPO = Path(__file__).resolve().parent.parent
 def make_live(tmp_path, num_nodes=120, num_edges=600, p=6, dim=8,
               with_rel=False, seed=0, spill_threshold=1 << 20,
               name="live", wal=False, fsync_every=1,
-              lock_stripes=8, wal_segment_bytes=4 << 20) -> LiveGraph:
+              wal_segment_bytes=4 << 20) -> LiveGraph:
     rng = np.random.default_rng(seed)
     graph = Graph(num_nodes=num_nodes,
                   src=rng.integers(0, num_nodes, num_edges),
@@ -55,7 +55,7 @@ def make_live(tmp_path, num_nodes=120, num_edges=600, p=6, dim=8,
     return LiveGraph(store, edges, seed=seed + 7,
                      spill_threshold=spill_threshold,
                      wal_dir=tmp_path / f"{name}-wal" if wal else None,
-                     fsync_every=fsync_every, lock_stripes=lock_stripes,
+                     fsync_every=fsync_every,
                      wal_segment_bytes=wal_segment_bytes)
 
 
@@ -387,7 +387,6 @@ class TestLiveServing:
         """Ingest/compact/grow on one thread while a RequestBatcher worker
         serves queries: the shared live lock must keep every result
         well-formed (no torn scheme/buffer views, no spurious errors)."""
-        import threading
         from repro.serve.batcher import RequestBatcher
         live = make_live(tmp_path, num_nodes=240, num_edges=1200, p=6,
                          seed=14)
@@ -670,7 +669,6 @@ class TestContinualTrainer:
         held there) must not touch the refresh's buffer: with the
         compactor thread's partition reads slowed, the refresh completes
         and lands the table of a refresh nothing raced."""
-        import threading
         import time
         quiet_live, quiet = self._ingested(tmp_path, "quiet", seed=37)
         quiet.refresh()
@@ -707,11 +705,67 @@ class TestContinualTrainer:
         assert np.array_equal(live.node_store.read_all_state(),
                               quiet_live.node_store.read_all_state())
 
+    def test_concurrent_ingests_keep_the_trainer_index_whole(
+            self, tmp_path, monkeypatch):
+        """Two ingest threads touching different resident buckets must not
+        lose either's refresh of the trainer's neighbor index. Thread A's
+        publish is held until thread B's ingest returns (at most 0.5 s:
+        with ingest serialized on ``live.lock``, B cannot return first);
+        the index must then equal one built fresh from the live graph."""
+        from repro.graph import csr
+        live = make_live(tmp_path, p=4, seed=39)
+        cfg = LinkPredictionConfig(embedding_dim=8, encoder="graphsage",
+                                   num_layers=1, fanouts=(4,), batch_size=64,
+                                   num_negatives=8, seed=3)
+        trainer = ContinualTrainer(live, cfg, buffer_capacity=4)
+        rng = np.random.default_rng(139)
+
+        def edges_in(i, j, n=20):
+            (lo_i, hi_i), (lo_j, hi_j) = (live.scheme.boundaries[i:i + 2],
+                                          live.scheme.boundaries[j:j + 2])
+            return np.stack([rng.integers(lo_i, hi_i, n),
+                             rng.integers(lo_j, hi_j, n)], axis=1)
+
+        for pair in ((0, 0), (1, 1), (0, 1)):
+            live.insert_edges(edges_in(*pair))
+        trainer.refresh()
+        index = trainer.sampler.index
+        assert index.partitions == [0, 1]
+        batch_a, batch_b = edges_in(0, 0), edges_in(1, 1)
+        a_publishing, b_done = threading.Event(), threading.Event()
+        allocate = csr._FlatCSR.allocate
+
+        def held_allocate(total_deg):
+            if threading.current_thread() is thread_a:
+                a_publishing.set()
+                b_done.wait(timeout=0.5)
+            return allocate(total_deg)
+
+        def ingest_b():
+            assert a_publishing.wait(timeout=10)
+            live.insert_edges(batch_b)
+            b_done.set()
+
+        monkeypatch.setattr(csr._FlatCSR, "allocate", held_allocate)
+        thread_a = threading.Thread(target=live.insert_edges,
+                                    args=(batch_a,))
+        thread_b = threading.Thread(target=ingest_b)
+        for t in (thread_a, thread_b):
+            t.start()
+        for t in (thread_a, thread_b):
+            t.join(timeout=30)
+        assert not thread_a.is_alive() and b_done.is_set()
+        fresh = csr.PartitionedAdjacencyIndex(live.scheme,
+                                              live.bucket_endpoints,
+                                              index.partitions)
+        all_nodes = np.arange(live.num_nodes)
+        assert np.array_equal(index.degrees(all_nodes),
+                              fresh.degrees(all_nodes))
+
     def test_refresh_writes_only_inside_the_seqlock_window(self, tmp_path):
         """Every partition write a refresh makes — write-backs on the I/O
         thread between groups and the final flush — sees an odd
         ``table_version``: a concurrent query can always detect it."""
-        import threading
         live, trainer = self._ingested(tmp_path, "guard", seed=38, capacity=2)
         seen = []
         write = live.node_store.write_partition
@@ -1265,7 +1319,6 @@ class TestBackgroundCompactor:
 
 class TestLockPrimitives:
     def test_shared_is_concurrent_exclusive_is_not(self):
-        import threading
         import time
         lock = SharedExclusiveLock()
         inside = threading.Barrier(2, timeout=5)
@@ -1320,27 +1373,6 @@ class TestLockPrimitives:
             with lock.shared():
                 pass
 
-    def test_striped_lock_orders_overlapping_sets(self):
-        import threading
-        stripes = StripedLock(4)
-        counter = {"v": 0}
-        pairs_a = [(0, 1), (2, 3), (1, 2)]
-        pairs_b = list(reversed(pairs_a))
-
-        def bump(pairs):
-            for _ in range(200):
-                with stripes.pairs(pairs, 4):
-                    counter["v"] += 1
-
-        threads = [threading.Thread(target=bump, args=(p,))
-                   for p in (pairs_a, pairs_b)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)   # no deadlock
-        assert counter["v"] == 400
-
     def test_version_counter_detects_writes(self):
         version = VersionCounter()
         token = version.begin()
@@ -1357,13 +1389,16 @@ class TestLockPrimitives:
 # ---------------------------------------------------------------------------
 
 class _StubEngine:
-    """Minimal engine: optional gate event stalls execution."""
+    """Minimal engine: optional gate event stalls execution; ``entered``
+    is set once a call reaches the gate."""
 
     def __init__(self, gate=None, dim=4):
         self.gate = gate
         self.dim = dim
+        self.entered = threading.Event()
 
     def _maybe_block(self):
+        self.entered.set()
         if self.gate is not None:
             assert self.gate.wait(timeout=10)
 
@@ -1384,23 +1419,27 @@ class _StubEngine:
 
 class TestBatcherBounds:
     def test_overload_raises_typed_error_and_counts(self):
-        import threading
         from repro.serve import Overloaded, RequestBatcher
         gate = threading.Event()
         engine = _StubEngine(gate=gate)
-        with RequestBatcher(engine, max_batch=64, max_queue=3) as batcher:
-            pending = [batcher.submit("embed", np.arange(2))
-                       for _ in range(3)]
+        max_queue = 3
+        with RequestBatcher(engine, max_batch=64,
+                            max_queue=max_queue) as batcher:
+            # The worker dequeues as soon as it is idle: park it at the
+            # gate with one request first, so the queue count is exact.
+            pending = [batcher.submit("embed", np.arange(2))]
+            assert engine.entered.wait(timeout=10)
+            pending += [batcher.submit("embed", np.arange(2))
+                        for _ in range(max_queue)]
             with pytest.raises(Overloaded):
                 batcher.submit("embed", np.arange(2))
             assert batcher.stats()["overloads"] == 1
             gate.set()
             for req in pending:
                 assert req.wait().shape == (2, 4)
-        assert batcher.stats()["requests"] == 3
+        assert batcher.stats()["requests"] == max_queue + 1
 
     def test_timeout_delivered_and_counted(self):
-        import threading
         from repro.serve import RequestBatcher, RequestTimeout
         gate = threading.Event()
         engine = _StubEngine(gate=gate)
@@ -1413,7 +1452,6 @@ class TestBatcherBounds:
         assert batcher.stats()["timeouts"] == 1
 
     def test_expired_requests_dropped_by_worker(self):
-        import threading
         import time
         from repro.serve import RequestBatcher, RequestTimeout
         gate = threading.Event()
@@ -1439,20 +1477,19 @@ class TestBatcherBounds:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent ingest + serve under the striped-lock surface
+# Concurrent ingest + serve: writers on live.lock, queries on the shared side
 # ---------------------------------------------------------------------------
 
 class TestConcurrentIngestServe:
-    @pytest.mark.parametrize("stripes", [1, 4])
+    @pytest.mark.parametrize("seed", [32, 35])
     def test_parallel_writers_readers_and_background_compaction(
-            self, tmp_path, stripes):
+            self, tmp_path, seed):
         """Multiple ingest threads, multiple query threads, and the
         background compactor all running at once: no torn reads, no
         errors, and the final view is bit-identical to an offline rebuild
         of everything ingested."""
-        import threading
         live = make_live(tmp_path, num_nodes=200, num_edges=800, p=4,
-                         seed=31 + stripes, lock_stripes=stripes)
+                         seed=seed)
         cfg = LinkPredictionConfig(embedding_dim=8, encoder="none", seed=5)
         model = LinkPredictionModel(cfg, 1, rng=np.random.default_rng(5))
         engine = ServingEngine.over_live(live, model, buffer_capacity=3)
@@ -1519,7 +1556,6 @@ class TestConcurrentIngestServe:
     def test_refresh_writeback_overlaps_queries(self, tmp_path):
         """Seqlock write-back: queries running concurrently with a
         refresh's table write-back always see finite, well-formed rows."""
-        import threading
         live = make_live(tmp_path, num_nodes=160, num_edges=800, p=4,
                          seed=17)
         cfg = LinkPredictionConfig(embedding_dim=8, encoder="none",
@@ -1581,8 +1617,7 @@ class TestDurableStreamJob:
                                     workdir=str(tmp_path / "wd")),
                 stream=StreamSpec(events=events, event_batch=200,
                                   compact_every=compact_every, verify=True,
-                                  wal=True, background_compaction=True,
-                                  lock_stripes=4))
+                                  wal=True, background_compaction=True))
 
         first = api_run(spec(600, 400))
         assert first["health"]["compaction"]["state"] in ("idle",
