@@ -3,13 +3,12 @@
 
 Trains a small decoder-only link prediction model on disk (the paper's
 out-of-core setup) as an ``lp-disk`` job, snapshots it through the job
-protocol, then serves three query families through a read-only partition
-buffer holding 25% of the partitions — a ``serve`` job over the same
-unified API:
+protocol, then serves three query families straight from the table's
+memmap — a ``serve`` job over the same unified API:
 
-* embedding lookups, paged through the buffer (bit-equal to the table),
+* embedding lookups, gathered in place (bit-equal to the table),
 * edge scoring, bit-identical to offline evaluation scoring,
-* top-k link prediction, streaming candidate partitions blockwise,
+* top-k link prediction, scoring candidate partitions blockwise,
 
 first directly against the engine, then through the micro-batching
 `RequestBatcher` with per-request latency accounting.
@@ -28,7 +27,7 @@ from repro.api import (DataSpec, JobSpec, ModelSpec, ServeSpec, StorageSpec,
 from repro.serve import RequestBatcher
 from repro.train import score_edges_offline
 
-P, C = 16, 4  # physical partitions; buffer capacity (25% resident)
+P, C = 16, 4  # physical partitions; buffer capacity (training: 25% resident)
 
 
 def main() -> None:
@@ -57,16 +56,14 @@ def main() -> None:
         serve=ServeSpec(snapshot=str(snapshot)),
         storage=StorageSpec(workdir=str(tmp / "serve"), buffer=C)))
     engine = serve_job.engine
-    print(f"serving with buffer {C}/{P} partitions "
-          f"({C / P:.0%} resident), QueryLRU replacement")
+    print(f"serving {P} partitions in place from the table map")
 
-    # 1. Paged embedding lookups equal the full table.
+    # 1. Embedding lookups equal the full table.
     ids = np.random.default_rng(0).integers(0, data.graph.num_nodes, 1000)
     embs = engine.get_embeddings(ids)
     table = train_job.trainer.node_store.read_all()
     assert np.array_equal(embs, table[ids])
-    print(f"lookups: {len(ids)} rows served, "
-          f"{engine.stats.swaps} partition swaps, bit-equal to the table")
+    print(f"lookups: {len(ids)} rows served, bit-equal to the table")
 
     # 2. Served scores are bit-identical to offline evaluation scoring.
     held_out = data.split.test[:500]
@@ -76,7 +73,7 @@ def main() -> None:
     print(f"scoring: {len(held_out)} held-out edges, "
           f"bit-identical to offline evaluation")
 
-    # 3. Top-k link prediction, streamed blockwise through the buffer.
+    # 3. Top-k link prediction, scored partition block by block.
     src, rel = int(held_out[0, 0]), int(held_out[0, 1])
     top_ids, top_scores = engine.topk_targets(src, 5, rel=rel, exclude=[src])
     print(f"top-5 targets for ({src}, rel {rel}): "
@@ -95,9 +92,7 @@ def main() -> None:
     print(f"  {summary['n']} requests, p50 {summary['p50_ms']:.2f}ms, "
           f"p99 {summary['p99_ms']:.2f}ms, "
           f"mean batch {batcher.stats()['mean_batch']:.0f}")
-    print(f"  engine totals: {engine.stats.lookups} lookups, "
-          f"{engine.stats.swaps} swaps "
-          f"({engine.stats.swaps_per_1k(engine.stats.lookups):.1f}/1k)")
+    print(f"  engine totals: {engine.stats.lookups} lookups")
 
 
 if __name__ == "__main__":

@@ -251,7 +251,7 @@ def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
     Returns ``(snapshot_path, snapshot_kind, engine)``. This is the one
     snapshot->engine path, shared by :class:`ServeJob` and each fleet
     worker process (every worker calls it against its own private
-    workdir, so N workers page the same snapshot independently).
+    workdir, so N workers map the same snapshot independently).
     """
     from ..serve import serve_link_prediction, serve_node_classification
     storage = spec.storage
@@ -298,12 +298,12 @@ class ServeJob(Job):
             print(f"serving {kind} snapshot {snap.name}: "
                   f"{engine.store.num_nodes:,} nodes x {engine.store.dim}, "
                   f"{engine.scheme.num_partitions} partitions, "
-                  f"buffer {engine.buffer.capacity}")
+                  f"buffer {engine.buffer_capacity}")
         return self
 
     def telemetry_sources(self) -> Dict[str, Any]:
         return {"serve": self.engine.stats.as_dict,
-                "storage": self.engine.buffer.stats.as_dict}
+                "storage": self.engine.store.stats.as_dict}
 
     # ------------------------------------------------------------------
     def run(self, verbose: bool = False) -> Dict[str, Any]:
@@ -390,20 +390,16 @@ class ServeJob(Job):
         engine = self.engine
         queries = make_query_stream(serve.mix, serve.bench,
                                     engine.store.num_nodes, seed=serve.seed)
-        swaps0 = engine.stats.swaps
         t0 = time.perf_counter()
         for start in range(0, len(queries), serve.max_batch):
             engine.get_embeddings(queries[start : start + serve.max_batch])
         seconds = time.perf_counter() - t0
-        swaps = engine.stats.swaps - swaps0
         if verbose:
             print(f"  bench: {len(queries)} {serve.mix} lookups in "
                   f"{seconds:.2f}s = {len(queries) / seconds:,.0f} QPS "
-                  f"({1000 * swaps / len(queries):.1f} swaps/1k queries, "
-                  f"batch {serve.max_batch})")
+                  f"(batch {serve.max_batch})")
         return {"queries": len(queries), "seconds": seconds,
-                "qps": len(queries) / seconds,
-                "swaps_per_1k": 1000 * swaps / len(queries)}
+                "qps": len(queries) / seconds}
 
 
 class ServeFleetJob(Job):

@@ -507,7 +507,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--snapshot", required=True,
                    help="snapshot dir (or checkpoint root; latest wins)")
     p.add_argument("--workdir", default=None,
-                   help="serving workdir for the paged table (default: temp)")
+                   help="serving workdir for the served table (default: temp)")
     p.add_argument("--dataset", default=None,
                    help="LP training dataset (required for encoder "
                         "snapshots: enables encode-on-read sampling)")
@@ -516,7 +516,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--partitions", type=int, default=None,
                    help="partition count (default: the snapshot's layout)")
     p.add_argument("--buffer", type=int, default=4,
-                   help="partitions held in memory at once")
+                   help="partitions the encode sampler holds at once")
     p.add_argument("--embed", default=None, metavar="IDS",
                    help="comma-separated node ids to look up")
     p.add_argument("--score", nargs="*", default=None, metavar="S:D|S:R:D",
@@ -556,7 +556,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--snapshot", required=True,
                    help="snapshot dir (or checkpoint root; latest wins)")
     p.add_argument("--workdir", default=None,
-                   help="fleet workdir: per-worker paged tables and run "
+                   help="fleet workdir: per-worker served tables and run "
                         "logs land in worker-<i>/ (default: temp)")
     p.add_argument("--dataset", default=None,
                    help="LP training dataset (required for encoder "
@@ -566,7 +566,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--partitions", type=int, default=None,
                    help="partition count (default: the snapshot's layout)")
     p.add_argument("--buffer", type=int, default=4,
-                   help="partitions held in memory per worker")
+                   help="partitions the encode sampler holds at once, "
+                        "per worker")
     p.add_argument("--workers", type=int, default=2,
                    help="serving worker processes")
     p.add_argument("--host", default="127.0.0.1",

@@ -10,7 +10,7 @@ an HTTP/JSON gateway (:mod:`~repro.fleet.gateway`, stdlib
 endpoints plus ``/healthz`` and ``/statz``; and the
 :class:`~repro.fleet.affinity.AffinityRouter` maps each request's lead
 node id to the worker owning its partition range, so micro-batches
-coalesce per worker and buffer swaps stay near the single-engine floor.
+coalesce per worker.
 Run it as the ``serve-fleet`` job kind (``repro serve-fleet`` /
 ``repro run``); see ``docs/serving.md``.
 """

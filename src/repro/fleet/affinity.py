@@ -4,9 +4,9 @@ Every query family leads with a node id (the looked-up node, the scored
 source, the top-k source). The router maps that id to its partition
 (the same uniform boundaries the served store uses) and the partition to
 the worker *owning* it, so queries against one partition always land on
-the same worker — its buffer keeps that partition hot and micro-batches
-coalesce per worker, which is the whole reason the fleet's swaps/1k
-stays near the single-engine floor instead of multiplying by N.
+the same worker — the pages of that partition's rows stay hot in the
+page cache behind the worker's table map, and micro-batches coalesce per
+worker.
 
 Ownership starts as a static contiguous range split: worker ``w`` of
 ``W`` owns partitions ``[floor(w*p/W), floor((w+1)*p/W))`` — contiguous
@@ -14,9 +14,7 @@ because the store's partitions are contiguous id ranges, so range
 queries and locality-ordered sweeps stay within one owner.
 :meth:`AffinityRouter.set_assignment` is the rebalance hook: a future
 load balancer (or an operator) can install any partition->worker map
-atomically between requests; the bounded-history principle the roadmap
-cites (QueryLRU) applies to *that* policy's bookkeeping, not to this
-table, which is O(p) and exact.
+atomically between requests; this table is O(p) and exact.
 
 ``policy="random"`` ignores ids and deals workers round-robin — the
 control arm the benchmark compares against.

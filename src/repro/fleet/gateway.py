@@ -10,7 +10,7 @@ query families as POST endpoints::
     POST /v1/encode      {"ids": [0, 1], "seed": null}
 
 plus ``GET /healthz`` (``ok`` / ``degraded``, HTTP 503 when degraded)
-and ``GET /statz`` (per-worker engine/buffer/batcher stats, gateway
+and ``GET /statz`` (per-worker engine/storage/batcher stats, gateway
 counters, the router's ownership ranges).
 
 The gateway validates just enough to *route* — the body must be a JSON

@@ -3,7 +3,7 @@
 ``worker_main`` is the ``multiprocessing`` (spawn-safe, module-level)
 entry point. The worker builds its own read-only
 :class:`~repro.serve.engine.ServingEngine` from the shared snapshot
-(each worker pages the same table through a private partition buffer),
+(each worker maps its own copy of the table and reads it in place),
 fronts it with a :class:`~repro.serve.batcher.RequestBatcher`, and
 answers length-prefixed JSON requests (:mod:`~repro.fleet.protocol`) on
 an ephemeral port it reports back through the ready queue. Every
@@ -22,7 +22,7 @@ response.
 With telemetry on, each worker writes its own run log
 (``<workdir>/worker-<i>/telemetry.jsonl``) through a private
 :class:`~repro.obs.sinks.Recorder` — one event per protocol request,
-periodic metrics with engine/buffer/batcher pull sources. ``repro top
+periodic metrics with engine/storage/batcher pull sources. ``repro top
 <workdir>`` merges the per-worker logs.
 """
 
@@ -161,7 +161,7 @@ class _Dispatcher:
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "worker": self.cfg.index,
                 "serve": self.engine.stats.as_dict(),
-                "storage": self.engine.buffer.stats.as_dict(),
+                "storage": self.engine.store.stats.as_dict(),
                 "batcher": self.batcher.stats(),
                 "latency": self.batcher.latency_percentiles()}
 
@@ -234,7 +234,7 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
     recorder = _make_recorder(cfg)
     if recorder is not None:
         recorder.add_source("serve", engine.stats.as_dict)
-        recorder.add_source("storage", engine.buffer.stats.as_dict)
+        recorder.add_source("storage", engine.store.stats.as_dict)
         recorder.add_source("batcher", batcher.stats)
     dispatcher = _Dispatcher(cfg, engine, batcher, drain, recorder)
 

@@ -10,14 +10,12 @@ from .comet import CometPolicy
 from .hilbert import HilbertOrderingPolicy, hilbert_bucket_order
 from .node_cache import (NodeClassificationPlan, NodeClassificationStep,
                          TrainingNodeCachePolicy)
-from .query_lru import QueryLRU
 
 __all__ = [
     "EpochPlan", "EpochStep", "PartitionPolicy", "greedy_one_swap_cover",
     "in_memory_plan", "BetaPolicy", "CometPolicy", "HilbertOrderingPolicy",
     "hilbert_bucket_order",
     "TrainingNodeCachePolicy", "NodeClassificationPlan", "NodeClassificationStep",
-    "QueryLRU",
     "edge_permutation_bias", "workload_balance",
     "autotune", "autotune_from_dataset", "GraphSpec", "HardwareSpec", "AutotuneResult",
 ]

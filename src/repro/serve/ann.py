@@ -1,13 +1,12 @@
 """Per-partition IVF index for sublinear top-k target queries.
 
 The exact top-k sweep (:meth:`~repro.serve.engine.ServingEngine.
-topk_targets_batch` with ``exact=True``) pages **every** candidate
-partition through the buffer and scores every row — cost linear in table
-size. This module adds the first-pass structure that breaks that
+topk_targets_batch` with ``exact=True``) scores **every** row of every
+candidate partition — cost linear in table size. This module adds the first-pass structure that breaks that
 linearity: each physical partition carries a small set of k-means
 clusters over its rows (an inverted-file / IVF layout, partition-resident
 so it rebuilds independently when a streamed partition changes), and a
-query first bounds what each cluster could possibly score before paging
+query first bounds what each cluster could possibly score before scoring
 anything.
 
 The bound is sound, not heuristic. Every shipped decoder's
@@ -20,7 +19,7 @@ and radius ``r = max |x - c|``:
 
 so a cluster whose bound falls below the query's running k-th best score
 cannot contribute a result, and a partition whose every cluster is below
-every source's threshold is **skipped without being paged in** — the IO
+every source's threshold is **skipped without being scored** — the
 win grows with table size because thresholds tighten after the first few
 high-bound partitions. Bounds are evaluated in float64 with an explicit
 epsilon margin so float32 scoring round-off can never prune a true
@@ -32,8 +31,8 @@ Rebuild semantics: the index is **lazy**. Construction and every
 invalidation (live-stream ingest refresh, node growth, compaction) only
 mark partitions stale; `ensure_current()` — called by the engine at the
 top of each ANN sweep, under the engine's query guard — rebuilds exactly
-the stale ones with one sequential partition read each. A serving engine
-that never answers top-k never pays for clustering.
+the stale ones, each clustered in place in the table map. A serving
+engine that never answers top-k never pays for clustering.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class PartitionClusters:
 
     ``rows[indptr[j]:indptr[j+1]]`` are the partition-local row offsets of
     cluster ``j``'s members (each global node id is ``lo + row``), grouped
-    so a surviving cluster gathers its candidate block with one fancy
-    index into the buffer's partition view.
+    so the surviving clusters' columns of a partition's block scores are
+    one fancy index.
     """
 
     __slots__ = ("centroids", "radii", "rows", "indptr", "num_rows")
@@ -126,10 +125,8 @@ class AnnIndex:
     Parameters
     ----------
     store:
-        The served :class:`NodeStore` (read directly at build time — one
-        sequential partition read per rebuilt partition, never through
-        the query buffer, so index maintenance cannot evict query-hot
-        partitions or touch the replacement policy).
+        The served :class:`NodeStore` (each rebuilt partition is
+        clustered in place from :meth:`NodeStore.partition_block`).
     cluster_size:
         Target rows per cluster; partition ``i`` gets
         ``ceil(size_i / cluster_size)`` cells.
@@ -167,11 +164,9 @@ class AnnIndex:
         """Rebuild every stale partition from the store."""
         while self._stale:
             part = self._stale.pop()
-            block, _ = self.store.read_partition(part)
-            size = self.store.scheme.partition_size(part)
-            n_clusters = -(-size // self.cluster_size)   # ceil
-            self._parts[part] = _kmeans(np.asarray(block, dtype=np.float32),
-                                        n_clusters, self.iters)
+            block = self.store.partition_block(part)
+            n_clusters = -(-len(block) // self.cluster_size)   # ceil
+            self._parts[part] = _kmeans(block, n_clusters, self.iters)
             self.builds += 1
 
     def partition(self, part: int) -> PartitionClusters:

@@ -1,15 +1,15 @@
 """Micro-batching request queue in front of the serving engine.
 
-Individual queries are tiny; partition swaps are not. The batcher
-amortizes the swap cost by coalescing concurrent requests into one engine
-call: the worker dispatches as soon as it is idle, taking up to
-``max_batch`` queued requests at once, so whatever queued while the
-previous engine call ran forms the next batch. It never waits on a timer
-for company: a lone request is dispatched at once. Same-kind payloads
-are concatenated and the engine's partition-locality ordering makes
-co-located queries share swaps. Each request records its own end-to-end
-latency (enqueue to result), so the tail cost of an unlucky swap is
-visible per request, not averaged away per batch.
+Individual queries are tiny; per-call overhead (locking, dispatch, one
+gather or one partition sweep) is not. The batcher amortizes it by
+coalescing concurrent requests into one engine call: the worker
+dispatches as soon as it is idle, taking up to ``max_batch`` queued
+requests at once, so whatever queued while the previous engine call ran
+forms the next batch. It never waits on a timer for company: a lone
+request is dispatched at once. Same-kind payloads are concatenated into
+one gather, and top-k sources share one sweep. Each request records its
+own end-to-end latency (enqueue to result), so the tail cost of a slow
+batch is visible per request, not averaged away per batch.
 
 The queue is **bounded** in both dimensions an always-on service needs:
 ``max_queue`` caps outstanding requests (a submit past it raises the

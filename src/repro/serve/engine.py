@@ -1,32 +1,20 @@
-"""The out-of-core query engine: batched inference over a partition buffer.
+"""The out-of-core query engine: batched inference over the node table.
 
-The same machinery that makes training disk-friendly (partitioned node
-store, bounded :class:`~repro.storage.buffer.PartitionBuffer`, DENSE
-multi-hop sampling over the in-buffer subgraph) serves queries here, with
-three differences:
+The served table is a partition-major :class:`~repro.storage.node_store.
+NodeStore` memmap, and every query family reads it in place — the OS page
+cache is the serving buffer. A read-only server has neither an epoch plan
+nor gradients to write back, so it keeps no partition cache of its own:
 
-* the buffer runs **read-only** — eviction never writes back and gradient
-  application is refused;
-* residency is driven by the live query stream through a
-  :class:`~repro.policies.query_lru.QueryLRU` replacement policy instead of
-  a precomputed epoch plan;
-* execution is **partition-locality ordered**: every batched entry point
-  groups its work by partition (resident partitions first), so co-located
-  queries share one swap instead of thrashing the buffer.
-
-Three query families (the full table is never materialized in memory —
-peak residency is ``buffer_capacity`` partitions):
-
-* :meth:`ServingEngine.get_embeddings` — paged row lookup.
+* :meth:`ServingEngine.get_embeddings` — row gather from the store.
 * :meth:`ServingEngine.score_edges` / :meth:`ServingEngine.topk_targets` —
-  decoder scoring; top-k streams candidate partitions through the buffer
-  blockwise and keeps a running best-k, without ever touching the
-  replacement policy (scan resistance: a sequential sweep must not evict
-  the query-hot partitions).
+  decoder scoring; top-k scores each candidate partition's contiguous row
+  range of the map as one block and keeps a running best-k, with no
+  residency side effects.
 * :meth:`ServingEngine.encode_nodes` / :meth:`ServingEngine.classify` —
   GNN encode-on-read: multi-hop neighborhoods are sampled over the
-  in-buffer subgraph (exactly the restriction disk training applies) and
-  only the forward pass runs.
+  subgraph of at most ``buffer_capacity`` partitions (exactly the
+  restriction disk training applies) and only the forward pass runs.
+  This is the one family with a resident set: the sampler's.
 """
 
 from __future__ import annotations
@@ -42,8 +30,6 @@ from ..core.sampler import DenseSampler
 from ..obs.registry import get_registry
 from ..nn.module import Module
 from ..nn.tensor import Tensor, no_grad
-from ..policies.query_lru import QueryLRU
-from ..storage.buffer import PartitionBuffer
 from ..storage.node_store import NodeStore
 from .ann import AnnIndex
 from .stats import ServeStats
@@ -63,13 +49,13 @@ class ServingEngine:
         Read-only :class:`NodeStore` holding the served table (base
         embeddings for LP, node features for NC).
     buffer_capacity:
-        Physical partitions held in memory at once.
-    policy:
-        Replacement policy; defaults to a fresh :class:`QueryLRU`.
+        Partitions the encode sampler holds at once (``0 <`` capacity
+        ``<=`` partition count).
     edge_source:
         Optional ``(i, j) -> (src, dst)`` bucket source (e.g.
         ``EdgeBucketStore.bucket_endpoints``) enabling encode-on-read; the
-        sampler's partition-aware index follows buffer swaps incrementally.
+        sampler's partition-aware index follows its resident set
+        incrementally.
     fanouts / directions:
         Sampling shape for encode-on-read (ignored without ``edge_source``).
     ann:
@@ -84,28 +70,28 @@ class ServingEngine:
     """
 
     def __init__(self, model: Module, store: NodeStore, buffer_capacity: int,
-                 policy: Optional[QueryLRU] = None,
                  edge_source: Optional[Callable] = None,
                  fanouts: Sequence[int] = (), directions: str = "both",
                  seed: int = 0, ann: bool = True,
                  ann_cluster_size: int = 64) -> None:
+        if buffer_capacity <= 0:
+            raise ValueError("buffer capacity must be positive")
+        if buffer_capacity > store.num_partitions:
+            raise ValueError(f"capacity {buffer_capacity} exceeds partition "
+                             f"count {store.num_partitions}")
         self.model = model
         self.model.eval()
         self.store = store
-        # Protects the engine's own shared state (buffer residency, the
-        # replacement policy, the sampler index) between queries and
-        # live-stream listener callbacks. Re-entrant: classify ->
-        # encode_nodes. Over a live graph, queries additionally take the
-        # graph's shared lock and validate the table seqlock — see
-        # _query_guard / _table_read.
+        self.buffer_capacity = int(buffer_capacity)
+        # Protects the engine's own shared state (the sampler index and its
+        # draw stream, the ANN index) between queries and live-stream
+        # listener callbacks. Re-entrant: classify -> encode_nodes. Over a
+        # live graph, queries additionally take the graph's shared lock and
+        # validate the table seqlock — see _query_guard / _table_read.
         self._live_lock = threading.RLock()
         self._live = None             # set by over_live
         self._table_version = None    # live.table_version when streaming
-        self.policy = policy or QueryLRU(self.scheme.num_partitions)
-        self.buffer = PartitionBuffer(store, buffer_capacity, read_only=True,
-                                      replacement_policy=self.policy)
         self.stats = ServeStats()
-        self.buffer.add_swap_listener(self._on_swap)
         self.decoder = getattr(model, "decoder", None)
         self.ann_enabled = bool(ann)
         self.ann_cluster_size = int(ann_cluster_size)
@@ -115,8 +101,6 @@ class ServingEngine:
             self.sampler = DenseSampler.from_partitions(
                 self.scheme, edge_source, (), list(fanouts),
                 directions=directions, rng=np.random.default_rng(seed))
-            self.buffer.add_swap_listener(
-                lambda added, removed: self.sampler.update_graph(added, removed))
 
     # ------------------------------------------------------------------
     @property
@@ -127,7 +111,6 @@ class ServingEngine:
 
     @classmethod
     def over_live(cls, live, model: Module, buffer_capacity: int,
-                  policy: Optional[QueryLRU] = None,
                   fanouts: Sequence[int] = (), directions: str = "both",
                   seed: int = 0, ann: bool = True,
                   ann_cluster_size: int = 64) -> "ServingEngine":
@@ -137,11 +120,11 @@ class ServingEngine:
         sampler's bucket source is the composed base+delta read, and the
         registered stream listeners keep it coherent — ingests refresh
         exactly the touched resident buckets, node additions extend the
-        index and re-sync the buffer, compactions re-read the (identical)
-        rewritten base. Embedding lookups need no overlay handling at all,
-        because streamed nodes grow the node table at ingest time.
+        index, and table rewrites invalidate the ANN index. Embedding
+        lookups need no overlay handling at all, because streamed nodes
+        grow the node table at ingest time.
         """
-        engine = cls(model, live.node_store, buffer_capacity, policy=policy,
+        engine = cls(model, live.node_store, buffer_capacity,
                      edge_source=live.bucket_endpoints, fanouts=fanouts,
                      directions=directions, seed=seed, ann=ann,
                      ann_cluster_size=ann_cluster_size)
@@ -149,16 +132,16 @@ class ServingEngine:
         # concurrently with ingest and with each other's lock-free
         # sections, but drain for structural mutations — growth,
         # compaction, WAL replay, which take the exclusive side) plus the
-        # engine's own lock for its buffer/policy/sampler state. Node-
-        # table row rewrites (refresh write-back) are not excluded at
-        # all: reads that touch the store validate live.table_version
-        # around themselves and retry on a raced write window.
+        # engine's own lock for its sampler/ANN state. Node-table row
+        # rewrites (refresh write-back) are not excluded at all: reads
+        # that touch the store validate live.table_version around
+        # themselves and retry on a raced write window.
         engine._live = live
         engine._table_version = live.table_version
         live.add_bucket_listener(engine._on_live_buckets)
         live.add_growth_listener(engine._on_live_growth)
-        live.add_compact_listener(engine._on_live_compact)
-        live.add_table_listener(engine._on_live_table)
+        live.add_compact_listener(lambda: engine._invalidate_ann(None))
+        live.add_table_listener(engine._invalidate_ann)
         return engine
 
     @contextlib.contextmanager
@@ -179,24 +162,20 @@ class ServingEngine:
         A refresh write-back rewrites table rows without excluding
         readers; any store read that overlaps its write window may be
         torn. The protocol: snapshot the version (waits out an in-flight
-        write), run, and accept only if the version is unchanged. On a
-        collision, resident partitions admitted during the window are
-        re-read before retrying; after repeated collisions the read runs
-        inside the write lock itself (guaranteed quiescent, and writers
-        are rare enough that this is the cold path of a cold path).
+        write), run, and accept only if the version is unchanged. After
+        repeated collisions the read runs inside the write lock itself
+        (guaranteed quiescent, and writers are rare enough that this is
+        the cold path of a cold path).
         """
         version = self._table_version
         if version is None:
             return fn()
-        for attempt in range(8):
+        for _ in range(8):
             token = version.begin()
-            if attempt:
-                self.buffer.refresh_from_store()
             out = fn()
             if not version.changed(token):
                 return out
         with version.write():
-            self.buffer.refresh_from_store()
             return fn()
 
     # The stream listeners run on the writer's thread (under the live
@@ -214,25 +193,13 @@ class ServingEngine:
             if self.sampler is not None:
                 self.sampler.index.extend_nodes(new_scheme)
             # Only the last partition's rows changed (the growth rule).
-            self.buffer.refresh_from_store(
-                parts=[new_scheme.num_partitions - 1])
-            if self.ann_index is not None:
-                self.ann_index.invalidate([new_scheme.num_partitions - 1])
+            self._invalidate_ann([new_scheme.num_partitions - 1])
 
-    def _on_live_compact(self) -> None:
+    def _invalidate_ann(self, parts: Optional[List[int]]) -> None:
+        """Table rows changed (``None``: all): their ANN cells are stale."""
         with self._live_lock:
-            self.buffer.refresh_from_store()
-            if self.ann_index is not None:
-                self.ann_index.invalidate()
-
-    def _on_live_table(self, parts: List[int]) -> None:
-        with self._live_lock:
-            self.buffer.refresh_from_store(parts=parts)
             if self.ann_index is not None:
                 self.ann_index.invalidate(parts)
-
-    def _on_swap(self, added: List[int], removed: List[int]) -> None:
-        self.stats.swaps += len(added)
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64).ravel()
@@ -241,43 +208,29 @@ class ServingEngine:
             raise KeyError(f"query node ids out of range: {bad.tolist()}")
         return ids
 
-    def _partition_order(self, parts: np.ndarray) -> List[int]:
-        """Resident partitions first (free hits), then ascending admits."""
-        resident = [int(p) for p in parts if self.buffer.is_resident(int(p))]
-        absent = [int(p) for p in parts if not self.buffer.is_resident(int(p))]
-        return resident + absent
+    def _check_rels(self, rels: np.ndarray) -> np.ndarray:
+        """Relation ids must index the decoder's relation table: a negative
+        id would silently wrap to the last relation."""
+        num = int(getattr(self.decoder, "num_relations", 1))
+        rels = np.asarray(rels, dtype=np.int64)
+        if rels.size and ((rels < 0).any() or (rels >= num).any()):
+            bad = rels[(rels < 0) | (rels >= num)][:5]
+            raise KeyError(f"relation ids out of range [0, {num}): "
+                           f"{bad.tolist()}")
+        return rels
 
     # ------------------------------------------------------------------
     # Query family 1: embedding lookup
     # ------------------------------------------------------------------
-    def _gather_rows(self, ids: np.ndarray) -> np.ndarray:
-        """The paging gather without stats accounting (internal fetches by
-        the scoring paths must not inflate the request/lookup counters)."""
-        out = np.empty((len(ids), self.store.dim), dtype=np.float32)
-        if len(ids) == 0:
-            return out
-        parts = self.scheme.partition_of(ids)
-        uniq = np.unique(parts)
-        self.policy.touch(uniq)
-        pending = set(int(p) for p in uniq)
-        for part in self._partition_order(uniq):
-            pending.discard(part)
-            self.buffer.ensure_resident([part], protect=list(pending))
-            mask = parts == part
-            out[mask] = self.buffer.gather(ids[mask])
-        return out
-
     def get_embeddings(self, node_ids: np.ndarray) -> np.ndarray:
         """Rows of the served table for ``node_ids`` (any order, dups ok).
 
-        Pages the needed partitions through the buffer in locality order —
-        one residency check per partition, one vectorized gather per
-        partition group — and returns rows aligned with the input.
+        One gather from the table map, rows aligned with the input.
         """
         t0 = time.perf_counter()
         with self._query_guard():
             out = self._table_read(
-                lambda: self._gather_rows(self._check_ids(node_ids)))
+                lambda: self.store.read_rows(self._check_ids(node_ids)))
         self.stats.requests += 1
         self.stats.lookups += len(out)
         get_registry().histogram("serve.embed.latency_ms").observe(
@@ -308,7 +261,7 @@ class ServingEngine:
         """Decoder scores for ``(src[, rel], dst)`` rows.
 
         Decoder-only models (``encoder="none"``) run the exact offline math:
-        gather both endpoint embeddings in one locality-ordered pass, then
+        gather both endpoint embeddings in one pass, then
         ``decoder.score_edges`` — bit-identical to
         :func:`~repro.train.link_prediction.score_edges_offline` on the same
         snapshot. Encoder models first encode-on-read both endpoint sets.
@@ -317,10 +270,11 @@ class ServingEngine:
         src, rel, dst = self._split_pairs(pairs)
         if len(src) == 0:
             return np.empty(0, dtype=np.float32)
+        self._check_rels(rel)
         t0 = time.perf_counter()
         with self._query_guard():
             if getattr(self.model, "encoder", None) is None:
-                embs = self._table_read(lambda: self._gather_rows(
+                embs = self._table_read(lambda: self.store.read_rows(
                     self._check_ids(np.concatenate([src, dst]))))
                 src_repr = Tensor(embs[: len(src)])
                 dst_repr = Tensor(embs[len(src):])
@@ -362,12 +316,12 @@ class ServingEngine:
         :class:`AnnIndex`: a first pass bounds every cluster's best
         possible score (``q . centroid + |q| * radius``, sound by
         Cauchy-Schwarz) and partitions whose every cluster falls below
-        every source's running k-th best are skipped without being paged
-        in. ``exact=True`` — or a decoder without the linear
+        every source's running k-th best are skipped without being
+        scored. ``exact=True`` — or a decoder without the linear
         ``target_query_rows`` form, or ``ann=False`` at construction —
         runs the exact blockwise scan over every candidate partition.
-        Both paths never touch the replacement policy (scan resistance)
-        and serve decoder-only snapshots.
+        Both paths score partitions in place in the table map and serve
+        decoder-only snapshots; their scores are bit-equal.
 
         ``rel`` is a scalar or a per-source array; ``exclude`` is a shared
         candidate blacklist applied to every source (excluded ids are
@@ -395,7 +349,8 @@ class ServingEngine:
         if n == 0 or k <= 0:
             return (np.empty((n, 0), dtype=np.int64),
                     np.empty((n, 0), dtype=np.float32))
-        rel_arr = np.broadcast_to(np.asarray(rel, dtype=np.int64), (n,))
+        rel_arr = self._check_rels(
+            np.broadcast_to(np.asarray(rel, dtype=np.int64), (n,)))
         excluded = np.asarray(sorted(set(int(x) for x in exclude)),
                               dtype=np.int64)
         use_ann = (not exact and self.ann_enabled
@@ -409,10 +364,9 @@ class ServingEngine:
             if k_eff <= 0:
                 return (np.empty((n, 0), dtype=np.int64),
                         np.empty((n, 0), dtype=np.float32))
-            src_t = Tensor(self._gather_rows(srcs))
-            if use_ann:
-                return self._sweep_ann(decoder, src_t, rel_arr, valid, k_eff)
-            return self._sweep_exact(decoder, src_t, rel_arr, valid, k_eff)
+            src_t = Tensor(self.store.read_rows(srcs))
+            index = self._require_ann() if use_ann else None
+            return self._sweep(decoder, src_t, rel_arr, valid, k_eff, index)
 
         t0 = time.perf_counter()
         with self._query_guard(), no_grad():
@@ -432,9 +386,9 @@ class ServingEngine:
 
         The id tie-break is the determinism fix: truncating with a bare
         ``argpartition`` over scores let *which* of several tied-score
-        candidates survived depend on partition visit order — and the
-        visit order depends on buffer residency, so the same query could
-        return different ids under different cache states. Here the sort
+        candidates survived depend on partition visit order, so the same
+        query could return different ids under different visit orders
+        (the ANN sweep's differs from the exact one's). Here the sort
         key is the single complex scalar ``-score + id*i``: numpy orders
         complex lexicographically (real, then imaginary), giving the
         total (score desc, id asc) order, and keys are *unique* (one id
@@ -456,40 +410,13 @@ class ServingEngine:
         return (np.take_along_axis(merged_ids, order, axis=1),
                 np.take_along_axis(merged_scores, order, axis=1))
 
-    def _sweep_exact(self, decoder, src_t: Tensor, rel_arr: np.ndarray,
-                     excluded: np.ndarray,
-                     k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The oracle: page every candidate partition, score every row."""
-        n = src_t.data.shape[0]
-        best_ids = np.empty((n, 0), dtype=np.int64)
-        best_scores = np.empty((n, 0), dtype=np.float32)
-        all_parts = np.arange(self.scheme.num_partitions)
-        for part in self._partition_order(all_parts):
-            self.buffer.ensure_resident([part])
-            lo = int(self.scheme.boundaries[part])
-            hi = int(self.scheme.boundaries[part + 1])
-            block = Tensor(self.buffer.partition_view(part))
-            scores = decoder.score_against(src_t, rel_arr, block).data
-            ids = np.arange(lo, hi, dtype=np.int64)
-            if len(excluded):
-                drop = excluded[(excluded >= lo) & (excluded < hi)] - lo
-                if len(drop):        # remove, don't mask: an excluded id
-                    keep = np.ones(hi - lo, dtype=bool)   # must never be
-                    keep[drop] = False                    # returned
-                    scores, ids = scores[:, keep], ids[keep]
-            best_ids, best_scores = self._merge_topk(
-                best_ids, best_scores, np.broadcast_to(ids, (n, len(ids))),
-                scores, k)
-            self.stats.topk_parts_scanned += 1
-        return best_ids, best_scores
-
     def _require_ann(self) -> AnnIndex:
         """The lazily-built cluster index, rebuilt where stale.
 
         Built on the first ANN top-k (engines that never answer top-k
         never pay for clustering) and invalidated by the live-stream
-        listeners; rebuilds read partitions straight from the store, so
-        index maintenance cannot evict query-hot buffer partitions.
+        listeners; rebuilds cluster each stale partition's rows in place
+        in the table map.
         """
         if self.ann_index is None:
             self.ann_index = AnnIndex(self.store,
@@ -497,57 +424,60 @@ class ServingEngine:
         self.ann_index.ensure_current()
         return self.ann_index
 
-    def _sweep_ann(self, decoder, src_t: Tensor, rel_arr: np.ndarray,
-                   excluded: np.ndarray,
-                   k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The pruned sweep: bound first, page and score only survivors.
+    def _sweep(self, decoder, src_t: Tensor, rel_arr: np.ndarray,
+               excluded: np.ndarray, k: int,
+               index: Optional[AnnIndex]) -> Tuple[np.ndarray, np.ndarray]:
+        """Score candidate partitions in place, keeping a running best-k.
 
-        Partitions are visited in descending order of their best cluster
-        bound (so the running thresholds tighten as early as possible);
-        within a surviving partition only the clusters some source still
-        needs are gathered and scored — the exact blockwise math over a
-        subset of rows. Visit order is a pure function of the table and
-        the query (never of buffer residency), and pruning is sound, so
-        the result matches the exact sweep up to float32 rounding of the
-        candidate scores.
+        Each scored partition is one contiguous block of the table map
+        and one dense ``score_against``. Without ``index`` this is the
+        exact oracle: every partition, every row, ascending. With it the
+        sweep is pruned: partitions are visited in descending order of
+        their best cluster bound (so the running thresholds tighten as
+        early as possible), a partition whose every cluster falls below
+        every source's threshold is skipped, and only the columns of
+        clusters some source still needs enter the running best-k. Both
+        score the same blocks, pruning is sound, and the merge is a pure
+        function of the candidate set, so the two return the same bits.
         """
         n = src_t.data.shape[0]
-        index = self._require_ann()
-        queries = decoder.target_query_rows(src_t.data, rel_arr)
-        bounds = index.cluster_bounds(queries)
         best_ids = np.empty((n, 0), dtype=np.int64)
         best_scores = np.empty((n, 0), dtype=np.float32)
         thresholds = np.full(n, -np.inf)
-        order = np.argsort([-float(b.max()) if b.size else np.inf
-                            for b in bounds], kind="stable")
+        order = range(self.scheme.num_partitions)
+        if index is not None:
+            bounds = index.cluster_bounds(
+                decoder.target_query_rows(src_t.data, rel_arr))
+            order = np.argsort([-float(b.max()) if b.size else np.inf
+                                for b in bounds], kind="stable")
         for part in order:
             part = int(part)
-            ub = bounds[part]                        # (n, clusters)
-            if ub.size == 0 or (ub.max(axis=1) < thresholds).all():
-                self.stats.topk_parts_pruned += 1
-                continue
-            surviving = (ub >= thresholds[:, None]).any(axis=0)
-            pc = index.partition(part)
-            row_mask = np.repeat(surviving, np.diff(pc.indptr))
-            rows = pc.rows[row_mask]
             lo = int(self.scheme.boundaries[part])
-            ids = lo + rows
-            if len(excluded):
-                keep = ~np.isin(ids, excluded)
-                rows, ids = rows[keep], ids[keep]
-            if len(rows) == 0:
+            rows = np.arange(int(self.scheme.boundaries[part + 1]) - lo)
+            if index is not None:
+                ub = bounds[part]                    # (n, clusters)
+                if ub.size == 0 or (ub.max(axis=1) < thresholds).all():
+                    self.stats.topk_parts_pruned += 1
+                    continue
+                pc = index.partition(part)
+                surviving = (ub >= thresholds[:, None]).any(axis=0)
+                rows = pc.rows[np.repeat(surviving, np.diff(pc.indptr))]
+            if len(excluded):    # remove, don't mask: never return one
+                rows = rows[~np.isin(lo + rows, excluded)]
+            if index is not None and len(rows) == 0:
                 self.stats.topk_parts_pruned += 1
                 continue
-            self.buffer.ensure_resident([part])
-            block = Tensor(self.buffer.partition_view(part)[rows])
-            scores = decoder.score_against(src_t, rel_arr, block).data
+            scores = decoder.score_against(
+                src_t, rel_arr, Tensor(self.store.partition_block(part))).data
+            ids = lo + rows
             best_ids, best_scores = self._merge_topk(
                 best_ids, best_scores, np.broadcast_to(ids, (n, len(ids))),
-                scores, k)
+                scores[:, rows], k)
             if best_scores.shape[1] == k:
                 thresholds = best_scores[:, -1].astype(np.float64)
             self.stats.topk_parts_scanned += 1
-            self.stats.ann_rows_scored += len(rows)
+            if index is not None:
+                self.stats.ann_rows_scored += len(rows)
         return best_ids, best_scores
 
     # ------------------------------------------------------------------
@@ -570,18 +500,16 @@ class ServingEngine:
                      seed: Optional[int] = None) -> np.ndarray:
         """Encoder outputs for ``node_ids`` via sampled neighborhoods.
 
-        Multi-hop neighborhoods are drawn from the in-buffer subgraph only
-        (both endpoints of every sampled edge are resident by construction
-        of the partitioned index), mirroring the neighborhood restriction
-        disk training applies. Query nodes spanning more partitions than
-        the buffer holds are processed in locality-ordered chunks.
-
-        With ``seed`` the result is a pure function of (snapshot, query,
-        seed): the draw stream is reseeded, chunks run in ascending
-        partition order, and each chunk swaps to an *exact* resident set —
-        otherwise leftover residency would change which neighbors exist in
-        the in-buffer subgraph between calls. Without a seed, execution is
-        locality-optimized (resident partitions first, leftovers kept).
+        Multi-hop neighborhoods are drawn from the subgraph of the
+        sampler's resident partitions only (both endpoints of every
+        sampled edge are resident by construction of the partitioned
+        index), mirroring the neighborhood restriction disk training
+        applies. The query's partitions are taken in ascending chunks of
+        at most ``buffer_capacity``, and each chunk is exactly the
+        sampler's resident set while its nodes are encoded, so which
+        neighbors exist never depends on earlier queries. ``seed``
+        reseeds the draw stream: with it the result is a pure function
+        of (snapshot, query, seed).
         """
         t0 = time.perf_counter()
         with self._query_guard():
@@ -597,39 +525,39 @@ class ServingEngine:
         encoder = getattr(self.model, "encoder", None)
         return int(encoder.dims[-1]) if encoder is not None else self.store.dim
 
+    def _set_resident(self, sampler: DenseSampler, parts: np.ndarray) -> None:
+        """Make ``parts`` exactly the sampler's resident set."""
+        resident = set(sampler.index.partitions)
+        wanted = set(int(p) for p in parts)
+        added, removed = sorted(wanted - resident), sorted(resident - wanted)
+        if added or removed:
+            sampler.update_graph(added, removed)
+            self.stats.swaps += len(added)
+
     def _encode_rows(self, ids: np.ndarray, seed: Optional[int]) -> np.ndarray:
         if self.sampler is None and getattr(self.model, "encoder",
                                             None) is None:
             # Decoder-only snapshots have no message passing: the node
             # representation IS the stored table row (model.encode is the
-            # identity on h0), so encode-on-read degrades to the paged
+            # identity on h0), so encode-on-read degrades to the row
             # gather and every snapshot serves all four query families.
-            return self._gather_rows(ids)
+            return self.store.read_rows(ids)
         sampler = self._require_sampler()
-        deterministic = seed is not None
-        if deterministic:
+        if seed is not None:
             sampler.reseed(np.random.default_rng(seed))
         if len(ids) == 0:
             return np.empty((0, self._encoder_out_dim()), dtype=np.float32)
         parts = self.scheme.partition_of(ids)
         uniq = np.unique(parts)
-        self.policy.touch(uniq)
-        order = ([int(p) for p in uniq] if deterministic
-                 else self._partition_order(uniq))
-        chunks = [order[i : i + self.buffer.capacity]
-                  for i in range(0, len(order), self.buffer.capacity)]
         out: Optional[np.ndarray] = None
         with no_grad():
-            for i, chunk in enumerate(chunks):
-                if deterministic:
-                    self.buffer.set_partitions(chunk)
-                else:
-                    protect = [p for c in chunks[i + 1 :] for p in c]
-                    self.buffer.ensure_resident(chunk, protect=protect)
+            for start in range(0, len(uniq), self.buffer_capacity):
+                chunk = uniq[start : start + self.buffer_capacity]
+                self._set_resident(sampler, chunk)
                 mask = np.isin(parts, chunk)
                 targets = np.unique(ids[mask])
                 batch = sampler.sample(targets)
-                h0 = Tensor(self.buffer.gather(batch.node_ids))
+                h0 = Tensor(self.store.read_rows(batch.node_ids))
                 reprs = self._encoder_forward(h0, batch).data
                 if out is None:
                     out = np.empty((len(ids), reprs.shape[1]), dtype=reprs.dtype)

@@ -13,7 +13,7 @@ serving workdir, partitioned uniformly like the training store; the
 snapshot's recorded store fingerprint is checked against the rebuilt
 layout (ignoring the learnable flag — serving never carries optimizer
 state) so a partition-count mismatch is rejected up front instead of
-silently changing which rows a swap loads.
+silently changing which rows a partition holds.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
 
     ``graph`` (typically the training edge split) enables encode-on-read
     for encoder models: its edge buckets are written next to the served
-    table and sampled through the buffer-resident subgraph. Decoder-only
+    table and sampled through the sampler-resident subgraph. Decoder-only
     snapshots need no graph. ``ann`` / ``ann_cluster_size`` configure the
     pruned top-k index (built lazily on the first top-k query).
     """

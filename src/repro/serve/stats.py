@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Sequence
 
 import numpy as np
@@ -12,9 +12,9 @@ import numpy as np
 class ServeStats:
     """Counters accumulated by a :class:`~repro.serve.engine.ServingEngine`.
 
-    ``swaps`` counts partitions admitted into the read-only buffer — each is
-    one sequential partition read from the store, the serving analogue of
-    the trainer's partition-load IO metric.
+    ``swaps`` counts partitions entering the encode sampler's resident set
+    (each one re-indexes that partition's edge buckets). Lookups, scoring
+    and top-k read the table in place and never swap.
     """
 
     requests: int = 0          # public engine calls served
@@ -22,16 +22,10 @@ class ServeStats:
     edges_scored: int = 0
     topk_queries: int = 0
     nodes_encoded: int = 0
-    swaps: int = 0             # partitions admitted (disk reads)
-    topk_parts_scanned: int = 0   # partitions paged + scored by top-k sweeps
+    swaps: int = 0             # partitions entering the encode sampler
+    topk_parts_scanned: int = 0   # partitions scored by top-k sweeps
     topk_parts_pruned: int = 0    # partitions skipped by the ANN bound
-    ann_rows_scored: int = 0      # candidate rows scored on the ANN path
-
-    def swaps_per_1k(self, queries: int) -> float:
-        """Partition reads per thousand queries of the given stream."""
-        if queries <= 0:
-            return 0.0
-        return 1000.0 * self.swaps / queries
+    ann_rows_scored: int = 0      # surviving-cluster rows on the ANN path
 
     def as_dict(self) -> Dict[str, int]:
         """Every counter field, generated from the dataclass itself so a

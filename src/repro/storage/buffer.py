@@ -32,11 +32,10 @@ runs; every other store or free-slot access first waits for that job
 through the barrier the manager installs. Without a manager a buffer has
 no staging slots and no thread, and a dirty detach raises.
 
-Inference serving uses a **read-only** buffer (``read_only=True``, no
-manager): gradients are refused, so nothing is ever dirty, and residency
-follows :meth:`set_partitions` or the query stream via
-:meth:`ensure_resident`, whose victims a pluggable ``replacement_policy``
-(e.g. :class:`~repro.policies.query_lru.QueryLRU`) picks.
+Inference serving keeps no partition buffer: a read-only server has no
+epoch plan and nothing to write back, so
+:class:`~repro.serve.engine.ServingEngine` reads the store's table map in
+place.
 """
 
 from __future__ import annotations
@@ -60,24 +59,16 @@ class PartitionBuffer:
     """Holds up to ``capacity`` physical node partitions in memory."""
 
     def __init__(self, store: NodeStore, capacity: int,
-                 optimizer: Optional[RowAdagrad] = None,
-                 read_only: bool = False,
-                 replacement_policy=None) -> None:
+                 optimizer: Optional[RowAdagrad] = None) -> None:
         if capacity <= 0:
             raise ValueError("buffer capacity must be positive")
         if capacity > store.num_partitions:
             raise ValueError(
                 f"capacity {capacity} exceeds partition count {store.num_partitions}"
             )
-        if read_only and optimizer is not None:
-            raise ValueError("a read-only buffer cannot carry an optimizer")
         self.store = store
         self.capacity = capacity
         self.optimizer = optimizer
-        self.read_only = bool(read_only)
-        # Picks eviction victims for ensure_resident(); must expose
-        # choose_victims(candidates, count) -> list of partition ids.
-        self.replacement_policy = replacement_policy
         self.stats: IOStats = store.stats
         self._slot_size = int(store.scheme.sizes().max())
         self._num_slots = capacity
@@ -103,9 +94,6 @@ class PartitionBuffer:
     @property
     def resident(self) -> List[int]:
         return sorted(self._slot_of)
-
-    def is_resident(self, part: int) -> bool:
-        return part in self._slot_of
 
     def dirty_partitions(self) -> List[int]:
         """Resident partitions holding updates not yet written back."""
@@ -204,7 +192,7 @@ class PartitionBuffer:
         """
         if part not in self._slot_of:
             raise KeyError(f"partition {part} is not resident")
-        dirty = self._dirty[part] and not self.read_only
+        dirty = self._dirty[part]
         if dirty and self._num_slots == self.capacity:
             raise RuntimeError(
                 f"partition {part} is dirty and this buffer has no "
@@ -281,67 +269,6 @@ class PartitionBuffer:
         self.notify_swap(added, removed)
         return len(added) + len(removed)
 
-    def ensure_resident(self, parts: Sequence[int],
-                        protect: Sequence[int] = ()) -> int:
-        """Admit ``parts`` (if absent), detaching policy-chosen victims.
-
-        The query-driven counterpart of :meth:`set_partitions`: instead of
-        swapping to an exact plan step, the caller names only the partitions
-        the current query batch needs. Victims come from
-        ``replacement_policy.choose_victims(candidates, count)`` when one is
-        set (falling back to lowest-id-first), never from ``parts`` itself,
-        and partitions in ``protect`` (needed later in the same batch) are
-        spared while any other candidate remains. Returns the number of
-        partitions admitted; swap listeners see the usual diff.
-        """
-        wanted = sorted(set(int(x) for x in parts))
-        if len(wanted) > self.capacity:
-            raise ValueError(
-                f"query batch needs {len(wanted)} partitions at once, "
-                f"capacity {self.capacity}")
-        missing = [q for q in wanted if q not in self._slot_of]
-        if not missing:
-            return 0
-        removed: List[int] = []
-        need = len(missing) - (self.capacity - len(self._slot_of))
-        if need > 0:
-            keep = set(wanted)
-            shielded = set(protect)
-            candidates = [q for q in self._slot_of if q not in keep]
-            spared = [q for q in candidates if q not in shielded]
-            fallback = [q for q in candidates if q in shielded]
-
-            def pick(pool: List[int], count: int) -> List[int]:
-                if self.replacement_policy is not None:
-                    return self.replacement_policy.choose_victims(pool, count)
-                return sorted(pool)[:count]
-
-            # Unprotected candidates go first, all of them if necessary;
-            # protected ones are touched only for the remainder.
-            victims = pick(spared, min(need, len(spared)))
-            if len(victims) < need:
-                victims += pick(fallback, need - len(victims))
-            for victim in victims[:need]:
-                self.detach(int(victim))
-                removed.append(int(victim))
-        for part in missing:
-            self.admit(part)
-        self.notify_swap(missing, removed)
-        return len(missing)
-
-    def partition_view(self, part: int) -> np.ndarray:
-        """Zero-copy view of a resident partition's rows in the slab.
-
-        Serving's blockwise scoring reads whole partitions; handing out the
-        slab view avoids a per-block copy of the candidate matrix. Callers
-        must treat it as read-only and not hold it across an eviction.
-        """
-        try:
-            slot = self._slot_of[part]
-        except KeyError:
-            raise KeyError(f"partition {part} is not resident") from None
-        return self._views(slot, part)[0]
-
     def drop_all(self) -> None:
         """Discard every resident and staged partition WITHOUT write-back.
 
@@ -394,7 +321,7 @@ class PartitionBuffer:
             # Slot geometry changed: every view into the slab moves.
             stale = sorted(self._slot_of)
         for part in stale:
-            if self._dirty[part] and not self.read_only:
+            if self._dirty[part]:
                 lo = int(self.store.scheme.boundaries[part])
                 # The slot holds the rows mapped at admission; a grown
                 # partition's new rows are not among them.
@@ -431,8 +358,6 @@ class PartitionBuffer:
 
     def apply_gradients(self, node_ids: np.ndarray, grads: np.ndarray) -> None:
         """Row-sparse optimizer update for learnable representations (Step 6)."""
-        if self.read_only:
-            raise RuntimeError("buffer is read-only (inference serving mode)")
         if self.optimizer is None:
             raise RuntimeError("buffer was built without an embedding optimizer")
         node_ids = np.asarray(node_ids, dtype=np.int64)

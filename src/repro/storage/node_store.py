@@ -188,11 +188,22 @@ class NodeStore:
 
     # ------------------------------------------------------------------
     def read_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Direct (unbuffered) row gather — used only for evaluation."""
+        """Direct (unbuffered) row gather: evaluation and serving reads."""
         rows = np.asarray(rows, dtype=np.int64)
         data = np.array(self._table[rows])
         self.stats.record_read(data.nbytes)
         return data
+
+    def partition_block(self, part: int) -> np.ndarray:
+        """Partition ``part``'s rows in place: a read-only view of the map,
+        no copy (serving scores whole partitions straight from the page
+        cache). Counted as bytes read, not as a partition load; callers
+        must not hold it across :meth:`grow`, which remaps the table."""
+        lo, hi = int(self.scheme.boundaries[part]), int(self.scheme.boundaries[part + 1])
+        block = self._table[lo:hi].view(np.ndarray)
+        block.flags.writeable = False
+        self.stats.record_read(block.nbytes)
+        return block
 
     def read_all(self) -> np.ndarray:
         """Load the entire table (in-memory training mode)."""

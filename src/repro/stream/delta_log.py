@@ -20,11 +20,10 @@ Two disciplines keep the log bounded:
   compaction has been deferred.
 * **Forgetting** — :meth:`mark_compacted` discards every event below the
   compaction horizon (memory and spill files alike). This is the
-  bounded-history principle of the online-caching literature behind
-  :class:`~repro.policies.query_lru.QueryLRU` (Colussi: the work function
-  algorithm can forget history): once deltas are merged into the base
-  structures, replaying them can never change observable behaviour, so
-  they need not be retained.
+  bounded-history principle of the online-caching literature (Colussi:
+  the work function algorithm can forget history): once deltas are
+  merged into the base structures, replaying them can never change
+  observable behaviour, so they need not be retained.
 
 With ``wal_dir`` set the log is additionally **durable**: every append is
 framed and fsync'd to a :class:`~repro.stream.wal.WriteAheadLog` before

@@ -280,6 +280,8 @@ def test_malformed_requests_get_error_dtos(fleet):
         ("/v1/score", {"pairs": []}, 400, "bad_request"),
         ("/v1/topk", {"source": "zero", "k": 5}, 400, "bad_request"),
         ("/v1/topk", {"source": 0, "k": 0}, 400, "bad_request"),
+        ("/v1/topk", {"source": 0, "k": 5, "rel": -1}, 400, "bad_request"),
+        ("/v1/score", {"pairs": [[1, 10 ** 6, 2]]}, 400, "bad_request"),
         ("/v1/encode", {"ids": [1], "seed": "x"}, 400, "bad_request"),
         ("/v1/nope", {"ids": [1]}, 404, "not_found"),
     ]

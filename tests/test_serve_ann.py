@@ -9,8 +9,11 @@ The load-bearing guarantees:
   1.0; the floor is the asserted worst-case contract).
 * **Exact oracle parity** — `exact=True` equals scoring every node
   offline, with ties broken deterministically by ascending node id.
-* **Residency determinism** — the same query returns the same ids under
-  different buffer-residency states (regression for the unstable
+* **Bit-equal to exact** — the ANN sweep scores a surviving partition as
+  the same in-place block the exact sweep scores, so its ids and scores
+  equal the exact sweep's bit for bit.
+* **Visit-order determinism** — the same query returns the same ids
+  whatever order partitions are visited in (regression for the unstable
   argpartition truncation).
 * **Clamp contract** — the result width is `min(k, candidates)` where
   candidates excludes the `exclude` list; over a live view the clamp
@@ -133,10 +136,29 @@ def test_ann_recall_every_decoder(tmp_path, decoder, num_relations):
     np.testing.assert_allclose(sc_a, sc_x, atol=1e-5)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "clustered", "blocked", "skewed"])
+@pytest.mark.parametrize("decoder,num_relations",
+                         [("distmult", 3), ("dot", 1), ("complex", 3)])
+def test_ann_bit_equal_to_exact(tmp_path, kind, decoder, num_relations):
+    table = make_table(1200, 16, kind, seed=17)
+    engine = make_engine(tmp_path, table, 8, capacity=2, decoder=decoder,
+                         num_relations=num_relations)
+    srcs = [0, 7, 450, 1199]
+    rel = [0, num_relations - 1, 0, num_relations - 1]
+    for exclude in ((), (0, 7, 450, 1199, 3, 800)):
+        ids_x, sc_x = engine.topk_targets_batch(srcs, 10, rel=rel,
+                                                exclude=exclude, exact=True)
+        ids_a, sc_a = engine.topk_targets_batch(srcs, 10, rel=rel,
+                                                exclude=exclude)
+        np.testing.assert_array_equal(ids_a, ids_x)
+        assert sc_a.tobytes() == sc_x.tobytes()
+
+
 def test_ann_prunes_partitions_on_clustered_data(tmp_path):
     """The point of the index: on clusterable tables whole partitions are
-    skipped without being paged in, and only a fraction of rows is ever
-    scored. (Correctness is covered above; this pins the sublinearity.)"""
+    skipped without being scored, and only a fraction of rows is ever
+    kept as candidates. (Correctness is covered above; this pins the
+    sublinearity.)"""
     table = make_table(4000, 16, "blocked", seed=11)
     engine = make_engine(tmp_path, table, 16, capacity=4)
     engine.topk_targets_batch([5, 1000], 10)
@@ -144,8 +166,9 @@ def test_ann_prunes_partitions_on_clustered_data(tmp_path):
     assert s.topk_parts_pruned > 0
     assert s.topk_parts_scanned < 16
     assert 0 < s.ann_rows_scored < 4000
-    # The skipped partitions were never paged through the buffer.
-    assert s.swaps <= s.topk_parts_scanned + engine.buffer.capacity
+    # Top-k reads the table in place: nothing is swapped or loaded.
+    assert s.swaps == 0
+    assert engine.store.stats.partition_loads == 0
 
 
 def test_ann_index_rebuilds_lazily_and_on_invalidate(tmp_path):
@@ -223,8 +246,9 @@ def test_tied_scores_break_by_node_id(tmp_path):
 def test_topk_deterministic_across_residency_states(tmp_path):
     """Regression (unstable argpartition truncation): which tied-score
     candidate survived the running best-k depended on partition visit
-    order, which follows buffer residency — the same query could answer
-    differently depending on cache state."""
+    order — the same query could answer differently depending on cache
+    state, and the ANN sweep visits partitions in another order than the
+    exact one."""
     rng = np.random.default_rng(8)
     distinct = rng.uniform(-1, 1, size=(3, 8)).astype(np.float32)
     table = distinct[rng.integers(0, 3, 120)]           # ties everywhere
@@ -232,11 +256,13 @@ def test_topk_deterministic_across_residency_states(tmp_path):
     ids_cold, sc_cold = engine_cold.topk_targets(0, 7, exact=True)
 
     engine_warm = make_engine(tmp_path, table, 8, capacity=3, name="warm")
-    # Warm partitions 5 and 6 first: _partition_order now starts there.
+    # Lookups in partitions 5 and 6 first: they leave nothing resident
+    # that could reorder the sweep.
     warm_ids = np.concatenate([engine_warm.scheme.partition_nodes(5)[:2],
                                engine_warm.scheme.partition_nodes(6)[:2]])
     engine_warm.get_embeddings(warm_ids)
-    assert engine_warm.buffer.resident != engine_cold.buffer.resident
+    assert engine_warm.stats.swaps == 0
+    assert engine_warm.store.stats.partition_loads == 0
     ids_warm, sc_warm = engine_warm.topk_targets(0, 7, exact=True)
 
     np.testing.assert_array_equal(ids_cold, ids_warm)

@@ -1,12 +1,15 @@
-"""Serving subsystem tests: parity, paging, replacement policy, batching.
+"""Serving subsystem tests: parity, in-place reads, batching, encode.
 
 The load-bearing guarantees:
 
 * **Golden parity** — scores served for held-out edges are bit-identical
   to offline scoring (`score_edges_offline`, the `evaluate_model` math) on
   the same snapshot.
-* **Paging property** — buffer-paged `get_embeddings` equals a full-table
-  gather for arbitrary id sets, at any buffer capacity.
+* **In-place reads** — `get_embeddings` equals a full-table gather for
+  arbitrary id sets, and lookups, scoring and top-k read the table map
+  in place: no partition load, no swap.
+* **Encode residency** — encode-on-read's resident set is a function of
+  the query alone, so a seeded encode never depends on earlier queries.
 * **Read-only restore** — a snapshot serves without its optimizer /
   policy / RNG state ever round-tripping through a trainer.
 """
@@ -17,12 +20,9 @@ import numpy as np
 import pytest
 
 from repro.graph import load_fb15k237, load_papers100m_mini
-from repro.policies import QueryLRU
 from repro.serve import (BatcherStopped, RequestBatcher, ServingEngine,
                          latency_summary, serve_link_prediction,
                          serve_node_classification)
-from repro.storage import NodeStore, PartitionBuffer
-from repro.graph.partition import PartitionScheme
 from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
                          DiskNodeClassificationConfig,
                          DiskNodeClassificationTrainer, LinkPredictionConfig,
@@ -63,7 +63,7 @@ def lp_engine(lp_snapshot, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Paging property: buffer-paged gather == full-table gather
+# In-place reads: served gather == full-table gather
 # ---------------------------------------------------------------------------
 
 def test_get_embeddings_matches_full_table(lp_snapshot, lp_engine):
@@ -74,10 +74,32 @@ def test_get_embeddings_matches_full_table(lp_snapshot, lp_engine):
         ids = rng.integers(0, n, size=size)      # dups, unordered
         got = lp_engine.get_embeddings(ids)
         np.testing.assert_array_equal(got, table[ids])
-    # Paged: capacity 2 of 8 partitions, yet every row was served.
-    assert lp_engine.buffer.capacity == 2
-    assert len(lp_engine.buffer.resident) <= 2
-    assert lp_engine.stats.swaps > 0
+    # Read in place: no partition was loaded or swapped to serve them.
+    assert lp_engine.buffer_capacity == 2
+    assert lp_engine.store.stats.partition_loads == 0
+    assert lp_engine.stats.swaps == 0
+
+
+def test_queries_never_load_partitions(lp_data, lp_engine):
+    """Embed, score and both top-k sweeps leave the store's partition-load
+    counter and the engine's swap counter exactly where they were."""
+    io = lp_engine.store.stats
+    loads = io.partition_loads
+    lp_engine.get_embeddings(np.arange(0, lp_engine.store.num_nodes, 7))
+    lp_engine.score_edges(lp_data.split.test[:50])
+    lp_engine.topk_targets(3, 10)
+    lp_engine.topk_targets_batch([3, 9, 27], 10, exact=True)
+    assert io.partition_loads == loads
+    assert lp_engine.stats.swaps == 0
+    assert io.bytes_read > 0          # in-place reads are still counted
+
+
+def test_engine_validates_buffer_capacity(lp_engine):
+    store = lp_engine.store
+    with pytest.raises(ValueError, match="positive"):
+        ServingEngine(lp_engine.model, store, 0)
+    with pytest.raises(ValueError, match="exceeds partition count"):
+        ServingEngine(lp_engine.model, store, store.num_partitions + 1)
 
 
 def test_get_embeddings_edge_cases(lp_snapshot, lp_engine):
@@ -135,78 +157,18 @@ def test_topk_matches_full_scoring(lp_data, lp_snapshot, lp_engine):
     assert np.isfinite(scores_all).all()
 
 
-# ---------------------------------------------------------------------------
-# Read-only buffer + query-driven replacement
-# ---------------------------------------------------------------------------
-
-def test_read_only_buffer_refuses_writes(tmp_path):
-    scheme = PartitionScheme.uniform(100, 4)
-    store = NodeStore(tmp_path / "t.bin", scheme, 4, learnable=False)
-    store.initialize(rng=np.random.default_rng(0))
-    before = store.read_all().copy()
-    buf = PartitionBuffer(store, 2, read_only=True)
-    buf.ensure_resident([0, 1])
-    with pytest.raises(RuntimeError, match="read-only"):
-        buf.apply_gradients(np.array([0]), np.ones((1, 4), dtype=np.float32))
-    # Evictions of a read-only buffer never write back.
-    buf._dirty[0] = True
-    buf.ensure_resident([2, 3])
-    np.testing.assert_array_equal(store.read_all(), before)
-
-
-def test_read_only_buffer_rejects_optimizer(tmp_path):
-    from repro.nn.optim import RowAdagrad
-    scheme = PartitionScheme.uniform(100, 4)
-    store = NodeStore(tmp_path / "t.bin", scheme, 4, learnable=False)
-    with pytest.raises(ValueError, match="read-only"):
-        PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.1), read_only=True)
-
-
-def test_ensure_resident_evicts_lru_victim(tmp_path):
-    scheme = PartitionScheme.uniform(80, 8)
-    store = NodeStore(tmp_path / "t.bin", scheme, 2, learnable=False)
-    store.initialize(rng=np.random.default_rng(0))
-    policy = QueryLRU(8)
-    buf = PartitionBuffer(store, 2, read_only=True, replacement_policy=policy)
-    policy.touch([0]); buf.ensure_resident([0])
-    policy.touch([1]); buf.ensure_resident([1])
-    policy.touch([0])                       # 1 is now least recent
-    policy.touch([2]); buf.ensure_resident([2])
-    assert buf.resident == [0, 2]
-    # protect= spares a partition needed later in the same batch.
-    policy.touch([3]); buf.ensure_resident([3], protect=[0])
-    assert 0 in buf.resident and 3 in buf.resident
-    # When victims outnumber unprotected candidates, every unprotected one
-    # goes first and protected ones cover only the remainder.
-    buf3 = PartitionBuffer(store, 3, read_only=True, replacement_policy=policy)
-    buf3.ensure_resident([0, 1, 2])
-    buf3.ensure_resident([4, 5], protect=[0, 1])
-    assert 2 not in buf3.resident            # the sole unprotected victim
-    assert (0 in buf3.resident) != (1 in buf3.resident)
-
-
-def test_query_lru_ordering():
-    policy = QueryLRU(4)
-    policy.touch([0, 1])
-    policy.touch([2])
-    # 3 never touched -> coldest; then the 0/1 pair, frequency tie-break.
-    assert policy.choose_victims([0, 1, 2, 3], 1) == [3]
-    assert policy.choose_victims([0, 1, 2], 2) == [0, 1]
-    policy.touch([1])
-    assert policy.choose_victims([0, 1, 2], 1) == [0]
-    state = policy.state_dict()
-    fresh = QueryLRU(4)
-    fresh.load_state_dict(state)
-    assert fresh.choose_victims([0, 1, 2], 1) == [0]
-
-
-def test_topk_scan_does_not_touch_policy(lp_engine):
-    """A full-table sweep must not poison the recency state of the
-    query-hot partitions (scan resistance)."""
-    lp_engine.get_embeddings(np.array([0, 1, 2]))
-    touches = lp_engine.policy.touches
-    lp_engine.topk_targets(0, 5)
-    assert lp_engine.policy.touches == touches + 1   # only the src lookup
+def test_relation_ids_are_range_checked(lp_engine):
+    """A negative relation id used to wrap to the last relation and one
+    past the table raised a raw IndexError; both are bad queries now."""
+    num = lp_engine.decoder.num_relations
+    for rel in (-1, num):
+        with pytest.raises(KeyError, match="relation ids out of range"):
+            lp_engine.topk_targets(3, 5, rel=rel)
+        with pytest.raises(KeyError, match="relation ids out of range"):
+            lp_engine.score_edges(np.array([[1, rel, 2]]))
+    with pytest.raises(KeyError, match="relation ids out of range"):
+        lp_engine.topk_targets_batch([1, 2], 5, rel=[0, num])
+    lp_engine.topk_targets(3, 5, rel=num - 1)      # the last one is fine
 
 
 def test_stats_count_each_query_once(lp_data, lp_engine):
@@ -303,7 +265,7 @@ def test_latency_summary_empty():
 
 
 # ---------------------------------------------------------------------------
-# Encode-on-read (GNN forward over the in-buffer subgraph)
+# Encode-on-read (GNN forward over the sampler-resident subgraph)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -331,15 +293,36 @@ def test_nc_classify_deterministic_and_paged(nc_snapshot, tmp_path):
     assert preds.min() >= 0 and preds.max() < 5
     np.testing.assert_array_equal(preds, engine.classify(ids, seed=7))
     assert engine.stats.nodes_encoded == 2 * len(ids)
+    # Ascending chunks of 2: the last chunk stays resident.
+    assert engine.sampler.index.partitions == [6, 7]
     # Empty queries keep the encoder's output width (hidden_dim, not the
     # feature dim), so downstream head matmuls stay well-shaped.
     assert engine.classify(np.empty(0, dtype=np.int64)).shape == (0,)
     assert engine.encode_nodes(np.empty(0, dtype=np.int64)).shape == (0, 8)
 
 
+def test_seeded_encode_ignores_earlier_queries(nc_snapshot, tmp_path):
+    """A seeded encode on an engine warmed by other queries equals the
+    same call on a fresh engine: the sampler's resident set is the
+    query's own partition chunk, whatever earlier queries left."""
+    snapshot, data = nc_snapshot
+    warm = serve_node_classification(snapshot, data, tmp_path / "warm",
+                                     buffer_capacity=3)
+    warm.encode_nodes(np.arange(500, 600, 3))           # partitions 6, 7
+    warm.get_embeddings(np.arange(0, 600, 50))
+    warm.classify(np.array([80, 160, 240]))             # unseeded
+    ids = np.array([5, 90, 170, 333, 420, 599])
+    got = warm.encode_nodes(ids, seed=11)
+    fresh = serve_node_classification(snapshot, data, tmp_path / "fresh",
+                                      buffer_capacity=3)
+    np.testing.assert_array_equal(got, fresh.encode_nodes(ids, seed=11))
+    # swaps counts partitions entering the sampler's resident set.
+    assert fresh.stats.swaps == len(np.unique(fresh.scheme.partition_of(ids)))
+
+
 def test_lp_encoder_serving(lp_data, tmp_path):
     """Encoder snapshots score through encode-on-read (sampled over the
-    in-buffer subgraph, reproducible under a fixed seed)."""
+    sampler-resident subgraph, reproducible under a fixed seed)."""
     cfg = LinkPredictionConfig(embedding_dim=8, encoder="graphsage",
                                num_layers=1, fanouts=(4,), batch_size=256,
                                num_negatives=16, num_epochs=1,
@@ -368,7 +351,7 @@ def test_lp_encoder_serving(lp_data, tmp_path):
 def test_decoder_only_encode_is_the_table_gather(lp_engine):
     # Decoder-only snapshots have no message passing: the node
     # representation IS the stored row, so encode-on-read degrades to the
-    # paged gather and every snapshot serves all four query families
+    # row gather and every snapshot serves all four query families
     # (the serving-fleet endpoint contract). Classification still needs a
     # trained head.
     ids = np.array([1, 3, 2, 3])

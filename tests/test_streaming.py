@@ -494,14 +494,14 @@ class TestBatchedTopK:
         srcs = [1, 40, 80, 110]
         batch_engine = self._engine(tmp_path / "batch")
         batch_engine.topk_targets_batch(srcs, 5)
-        batch_swaps = batch_engine.stats.swaps
+        batch_scanned = batch_engine.stats.topk_parts_scanned
         loop_engine = self._engine(tmp_path / "loop")
         for src in srcs:
             loop_engine.topk_targets(src, 5)
-        # One shared sweep (plus the source gathers) vs one sweep per query.
+        # One shared sweep vs one sweep per query.
         p = batch_engine.scheme.num_partitions
-        assert batch_swaps <= p + batch_engine.buffer.capacity
-        assert batch_swaps < loop_engine.stats.swaps
+        assert batch_scanned <= p
+        assert batch_scanned < loop_engine.stats.topk_parts_scanned
 
     def test_through_request_batcher(self, tmp_path):
         from repro.serve.batcher import RequestBatcher
