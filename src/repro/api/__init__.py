@@ -13,10 +13,9 @@ the streaming driver — is described by a declarative, JSON-serializable
     result = run(spec)             # TrainResult
     print(result.final_mrr)
 
-``repro run spec.json`` is the CLI face of the same call, and the legacy
-``train-lp``/``train-nc``/``serve``/``stream`` subcommands are thin
-shims that build a spec from flags and delegate here. See
-``docs/api.md`` for the spec schema, the registry, and migration notes.
+``repro run spec.json [--set section.field=value ...]`` is the CLI face
+of the same call. See ``docs/api.md`` for the spec schema and the
+registry.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from .registry import (JOB_KINDS, JobError, KindInfo, get_factory,
                        job_kinds, kind_info)
 from .specs import (CheckpointSpec, DataSpec, FleetSpec, JobSpec, ModelSpec,
                     ObsSpec, ServeSpec, StorageSpec, StreamSpec, TrainSpec,
-                    default_checkpoint_dir, load_spec, save_spec,
-                    schema_lines)
+                    apply_overrides, load_spec, save_spec, schema_lines)
 
 __all__ = [
     "JobSpec", "DataSpec", "ModelSpec", "TrainSpec", "StorageSpec",
     "CheckpointSpec", "ServeSpec", "StreamSpec", "FleetSpec", "ObsSpec",
-    "load_spec", "save_spec", "schema_lines",
+    "load_spec", "save_spec", "apply_overrides", "schema_lines",
     "JOB_KINDS", "JobError", "KindInfo", "job_kinds", "kind_info",
-    "get_factory", "default_checkpoint_dir",
+    "get_factory",
     "build_job", "run", "registry",
 ]
 
@@ -94,7 +92,7 @@ def run(spec: JobSpec, verbose: bool = False, on_event=None) -> Any:
     ``checkpoint.resume_from`` when set, and executes the job — returning
     the kind's result object (a ``TrainResult``,
     ``NodeClassificationResult``, or a results dict for serve/stream
-    jobs). ``verbose=True`` reproduces the legacy CLI output.
+    jobs). ``verbose=True`` prints the progress ``repro run`` shows.
     """
     job = build_job(spec, verbose=verbose, on_event=on_event)
     try:

@@ -10,14 +10,12 @@ promises::
 
 Every factory here consumes a **resolved** :class:`~repro.api.specs.
 JobSpec` and is the single place the spec's declarative fields meet the
-constructors of the underlying subsystems — the CLI subcommands are thin
-shims over these factories, so programmatic ``repro.api.run(spec)`` and
-``repro run spec.json`` and the legacy flag spellings all execute
-identical code. User-facing configuration errors raise
+constructors of the underlying subsystems, so programmatic
+``repro.api.run(spec)`` and ``repro run spec.json`` execute identical
+code. User-facing configuration errors raise
 :class:`~repro.api.registry.JobError` (a ``ValueError`` subclass the CLI
 converts to clean exits — anything else propagates with a traceback);
-``verbose=True`` reproduces the legacy CLI's progress output
-byte-for-byte.
+``verbose=True`` prints the progress output ``repro run`` shows.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from ..train import (DiskConfig, DiskLinkPredictionTrainer,
 from ..train.hooks import ProgressListener
 from . import registry
 from .registry import JobError
-from .specs import CheckpointSpec, JobSpec, default_checkpoint_dir
+from .specs import CheckpointSpec, JobSpec
 
 LP_DATASETS = {
     "fb15k237": lambda scale, seed=0: load_fb15k237(scale=scale, seed=seed),
@@ -81,14 +79,13 @@ def _parse_ids(text: str) -> np.ndarray:
 
 def _checkpoint_kwargs(ck: CheckpointSpec, workdir: Optional[str],
                        verbose: bool) -> Dict[str, Any]:
-    """Shared checkpoint plumbing for every trainer kind (legacy
-    ``_checkpoint_args`` semantics: a cadence or an explicit dir enables
-    the snapshot subsystem; the dir falls back to ``<workdir>/checkpoints``
-    and then to a temp dir)."""
+    """Shared checkpoint plumbing for every trainer kind: a cadence or an
+    explicit dir enables the snapshot subsystem; the dir falls back to
+    ``<storage.workdir>/checkpoints`` and then to a temp dir."""
     if not ck.every and not ck.dir:
         return {}
     checkpoint_dir = Path(ck.dir) if ck.dir else (
-        Path(default_checkpoint_dir(workdir)) if workdir else
+        Path(workdir) / "checkpoints" if workdir else
         Path(tempfile.mkdtemp(prefix="repro-ckpt-")))
     if verbose:
         if ck.every:
@@ -96,7 +93,7 @@ def _checkpoint_kwargs(ck: CheckpointSpec, workdir: Optional[str],
             print(f"checkpointing every {ck.every} to "
                   f"{checkpoint_dir}{compressed}")
         else:
-            print(f"checkpoint dir {checkpoint_dir} (no --checkpoint-every: "
+            print(f"checkpoint dir {checkpoint_dir} (no checkpoint.every: "
                   f"snapshots are read for resume but none will be written)")
     return {"checkpoint_dir": checkpoint_dir,
             "checkpoint_every": ck.every,
@@ -270,7 +267,7 @@ def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
         graph = None
         if meta.get("config", {}).get("encoder", "none") != "none":
             # Encoder snapshots sample neighborhoods on read; the job
-            # regenerates the training graph the same way train-lp does.
+            # regenerates the training graph the same way the LP trainers do.
             if not spec.data.dataset:
                 raise JobError(
                     "this snapshot has a GNN encoder: pass data.dataset/"
@@ -356,7 +353,7 @@ class ServeJob(Job):
                 if len(fields) == 2:            # S:D — relation 0
                     fields = [fields[0], 0, fields[1]]
                 elif len(fields) != 3:
-                    raise JobError(f"bad --score spec {edge_spec!r}: "
+                    raise JobError(f"bad serve.score entry {edge_spec!r}: "
                                      f"expected SRC:DST or SRC:REL:DST")
                 rows.append(fields)
             pairs = np.array(rows, dtype=np.int64)
@@ -372,7 +369,7 @@ class ServeJob(Job):
                                                    exclude=[src],
                                                    exact=serve.exact)
             except RuntimeError as exc:  # e.g. encoder snapshots refuse top-k
-                raise JobError(f"--topk: {exc}") from exc
+                raise JobError(f"serve.topk: {exc}") from exc
             results["topk"] = (ids, scores)
             if verbose:
                 mode = ("exact" if serve.exact or not serve.ann else "ann")

@@ -7,13 +7,13 @@ sections that kind reads — :class:`DataSpec`, :class:`ModelSpec`,
 :class:`ServeSpec`, :class:`StreamSpec`. Fields defaulting to ``None``
 are *kind-resolved*: :meth:`JobSpec.resolve` fills them from the
 registry's per-kind defaults (e.g. ``model.fanouts`` becomes ``(10,)``
-for ``lp-mem`` but ``(10, 5)`` for ``nc-mem``), mirroring the legacy CLI
-defaults exactly — the CLI subcommands are thin shims that build these
-specs from flags, and ``--dump-spec`` prints the resolved form.
+for ``lp-mem`` but ``(10, 5)`` for ``nc-mem``); ``repro run --dump-spec``
+prints the resolved form, and ``repro run --set section.field=value``
+overrides one field through :func:`apply_overrides`.
 
 Round-trip contract (property-tested): ``from_dict(to_dict(spec)) ==
-spec`` for every kind, and unknown sections or fields are rejected
-instead of silently ignored.
+spec`` for every kind, and unknown sections or fields, or values that do
+not match a field's annotation, are rejected instead of silently ignored.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import (Any, Dict, Iterable, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 from . import registry
 from .registry import JobError
@@ -194,8 +195,38 @@ _SECTION_TYPES = {"data": DataSpec, "model": ModelSpec, "train": TrainSpec,
                   "serve": ServeSpec, "stream": StreamSpec,
                   "fleet": FleetSpec, "telemetry": ObsSpec}
 
-# Fields parsed back from JSON lists into tuples.
-_TUPLE_FIELDS = {("model", "fanouts"), ("serve", "score"), ("serve", "topk")}
+# Resolved field annotations per section: what from_dict checks values
+# against, and what tells --set whether a field takes its text verbatim.
+_FIELD_TYPES = {name: get_type_hints(cls)
+                for name, cls in _SECTION_TYPES.items()}
+
+
+def _optional_arg(hint: Any) -> Any:
+    """``X`` for ``Optional[X]``, else ``None``."""
+    if get_origin(hint) is Union:
+        return next(arg for arg in get_args(hint) if arg is not type(None))
+    return None
+
+
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether a parsed JSON value fits a field annotation: an int is a
+    float, a bool is not an int, and a fixed tuple checks its length."""
+    inner = _optional_arg(hint)
+    if inner is not None:
+        return value is None or _conforms(value, inner)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(item, args[0]) for item in value)
+        return (len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 @dataclass
@@ -223,7 +254,7 @@ class JobSpec:
 
         Returns a new, fully-determined spec (idempotent: resolving a
         resolved spec is the identity). This is what ``--dump-spec``
-        prints and what the CLI-parity tests compare.
+        prints.
         """
         info = registry.kind_info(self.kind)
         out = JobSpec(kind=self.kind,
@@ -233,9 +264,9 @@ class JobSpec:
             section, name = dotted.split(".")
             if getattr(getattr(out, section), name) is None:
                 setattr(getattr(out, section), name, value)
-        # Derived NC regeneration parameters: the legacy train-nc command
-        # ties the feature dim and dataset seed to the model dim and
-        # training seed; explicit spec values win.
+        # Derived NC regeneration parameters: the NC trainers tie the
+        # feature dim and dataset seed to the model dim and training
+        # seed; explicit spec values win.
         if self.kind in (registry.NC_MEM, registry.NC_DISK):
             if out.data.feat_dim is None:
                 out.data.feat_dim = out.model.dim
@@ -313,7 +344,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
-        """Parse a spec dict, rejecting unknown sections and fields."""
+        """Parse a spec dict, rejecting unknown sections and fields and
+        values that do not match their field's annotation."""
         if not isinstance(payload, dict):
             raise JobError(f"spec must be a JSON object, got {type(payload).__name__}")
         if "kind" not in payload:
@@ -338,8 +370,12 @@ class JobSpec:
                 raise JobError(f"unknown field(s) {bad} in section "
                                  f"{name!r} (known: {sorted(known)})")
             for key, value in block.items():
-                if (name, key) in _TUPLE_FIELDS and isinstance(value, list):
+                hint = _FIELD_TYPES[name][key]
+                if isinstance(value, list):
                     value = tuple(value)
+                if not _conforms(value, hint):
+                    raise JobError(f"{name}.{key} must be "
+                                   f"{_type_name(hint)}, got {value!r}")
                 setattr(section, key, value)
         return spec
 
@@ -360,12 +396,6 @@ class JobSpec:
         return cls.from_dict(payload)
 
 
-def default_checkpoint_dir(workdir: os.PathLike) -> str:
-    """The one place the ``<workdir>/checkpoints`` fallback rule lives
-    (used by both the CLI flag shims and the job builders)."""
-    return str(Path(workdir) / "checkpoints")
-
-
 def load_spec(path: os.PathLike) -> JobSpec:
     """Load a :class:`JobSpec` from a JSON file."""
     return JobSpec.load(path)
@@ -376,13 +406,44 @@ def save_spec(spec: JobSpec, path: os.PathLike) -> Path:
     return spec.save(path)
 
 
+def apply_overrides(spec: JobSpec, assignments: Iterable[str]) -> JobSpec:
+    """``spec`` with ``section.field=value`` assignments applied in order
+    (a later one wins), parsed back through :meth:`JobSpec.from_dict` so
+    unknown names and mistyped values fail exactly as in a spec file.
+
+    A ``str`` field takes the text verbatim (``serve.embed=1,2,3``); any
+    other field parses it as JSON (``train.epochs=2``,
+    ``model.fanouts=[5]``, ``serve.exact=true``), and ``null`` clears an
+    Optional field."""
+    payload = spec.to_dict()
+    for text in assignments:
+        key, eq, raw = text.partition("=")
+        section, dot, name = key.partition(".")
+        if not (eq and dot and section and name):
+            raise JobError(f"--set wants section.field=value, got {text!r}")
+        block = payload.setdefault(section, {})
+        if not isinstance(block, dict):
+            raise JobError(f"--set {key}: {section!r} is not a spec section")
+        hint = _FIELD_TYPES.get(section, {}).get(name)
+        if hint is None or (str in (hint, _optional_arg(hint))
+                            and raw != "null"):
+            block[name] = raw     # unknown names fail by name in from_dict
+            continue
+        try:
+            block[name] = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise JobError(f"--set {key}: {raw!r} is not a JSON value "
+                           f"({exc.msg})") from exc
+    return JobSpec.from_dict(payload)
+
+
 # ---------------------------------------------------------------------------
 # Schema rendering (``repro info --jobs``) — generated from the dataclasses
 # and the registry defaults, so the listing cannot drift from the code.
 # ---------------------------------------------------------------------------
 
-def _type_name(fld: dataclasses.Field) -> str:
-    text = str(fld.type)
+def _type_name(hint: Any) -> str:
+    text = str(hint)
     for token, name in (("Tuple[int, int]", "[int,int]"),
                         ("Tuple[int, ...]", "[int...]"),
                         ("Tuple[str, ...]", "[str...]")):
@@ -404,6 +465,7 @@ def schema_lines(kind: str) -> Tuple[str, ...]:
             default = info.defaults.get(f"{name}.{fld.name}", fld.default)
             shown = "-" if default is None else (
                 list(default) if isinstance(default, tuple) else default)
-            lines.append(f"{name + '.' + fld.name:<26} {_type_name(fld):<9} "
-                         f"{str(shown):<10} {fld.metadata.get('help', '')}")
+            lines.append(f"{name + '.' + fld.name:<26} "
+                         f"{_type_name(fld.type):<9} {str(shown):<10} "
+                         f"{fld.metadata.get('help', '')}")
     return tuple(lines)

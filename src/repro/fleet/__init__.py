@@ -11,8 +11,8 @@ endpoints plus ``/healthz`` and ``/statz``; and the
 :class:`~repro.fleet.affinity.AffinityRouter` maps each request's lead
 node id to the worker owning its partition range, so micro-batches
 coalesce per worker.
-Run it as the ``serve-fleet`` job kind (``repro serve-fleet`` /
-``repro run``); see ``docs/serving.md``.
+Run it as the ``serve-fleet`` job kind (``repro run fleet.json``); see
+``docs/serving.md``.
 """
 
 from .affinity import AffinityRouter

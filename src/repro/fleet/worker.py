@@ -199,7 +199,7 @@ def _serve_connection(conn: socket.socket, dispatcher: _Dispatcher) -> None:
 
 
 def _build_engine(cfg: WorkerConfig):
-    """The worker-side engine build: same path as ``repro serve``."""
+    """The worker-side engine build: same path as the ``serve`` job."""
     from ..api.jobs import build_serving_engine
     from ..api.specs import JobSpec
     spec = JobSpec.from_dict(cfg.spec)

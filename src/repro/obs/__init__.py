@@ -12,8 +12,9 @@ Three layers (see ``docs/observability.md`` for the metric catalog):
   opt-in (no records, no files).
 
 Jobs enable it declaratively through the ``telemetry`` spec section
-(``{"sink": "jsonl"}``) or ``repro run --telemetry``; ``repro top
-<run-dir>`` renders the resulting log.
+(``{"sink": "jsonl"}``, or ``repro run job.json --set
+telemetry.sink=jsonl``); ``repro top <run-dir>`` renders the resulting
+log.
 """
 
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,

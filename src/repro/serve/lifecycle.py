@@ -1,6 +1,6 @@
 """Signal-aware shutdown for serving processes.
 
-``repro serve`` (and every fleet worker) answers queries until it is told
+A ``serve`` job (and every fleet worker) answers queries until it is told
 to stop — and "told to stop" in any deployment is a signal, not a method
 call. :class:`GracefulDrain` turns SIGINT/SIGTERM into an orderly drain:
 the moment the signal lands, registered drain callables run (typically
@@ -43,7 +43,7 @@ class GracefulDrain:
     signals:
         Which signals trigger the drain (default SIGINT + SIGTERM).
     exit_after:
-        When true (the ``repro serve`` mode), the handler raises
+        When true (the ``serve`` job mode), the handler raises
         ``SystemExit(128 + signum)`` after draining — the conventional
         "killed by signal N" exit code — so a blocking query loop
         unwinds. When false (the fleet-worker mode), the handler only

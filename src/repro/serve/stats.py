@@ -40,7 +40,7 @@ def make_query_stream(mix: str, num_queries: int, num_nodes: int,
     ``"random"`` draws uniformly; ``"zipf"`` (exponent 1.3) skews over a
     random node permutation, so the hot set is scattered across partitions
     rather than clustered in the first one. One definition shared by the
-    ``repro serve --bench`` probe and ``benchmarks/test_serving_throughput``
+    ``serve.bench`` probe and ``benchmarks/test_serving_throughput``
     keeps their reported workloads comparable.
     """
     rng = np.random.default_rng(seed + 17)

@@ -36,9 +36,9 @@ the surviving spill files plus a WAL scan.
 
 The log is internally thread-safe (``_mutex``): ingest, spill, overlay
 composition, and compaction bookkeeping may be driven from different
-threads — the higher-level striped/shared locking in
-:class:`~repro.stream.live.LiveGraph` provides ordering *between*
-buckets, this mutex protects the log's own containers.
+threads — :class:`~repro.stream.live.LiveGraph`'s one writer lock
+(``live.lock``) orders the writers, this mutex protects the log's own
+containers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Synthetic event generation for drivers and benchmarks.
 
-One definition shared by the ``repro stream`` CLI driver/REPL and
+One definition shared by the ``stream`` job kind's driver/REPL and
 ``benchmarks/test_streaming_ingest`` so both measure the same workload:
 uniform-random insertions over the current live node ID space (relation
 IDs drawn when the graph has relations) plus deletions of *real* live

@@ -1,18 +1,20 @@
-"""The unified job API: spec round-trips, registry, CLI parity, run().
+"""The unified job API: spec round-trips, registry, ``--set``, run().
 
-Three contracts under test (ISSUE 5 acceptance criteria):
+Three contracts under test:
 
 * spec round-trip — ``from_dict(to_dict(spec))`` is the identity for
-  every job kind, and unknown sections/fields are rejected;
-* CLI parity — every legacy subcommand and its spec-file equivalent
-  resolve to the *same* ``JobSpec`` (asserted through ``--dump-spec`` on
-  both paths), and explicit command-line flags win over ``--config``
-  JSON values;
+  every job kind, and unknown sections/fields and mistyped values are
+  rejected;
+* ``--set`` parity — ``repro run base.json --set section.field=value``
+  and the same job written inline as one spec file resolve to the
+  *same* ``JobSpec`` (asserted through ``--dump-spec`` on both paths),
+  and a later ``--set`` wins over the file and over earlier ones;
 * execution — ``repro.api.run`` / ``repro run spec.json`` can express
   and execute the job kinds end to end, including snapshot + resume.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +168,7 @@ def test_info_jobs_schema_generated_from_registry(capsys):
 
 
 # ---------------------------------------------------------------------------
-# CLI parity: legacy flags vs spec file resolve to the same JobSpec
+# --set parity: overrides on a base file vs the job written inline
 # ---------------------------------------------------------------------------
 
 def _dump(capsys, argv):
@@ -174,77 +176,159 @@ def _dump(capsys, argv):
     return json.loads(capsys.readouterr().out)
 
 
-PARITY_CASES = [
-    (["train-lp"], {"kind": "lp-mem"}),
-    (["train-lp", "--scale", "0.2", "--epochs", "1", "--encoder", "none",
-      "--dim", "12", "--seed", "3"],
-     {"kind": "lp-mem",
-      "data": {"scale": 0.2},
-      "model": {"dim": 12, "encoder": "none"},
-      "train": {"epochs": 1, "seed": 3}}),
-    (["train-lp", "--disk", "--policy", "beta", "--partitions", "8",
-      "--logical", "4", "--buffer", "2", "--workdir", "W",
-      "--checkpoint-every", "2", "--checkpoint-incremental"],
-     {"kind": "lp-disk",
-      "storage": {"workdir": "W", "partitions": 8, "logical": 4,
-                  "buffer": 2, "policy": "beta"},
-      "checkpoint": {"every": 2, "incremental": True}}),
-    (["train-lp", "--workdir", "W", "--checkpoint-every", "1"],
-     {"kind": "lp-mem", "checkpoint": {"every": 1, "dir": "W/checkpoints"}}),
-    (["train-nc", "--nodes", "900", "--dim", "24", "--epochs", "2"],
-     {"kind": "nc-mem",
-      "data": {"nodes": 900},
-      "model": {"dim": 24},
-      "train": {"epochs": 2}}),
-    (["train-nc", "--disk", "--partitions", "4", "--buffer", "2"],
-     {"kind": "nc-disk", "storage": {"partitions": 4, "buffer": 2}}),
-    (["serve", "--snapshot", "S", "--embed", "1,2", "--topk", "3", "5",
-      "--bench", "100", "--mix", "random", "--nc-nodes", "777"],
-     {"kind": "serve",
-      "data": {"nodes": 777},
-      "serve": {"snapshot": "S", "embed": "1,2", "topk": [3, 5],
-                "bench": 100, "mix": "random"}}),
-    (["stream", "--events", "500", "--compact-every", "100", "--refresh",
-      "--dim", "16", "--buffer", "2", "--verify"],
-     {"kind": "stream",
-      "model": {"dim": 16},
-      "storage": {"buffer": 2},
-      "stream": {"events": 500, "compact_every": 100, "refresh": True,
-                 "verify": True}}),
-]
+def _run_argv(path, overrides=(), dump=True):
+    argv = ["run", str(path)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    return argv + (["--dump-spec"] if dump else [])
 
 
-@pytest.mark.parametrize("argv,spec_payload", PARITY_CASES,
-                         ids=[" ".join(c[0][:3]) for c in PARITY_CASES])
-def test_cli_flag_and_spec_file_parity(argv, spec_payload, capsys, tmp_path):
-    """A legacy subcommand and its hand-written spec file must resolve to
-    byte-identical JobSpecs — the proof the shims preserve behaviour."""
-    from_flags = _dump(capsys, argv + ["--dump-spec"])
-    spec_file = tmp_path / "job.json"
-    spec_file.write_text(json.dumps(spec_payload))
-    from_spec = _dump(capsys, ["run", str(spec_file), "--dump-spec"])
+def _spec_file(tmp_path, payload, name="job.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+# (base spec, --set overrides, the same job inline), one case per kind
+# the retired flag subcommands covered. Ids name the subcommand
+# invocation each case replaces, so the table doubles as a migration
+# guide.
+PARITY_CASES = {
+    "train-lp": (
+        {"kind": "lp-mem", "train": {"epochs": 9}}, ["train.epochs=null"],
+        {"kind": "lp-mem"}),
+    "train-lp --scale 0.2": (
+        {"kind": "lp-mem"},
+        ["data.scale=0.2", "train.epochs=1", "model.encoder=none",
+         "model.dim=12", "train.seed=3"],
+        {"kind": "lp-mem", "data": {"scale": 0.2},
+         "model": {"dim": 12, "encoder": "none"},
+         "train": {"epochs": 1, "seed": 3}}),
+    "train-lp --disk --policy": (
+        {"kind": "lp-disk"},
+        ["storage.policy=beta", "storage.partitions=8", "storage.logical=4",
+         "storage.buffer=2", "storage.workdir=W", "checkpoint.every=2",
+         "checkpoint.incremental=true"],
+        {"kind": "lp-disk",
+         "storage": {"workdir": "W", "partitions": 8, "logical": 4,
+                     "buffer": 2, "policy": "beta"},
+         "checkpoint": {"every": 2, "incremental": True}}),
+    "train-nc --nodes 900": (
+        {"kind": "nc-mem"},
+        ["data.nodes=900", "model.dim=24", "train.epochs=2"],
+        {"kind": "nc-mem", "data": {"nodes": 900}, "model": {"dim": 24},
+         "train": {"epochs": 2}}),
+    "train-nc --disk --partitions": (
+        {"kind": "nc-disk"}, ["storage.partitions=4", "storage.buffer=2"],
+        {"kind": "nc-disk", "storage": {"partitions": 4, "buffer": 2}}),
+    "serve --snapshot S": (
+        {"kind": "serve", "serve": {"snapshot": "old"}},
+        ["serve.snapshot=S", "serve.embed=1,2", "serve.topk=[3,5]",
+         "serve.bench=100", "serve.mix=random", "data.nodes=777"],
+        {"kind": "serve", "data": {"nodes": 777},
+         "serve": {"snapshot": "S", "embed": "1,2", "topk": [3, 5],
+                   "bench": 100, "mix": "random"}}),
+    "serve-fleet --snapshot S": (
+        {"kind": "serve-fleet", "serve": {"snapshot": "S"}},
+        ["fleet.workers=4", "fleet.port=8080", "fleet.timeout_ms=50",
+         "serve.ann=false"],
+        {"kind": "serve-fleet", "serve": {"snapshot": "S", "ann": False},
+         "fleet": {"workers": 4, "port": 8080, "timeout_ms": 50.0}}),
+    "stream --events 500": (
+        {"kind": "stream"},
+        ["stream.events=500", "stream.compact_every=100",
+         "stream.refresh=true", "model.dim=16", "storage.buffer=2",
+         "stream.verify=true"],
+        {"kind": "stream", "model": {"dim": 16}, "storage": {"buffer": 2},
+         "stream": {"events": 500, "compact_every": 100, "refresh": True,
+                    "verify": True}}),
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+def test_cli_flag_and_spec_file_parity(case, capsys, tmp_path):
+    """``--set`` flags over a base spec file and the job written inline
+    must resolve to byte-identical JobSpecs."""
+    base, overrides, inline = PARITY_CASES[case]
+    from_flags = _dump(capsys, _run_argv(
+        _spec_file(tmp_path, base, "base.json"), overrides))
+    from_spec = _dump(capsys, _run_argv(_spec_file(tmp_path, inline)))
     assert from_flags == from_spec
 
 
 # ---------------------------------------------------------------------------
-# Config-file precedence (regression: flags must beat --config values)
+# --set precedence, naming, and typing
 # ---------------------------------------------------------------------------
 
 def test_explicit_flags_win_over_config_file(capsys, tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"epochs": 7, "dim": 64, "seed": 5}))
-    spec = _dump(capsys, ["train-lp", "--config", str(config),
-                          "--epochs", "2", "--dump-spec"])
-    assert spec["train"]["epochs"] == 2      # explicit flag wins
-    assert spec["model"]["dim"] == 64        # config fills the rest
+    """A ``--set`` beats the spec file and any earlier ``--set``; the
+    file fills the rest."""
+    config = _spec_file(tmp_path, {"kind": "lp-mem", "model": {"dim": 64},
+                                   "train": {"epochs": 7, "seed": 5}})
+    spec = _dump(capsys, _run_argv(config, ["train.epochs=9",
+                                            "train.epochs=2"]))
+    assert spec["train"]["epochs"] == 2      # the last --set wins
+    assert spec["model"]["dim"] == 64        # the file fills the rest
     assert spec["train"]["seed"] == 5
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"epoches": 7}))
-    with pytest.raises(SystemExit, match="unknown config key"):
-        cli.main(["train-lp", "--config", str(config), "--dump-spec"])
+    """An unknown section or field in ``--set`` fails by name through
+    from_dict's unknown-name check, exactly as in a spec file."""
+    config = _spec_file(tmp_path, {"kind": "lp-mem"})
+    with pytest.raises(SystemExit, match=r"unknown field.*'epoches'"):
+        cli.main(_run_argv(config, ["train.epoches=7"]))
+    with pytest.raises(SystemExit, match=r"unknown spec section.*'storage'"):
+        cli.main(_run_argv(config, ["storage.buffer=2"]))
+    with pytest.raises(SystemExit, match="section.field=value"):
+        cli.main(_run_argv(config, ["epochs=2"]))
+
+
+def test_set_str_field_keeps_text_verbatim(capsys, tmp_path):
+    config = _spec_file(tmp_path, {"kind": "serve",
+                                   "serve": {"snapshot": "S"}})
+    spec = _dump(capsys, _run_argv(config, ["serve.embed=1"]))
+    assert spec["serve"]["embed"] == "1"
+    spec = _dump(capsys, _run_argv(config, ["serve.embed=1,2,3",
+                                            "serve.classify=null"]))
+    assert spec["serve"]["embed"] == "1,2,3"
+    assert spec["serve"]["classify"] is None   # null clears an Optional
+
+
+@pytest.mark.parametrize("value", ["1.5", '"x"', "x", "true", "[1]"])
+def test_set_mistyped_value_is_clean_error(value, tmp_path):
+    config = _spec_file(tmp_path, {"kind": "lp-mem"})
+    with pytest.raises(SystemExit, match="train.epochs"):
+        cli.main(_run_argv(config, [f"train.epochs={value}"], dump=False))
+
+
+def test_from_dict_checks_value_types():
+    """Spec values are checked against their field annotations, so a
+    mistyped value fails at parse time instead of deep in a run."""
+    bad = [{"kind": "lp-mem", "train": {"epochs": "1"}},
+           {"kind": "lp-mem", "train": {"epochs": True}},
+           {"kind": "lp-mem", "model": {"fanouts": [5, "5"]}},
+           {"kind": "lp-mem", "model": {"fanouts": 5}},
+           {"kind": "serve", "serve": {"snapshot": "S", "topk": [1, 2, 3]}},
+           {"kind": "serve", "serve": {"snapshot": "S", "embed": 1}},
+           {"kind": "stream", "stream": {"verify": 1}}]
+    for payload in bad:
+        with pytest.raises(api.JobError, match="must be"):
+            JobSpec.from_dict(payload)
+    spec = JobSpec.from_dict({"kind": "lp-mem", "data": {"scale": 1},
+                              "model": {"fanouts": [5, 5]}})
+    assert spec.data.scale == 1 and spec.model.fanouts == (5, 5)
+
+
+EXAMPLE_SPECS = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "specs")
+    .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda p: p.name)
+def test_example_specs_resolve(path, capsys):
+    """Every shipped spec file loads and resolves through the CLI."""
+    assert _dump(capsys, _run_argv(path))["kind"]
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +429,6 @@ def test_run_unknown_dataset_is_clean_error(tmp_path):
         {"kind": "lp-mem", "data": {"dataset": "nope"}}))
     with pytest.raises(SystemExit, match="unknown LP dataset"):
         cli.main(["run", str(spec_file)])
-
-
-def test_bare_workdir_does_not_enable_checkpointing(capsys):
-    """Legacy parity: --workdir alone never turns on the snapshot
-    subsystem for the in-memory kinds; only a cadence (or explicit dir)
-    does — and then the workdir supplies the default root."""
-    spec = _dump(capsys, ["train-lp", "--workdir", "W", "--dump-spec"])
-    assert spec["checkpoint"]["dir"] is None
-    assert spec["checkpoint"]["every"] == 0
 
 
 def test_lp_dataset_seed_reaches_the_loader():

@@ -1,12 +1,12 @@
-"""Subprocess coverage of the ``repro serve`` CLI path.
+"""Subprocess coverage of the ``serve`` job through the CLI.
 
-The serve command was previously exercised only by the serving benchmark;
-these tests drive the real entry point (``python -m repro serve``) end to
-end over a decoder-only lp-disk snapshot: embedding lookups, edge scoring,
-top-k ranking, the throughput probe, and the error paths (missing
-snapshot, encoder snapshot without ``--dataset``).
+These tests drive the real entry point (``python -m repro run serve.json
+--set ...``) end to end over a decoder-only lp-disk snapshot: embedding
+lookups, edge scoring, top-k ranking, the throughput probe, and the
+missing-snapshot error path.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,10 +28,18 @@ def _env():
     return env
 
 
-def run_cli(*args, timeout=300):
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, timeout=timeout,
-                          cwd=REPO, env=_env())
+def run_serve(tmp_path, snapshot, *overrides, timeout=300):
+    """``repro run`` a serve spec over ``snapshot`` (served table in
+    ``tmp_path/serve``), each override passed as ``--set``."""
+    spec = tmp_path / "serve.json"
+    spec.write_text(json.dumps({
+        "kind": "serve", "serve": {"snapshot": str(snapshot)},
+        "storage": {"workdir": str(tmp_path / "serve")}}))
+    argv = [sys.executable, "-m", "repro", "run", str(spec)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    return subprocess.run(argv, capture_output=True, text=True,
+                          timeout=timeout, cwd=REPO, env=_env())
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +59,9 @@ def snapshot(tmp_path_factory):
 
 
 def test_embed_score_topk(snapshot, tmp_path):
-    result = run_cli("serve", "--snapshot", str(snapshot),
-                     "--workdir", str(tmp_path / "serve"),
-                     "--buffer", "2",
-                     "--embed", "1,2,3",
-                     "--score", "1:2", "5:0:7",
-                     "--topk", "4", "5")
+    result = run_serve(tmp_path, snapshot, "storage.buffer=2",
+                       "serve.embed=1,2,3", 'serve.score=["1:2", "5:0:7"]',
+                       "serve.topk=[4,5]")
     assert result.returncode == 0, result.stderr
     out = result.stdout
     assert "serving lp-disk snapshot" in out
@@ -68,9 +73,7 @@ def test_embed_score_topk(snapshot, tmp_path):
 
 
 def test_topk_excludes_source(snapshot, tmp_path):
-    result = run_cli("serve", "--snapshot", str(snapshot),
-                     "--workdir", str(tmp_path / "serve"),
-                     "--topk", "4", "3")
+    result = run_serve(tmp_path, snapshot, "serve.topk=[4,3]")
     assert result.returncode == 0, result.stderr
     ranked = [line for line in result.stdout.splitlines()
               if line.strip().startswith("#")]
@@ -79,10 +82,8 @@ def test_topk_excludes_source(snapshot, tmp_path):
 
 
 def test_bench_probe(snapshot, tmp_path):
-    result = run_cli("serve", "--snapshot", str(snapshot),
-                     "--workdir", str(tmp_path / "serve"),
-                     "--bench", "200", "--mix", "random",
-                     "--max-batch", "64")
+    result = run_serve(tmp_path, snapshot, "serve.bench=200",
+                       "serve.mix=random", "serve.max_batch=64")
     assert result.returncode == 0, result.stderr
     assert "bench: 200 random lookups" in result.stdout
     assert "QPS" in result.stdout
@@ -90,16 +91,13 @@ def test_bench_probe(snapshot, tmp_path):
 
 def test_checkpoint_root_resolves_latest(snapshot, tmp_path):
     """Passing the checkpoint root (not a snap dir) serves the latest."""
-    result = run_cli("serve", "--snapshot", str(snapshot.parent),
-                     "--workdir", str(tmp_path / "serve"),
-                     "--embed", "0")
+    result = run_serve(tmp_path, snapshot.parent, "serve.embed=0")
     assert result.returncode == 0, result.stderr
     assert "node 0:" in result.stdout
 
 
 def test_missing_snapshot_is_a_clean_error(tmp_path):
-    result = run_cli("serve", "--snapshot", str(tmp_path / "nowhere"),
-                     "--embed", "0")
+    result = run_serve(tmp_path, tmp_path / "nowhere", "serve.embed=0")
     assert result.returncode != 0
     assert "no snapshots under" in result.stderr
 
@@ -108,9 +106,7 @@ def test_embed_values_match_snapshot_table(snapshot, tmp_path):
     """The CLI prints the actual stored rows, not garbage."""
     archive = np.load(snapshot / "arrays.npz")
     table = archive["node_table"]
-    result = run_cli("serve", "--snapshot", str(snapshot),
-                     "--workdir", str(tmp_path / "serve"),
-                     "--embed", "7")
+    result = run_serve(tmp_path, snapshot, "serve.embed=7")
     assert result.returncode == 0, result.stderr
     line = next(l for l in result.stdout.splitlines() if "node 7:" in l)
     printed = [float(x) for x in

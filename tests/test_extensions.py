@@ -405,43 +405,51 @@ class TestCLI:
                      "--memory-gb", "61"]) == 0
         assert "buffer capacity" in capsys.readouterr().out
 
-    def test_train_lp_smoke(self, capsys):
+    @staticmethod
+    def _run(tmp_path, payload, *overrides):
+        """``repro run`` over ``payload`` written as a spec file, with
+        each override passed as ``--set``."""
         from repro.cli import main
-        assert main(["train-lp", "--dataset", "fb15k237", "--scale", "0.03",
-                     "--epochs", "1", "--dim", "8", "--fanouts", "4"]) == 0
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        argv = ["run", str(path)]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        return main(argv)
+
+    LP_TINY = {"kind": "lp-mem", "data": {"dataset": "fb15k237",
+                                          "scale": 0.03},
+               "model": {"dim": 8, "fanouts": [4]}, "train": {"epochs": 1}}
+
+    def test_train_lp_smoke(self, tmp_path, capsys):
+        assert self._run(tmp_path, self.LP_TINY) == 0
         assert "final MRR" in capsys.readouterr().out
 
     def test_train_lp_disk_with_checkpoint(self, tmp_path, capsys):
-        from repro.cli import main
-        assert main(["train-lp", "--dataset", "fb15k237", "--scale", "0.03",
-                     "--epochs", "1", "--dim", "8", "--fanouts", "4",
-                     "--disk", "--partitions", "8", "--logical", "4",
-                     "--buffer", "4",
-                     "--workdir", str(tmp_path / "wd"),
-                     "--checkpoint-every", "1"]) == 0
+        payload = dict(self.LP_TINY, kind="lp-disk")
+        assert self._run(tmp_path, payload,
+                         "storage.partitions=8", "storage.logical=4",
+                         "storage.buffer=4",
+                         f"storage.workdir={tmp_path / 'wd'}",
+                         "checkpoint.every=1") == 0
         assert list((tmp_path / "wd" / "checkpoints").glob("snap-*"))
 
-    def test_train_nc_smoke(self, capsys):
-        from repro.cli import main
-        assert main(["train-nc", "--nodes", "800", "--epochs", "1",
-                     "--dim", "8", "--fanouts", "4", "--batch-size", "128"]) == 0
+    def test_train_nc_smoke(self, tmp_path, capsys):
+        assert self._run(tmp_path, {"kind": "nc-mem"}, "data.nodes=800",
+                         "train.epochs=1", "model.dim=8",
+                         "model.fanouts=[4]", "train.batch_size=128") == 0
         assert "final accuracy" in capsys.readouterr().out
 
     def test_config_file_overrides(self, tmp_path, capsys):
-        from repro.cli import main
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"epochs": 1, "dim": 8, "fanouts": [4],
-                                   "scale": 0.03}))
-        assert main(["train-lp", "--config", str(cfg)]) == 0
+        """``--set`` overrides the spec file's values for one run."""
+        payload = dict(self.LP_TINY, train={"epochs": 5})
+        assert self._run(tmp_path, payload, "train.epochs=1") == 0
+        assert capsys.readouterr().out.count("[epoch ") == 1
 
     def test_config_file_rejects_unknown(self, tmp_path):
-        from repro.cli import main
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"nonexistent_option": 1}))
-        with pytest.raises(SystemExit):
-            main(["train-lp", "--config", str(cfg)])
+        with pytest.raises(SystemExit, match="nonexistent_option"):
+            self._run(tmp_path, self.LP_TINY, "train.nonexistent_option=1")
 
-    def test_unknown_lp_dataset(self):
-        from repro.cli import main
-        with pytest.raises(SystemExit):
-            main(["train-lp", "--dataset", "cora"])
+    def test_unknown_lp_dataset(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown LP dataset"):
+            self._run(tmp_path, self.LP_TINY, "data.dataset=cora")

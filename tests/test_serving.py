@@ -14,6 +14,7 @@ The load-bearing guarantees:
   policy / RNG state ever round-tripping through a trainer.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -432,10 +433,14 @@ def test_serve_accepts_checkpoint_root(lp_snapshot, tmp_path):
 def test_serve_cli_smoke(lp_snapshot, tmp_path, capsys):
     from repro.cli import main
     snapshot, _, _ = lp_snapshot
-    rc = main(["serve", "--snapshot", str(snapshot),
-               "--workdir", str(tmp_path / "cli"),
-               "--embed", "1,2", "--topk", "5", "3", "--score", "5:10",
-               "--bench", "200", "--mix", "zipf"])
+    spec = tmp_path / "serve.json"
+    spec.write_text(json.dumps({"kind": "serve",
+                                "serve": {"snapshot": str(snapshot)}}))
+    rc = main(["run", str(spec),
+               "--set", f"storage.workdir={tmp_path / 'cli'}",
+               "--set", "serve.embed=1,2", "--set", "serve.topk=[5,3]",
+               "--set", 'serve.score=["5:10"]', "--set", "serve.bench=200",
+               "--set", "serve.mix=zipf"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "top-3 targets" in out and "QPS" in out and "score(5:10)" in out

@@ -9,6 +9,7 @@ reference edge list is maintained alongside every randomized stream and the
 two worlds are compared structure-for-structure.
 """
 
+import json
 import subprocess
 import sys
 import threading
@@ -817,7 +818,7 @@ class TestContinualTrainer:
 
     def test_reopened_stores_match_originals(self, tmp_path):
         """NodeStore.open / EdgeBucketStore.open reattach to a compacted,
-        grown workdir bit-for-bit (the CLI --resume-from path)."""
+        grown workdir bit-for-bit (the checkpoint.resume_from path)."""
         live = make_live(tmp_path, seed=36, with_rel=True)
         rng = np.random.default_rng(103)
         drive_random_stream(live, Compactor(live), rng, steps=15)
@@ -904,15 +905,28 @@ class TestCompressedSnapshots:
 # ---------------------------------------------------------------------------
 
 class TestStreamCLI:
+    @staticmethod
+    def _run(tmp_path, *overrides):
+        """``repro run`` a small ``stream`` spec over ``tmp_path/wd``,
+        each override passed as ``--set``."""
+        spec = tmp_path / "stream.json"
+        spec.write_text(json.dumps({
+            "kind": "stream",
+            "data": {"scale": 0.02},
+            "model": {"dim": 8},
+            "storage": {"partitions": 4, "buffer": 2,
+                        "workdir": str(tmp_path / "wd")},
+            "stream": {"event_batch": 200, "compact_every": 300,
+                       "refresh": True}}))
+        argv = [sys.executable, "-m", "repro", "run", str(spec)]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        return subprocess.run(argv, capture_output=True, text=True,
+                              timeout=300, cwd=REPO, env=_cli_env())
+
     def test_driver_with_verify(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "stream", "--scale", "0.02",
-             "--partitions", "4", "--buffer", "2", "--dim", "8",
-             "--events", "600", "--event-batch", "200",
-             "--compact-every", "300", "--refresh", "--verify",
-             "--workdir", str(tmp_path / "wd")],
-            capture_output=True, text=True, timeout=300,
-            cwd=REPO, env=_cli_env())
+        result = self._run(tmp_path, "stream.events=600",
+                           "stream.verify=true")
         assert result.returncode == 0, result.stderr
         assert "verify OK" in result.stdout
         assert "compacted" in result.stdout
@@ -921,21 +935,13 @@ class TestStreamCLI:
     def test_resume_from_stream_snapshot(self, tmp_path):
         """The CLI can resume the snapshots it writes: the workdir's
         compacted, grown stores are reopened, not rebuilt."""
-        base = [sys.executable, "-m", "repro", "stream", "--scale", "0.02",
-                "--partitions", "4", "--buffer", "2", "--dim", "8",
-                "--event-batch", "200", "--compact-every", "300",
-                "--refresh", "--workdir", str(tmp_path / "wd"),
-                "--checkpoint-dir", str(tmp_path / "ck")]
-        first = subprocess.run(base + ["--events", "600",
-                                       "--checkpoint-every", "1"],
-                               capture_output=True, text=True, timeout=300,
-                               cwd=REPO, env=_cli_env())
+        ckpt = f"checkpoint.dir={tmp_path / 'ck'}"
+        first = self._run(tmp_path, ckpt, "stream.events=600",
+                          "checkpoint.every=1")
         assert first.returncode == 0, first.stderr
-        second = subprocess.run(
-            base + ["--events", "300", "--verify",
-                    "--resume-from", str(tmp_path / "ck")],
-            capture_output=True, text=True, timeout=300,
-            cwd=REPO, env=_cli_env())
+        second = self._run(tmp_path, ckpt, "stream.events=300",
+                           "stream.verify=true",
+                           f"checkpoint.resume_from={tmp_path / 'ck'}")
         assert second.returncode == 0, second.stderr
         assert "resumed at stream position" in second.stdout
         assert "verify OK" in second.stdout
