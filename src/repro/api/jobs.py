@@ -20,11 +20,12 @@ converts to clean exits — anything else propagates with a traceback);
 
 from __future__ import annotations
 
+import contextlib
 import json
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from ..train import (DiskConfig, DiskLinkPredictionTrainer,
                      DiskNodeClassificationTrainer, LinkPredictionConfig,
                      LinkPredictionTrainer, NodeClassificationConfig,
                      NodeClassificationTrainer, SnapshotManager)
+from ..train.checkpoint import Snapshot, SnapshotError, resolve_snapshot_dir
 from ..train.hooks import ProgressListener
 from . import registry
 from .registry import JobError
@@ -89,15 +91,22 @@ def _checkpoint_kwargs(ck: CheckpointSpec, workdir: Optional[str],
         Path(tempfile.mkdtemp(prefix="repro-ckpt-")))
     if verbose:
         if ck.every:
-            compressed = " (compressed)" if ck.compress else ""
-            print(f"checkpointing every {ck.every} to "
-                  f"{checkpoint_dir}{compressed}")
+            print(f"checkpointing every {ck.every} to {checkpoint_dir}")
         else:
             print(f"checkpoint dir {checkpoint_dir} (no checkpoint.every: "
                   f"snapshots are read for resume but none will be written)")
     return {"checkpoint_dir": checkpoint_dir,
-            "checkpoint_every": ck.every,
-            "checkpoint_compress": ck.compress}
+            "checkpoint_every": ck.every}
+
+
+@contextlib.contextmanager
+def _snapshot_errors() -> Iterator[None]:
+    """Surface a missing, unreadable or damaged snapshot as the job layer's
+    clean configuration error instead of a traceback."""
+    try:
+        yield
+    except SnapshotError as exc:
+        raise JobError(str(exc)) from exc
 
 
 class Job:
@@ -139,8 +148,7 @@ class Job:
             ck = self.spec.checkpoint
             root = Path(ck.dir) if ck.dir else Path(
                 tempfile.mkdtemp(prefix="repro-ckpt-"))
-            self.trainer.snapshots = SnapshotManager(root,
-                                                     compress=ck.compress)
+            self.trainer.snapshots = SnapshotManager(root)
 
     def resume(self, path: Optional[Path] = None,
                verbose: bool = False) -> dict:
@@ -191,7 +199,6 @@ class TrainingJob(Job):
                     num_partitions=storage.partitions,
                     num_logical=storage.logical,
                     buffer_capacity=storage.buffer, policy=storage.policy)
-                kwargs["checkpoint_incremental"] = spec.checkpoint.incremental
         else:
             self.dataset = _nc_dataset(spec)
             fanouts = tuple(model.fanouts)
@@ -229,6 +236,7 @@ class TrainingJob(Job):
         self._ensure_snapshot_manager()
         return self.trainer.save_snapshot(self.config.num_epochs)
 
+    @_snapshot_errors()
     def resume(self, path: Optional[Path] = None,
                verbose: bool = False) -> dict:
         meta = self.trainer.resume(self._resume_path(path))
@@ -242,6 +250,7 @@ class TrainingJob(Job):
 # Serving job
 # ---------------------------------------------------------------------------
 
+@_snapshot_errors()
 def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
     """Build the serving engine a resolved serve/serve-fleet spec asks for.
 
@@ -609,6 +618,7 @@ class StreamJob(Job):
         return out
 
     # ------------------------------------------------------------------
+    @_snapshot_errors()
     def resume(self, path: Optional[Path] = None,
                verbose: bool = False) -> dict:
         meta = self.trainer.resume(self._resume_path(path))
@@ -830,14 +840,11 @@ class StreamJob(Job):
                 print(f"  error: {exc}")
 
 
+@_snapshot_errors()
 def _resolve_snapshot_dir(path) -> Path:
-    """checkpoint.py's dir-or-root rule, with its failure surfaced as the
-    job layer's clean configuration error."""
-    from ..train.checkpoint import SnapshotError, resolve_snapshot_dir
-    try:
-        return resolve_snapshot_dir(path)
-    except SnapshotError as exc:
-        raise JobError(str(exc)) from exc
+    """checkpoint.py's dir-or-root rule. Opening the manifest checks its
+    format version, so a bad snapshot fails here, before any worker starts."""
+    return Snapshot(resolve_snapshot_dir(path)).path
 
 
 def _stream_snapshot_meta(path: Path) -> dict:

@@ -104,11 +104,8 @@ class CheckpointSpec:
                        "epoch is one) or refreshes (streaming); 0 = off")
     dir: Optional[str] = _f(None, "snapshot root (default: "
                                   "<workdir>/checkpoints or a temp dir)")
-    compress: bool = _f(False, "zlib-compress snapshot array payloads")
     resume_from: Optional[str] = _f(None, "snapshot dir (or checkpoint root) "
                                          "to resume from")
-    incremental: bool = _f(False, "dirty-partition-only snapshots chained to "
-                                  "a base (lp-disk)")
 
 
 @dataclass
@@ -300,9 +297,6 @@ class JobSpec:
                                "must be non-negative")
             if not 0 <= fleet.port < 65536:
                 raise JobError("fleet.port must be in [0, 65535]")
-        if self.checkpoint.incremental and self.kind != registry.LP_DISK:
-            raise JobError("checkpoint.incremental needs the disk trainer "
-                           f"of a learnable table (lp-disk), not {self.kind!r}")
         if "storage" in info.sections:
             storage = self.storage
             if storage.buffer is not None and storage.buffer <= 0:

@@ -25,7 +25,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class no_grad:
     def __exit__(self, *exc) -> None:
         global _grad_enabled
         _grad_enabled = self._prev
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
@@ -581,8 +577,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(grad[tuple(index)])
 
     return Tensor._make(out_data, tensors, backward)
-
-
-def stack_params(params: Iterable[Tensor]) -> List[Tensor]:
-    """Flatten an iterable of parameters into a list (helper for optimizers)."""
-    return list(params)

@@ -28,10 +28,6 @@ class HardwareSpec:
     disk_block_bytes: int = 1 << 17          # 128 KiB, EBS-style block
     fudge_bytes: int = 2 << 30               # working-memory reserve F
 
-    @staticmethod
-    def aws_p3_2xlarge() -> "HardwareSpec":
-        return HardwareSpec(cpu_memory_bytes=61 << 30)
-
 
 @dataclass(frozen=True)
 class GraphSpec:

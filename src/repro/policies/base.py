@@ -44,16 +44,6 @@ class EpochPlan:
         """Physical partitions read from disk over the epoch (incl. initial fill)."""
         return sum(len(s.admitted) for s in self.steps)
 
-    @property
-    def bucket_counts(self) -> List[int]:
-        return [len(s.buckets) for s in self.steps]
-
-    def all_buckets(self) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = []
-        for step in self.steps:
-            out.extend(step.buckets)
-        return out
-
     def validate(self) -> None:
         """Every ordered bucket appears exactly once, within its resident set."""
         p = self.num_partitions

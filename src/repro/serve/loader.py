@@ -2,11 +2,12 @@
 
 The restore path is the read-only one
 (:func:`~repro.train.checkpoint.restore_for_inference`): only the model
-parameters and the node table leave the snapshot — optimizer moments,
-policy state, RNG streams and training cursors are never touched, so any
-snapshot a trainer can resume from can also be served, and snapshots from
-a *finished* run (whose trainer state no longer matters) serve equally
-well.
+parameter files and the node table's partition files are opened —
+optimizer moments, policy state, RNG streams and training cursors are
+never touched, so any snapshot a trainer can resume from can also be
+served, and snapshots from a *finished* run (whose trainer state no longer
+matters) serve equally well. The table is copied into the served store a
+partition file at a time, never as one whole-table array.
 
 The served table lives in a read-only :class:`NodeStore` memmap under the
 serving workdir, partitioned uniformly like the training store; the
@@ -101,7 +102,7 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
         raise SnapshotError(
             f"snapshot was written by trainer {restore.trainer_kind!r}; "
             f"expected one of {LP_KINDS}")
-    if restore.node_table is None:
+    if restore.table_name is None:
         raise SnapshotError("snapshot carries no node table to serve")
     config = _config_from_meta(restore, LinkPredictionConfig)
     relations = restore.model_state.get("decoder.relations")
@@ -109,8 +110,7 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
     model = LinkPredictionModel(config, num_relations)
     model.load_state_dict(restore.model_state)
 
-    table = restore.node_table
-    num_nodes, dim = table.shape
+    num_nodes, dim = restore.shape(restore.table_name)
     p = num_partitions or _partitions_from_meta(restore, num_nodes)
     scheme = PartitionScheme.uniform(num_nodes, p)
     workdir = Path(workdir)
@@ -118,7 +118,9 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
     store = NodeStore(workdir / "serve-table.bin", scheme, dim,
                       learnable=False)
     _check_store_fingerprint(restore, store)
-    store.initialize(values=table)
+    for lo, rows in restore.partitions(restore.table_name):
+        store.write_span(lo, rows)
+    store.flush()
 
     edge_source = None
     fanouts = ()

@@ -1,7 +1,7 @@
 """Storage layer: memmap-backed node/edge stores, partition buffer, IO stats."""
 
 from .atomic import (atomic_write, atomic_write_bytes, atomic_write_json,
-                     atomic_write_npz, fsync_dir)
+                     fsync_dir)
 from .buffer import PartitionBuffer
 from .edge_store import EdgeBucketStore
 from .io_stats import IOStats
@@ -11,4 +11,4 @@ from .prefetch import PrefetchError, PrefetchingBufferManager
 __all__ = ["IOStats", "NodeStore", "EdgeBucketStore", "PartitionBuffer",
            "PrefetchingBufferManager", "PrefetchError",
            "atomic_write", "atomic_write_bytes", "atomic_write_json",
-           "atomic_write_npz", "fsync_dir"]
+           "fsync_dir"]

@@ -9,8 +9,8 @@ store's compaction rewrite, and the delta log's spill path; this module
 is the single shared implementation.
 
 ``atomic_write`` is the primitive (a context manager yielding the staged
-file handle); ``atomic_write_bytes`` / ``atomic_write_json`` /
-``atomic_write_npz`` are the common payloads. ``fsync_dir`` makes a
+file handle); ``atomic_write_bytes`` / ``atomic_write_json`` are the
+common payloads. ``fsync_dir`` makes a
 rename itself durable — without it the new directory entry can be lost
 even though the file's bytes were fsynced.
 """
@@ -23,10 +23,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterator
 
-import numpy as np
-
 __all__ = ["fsync_dir", "atomic_write", "atomic_write_bytes",
-           "atomic_write_json", "atomic_write_npz"]
+           "atomic_write_json"]
 
 
 def fsync_dir(path: os.PathLike) -> None:
@@ -66,8 +64,3 @@ def atomic_write_bytes(path: os.PathLike, payload: bytes) -> None:
 
 def atomic_write_json(path: os.PathLike, payload: Dict[str, Any]) -> None:
     atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())
-
-
-def atomic_write_npz(path: os.PathLike, arrays: Dict[str, np.ndarray]) -> None:
-    with atomic_write(path) as fh:
-        np.savez(fh, **arrays)

@@ -10,14 +10,19 @@ size to the disk block size.
 
 Learnable representations carry per-row Adagrad state in a second memmap that
 pages in and out with its partition (as in Marius).
+
+The store also knows which partitions it has written since a given moment
+(:meth:`NodeStore.written_since`): every write path stamps what it touches,
+so a snapshot rewrites exactly those partition files and links the rest.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import zlib
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,13 +54,25 @@ class NodeStore:
         self.dim = int(dim)
         self.learnable = learnable
         self.stats = stats if stats is not None else IOStats()
-        shape = (scheme.num_nodes, self.dim)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._table = np.memmap(self.path, dtype=np.float32, mode="w+", shape=shape)
+        self._map("w+")
+
+    @property
+    def _state_path(self) -> Path:
+        return self.path.with_suffix(self.path.suffix + ".state")
+
+    def _map(self, mode: str) -> None:
+        """Map the table (and state) files: ``w+`` creates, ``r+`` attaches."""
+        shape = (self.scheme.num_nodes, self.dim)
+        self._table = np.memmap(self.path, dtype=np.float32, mode=mode,
+                                shape=shape)
         self._state: Optional[np.memmap] = None
-        if learnable:
-            state_path = self.path.with_suffix(self.path.suffix + ".state")
-            self._state = np.memmap(state_path, dtype=np.float32, mode="w+", shape=shape)
+        if self.learnable:
+            self._state = np.memmap(self._state_path, dtype=np.float32,
+                                    mode=mode, shape=shape)
+        self.writes = 0       # bumped by every write: a mark for written_since
+        self._written_at = np.zeros(self.scheme.num_partitions, dtype=np.int64)
+        self._stamp_lock = threading.Lock()   # I/O and ingest threads write
 
     @classmethod
     def open(cls, path: os.PathLike, scheme: PartitionScheme, dim: int,
@@ -74,13 +91,8 @@ class NodeStore:
         self.dim = int(dim)
         self.learnable = learnable
         self.stats = stats if stats is not None else IOStats()
-        shape = (scheme.num_nodes, self.dim)
-        expected = shape[0] * shape[1] * 4
-        paths = [self.path]
-        state_path = self.path.with_suffix(self.path.suffix + ".state")
-        if learnable:
-            paths.append(state_path)
-        for target in paths:
+        expected = scheme.num_nodes * self.dim * 4
+        for target in [self.path] + ([self._state_path] if learnable else []):
             actual = target.stat().st_size
             if actual > expected and truncate:
                 with open(target, "r+b") as fh:
@@ -89,13 +101,23 @@ class NodeStore:
             if actual != expected:
                 raise ValueError(f"table file {target} is {actual} bytes, "
                                  f"scheme x dim expects {expected}")
-        self._table = np.memmap(self.path, dtype=np.float32, mode="r+",
-                                shape=shape)
-        self._state = None
-        if learnable:
-            self._state = np.memmap(state_path, dtype=np.float32, mode="r+",
-                                    shape=shape)
+        self._map("r+")
         return self
+
+    def _stamp(self, parts) -> None:
+        """Record that ``parts`` (an index or slice) were just written."""
+        with self._stamp_lock:
+            self.writes += 1
+            self._written_at[parts] = self.writes
+
+    def written_since(self, mark: int) -> Set[int]:
+        """Partitions written after ``mark`` (an earlier :attr:`writes`).
+
+        The one place a snapshot decides which partition files changed:
+        ``write_partition``, ``write_span``, ``initialize``, ``grow`` and
+        ``restore`` all stamp the partitions they touch.
+        """
+        return set(np.flatnonzero(self._written_at > mark).tolist())
 
     # ------------------------------------------------------------------
     @property
@@ -128,6 +150,7 @@ class NodeStore:
                 self._table[start:stop] = rng.uniform(
                     -scale, scale, size=(stop - start, self.dim)).astype(np.float32)
         self._table.flush()
+        self._stamp(slice(None))
 
     # ------------------------------------------------------------------
     def read_partition(self, part: int,
@@ -164,6 +187,7 @@ class NodeStore:
         if data.shape != (hi - lo, self.dim):
             raise ValueError(f"partition {part} expects shape {(hi - lo, self.dim)}, got {data.shape}")
         self._table[lo:hi] = data
+        self._stamp(part)
         self.stats.record_write(data.nbytes, partition_evictions=1)
         if state is not None:
             if self._state is None:
@@ -179,6 +203,9 @@ class NodeStore:
         if start_row < 0 or stop > self.num_nodes:
             raise ValueError(f"span [{start_row}, {stop}) outside the table")
         self._table[start_row:stop] = data
+        bounds = self.scheme.boundaries
+        self._stamp(slice(np.searchsorted(bounds, start_row, side="right") - 1,
+                          np.searchsorted(bounds, stop, side="left")))
         self.stats.record_write(data.nbytes)
         if state is not None:
             if self._state is None:
@@ -194,13 +221,15 @@ class NodeStore:
         self.stats.record_read(data.nbytes)
         return data
 
-    def partition_block(self, part: int) -> np.ndarray:
-        """Partition ``part``'s rows in place: a read-only view of the map,
-        no copy (serving scores whole partitions straight from the page
-        cache). Counted as bytes read, not as a partition load; callers
-        must not hold it across :meth:`grow`, which remaps the table."""
+    def partition_block(self, part: int, state: bool = False) -> np.ndarray:
+        """Partition ``part``'s rows (``state=True``: its optimizer state)
+        in place: a read-only view of the map, no copy (serving scores
+        whole partitions straight from the page cache; snapshots write
+        partition files from it). Counted as bytes read, not as a partition
+        load; callers must not hold it across :meth:`grow`, which remaps
+        the table."""
         lo, hi = int(self.scheme.boundaries[part]), int(self.scheme.boundaries[part + 1])
-        block = self._table[lo:hi].view(np.ndarray)
+        block = (self._state if state else self._table)[lo:hi].view(np.ndarray)
         block.flags.writeable = False
         self.stats.record_read(block.nbytes)
         return block
@@ -240,6 +269,7 @@ class NodeStore:
                     f"restore state shape {state.shape} != {self._state.shape}")
             self._state[:] = state
             self.stats.record_write(self._state.nbytes)
+        self._stamp(slice(None))
         self.flush()
 
     def grow(self, new_scheme: "PartitionScheme", values: np.ndarray,
@@ -274,10 +304,11 @@ class NodeStore:
         self._table[lo:] = values.astype(np.float32)
         self.stats.record_write(values.nbytes)
         if self._state is not None:
-            state_path = self.path.with_suffix(self.path.suffix + ".state")
-            self._state = self._extend_memmap(state_path, self._state, shape)
+            self._state = self._extend_memmap(self._state_path, self._state,
+                                              shape)
             self._state[lo:] = (state.astype(np.float32) if state is not None
                                 else 0.0)
+        self._stamp(new_scheme.num_partitions - 1)
         self.flush()
 
     @staticmethod

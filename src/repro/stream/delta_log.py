@@ -44,7 +44,6 @@ containers.
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 import time
 from pathlib import Path
@@ -478,15 +477,6 @@ class GraphDeltaLog:
             return frame.seq_lo, self.seq
 
     # ------------------------------------------------------------------
-    def clear_spill(self) -> None:
-        """Delete any remaining spill files (stream shutdown)."""
-        with self._mutex:
-            for spill in self._spilled:
-                spill.path.unlink(missing_ok=True)
-            self._spilled = []
-            if self.spill_dir is not None and self.spill_dir.is_dir():
-                shutil.rmtree(self.spill_dir, ignore_errors=True)
-
     def close(self) -> None:
         """Flush and close the journal (stream shutdown)."""
         with self._mutex:

@@ -37,7 +37,7 @@ import contextlib
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -320,14 +320,6 @@ class LiveGraph:
                      name="live")
 
     # ------------------------------------------------------------------
-    def touched_partitions(self, since_seq: Optional[int] = None) -> List[int]:
-        """Partitions with a live delta event at or past ``since_seq``."""
-        parts: Set[int] = set()
-        for i, j in self.log.touched_pairs(since_seq):
-            parts.add(i)
-            parts.add(j)
-        return sorted(parts)
-
     def staleness(self) -> int:
         """Un-compacted events: the live view's distance from its base."""
         return self.log.pending_events

@@ -37,10 +37,9 @@ from ..nn.optim import RowAdagrad
 from ..storage.buffer import PartitionBuffer
 from ..storage.prefetch import PrefetchingBufferManager
 from ..train.checkpoint import (SnapshotManager, _config_to_dict,
-                                pack_model_state, pack_store_table,
-                                resolve_snapshot, restore_store_table,
-                                rng_state, set_rng_state, unpack_model_state,
-                                validate_meta)
+                                pack_model_state, resolve_snapshot,
+                                restore_store_table, rng_state, set_rng_state,
+                                unpack_model_state, validate_meta)
 from ..train.evaluation import EpochRecord
 from ..train.hooks import ListenerHooks, ProgressListener
 from ..train.link_prediction import (LinkPredictionConfig,
@@ -96,9 +95,10 @@ class ContinualTrainer(ListenerHooks):
         Relation vocabulary size for the decoder.
     buffer_capacity:
         Physical partitions resident during a refresh.
-    checkpoint_dir / checkpoint_every / checkpoint_compress:
-        Snapshot root, auto-snapshot cadence in *refreshes* (0 = manual
-        only), and on-disk compression of the array payload.
+    checkpoint_dir / checkpoint_every:
+        Snapshot root and auto-snapshot cadence in *refreshes* (0 = manual
+        only). A save rewrites only the table partitions written since the
+        previous one and links the rest.
     """
 
     KIND = job_registry.LP_STREAM
@@ -108,7 +108,6 @@ class ContinualTrainer(ListenerHooks):
                  num_relations: int = 1, buffer_capacity: int = 4,
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
-                 checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
         self._init_hooks(listeners)
         self.live = live
@@ -141,8 +140,7 @@ class ContinualTrainer(ListenerHooks):
         self.negatives = UniformNegativeSampler(live.num_nodes,
                                                 cfg.num_negatives, rng=self.rng)
         self.step_runner = _BatchStep(self.model, cfg, self.rng)
-        self.snapshots = (SnapshotManager(checkpoint_dir,
-                                          compress=checkpoint_compress)
+        self.snapshots = (SnapshotManager(checkpoint_dir)
                           if checkpoint_dir is not None else None)
         self.checkpoint_every = int(checkpoint_every)
         self.refreshes = 0
@@ -235,7 +233,7 @@ class ContinualTrainer(ListenerHooks):
         if self.snapshots is None:
             raise RuntimeError("trainer was built without a checkpoint_dir")
         arrays: Dict[str, np.ndarray] = {}
-        pack_store_table(arrays, self.buffer, self.live.node_store)
+        self.buffer.flush()      # the snapshot reads the store's partitions
         pack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
         log = self.live.log
         meta = {"trainer": self.KIND,
@@ -250,9 +248,10 @@ class ContinualTrainer(ListenerHooks):
                 "rng": rng_state(self.rng),
                 "stores": self._store_fingerprints(),
                 "config": _config_to_dict(self.config)}
-        path = self.snapshots.save(log.seq, meta, arrays)
+        path = self.snapshots.save(log.seq, meta, arrays,
+                                   self.live.node_store)
         self._emit("snapshot", trainer=self.KIND, path=str(path),
-                   seq=int(log.seq))
+                   seq=int(log.seq), linked=self.snapshots.linked)
         return path
 
     def resume(self, path: Optional[Path] = None) -> dict:
@@ -270,7 +269,7 @@ class ContinualTrainer(ListenerHooks):
                       config=self.config)
         stream = meta["stream"]
         self.buffer_manager.reset()
-        restore_store_table(arrays, self.buffer, self.live.node_store)
+        restore_store_table(arrays, self.live.node_store)
         unpack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
         set_rng_state(self.rng, meta["rng"])
         log = self.live.log

@@ -1,8 +1,7 @@
 """Training harness: trainers, negative sampling, evaluation, snapshots."""
 
 from .checkpoint import (InferenceRestore, SnapshotError, SnapshotManager,
-                         nc_dataset_fingerprint, open_snapshot,
-                         restore_for_inference)
+                         nc_dataset_fingerprint, restore_for_inference)
 from .evaluation import (EpochRecord, RankingMetrics, TripleFilter,
                          filtered_ranks, multiclass_accuracy, ranking_metrics,
                          ranks_from_scores)
@@ -30,7 +29,7 @@ __all__ = [
     "RankingMetrics", "EpochRecord", "ranking_metrics", "ranks_from_scores",
     "multiclass_accuracy",
     "TripleFilter", "filtered_ranks",
-    "SnapshotManager", "SnapshotError", "open_snapshot",
+    "SnapshotManager", "SnapshotError",
     "InferenceRestore", "restore_for_inference", "nc_dataset_fingerprint",
     "score_edges_offline",
 ]

@@ -1,16 +1,22 @@
 """Checkpointing: atomic training snapshots.
 
 :class:`SnapshotManager` is the crash-safe snapshot subsystem. A snapshot
-is a directory ``snap-<step_id>`` holding ``arrays.npz`` (every numpy
-array of the training state: node table, optimizer slabs, model
-parameters, dense-optimizer moments) and ``manifest.json`` (format
-version, CRC of the array payload, and the JSON-able metadata: epoch/step
-cursors, buffer residency, per-stream RNG states, store fingerprints,
-policy state). Writes follow the classic atomicity protocol:
-**write-temp + fsync + rename** — the temp directory only becomes visible
-under its final name via one atomic ``os.rename``, so a reader never
-observes a partial snapshot and a crash mid-save leaves only a ``tmp-*``
-directory that the next save or scan sweeps away.
+is a directory ``snap-<step_id>`` holding ``manifest.json`` (format
+version, a CRC-32 per file, and the JSON-able metadata: cursors, buffer
+residency, RNG states, store fingerprints, policy state) and one raw
+``.npy`` per array (``model/*``, ``gnn_opt/*``, lp-mem's ``emb_table``).
+A disk trainer's node table and Adagrad state keep their
+:class:`~repro.storage.node_store.NodeStore` layout, one file per
+partition (``node_table/<part>.npy``, ``node_state/<part>.npy``); a
+partition the store has not written since the manager's previous save is
+hard-linked from that snapshot, so a save costs only what changed and
+every snapshot directory is still complete on its own.
+
+Writes follow the classic atomicity protocol: **write-temp + fsync +
+rename** — the temp directory only becomes visible under its final name
+via one atomic ``os.rename``, so a reader never observes a partial
+snapshot and a crash mid-save leaves only a ``tmp-*`` directory that the
+next save or scan sweeps away.
 
 The resume guarantee (enforced by ``tests/test_checkpoint_recovery.py``):
 restoring the latest snapshot and continuing produces **bit-identical**
@@ -28,7 +34,8 @@ import os
 import shutil
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -37,7 +44,7 @@ from ..obs.trace import traced
 from ..storage.atomic import fsync_dir
 from ..storage.io_stats import crc_file as _crc_file
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _SNAP_PREFIX = "snap-"
 _TMP_PREFIX = "tmp-"
 
@@ -58,19 +65,9 @@ def set_rng_state(rng: np.random.Generator, state: Dict[str, Any]) -> None:
     rng.bit_generator.state = state
 
 
-# ---------------------------------------------------------------------------
-# Array-dict flattening for model / optimizer state
-# ---------------------------------------------------------------------------
-
-def flatten_arrays(prefix: str, state: Dict[str, np.ndarray],
-                   into: Dict[str, np.ndarray]) -> None:
-    """Merge ``state`` under ``prefix/`` keys into the snapshot array dict."""
-    for name, value in state.items():
-        into[f"{prefix}/{name}"] = np.asarray(value)
-
-
-def unflatten_arrays(prefix: str, arrays: Dict[str, np.ndarray]
+def unflatten_arrays(prefix: str, arrays: Mapping[str, np.ndarray]
                      ) -> Dict[str, np.ndarray]:
+    """The arrays stored under ``prefix/`` keys, with the prefix stripped."""
     head = f"{prefix}/"
     return {key[len(head):]: arrays[key] for key in arrays if key.startswith(head)}
 
@@ -81,6 +78,98 @@ def unflatten_arrays(prefix: str, arrays: Dict[str, np.ndarray]
 
 class SnapshotError(RuntimeError):
     """A snapshot is missing, truncated, or fails validation."""
+
+
+def _table_file(name: str, part: int) -> str:
+    return f"{name}/{part:05d}.npy"
+
+
+class Snapshot(Mapping):
+    """A published snapshot opened for reading: ``meta`` plus a mapping
+    of array names whose files are read (and CRC-checked) on access, so a
+    reader touches only what it asks for. A partitioned table indexes as
+    the whole table, or comes a partition at a time from
+    :meth:`partitions`."""
+
+    def __init__(self, path: os.PathLike) -> None:
+        self.path = Path(path)
+        try:
+            manifest = json.loads((self.path / "manifest.json").read_text())
+        except (OSError, ValueError) as exc:
+            raise SnapshotError(f"unreadable manifest in {self.path}") from exc
+        if manifest.get("version") != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"snapshot {self.path.name} has format version "
+                f"{manifest.get('version')}, expected {SNAPSHOT_VERSION}")
+        self.meta: Dict[str, Any] = manifest["meta"]
+        self.files: Dict[str, int] = manifest["files"]    # file -> CRC-32
+        self.tables: Dict[str, List[int]] = manifest["tables"]  # -> row bounds
+        self._checked: set = set()
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self.tables
+        yield from (rel[:-len(".npy")] for rel in self.files
+                    if rel.partition("/")[0] not in self.tables)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __contains__(self, name: object) -> bool:   # without reading it
+        return name in self.tables or f"{name}.npy" in self.files
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name in self.tables:
+            return np.concatenate([rows for _, rows in self.partitions(name)])
+        if f"{name}.npy" not in self.files:
+            raise KeyError(name)
+        return self._read(f"{name}.npy")
+
+    def partitions(self, name: str) -> Iterator[Tuple[int, np.ndarray]]:
+        """Array ``name`` a file at a time, ``(first row, rows)``: one per
+        table partition, or the whole array when it is one file."""
+        if name not in self.tables:
+            yield 0, self[name]
+            return
+        bounds = self.tables[name]
+        for part in range(len(bounds) - 1):
+            yield bounds[part], self._read(_table_file(name, part))
+
+    def shape(self, name: str) -> Tuple[int, ...]:
+        """An array's shape from the ``.npy`` headers, reading no data."""
+        if name not in self.tables:
+            return np.load(self.path / f"{name}.npy", mmap_mode="r").shape
+        first = np.load(self.path / _table_file(name, 0), mmap_mode="r")
+        return (self.tables[name][-1],) + first.shape[1:]
+
+    def verify(self) -> "Snapshot":
+        """CRC-check every file up front (the resume path restores nothing
+        before it knows the whole snapshot is intact)."""
+        for rel in self.files:
+            self._check(rel)
+        return self
+
+    def _check(self, rel: str) -> None:
+        if rel in self._checked:
+            return
+        try:
+            intact = _crc_file(self.path / rel) == self.files[rel]
+        except OSError:
+            intact = False
+        if not intact:
+            raise SnapshotError(
+                f"snapshot {self.path.name} failed its CRC check on {rel}")
+        self._checked.add(rel)
+
+    def _read(self, rel: str) -> np.ndarray:
+        self._check(rel)
+        return np.load(self.path / rel)
+
+
+class _Saved(NamedTuple):     # a manager's last save, to link files from
+    path: Path
+    files: Dict[str, int]
+    store: Any
+    mark: int
 
 
 class SnapshotManager:
@@ -95,27 +184,19 @@ class SnapshotManager:
     fault_hook:
         Test-only injection point: called with a crash-point name at the
         I/O boundaries of :meth:`save` (``snapshot-begin``,
-        ``snapshot-pre-rename``, ``snapshot-post-rename``). Production code
-        leaves it ``None``.
-    compress:
-        Write ``arrays.npz`` with zlib compression (``savez_compressed``).
-        Purely a storage-format choice: the CRC covers the compressed
-        payload, :meth:`load` reads both formats transparently, and a
-        manager may load snapshots written with either setting — so runs
-        can toggle compression between saves without invalidating history.
-        Embedding tables compress modestly; Adagrad state and sparse
-        policy arrays compress well.
+        ``snapshot-mid-files``, ``snapshot-pre-rename``,
+        ``snapshot-post-rename``). Production code leaves it ``None``.
     """
 
     def __init__(self, root: os.PathLike, keep: int = 2,
-                 fault_hook: Optional[FaultHook] = None,
-                 compress: bool = False) -> None:
+                 fault_hook: Optional[FaultHook] = None) -> None:
         self.root = Path(root)
         if keep < 1:
             raise ValueError("must keep at least one snapshot")
         self.keep = keep
         self.fault_hook = fault_hook
-        self.compress = bool(compress)
+        self.linked = 0          # partition files the last save hard-linked
+        self._last: Optional[_Saved] = None
 
     # ------------------------------------------------------------------
     def _fire(self, point: str) -> None:
@@ -131,28 +212,19 @@ class SnapshotManager:
     # ------------------------------------------------------------------
     @traced("snapshot.save")
     def save(self, step_id: int, meta: Dict[str, Any],
-             arrays: Dict[str, np.ndarray],
-             base: Optional[str] = None) -> Path:
+             arrays: Dict[str, np.ndarray], store=None) -> Path:
         """Write a snapshot atomically; returns its directory.
 
         ``meta`` must be JSON-serializable; ``arrays`` maps names to numpy
-        arrays. ``step_id`` seeds the directory ordinal (bumped past any
-        existing snapshots so this save sorts latest). The snapshot becomes
-        visible only after the final rename.
-
-        ``base`` names a sibling snapshot directory this one is an
-        *incremental delta* of: array keys of the form
-        ``delta/<name>/<row>`` overlay the base's ``<name>`` array at that
-        row offset on load (see :func:`compose_arrays`), every other key
-        replaces the base's outright. The base must exist under the same
-        root; pruning keeps chained bases alive as long as any retained
-        snapshot references them.
+        arrays, one ``<name>.npy`` each. ``store`` (a ``NodeStore``) adds
+        its table and optimizer state a partition file at a time, written
+        from its memmap or — when the store has not written the partition
+        since this manager's previous save of it — hard-linked from that
+        snapshot with its CRC. ``step_id`` seeds the directory ordinal
+        (bumped past any existing snapshots so this save sorts latest).
+        The snapshot becomes visible only after the final rename.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        if base is not None and not (self.root / base / "manifest.json").is_file():
-            raise SnapshotError(
-                f"incremental snapshot references base {base!r} which does "
-                f"not exist under {self.root}")
         self._sweep_tmp()
         # The directory ordinal is the *save* sequence, not the training
         # cursor (the cursor lives in the manifest): normally they coincide,
@@ -172,55 +244,77 @@ class SnapshotManager:
         tmp.mkdir()
         self._fire("snapshot-begin")
 
-        writer = np.savez_compressed if self.compress else np.savez
-        with open(tmp / "arrays.npz", "wb") as fh:
-            writer(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        crc = _crc_file(tmp / "arrays.npz")
+        files: Dict[str, int] = {}
+        tables: Dict[str, List[int]] = {}
+        self.linked = 0
+        # Taken before any partition is read: a write racing the save
+        # counts as after it, so the next save rewrites that partition.
+        mark = store.writes if store is not None else 0
+        if store is not None:
+            unchanged: set = set()
+            if self._last is not None and self._last.store is store:
+                unchanged = (set(range(store.num_partitions))
+                             - store.written_since(self._last.mark))
+            bounds = [int(b) for b in store.scheme.boundaries]
+            for name, state in (("node_table", False), ("node_state", True)):
+                if state and not store.learnable:
+                    continue
+                tables[name] = bounds
+                for part in range(store.num_partitions):
+                    self._put(tmp, files, _table_file(name, part),
+                              lambda: store.partition_block(part, state=state),
+                              self._last if part in unchanged else None)
+        for name, value in arrays.items():
+            self._put(tmp, files, f"{name}.npy", lambda: value)
 
         manifest = {"version": SNAPSHOT_VERSION, "step_id": int(step_id),
-                    "arrays_crc": crc, "meta": meta}
-        if base is not None:
-            manifest["base"] = str(base)
+                    "files": files, "tables": tables, "meta": meta}
         with open(tmp / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
             fh.flush()
             os.fsync(fh.fileno())
-        fsync_dir(tmp)
+        for sub in {tmp} | {(tmp / rel).parent for rel in files}:
+            fsync_dir(sub)
 
         self._fire("snapshot-pre-rename")
         os.rename(tmp, final)
         fsync_dir(self.root)
+        self._last = _Saved(final, files, store, mark)
         self._fire("snapshot-post-rename")
         self._prune()
         return final
 
-    def _prune(self) -> None:
-        """Drop all but the newest ``keep`` snapshots — except snapshots a
-        retained incremental snapshot (transitively) chains to as its base,
-        which must stay loadable for the chain to compose."""
-        snaps = self.list()
-        if len(snaps) <= self.keep:
-            return
-        by_name = {p.name: p for p in snaps}
-        keep_names = {p.name for p in snaps[-self.keep:]}
-        frontier = list(keep_names)
-        while frontier:
-            base = self._base_of(by_name[frontier.pop()])
-            if base and base in by_name and base not in keep_names:
-                keep_names.add(base)
-                frontier.append(base)
-        for old in snaps:
-            if old.name not in keep_names:
-                shutil.rmtree(old, ignore_errors=True)
+    def _put(self, tmp: Path, files: Dict[str, int], rel: str,
+             array: Callable[[], np.ndarray],
+             link_from: Optional[_Saved] = None) -> None:
+        """Add one file to the snapshot being written: hard-linked from
+        ``link_from`` when given (written if the link fails), else written
+        from ``array()`` and fsynced."""
+        target = tmp / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if link_from is not None:
+            try:
+                os.link(link_from.path / rel, target)
+            except OSError:
+                link_from = None
+        if link_from is not None:
+            files[rel] = link_from.files[rel]
+            self.linked += 1
+        else:
+            with open(target, "wb") as fh:
+                np.lib.format.write_array(fh, np.asarray(array()),
+                                          allow_pickle=False)
+                fh.flush()
+                os.fsync(fh.fileno())
+            files[rel] = _crc_file(target)
+        if len(files) == 1:
+            self._fire("snapshot-mid-files")
 
-    @staticmethod
-    def _base_of(path: Path) -> Optional[str]:
-        try:
-            return json.loads((path / "manifest.json").read_text()).get("base")
-        except (OSError, ValueError):
-            return None
+    def _prune(self) -> None:
+        """Drop all but the newest ``keep`` snapshots. A linked file
+        outlives the directory it was linked from, so nothing chains."""
+        for old in self.list()[:-self.keep]:
+            shutil.rmtree(old, ignore_errors=True)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -231,7 +325,8 @@ class SnapshotManager:
             return -1
 
     def list(self) -> List[Path]:
-        """Complete snapshots under the root, oldest first.
+        """Published snapshots under the root (a ``manifest.json`` is the
+        last file a save writes before its rename), oldest first.
 
         Ordered by the numeric step id, not the directory name — a step id
         wider than the 12-digit zero padding must still sort after the
@@ -239,11 +334,9 @@ class SnapshotManager:
         """
         if not self.root.is_dir():
             return []
-        out = []
-        for cand in self.root.glob(f"{_SNAP_PREFIX}*"):
-            if (self._step_of(cand) >= 0 and (cand / "manifest.json").is_file()
-                    and (cand / "arrays.npz").is_file()):
-                out.append(cand)
+        out = [cand for cand in self.root.glob(f"{_SNAP_PREFIX}*")
+               if self._step_of(cand) >= 0
+               and (cand / "manifest.json").is_file()]
         return sorted(out, key=self._step_of)
 
     def latest(self) -> Optional[Path]:
@@ -251,89 +344,23 @@ class SnapshotManager:
         return snaps[-1] if snaps else None
 
     @traced("snapshot.load")
-    def load(self, path: Optional[os.PathLike] = None, compose: bool = True
-             ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        """Read and validate a snapshot; returns ``(meta, arrays)``.
-
-        With ``path=None`` the latest complete snapshot is used. Validation
-        covers the format version and the CRC of the array payload, so a
-        torn copy is rejected rather than silently restored. An incremental
-        snapshot (manifest ``base``) is composed over its CRC-verified base
-        chain transparently, so callers always see full arrays; pass
-        ``compose=False`` for the raw delta payload.
-        """
-        if path is None:
-            path = self.latest()
-            if path is None:
-                raise SnapshotError(f"no snapshots under {self.root}")
-        path = Path(path)
-        try:
-            manifest = json.loads((path / "manifest.json").read_text())
-        except (OSError, ValueError) as exc:
-            raise SnapshotError(f"unreadable manifest in {path}") from exc
-        if manifest.get("version") != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot {path.name} has format version "
-                f"{manifest.get('version')}, expected {SNAPSHOT_VERSION}")
-        if _crc_file(path / "arrays.npz") != manifest["arrays_crc"]:
-            raise SnapshotError(f"snapshot {path.name} failed its CRC check")
-        with np.load(path / "arrays.npz") as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        base = manifest.get("base")
-        if compose and base:
-            if not (self.root / base / "manifest.json").is_file():
-                raise SnapshotError(
-                    f"snapshot {path.name} chains to base {base!r} which is "
-                    f"missing under {self.root}")
-            _, base_arrays = self.load(self.root / base)
-            arrays = compose_arrays(base_arrays, arrays)
-        return manifest["meta"], arrays
-
-
-DELTA_PREFIX = "delta/"
-
-
-def delta_key(name: str, row: int) -> str:
-    """Array key for an incremental row-span overlay of ``name`` at ``row``."""
-    return f"{DELTA_PREFIX}{name}/{int(row)}"
-
-
-def compose_arrays(base: Dict[str, np.ndarray],
-                   delta: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Overlay an incremental snapshot's arrays onto its base's.
-
-    Keys of the form ``delta/<name>/<row>`` write their rows into a copy
-    of the base's ``<name>`` array at offset ``row`` (the partition spans
-    the trainer recorded); every other key replaces the base entry. The
-    result is indistinguishable from a full snapshot's array dict.
-    """
-    out = dict(base)
-    copied = set()
-    for key, arr in delta.items():
-        if not key.startswith(DELTA_PREFIX):
-            out[key] = arr
-            continue
-        _, name, row = key.split("/")
-        lo = int(row)
-        if name not in out:
-            raise SnapshotError(
-                f"incremental overlay {key!r} has no base array {name!r}")
-        if name not in copied:
-            out[name] = out[name].copy()
-            copied.add(name)
-        if lo + len(arr) > len(out[name]):
-            raise SnapshotError(
-                f"incremental overlay {key!r} spans past the base array "
-                f"({lo}+{len(arr)} > {len(out[name])})")
-        out[name][lo : lo + len(arr)] = arr
-    return out
+    def load(self, path: Optional[os.PathLike] = None
+             ) -> Tuple[Dict[str, Any], Snapshot]:
+        """Open a snapshot — ``path`` (a ``snap-*`` dir or a checkpoint
+        root), by default this manager's latest — and check its format
+        version and every file's CRC, so a torn copy is rejected before
+        anything is restored. Returns ``(meta, arrays)``; ``arrays`` is the
+        :class:`Snapshot`, which reads each array on access."""
+        snapshot = Snapshot(resolve_snapshot_dir(
+            self.root if path is None else path)).verify()
+        return snapshot.meta, snapshot
 
 
 def resolve_snapshot_dir(path: os.PathLike) -> Path:
     """Normalize a snapshot argument that may name either one ``snap-*``
     directory or a checkpoint root: the root resolves to its latest
     complete snapshot. The single place the dir-or-root rule lives —
-    serving, stream resume, and :func:`open_snapshot` all route here."""
+    serving, stream resume and trainer resume all route here."""
     path = Path(path)
     if (path / "manifest.json").is_file():
         return path
@@ -343,29 +370,19 @@ def resolve_snapshot_dir(path: os.PathLike) -> Path:
     return latest
 
 
-def open_snapshot(path: os.PathLike
-                  ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Load a snapshot by path: either one ``snap-*`` directory or a
-    checkpoint root (in which case the latest complete snapshot is used)."""
-    path = resolve_snapshot_dir(path)
-    return SnapshotManager(path.parent).load(path)
-
-
-@dataclasses.dataclass
-class InferenceRestore:
+class InferenceRestore(Snapshot):
     """A snapshot opened for read-only inference (no trainer round-trip).
 
     Serving needs the model parameters, the node table (when the snapshot
     carries one), and enough metadata to validate the store layout — and
     nothing else. Optimizer moments, policy state, RNG stream positions and
-    training cursors stay untouched in the snapshot: they are replay state,
-    meaningful only to a resuming trainer, and an inference restore must
-    not require them to round-trip through trainer construction.
+    training cursors stay untouched in the snapshot (their files are never
+    opened): they are replay state, meaningful only to a resuming trainer.
     """
 
-    meta: Dict[str, Any]
-    model_state: Dict[str, np.ndarray]
-    node_table: Optional[np.ndarray]
+    def __init__(self, path: os.PathLike) -> None:
+        super().__init__(path)
+        self.model_state = unflatten_arrays("model", self)
 
     @property
     def trainer_kind(self) -> str:
@@ -378,32 +395,38 @@ class InferenceRestore:
     def store_fingerprint(self, name: str) -> Optional[str]:
         return self.meta.get("stores", {}).get(name)
 
+    @property
+    def table_name(self) -> Optional[str]:
+        """``node_table`` (disk kinds, one file per partition),
+        ``emb_table`` (lp-mem) or ``None`` (NC snapshots carry no table)."""
+        return next((name for name in ("node_table", "emb_table")
+                     if name in self), None)
+
+    @property
+    def node_table(self) -> Optional[np.ndarray]:
+        """The whole table as one array."""
+        return None if self.table_name is None else self[self.table_name]
+
 
 def restore_for_inference(path: os.PathLike) -> InferenceRestore:
     """Open a snapshot read-only for serving: model params + node table.
 
     Accepts either one ``snap-*`` directory or a checkpoint root (latest
-    snapshot wins). Works for every trainer kind — the LP trainers store
-    the table as ``node_table``/``emb_table``; NC snapshots carry no table
-    (features are immutable) and return ``node_table=None``.
+    snapshot wins). Only the ``model/*`` files are read here, and the table
+    files as the caller reads them; optimizer state is never opened, so a
+    damaged ``node_state`` or ``gnn_opt`` file does not stop serving.
     """
-    meta, arrays = open_snapshot(path)
-    table = arrays.get("node_table", arrays.get("emb_table"))
-    return InferenceRestore(meta=meta,
-                            model_state=unflatten_arrays("model", arrays),
-                            node_table=table)
+    return InferenceRestore(resolve_snapshot_dir(path))
 
 
 def resolve_snapshot(path: Optional[os.PathLike],
                      manager: Optional[SnapshotManager]
-                     ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+                     ) -> Tuple[Dict[str, Any], Snapshot]:
     """The trainers' shared resume dispatch: an explicit path wins,
     otherwise the trainer's own manager provides its latest snapshot."""
-    if path is not None:
-        return open_snapshot(path)
-    if manager is not None:
-        return manager.load()
-    raise RuntimeError("no checkpoint_dir and no explicit snapshot path")
+    if path is None and manager is None:
+        raise RuntimeError("no checkpoint_dir and no explicit snapshot path")
+    return (manager or SnapshotManager(path)).load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -444,54 +467,29 @@ def pack_model_state(arrays: Dict[str, np.ndarray], model: Module,
                      gnn_optimizer) -> None:
     """Model parameters under ``model/``, the dense optimizer's moments
     (if there is one) under ``gnn_opt/``."""
-    flatten_arrays("model", model.state_dict(), arrays)
+    arrays.update((f"model/{k}", v) for k, v in model.state_dict().items())
     if gnn_optimizer is not None:
-        flatten_arrays("gnn_opt", gnn_optimizer.state_dict(), arrays)
+        arrays.update((f"gnn_opt/{k}", np.asarray(v))
+                      for k, v in gnn_optimizer.state_dict().items())
 
 
-def unpack_model_state(arrays: Dict[str, np.ndarray], model: Module,
+def unpack_model_state(arrays: Mapping[str, np.ndarray], model: Module,
                        gnn_optimizer) -> None:
     model.load_state_dict(unflatten_arrays("model", arrays))
     if gnn_optimizer is not None:
         gnn_optimizer.load_state_dict(unflatten_arrays("gnn_opt", arrays))
 
 
-def pack_store_table(arrays: Dict[str, np.ndarray], buffer, store,
-                     parts: Optional[Sequence[int]] = None) -> None:
-    """A buffered node store's table (+ Adagrad state) as snapshot arrays.
-
-    The buffer is flushed first, so the copy holds the in-buffer slab's
-    exact values (flushing writes the same bytes an eviction would later —
-    training math is unaffected). ``parts=None`` packs the full
-    ``node_table``/``node_state``; otherwise only those partitions' rows,
-    as ``delta/...`` spans over a base snapshot (see :func:`compose_arrays`).
-    """
-    buffer.flush()
+def restore_store_table(snapshot: Snapshot, store) -> None:
+    """Rewrite every partition of a node store (table and optimizer state)
+    from a snapshot, one partition file at a time. The caller has dropped
+    the buffer without write-back, so partition writes torn by a crash
+    after the snapshot cannot leak into the resumed run."""
+    states = (snapshot.partitions("node_state")
+              if "node_state" in snapshot else None)
+    for lo, rows in snapshot.partitions("node_table"):
+        store.write_span(lo, rows, next(states)[1] if states else None)
     store.flush()
-    if parts is None:
-        arrays["node_table"] = store.read_all()
-        state = store.read_all_state()
-        if state is not None:
-            arrays["node_state"] = state
-        return
-    for part in sorted(parts):
-        data, state = store.read_partition(part)
-        lo = int(store.scheme.boundaries[part])
-        arrays[delta_key("node_table", lo)] = data
-        if state is not None:
-            arrays[delta_key("node_state", lo)] = state
-
-
-def restore_store_table(arrays: Dict[str, np.ndarray], buffer,
-                        store) -> None:
-    """Rewrite a buffered node store wholesale from snapshot arrays.
-
-    The buffer's resident partitions are dropped without write-back, and
-    the workdir memmaps are overwritten: partition writes torn by a crash
-    after the snapshot cannot leak into the resumed run.
-    """
-    buffer.drop_all()
-    store.restore(arrays["node_table"], arrays.get("node_state"))
 
 
 # Config fields a resume may legitimately change: they steer how *long* or

@@ -40,8 +40,7 @@ from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
 from ..storage.prefetch import PrefetchingBufferManager
-from .checkpoint import (SnapshotError, dataset_fingerprint, pack_store_table,
-                         resolve_snapshot_dir, restore_store_table)
+from .checkpoint import Snapshot, dataset_fingerprint, restore_store_table
 from .evaluation import EpochRecord, RankingMetrics, ranking_metrics, ranks_from_scores
 from .hooks import ProgressListener
 from .loop import _TrainingLoop, _TrainingResult
@@ -235,10 +234,9 @@ class LinkPredictionTrainer(_LinkPredictionLoop):
                  config: Optional[LinkPredictionConfig] = None,
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
-                 checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
         super().__init__(config or LinkPredictionConfig(), checkpoint_dir,
-                         checkpoint_every, checkpoint_compress, listeners)
+                         checkpoint_every, listeners)
         self.dataset = dataset
         cfg = self.config
         graph = dataset.graph
@@ -265,8 +263,7 @@ class LinkPredictionTrainer(_LinkPredictionLoop):
         arrays["emb_table"] = self.embeddings.table
         arrays["emb_state"] = self.embeddings.state
 
-    def _restore_state(self, meta: dict, arrays: dict,
-                       path: Optional[Path]) -> None:
+    def _restore_state(self, meta: dict, arrays: Snapshot) -> None:
         self.embeddings.table[:] = arrays["emb_table"]
         self.embeddings.state[:] = arrays["emb_state"]
 
@@ -402,14 +399,9 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
     back and the next step's read into spare buffer slots meanwhile),
     the sampler re-indexes the in-buffer subgraph, and mini batches are
     drawn from X_i's buckets with negatives restricted to resident nodes.
-    ``checkpoint_every`` counts plan steps, so snapshots land mid-epoch.
-
-    ``checkpoint_incremental=True`` switches to dirty-partition-only
-    snapshots: the first save is a full base, later saves carry only the
-    table/optimizer rows of partitions touched since that base as
-    ``delta/...`` row spans, with the manifest chaining to the base (see
-    :func:`~repro.train.checkpoint.compose_arrays`). A save whose touched
-    set covers every partition re-bases with a fresh full snapshot.
+    ``checkpoint_every`` counts plan steps, so snapshots land mid-epoch;
+    each one rewrites only the partition files written since the previous
+    save and links the rest (:mod:`repro.train.checkpoint`).
     """
 
     KIND = job_registry.LP_DISK
@@ -419,11 +411,9 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
                  disk: Optional[DiskConfig] = None,
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
-                 checkpoint_compress: bool = False,
-                 checkpoint_incremental: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
         super().__init__(config or LinkPredictionConfig(), checkpoint_dir,
-                         checkpoint_every, checkpoint_compress, listeners)
+                         checkpoint_every, listeners)
         self.dataset = dataset
         self.disk = disk or DiskConfig(workdir=Path("/tmp/repro-disk"))
         cfg, dsk = self.config, self.disk
@@ -454,9 +444,6 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         self.negatives = UniformNegativeSampler(graph.num_nodes, cfg.num_negatives,
                                                 rng=self.rng)
         self.step_runner = _BatchStep(self.model, cfg, self.rng)
-        self.checkpoint_incremental = bool(checkpoint_incremental)
-        self._ckpt_base: Optional[str] = None       # full snapshot deltas chain to
-        self._touched_since_base: set = set()       # partitions dirtied since it
 
     # ------------------------------------------------------------------
     def _plan_epoch(self, epoch: int) -> List[EpochStep]:
@@ -472,15 +459,9 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         self.buffer_manager.load_step(step.partitions, next_parts)
         self.negatives.set_allowed(self.buffer.resident_nodes())
         edges = self.edge_store.read_buckets(step.buckets)
-        losses = self.step_runner.train_edges(
+        return self.step_runner.train_edges(
             edges, self.sampler, self.negatives, self.buffer.gather,
             self.buffer.apply_gradients, record)
-        if self.checkpoint_incremental:
-            # Updates land only inside the step's batches, and evictions
-            # only at the next swap — so the buffer's dirty set here is
-            # exactly the partitions this step's gradients touched.
-            self._touched_since_base.update(self.buffer.dirty_partitions())
-        return losses
 
     def _end_epoch(self) -> None:
         self.buffer_manager.finish()
@@ -496,63 +477,20 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
                 "plan": f"{dsk.policy}:p{dsk.num_partitions}"
                         f":l{dsk.num_logical}:c{dsk.buffer_capacity}"}
 
-    def _pack_state(self, arrays: dict, meta: dict) -> Optional[str]:
+    def _pack_state(self, arrays: dict, meta: dict) -> NodeStore:
         meta["resident"] = self.buffer.resident
         meta["policy"] = self.policy.state_dict()
-        # Incremental mode: once a full base exists, carry only the rows of
-        # partitions touched since it (a delta covering every partition is
-        # pointless — re-base with a fresh full snapshot instead).
-        delta = (self.checkpoint_incremental and self._ckpt_base is not None
-                 and len(self._touched_since_base) < self.scheme.num_partitions)
-        pack_store_table(arrays, self.buffer, self.node_store,
-                         parts=self._touched_since_base if delta else None)
-        if not delta:
-            return None
-        meta["incremental"] = {
-            "base": self._ckpt_base,
-            "parts": sorted(int(p) for p in self._touched_since_base)}
-        return self._ckpt_base
+        # The snapshot reads the store: flush the buffer's exact values
+        # first (the same bytes an eviction would write later).
+        self.buffer.flush()
+        return self.node_store
 
-    def _snapshot_saved(self, path: Path, base: Optional[str]) -> None:
-        if self.checkpoint_incremental and base is None:
-            self._ckpt_base = path.name
-            self._touched_since_base.clear()
-
-    def _restore_state(self, meta: dict, arrays: dict,
-                       path: Optional[Path]) -> None:
+    def _restore_state(self, meta: dict, arrays: Snapshot) -> None:
         self.buffer_manager.reset()
-        restore_store_table(arrays, self.buffer, self.node_store)
+        restore_store_table(arrays, self.node_store)
         self.policy.load_state_dict(meta.get("policy", {}))
         self.buffer_manager.load_step(meta["resident"])
         self.negatives.set_allowed(self.buffer.resident_nodes())
-        self._restore_incremental_chain(path, meta)
-
-    def _restore_incremental_chain(self, path: Optional[Path],
-                                   meta: dict) -> None:
-        """Continue the delta chain after a resume when possible.
-
-        Resuming from our own checkpoint root keeps chaining: a resumed
-        full snapshot becomes the base; a resumed delta inherits its base
-        and touched set (future deltas must keep carrying those rows). A
-        foreign snapshot path can't be chained to — the next save is full.
-        """
-        self._ckpt_base = None
-        self._touched_since_base = set()
-        if not self.checkpoint_incremental or self.snapshots is None:
-            return
-        try:
-            snap = resolve_snapshot_dir(path if path is not None
-                                        else self.snapshots.root)
-        except SnapshotError:
-            return
-        if snap.parent != self.snapshots.root:
-            return
-        inc = meta.get("incremental")
-        base = inc["base"] if inc else snap.name
-        if (self.snapshots.root / base / "manifest.json").is_file():
-            self._ckpt_base = base
-            if inc:
-                self._touched_since_base = set(int(p) for p in inc["parts"])
 
     # ------------------------------------------------------------------
     def _train_graph(self) -> Graph:

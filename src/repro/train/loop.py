@@ -16,9 +16,9 @@ snapshot/resume path. A trainer kind supplies only its seams:
 * ``_run_step(steps, idx, record)`` — train plan step ``idx``, return its
   batch losses;
 * ``_end_epoch()`` — work after an epoch's last step (default: none);
-* ``_pack_state`` / ``_snapshot_saved`` / ``_restore_state`` — the kind's
-  snapshot state beyond model, optimizer, RNG and cursors (table, buffer
-  residency, policy state, incremental-delta chain);
+* ``_pack_state`` / ``_restore_state`` — the kind's snapshot state beyond
+  model, optimizer, RNG and cursors (table, buffer residency, policy
+  state);
 * ``_fingerprints()``, ``_gnn_optimizer``, ``_epoch_metric()`` and
   ``_result(records)``.
 
@@ -45,9 +45,10 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..storage.io_stats import IOStats
-from .checkpoint import (SnapshotManager, _config_to_dict, pack_model_state,
-                         resolve_snapshot, rng_state, set_rng_state,
-                         unpack_model_state, validate_meta)
+from ..storage.node_store import NodeStore
+from .checkpoint import (Snapshot, SnapshotManager, _config_to_dict,
+                         pack_model_state, resolve_snapshot, rng_state,
+                         set_rng_state, unpack_model_state, validate_meta)
 from .evaluation import EpochRecord
 from .hooks import ListenerHooks, ProgressListener
 
@@ -72,14 +73,13 @@ class _TrainingLoop(ListenerHooks):
     METRIC = ""      # name of the per-epoch metric in the verbose line
 
     def __init__(self, config: Any, checkpoint_dir: Optional[Path],
-                 checkpoint_every: int, checkpoint_compress: bool,
+                 checkpoint_every: int,
                  listeners: Optional[Sequence[ProgressListener]]) -> None:
         self._init_hooks(listeners)
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.io = IOStats()      # stays zero for the in-memory kinds
-        self.snapshots = (SnapshotManager(checkpoint_dir,
-                                          compress=checkpoint_compress)
+        self.snapshots = (SnapshotManager(checkpoint_dir)
                           if checkpoint_dir is not None else None)
         self.checkpoint_every = int(checkpoint_every)  # in global plan steps
         # The cursor train() starts at, and the plan steps done before it.
@@ -93,17 +93,12 @@ class _TrainingLoop(ListenerHooks):
         pass
 
     def _pack_state(self, arrays: Dict[str, np.ndarray],
-                    meta: Dict[str, Any]) -> Optional[str]:
-        """Add the kind's state to a snapshot; returns the base snapshot
-        name when the arrays are an incremental delta of it."""
+                    meta: Dict[str, Any]) -> Optional[NodeStore]:
+        """Add the kind's state to a snapshot; returns the node store whose
+        table the snapshot carries partition by partition, if any."""
         return None
 
-    def _snapshot_saved(self, path: Path, base: Optional[str]) -> None:
-        pass
-
-    def _restore_state(self, meta: Dict[str, Any],
-                       arrays: Dict[str, np.ndarray],
-                       path: Optional[Path]) -> None:
+    def _restore_state(self, meta: Dict[str, Any], arrays: Snapshot) -> None:
         pass
 
     # ------------------------------------------------------------------
@@ -165,13 +160,12 @@ class _TrainingLoop(ListenerHooks):
                 "step": int(next_step), "global_step": self._global_step,
                 "rng": rng_state(self.rng), "stores": self._fingerprints(),
                 "config": _config_to_dict(self.config)}
-        base = self._pack_state(arrays, meta)
+        store = self._pack_state(arrays, meta)
         pack_model_state(arrays, self.model, self._gnn_optimizer)
-        path = self.snapshots.save(self._global_step, meta, arrays, base=base)
-        self._snapshot_saved(path, base)
+        path = self.snapshots.save(self._global_step, meta, arrays, store)
         self._emit("snapshot", trainer=self.KIND, path=str(path),
                    epoch=int(epoch), step=int(next_step),
-                   incremental=base is not None)
+                   linked=self.snapshots.linked)
         return path
 
     def resume(self, path: Optional[Path] = None) -> dict:
@@ -180,7 +174,7 @@ class _TrainingLoop(ListenerHooks):
         meta, arrays = resolve_snapshot(path, self.snapshots)
         validate_meta(meta, self.KIND, stores=self._fingerprints(),
                       config=self.config)
-        self._restore_state(meta, arrays, path)
+        self._restore_state(meta, arrays)
         unpack_model_state(arrays, self.model, self._gnn_optimizer)
         set_rng_state(self.rng, meta["rng"])
         self._epoch = int(meta["epoch"])

@@ -32,7 +32,7 @@ from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
 from ..storage.prefetch import PrefetchingBufferManager
-from .checkpoint import nc_dataset_fingerprint
+from .checkpoint import Snapshot, nc_dataset_fingerprint
 from .evaluation import EpochRecord, multiclass_accuracy
 from .hooks import ProgressListener
 from .loop import _TrainingLoop, _TrainingResult
@@ -141,10 +141,9 @@ class NodeClassificationTrainer(_NodeClassificationLoop):
                  config: Optional[NodeClassificationConfig] = None,
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
-                 checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
         super().__init__(config or NodeClassificationConfig(), checkpoint_dir,
-                         checkpoint_every, checkpoint_compress, listeners)
+                         checkpoint_every, listeners)
         self.dataset = dataset
         cfg = self.config
         graph = dataset.graph
@@ -273,10 +272,9 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
                  disk: Optional[DiskNodeClassificationConfig] = None,
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
-                 checkpoint_compress: bool = False,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
         super().__init__(config or NodeClassificationConfig(), checkpoint_dir,
-                         checkpoint_every, checkpoint_compress, listeners)
+                         checkpoint_every, listeners)
         self.disk = disk or DiskNodeClassificationConfig(workdir=Path("/tmp/repro-nc"))
         cfg, dsk = self.config, self.disk
         self.dataset, self._old_to_new, train_parts = relabel_for_training_cache(
@@ -333,8 +331,7 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
         meta["resident"] = self.buffer.resident
         meta["policy"] = self.policy.state_dict()
 
-    def _restore_state(self, meta: dict, arrays: dict,
-                       path: Optional[Path]) -> None:
+    def _restore_state(self, meta: dict, arrays: Snapshot) -> None:
         self.policy.load_state_dict(meta.get("policy", {}))
         self.buffer_manager.reset()
         self.buffer_manager.load_step(meta["resident"])

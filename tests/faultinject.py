@@ -49,6 +49,8 @@ class CrashPoint:
 
     # SnapshotManager hooks
     SNAPSHOT_BEGIN = "snapshot-begin"        # temp dir created, nothing in it
+    SNAPSHOT_MID_FILES = "snapshot-mid-files"  # first file written or
+                                               # linked, no manifest yet
     SNAPSHOT_PRE_RENAME = "snapshot-pre-rename"    # fully written, not visible
     SNAPSHOT_POST_RENAME = "snapshot-post-rename"  # visible, pruning pending
 
@@ -71,7 +73,8 @@ class CrashPoint:
                                              # trailing record
 
     ALL = (NODE_READ, NODE_WRITE, SWAP_EVICTED, PREFETCH_STAGED,
-           WRITEBACK_PENDING, SNAPSHOT_BEGIN, SNAPSHOT_PRE_RENAME, SNAPSHOT_POST_RENAME,
+           WRITEBACK_PENDING, SNAPSHOT_BEGIN, SNAPSHOT_MID_FILES,
+           SNAPSHOT_PRE_RENAME, SNAPSHOT_POST_RENAME,
            WAL_FRAME_MID, WAL_TRUNCATE_PRE, SPILL_POST_WRITE,
            REWRITE_STAGED, REWRITE_POST_RENAME, SINK_FLUSH_MID)
 

@@ -34,13 +34,13 @@ SPEC_SAMPLES = {
                       train=TrainSpec(batch_size=128, negatives=32, epochs=2,
                                       seed=9),
                       checkpoint=CheckpointSpec(every=1, dir="snaps",
-                                                compress=True)),
+                                                resume_from="snaps")),
     "lp-disk": JobSpec(kind="lp-disk",
                        model=ModelSpec(encoder="none"),
                        storage=StorageSpec(workdir="w", partitions=8,
                                            logical=4, buffer=2,
                                            policy="beta"),
-                       checkpoint=CheckpointSpec(every=3, incremental=True)),
+                       checkpoint=CheckpointSpec(every=3, dir="ck")),
     "nc-mem": JobSpec(kind="nc-mem",
                       data=DataSpec(nodes=800, edges=4000, classes=5),
                       model=ModelSpec(dim=16, fanouts=(4,)),
@@ -117,17 +117,6 @@ def test_serve_requires_snapshot():
         JobSpec(kind="serve").resolve()
 
 
-def test_incremental_needs_disk_trainer():
-    """Only lp-disk has a learnable table to delta; nc-disk's feature
-    store is immutable, so the option is rejected rather than ignored."""
-    for kind in ("lp-mem", "nc-mem", "nc-disk"):
-        spec = JobSpec(kind=kind, checkpoint=CheckpointSpec(incremental=True))
-        with pytest.raises(ValueError, match="disk trainer"):
-            spec.resolve()
-    JobSpec(kind="lp-disk",
-            checkpoint=CheckpointSpec(incremental=True)).resolve()
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -164,7 +153,7 @@ def test_info_jobs_schema_generated_from_registry(capsys):
         assert kind in out
     # one-line-per-field, straight from the dataclasses
     assert "model.fanouts" in out
-    assert "checkpoint.incremental" in out
+    assert "checkpoint.resume_from" in out
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +197,11 @@ PARITY_CASES = {
         {"kind": "lp-disk"},
         ["storage.policy=beta", "storage.partitions=8", "storage.logical=4",
          "storage.buffer=2", "storage.workdir=W", "checkpoint.every=2",
-         "checkpoint.incremental=true"],
+         "checkpoint.dir=W/ck"],
         {"kind": "lp-disk",
          "storage": {"workdir": "W", "partitions": 8, "logical": 4,
                      "buffer": 2, "policy": "beta"},
-         "checkpoint": {"every": 2, "incremental": True}}),
+         "checkpoint": {"every": 2, "dir": "W/ck"}}),
     "train-nc --nodes 900": (
         {"kind": "nc-mem"},
         ["data.nodes=900", "model.dim=24", "train.epochs=2"],

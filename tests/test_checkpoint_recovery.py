@@ -12,6 +12,7 @@ a recovery training, and shares a module-scoped uninterrupted baseline).
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,9 +75,9 @@ class TestSnapshotManager:
         mgr = SnapshotManager(tmp_path)
         meta, arrays = self._payload()
         snap = mgr.save(1, meta, arrays)
-        payload = bytearray((snap / "arrays.npz").read_bytes())
+        payload = bytearray((snap / "a.npy").read_bytes())
         payload[len(payload) // 2] ^= 0xFF
-        (snap / "arrays.npz").write_bytes(bytes(payload))
+        (snap / "a.npy").write_bytes(bytes(payload))
         with pytest.raises(SnapshotError, match="CRC"):
             mgr.load()
 
@@ -189,6 +190,10 @@ def _recover(make_trainer):
     (CrashPoint.SNAPSHOT_BEGIN, 1),
     (CrashPoint.SNAPSHOT_PRE_RENAME, 1),
     (CrashPoint.SNAPSHOT_POST_RENAME, 1),
+    # The third save links the partitions untouched since the second.
+    (CrashPoint.SNAPSHOT_PRE_RENAME, 2),
+    (CrashPoint.SNAPSHOT_POST_RENAME, 2),
+    (CrashPoint.SNAPSHOT_MID_FILES, 2),
 ])
 def test_disk_lp_crash_matrix(lp_data, lp_baseline, tmp_path, point, after):
     """Kill mid-swap / mid-snapshot / between attaching a staged slot and
@@ -528,188 +533,149 @@ def test_resume_rejects_changed_partitioning(lp_data, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Incremental (dirty-partition-only) snapshots — disk LP trainer
+# Linked snapshots: a save rewrites only the partitions written since the
+# previous save and hard-links the rest — disk LP trainer
 # ---------------------------------------------------------------------------
 
-class TestIncrementalSnapshots:
-    """CheckpointSpec(incremental=True): the first save is a full base,
-    later saves carry only partitions touched since it as delta row spans,
-    the manifest chains to the base, and load() composes the chain
-    transparently (CRC-verified per member)."""
+def _inode(snap, name, part):
+    return (snap / name / f"{part:05d}.npy").stat().st_ino
 
-    def _twins(self, lp_data, tmp_path, every=1, keep=100):
-        full = make_disk_lp(lp_data, tmp_path / "full-w",
-                            checkpoint_dir=tmp_path / "full-c",
-                            checkpoint_every=every)
-        inc = make_disk_lp(lp_data, tmp_path / "inc-w",
-                           checkpoint_dir=tmp_path / "inc-c",
-                           checkpoint_every=every,
-                           checkpoint_incremental=True)
-        full.snapshots.keep = keep
-        inc.snapshots.keep = keep
-        return full, inc
 
-    def test_deltas_chain_and_compose_to_the_full_payload(self, lp_data,
-                                                          tmp_path):
-        full, inc = self._twins(lp_data, tmp_path)
-        full.train()
-        inc.train()
-        full_snaps, inc_snaps = full.snapshots.list(), inc.snapshots.list()
-        assert len(full_snaps) == len(inc_snaps) >= 2
+@pytest.fixture(scope="module")
+def linked_run(lp_data, tmp_path_factory):
+    """One lp-disk run snapshotting after every plan step, every snapshot
+    retained. Per save it records, independently of the store's own write
+    stamps: the store's table and state at the save, the partitions
+    written through ``write_partition``/``write_span`` since the previous
+    save, and the event's ``linked`` count."""
+    tmp = tmp_path_factory.mktemp("linked")
+    trainer = make_disk_lp(lp_data, tmp / "w", checkpoint_dir=tmp / "c",
+                           checkpoint_every=1)
+    trainer.snapshots.keep = 1000
+    store, written, saves = trainer.node_store, set(), []
+    write_partition, write_span = store.write_partition, store.write_span
 
-        base_name = inc_snaps[0].name
-        manifest = json.loads((inc_snaps[1] / "manifest.json").read_text())
-        assert manifest["base"] == base_name
-        _, raw = inc.snapshots.load(inc_snaps[1], compose=False)
-        assert any(k.startswith("delta/node_table/") for k in raw)
-        assert "node_table" not in raw      # the delta carries no full table
+    def on_partition(part, data, state=None):
+        written.add(int(part))
+        write_partition(part, data, state)
 
-        # Checkpoint format never changes the math: at every cursor, the
-        # composed incremental payload equals the full trainer's snapshot.
-        for full_snap, inc_snap in zip(full_snaps, inc_snaps):
-            ref_meta, ref = full.snapshots.load(full_snap)
-            got_meta, got = inc.snapshots.load(inc_snap)
-            assert (ref_meta["epoch"], ref_meta["step"]) == (
-                got_meta["epoch"], got_meta["step"])
-            assert set(ref) == set(got)
-            for key in ref:
-                np.testing.assert_array_equal(ref[key], got[key],
-                                              err_msg=key)
+    def on_span(start, data, state=None):
+        bounds = store.scheme.boundaries
+        written.update(p for p in range(store.num_partitions)
+                       if bounds[p] < start + len(data)
+                       and bounds[p + 1] > start)
+        write_span(start, data, state)
 
-    def test_deltas_are_smaller_than_full_snapshots(self, lp_data, tmp_path):
-        full, inc = self._twins(lp_data, tmp_path)
-        full.train()
-        inc.train()
-        sizes = lambda snaps: [
-            (p / "arrays.npz").stat().st_size for p in snaps]
-        full_sizes, inc_sizes = (sizes(full.snapshots.list()),
-                                 sizes(inc.snapshots.list()))
-        # Base ~= a full snapshot; at least one delta must beat the full
-        # format (touched partitions < all partitions at some cursor).
-        assert min(inc_sizes[1:]) < min(full_sizes)
+    def on_event(event, payload):
+        if event == "snapshot":
+            saves.append((Path(payload["path"]), store.read_all(),
+                          store.read_all_state(), set(written),
+                          payload["linked"]))
+            written.clear()
 
-    def test_prune_keeps_the_chained_base_alive(self, lp_data, tmp_path):
-        inc = make_disk_lp(lp_data, tmp_path / "w",
-                           checkpoint_dir=tmp_path / "c",
-                           checkpoint_every=1, checkpoint_incremental=True)
-        inc.snapshots.keep = 2
-        inc.train()
-        snaps = inc.snapshots.list()
-        names = {p.name for p in snaps}
-        bases = {json.loads((p / "manifest.json").read_text()).get("base")
-                 for p in snaps} - {None}
-        assert bases and bases <= names     # every referenced base survives
-        # ...and the latest (a delta) still composes after pruning.
-        meta, arrays = inc.snapshots.load()
-        assert arrays["node_table"].shape == (
-            inc.node_store.num_nodes, inc.config.embedding_dim)
+    store.write_partition, store.write_span = on_partition, on_span
+    trainer.add_listener(on_event)
+    trainer.train()
+    return trainer, saves
 
-    def test_open_snapshot_serves_composed_delta(self, lp_data, tmp_path):
-        """restore_for_inference over a delta snapshot sees the full table."""
+
+class TestLinkedSnapshots:
+    """Every lp-disk save after the first in a process links exactly the
+    partition files the store did not write since the previous save, and
+    every snapshot stays complete on its own."""
+
+    def test_every_snapshot_loads_bit_equal_to_the_store_at_its_save(
+            self, linked_run):
+        trainer, saves = linked_run
+        assert len(saves) >= 3
+        for path, table, state, _, _ in saves:
+            _, arrays = trainer.snapshots.load(path)
+            np.testing.assert_array_equal(arrays["node_table"], table)
+            np.testing.assert_array_equal(arrays["node_state"], state)
+
+    def test_links_exactly_the_partitions_not_written_since(self,
+                                                           linked_run):
+        trainer, saves = linked_run
+        parts = set(range(trainer.scheme.num_partitions))
+        assert saves[0][4] == 0              # nothing to link from yet
+        linked_any = rewrote_any = False
+        for prev, cur in zip(saves, saves[1:]):
+            path, written, linked_count = cur[0], cur[3], cur[4]
+            for name in ("node_table", "node_state"):
+                linked = {p for p in parts
+                          if _inode(path, name, p) == _inode(prev[0], name, p)}
+                assert linked == parts - written, (path.name, name)
+            assert linked_count == 2 * len(parts - written)
+            linked_any |= bool(parts - written)
+            rewrote_any |= bool(written)
+        assert linked_any and rewrote_any    # both halves on one run
+
+    def test_later_saves_write_fewer_bytes_than_the_first(self, linked_run):
+        _, saves = linked_run
+
+        def new_bytes(path, prev):
+            return sum(f.stat().st_size for f in path.rglob("*.npy")
+                       if prev is None
+                       or f.stat().st_ino != (prev / f.relative_to(path))
+                       .stat().st_ino)
+
+        paths = [save[0] for save in saves]
+        sizes = [new_bytes(p, q) for p, q in zip(paths, [None] + paths)]
+        assert min(sizes[1:]) < sizes[0]
+
+    def test_restore_for_inference_reads_a_linked_snapshot(self, linked_run):
         from repro.train import restore_for_inference
-        inc = make_disk_lp(lp_data, tmp_path / "w",
-                           checkpoint_dir=tmp_path / "c",
-                           checkpoint_every=1, checkpoint_incremental=True)
-        inc.train()
-        latest = inc.snapshots.latest()
-        assert json.loads((latest / "manifest.json").read_text())["base"]
-        restore = restore_for_inference(latest)
-        assert restore.node_table.shape == (inc.node_store.num_nodes,
-                                            inc.config.embedding_dim)
+        _, saves = linked_run
+        path, table, _, _, linked = next(s for s in reversed(saves) if s[4])
+        restore = restore_for_inference(path)
+        np.testing.assert_array_equal(restore.node_table, table)
 
-    def test_resume_from_delta_continues_the_chain(self, lp_data, tmp_path):
-        cfg1 = _one_epoch(LP_CFG)
-        disk = DiskConfig(workdir=tmp_path / "w", num_partitions=8,
-                          num_logical=4, buffer_capacity=4)
-        first = DiskLinkPredictionTrainer(lp_data, cfg1, disk,
-                                          checkpoint_dir=tmp_path / "c",
-                                          checkpoint_every=1,
-                                          checkpoint_incremental=True)
-        first.snapshots.keep = 100
+    def test_keep_one_survives_pruning_its_link_source(self, lp_data,
+                                                      tmp_path):
+        trainer = make_disk_lp(lp_data, tmp_path / "w",
+                               checkpoint_dir=tmp_path / "c",
+                               checkpoint_every=1)
+        trainer.snapshots.keep = 1
+        trainer.train()
+        assert len(trainer.snapshots.list()) == 1
+        assert trainer.snapshots.linked > 0   # its link source is gone
+        meta, arrays = trainer.snapshots.load()   # every CRC checked
+        np.testing.assert_array_equal(arrays["node_table"],
+                                      trainer.node_store.read_all())
+
+    @pytest.mark.parametrize("foreign", [False, True],
+                             ids=["own-root", "foreign-root"])
+    def test_first_save_after_a_resume_writes_every_partition(
+            self, lp_data, tmp_path, foreign):
+        first = make_disk_lp(lp_data, tmp_path / "w",
+                             checkpoint_dir=tmp_path / "c",
+                             checkpoint_every=2)
         first.train()
-        latest = first.snapshots.latest()
-        assert json.loads((latest / "manifest.json").read_text()).get("base")
-
+        linked = []
         second = DiskLinkPredictionTrainer(
             lp_data, _three_epochs(LP_CFG),
             DiskConfig(workdir=tmp_path / "w2", num_partitions=8,
                        num_logical=4, buffer_capacity=4),
-            checkpoint_dir=tmp_path / "c", checkpoint_every=1,
-            checkpoint_incremental=True)
-        second.snapshots.keep = 100
-        meta = second.resume()
-        assert second._ckpt_base == meta["incremental"]["base"]
-        count_before = len(second.snapshots.list())
-        second.train()
-        snaps = second.snapshots.list()
-        assert len(snaps) > count_before
-        # The chain stays active across the resume: every new snapshot is
-        # either a delta naming a live sibling base, or a legitimate
-        # re-base (touched set covered every partition) that later deltas
-        # chain to — and the latest always composes to a full payload.
-        assert second._ckpt_base is not None
-        names = {p.name for p in snaps}
-        for snap in snaps[count_before:]:
-            base = json.loads((snap / "manifest.json").read_text()).get("base")
-            assert base is None or base in names
-        _, arrays = second.snapshots.load()
-        assert arrays["node_table"].shape == (
-            second.node_store.num_nodes, second.config.embedding_dim)
-
-    def test_foreign_resume_falls_back_to_a_full_save(self, lp_data,
-                                                      tmp_path):
-        """Resuming from a snapshot outside the trainer's own checkpoint
-        root cannot chain to it — the next save must be full."""
-        first = make_disk_lp(lp_data, tmp_path / "w",
-                             checkpoint_dir=tmp_path / "foreign",
-                             checkpoint_every=0,
-                             checkpoint_incremental=True)
-        first.train()
-        first.save_snapshot(LP_CFG.num_epochs, 0, 1)
-
-        second = make_disk_lp(lp_data, tmp_path / "w2",
-                              checkpoint_dir=tmp_path / "own",
-                              checkpoint_every=0,
-                              checkpoint_incremental=True)
+            checkpoint_dir=tmp_path / ("own" if foreign else "c"),
+            checkpoint_every=1,
+            listeners=[lambda event, payload: linked.append(
+                payload["linked"]) if event == "snapshot" else None])
         second.resume(first.snapshots.latest())
-        assert second._ckpt_base is None
-        path = second.save_snapshot(LP_CFG.num_epochs, 0, 1)
-        assert "base" not in json.loads((path / "manifest.json").read_text())
-        assert second._ckpt_base == path.name   # ...and becomes the new base
+        second.train()
+        assert linked[0] == 0 and max(linked[1:]) > 0
 
-
-@pytest.mark.slow
-@pytest.mark.parametrize("point,after", [
-    (CrashPoint.NODE_WRITE, 6),
-    (CrashPoint.SWAP_EVICTED, 3),
-    (CrashPoint.WRITEBACK_PENDING, 7),
-    (CrashPoint.SNAPSHOT_PRE_RENAME, 2),
-    (CrashPoint.SNAPSHOT_POST_RENAME, 2),
-])
-def test_disk_lp_incremental_crash_matrix(lp_data, lp_baseline, tmp_path,
-                                          point, after):
-    """The crash matrix holds under incremental snapshots: a run killed
-    mid-swap, with a write-back pending, or mid-(delta-)snapshot and
-    resumed from the composed chain reaches bit-identical final
-    parameters."""
-    injector = FaultInjector(point, after=after)
-    every = _checkpoint_every(point)
-    crashed = make_disk_lp(lp_data, tmp_path / "crashed",
-                           checkpoint_dir=tmp_path / "ckpt",
-                           checkpoint_every=every, checkpoint_incremental=True)
-    FaultyStorage(crashed.node_store, injector)
-    crashed.buffer_manager.fault_hook = injector.fire
-    crashed.snapshots.fault_hook = injector.fire
-    with pytest.raises(CRASHES):
-        crashed.train()
-    assert injector.fired, f"crash point {point} never hit"
-
-    resumed = _recover(lambda: make_disk_lp(
-        lp_data, tmp_path / "resumed", checkpoint_dir=tmp_path / "ckpt",
-        checkpoint_every=every, checkpoint_incremental=True))
-    ref_table, ref_model = lp_baseline
-    np.testing.assert_array_equal(resumed.node_store.read_all(), ref_table)
-    assert _models_equal(resumed.model, ref_model)
+    def test_in_process_resume_rewrites_every_partition(self, lp_data,
+                                                        tmp_path):
+        trainer = make_disk_lp(lp_data, tmp_path / "w",
+                               checkpoint_dir=tmp_path / "c",
+                               checkpoint_every=2)
+        trainer.train()
+        trainer.save_snapshot(LP_CFG.num_epochs)
+        trainer.save_snapshot(LP_CFG.num_epochs)
+        assert trainer.snapshots.linked == 16    # nothing written since
+        trainer.resume()
+        trainer.save_snapshot(LP_CFG.num_epochs)
+        assert trainer.snapshots.linked == 0
 
 
 # ---------------------------------------------------------------------------

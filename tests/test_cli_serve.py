@@ -8,6 +8,7 @@ missing-snapshot error path.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -102,10 +103,25 @@ def test_missing_snapshot_is_a_clean_error(tmp_path):
     assert "no snapshots under" in result.stderr
 
 
+def test_wrong_snapshot_version_is_a_clean_error(snapshot, tmp_path):
+    """A snapshot this build cannot read exits cleanly, naming both format
+    versions, instead of dying with a traceback."""
+    bad = tmp_path / "ckpt" / snapshot.name
+    shutil.copytree(snapshot, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["version"] = 7
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    for target in (bad, bad.parent):           # snapshot dir and its root
+        result = run_serve(tmp_path, target, "serve.embed=0")
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "format version 7, expected 2" in result.stderr
+
+
 def test_embed_values_match_snapshot_table(snapshot, tmp_path):
     """The CLI prints the actual stored rows, not garbage."""
-    archive = np.load(snapshot / "arrays.npz")
-    table = archive["node_table"]
+    table = np.concatenate([np.load(part) for part in
+                            sorted((snapshot / "node_table").glob("*.npy"))])
     result = run_serve(tmp_path, snapshot, "serve.embed=7")
     assert result.returncode == 0, result.stderr
     line = next(l for l in result.stdout.splitlines() if "node 7:" in l)

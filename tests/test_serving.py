@@ -15,6 +15,7 @@ The load-bearing guarantees:
 """
 
 import json
+import shutil
 import threading
 
 import numpy as np
@@ -376,6 +377,35 @@ def test_restore_for_inference_reads_only_model_and_table(lp_snapshot):
     # restore object carries none of them.
     assert not any(k.startswith("gnn_opt") for k in restore.model_state)
     assert restore.config["encoder"] == "none"
+
+
+def test_damaged_optimizer_state_still_serves_but_not_resumes(
+        lp_data, lp_snapshot, tmp_path):
+    """Serving opens only the model and node_table files: one flipped byte
+    in a node_state partition file leaves restore_for_inference and a
+    serve job answering, while a resume refuses the snapshot."""
+    from repro import api
+    snapshot, table, _ = lp_snapshot
+    damaged = tmp_path / "ckpt" / snapshot.name
+    shutil.copytree(snapshot, damaged)
+    victim = damaged / "node_state" / "00003.npy"
+    payload = bytearray(victim.read_bytes())
+    payload[-1] ^= 0xFF
+    victim.write_bytes(bytes(payload))
+
+    np.testing.assert_array_equal(
+        restore_for_inference(damaged).node_table, table)
+    job = api.build_job(api.JobSpec(
+        kind="serve", serve=api.ServeSpec(snapshot=str(damaged)),
+        storage=api.StorageSpec(workdir=str(tmp_path / "serve"))))
+    np.testing.assert_array_equal(job.engine.get_embeddings(np.arange(9)),
+                                  table[:9])
+
+    resumed = DiskLinkPredictionTrainer(
+        lp_data, LP_CFG, DiskConfig(workdir=tmp_path / "w", num_partitions=8,
+                                    num_logical=4, buffer_capacity=4))
+    with pytest.raises(SnapshotError, match="CRC.*node_state/00003"):
+        resumed.resume(damaged)
 
 
 def test_serve_rejects_wrong_kind_and_layout(lp_snapshot, nc_snapshot,

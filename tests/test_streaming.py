@@ -28,7 +28,7 @@ from repro.stream import (BackgroundCompactor, Compactor, ContinualTrainer,
                           GraphDeltaLog, LiveGraph, SharedExclusiveLock,
                           VersionCounter, WriteAheadLog, pack_pairs)
 from tests.faultinject import CrashPoint, FaultInjector, SimulatedCrash
-from repro.train import LinkPredictionConfig, SnapshotManager
+from repro.train import LinkPredictionConfig
 from repro.train.link_prediction import LinkPredictionModel
 
 REPO = Path(__file__).resolve().parent.parent
@@ -849,55 +849,6 @@ class TestContinualTrainer:
                 assert all(i in parts and j in parts for i, j in batch)
         with pytest.raises(ValueError):
             pack_pairs([(0, 1)], 1)
-
-
-# ---------------------------------------------------------------------------
-# Compressed snapshots (satellite)
-# ---------------------------------------------------------------------------
-
-class TestCompressedSnapshots:
-    def test_roundtrip_bit_identical_and_smaller(self, tmp_path):
-        rng = np.random.default_rng(0)
-        # Highly compressible payload (zeros + repeats) to make the size
-        # comparison robust.
-        arrays = {"table": rng.uniform(size=(400, 16)).astype(np.float32),
-                  "state": np.zeros((400, 16), dtype=np.float32),
-                  "cursor": np.arange(1000)}
-        meta = {"trainer": "test", "epoch": 1}
-        plain = SnapshotManager(tmp_path / "plain")
-        packed = SnapshotManager(tmp_path / "packed", compress=True)
-        p1 = plain.save(1, meta, arrays)
-        p2 = packed.save(1, meta, arrays)
-        size1 = (p1 / "arrays.npz").stat().st_size
-        size2 = (p2 / "arrays.npz").stat().st_size
-        assert size2 < size1
-        meta2, arrays2 = packed.load()
-        assert meta2 == meta
-        for name in arrays:
-            assert np.array_equal(arrays[name], arrays2[name])
-
-    def test_formats_interchangeable(self, tmp_path):
-        """A manager can load snapshots written with either setting."""
-        arrays = {"x": np.arange(100, dtype=np.float32)}
-        SnapshotManager(tmp_path / "r", compress=True).save(1, {"a": 1}, arrays)
-        meta, loaded = SnapshotManager(tmp_path / "r").load()
-        assert meta == {"a": 1}
-        assert np.array_equal(loaded["x"], arrays["x"])
-
-    def test_trainer_resume_from_compressed_snapshot(self, tmp_path):
-        from repro.graph.datasets import load_fb15k237
-        from repro.train import LinkPredictionTrainer
-        data = load_fb15k237(scale=0.02)
-        cfg = LinkPredictionConfig(embedding_dim=8, encoder="none",
-                                   num_epochs=2, batch_size=256,
-                                   num_negatives=8, seed=0)
-        kwargs = dict(checkpoint_dir=tmp_path / "c", checkpoint_every=1)
-        one = LinkPredictionTrainer(data, cfg, checkpoint_compress=True,
-                                    **kwargs)
-        one.train()
-        two = LinkPredictionTrainer(data, cfg, **kwargs)
-        two.resume()                       # plain manager reads compressed
-        assert np.array_equal(one.embeddings.table, two.embeddings.table)
 
 
 # ---------------------------------------------------------------------------
