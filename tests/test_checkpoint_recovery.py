@@ -643,27 +643,6 @@ class TestLinkedSnapshots:
         np.testing.assert_array_equal(arrays["node_table"],
                                       trainer.node_store.read_all())
 
-    @pytest.mark.parametrize("foreign", [False, True],
-                             ids=["own-root", "foreign-root"])
-    def test_first_save_after_a_resume_writes_every_partition(
-            self, lp_data, tmp_path, foreign):
-        first = make_disk_lp(lp_data, tmp_path / "w",
-                             checkpoint_dir=tmp_path / "c",
-                             checkpoint_every=2)
-        first.train()
-        linked = []
-        second = DiskLinkPredictionTrainer(
-            lp_data, _three_epochs(LP_CFG),
-            DiskConfig(workdir=tmp_path / "w2", num_partitions=8,
-                       num_logical=4, buffer_capacity=4),
-            checkpoint_dir=tmp_path / ("own" if foreign else "c"),
-            checkpoint_every=1,
-            listeners=[lambda event, payload: linked.append(
-                payload["linked"]) if event == "snapshot" else None])
-        second.resume(first.snapshots.latest())
-        second.train()
-        assert linked[0] == 0 and max(linked[1:]) > 0
-
     def test_in_process_resume_rewrites_every_partition(self, lp_data,
                                                         tmp_path):
         trainer = make_disk_lp(lp_data, tmp_path / "w",
@@ -676,6 +655,99 @@ class TestLinkedSnapshots:
         trainer.resume()
         trainer.save_snapshot(LP_CFG.num_epochs)
         assert trainer.snapshots.linked == 0
+
+
+class TestIncrementalSnapshots:
+    """Saves stay incremental across a resume: the first save after it
+    writes every partition, since the manager has no previous save of its
+    own to link from, and later saves link again."""
+
+    def test_resume_from_delta_continues_the_chain(self, lp_data, tmp_path):
+        first = make_disk_lp(lp_data, tmp_path / "w",
+                             checkpoint_dir=tmp_path / "c",
+                             checkpoint_every=2)
+        first.train()
+        assert first.snapshots.linked > 0    # the resumed snapshot links
+        linked = []
+        second = DiskLinkPredictionTrainer(
+            lp_data, _three_epochs(LP_CFG),
+            DiskConfig(workdir=tmp_path / "w2", num_partitions=8,
+                       num_logical=4, buffer_capacity=4),
+            checkpoint_dir=tmp_path / "c", checkpoint_every=1,
+            listeners=[lambda event, payload: linked.append(
+                payload["linked"]) if event == "snapshot" else None])
+        second.resume()
+        second.train()
+        assert linked[0] == 0 and max(linked[1:]) > 0
+        _, arrays = second.snapshots.load()
+        np.testing.assert_array_equal(arrays["node_table"],
+                                      second.node_store.read_all())
+
+    def test_foreign_resume_falls_back_to_a_full_save(self, lp_data,
+                                                      tmp_path):
+        """A snapshot outside the trainer's own checkpoint root is never a
+        link source: the next save writes every partition."""
+        first = make_disk_lp(lp_data, tmp_path / "w",
+                             checkpoint_dir=tmp_path / "foreign",
+                             checkpoint_every=0)
+        first.train()
+        first.save_snapshot(LP_CFG.num_epochs)
+
+        second = make_disk_lp(lp_data, tmp_path / "w2",
+                              checkpoint_dir=tmp_path / "own",
+                              checkpoint_every=0)
+        second.resume(first.snapshots.latest())
+        second.save_snapshot(LP_CFG.num_epochs)
+        assert second.snapshots.linked == 0
+        second.save_snapshot(LP_CFG.num_epochs)   # ...and it links from now
+        assert second.snapshots.linked == 16
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("point,after", [
+    (CrashPoint.NODE_WRITE, 6),
+    (CrashPoint.SWAP_EVICTED, 3),
+    (CrashPoint.WRITEBACK_PENDING, 7),
+])
+def test_disk_lp_incremental_crash_matrix(lp_data, lp_baseline, tmp_path,
+                                          point, after):
+    """The crash matrix holds when only one snapshot is kept, so saves
+    link partition files from snapshots pruned right after: a killed run
+    resumed this way reaches bit-identical final parameters."""
+    injector = FaultInjector(point, after=after)
+    every = _checkpoint_every(point)
+    crashed = make_disk_lp(lp_data, tmp_path / "crashed",
+                           checkpoint_dir=tmp_path / "ckpt",
+                           checkpoint_every=every)
+    crashed.snapshots.keep = 1
+    linked = []
+
+    def on_event(event, payload):
+        if event == "snapshot":
+            linked.append(payload["linked"])
+
+    crashed.add_listener(on_event)
+    FaultyStorage(crashed.node_store, injector)
+    crashed.buffer_manager.fault_hook = injector.fire
+    crashed.snapshots.fault_hook = injector.fire
+    with pytest.raises(CRASHES):
+        crashed.train()
+    assert injector.fired, f"crash point {point} never hit"
+    assert len(crashed.snapshots.list()) == 1
+
+    def make_resumed():
+        trainer = make_disk_lp(lp_data, tmp_path / "resumed",
+                               checkpoint_dir=tmp_path / "ckpt",
+                               checkpoint_every=every, listeners=[on_event])
+        trainer.snapshots.keep = 1
+        return trainer
+
+    resumed = _recover(make_resumed)
+    assert max(linked) > 0
+    assert len(resumed.snapshots.list()) == 1
+    ref_table, ref_model = lp_baseline
+    np.testing.assert_array_equal(resumed.node_store.read_all(), ref_table)
+    assert _models_equal(resumed.model, ref_model)
 
 
 # ---------------------------------------------------------------------------
