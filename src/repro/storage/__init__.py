@@ -1,4 +1,5 @@
-"""Storage layer: memmap-backed node/edge stores, partition buffer, IO stats."""
+"""Storage layer: node store (positional I/O; a read-only map for serving),
+memmap-backed edge store, partition buffer, IO stats."""
 
 from .atomic import (atomic_write, atomic_write_bytes, atomic_write_json,
                      fsync_dir)

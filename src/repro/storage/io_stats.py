@@ -3,8 +3,9 @@
 Section 6 of the paper reasons about three quantities that drive epoch time:
 total bytes transferred disk->CPU (``IO``), the number of partition sets per
 epoch (``|S|``), and the smallest disk read size (``R``) relative to the
-device block size. :class:`IOStats` measures all three from the real memmap
-traffic our storage layer performs.
+device block size. :class:`IOStats` measures all three from the real disk
+traffic our storage layer performs: the node store's positional reads and
+writes, serving's reads of its map, and the edge store's bucket reads.
 """
 
 from __future__ import annotations

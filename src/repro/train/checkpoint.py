@@ -217,10 +217,11 @@ class SnapshotManager:
 
         ``meta`` must be JSON-serializable; ``arrays`` maps names to numpy
         arrays, one ``<name>.npy`` each. ``store`` (a ``NodeStore``) adds
-        its table and optimizer state a partition file at a time, written
-        from its memmap or — when the store has not written the partition
-        since this manager's previous save of it — hard-linked from that
-        snapshot with its CRC. ``step_id`` seeds the directory ordinal
+        its table and optimizer state a partition file at a time, each read
+        positionally into one partition-sized array and written from it,
+        or — when the store has not written the partition since this
+        manager's previous save of it — hard-linked from that snapshot with
+        its CRC. ``step_id`` seeds the directory ordinal
         (bumped past any existing snapshots so this save sorts latest).
         The snapshot becomes visible only after the final rename.
         """
@@ -256,13 +257,17 @@ class SnapshotManager:
                 unchanged = (set(range(store.num_partitions))
                              - store.written_since(self._last.mark))
             bounds = [int(b) for b in store.scheme.boundaries]
+            # One partition-sized array every written partition is read into.
+            scratch = np.empty((int(store.scheme.sizes().max()), store.dim),
+                               dtype=np.float32)
             for name, state in (("node_table", False), ("node_state", True)):
                 if state and not store.learnable:
                     continue
                 tables[name] = bounds
                 for part in range(store.num_partitions):
                     self._put(tmp, files, _table_file(name, part),
-                              lambda: store.partition_block(part, state=state),
+                              lambda: store.read_block(part, scratch,
+                                                       state=state),
                               self._last if part in unchanged else None)
         for name, value in arrays.items():
             self._put(tmp, files, f"{name}.npy", lambda: value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -215,8 +215,8 @@ class _LinkPredictionLoop(_TrainingLoop):
             pick = np.random.default_rng(seed).choice(len(edges), cfg.eval_max_edges,
                                                       replace=False)
             edges = edges[pick]
-        return evaluate_model(self.model, self._table(), self.dataset.graph,
-                              edges, cfg, seed=seed)
+        return evaluate_model(self.model, self._eval_gather(),
+                              self.dataset.graph, edges, cfg, seed=seed)
 
 
 class LinkPredictionTrainer(_LinkPredictionLoop):
@@ -270,19 +270,24 @@ class LinkPredictionTrainer(_LinkPredictionLoop):
     def _fingerprints(self) -> dict:
         return {"dataset": dataset_fingerprint(self.dataset)}
 
-    def _table(self) -> np.ndarray:
-        return self.embeddings.table
+    def _eval_gather(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.embeddings.gather
 
     def _model_name(self) -> str:
         return f"{self.config.encoder}-mem"
 
 
-def evaluate_model(model: LinkPredictionModel, table: np.ndarray, graph: Graph,
-                   edges: np.ndarray, config: LinkPredictionConfig,
-                   seed: int = 1234, batch_size: int = 512,
-                   all_candidates: bool = False,
+def evaluate_model(model: LinkPredictionModel,
+                   gather: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+                   graph: Graph, edges: np.ndarray,
+                   config: LinkPredictionConfig, seed: int = 1234,
+                   batch_size: int = 512, all_candidates: bool = False,
                    triple_filter=None) -> RankingMetrics:
     """Shared MRR evaluation with full-graph sampling.
+
+    ``gather(node_ids)`` returns the base representations of each batch's
+    nodes (a table array is gathered by indexing): evaluation reads only
+    the rows it scores.
 
     By default each positive is ranked against ``config.eval_negatives``
     sampled candidates (the OGB large-graph protocol). ``all_candidates=True``
@@ -291,6 +296,8 @@ def evaluate_model(model: LinkPredictionModel, table: np.ndarray, graph: Graph,
     graphs. ``triple_filter`` (a :class:`~repro.train.evaluation.TripleFilter`)
     switches to filtered ranking.
     """
+    if isinstance(gather, np.ndarray):
+        gather = gather.__getitem__
     rng = np.random.default_rng(seed)
     sampler = DenseSampler(graph, list(config.fanouts),
                            directions=config.directions, rng=rng)
@@ -314,7 +321,7 @@ def evaluate_model(model: LinkPredictionModel, table: np.ndarray, graph: Graph,
                 batch = sampler.sample(targets)
             else:
                 batch = sampler.sample_no_neighbors(targets)
-            h0 = Tensor(table[batch.node_ids])
+            h0 = Tensor(gather(batch.node_ids))
             out = model.encode(h0, batch)
             src_repr = out.index_select(rows[: len(src)])
             dst_repr = out.index_select(rows[len(src) : len(src) + len(dst)])
@@ -395,8 +402,9 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
     """Out-of-core trainer: partition buffer + COMET/BETA epoch plans.
 
     Each epoch: the policy produces (S, X); for each step the buffer swaps to
-    S_i (real memmap IO on an I/O thread: leaving partitions are written
-    back and the next step's read into spare buffer slots meanwhile),
+    S_i (positional reads and writes of the table file on an I/O thread:
+    leaving partitions are written back and the next step's read into
+    spare buffer slots meanwhile),
     the sampler re-indexes the in-buffer subgraph, and mini batches are
     drawn from X_i's buckets with negatives restricted to resident nodes.
     ``checkpoint_every`` counts plan steps, so snapshots land mid-epoch;
@@ -508,10 +516,11 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
             return BetaPolicy(dsk.num_partitions, dsk.buffer_capacity)
         raise ValueError(f"unknown policy {dsk.policy!r} (expected comet/beta)")
 
-    def _table(self) -> np.ndarray:
-        """The stored table (the buffer flushed first), for evaluation."""
+    def _eval_gather(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluation's row gather: the buffer flushed first, then
+        positional reads of just the rows each batch scores."""
         self.buffer.flush()
-        return self.node_store.read_all()
+        return self.node_store.gather_rows
 
     def _model_name(self) -> str:
         return f"{self.config.encoder}-disk-{self.disk.policy}"

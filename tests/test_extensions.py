@@ -209,7 +209,8 @@ class TestPrefetching:
         np.testing.assert_array_equal(arrays["node_table"], want)
 
         want = table_after(3)
-        np.testing.assert_array_equal(trainer._table(), want)
+        every_row = np.arange(trainer.node_store.num_nodes)
+        np.testing.assert_array_equal(trainer._eval_gather()(every_row), want)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ class BufferMachine(RuleBasedStateMachine):
         junk = np.full((PART_SIZE, DIM), np.nan, dtype=np.float32)
         self.store.write_partition(damage, junk)
         meta, arrays = self.snapshots.load()
-        self.store.restore(arrays["table"], arrays["state"])
+        self.store.write_span(0, arrays["table"], arrays["state"])
         self.manager.load_step(meta["resident"])
         self.ref_table, self.ref_state, _ = self._snap_ref
         self.ref_table = self.ref_table.copy()

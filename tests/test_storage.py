@@ -1,7 +1,11 @@
-"""Storage layer tests: memmap node/edge stores, partition buffer, IO stats."""
+"""Storage layer tests: node/edge stores, partition buffer, IO stats."""
 
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,80 @@ class TestNodeStore:
         s.flush()
         raw = np.memmap(tmp_path / "p.bin", dtype=np.float32, shape=(10, 2))
         np.testing.assert_array_equal(np.array(raw), np.ones((10, 2)))
+
+    @pytest.mark.parametrize("parts", [4, 16])
+    def test_initialize_draws_one_partition_at_a_time(self, tmp_path, parts):
+        """The partition-at-a-time draw writes exactly the bytes of one
+        whole-table draw from the same generator, whatever the partition
+        count."""
+        scheme = PartitionScheme.uniform(1000, parts)
+        s = NodeStore(tmp_path / "i.bin", scheme, dim=6, learnable=True)
+        s.initialize(scale=0.3, rng=np.random.default_rng(11))
+        want = np.random.default_rng(11).uniform(
+            -0.3, 0.3, (1000, 6)).astype(np.float32)
+        assert s.read_all().tobytes() == want.tobytes()
+        assert not s.read_all_state().any()
+
+    def test_gather_rows_any_order_with_duplicates(self, store):
+        table = store.read_all()
+        rows = np.array([99, 3, 4, 5, 3, 50, 0, 98, 99])
+        before = store.stats.bytes_read
+        np.testing.assert_array_equal(store.gather_rows(rows), table[rows])
+        # Counted once per distinct row.
+        assert store.stats.bytes_read - before == 7 * 8 * 4
+        assert store.gather_rows(np.empty(0, dtype=np.int64)).shape == (0, 8)
+        with pytest.raises(IndexError):
+            store.gather_rows(np.array([100]))
+
+    def test_read_block_fills_a_reused_array(self, store):
+        scratch = np.empty((25, 8), dtype=np.float32)
+        for part in range(store.num_partitions):
+            want_data, want_state = store.read_partition(part)
+            np.testing.assert_array_equal(
+                store.read_block(part, scratch), want_data)
+            np.testing.assert_array_equal(
+                store.read_block(part, scratch, state=True), want_state)
+
+    def test_grow_is_seen_by_reads_and_the_map(self, store):
+        block = store.partition_block(3)           # maps the table
+        assert block.shape == (25, 8)
+        new_rows = np.full((7, 8), 2.5, dtype=np.float32)
+        store.grow(store.scheme.extended(7), new_rows)
+        data, state = store.read_partition(3)
+        assert data.shape == (32, 8)
+        np.testing.assert_array_equal(data[25:], new_rows)
+        assert not state[25:].any()
+        np.testing.assert_array_equal(store.partition_block(3)[25:], new_rows)
+        np.testing.assert_array_equal(store.read_rows(np.array([106])),
+                                      new_rows[:1])
+
+    def test_write_span_visible_through_open_map(self, store):
+        """Serving reads through the map while training writes
+        positionally: the map sees the writes with no remap."""
+        block = store.partition_block(1)
+        rows = store.read_rows(np.array([30]))
+        store.write_span(25, np.full((3, 8), -4.0, dtype=np.float32))
+        assert (block[:3] == -4.0).all()
+        assert (store.read_rows(np.array([25, 27])) == -4.0).all()
+        np.testing.assert_array_equal(store.read_rows(np.array([30])), rows)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    def test_open_and_close_leave_no_descriptors(self, tmp_path):
+        def fds():
+            return len(os.listdir("/proc/self/fd"))
+        scheme = PartitionScheme.uniform(40, 4)
+        before = fds()
+        for i in range(50):
+            s = NodeStore(tmp_path / f"s{i}.bin", scheme, dim=4)
+            s.initialize(rng=np.random.default_rng(i))
+            s.partition_block(0)
+            s.close()
+            s = NodeStore.open(tmp_path / f"s{i}.bin", scheme, dim=4)
+            s.read_rows(np.array([1, 2]))
+            s.close()
+            s.close()                                # idempotent
+        assert fds() == before
 
 
 class TestEdgeBucketStore:
@@ -305,3 +383,86 @@ class TestPartitionBuffer:
             PartitionBuffer(store, 0)
         with pytest.raises(ValueError):
             PartitionBuffer(store, 9)
+
+
+# ---------------------------------------------------------------------------
+# The trainer's memory contract
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+# One tiny decoder-only lp-disk job: train (ending in an evaluate),
+# evaluate again, snapshot; prints its peak RSS in MB. Partition size and
+# buffer capacity are fixed, so only the table grows with ``nodes``.
+_RSS_CHILD = textwrap.dedent("""
+    import resource, sys
+    from pathlib import Path
+    import numpy as np
+    from repro.graph.datasets import LinkPredictionDataset, paper_stats
+    from repro.graph.edge_list import split_edges
+    from repro.graph.generators import power_law_graph
+    from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
+                             LinkPredictionConfig)
+    nodes, workdir = int(sys.argv[1]), Path(sys.argv[2])
+    parts = nodes // 5000
+    graph = power_law_graph(nodes, nodes // 2, num_relations=4, seed=0)
+    split = split_edges(graph, 0.02, 0.05, rng=np.random.default_rng(1))
+    data = LinkPredictionDataset(graph, split, paper_stats("freebase86m"))
+    cfg = LinkPredictionConfig(
+        embedding_dim=128, encoder="none", batch_size=1000,
+        num_negatives=20, num_epochs=1, eval_negatives=50,
+        eval_max_edges=200, seed=0)
+    disk = DiskConfig(workdir, num_partitions=parts, num_logical=parts,
+                      buffer_capacity=2, policy="beta")
+    trainer = DiskLinkPredictionTrainer(data, cfg, disk,
+                                        checkpoint_dir=workdir / "ckpt")
+    trainer.train()
+    trainer.evaluate()
+    trainer.save_snapshot(1)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+""")
+
+
+def _child_peak_rss_mb(nodes: int, workdir: Path) -> float:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(nodes),
+                           str(workdir)], capture_output=True, text=True,
+                          timeout=120, env=env, check=True)
+    return float(done.stdout.split()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB "
+                    "on Linux only")
+def test_trainer_rss_follows_the_buffer(tmp_path):
+    """Peak RSS of train + evaluate + snapshot follows the buffer, not the
+    table: a table 4x larger (10 -> 41 MB, the same again of Adagrad
+    state) over the same partition size and buffer grows the child's peak
+    by under 30%. Mapping the table or copying it whole for evaluation
+    roughly doubles it."""
+    small = _child_peak_rss_mb(20_000, tmp_path / "small")
+    large = _child_peak_rss_mb(80_000, tmp_path / "large")
+    assert large < 1.3 * small, (small, large)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc")
+def test_trainer_never_maps_its_table(tmp_path):
+    from repro.graph.datasets import load_fb15k237
+    from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
+                             LinkPredictionConfig)
+    cfg = LinkPredictionConfig(embedding_dim=8, encoder="none",
+                               batch_size=256, num_negatives=8,
+                               num_epochs=1, eval_max_edges=100, seed=0)
+    disk = DiskConfig(tmp_path / "work", num_partitions=4, num_logical=4,
+                      buffer_capacity=2)
+    trainer = DiskLinkPredictionTrainer(load_fb15k237(scale=0.02), cfg, disk,
+                                        checkpoint_dir=tmp_path / "ckpt")
+    trainer.train()
+    trainer.evaluate()
+    trainer.save_snapshot(1)
+    table = str(trainer.node_store.path)         # and table + ".state"
+    with open("/proc/self/maps") as fh:
+        mapped = [line for line in fh if table in line]
+    assert mapped == []

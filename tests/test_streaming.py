@@ -546,8 +546,8 @@ class TestContinualTrainer:
         rebuilt = rebuild_offline(tmp_path, live, ref)
         store2 = NodeStore(tmp_path / "off-nodes.bin", live.scheme,
                            live.node_store.dim, learnable=True)
-        store2.initialize(values=live.node_store.read_all())
-        store2._state[:] = live.node_store.read_all_state()
+        store2.write_span(0, live.node_store.read_all(),
+                          live.node_store.read_all_state())
         off_live = LiveGraph(store2, rebuilt, seed=live.seed)
         off_trainer = ContinualTrainer(off_live, cfg, buffer_capacity=3)
         # Align: same model/optimizer/rng state on both sides.
@@ -640,7 +640,9 @@ class TestContinualTrainer:
         assert path.is_dir()
         # Damage the table, then resume: state comes back from the snapshot
         # and the recorded stream position tells the caller what to replay.
-        live.node_store._table[:] = -1.0
+        live.node_store.write_span(
+            0, np.full((live.num_nodes, live.node_store.dim), -1.0,
+                       dtype=np.float32))
         meta = trainer.resume()
         assert np.array_equal(live.node_store.read_all(), table_at_snap)
         assert meta["stream"]["seq"] == live.log.seq
