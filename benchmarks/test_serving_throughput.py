@@ -1,5 +1,5 @@
-"""Serving throughput benchmark: batched vs naive queries, exact vs ANN
-(pruned-sweep) top-k, and the multi-worker serving fleet.
+"""Serving throughput benchmark: batched vs naive queries, top-k across
+table sizes, and the multi-worker serving fleet.
 
 Establishes the serving perf baseline (``BENCH_serving.json`` at the repo
 root) for the `repro.serve` query engine. Three sections:
@@ -16,13 +16,10 @@ skewed (Zipf) query mix:
 Lookups never swap a partition (``swaps_per_1k`` is 0 in every arm, and
 asserted so): the counter only moves for encode-on-read.
 
-**Top-k target queries** across growing table sizes, exact blockwise
-sweep vs the per-partition :class:`~repro.serve.ann.AnnIndex` pruned
-sweep. The exact sweep's cost is linear in table size; the pruned
-sweep's bound pass skips whole partitions, so its advantage must *grow*
-with the table. Recall@k against the exact oracle is measured per query
-and the committed baseline asserts the ``RECALL_FLOOR`` (the bound is
-sound, so measured recall is 1.0; the floor is the contract).
+**Top-k target queries** across growing table sizes: the engine's exact
+chunked sweep scores every row once per sweep, so its cost is linear in
+the table. One QPS row per size; the run asserts every query gets
+``k`` ids and every sweep scores exactly the table's rows.
 
 **Serving fleet** (`repro.fleet`): end-to-end HTTP lookups against 1/2/4
 worker processes behind the gateway, uniform and Zipf mixes,
@@ -35,8 +32,8 @@ benchmarks.test_serving_throughput`` or under pytest (uses the ``report``
 fixture). ``--smoke`` runs a reduced config without touching the
 committed baseline. Only a regeneration run (the standalone entry point
 without ``--smoke``, or ``REPRO_WRITE_BASELINE=1``) writes the baseline
-and asserts the QPS comparisons; a plain pytest run checks swaps/1k,
-recall and pruning only.
+and asserts the QPS comparisons; a plain pytest run checks swaps/1k and
+the top-k row counts only.
 """
 
 import http.client
@@ -74,12 +71,6 @@ FLEET_CFG = dict(num_nodes=40_000, num_edges=50_000, dim=32, p=16, capacity=4,
 FLEET_SMOKE_CFG = dict(num_nodes=5_000, num_edges=10_000, dim=16, p=8,
                        capacity=2, num_queries=240, threads=4, workers=(1, 2),
                        seed=0)
-
-#: Worst-case recall@k contract for the ANN sweep (see tests/test_serve_ann.py
-#: for the property test; the cluster bound is sound so measured recall is
-#: 1.0 — the floor exists to catch a bound regression, not to allow slack).
-RECALL_FLOOR = 0.95
-
 
 def make_snapshot(tmpdir: Path, num_nodes, num_edges, dim, p, capacity, seed):
     """An lp-disk snapshot to serve (random-init table; no training needed —
@@ -142,16 +133,13 @@ def bench_serving(tmpdir: Path, num_nodes, num_edges, dim, p, capacity,
 
 
 # ---------------------------------------------------------------------------
-# Top-k: exact sweep vs ANN pruned sweep
+# Top-k: the exact chunked sweep across table sizes
 # ---------------------------------------------------------------------------
 
 def make_clustered_table(num_nodes, dim, seed):
     """Gaussian-mixture rows with clusters contiguous in the id space —
     the shape trained partitioned embeddings take (partitions track graph
-    communities, and community count grows with graph size). Uniform
-    noise would be the ANN worst case (nothing is prunable, and nothing
-    is for any index); clustered tables are what a trained snapshot
-    actually serves."""
+    communities, and community count grows with graph size)."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(0, 1.0, size=(max(12, num_nodes // 2500), dim))
     assign = np.sort(rng.integers(0, len(centers), num_nodes))
@@ -159,7 +147,7 @@ def make_clustered_table(num_nodes, dim, seed):
     return table.astype(np.float32)
 
 
-def make_topk_engine(workdir, table, p, capacity, seed, **kw):
+def make_topk_engine(workdir, table, p, capacity, seed):
     num_nodes, dim = table.shape
     workdir.mkdir(parents=True, exist_ok=True)
     scheme = PartitionScheme.uniform(num_nodes, p)
@@ -168,16 +156,15 @@ def make_topk_engine(workdir, table, p, capacity, seed, **kw):
     config = LinkPredictionConfig(embedding_dim=dim, encoder="none",
                                   seed=seed)
     model = LinkPredictionModel(config, 1, rng=np.random.default_rng(seed))
-    return ServingEngine(model, store, capacity, **kw)
+    return ServingEngine(model, store, capacity)
 
 
-def run_topk_mode(engine, srcs, k, batch, exact):
+def run_topk_mode(engine, srcs, k, batch):
     """Serve the sources in batched sweeps; returns (ids, qps)."""
     all_ids = []
     t0 = time.perf_counter()
     for start in range(0, len(srcs), batch):
-        ids, _ = engine.topk_targets_batch(srcs[start : start + batch], k,
-                                           exact=exact)
+        ids, _ = engine.topk_targets_batch(srcs[start : start + batch], k)
         all_ids.append(ids)
     seconds = time.perf_counter() - t0
     return np.concatenate(all_ids, axis=0), len(srcs) / seconds
@@ -185,46 +172,22 @@ def run_topk_mode(engine, srcs, k, batch, exact):
 
 def bench_topk(tmpdir, sizes, dim, p, capacity, k, num_queries, batch, seed):
     out = {"config": dict(sizes=list(sizes), dim=dim, p=p, capacity=capacity,
-                          k=k, num_queries=num_queries, batch=batch,
-                          recall_floor=RECALL_FLOOR),
+                          k=k, num_queries=num_queries, batch=batch),
            "sizes": []}
     for num_nodes in sizes:
         table = make_clustered_table(num_nodes, dim, seed)
         srcs = np.random.default_rng(seed + 1).integers(0, num_nodes,
                                                         num_queries)
-        work = Path(tmpdir) / f"topk-{num_nodes}"
-        # Fresh engine per mode: the exact engine never pays (or
-        # benefits from) index maintenance.
-        exact_engine = make_topk_engine(work / "exact", table, p, capacity,
-                                        seed, ann=False)
-        ids_exact, exact_qps = run_topk_mode(exact_engine, srcs, k, batch,
-                                             exact=True)
-        ann_engine = make_topk_engine(work / "ann", table, p, capacity, seed)
-        t0 = time.perf_counter()
-        ann_engine.topk_targets(int(srcs[0]), k)     # triggers the lazy build
-        build_s = time.perf_counter() - t0
-        scanned0 = ann_engine.stats.topk_parts_scanned
-        pruned0 = ann_engine.stats.topk_parts_pruned
-        rows0 = ann_engine.stats.ann_rows_scored
-        ids_ann, ann_qps = run_topk_mode(ann_engine, srcs, k, batch,
-                                         exact=False)
-        recall = float(np.mean([
-            len(np.intersect1d(a, b)) / ids_exact.shape[1]
-            for a, b in zip(ids_ann, ids_exact)]))
-        scanned = ann_engine.stats.topk_parts_scanned - scanned0
-        pruned = ann_engine.stats.topk_parts_pruned - pruned0
+        engine = make_topk_engine(Path(tmpdir) / f"topk-{num_nodes}", table,
+                                  p, capacity, seed)
+        ids, qps = run_topk_mode(engine, srcs, k, batch)
         sweeps = -(-num_queries // batch)
         out["sizes"].append({
             "num_nodes": num_nodes,
-            "exact": {"qps": exact_qps},
-            "ann": {"qps": ann_qps,
-                    "recall_at_k": recall,
-                    "index_build_s": build_s,
-                    "parts_pruned_frac": pruned / max(1, scanned + pruned),
-                    "rows_scored_frac":
-                        (ann_engine.stats.ann_rows_scored - rows0)
-                        / (sweeps * num_nodes)},
-            "speedup": ann_qps / exact_qps,
+            "exact": {"qps": qps,
+                      "ids_per_query": ids.shape[1],
+                      "rows_scored_per_sweep":
+                          engine.stats.ann_rows_scored / sweeps},
         })
     return out
 
@@ -398,19 +361,14 @@ def test_serving_throughput(report):
         report.row(f"{mix} speedup", f"{serving[mix]['speedup']:.1f}x",
                    "", "", "", widths=[18, 10, 9, 9, 9])
     topk = results["topk"]
-    report.header(f"Top-k targets: exact sweep vs ANN pruned sweep "
+    report.header(f"Top-k targets: exact chunked sweep "
                   f"(k={topk['config']['k']}, p={topk['config']['p']}, "
+                  f"buffer {topk['config']['capacity']}, "
                   f"batch {topk['config']['batch']})")
-    report.row("table size", "exact QPS", "ann QPS", "speedup", "recall",
-               "rows scored", widths=[12, 11, 11, 9, 8, 11])
+    report.row("table size", "exact QPS", widths=[12, 11])
     for entry in topk["sizes"]:
         report.row(f"{entry['num_nodes']:,}",
-                   f"{entry['exact']['qps']:,.0f}",
-                   f"{entry['ann']['qps']:,.0f}",
-                   f"{entry['speedup']:.1f}x",
-                   f"{entry['ann']['recall_at_k']:.3f}",
-                   f"{entry['ann']['rows_scored_frac']:.1%}",
-                   widths=[12, 11, 11, 9, 8, 11])
+                   f"{entry['exact']['qps']:,.0f}", widths=[12, 11])
     fleet = results["fleet"]
     fcfg = fleet["config"]
     report.header(f"Serving fleet: affinity vs random routing over HTTP "
@@ -434,25 +392,17 @@ def test_serving_throughput(report):
     for mix in ("random", "zipf"):
         for mode in ("naive", "batched"):
             assert serving[mix][mode]["swaps_per_1k"] == 0, (mix, mode)
-    assert_topk_section(topk, speedup=timing)
+    assert_topk_section(topk)
     assert_fleet_section(fleet, qps_floor=timing)
 
 
-def assert_topk_section(topk, speedup=True):
-    """The ANN acceptance floors, shared by the full run and --smoke.
-
-    Recall@k must clear RECALL_FLOOR at every size (the property-tested
-    contract) and the pruned sweep must actually prune (score a fraction
-    of the table). With ``speedup``, its QPS advantage over the exact
-    sweep must also grow with table size — the exact sweep is linear in
-    the table, the pruned sweep is not."""
-    entries = topk["sizes"]
-    for entry in entries:
-        assert entry["ann"]["recall_at_k"] >= RECALL_FLOOR, entry
-        assert entry["ann"]["rows_scored_frac"] < 0.6, entry
-    if speedup:
-        assert entries[-1]["speedup"] > 1.0
-        assert entries[-1]["speedup"] > entries[0]["speedup"]
+def assert_topk_section(topk):
+    """Shared by the full run and --smoke: every query gets ``k`` ids and
+    every sweep scores each table row exactly once."""
+    for entry in topk["sizes"]:
+        assert entry["exact"]["ids_per_query"] == topk["config"]["k"], entry
+        assert (entry["exact"]["rows_scored_per_sweep"]
+                == entry["num_nodes"]), entry
 
 
 def main(argv=None):
@@ -480,15 +430,13 @@ def main(argv=None):
         print(json.dumps(results, indent=2))
         assert results["serving"]["zipf"]["speedup"] > 1.0
         assert results["serving"]["random"]["speedup"] > 1.0
-        # Smoke keeps the non-timing ANN floors (recall + real pruning);
-        # the speedup *growth* assertion needs the full-size tables.
-        assert_topk_section(results["topk"], speedup=False)
+        assert_topk_section(results["topk"])
         # Fleet smoke keeps the swap check (no arm swaps); the QPS
         # floor needs the full-size run's timing headroom.
         assert_fleet_section(results["fleet"], qps_floor=False)
         print("smoke ok: batched serving beats naive on both mixes; "
-              "ann top-k holds the recall floor while pruning; no fleet "
-              "arm swaps a partition")
+              "top-k scores every row once per sweep; no fleet arm swaps "
+              "a partition")
         return
     enable_baseline_writes()
     results = run_all()

@@ -286,10 +286,7 @@ def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
         engine = serve_link_prediction(snap, workdir,
                                        num_partitions=storage.partitions,
                                        buffer_capacity=storage.buffer,
-                                       graph=graph,
-                                       ann=bool(spec.serve.ann),
-                                       ann_cluster_size=(
-                                           spec.serve.ann_cluster_size))
+                                       graph=graph)
     return snap, kind, engine
 
 
@@ -337,8 +334,7 @@ class ServeJob(Job):
             print(f"engine stats: {s.lookups} lookups, "
                   f"{s.edges_scored} edges scored, "
                   f"{s.topk_queries} topk "
-                  f"({s.topk_parts_scanned} parts scanned, "
-                  f"{s.topk_parts_pruned} pruned), "
+                  f"({s.topk_parts_scanned} parts scanned), "
                   f"{s.swaps} partition swaps")
         results["stats"] = engine.stats
         return results
@@ -375,15 +371,13 @@ class ServeJob(Job):
             src, k = int(serve.topk[0]), int(serve.topk[1])
             try:
                 ids, scores = batcher.topk_targets(src, k, rel=serve.rel,
-                                                   exclude=[src],
-                                                   exact=serve.exact)
+                                                   exclude=[src])
             except RuntimeError as exc:  # e.g. encoder snapshots refuse top-k
                 raise JobError(f"serve.topk: {exc}") from exc
             results["topk"] = (ids, scores)
             if verbose:
-                mode = ("exact" if serve.exact or not serve.ann else "ann")
                 print(f"  top-{k} targets for source {src} "
-                      f"(rel {serve.rel}, {mode} sweep):")
+                      f"(rel {serve.rel}):")
                 for rank, (node, score) in enumerate(zip(ids, scores), 1):
                     print(f"    #{rank:<3} node {node:<10} score {score:.6f}")
 

@@ -131,15 +131,13 @@ _declare(KindInfo(
     kind=SERVE,
     description="out-of-core query serving over a trained snapshot",
     sections=("data", "storage", "serve", "telemetry"),
-    defaults={"storage.buffer": 4, "data.feat_dim": 32, "data.seed": 0,
-              "serve.ann": True}))
+    defaults={"storage.buffer": 4, "data.feat_dim": 32, "data.seed": 0}))
 _declare(KindInfo(
     kind=SERVE_FLEET,
     description="multi-worker serving fleet behind a partition-affinity "
                 "HTTP gateway",
     sections=("data", "storage", "serve", "fleet", "telemetry"),
-    defaults={"storage.buffer": 4, "data.feat_dim": 32, "data.seed": 0,
-              "serve.ann": True}))
+    defaults={"storage.buffer": 4, "data.feat_dim": 32, "data.seed": 0}))
 _declare(KindInfo(
     kind=STREAM,
     description="live-graph streaming driver (ingest, compact, query)",

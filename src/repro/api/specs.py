@@ -118,12 +118,6 @@ class ServeSpec:
     score: Tuple[str, ...] = _f((), "edges to score: 'S:D' or 'S:R:D'")
     topk: Optional[Tuple[int, int]] = _f(None, "[source, k] best-K targets")
     rel: int = _f(0, "relation for topk")
-    ann: Optional[bool] = _f(None, "serve top-k through the per-partition "
-                                   "ANN index (kind default: on; the exact "
-                                   "sweep stays available per query)")
-    ann_cluster_size: int = _f(64, "target rows per ANN cluster")
-    exact: bool = _f(False, "force the exact blockwise sweep for topk "
-                            "(the ANN path's correctness oracle)")
     classify: Optional[str] = _f(None, "comma-separated node ids to classify")
     bench: int = _f(0, "N-query lookup throughput probe (0 = off)")
     mix: str = _f("zipf", "bench query mix: zipf | random")
@@ -407,7 +401,7 @@ def apply_overrides(spec: JobSpec, assignments: Iterable[str]) -> JobSpec:
 
     A ``str`` field takes the text verbatim (``serve.embed=1,2,3``); any
     other field parses it as JSON (``train.epochs=2``,
-    ``model.fanouts=[5]``, ``serve.exact=true``), and ``null`` clears an
+    ``model.fanouts=[5]``, ``serve.topk=[0,5]``), and ``null`` clears an
     Optional field."""
     payload = spec.to_dict()
     for text in assignments:

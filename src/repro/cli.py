@@ -11,7 +11,7 @@ Usage (also via ``python -m repro``)::
     python -m repro autotune --dataset freebase86m --memory-gb 61
     python -m repro run job.json              # execute any job kind
     python -m repro run job.json --set train.epochs=1 --set model.fanouts=[5]
-    python -m repro run serve.json --set serve.topk=[0,5] --set serve.exact=true
+    python -m repro run serve.json --set serve.topk=[0,5] --set serve.rel=1
     python -m repro run job.json --dump-spec  # resolved JobSpec, no run
     python -m repro top run-dir/              # render telemetry run logs
 """
@@ -148,13 +148,6 @@ def _render_sections(header: str, seconds: float, record_count: int,
         for name, value in sorted(scalars.items()):
             rate = value / seconds if seconds > 0 else 0.0
             print(f"  {name:<36} {value:>12,.0f} {rate:>10,.1f}")
-    scanned = scalars.get("serve.topk_parts_scanned", 0)
-    pruned = scalars.get("serve.topk_parts_pruned", 0)
-    if scanned or pruned:
-        ratio = pruned / (scanned + pruned)
-        print(f"  ann prune ratio: {ratio:.1%} "
-              f"({pruned:.0f} of {scanned + pruned:.0f} candidate "
-              f"partitions skipped)")
     print()
 
 
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override one spec field (repeatable; later wins). "
                         "A str field takes VALUE verbatim, any other "
                         "field parses it as JSON: train.epochs=2, "
-                        "model.fanouts=[5], serve.exact=true, "
+                        "model.fanouts=[5], serve.topk=[0,5], "
                         "checkpoint.dir=null")
     p.add_argument("--dump-spec", action="store_true",
                    help="print the resolved spec and exit without running")

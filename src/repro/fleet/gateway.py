@@ -5,8 +5,7 @@ query families as POST endpoints::
 
     POST /v1/embeddings  {"ids": [0, 1, 2]}
     POST /v1/score       {"pairs": [[0, 5], [1, 9]]}       # or [s, r, d]
-    POST /v1/topk        {"source": 0, "k": 5, "rel": 0,
-                          "exact": false, "exclude": [0]}
+    POST /v1/topk        {"source": 0, "k": 5, "rel": 0, "exclude": [0]}
     POST /v1/encode      {"ids": [0, 1], "seed": null}
 
 plus ``GET /healthz`` (``ok`` / ``degraded``, HTTP 503 when degraded)

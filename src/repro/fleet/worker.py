@@ -138,9 +138,8 @@ class _Dispatcher:
         rel = request.get("rel", 0)
         if not isinstance(rel, int) or isinstance(rel, bool):
             raise ValueError("'rel' must be an integer relation id")
-        exact = bool(request.get("exact", False))
         exclude = _int_list(request.get("exclude", []), "exclude")
-        ids, scores = self.batcher.topk_targets(src, k, rel=rel, exact=exact,
+        ids, scores = self.batcher.topk_targets(src, k, rel=rel,
                                                 exclude=exclude)
         return {"ok": True, "ids": ids.tolist(), "scores": scores.tolist()}
 

@@ -11,12 +11,10 @@ Linear decoders. DistMult, DotProduct and ComplEx score a candidate
 linearly: ``score(s, r, d) = q . h_d`` with ``q = target_query_rows(s, r)``.
 Each also has ``query_rows_vjp(s, r, dq) -> (d_s, d_rel_rows)``, the
 vector-Jacobian product of that map (``d_rel_rows`` is per row, ``None``
-without relations). Two users rely on the pair: the ANN index bounds a
-cluster's best score from ``q`` alone (:mod:`repro.serve.ann`), and
-:func:`repro.nn.loss.decoder_ranking_loss` computes the whole ranking-loss
-gradient in closed form from ``q`` and the VJP instead of through the
-tape. A decoder without ``target_query_rows`` (TransE) is trained through
-the tape.
+without relations). :func:`repro.nn.loss.decoder_ranking_loss` relies on
+the pair: it computes the whole ranking-loss gradient in closed form from
+``q`` and the VJP instead of through the tape. A decoder without
+``target_query_rows`` (TransE) is trained through the tape.
 """
 
 from __future__ import annotations
@@ -65,9 +63,8 @@ class DistMult(Module):
         """The query vector ``q`` with ``score(s, r, d) = q . h_d``.
 
         Every decoder whose ``score_against`` is linear in the candidate
-        row exposes this; the ANN index uses it to bound the best possible
-        score of a cluster (``q . centroid + |q| * radius``) without
-        scoring any member.
+        row exposes this; the closed-form ranking-loss gradient is built
+        on it.
         """
         return src * self.relations.data[np.asarray(rel, dtype=np.int64)]
 

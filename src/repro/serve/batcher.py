@@ -231,14 +231,14 @@ class RequestBatcher:
         """Blocking edge scoring through the micro-batching queue."""
         return self.submit(SCORE, np.asarray(pairs, dtype=np.int64)).wait()
 
-    def topk_targets(self, src: int, k: int, rel: int = 0,
-                     exact: bool = False, exclude=()):
+    def topk_targets(self, src: int, k: int, rel: int = 0, exclude=()):
         """Blocking top-k query through the micro-batching queue.
 
-        Concurrent top-k requests with the same ``(k, exact, exclude)``
-        are coalesced into one :meth:`ServingEngine.topk_targets_batch`
-        call, so n waiting queries share a single (pruned or exact)
-        partition sweep instead of paying n sweeps. ``exclude`` is the
+        Concurrent top-k requests with the same ``(k, exclude)`` are
+        coalesced into one :meth:`ServingEngine.topk_targets_batch` call,
+        so n waiting queries share a single partition sweep instead of
+        paying n sweeps. The payload is ``[src, rel, k, *exclude]``.
+        ``exclude`` is the
         engine's shared candidate blacklist (excluded ids are removed,
         never returned); requests with different blacklists simply land
         in different groups. Returns ``(ids, scores)`` for this source,
@@ -247,8 +247,7 @@ class RequestBatcher:
         excl = np.asarray(sorted(set(int(x) for x in exclude)),
                           dtype=np.int64)
         payload = np.concatenate([
-            np.array([int(src), int(rel), int(k), int(bool(exact))],
-                     dtype=np.int64), excl])
+            np.array([int(src), int(rel), int(k)], dtype=np.int64), excl])
         return self.submit(TOPK, payload).wait()
 
     def encode_nodes(self, node_ids, seed=None) -> np.ndarray:
@@ -333,15 +332,12 @@ class RequestBatcher:
         groups: Dict[tuple, List[ServeRequest]] = {}
         for request in batch:
             if request.kind == TOPK:
-                # Top-k requests coalesce per (k, exact, exclude): one
+                # Top-k requests coalesce per (k, exclude): one
                 # multi-source partition sweep answers the whole group,
-                # row i per request i. (A 3-entry payload predates the
-                # exact flag and means the default ANN path; entries past
-                # the fourth are the shared candidate blacklist.)
-                exact = (len(request.payload) > 3
-                         and bool(request.payload[3]))
-                exclude = tuple(int(x) for x in request.payload[4:])
-                key = (TOPK, (int(request.payload[2]), exact, exclude))
+                # row i per request i. Entries past the third are the
+                # shared candidate blacklist.
+                exclude = tuple(int(x) for x in request.payload[3:])
+                key = (TOPK, (int(request.payload[2]), exclude))
             elif request.kind == ENCODE:
                 # Encode requests coalesce per seed (the [has_seed, seed]
                 # payload header); one engine call encodes the merged ids.
@@ -371,11 +367,9 @@ class RequestBatcher:
                 elif kind == TOPK:
                     srcs = np.array([p[0] for p in payloads], dtype=np.int64)
                     rels = np.array([p[1] for p in payloads], dtype=np.int64)
-                    group_k, group_exact = extra[0], extra[1]
-                    group_exclude = extra[2] if len(extra) > 2 else ()
+                    group_k, group_exclude = extra
                     ids, scores = self.engine.topk_targets_batch(
-                        srcs, group_k, rel=rels, exclude=group_exclude,
-                        exact=group_exact)
+                        srcs, group_k, rel=rels, exclude=group_exclude)
                     for row, request in enumerate(requests):
                         request.finish(result=(ids[row], scores[row]))
                     result = None

@@ -7,9 +7,10 @@ nor gradients to write back, so it keeps no partition cache of its own:
 
 * :meth:`ServingEngine.get_embeddings` — row gather from the store.
 * :meth:`ServingEngine.score_edges` / :meth:`ServingEngine.topk_targets` —
-  decoder scoring; top-k scores each candidate partition's contiguous row
-  range of the map as one block and keeps a running best-k, with no
-  residency side effects.
+  decoder scoring; top-k scores the partitions in chunks of at most
+  ``buffer_capacity``, each partition's contiguous row range of the map as
+  one block, and folds each chunk's candidates into a running best-k, with
+  no residency side effects.
 * :meth:`ServingEngine.encode_nodes` / :meth:`ServingEngine.classify` —
   GNN encode-on-read: multi-hop neighborhoods are sampled over the
   subgraph of at most ``buffer_capacity`` partitions (exactly the
@@ -31,7 +32,6 @@ from ..obs.registry import get_registry
 from ..nn.module import Module
 from ..nn.tensor import Tensor, no_grad
 from ..storage.node_store import NodeStore
-from .ann import AnnIndex
 from .stats import ServeStats
 
 
@@ -58,22 +58,12 @@ class ServingEngine:
         incrementally.
     fanouts / directions:
         Sampling shape for encode-on-read (ignored without ``edge_source``).
-    ann:
-        Serve top-k through the per-partition :class:`AnnIndex` (built
-        lazily on the first top-k query, kept current by the live-stream
-        listeners). ``exact=True`` on a query is the per-call escape
-        hatch; decoders without a linear ``target_query_rows`` form fall
-        back to the exact sweep automatically.
-    ann_cluster_size:
-        Target rows per IVF cluster (recall is bound-sound at any value;
-        this only trades pruning granularity against bound-pass cost).
     """
 
     def __init__(self, model: Module, store: NodeStore, buffer_capacity: int,
                  edge_source: Optional[Callable] = None,
                  fanouts: Sequence[int] = (), directions: str = "both",
-                 seed: int = 0, ann: bool = True,
-                 ann_cluster_size: int = 64) -> None:
+                 seed: int = 0) -> None:
         if buffer_capacity <= 0:
             raise ValueError("buffer capacity must be positive")
         if buffer_capacity > store.num_partitions:
@@ -84,7 +74,7 @@ class ServingEngine:
         self.store = store
         self.buffer_capacity = int(buffer_capacity)
         # Protects the engine's own shared state (the sampler index and its
-        # draw stream, the ANN index) between queries and live-stream
+        # draw stream) between queries and live-stream
         # listener callbacks. Re-entrant: classify -> encode_nodes. Over a
         # live graph, queries additionally take the graph's shared lock and
         # validate the table seqlock — see _query_guard / _table_read.
@@ -93,9 +83,6 @@ class ServingEngine:
         self._table_version = None    # live.table_version when streaming
         self.stats = ServeStats()
         self.decoder = getattr(model, "decoder", None)
-        self.ann_enabled = bool(ann)
-        self.ann_cluster_size = int(ann_cluster_size)
-        self.ann_index: Optional[AnnIndex] = None   # built on first ANN top-k
         self.sampler: Optional[DenseSampler] = None
         if edge_source is not None and len(fanouts) > 0:
             self.sampler = DenseSampler.from_partitions(
@@ -112,27 +99,25 @@ class ServingEngine:
     @classmethod
     def over_live(cls, live, model: Module, buffer_capacity: int,
                   fanouts: Sequence[int] = (), directions: str = "both",
-                  seed: int = 0, ann: bool = True,
-                  ann_cluster_size: int = 64) -> "ServingEngine":
+                  seed: int = 0) -> "ServingEngine":
         """A serving engine over a :class:`~repro.stream.live.LiveGraph`.
 
         The engine queries the live view, not a frozen snapshot: its
         sampler's bucket source is the composed base+delta read, and the
         registered stream listeners keep it coherent — ingests refresh
-        exactly the touched resident buckets, node additions extend the
-        index, and table rewrites invalidate the ANN index. Embedding
-        lookups need no overlay handling at all, because streamed nodes
-        grow the node table at ingest time.
+        exactly the touched resident buckets and node additions extend
+        the index. Lookups and top-k need no overlay handling at all:
+        streamed nodes grow the node table at ingest time, and both read
+        the table in place.
         """
         engine = cls(model, live.node_store, buffer_capacity,
                      edge_source=live.bucket_endpoints, fanouts=fanouts,
-                     directions=directions, seed=seed, ann=ann,
-                     ann_cluster_size=ann_cluster_size)
+                     directions=directions, seed=seed)
         # Queries take the live graph's *shared* lock (so they run
         # concurrently with ingest and with each other's lock-free
         # sections, but drain for structural mutations — growth,
         # compaction, WAL replay, which take the exclusive side) plus the
-        # engine's own lock for its sampler/ANN state. Node-table row
+        # engine's own lock for its sampler state. Node-table row
         # rewrites (refresh write-back) are not excluded at all: reads
         # that touch the store validate live.table_version around
         # themselves and retry on a raced write window.
@@ -140,8 +125,6 @@ class ServingEngine:
         engine._table_version = live.table_version
         live.add_bucket_listener(engine._on_live_buckets)
         live.add_growth_listener(engine._on_live_growth)
-        live.add_compact_listener(lambda: engine._invalidate_ann(None))
-        live.add_table_listener(engine._invalidate_ann)
         return engine
 
     @contextlib.contextmanager
@@ -192,14 +175,6 @@ class ServingEngine:
         with self._live_lock:
             if self.sampler is not None:
                 self.sampler.index.extend_nodes(new_scheme)
-            # Only the last partition's rows changed (the growth rule).
-            self._invalidate_ann([new_scheme.num_partitions - 1])
-
-    def _invalidate_ann(self, parts: Optional[List[int]]) -> None:
-        """Table rows changed (``None``: all): their ANN cells are stale."""
-        with self._live_lock:
-            if self.ann_index is not None:
-                self.ann_index.invalidate(parts)
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64).ravel()
@@ -295,33 +270,27 @@ class ServingEngine:
 
     def topk_targets(self, src: int, k: int, rel: int = 0,
                      exclude: Sequence[int] = (),
-                     exact: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+                     exact: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         """Best-``k`` destination nodes for ``(src, rel, ?)``, best first.
 
         The single-source form of :meth:`topk_targets_batch` (exactly its
         ``n = 1`` case — one implementation, no drift); see there for the
-        ANN/exact split and the return-shape contract.
+        sweep and the return-shape contract.
         """
         ids, scores = self.topk_targets_batch([int(src)], k, rel=rel,
-                                              exclude=exclude, exact=exact)
+                                              exclude=exclude)
         return ids[0], scores[0]
 
     def topk_targets_batch(self, srcs: Sequence[int], k: int,
                            rel=0, exclude: Sequence[int] = (),
-                           exact: bool = False
+                           exact: bool = True
                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Best-``k`` destinations for *many* sources in one partition sweep.
+        """Best-``k`` destinations for *many* sources in one exact sweep.
 
-        By default the sweep is **pruned** by the per-partition
-        :class:`AnnIndex`: a first pass bounds every cluster's best
-        possible score (``q . centroid + |q| * radius``, sound by
-        Cauchy-Schwarz) and partitions whose every cluster falls below
-        every source's running k-th best are skipped without being
-        scored. ``exact=True`` — or a decoder without the linear
-        ``target_query_rows`` form, or ``ann=False`` at construction —
-        runs the exact blockwise scan over every candidate partition.
-        Both paths score partitions in place in the table map and serve
-        decoder-only snapshots; their scores are bit-equal.
+        Every candidate is scored: the sweep reads each partition once, in
+        place in the table map, and scores it against all sources with one
+        dense ``score_against`` (see :meth:`_sweep`). ``exact`` is accepted
+        and ignored — every sweep is exact.
 
         ``rel`` is a scalar or a per-source array; ``exclude`` is a shared
         candidate blacklist applied to every source (excluded ids are
@@ -329,13 +298,13 @@ class ServingEngine:
 
         Return-shape contract: ``(ids, scores)`` of shape
         ``(len(srcs), k_eff)``, each row best-first with ties broken by
-        ascending node id, where ``k_eff = min(k, num_candidates)`` and
-        ``num_candidates`` counts the table's nodes *net of the excluded
-        ids* — a large ``exclude`` list narrows the result instead of
-        silently returning fewer than the clamped ``k``. Over a live view
-        the candidate count is read from the dynamic scheme inside the
-        query guard, so concurrent growth cannot leave the clamp and the
-        sweep disagreeing.
+        ascending node id and NaN scores ranked after every other score,
+        where ``k_eff = min(k, num_candidates)`` and ``num_candidates``
+        counts the table's nodes *net of the excluded ids* — a large
+        ``exclude`` list narrows the result instead of silently returning
+        fewer than the clamped ``k``. Over a live view the candidate count
+        is read from the dynamic scheme inside the query guard, so
+        concurrent growth cannot leave the clamp and the sweep disagreeing.
         """
         decoder = self._require_decoder()
         if getattr(self.model, "encoder", None) is not None:
@@ -353,8 +322,6 @@ class ServingEngine:
             np.broadcast_to(np.asarray(rel, dtype=np.int64), (n,)))
         excluded = np.asarray(sorted(set(int(x) for x in exclude)),
                               dtype=np.int64)
-        use_ann = (not exact and self.ann_enabled
-                   and hasattr(decoder, "target_query_rows"))
 
         def sweep() -> Tuple[np.ndarray, np.ndarray]:
             self._check_ids(srcs)
@@ -365,8 +332,7 @@ class ServingEngine:
                 return (np.empty((n, 0), dtype=np.int64),
                         np.empty((n, 0), dtype=np.float32))
             src_t = Tensor(self.store.read_rows(srcs))
-            index = self._require_ann() if use_ann else None
-            return self._sweep(decoder, src_t, rel_arr, valid, k_eff, index)
+            return self._sweep(decoder, src_t, rel_arr, valid, k_eff)
 
         t0 = time.perf_counter()
         with self._query_guard(), no_grad():
@@ -377,107 +343,45 @@ class ServingEngine:
             1000.0 * (time.perf_counter() - t0))
         return best_ids, best_scores
 
-    @staticmethod
-    def _merge_topk(best_ids: np.ndarray, best_scores: np.ndarray,
-                    ids: np.ndarray, scores: np.ndarray,
-                    k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold new candidates into the running best-k, rows kept sorted
-        by (score descending, node id ascending).
-
-        The id tie-break is the determinism fix: truncating with a bare
-        ``argpartition`` over scores let *which* of several tied-score
-        candidates survived depend on partition visit order, so the same
-        query could return different ids under different visit orders
-        (the ANN sweep's differs from the exact one's). Here the sort
-        key is the single complex scalar ``-score + id*i``: numpy orders
-        complex lexicographically (real, then imaginary), giving the
-        total (score desc, id asc) order, and keys are *unique* (one id
-        appears once per row) — so even the unstable k-selection below
-        picks a deterministic set, and only the k survivors pay a sort.
-        The kept set is a pure function of the candidate set, at O(w)
-        selection cost instead of an O(w log w) full-width sort.
-        """
-        merged_scores = np.concatenate(
-            [best_scores, scores.astype(np.float32)], axis=1)
-        merged_ids = np.concatenate([best_ids, ids], axis=1)
-        key = -merged_scores.astype(np.float64) + 1j * merged_ids
-        if key.shape[1] > k:
-            sel = np.argpartition(key, k - 1, axis=1)[:, :k]
-            merged_ids = np.take_along_axis(merged_ids, sel, axis=1)
-            merged_scores = np.take_along_axis(merged_scores, sel, axis=1)
-            key = np.take_along_axis(key, sel, axis=1)
-        order = np.argsort(key, axis=1)
-        return (np.take_along_axis(merged_ids, order, axis=1),
-                np.take_along_axis(merged_scores, order, axis=1))
-
-    def _require_ann(self) -> AnnIndex:
-        """The lazily-built cluster index, rebuilt where stale.
-
-        Built on the first ANN top-k (engines that never answer top-k
-        never pay for clustering) and invalidated by the live-stream
-        listeners; rebuilds cluster each stale partition's rows in place
-        in the table map.
-        """
-        if self.ann_index is None:
-            self.ann_index = AnnIndex(self.store,
-                                      cluster_size=self.ann_cluster_size)
-        self.ann_index.ensure_current()
-        return self.ann_index
-
     def _sweep(self, decoder, src_t: Tensor, rel_arr: np.ndarray,
-               excluded: np.ndarray, k: int,
-               index: Optional[AnnIndex]) -> Tuple[np.ndarray, np.ndarray]:
-        """Score candidate partitions in place, keeping a running best-k.
+               excluded: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Score every candidate in chunks of partitions, keeping a best-k.
 
-        Each scored partition is one contiguous block of the table map
-        and one dense ``score_against``. Without ``index`` this is the
-        exact oracle: every partition, every row, ascending. With it the
-        sweep is pruned: partitions are visited in descending order of
-        their best cluster bound (so the running thresholds tighten as
-        early as possible), a partition whose every cluster falls below
-        every source's threshold is skipped, and only the columns of
-        clusters some source still needs enter the running best-k. Both
-        score the same blocks, pruning is sound, and the merge is a pure
-        function of the candidate set, so the two return the same bits.
+        A chunk is at most ``buffer_capacity`` consecutive partitions — one
+        contiguous row range, the chunking encode-on-read uses. Each
+        partition in it is one block of the table map and one dense
+        ``score_against``, written into a shared ``(n, chunk_rows)``
+        float32 array: that array is the sweep's working set, whatever the
+        table size. One selection per chunk finds each source's k-th best
+        score; the columns at or above it (ties included) are the chunk's
+        candidates, folded into the running best-k by :func:`_fold_topk`.
         """
         n = src_t.data.shape[0]
+        bounds = self.scheme.boundaries
+        num_parts = self.scheme.num_partitions
         best_ids = np.empty((n, 0), dtype=np.int64)
         best_scores = np.empty((n, 0), dtype=np.float32)
-        thresholds = np.full(n, -np.inf)
-        order = range(self.scheme.num_partitions)
-        if index is not None:
-            bounds = index.cluster_bounds(
-                decoder.target_query_rows(src_t.data, rel_arr))
-            order = np.argsort([-float(b.max()) if b.size else np.inf
-                                for b in bounds], kind="stable")
-        for part in order:
-            part = int(part)
-            lo = int(self.scheme.boundaries[part])
-            rows = np.arange(int(self.scheme.boundaries[part + 1]) - lo)
-            if index is not None:
-                ub = bounds[part]                    # (n, clusters)
-                if ub.size == 0 or (ub.max(axis=1) < thresholds).all():
-                    self.stats.topk_parts_pruned += 1
-                    continue
-                pc = index.partition(part)
-                surviving = (ub >= thresholds[:, None]).any(axis=0)
-                rows = pc.rows[np.repeat(surviving, np.diff(pc.indptr))]
-            if len(excluded):    # remove, don't mask: never return one
-                rows = rows[~np.isin(lo + rows, excluded)]
-            if index is not None and len(rows) == 0:
-                self.stats.topk_parts_pruned += 1
-                continue
-            scores = decoder.score_against(
-                src_t, rel_arr, Tensor(self.store.partition_block(part))).data
-            ids = lo + rows
-            best_ids, best_scores = self._merge_topk(
-                best_ids, best_scores, np.broadcast_to(ids, (n, len(ids))),
-                scores[:, rows], k)
-            if best_scores.shape[1] == k:
-                thresholds = best_scores[:, -1].astype(np.float64)
-            self.stats.topk_parts_scanned += 1
-            if index is not None:
-                self.stats.ann_rows_scored += len(rows)
+        for first in range(0, num_parts, self.buffer_capacity):
+            last = min(first + self.buffer_capacity, num_parts)
+            lo, hi = int(bounds[first]), int(bounds[last])
+            scores = np.empty((n, hi - lo), dtype=np.float32)
+            for part in range(first, last):
+                a, b = int(bounds[part]) - lo, int(bounds[part + 1]) - lo
+                if b > a:
+                    scores[:, a:b] = decoder.score_against(
+                        src_t, rel_arr,
+                        Tensor(self.store.partition_block(part))).data
+            self.stats.topk_parts_scanned += last - first
+            self.stats.ann_rows_scored += hi - lo
+            ids = np.arange(lo, hi)
+            hit = excluded[(excluded >= lo) & (excluded < hi)]
+            if len(hit):         # remove, don't mask: never return one
+                keep = np.ones(hi - lo, dtype=bool)
+                keep[hit - lo] = False
+                ids, scores = ids[keep], scores[:, keep]
+            rows, cols = _chunk_candidates(scores, k)
+            best_ids, best_scores = _fold_topk(
+                best_ids, best_scores, rows, ids[cols], scores[rows, cols], k)
         return best_ids, best_scores
 
     # ------------------------------------------------------------------
@@ -576,3 +480,46 @@ class ServingEngine:
         with no_grad():
             logits = head(Tensor(reprs)).data
         return logits.argmax(axis=1)
+
+
+def _chunk_candidates(scores: np.ndarray,
+                      k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of every score that can reach its row's best-k.
+
+    One float32 selection per chunk: a row's k-th best score is the
+    threshold, and every column at or above it is kept, ties included, so
+    the id tie-break happens in :func:`_fold_topk` over the whole set. A
+    selection sorts NaN last, so a NaN threshold means the row has fewer
+    than ``k`` non-NaN scores and keeps every column (NaN rows included:
+    the width contract ranks them after every other score).
+    """
+    n, width = scores.shape
+    if width <= k:
+        return np.divmod(np.arange(n * width), width)
+    neg = np.negative(scores)
+    neg.partition(k - 1, axis=1)
+    kth = -neg[:, k - 1 : k]
+    # flatnonzero + divmod: ~15x faster than a 2-d nonzero here.
+    return np.divmod(np.flatnonzero((scores >= kth) | np.isnan(kth)), width)
+
+
+def _fold_topk(best_ids: np.ndarray, best_scores: np.ndarray,
+               rows: np.ndarray, ids: np.ndarray, scores: np.ndarray,
+               k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge one chunk's candidates into the running best-k.
+
+    Rows stay sorted by the total order (score descending, NaN last, then
+    node id ascending): ids are unique per row, so the kept set is a pure
+    function of the candidate set, whatever the chunking. Every row keeps
+    the same width, ``min(k, candidates seen)``.
+    """
+    n, w = best_ids.shape
+    all_rows = np.concatenate([np.repeat(np.arange(n), w), rows])
+    all_ids = np.concatenate([best_ids.ravel(), ids])
+    all_scores = np.concatenate([best_scores.ravel(), scores])
+    order = np.lexsort((all_ids, -all_scores, all_rows))
+    counts = np.bincount(all_rows, minlength=n)
+    width = min(k, int(counts.min()))
+    starts = np.cumsum(counts) - counts
+    sel = order[starts[:, None] + np.arange(width)]
+    return all_ids[sel], all_scores[sel]

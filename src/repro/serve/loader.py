@@ -87,15 +87,13 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
                           num_partitions: Optional[int] = None,
                           buffer_capacity: int = 4,
                           graph: Optional[Graph] = None,
-                          seed: int = 0, ann: bool = True,
-                          ann_cluster_size: int = 64) -> ServingEngine:
+                          seed: int = 0) -> ServingEngine:
     """Serving engine over a link prediction snapshot (any LP trainer kind).
 
     ``graph`` (typically the training edge split) enables encode-on-read
     for encoder models: its edge buckets are written next to the served
     table and sampled through the sampler-resident subgraph. Decoder-only
-    snapshots need no graph. ``ann`` / ``ann_cluster_size`` configure the
-    pruned top-k index (built lazily on the first top-k query).
+    snapshots need no graph.
     """
     restore = restore_for_inference(snapshot)
     if restore.trainer_kind not in LP_KINDS:
@@ -130,8 +128,7 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
         fanouts = config.fanouts
     return ServingEngine(model, store, buffer_capacity,
                          edge_source=edge_source, fanouts=fanouts,
-                         directions=config.directions, seed=seed,
-                         ann=ann, ann_cluster_size=ann_cluster_size)
+                         directions=config.directions, seed=seed)
 
 
 def serve_node_classification(snapshot: os.PathLike,

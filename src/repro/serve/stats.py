@@ -24,8 +24,7 @@ class ServeStats:
     nodes_encoded: int = 0
     swaps: int = 0             # partitions entering the encode sampler
     topk_parts_scanned: int = 0   # partitions scored by top-k sweeps
-    topk_parts_pruned: int = 0    # partitions skipped by the ANN bound
-    ann_rows_scored: int = 0      # surviving-cluster rows on the ANN path
+    ann_rows_scored: int = 0      # table rows scored by top-k sweeps
 
     def as_dict(self) -> Dict[str, int]:
         """Every counter field, generated from the dataclass itself so a

@@ -220,8 +220,8 @@ PARITY_CASES = {
     "serve-fleet --snapshot S": (
         {"kind": "serve-fleet", "serve": {"snapshot": "S"}},
         ["fleet.workers=4", "fleet.port=8080", "fleet.timeout_ms=50",
-         "serve.ann=false"],
-        {"kind": "serve-fleet", "serve": {"snapshot": "S", "ann": False},
+         "serve.rel=1"],
+        {"kind": "serve-fleet", "serve": {"snapshot": "S", "rel": 1},
          "fleet": {"workers": 4, "port": 8080, "timeout_ms": 50.0}}),
     "stream --events 500": (
         {"kind": "stream"},

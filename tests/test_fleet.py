@@ -246,9 +246,9 @@ def test_score_bit_identical(fleet, oracle):
 
 def test_topk_bit_identical(fleet, oracle):
     status, body = post(fleet.url, "/v1/topk",
-                        {"source": 3, "k": 5, "exclude": [3], "exact": True})
+                        {"source": 3, "k": 5, "exclude": [3]})
     assert status == 200
-    ids, scores = oracle.topk_targets(3, 5, rel=0, exclude=[3], exact=True)
+    ids, scores = oracle.topk_targets(3, 5, rel=0, exclude=[3])
     assert body["ids"] == ids.tolist()
     served = np.asarray(body["scores"], dtype=np.float32)
     assert served.tobytes() == scores.tobytes()

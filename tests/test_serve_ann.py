@@ -1,32 +1,29 @@
-"""ANN top-k vs the exact oracle, plus the exact sweep's own contracts.
+"""The exact top-k sweep against an offline oracle, plus its contracts.
 
 The load-bearing guarantees:
 
-* **Recall property** — the pruned (IVF cluster bound) sweep reaches
-  recall@k >= 0.95 against the exact oracle across table sizes, skewed
-  and clustered embeddings, `exclude` lists, every shipped decoder, and
-  post-growth live views (the bound is sound, so in practice recall is
-  1.0; the floor is the asserted worst-case contract).
-* **Exact oracle parity** — `exact=True` equals scoring every node
-  offline, with ties broken deterministically by ascending node id.
-* **Bit-equal to exact** — the ANN sweep scores a surviving partition as
-  the same in-place block the exact sweep scores, so its ids and scores
-  equal the exact sweep's bit for bit.
+* **Oracle parity** — every top-k equals scoring the whole table offline
+  in one pass, bit for bit, across table shapes, every linear decoder and
+  ``exclude`` lists, with ties broken deterministically by ascending node
+  id and NaN scores ranked after every other score.
 * **Visit-order determinism** — the same query returns the same ids
-  whatever order partitions are visited in (regression for the unstable
+  whatever the chunking or residency state (regression for the unstable
   argpartition truncation).
 * **Clamp contract** — the result width is `min(k, candidates)` where
   candidates excludes the `exclude` list; over a live view the clamp
   reads the dynamic scheme, so grown nodes are rankable immediately.
+* **Bounded working set** — the sweep holds one chunk of scores at a
+  time, so its peak allocation does not grow with the table.
 """
 
+import tracemalloc
+
 import numpy as np
-import pytest
 
 from repro.graph.edge_list import Graph
 from repro.graph.partition import PartitionScheme
 from repro.nn.tensor import Tensor
-from repro.serve import AnnIndex, RequestBatcher, ServingEngine
+from repro.serve import RequestBatcher, ServingEngine
 from repro.storage import NodeStore
 from repro.storage.edge_store import EdgeBucketStore
 from repro.stream import LiveGraph
@@ -34,9 +31,9 @@ from repro.train import LinkPredictionConfig, LinkPredictionModel
 
 
 def make_table(num_nodes, dim, kind, seed=0):
-    """Candidate tables the index must handle: uniform noise (clusters
-    barely help — the worst case for pruning, recall must still hold) and
-    a Gaussian mixture (the shape trained embeddings actually take)."""
+    """Candidate tables: uniform noise, a Gaussian mixture (the shape
+    trained embeddings take), the mixture sorted by cluster (partition ~
+    community, as partitioned training produces) and heavy-tailed norms."""
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         return rng.uniform(-1, 1, size=(num_nodes, dim)).astype(np.float32)
@@ -46,9 +43,7 @@ def make_table(num_nodes, dim, kind, seed=0):
         table = centers[assign] + rng.normal(0, 0.05, size=(num_nodes, dim))
         return table.astype(np.float32)
     if kind == "blocked":
-        # Clusters contiguous in the id space — the shape partitioned
-        # training produces (partition ~ community), where whole-partition
-        # pruning pays off.
+        # Clusters contiguous in the id space.
         centers = rng.normal(0, 1.0, size=(12, dim))
         assign = np.sort(rng.integers(0, len(centers), num_nodes))
         table = centers[assign] + rng.normal(0, 0.05, size=(num_nodes, dim))
@@ -61,7 +56,7 @@ def make_table(num_nodes, dim, kind, seed=0):
 
 
 def make_engine(tmp_path, table, p, capacity, decoder="distmult",
-                num_relations=3, name="serve", **kw):
+                num_relations=3, name="serve"):
     num_nodes, dim = table.shape
     scheme = PartitionScheme.uniform(num_nodes, p)
     store = NodeStore(tmp_path / f"{name}.bin", scheme, dim, learnable=False)
@@ -70,190 +65,134 @@ def make_engine(tmp_path, table, p, capacity, decoder="distmult",
                                decoder=decoder, seed=0)
     model = LinkPredictionModel(cfg, num_relations,
                                 rng=np.random.default_rng(3))
-    return ServingEngine(model, store, capacity, **kw)
+    return ServingEngine(model, store, capacity)
 
 
 def oracle_topk(engine, table, src, k, rel=0, exclude=()):
-    """Top-k by scoring the full table in one pass, ties broken by id —
-    the independent definition both sweeps must reproduce."""
-    decoder = engine.decoder
-    scores = decoder.score_against(Tensor(table[[src]]),
-                                   np.array([rel], dtype=np.int64),
-                                   Tensor(table)).data[0]
+    """Top-k by scoring the full table in one pass — the independent
+    definition the sweep must reproduce. Order: score descending, NaN
+    scores after every other score, then ascending node id.
+
+    A list of sources is scored as one batch, the shape the engine's
+    batched sweep multiplies (BLAS may round a one-row product
+    differently from a many-row one)."""
+    srcs = np.atleast_1d(np.asarray(src, dtype=np.int64))
+    rels = np.broadcast_to(np.asarray(rel, dtype=np.int64), srcs.shape)
+    scores = engine.decoder.score_against(Tensor(table[srcs]), rels,
+                                          Tensor(table)).data
     keep = np.ones(len(table), dtype=bool)
     for x in exclude:
         if 0 <= int(x) < len(table):
             keep[int(x)] = False
-    ids = np.flatnonzero(keep)
-    order = np.lexsort((ids, -scores[ids]))
-    ids = ids[order][:k]
-    return ids, scores[ids]
-
-
-def recall_at_k(got_ids, want_ids):
-    if len(want_ids) == 0:
-        return 1.0
-    return len(np.intersect1d(got_ids, want_ids)) / len(want_ids)
+    cand = np.flatnonzero(keep)
+    ids = np.empty((len(srcs), min(k, len(cand))), dtype=np.int64)
+    for row, s in enumerate(scores[:, cand]):
+        order = np.lexsort((cand, -s, np.isnan(s)))
+        ids[row] = cand[order][:k]
+    out_scores = np.take_along_axis(scores, ids, axis=1)
+    if np.ndim(src) == 0:
+        return ids[0], out_scores[0]
+    return ids, out_scores
 
 
 # ---------------------------------------------------------------------------
-# Recall property: ANN vs exact across tables, decoders, excludes
+# Oracle parity, NaN and tie order, width clamp
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("kind", ["uniform", "clustered", "blocked", "skewed"])
-@pytest.mark.parametrize("num_nodes,p", [(400, 4), (2000, 8)])
-def test_ann_recall_floor_against_exact(tmp_path, kind, num_nodes, p):
-    table = make_table(num_nodes, 16, kind, seed=num_nodes + p)
-    engine = make_engine(tmp_path, table, p, capacity=2)
-    rng = np.random.default_rng(9)
-    srcs = rng.integers(0, num_nodes, 6)
-    excludes = [(), tuple(int(x) for x in srcs),
-                tuple(int(x) for x in rng.integers(0, num_nodes, 40))]
-    for exclude in excludes:
-        ids_x, sc_x = engine.topk_targets_batch(srcs, 10, rel=1,
-                                                exclude=exclude, exact=True)
-        ids_a, sc_a = engine.topk_targets_batch(srcs, 10, rel=1,
-                                                exclude=exclude)
-        for row in range(len(srcs)):
-            assert recall_at_k(ids_a[row], ids_x[row]) >= 0.95
-        # Score values agree even where a float tie might swap ids.
-        np.testing.assert_allclose(sc_a, sc_x, atol=1e-5)
-        for x in exclude:
-            assert x not in ids_a
-
-
-@pytest.mark.parametrize("decoder,num_relations",
-                         [("distmult", 3), ("dot", 1), ("complex", 3)])
-def test_ann_recall_every_decoder(tmp_path, decoder, num_relations):
-    table = make_table(600, 16, "clustered", seed=5)
-    engine = make_engine(tmp_path, table, 6, capacity=2, decoder=decoder,
-                         num_relations=num_relations)
-    srcs = [0, 99, 300, 599]
-    ids_x, sc_x = engine.topk_targets_batch(srcs, 10, exact=True)
-    ids_a, sc_a = engine.topk_targets_batch(srcs, 10)
-    for row in range(len(srcs)):
-        assert recall_at_k(ids_a[row], ids_x[row]) >= 0.95
-    np.testing.assert_allclose(sc_a, sc_x, atol=1e-5)
-
-
-@pytest.mark.parametrize("kind", ["uniform", "clustered", "blocked", "skewed"])
-@pytest.mark.parametrize("decoder,num_relations",
-                         [("distmult", 3), ("dot", 1), ("complex", 3)])
-def test_ann_bit_equal_to_exact(tmp_path, kind, decoder, num_relations):
-    table = make_table(1200, 16, kind, seed=17)
-    engine = make_engine(tmp_path, table, 8, capacity=2, decoder=decoder,
-                         num_relations=num_relations)
-    srcs = [0, 7, 450, 1199]
-    rel = [0, num_relations - 1, 0, num_relations - 1]
-    for exclude in ((), (0, 7, 450, 1199, 3, 800)):
-        ids_x, sc_x = engine.topk_targets_batch(srcs, 10, rel=rel,
-                                                exclude=exclude, exact=True)
-        ids_a, sc_a = engine.topk_targets_batch(srcs, 10, rel=rel,
-                                                exclude=exclude)
-        np.testing.assert_array_equal(ids_a, ids_x)
-        assert sc_a.tobytes() == sc_x.tobytes()
-
-
-def test_ann_prunes_partitions_on_clustered_data(tmp_path):
-    """The point of the index: on clusterable tables whole partitions are
-    skipped without being scored, and only a fraction of rows is ever
-    kept as candidates. (Correctness is covered above; this pins the
-    sublinearity.)"""
-    table = make_table(4000, 16, "blocked", seed=11)
-    engine = make_engine(tmp_path, table, 16, capacity=4)
-    engine.topk_targets_batch([5, 1000], 10)
-    s = engine.stats
-    assert s.topk_parts_pruned > 0
-    assert s.topk_parts_scanned < 16
-    assert 0 < s.ann_rows_scored < 4000
-    # Top-k reads the table in place: nothing is swapped or loaded.
-    assert s.swaps == 0
-    assert engine.store.stats.partition_loads == 0
-
-
-def test_ann_index_rebuilds_lazily_and_on_invalidate(tmp_path):
-    table = make_table(300, 8, "clustered", seed=2)
-    engine = make_engine(tmp_path, table, 3, capacity=2)
-    assert engine.ann_index is None            # no top-k yet -> no build
-    engine.get_embeddings(np.arange(10))
-    assert engine.ann_index is None
-    engine.topk_targets(0, 5)
-    index = engine.ann_index
-    assert index is not None
-    st = index.stats()
-    assert st["partitions_built"] == 3 and st["partitions_stale"] == 0
-    builds = st["builds"]
-    index.invalidate([1])
-    engine.topk_targets(0, 5)
-    assert index.stats()["builds"] == builds + 1   # only the stale one
-
-
-def test_ann_disabled_and_exact_flag_never_build(tmp_path):
-    table = make_table(200, 8, "uniform", seed=3)
-    off = make_engine(tmp_path, table, 2, capacity=2, name="off", ann=False)
-    off.topk_targets(0, 5)
-    assert off.ann_index is None and off.stats.topk_parts_pruned == 0
-    on = make_engine(tmp_path, table, 2, capacity=2, name="on")
-    on.topk_targets(0, 5, exact=True)
-    assert on.ann_index is None                # escape hatch stays cheap
-
 
 def test_empty_partitions_and_tiny_tables(tmp_path):
-    # A scheme with an empty middle partition: the index must carry a
-    # zero-cluster cell and both sweeps must skip it cleanly.
+    # A scheme with an empty middle partition: the sweep must skip it
+    # cleanly.
     table = make_table(10, 4, "uniform", seed=4)
     scheme = PartitionScheme(10, 3, np.array([0, 5, 5, 10], dtype=np.int64))
     store = NodeStore(tmp_path / "t.bin", scheme, 4, learnable=False)
     store.initialize(values=table)
     cfg = LinkPredictionConfig(embedding_dim=4, encoder="none", seed=0)
     model = LinkPredictionModel(cfg, 1, rng=np.random.default_rng(3))
-    engine = ServingEngine(model, store, 2)
-    ids_x, _ = engine.topk_targets(0, 5, exact=True)
-    ids_a, _ = engine.topk_targets(0, 5)
-    np.testing.assert_array_equal(ids_x, ids_a)
-    assert len(ids_x) == 5
+    for capacity in (1, 2, 3):
+        engine = ServingEngine(model, store, capacity)
+        ids, sc = engine.topk_targets(0, 5)
+        want_ids, want_sc = oracle_topk(engine, table, 0, 5)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert sc.tobytes() == want_sc.tobytes()
 
-
-# ---------------------------------------------------------------------------
-# Exact oracle parity + deterministic ties (satellite bugfixes)
-# ---------------------------------------------------------------------------
 
 def test_exact_matches_offline_oracle(tmp_path):
+    """Byte-equal to the one-pass oracle: single sources, then a batch
+    with per-source relations for every (table kind, decoder, exclude
+    list)."""
     table = make_table(500, 8, "uniform", seed=6)
     engine = make_engine(tmp_path, table, 5, capacity=2)
     for src, rel, exclude in [(0, 0, ()), (7, 2, (7, 123, 456)),
                               (42, 1, tuple(range(100)))]:
         want_ids, want_sc = oracle_topk(engine, table, src, 12, rel=rel,
                                         exclude=exclude)
-        ids, sc = engine.topk_targets(src, 12, rel=rel, exclude=exclude,
-                                      exact=True)
+        ids, sc = engine.topk_targets(src, 12, rel=rel, exclude=exclude)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(sc, want_sc)
+
+    srcs = [0, 7, 450, 1199]
+    for kind in ("uniform", "clustered", "blocked", "skewed"):
+        table = make_table(1200, 16, kind, seed=17)
+        for decoder, num_relations in (("distmult", 3), ("dot", 1),
+                                       ("complex", 3)):
+            engine = make_engine(tmp_path, table, 8, capacity=3,
+                                 decoder=decoder,
+                                 num_relations=num_relations,
+                                 name=f"{kind}-{decoder}")
+            rel = [0, num_relations - 1, 0, num_relations - 1]
+            for exclude in ((), (0, 7, 450, 1199, 3, 800)):
+                ids, sc = engine.topk_targets_batch(srcs, 12, rel=rel,
+                                                    exclude=exclude)
+                want_ids, want_sc = oracle_topk(engine, table, srcs, 12,
+                                                rel=rel, exclude=exclude)
+                np.testing.assert_array_equal(ids, want_ids)
+                assert sc.tobytes() == want_sc.tobytes()
+
+
+def test_nan_scores_rank_last_and_keep_the_width(tmp_path):
+    """NaN rows are candidates like any other: the width stays
+    ``min(k, candidates)`` and they rank after every finite score,
+    ascending by id. A threshold select that drops NaN comparisons
+    returns too few ids here."""
+    table = make_table(40, 8, "uniform", seed=18)
+    nan_rows = [5, 21, 33]
+    table[nan_rows] = np.nan
+    engine = make_engine(tmp_path, table, 2, capacity=2)
+    for src in (0, 21):               # 21: every score is NaN
+        for k, exclude in ((5, ()), (40, ()), (39, ()), (38, (0, 2))):
+            ids, sc = engine.topk_targets(src, k, exclude=exclude)
+            want_ids, want_sc = oracle_topk(engine, table, src, k,
+                                            exclude=exclude)
+            assert len(ids) == len(sc) == min(k, 40 - len(exclude))
+            np.testing.assert_array_equal(ids, want_ids)
+            assert sc.tobytes() == want_sc.tobytes()
+    ids, _ = engine.topk_targets(0, 40)
+    np.testing.assert_array_equal(ids[-3:], nan_rows)
+    batch_ids, _ = engine.topk_targets_batch([0, 21], 39)
+    assert batch_ids.shape == (2, 39)
+    np.testing.assert_array_equal(batch_ids[1], np.arange(39))
 
 
 def test_tied_scores_break_by_node_id(tmp_path):
     """Duplicate rows produce exactly tied scores; the k boundary must
-    prefer the smaller node id, on both sweeps."""
+    prefer the smaller node id."""
     base = make_table(4, 8, "uniform", seed=7)
     table = base[np.zeros(96, dtype=np.int64)].copy()   # 96 identical rows
     engine = make_engine(tmp_path, table, 8, capacity=2)
-    ids_x, _ = engine.topk_targets(0, 10, exact=True)
-    np.testing.assert_array_equal(ids_x, np.arange(10))
-    ids_a, _ = engine.topk_targets(0, 10)
-    np.testing.assert_array_equal(ids_a, np.arange(10))
+    ids, _ = engine.topk_targets(0, 10)
+    np.testing.assert_array_equal(ids, np.arange(10))
 
 
 def test_topk_deterministic_across_residency_states(tmp_path):
     """Regression (unstable argpartition truncation): which tied-score
     candidate survived the running best-k depended on partition visit
     order — the same query could answer differently depending on cache
-    state, and the ANN sweep visits partitions in another order than the
-    exact one."""
+    state or chunking."""
     rng = np.random.default_rng(8)
     distinct = rng.uniform(-1, 1, size=(3, 8)).astype(np.float32)
     table = distinct[rng.integers(0, 3, 120)]           # ties everywhere
     engine_cold = make_engine(tmp_path, table, 8, capacity=3, name="cold")
-    ids_cold, sc_cold = engine_cold.topk_targets(0, 7, exact=True)
+    ids_cold, sc_cold = engine_cold.topk_targets(0, 7)
 
     engine_warm = make_engine(tmp_path, table, 8, capacity=3, name="warm")
     # Lookups in partitions 5 and 6 first: they leave nothing resident
@@ -263,13 +202,14 @@ def test_topk_deterministic_across_residency_states(tmp_path):
     engine_warm.get_embeddings(warm_ids)
     assert engine_warm.stats.swaps == 0
     assert engine_warm.store.stats.partition_loads == 0
-    ids_warm, sc_warm = engine_warm.topk_targets(0, 7, exact=True)
+    ids_warm, sc_warm = engine_warm.topk_targets(0, 7)
 
     np.testing.assert_array_equal(ids_cold, ids_warm)
     np.testing.assert_array_equal(sc_cold, sc_warm)
-    # The ANN path ignores residency for its visit order entirely.
-    ids_ann, _ = engine_warm.topk_targets(0, 7)
-    np.testing.assert_array_equal(ids_ann, ids_cold)
+    # Another chunking scores the same candidates: the same answer.
+    engine_wide = make_engine(tmp_path, table, 8, capacity=8, name="wide")
+    ids_wide, _ = engine_wide.topk_targets(0, 7)
+    np.testing.assert_array_equal(ids_wide, ids_cold)
 
 
 def test_k_clamps_to_candidate_count_net_of_exclude(tmp_path):
@@ -277,17 +217,59 @@ def test_k_clamps_to_candidate_count_net_of_exclude(tmp_path):
     engine = make_engine(tmp_path, table, 4, capacity=2)
     # k past the table: width is the candidate count, not num_nodes.
     exclude = list(range(10)) + [-5, 999, 4, 4]   # dups + out-of-range noise
-    ids, sc = engine.topk_targets(0, 100, exclude=exclude, exact=True)
+    ids, sc = engine.topk_targets(0, 100, exclude=exclude)
     assert ids.shape == sc.shape == (50,)
     assert not np.isin(ids, np.arange(10)).any()
-    ids_a, _ = engine.topk_targets(0, 100, exclude=exclude)
-    assert len(ids_a) == 50
     # Everything excluded -> empty result, not an error.
     ids, sc = engine.topk_targets(0, 5, exclude=range(60))
     assert ids.shape == sc.shape == (0,)
     # Batched form keeps the (n, k_eff) contract.
     ids, sc = engine.topk_targets_batch([0, 1, 2], 100, exclude=exclude)
     assert ids.shape == sc.shape == (3, 50)
+
+
+# ---------------------------------------------------------------------------
+# Counters and working set
+# ---------------------------------------------------------------------------
+
+def test_one_topk_scores_every_row_once(tmp_path):
+    table = make_table(1000, 8, "uniform", seed=19)
+    engine = make_engine(tmp_path, table, 10, capacity=3)
+    engine.topk_targets(4, 10, exclude=[4, 5])
+    s = engine.stats
+    assert s.ann_rows_scored == 1000
+    assert s.topk_parts_scanned == 10
+    # Many sources share one sweep.
+    engine.topk_targets_batch([1, 2, 3], 10)
+    assert s.ann_rows_scored == 2000
+    assert s.topk_parts_scanned == 20
+    # Top-k reads the table in place: nothing is swapped or loaded.
+    assert s.swaps == 0
+    assert engine.store.stats.partition_loads == 0
+
+
+def _peak_topk_bytes(tmp_path, num_nodes, rows_per_part, capacity):
+    table = make_table(num_nodes, 16, "uniform", seed=20)
+    engine = make_engine(tmp_path, table, num_nodes // rows_per_part,
+                         capacity=capacity, name=f"ws-{num_nodes}")
+    del table
+    srcs = np.arange(64)
+    engine.topk_targets_batch(srcs, 10)          # warm lazy state
+    tracemalloc.start()
+    try:
+        engine.topk_targets_batch(srcs, 10)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_does_not_grow_with_the_table(tmp_path):
+    """The sweep holds one (sources x chunk) score array, not the table's:
+    4x the rows at the same partition size and buffer must not move the
+    peak traced allocation by half."""
+    small = _peak_topk_bytes(tmp_path, 4000, 500, capacity=2)
+    large = _peak_topk_bytes(tmp_path, 16000, 500, capacity=2)
+    assert large < 1.5 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
@@ -312,118 +294,47 @@ def test_live_growth_reranks_and_reclamps(tmp_path):
     cfg = LinkPredictionConfig(embedding_dim=8, encoder="none", seed=0)
     model = LinkPredictionModel(cfg, 1, rng=np.random.default_rng(3))
     engine = ServingEngine.over_live(live, model, buffer_capacity=3)
-    engine.topk_targets(0, 5)                  # build the index pre-growth
+    engine.topk_targets(0, 5)                  # a sweep before growth
     grown = live.add_nodes(9)
     total = live.num_nodes
     # Clamp reads the dynamic scheme: k = total-1 after excluding the src.
-    for exact in (True, False):
-        ids, sc = engine.topk_targets(0, total, exclude=[0], exact=exact)
-        assert len(ids) == total - 1
-        assert np.isin(grown, ids).all()       # grown nodes are candidates
+    ids, sc = engine.topk_targets(0, total, exclude=[0])
+    assert len(ids) == total - 1
+    assert np.isin(grown, ids).all()           # grown nodes are candidates
     # Parity with an offline engine over the grown table.
     table = live.node_store.read_all()
     offline = make_engine(tmp_path, table, live.num_partitions, 3,
                           num_relations=1, name="off")
     ids_live, sc_live = engine.topk_targets(3, 12)
-    ids_off, sc_off = offline.topk_targets(3, 12, exact=True)
+    ids_off, sc_off = offline.topk_targets(3, 12)
     np.testing.assert_array_equal(ids_live, ids_off)
     np.testing.assert_allclose(sc_live, sc_off, atol=1e-5)
 
 
-def test_live_refresh_invalidates_ann_partitions(tmp_path):
-    live = make_live(tmp_path, seed=12)
-    cfg = LinkPredictionConfig(embedding_dim=8, encoder="none", seed=0)
-    model = LinkPredictionModel(cfg, 1, rng=np.random.default_rng(3))
-    engine = ServingEngine.over_live(live, model, buffer_capacity=3)
-    engine.topk_targets(0, 5)
-    index = engine.ann_index
-    assert index is not None and index.stats()["partitions_stale"] == 0
-    # A refresh write-back announces touched partitions; their clusters
-    # must go stale and rebuild before the next pruned sweep.
-    with live.table_write():
-        live.node_store.write_span(0, np.full(
-            (live.scheme.partition_size(0), 8), 0.5, dtype=np.float32))
-    live.notify_table_updated([0])
-    assert index.stats()["partitions_stale"] == 1
-    ids_a, sc_a = engine.topk_targets(1, 8)
-    assert index.stats()["partitions_stale"] == 0
-    ids_x, sc_x = engine.topk_targets(1, 8, exact=True)
-    np.testing.assert_array_equal(ids_a, ids_x)
-    np.testing.assert_array_equal(sc_a, sc_x)
-
-
 # ---------------------------------------------------------------------------
-# Batcher coalescing with the exact flag
+# Batcher coalescing
 # ---------------------------------------------------------------------------
-
-def test_batcher_groups_exact_separately(tmp_path):
-    table = make_table(300, 8, "clustered", seed=13)
-    engine = make_engine(tmp_path, table, 6, capacity=2)
-    with RequestBatcher(engine, max_batch=8) as batcher:
-        reqs = [batcher.submit("topk",
-                               np.array([s, 0, 5, ex], dtype=np.int64))
-                for s, ex in ((2, 0), (30, 1), (60, 0), (90, 1))]
-        results = [r.wait() for r in reqs]
-    for (ids, sc), (s, ex) in zip(results, ((2, 0), (30, 1), (60, 0),
-                                            (90, 1))):
-        want_ids, want_sc = engine.topk_targets(s, 5, exact=bool(ex))
-        np.testing.assert_array_equal(ids, want_ids)
-        np.testing.assert_allclose(sc, want_sc, rtol=1e-5)
-
 
 def test_batcher_legacy_payload_and_helper(tmp_path):
+    """The raw payload is ``[src, rel, k, *exclude]``; requests group by
+    ``(k, exclude)`` and each gets its own row of the shared sweep."""
     table = make_table(200, 8, "uniform", seed=14)
     engine = make_engine(tmp_path, table, 4, capacity=2)
-    with RequestBatcher(engine, max_batch=4) as batcher:
-        legacy = batcher.submit("topk", np.array([7, 0, 4], dtype=np.int64))
-        ids_new, _ = batcher.topk_targets(7, 4, exact=True)
-        ids_old, _ = legacy.wait()
-    want_ann, _ = engine.topk_targets(7, 4)
-    want_exact, _ = engine.topk_targets(7, 4, exact=True)
-    np.testing.assert_array_equal(ids_old, want_ann)   # 3-entry -> ann default
-    np.testing.assert_array_equal(ids_new, want_exact)
-
-
-# ---------------------------------------------------------------------------
-# AnnIndex internals
-# ---------------------------------------------------------------------------
-
-def test_cluster_bounds_are_sound(tmp_path):
-    """Every member's true dot-product score is below its cluster bound —
-    the invariant every pruning decision rests on."""
-    table = make_table(500, 12, "skewed", seed=15)
-    scheme = PartitionScheme.uniform(500, 5)
-    store = NodeStore(tmp_path / "t.bin", scheme, 12, learnable=False)
-    store.initialize(values=table)
-    index = AnnIndex(store, cluster_size=32)
-    index.ensure_current()
-    queries = make_table(8, 12, "uniform", seed=16)
-    bounds = index.cluster_bounds(queries)
-    for part in range(5):
-        pc = index.partition(part)
-        lo = int(scheme.boundaries[part])
-        for j in range(pc.num_clusters):
-            rows = pc.rows[pc.indptr[j]:pc.indptr[j + 1]]
-            scores = queries.astype(np.float64) @ table[lo + rows].T.astype(
-                np.float64)
-            assert (scores.max(axis=1) <= bounds[part][:, j]).all()
-
-
-def test_kmeans_cluster_shapes(tmp_path):
-    table = make_table(130, 8, "clustered", seed=17)
-    scheme = PartitionScheme.uniform(130, 2)
-    store = NodeStore(tmp_path / "t.bin", scheme, 8, learnable=False)
-    store.initialize(values=table)
-    index = AnnIndex(store, cluster_size=16)
-    index.ensure_current()
-    for part in range(2):
-        pc = index.partition(part)
-        size = scheme.partition_size(part)
-        assert pc.num_rows == size
-        # Every local row appears exactly once across clusters.
-        np.testing.assert_array_equal(np.sort(pc.rows), np.arange(size))
-        assert pc.indptr[-1] == size
-        assert (pc.radii >= 0).all()
-        assert pc.centroids.shape == (pc.num_clusters, 8)
-    with pytest.raises(ValueError, match="cluster_size"):
-        AnnIndex(store, cluster_size=0)
+    with RequestBatcher(engine, max_batch=8) as batcher:
+        plain = batcher.submit("topk", np.array([7, 0, 4], dtype=np.int64))
+        excl = batcher.submit("topk", np.array([7, 0, 4, 7, 9],
+                                               dtype=np.int64))
+        other = batcher.submit("topk", np.array([30, 2, 4, 7, 9],
+                                                dtype=np.int64))
+        ids_helper, _ = batcher.topk_targets(7, 4, exclude=[9, 7])
+        results = [r.wait() for r in (plain, excl, other)]
+    want_ids, want_sc = engine.topk_targets(7, 4)
+    np.testing.assert_array_equal(results[0][0], want_ids)
+    assert results[0][1].tobytes() == want_sc.tobytes()
+    # The two requests with exclude (7, 9) share one sweep.
+    want_ids, want_sc = engine.topk_targets_batch([7, 30], 4, rel=[0, 2],
+                                                  exclude=(7, 9))
+    for row in (0, 1):
+        np.testing.assert_array_equal(results[row + 1][0], want_ids[row])
+        assert results[row + 1][1].tobytes() == want_sc[row].tobytes()
+    np.testing.assert_array_equal(ids_helper, want_ids[0])

@@ -83,14 +83,15 @@ def test_get_embeddings_matches_full_table(lp_snapshot, lp_engine):
 
 
 def test_queries_never_load_partitions(lp_data, lp_engine):
-    """Embed, score and both top-k sweeps leave the store's partition-load
-    counter and the engine's swap counter exactly where they were."""
+    """Embed, score and top-k (single and batched) leave the store's
+    partition-load counter and the engine's swap counter exactly where
+    they were."""
     io = lp_engine.store.stats
     loads = io.partition_loads
     lp_engine.get_embeddings(np.arange(0, lp_engine.store.num_nodes, 7))
     lp_engine.score_edges(lp_data.split.test[:50])
     lp_engine.topk_targets(3, 10)
-    lp_engine.topk_targets_batch([3, 9, 27], 10, exact=True)
+    lp_engine.topk_targets_batch([3, 9, 27], 10)
     assert io.partition_loads == loads
     assert lp_engine.stats.swaps == 0
     assert io.bytes_read > 0          # in-place reads are still counted
