@@ -5,7 +5,8 @@ The load-bearing guarantees:
 * **Oracle parity** — every top-k equals scoring the whole table offline
   in one pass, bit for bit, across table shapes, every linear decoder and
   ``exclude`` lists, with ties broken deterministically by ascending node
-  id and NaN scores ranked after every other score.
+  id and NaN scores ranked after every other score; ``exact=True`` and
+  the default return the same bytes.
 * **Visit-order determinism** — the same query returns the same ids
   whatever the chunking or residency state (regression for the unstable
   argpartition truncation).
@@ -19,6 +20,7 @@ The load-bearing guarantees:
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.graph.edge_list import Graph
 from repro.graph.partition import PartitionScheme
@@ -117,9 +119,8 @@ def test_empty_partitions_and_tiny_tables(tmp_path):
 
 
 def test_exact_matches_offline_oracle(tmp_path):
-    """Byte-equal to the one-pass oracle: single sources, then a batch
-    with per-source relations for every (table kind, decoder, exclude
-    list)."""
+    """Byte-equal to the one-pass oracle, single sources with and without
+    an exclude list."""
     table = make_table(500, 8, "uniform", seed=6)
     engine = make_engine(tmp_path, table, 5, capacity=2)
     for src, rel, exclude in [(0, 0, ()), (7, 2, (7, 123, 456)),
@@ -129,24 +130,6 @@ def test_exact_matches_offline_oracle(tmp_path):
         ids, sc = engine.topk_targets(src, 12, rel=rel, exclude=exclude)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(sc, want_sc)
-
-    srcs = [0, 7, 450, 1199]
-    for kind in ("uniform", "clustered", "blocked", "skewed"):
-        table = make_table(1200, 16, kind, seed=17)
-        for decoder, num_relations in (("distmult", 3), ("dot", 1),
-                                       ("complex", 3)):
-            engine = make_engine(tmp_path, table, 8, capacity=3,
-                                 decoder=decoder,
-                                 num_relations=num_relations,
-                                 name=f"{kind}-{decoder}")
-            rel = [0, num_relations - 1, 0, num_relations - 1]
-            for exclude in ((), (0, 7, 450, 1199, 3, 800)):
-                ids, sc = engine.topk_targets_batch(srcs, 12, rel=rel,
-                                                    exclude=exclude)
-                want_ids, want_sc = oracle_topk(engine, table, srcs, 12,
-                                                rel=rel, exclude=exclude)
-                np.testing.assert_array_equal(ids, want_ids)
-                assert sc.tobytes() == want_sc.tobytes()
 
 
 def test_nan_scores_rank_last_and_keep_the_width(tmp_path):
@@ -226,6 +209,66 @@ def test_k_clamps_to_candidate_count_net_of_exclude(tmp_path):
     # Batched form keeps the (n, k_eff) contract.
     ids, sc = engine.topk_targets_batch([0, 1, 2], 100, exclude=exclude)
     assert ids.shape == sc.shape == (3, 50)
+
+
+# ---------------------------------------------------------------------------
+# The default path and ``exact=True`` against the oracle
+#
+# These tests keep the ``ann`` names of the approximate index the exact
+# sweep replaced. ``exact=`` is accepted and ignored, so both spellings
+# must return the oracle's ids and score bytes.
+# ---------------------------------------------------------------------------
+
+def assert_both_paths_match_oracle(engine, table, srcs, k, rel=0,
+                                   exclude=()):
+    want_ids, want_sc = oracle_topk(engine, table, srcs, k, rel=rel,
+                                    exclude=exclude)
+    for exact in (False, True):
+        ids, sc = engine.topk_targets_batch(srcs, k, rel=rel,
+                                            exclude=exclude, exact=exact)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert sc.tobytes() == want_sc.tobytes()
+    return want_ids
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered", "blocked", "skewed"])
+@pytest.mark.parametrize("num_nodes,p", [(400, 4), (2000, 8)])
+def test_ann_recall_floor_against_exact(tmp_path, kind, num_nodes, p):
+    table = make_table(num_nodes, 16, kind, seed=num_nodes + p)
+    engine = make_engine(tmp_path, table, p, capacity=2)
+    rng = np.random.default_rng(9)
+    srcs = rng.integers(0, num_nodes, 6)
+    excludes = [(), tuple(int(x) for x in srcs),
+                tuple(int(x) for x in rng.integers(0, num_nodes, 40))]
+    for exclude in excludes:
+        ids = assert_both_paths_match_oracle(engine, table, srcs, 10, rel=1,
+                                             exclude=exclude)
+        assert ids.shape == (len(srcs), 10)
+        assert not np.isin(ids, exclude).any()
+
+
+@pytest.mark.parametrize("decoder,num_relations",
+                         [("distmult", 3), ("dot", 1), ("complex", 3)])
+def test_ann_recall_every_decoder(tmp_path, decoder, num_relations):
+    table = make_table(600, 16, "clustered", seed=5)
+    engine = make_engine(tmp_path, table, 6, capacity=2, decoder=decoder,
+                         num_relations=num_relations)
+    assert_both_paths_match_oracle(engine, table, [0, 99, 300, 599], 10)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered", "blocked", "skewed"])
+@pytest.mark.parametrize("decoder,num_relations",
+                         [("distmult", 3), ("dot", 1), ("complex", 3)])
+def test_ann_bit_equal_to_exact(tmp_path, kind, decoder, num_relations):
+    """Per-source relations, uneven chunks (8 partitions, buffer 3)."""
+    table = make_table(1200, 16, kind, seed=17)
+    engine = make_engine(tmp_path, table, 8, capacity=3, decoder=decoder,
+                         num_relations=num_relations)
+    srcs = [0, 7, 450, 1199]
+    rel = [0, num_relations - 1, 0, num_relations - 1]
+    for exclude in ((), (0, 7, 450, 1199, 3, 800)):
+        assert_both_paths_match_oracle(engine, table, srcs, 12, rel=rel,
+                                       exclude=exclude)
 
 
 # ---------------------------------------------------------------------------
