@@ -21,16 +21,28 @@ Figure 2). Registered *swap listeners* receive that diff
 (``fn(added, removed)``), which is how samplers keep their partition-aware
 adjacency index incremental instead of re-sorting the in-buffer edge list.
 
-**One swap path.** The buffer never writes a detached partition back
-itself: every trainer swaps through
-:class:`~repro.storage.prefetch.PrefetchingBufferManager`, which adds
-``capacity`` spare *staging* slots and an I/O thread that writes detached
-dirty slots back and reads the next step into staging slots (which
-:meth:`admit` then maps instead of reading). The training thread owns
-resident slots, the I/O thread detached and staged ones while its job
-runs; every other store or free-slot access first waits for that job
-through the barrier the manager installs. Without a manager a buffer has
-no staging slots and no thread, and a dirty detach raises.
+**Prefetching** (Section 5.1: "prefetching is used to mask the IO latency
+required to load S_{i+1} during mini-batch training on S_i"). The slab has
+``2 * capacity`` slots: ``capacity`` resident ones and as many *staging*
+ones. Every trainer changes residency only through :meth:`load_step`,
+which remaps rows on the training thread (leaving partitions detached,
+arriving ones mapped from staging slots that are already filled) and then
+queues one job on the buffer's single I/O thread: it writes every dirty
+detached slot back to the store, then reads the *next* step's partitions
+straight into free staging slots while the trainer works on the current
+one. A step with no successor (the continual trainer's resident sets, a
+restore) queues only the write-backs.
+
+Slot ownership: the training thread owns resident slots; the I/O thread
+owns detached and staged slots while its job runs. Jobs run one at a time,
+in order, so a partition evicted at step i and read again for step i+1 is
+written before it is read. Every other store or free-slot access (the
+next ``load_step``, a missed partition's synchronous read, ``finish``,
+``flush``/snapshots, ``drop_all``/``reset``) waits for the job first. An
+I/O-thread error surfaces as :class:`PrefetchError` at that wait. The disk
+reads and writes still happen (and are still counted by :class:`IOStats`);
+prefetching changes *when* they happen, which is what the balanced-workload
+argument for COMET (Section 7.5) is about.
 
 Inference serving keeps no partition buffer: a read-only server has no
 epoch plan and nothing to write back, so
@@ -41,6 +53,7 @@ place.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,11 +68,27 @@ SwapListener = Callable[[List[int], List[int]], None]
 SlotIO = Tuple[int, Tuple[np.ndarray, Optional[np.ndarray]]]
 
 
+class PrefetchError(RuntimeError):
+    """A partition I/O job failed; the original error is chained.
+
+    Write-backs of that job may be missing or torn: resume from a snapshot.
+    """
+
+
 class PartitionBuffer:
-    """Holds up to ``capacity`` physical node partitions in memory."""
+    """Holds up to ``capacity`` physical node partitions in memory.
+
+    ``hits`` counts partitions admitted from a staged slot. ``fault_hook``
+    is a test-only crash-injection point, called with a crash-point name:
+    ``swap-evicted`` on the training thread between detaching and
+    admitting, ``prefetch-staged`` after admitting a staged slot, and
+    ``writeback-pending`` on the I/O thread before each dirty partition's
+    write-back.
+    """
 
     def __init__(self, store: NodeStore, capacity: int,
-                 optimizer: Optional[RowAdagrad] = None) -> None:
+                 optimizer: Optional[RowAdagrad] = None,
+                 fault_hook: Optional[Callable[[str], None]] = None) -> None:
         if capacity <= 0:
             raise ValueError("buffer capacity must be positive")
         if capacity > store.num_partitions:
@@ -70,9 +99,10 @@ class PartitionBuffer:
         self.capacity = capacity
         self.optimizer = optimizer
         self.stats: IOStats = store.stats
+        self.fault_hook = fault_hook
+        self.hits = 0
         self._slot_size = int(store.scheme.sizes().max())
-        self._num_slots = capacity
-        self._free_slots = list(range(capacity - 1, -1, -1))
+        self._free_slots = list(range(2 * capacity - 1, -1, -1))
         self._slab = self._new_slab()
         # Adagrad state rows beside the slab, allocated at the first fill
         # from a learnable store.
@@ -81,10 +111,9 @@ class PartitionBuffer:
         self._dirty: Dict[int, bool] = {}
         self._staged: Dict[int, int] = {}           # read-ahead partition -> slot
         self._detached: Dict[int, int] = {}         # partition -> slot to write back
-        # Blocks until the I/O thread's job (if any) is done; raises its error.
-        self._io_barrier: Callable[[], None] = lambda: None
-        # Swap events (``swap-evicted``, ``prefetch-staged``) for the manager.
-        self._event: Callable[[str], None] = lambda point: None
+        self._io = ThreadPoolExecutor(max_workers=1,
+                                      thread_name_prefix="partition-io")
+        self._pending: Optional[Future] = None
         # Global node id -> row in the slab; -1 if not resident.
         self._slab_row = np.full(store.num_nodes, -1, dtype=np.int64)
         self._partition_of_row = np.full(store.num_nodes, -1, dtype=np.int32)
@@ -118,7 +147,7 @@ class PartitionBuffer:
 
     # ------------------------------------------------------------------
     def _new_slab(self) -> np.ndarray:
-        return np.empty((self._num_slots * self._slot_size, self.store.dim),
+        return np.empty((2 * self.capacity * self._slot_size, self.store.dim),
                         dtype=np.float32)
 
     def _views(self, slot: int, part: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -160,14 +189,14 @@ class PartitionBuffer:
         if len(self._slot_of) >= self.capacity:
             raise RuntimeError(f"buffer full ({self.capacity}); detach "
                                f"before admitting {part}")
-        self._io_barrier()
+        self.wait()
         if part in self._detached:
             self._map(part, self._detached.pop(part), dirty=True)
             return
         slot = self._staged.pop(part, None)
         if slot is not None:
             self._map(part, slot)
-            self._event("prefetch-staged")
+            self._fire("prefetch-staged")
             return
         slot = self._free_slots.pop()
         t0 = time.perf_counter()
@@ -186,40 +215,86 @@ class PartitionBuffer:
         """Unmap a resident partition without copying it.
 
         A clean partition's slot is freed at once; a dirty one's is held
-        for the next :meth:`stage` to hand to the manager's I/O thread for
-        write-back. A buffer without a manager cannot write it back, so a
-        dirty detach raises there (flush first).
+        for the next :meth:`stage` to hand to the I/O thread for
+        write-back.
         """
         if part not in self._slot_of:
             raise KeyError(f"partition {part} is not resident")
         dirty = self._dirty[part]
-        if dirty and self._num_slots == self.capacity:
-            raise RuntimeError(
-                f"partition {part} is dirty and this buffer has no "
-                "PrefetchingBufferManager to write it back; flush first")
         slot = self._unmap(part)
         if dirty:
             self._detached[part] = slot
         else:
             self._free_slots.append(slot)
 
-    # -- staging (driven by PrefetchingBufferManager, training thread) -----
-    def enable_staging(self, barrier: Callable[[], None],
-                       event: Callable[[str], None]) -> None:
-        """Add ``capacity`` staging slots; ``barrier`` waits for the I/O job
-        and ``event`` receives the swap events.
+    # -- prefetching (training thread, except :meth:`_job`) ---------------
+    def _fire(self, point: str) -> None:
+        if point == "prefetch-staged":
+            self.hits += 1
+        if self.fault_hook is not None:
+            self.fault_hook(point)
 
-        Called once, on an empty buffer, by the manager that owns the I/O
-        thread.
+    def _job(self, writes: List[SlotIO], reads: List[SlotIO]) -> None:
+        """Runs on the I/O thread: write-backs first, then reads."""
+        for part, (data, state) in writes:
+            self._fire("writeback-pending")
+            self.store.write_partition(part, data, state)
+        for part, views in reads:
+            self.store.read_partition(part, out=views)
+
+    def wait(self) -> None:
+        """Block until the queued I/O job (if any) completes.
+
+        Raises :class:`PrefetchError` if it failed; the partitions it was
+        staging are dropped, so a later step reads them again.
         """
-        if self._slot_of or self._num_slots != self.capacity:
-            raise RuntimeError("staging must be enabled once, on an empty buffer")
-        self._num_slots = 2 * self.capacity
-        self._slab = self._new_slab()
-        self._state_slab = None
-        self._free_slots = list(range(self._num_slots - 1, -1, -1))
-        self._io_barrier = barrier
-        self._event = event
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        error = pending.exception()
+        if error is not None:
+            self.drop_staged()
+            raise PrefetchError(f"partition I/O job failed: {error!r}") from error
+
+    def load_step(self, partitions: Sequence[int],
+                  next_partitions: Optional[Sequence[int]] = None) -> int:
+        """Swap to ``partitions``; start staging ``next_partitions``.
+
+        With no ``next_partitions`` the queued job only writes back the
+        partitions that left dirty. Returns the number of partitions moved
+        (reads + evictions).
+        """
+        self.wait()
+        moved = self.set_partitions(partitions)
+        incoming = sorted({int(p) for p in next_partitions or ()}
+                          - set(self._slot_of))
+        writes, reads = self.stage(incoming)
+        if writes or reads:
+            self._pending = self._io.submit(self._job, writes, reads)
+        return moved
+
+    def finish(self) -> None:
+        """Wait for the I/O thread, drop staged slots, flush dirty partitions.
+
+        Raises :class:`PrefetchError` if a job failed since the last
+        ``load_step``: shutdown must not swallow I/O failures.
+        """
+        self.wait()
+        self.drop_staged()
+        self.flush()
+
+    def reset(self) -> None:
+        """Discard in-flight, staged and resident partitions (resume path).
+
+        Nothing is written back. A pending job error is also cleared: a
+        restore rewrites the store and refills the buffer, so a failure to
+        write or stage is moot.
+        """
+        try:
+            self.wait()
+        except PrefetchError:
+            pass
+        self.drop_all()
 
     def drop_staged(self) -> None:
         """Free the slots of staged partitions that were not admitted."""
@@ -250,8 +325,8 @@ class PartitionBuffer:
         Leaving partitions are detached, staged slots the new set does not
         use are freed, and arriving partitions are admitted. Registered
         swap listeners are called with the (added, removed) diff. Trainers
-        reach this through :meth:`PrefetchingBufferManager.load_step`, which
-        writes detached dirty partitions back.
+        reach this through :meth:`load_step`, which writes detached dirty
+        partitions back.
         """
         wanted = sorted(set(int(x) for x in parts))
         if len(wanted) > self.capacity:
@@ -260,7 +335,7 @@ class PartitionBuffer:
         removed = [q for q in self.resident if q not in keep]
         for part in removed:
             self.detach(part)
-        self._event("swap-evicted")
+        self._fire("swap-evicted")
         for part in [q for q in self._staged if q not in keep]:
             self._free_slots.append(self._staged.pop(part))
         added = [q for q in wanted if q not in self._slot_of]
@@ -278,7 +353,7 @@ class PartitionBuffer:
         are notified so partition-aware sampler indexes drop the partitions
         too.
         """
-        self._io_barrier()
+        self.wait()
         self.drop_staged()
         self._free_slots.extend(self._detached.values())
         self._detached.clear()
@@ -290,7 +365,7 @@ class PartitionBuffer:
     def flush(self) -> None:
         """Write every dirty partition back: resident ones stay resident;
         detached ones no I/O job has taken yet are freed."""
-        self._io_barrier()
+        self.wait()
         writes = self.stage(())[0] + [
             (part, self._views(self._slot_of[part], part))
             for part in self.dirty_partitions()]
@@ -313,7 +388,7 @@ class PartitionBuffer:
         partition reinstalled — only if the largest partition outgrew the
         slot size. Swap listeners are not notified: residency is unchanged.
         """
-        self._io_barrier()
+        self.wait()
         new_slot = int(self.store.scheme.sizes().max())
         stale = sorted(self._slot_of) if parts is None else sorted(
             int(q) for q in parts if int(q) in self._slot_of)

@@ -17,9 +17,11 @@ compaction *horizon* travels with the rewrite — it is recorded in the
 staged layout sidecar that commits atomically with the bucket-file
 rename — so recovery never replays journal events a durable compaction
 already merged. After the rename the log forgets everything below the
-horizon (:meth:`GraphDeltaLog.mark_compacted` — bounded history), store
-fingerprints now reflect the new layout, and registered compact listeners
-(partition buffers, serving engines) re-sync.
+horizon (:meth:`GraphDeltaLog.mark_compacted` — bounded history) and
+store fingerprints now reflect the new layout. Nothing re-syncs: the
+composed view is unchanged and node rows are untouched, so in-memory
+state built from them (adjacency indexes, partition buffers) is still
+exact.
 
 :class:`BackgroundCompactor` runs the same merge on a worker thread with
 a staleness trigger, retry with exponential backoff + jitter on failure,
@@ -69,9 +71,7 @@ class Compactor:
 
         Safe to call with resident partition buffers and live adjacency
         indexes attached: their in-memory composed state already equals the
-        post-compaction base, and the compact listeners re-read from the
-        new base anyway (defense against drift, and the hook any lossy
-        future merge policy would rely on).
+        post-compaction base, so nothing is re-read.
 
         Runs under the structural mutex *and* the exclusive side of the
         shared/exclusive lock: ingest and queries drain before the base
@@ -89,7 +89,6 @@ class Compactor:
                                             compacted_seq=upto)
             live.node_store.flush()
             live.log.mark_compacted(upto)
-            live.notify_compacted()
         self.compactions += 1
         self.total_merged_events += merged
         return CompactionReport(

@@ -47,7 +47,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -337,22 +337,6 @@ class GraphDeltaLog:
         if lo == 0 and hi == len(out["seq"]):
             return out
         return {col: out[col][lo:hi] for col in _COLUMNS}
-
-    def touched_pairs(self, since_seq: Optional[int] = None) -> Set[Pair]:
-        """Partition pairs with at least one live event at or past
-        ``since_seq`` (default: the compaction horizon)."""
-        with self._mutex:
-            floor = self.compacted_seq if since_seq is None else int(since_seq)
-            pairs: Set[Pair] = set()
-            for spill in self._spilled:
-                for pair, last in spill.pair_max_seq.items():
-                    if last >= floor:
-                        pairs.add(pair)
-            for segment in self._segments:
-                for pair, events in segment.items():
-                    if int(events["seq"][-1]) >= floor:
-                        pairs.add(pair)
-            return pairs
 
     # ------------------------------------------------------------------
     def mark_compacted(self, upto_seq: int) -> None:

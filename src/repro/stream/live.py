@@ -51,8 +51,6 @@ from .wal import KIND_NODES, WalFrame
 
 BucketListener = Callable[[List[Tuple[int, int]]], None]
 GrowthListener = Callable[[PartitionScheme], None]
-CompactListener = Callable[[], None]
-TableListener = Callable[[List[int]], None]
 
 
 class LiveGraph:
@@ -112,8 +110,6 @@ class LiveGraph:
         self.table_version = VersionCounter()
         self._bucket_listeners: List[BucketListener] = []
         self._growth_listeners: List[GrowthListener] = []
-        self._compact_listeners: List[CompactListener] = []
-        self._table_listeners: List[TableListener] = []
         self._health_sources: Dict[str, Callable[[], dict]] = {}
 
     # ------------------------------------------------------------------
@@ -138,7 +134,7 @@ class LiveGraph:
         return self.edge_store.width
 
     # ------------------------------------------------------------------
-    # Listener registry (samplers, buffers, engines follow the stream)
+    # Listener registry (samplers and buffers follow the stream)
     # ------------------------------------------------------------------
     def add_bucket_listener(self, fn: BucketListener) -> None:
         """``fn(pairs)`` runs after events change the given edge buckets."""
@@ -147,28 +143,6 @@ class LiveGraph:
     def add_growth_listener(self, fn: GrowthListener) -> None:
         """``fn(new_scheme)`` runs after the node table grows."""
         self._growth_listeners.append(fn)
-
-    def add_compact_listener(self, fn: CompactListener) -> None:
-        """``fn()`` runs after a compaction rewrites the base stores."""
-        self._compact_listeners.append(fn)
-
-    def add_table_listener(self, fn: TableListener) -> None:
-        """``fn(parts)`` runs after node-table *rows* of the given
-        partitions change on disk outside the listener's own writes — the
-        continual trainer announces each refresh this way so read-only
-        serving buffers re-read the retrained partitions."""
-        self._table_listeners.append(fn)
-
-    def notify_compacted(self) -> None:
-        for fn in self._compact_listeners:
-            fn()
-
-    def notify_table_updated(self, parts: Sequence[int]) -> None:
-        parts = sorted(int(q) for q in parts)
-        if not parts:
-            return
-        for fn in self._table_listeners:
-            fn(parts)
 
     # ------------------------------------------------------------------
     # Write path

@@ -35,7 +35,6 @@ from ..api import registry as job_registry
 from ..core.sampler import DenseSampler
 from ..nn.optim import RowAdagrad
 from ..storage.buffer import PartitionBuffer
-from ..storage.prefetch import PrefetchingBufferManager
 from ..train.checkpoint import (SnapshotManager, _config_to_dict,
                                 pack_model_state, resolve_snapshot,
                                 restore_store_table, rng_state, set_rng_state,
@@ -117,7 +116,6 @@ class ContinualTrainer(ListenerHooks):
         self.model = LinkPredictionModel(cfg, num_relations, rng=self.rng)
         self.buffer = PartitionBuffer(live.node_store, buffer_capacity,
                                       optimizer=RowAdagrad(lr=cfg.embedding_lr))
-        self.buffer_manager = PrefetchingBufferManager(self.buffer)
         self.sampler = DenseSampler.from_partitions(
             live.scheme, live.bucket_endpoints, (), list(cfg.fanouts),
             directions=cfg.directions, rng=self.rng)
@@ -178,9 +176,7 @@ class ContinualTrainer(ListenerHooks):
         record = EpochRecord(epoch=self.refreshes, loss=0.0, seconds=0.0,
                              metric=0.0)
         losses: List[float] = []
-        trained: set = set()
         for parts, group_pairs in pack_pairs(pairs, self.buffer.capacity):
-            trained.update(parts)
             # The swap queues the previous group's dirty partitions for
             # write-back to the shared store; waiting for it inside the
             # table-version seqlock window means a concurrent serving query
@@ -188,23 +184,19 @@ class ContinualTrainer(ListenerHooks):
             # half-written row. (Gradient application between swaps touches
             # only this trainer's private slab.)
             with live.table_write():
-                self.buffer_manager.load_step(parts)
-                self.buffer_manager.wait()
+                self.buffer.load_step(parts)
+                self.buffer.wait()
             self.negatives.set_allowed(self.buffer.resident_nodes())
             edges = np.concatenate([live.bucket_edges(i, j)
                                     for i, j in group_pairs], axis=0)
             losses += self.step_runner.train_edges(
                 edges, self.sampler, self.negatives, self.buffer.gather,
                 self.buffer.apply_gradients, record)
-        # Land the updates and tell the stream: the snapshot table must
-        # reflect the refresh, and read-only serving buffers over the same
-        # live graph must re-read the retrained partitions. The row writes
-        # happen inside a table-version write window (queries racing them
-        # retry); between the flush and the re-sync a reader serves its
-        # still-consistent pre-refresh rows.
+        # Land the updates: the snapshot table and readers of the store
+        # must reflect the refresh. The row writes happen inside a
+        # table-version write window, so queries racing them retry.
         with live.table_write():
-            self.buffer_manager.finish()
-        live.notify_table_updated(sorted(trained))
+            self.buffer.finish()
         if not explicit:
             # The cursor only advances when the default full-coverage pass
             # ran; an explicit-pairs refresh may leave other touched
@@ -268,7 +260,7 @@ class ContinualTrainer(ListenerHooks):
         validate_meta(meta, self.KIND, stores=self._store_fingerprints(),
                       config=self.config)
         stream = meta["stream"]
-        self.buffer_manager.reset()
+        self.buffer.reset()
         restore_store_table(arrays, self.live.node_store)
         unpack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
         set_rng_state(self.rng, meta["rng"])

@@ -39,7 +39,6 @@ from ..policies.base import EpochStep, PartitionPolicy
 from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
-from ..storage.prefetch import PrefetchingBufferManager
 from .checkpoint import Snapshot, dataset_fingerprint, restore_store_table
 from .evaluation import EpochRecord, RankingMetrics, ranking_metrics, ranks_from_scores
 from .hooks import ProgressListener
@@ -435,7 +434,8 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
                                           self.scheme, stats=self.io)
         self.buffer = PartitionBuffer(self.node_store, dsk.buffer_capacity,
                                       optimizer=RowAdagrad(lr=cfg.embedding_lr))
-        self.buffer_manager = PrefetchingBufferManager(self.buffer)
+        # ``bench/training.py`` wraps ``buffer_manager.{load_step, finish}``.
+        self.buffer_manager = self.buffer
         # Partition-aware sampler: buffer swaps report their diff and only
         # the new partitions' edge buckets are read + sorted (Section 6,
         # Quantity 2) instead of re-indexing the whole in-buffer subgraph.
@@ -464,7 +464,7 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         next_parts = steps[idx + 1].partitions if idx + 1 < len(steps) else None
         # With an encoder, the swap listener updates self.sampler's index
         # incrementally.
-        self.buffer_manager.load_step(step.partitions, next_parts)
+        self.buffer.load_step(step.partitions, next_parts)
         self.negatives.set_allowed(self.buffer.resident_nodes())
         edges = self.edge_store.read_buckets(step.buckets)
         return self.step_runner.train_edges(
@@ -472,7 +472,7 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
             self.buffer.apply_gradients, record)
 
     def _end_epoch(self) -> None:
-        self.buffer_manager.finish()
+        self.buffer.finish()
 
     # ------------------------------------------------------------------
     def _fingerprints(self) -> dict:
@@ -494,10 +494,10 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         return self.node_store
 
     def _restore_state(self, meta: dict, arrays: Snapshot) -> None:
-        self.buffer_manager.reset()
+        self.buffer.reset()
         restore_store_table(arrays, self.node_store)
         self.policy.load_state_dict(meta.get("policy", {}))
-        self.buffer_manager.load_step(meta["resident"])
+        self.buffer.load_step(meta["resident"])
         self.negatives.set_allowed(self.buffer.resident_nodes())
 
     # ------------------------------------------------------------------

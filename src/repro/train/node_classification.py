@@ -31,7 +31,6 @@ from ..policies.node_cache import TrainingNodeCachePolicy
 from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
-from ..storage.prefetch import PrefetchingBufferManager
 from .checkpoint import Snapshot, nc_dataset_fingerprint
 from .evaluation import EpochRecord, multiclass_accuracy
 from .hooks import ProgressListener
@@ -255,7 +254,7 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
     smaller than in-memory training — the effect behind M-GNN_Disk's slight
     accuracy drop and faster epochs in Table 3. The batch step is the
     in-memory trainer's, gathering through the buffer, which swaps
-    through the same :class:`PrefetchingBufferManager` as the disk link
+    through the same :meth:`PartitionBuffer.load_step` as the disk link
     prediction trainer: when the training partitions do not fit, the
     fallback plan's next step is read ahead on the I/O thread.
 
@@ -289,7 +288,6 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
         self.edge_store = EdgeBucketStore(dsk.workdir / "edges.bin", graph,
                                           self.scheme, stats=self.io)
         self.buffer = PartitionBuffer(self.node_store, dsk.buffer_capacity)
-        self.buffer_manager = PrefetchingBufferManager(self.buffer)
         # Swap listener keeps the partition-aware sampler index incremental:
         # only the buckets of partitions that entered the buffer are read.
         self.sampler = DenseSampler.from_partitions(
@@ -314,11 +312,11 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
         step = steps[idx]
         next_parts = steps[idx + 1].partitions if idx + 1 < len(steps) else None
         # The swap listener updates self.sampler's index incrementally.
-        self.buffer_manager.load_step(step.partitions, next_parts)
+        self.buffer.load_step(step.partitions, next_parts)
         return self._train_nodes(step.train_nodes, self.buffer.gather, record)
 
     def _end_epoch(self) -> None:
-        self.buffer_manager.finish()
+        self.buffer.finish()
 
     def _fingerprints(self) -> dict:
         dsk = self.disk
@@ -333,8 +331,8 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
 
     def _restore_state(self, meta: dict, arrays: Snapshot) -> None:
         self.policy.load_state_dict(meta.get("policy", {}))
-        self.buffer_manager.reset()
-        self.buffer_manager.load_step(meta["resident"])
+        self.buffer.reset()
+        self.buffer.load_step(meta["resident"])
 
     def _model_name(self) -> str:
         return f"{self.config.encoder}-disk"

@@ -2,14 +2,14 @@
 
 The production code exposes narrow test-only hooks (``fault_hook`` on
 :class:`~repro.train.checkpoint.SnapshotManager` and
-:class:`~repro.storage.prefetch.PrefetchingBufferManager`); this module
+:class:`~repro.storage.buffer.PartitionBuffer`); this module
 provides the other half: a :class:`FaultInjector` that "kills" the process
 (raises :class:`SimulatedCrash`) the N-th time a chosen :class:`CrashPoint`
 is hit, and :class:`FaultyStorage`, which wraps a live
 :class:`~repro.storage.node_store.NodeStore` *in place* so every holder of
-the store (buffer, the manager's I/O thread) sees the same faulty I/O
+the store (the buffer and its I/O thread) sees the same faulty I/O
 boundaries. A crash raised on the I/O thread reaches the trainer as
-:class:`~repro.storage.prefetch.PrefetchError` at its next wait.
+:class:`~repro.storage.buffer.PrefetchError` at its next wait.
 
 A write crash is **torn**: half the partition's rows are replaced with NaNs
 before the crash fires, modelling a partial write-back. Recovery code must
@@ -38,7 +38,7 @@ class CrashPoint:
     NODE_WRITE = "node-write"                # partition write-back — torn
                                              # (on the I/O thread for swaps)
 
-    # PrefetchingBufferManager hooks: the one swap path of every disk
+    # PartitionBuffer hooks: the one swap path of every disk
     # trainer (lp-disk, nc-disk, lp-stream; see docs/checkpointing.md for
     # which trainer reaches which point)
     SWAP_EVICTED = "swap-evicted"            # mid-swap: detached, not admitted

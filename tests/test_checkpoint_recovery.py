@@ -206,7 +206,7 @@ def test_disk_lp_crash_matrix(lp_data, lp_baseline, tmp_path, point, after):
                            checkpoint_dir=tmp_path / "ckpt",
                            checkpoint_every=every)
     FaultyStorage(crashed.node_store, injector)
-    crashed.buffer_manager.fault_hook = injector.fire
+    crashed.buffer.fault_hook = injector.fire
     crashed.snapshots.fault_hook = injector.fire
     with pytest.raises(CRASHES):
         crashed.train()
@@ -293,7 +293,7 @@ def test_disk_nc_crash_matrix(nc_data, nc_baselines, tmp_path, point, after,
                            checkpoint_dir=tmp_path / "ckpt",
                            checkpoint_every=1)
     FaultyStorage(crashed.node_store, injector)
-    crashed.buffer_manager.fault_hook = injector.fire
+    crashed.buffer.fault_hook = injector.fire
     crashed.snapshots.fault_hook = injector.fire
     with pytest.raises(CRASHES):
         crashed.train()
@@ -728,7 +728,7 @@ def test_disk_lp_incremental_crash_matrix(lp_data, lp_baseline, tmp_path,
 
     crashed.add_listener(on_event)
     FaultyStorage(crashed.node_store, injector)
-    crashed.buffer_manager.fault_hook = injector.fire
+    crashed.buffer.fault_hook = injector.fire
     crashed.snapshots.fault_hook = injector.fire
     with pytest.raises(CRASHES):
         crashed.train()

@@ -28,7 +28,6 @@ from repro.graph import (AdjacencyIndex, EdgeBuckets, Graph,
                          power_law_graph)
 from repro.storage.buffer import PartitionBuffer
 from repro.storage.node_store import NodeStore
-from repro.storage.prefetch import PrefetchingBufferManager
 
 
 def random_graph(num_nodes, num_edges, seed):
@@ -356,12 +355,11 @@ class TestBufferSwapListeners:
         buf = self.make(tmp_path)
         events = []
         buf.add_swap_listener(lambda a, r: events.append((a, r)))
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0, 1], next_partitions=[1, 2])
-        mgr.load_step([1, 2], None)
-        mgr.finish()
+        buf.load_step([0, 1], next_partitions=[1, 2])
+        buf.load_step([1, 2], None)
+        buf.finish()
         # A staged slot admitted at step 1 reports the same diff as a read.
-        assert mgr.hits == 1
+        assert buf.hits == 1
         assert events == [([0, 1], []), ([2], [0])]
 
     def test_listener_keeps_sampler_in_sync(self, tmp_path):
@@ -387,14 +385,13 @@ class TestBufferSwapListeners:
         store = NodeStore(tmp_path / "n.bin", scheme, dim=4, learnable=False)
         store.initialize(rng=np.random.default_rng(0))
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.1))
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0], next_partitions=[0, 1])
-        mgr.load_step([0, 1])
+        buf.load_step([0], next_partitions=[0, 1])
+        buf.load_step([0, 1])
         # Partitions read (or staged) from a store without optimizer state
         # must refuse updates rather than train against a stale slab slot.
         with pytest.raises(RuntimeError, match="no optimizer state"):
             buf.apply_gradients(np.array([12]), np.ones((1, 4), dtype=np.float32))
-        mgr.finish()
+        buf.finish()
 
     def test_update_graph_requires_partitioned_index(self):
         g = power_law_graph(30, 200, seed=0)

@@ -11,7 +11,7 @@ from repro.graph import (Graph, PartitionScheme, chain_graph, deduplicate_edges,
                          load_fb15k237, power_law_graph, shuffle_node_ids)
 from repro.nn import RowAdagrad, Tensor, TransE
 from repro.policies import HilbertOrderingPolicy, hilbert_bucket_order
-from repro.storage import NodeStore, PartitionBuffer, PrefetchingBufferManager
+from repro.storage import NodeStore, PartitionBuffer
 from repro.train import (LinkPredictionConfig, LinkPredictionTrainer,
                          TripleFilter, filtered_ranks)
 
@@ -21,7 +21,7 @@ from repro.train import (LinkPredictionConfig, LinkPredictionTrainer,
 # ---------------------------------------------------------------------------
 
 class TestPrefetching:
-    """Slot staging: the manager's I/O thread writes detached partitions
+    """Slot staging: the buffer's I/O thread writes detached partitions
     back and reads the next step's partitions into spare slab slots."""
 
     # Six steps over four partitions, capacity 2: partition 0 leaves at
@@ -52,33 +52,30 @@ class TestPrefetching:
 
     def test_prefetcher_stages_partitions(self, tmp_path):
         store, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0, 1], next_partitions=[2, 3])
-        mgr.wait()
+        buf.load_step([0, 1], next_partitions=[2, 3])
+        buf.wait()
         assert store.stats.partition_loads == 4   # 0, 1 now; 2, 3 staged
-        assert mgr.load_step([2, 3]) == 4
-        assert mgr.hits == 2
+        assert buf.load_step([2, 3]) == 4
+        assert buf.hits == 2
         assert store.stats.partition_loads == 4   # the swap read nothing
-        mgr.finish()
+        buf.finish()
 
     def test_manager_walks_plan_with_hits(self, tmp_path):
         store, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
         steps = [[0, 1], [1, 2], [2, 3]]
         for idx, parts in enumerate(steps):
             nxt = steps[idx + 1] if idx + 1 < len(steps) else None
-            mgr.load_step(parts, nxt)
+            buf.load_step(parts, nxt)
             assert sorted(buf.resident) == sorted(parts)
-        mgr.finish()
-        assert mgr.hits == 2
+        buf.finish()
+        assert buf.hits == 2
         assert store.stats.partition_loads == 4   # 2 read at step 0, 2 staged
 
     def test_staged_slot_equivalent_to_admit(self, tmp_path):
         store, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0], next_partitions=[0, 2])
-        mgr.load_step([0, 2])
-        assert mgr.hits == 1
+        buf.load_step([0], next_partitions=[0, 2])
+        buf.load_step([0, 2])
+        assert buf.hits == 1
         direct, _ = store.read_partition(2)
         np.testing.assert_array_equal(buf.gather(np.arange(20, 30)), direct)
 
@@ -93,46 +90,43 @@ class TestPrefetching:
         store, buf = self.make(tmp_path)
         initial, _ = store.read_partition(0)
         row3_before = initial[3].copy()
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0, 1], [1, 2])
+        buf.load_step([0, 1], [1, 2])
         buf.apply_gradients(np.array([3]), np.ones((1, 4), dtype=np.float32))
-        mgr.load_step([1, 2], None)   # detaches dirty partition 0
-        mgr.wait()                    # its write-back ran on the I/O thread
+        buf.load_step([1, 2], None)   # detaches dirty partition 0
+        buf.wait()                    # its write-back ran on the I/O thread
         fresh, state = store.read_partition(0)
         assert not np.allclose(fresh[3], row3_before)
         assert (state[3] > 0).all()
-        mgr.finish()
+        buf.finish()
 
     def test_evicted_then_staged_carries_its_updates(self, tmp_path):
         """A partition detached at step i and staged for step i+1 is
         written back before the I/O thread reads it again."""
         _, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0, 1], [1, 2])
+        buf.load_step([0, 1], [1, 2])
         buf.apply_gradients(np.array([3]), np.ones((1, 4), dtype=np.float32))
         updated = buf.gather(np.array([3]))
-        mgr.load_step([1, 2], [0, 2])   # 0 leaves dirty and is staged
-        mgr.load_step([0, 2])
-        assert mgr.hits == 2            # 2 at step 1, 0 at step 2
+        buf.load_step([1, 2], [0, 2])   # 0 leaves dirty and is staged
+        buf.load_step([0, 2])
+        assert buf.hits == 2            # 2 at step 1, 0 at step 2
         np.testing.assert_array_equal(buf.gather(np.array([3])), updated)
-        mgr.finish()
+        buf.finish()
 
     def test_plan_walk_matches_synchronous_swaps(self, tmp_path):
-        """The store after a six-step walk through the manager is byte-equal
+        """The store after a six-step walk through ``load_step`` is byte-equal
         to a reference walk applying the same updates synchronously to an
         in-memory table with RowAdagrad."""
         store, buf = self.make(tmp_path)
         table = np.array(store.read_all())
         state = np.array(store.read_all_state())
-        mgr = PrefetchingBufferManager(buf)
-        self.walk(mgr.load_step, buf, self.PLAN)
-        mgr.finish()
+        self.walk(buf.load_step, buf, self.PLAN)
+        buf.finish()
 
         reference = RowAdagrad(lr=0.1)
         for idx, parts in enumerate(self.PLAN):
             nodes, grads = self.step_update(idx, parts)
             reference.update(table, state, nodes, grads)
-        assert mgr.hits == 5
+        assert buf.hits == 5
         assert store.stats.partition_loads == 7   # 2 cold reads + 5 staged
         assert store.read_all().tobytes() == table.tobytes()
         assert store.read_all_state().tobytes() == state.tobytes()
@@ -142,7 +136,6 @@ class TestPrefetching:
         remaps rows: all partition reads and write-backs run elsewhere."""
         import threading
         store, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
         calls = []
 
         def record(name, fn):
@@ -158,11 +151,11 @@ class TestPrefetching:
                 store.write_partition = record("write",
                                                store.write_partition)
 
-        self.walk(mgr.load_step, buf, self.PLAN, on_step=install)
-        mgr.wait()
+        self.walk(buf.load_step, buf, self.PLAN, on_step=install)
+        buf.wait()
         assert {name for name, _ in calls} == {"read", "write"}
         assert not any(on_main for _, on_main in calls), calls
-        mgr.finish()
+        buf.finish()
 
     def test_snapshot_and_evaluate_wait_for_write_back(self, tmp_path):
         """A mid-epoch snapshot and the table evaluation reads see every
@@ -197,7 +190,7 @@ class TestPrefetching:
         def table_after(idx):
             for t, s in ((trainer, steps), (twin, twin_steps)):
                 t._run_step(s, idx, EpochRecord(0, 0.0, 0.0, 0.0))
-            twin.buffer_manager.wait()
+            twin.buffer.wait()
             twin.buffer.flush()
             return twin.node_store.read_all()
 

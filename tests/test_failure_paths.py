@@ -6,7 +6,7 @@ import pytest
 from repro.graph import PartitionScheme, load_fb15k237, power_law_graph
 from repro.nn import RowAdagrad
 from repro.storage import (EdgeBucketStore, NodeStore, PartitionBuffer,
-                           PrefetchError, PrefetchingBufferManager)
+                           PrefetchError)
 from repro.train import DiskConfig, DiskLinkPredictionTrainer, LinkPredictionConfig
 
 
@@ -32,36 +32,36 @@ class TestPrefetchWorkerFailures:
 
     def test_worker_error_surfaces_on_next_load_step(self, tmp_path):
         store = self._store(tmp_path, boom_part=3)
-        manager = PrefetchingBufferManager(PartitionBuffer(store, 2))
-        manager.load_step([0, 1], next_partitions=[0, 3])
+        buf = PartitionBuffer(store, 2)
+        buf.load_step([0, 1], next_partitions=[0, 3])
         with pytest.raises(PrefetchError) as info:
-            manager.load_step([0, 3])
+            buf.load_step([0, 3])
         assert isinstance(info.value.__cause__, OSError)
 
     def test_worker_error_surfaces_on_finish(self, tmp_path):
         """Shutdown must not swallow a dead worker either."""
         store = self._store(tmp_path, boom_part=2)
-        manager = PrefetchingBufferManager(PartitionBuffer(store, 2))
-        manager.load_step([0, 1], next_partitions=[2])
+        buf = PartitionBuffer(store, 2)
+        buf.load_step([0, 1], next_partitions=[2])
         with pytest.raises(PrefetchError):
-            manager.finish()
+            buf.finish()
 
     def test_error_cleared_after_surfacing(self, tmp_path):
-        """One failure is reported once; the manager stays usable."""
+        """One failure is reported once; the buffer stays usable."""
         store = self._store(tmp_path, boom_part=3)
-        manager = PrefetchingBufferManager(PartitionBuffer(store, 2))
-        manager.load_step([0, 1], next_partitions=[3])
+        buf = PartitionBuffer(store, 2)
+        buf.load_step([0, 1], next_partitions=[3])
         with pytest.raises(PrefetchError):
-            manager.load_step([0, 1])
-        assert manager.load_step([0, 2]) == 2  # evict 1, admit 2
+            buf.load_step([0, 1])
+        assert buf.load_step([0, 2]) == 2  # evict 1, admit 2
 
     def test_reset_discards_pending_error(self, tmp_path):
         """The resume path drops staged data and the moot worker error."""
         store = self._store(tmp_path, boom_part=3)
-        manager = PrefetchingBufferManager(PartitionBuffer(store, 2))
-        manager.load_step([0, 1], next_partitions=[3])
-        manager.reset()
-        assert manager.load_step([0, 2]) == 2  # evict 1, admit 2
+        buf = PartitionBuffer(store, 2)
+        buf.load_step([0, 1], next_partitions=[3])
+        buf.reset()
+        assert buf.load_step([0, 2]) == 2  # evict 1, admit 2
 
 
 class TestCrashConsistency:
@@ -72,11 +72,10 @@ class TestCrashConsistency:
         store = NodeStore(tmp_path / "a.bin", scheme, dim=4, learnable=True)
         store.initialize(rng=np.random.default_rng(0))
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.5))
-        manager = PrefetchingBufferManager(buf)
-        manager.load_step([0, 1])
+        buf.load_step([0, 1])
         buf.apply_gradients(np.array([1, 12]), np.ones((2, 4), dtype=np.float32))
         updated = buf.gather(np.array([1, 12])).copy()
-        manager.finish()
+        buf.finish()
         store.flush()
 
         # Simulate a crash + restart: new memmap over the same file.
@@ -92,7 +91,7 @@ class TestCrashConsistency:
         store.initialize(rng=np.random.default_rng(0))
         original = store.read_rows(np.array([5]))
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.5))
-        PrefetchingBufferManager(buf).load_step([0])
+        buf.load_step([0])
         buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
         raw = np.memmap(tmp_path / "b.bin", dtype=np.float32, mode="r",
                         shape=(40, 4))

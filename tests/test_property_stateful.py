@@ -3,8 +3,8 @@
 The partition buffer is the piece of the system where a subtle bug silently
 corrupts training (a stale row, a lost write-back), so it gets a full model-
 based test: a reference in-memory table is updated in lockstep with the real
-memmap-backed buffer, driven the way every trainer drives it — through a
-:class:`PrefetchingBufferManager` — by random sequences of plan steps with
+memmap-backed buffer, driven the way every trainer drives it — through
+:meth:`PartitionBuffer.load_step` — by random sequences of plan steps with
 a random next step to stage, bare detaches, updates and flushes. Every
 gather must agree with the reference, and every partition that left the
 buffer must be durable once the I/O thread is done: that covers slot
@@ -27,7 +27,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from repro.graph import PartitionScheme
 from repro.nn import RowAdagrad
-from repro.storage import NodeStore, PartitionBuffer, PrefetchingBufferManager
+from repro.storage import NodeStore, PartitionBuffer
 from repro.train import SnapshotManager
 
 NUM_NODES = 48
@@ -44,7 +44,7 @@ def _nodes_of(parts):
 
 
 class BufferMachine(RuleBasedStateMachine):
-    """Reference-model test of the manager-driven buffer (+ resume)."""
+    """Reference-model test of the step-driven buffer (+ resume)."""
 
     def __init__(self):
         super().__init__()
@@ -58,7 +58,6 @@ class BufferMachine(RuleBasedStateMachine):
         self.store.initialize(values=init)
         self.buffer = PartitionBuffer(self.store, CAPACITY,
                                       optimizer=RowAdagrad(lr=0.1))
-        self.manager = PrefetchingBufferManager(self.buffer)
         # Reference model: full table + optimizer state, updated in lockstep.
         self.ref_table = init.copy()
         self.ref_state = np.zeros_like(init)
@@ -69,7 +68,7 @@ class BufferMachine(RuleBasedStateMachine):
         self._snap_ref = None   # (ref_table, ref_state, resident) at snapshot
 
     def teardown(self):
-        self.manager.reset()
+        self.buffer.reset()
         self._tmp.cleanup()
 
     # ------------------------------------------------------------------
@@ -77,7 +76,7 @@ class BufferMachine(RuleBasedStateMachine):
                         max_size=CAPACITY),
           nxt=st.sets(st.integers(0, NUM_PARTS - 1), max_size=CAPACITY))
     def swap(self, parts, nxt):
-        self.manager.load_step(sorted(parts), sorted(nxt) or None)
+        self.buffer.load_step(sorted(parts), sorted(nxt) or None)
         assert self.buffer.resident == sorted(parts)
 
     @rule(pick=st.integers(0, CAPACITY - 1))
@@ -93,7 +92,7 @@ class BufferMachine(RuleBasedStateMachine):
         """A step that wants back partitions detached since the last step
         (no I/O job has written them yet): their slots, not stale disk,
         must come back."""
-        self.manager.load_step(sorted(set(self.buffer.resident)
+        self.buffer.load_step(sorted(set(self.buffer.resident)
                                       | set(self.buffer._detached)))
 
     @rule(pick=st.integers(0, NUM_NODES - 1), seed=st.integers(0, 1000))
@@ -113,7 +112,7 @@ class BufferMachine(RuleBasedStateMachine):
 
     @rule()
     def finish(self):
-        self.manager.finish()
+        self.buffer.finish()
 
     @rule()
     def checkpoint(self):
@@ -135,12 +134,12 @@ class BufferMachine(RuleBasedStateMachine):
         scribble NaNs into one partition (crash damage after the
         snapshot), restore the store from the snapshot, reload the
         recorded residency, and roll the reference model back."""
-        self.manager.reset()
+        self.buffer.reset()
         junk = np.full((PART_SIZE, DIM), np.nan, dtype=np.float32)
         self.store.write_partition(damage, junk)
         meta, arrays = self.snapshots.load()
         self.store.write_span(0, arrays["table"], arrays["state"])
-        self.manager.load_step(meta["resident"])
+        self.buffer.load_step(meta["resident"])
         self.ref_table, self.ref_state, _ = self._snap_ref
         self.ref_table = self.ref_table.copy()
         self.ref_state = self.ref_state.copy()
@@ -185,7 +184,7 @@ class BufferMachine(RuleBasedStateMachine):
         """Once the I/O thread is done, every partition that is neither
         resident nor detached-and-not-yet-queued has its reference contents
         on disk (write-back happened for everything dirty that left)."""
-        self.manager.wait()
+        self.buffer.wait()
         held = set(self.buffer.resident) | set(self.buffer._detached)
         missing = _nodes_of(set(range(NUM_PARTS)) - held)
         if len(missing) == 0:

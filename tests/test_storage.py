@@ -13,7 +13,7 @@ import pytest
 from repro.graph import PartitionScheme, power_law_graph
 from repro.nn import RowAdagrad
 from repro.storage import (EdgeBucketStore, IOStats, NodeStore,
-                           PartitionBuffer, PrefetchingBufferManager)
+                           PartitionBuffer)
 
 
 @pytest.fixture
@@ -285,19 +285,6 @@ class TestPartitionBuffer:
         with pytest.raises(KeyError):
             buf.detach(3)
 
-    def test_dirty_detach_needs_a_manager(self, tmp_path):
-        """Without a manager nothing can write a dirty partition back, so
-        swapping it out raises instead of dropping the update."""
-        store, buf = self.make(tmp_path)
-        buf.set_partitions([0, 1])
-        buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
-        with pytest.raises(RuntimeError, match="dirty"):
-            buf.set_partitions([1, 2])
-        assert buf.resident == [0, 1]
-        buf.flush()
-        buf.set_partitions([1, 2])    # clean now: detaching frees the slot
-        assert buf.resident == [1, 2]
-
     def test_set_partitions_diffs(self, tmp_path):
         _, buf = self.make(tmp_path)
         moved = buf.set_partitions([0, 1])
@@ -322,14 +309,13 @@ class TestPartitionBuffer:
 
     def test_updates_written_back_on_evict(self, tmp_path):
         store, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0, 1])
+        buf.load_step([0, 1])
         before = buf.gather(np.array([5]))
         buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
         after = buf.gather(np.array([5]))
         assert not np.allclose(before, after)
-        mgr.load_step([2, 3])   # detaches dirty partition 0
-        mgr.wait()              # ...and the I/O thread wrote it back
+        buf.load_step([2, 3])   # detaches dirty partition 0
+        buf.wait()              # ...and the I/O thread wrote it back
         fresh, state = store.read_partition(0)
         np.testing.assert_allclose(fresh[5], after[0])
         assert (state[5] > 0).all()  # optimizer state paged with the partition
@@ -338,15 +324,14 @@ class TestPartitionBuffer:
         """A dirty partition detached and wanted again before any I/O job
         wrote it back gets its slot back, not the stale disk copy."""
         store, buf = self.make(tmp_path)
-        mgr = PrefetchingBufferManager(buf)
-        mgr.load_step([0, 1])
+        buf.load_step([0, 1])
         buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
         updated = buf.gather(np.array([5]))
         buf.detach(0)
-        mgr.load_step([0, 1])
+        buf.load_step([0, 1])
         np.testing.assert_array_equal(buf.gather(np.array([5])), updated)
         assert buf.dirty_partitions() == [0]
-        mgr.finish()
+        buf.finish()
         np.testing.assert_array_equal(store.read_partition(0)[0][5],
                                       updated[0])
 

@@ -799,7 +799,7 @@ class TestContinualTrainer:
             checkpoint_dir=tmp_path / "crashed-ckpt")
         trainer.save_snapshot()
         injector = FaultInjector(CrashPoint.WRITEBACK_PENDING, after=1)
-        trainer.buffer_manager.fault_hook = injector.fire
+        trainer.buffer.fault_hook = injector.fire
         with pytest.raises(PrefetchError):
             trainer.refresh()
         assert injector.fired
