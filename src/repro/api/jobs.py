@@ -558,15 +558,23 @@ class StreamJob(Job):
                                "dim": model.dim,
                                "num_relations": num_relations,
                                "dataset": spec.data.dataset})
+        spills = sorted(workdir.glob("edges.bin.spill/spill-*.npz"))
+        if recovery is not None and spills:
+            # The older delta-log format raised the journal's covered_seq
+            # past events it kept only in these files: replaying the
+            # journal alone would silently lose them.
+            raise JobError(
+                f"stream.wal recovery: {spills[0]} is a spill file of an "
+                f"older delta-log format, which this version cannot "
+                f"recover; start from a fresh storage.workdir")
         self.live = LiveGraph(store, edge_store, seed=train.seed,
-                              spill_threshold=storage.spill_threshold,
                               wal_dir=None if recovery is not None else wal_dir,
                               fsync_every=stream.fsync_every)
         if recovery is not None:
-            # Rebuild the acknowledged overlay: reattach surviving spills,
-            # then queue the WAL suffix past the durable floor for replay —
-            # after resume() when a snapshot is being restored (its
-            # fingerprints must see the pre-replay stores), else right here.
+            # Rebuild the acknowledged overlay: queue the WAL suffix past
+            # the compaction horizon for replay — after resume() when a
+            # snapshot is being restored (its fingerprints must see the
+            # pre-replay stores), else right here.
             self._wal_replay = self.live.log.restore(
                 edge_store.compacted_seq, recovery, wal_dir=wal_dir)
             if recovered_nodes_added is not None:
@@ -645,8 +653,6 @@ class StreamJob(Job):
         try:
             if stream.events:
                 driver_stats = self._driver(verbose)
-            if stream.repl:
-                self._repl()
         finally:
             if self.background is not None:
                 # Drain: the worker's last merge plus a synchronous sweep of
@@ -655,12 +661,15 @@ class StreamJob(Job):
         if stream.verify:
             self.verify(self.workdir, verbose=verbose)
         s = self.live.stats()
+        wal = s.get("wal", {})
         if verbose:
             print(f"stream stats: {s['events_appended']} events "
                   f"({s['edges_inserted']} ins / {s['edges_deleted']} del), "
                   f"{s['nodes_added']} nodes added, {s['pending']} pending, "
                   f"{self.compactor.compactions} compactions, "
-                  f"{self.trainer.refreshes} refreshes, {s['spills']} spills")
+                  f"{self.trainer.refreshes} refreshes, journal "
+                  f"{wal.get('frames', 0)} frames / "
+                  f"{wal.get('bytes_written', 0):,} bytes")
         s["compactions"] = self.compactor.compactions
         s["refreshes"] = self.trainer.refreshes
         if stream.wal or stream.background_compaction:
@@ -768,70 +777,6 @@ class StreamJob(Job):
             print(f"verify OK: {final.num_edges:,} live edges match an "
                   f"offline rebuild bucket-for-bucket; seeded sampling "
                   f"identical")
-
-    def _repl(self) -> None:
-        """Interactive ingest/compact/query loop over the live graph."""
-        from ..stream import synth_events
-        live, compactor, trainer = self.live, self.compactor, self.trainer
-        engine = self.engine
-        rng = np.random.default_rng(self.spec.train.seed + 31)
-        print("stream REPL - commands: ingest N | delete N | add-nodes N | "
-              "compact | refresh | embed IDS | topk SRC K | stats | verify "
-              "| quit")
-        while True:
-            try:
-                line = input("stream> ").strip()
-            except EOFError:
-                break
-            if not line:
-                continue
-            cmd, *rest = line.split()
-            try:
-                if cmd == "quit" or cmd == "exit":
-                    break
-                elif cmd == "ingest":
-                    ins, _ = synth_events(live, rng, int(rest[0]), 0.0)
-                    lo, hi = live.insert_edges(ins)
-                    print(f"  inserted {hi - lo} edges (seq [{lo}, {hi}))")
-                elif cmd == "delete":
-                    _, dels = synth_events(live, rng, int(rest[0]), 1.0)
-                    if dels is None or not len(dels):
-                        print("  nothing to delete")
-                    else:
-                        lo, hi = live.delete_edges(dels)
-                        print(f"  deleted {hi - lo} edge keys "
-                              f"(seq [{lo}, {hi}))")
-                elif cmd == "add-nodes":
-                    ids = live.add_nodes(int(rest[0]))
-                    print(f"  added nodes [{ids[0]}, {ids[-1]}]")
-                elif cmd == "compact":
-                    report = compactor.compact()
-                    print(f"  merged {report.merged_events} events in "
-                          f"{report.seconds * 1000:.0f}ms -> "
-                          f"{report.num_edges:,} base edges")
-                elif cmd == "refresh":
-                    record = trainer.refresh()
-                    print(f"  loss={record.loss:.4f} "
-                          f"({record.num_batches} batches)")
-                elif cmd == "embed":
-                    ids = _parse_ids(rest[0])
-                    for node, row in zip(ids, engine.get_embeddings(ids)):
-                        head = ", ".join(f"{v:+.4f}" for v in row[:6])
-                        print(f"  node {node}: [{head}, ...]")
-                elif cmd == "topk":
-                    ids, scores = engine.topk_targets(int(rest[0]),
-                                                      int(rest[1]))
-                    for rank, (node, score) in enumerate(zip(ids, scores), 1):
-                        print(f"    #{rank:<3} node {node:<10} "
-                              f"score {score:.6f}")
-                elif cmd == "stats":
-                    print(f"  {live.stats()}")
-                elif cmd == "verify":
-                    self.verify(tempfile.mkdtemp(prefix="repro-verify-"))
-                else:
-                    print(f"  unknown command {cmd!r}")
-            except Exception as exc:   # REPL survives bad input
-                print(f"  error: {exc}")
 
 
 @_snapshot_errors()

@@ -92,8 +92,6 @@ class StorageSpec:
     buffer: Optional[int] = _f(None, "partitions resident in memory "
                                      "(kind default: 4; nc-disk: 8)")
     policy: str = _f("comet", "replacement policy: comet | beta (lp-disk)")
-    spill_threshold: int = _f(1 << 20, "in-memory delta events before the "
-                                       "stream log spills to disk")
 
 
 @dataclass
@@ -138,7 +136,6 @@ class StreamSpec:
     refresh: Optional[bool] = _f(None, "fine-tune delta-touched partitions "
                                        "after each compaction (lp-stream: on)")
     verify: bool = _f(False, "check the live view against an offline rebuild")
-    repl: bool = _f(False, "interactive ingest/compact/query loop")
     wal: bool = _f(False, "journal appends to a write-ahead log in "
                           "<workdir>/wal and recover acknowledged events "
                           "after a crash")

@@ -5,7 +5,7 @@ discipline — **write-temp + flush + fsync + rename + directory fsync** —
 so a reader only ever observes the old file or the complete new one,
 never a torn mix. The idiom grew up independently in the snapshot
 subsystem (:class:`~repro.train.checkpoint.SnapshotManager`), the edge
-store's compaction rewrite, and the delta log's spill path; this module
+store's compaction rewrite, and the delta log's journal meta; this module
 is the single shared implementation.
 
 ``atomic_write`` is the primitive (a context manager yielding the staged

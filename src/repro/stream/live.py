@@ -62,10 +62,9 @@ class LiveGraph:
         The partitioned node table (grows in place on node additions).
     edge_store:
         The base edge buckets (rewritten by compaction).
-    spill_dir:
-        Delta-log spill directory (default: ``<edge file>.spill``).
-    spill_threshold:
-        In-memory event cap before the log spills.
+    journal_dir:
+        Directory of the delta log's non-durable journal (default:
+        ``<edge file>.journal``; unused when ``wal_dir`` is set).
     seed:
         Stream seed for deterministic new-node row initialization.
     wal_dir:
@@ -76,8 +75,7 @@ class LiveGraph:
     """
 
     def __init__(self, node_store: NodeStore, edge_store: EdgeBucketStore,
-                 spill_dir: Optional[os.PathLike] = None,
-                 spill_threshold: int = 1 << 20, seed: int = 0,
+                 journal_dir: Optional[os.PathLike] = None, seed: int = 0,
                  wal_dir: Optional[os.PathLike] = None,
                  fsync_every: int = 1,
                  wal_segment_bytes: int = 4 << 20) -> None:
@@ -86,13 +84,12 @@ class LiveGraph:
         self.node_store = node_store
         self.edge_store = edge_store
         self.seed = int(seed)
-        if spill_dir is None:
-            spill_dir = edge_store.path.with_suffix(
-                edge_store.path.suffix + ".spill")
+        if journal_dir is None:
+            journal_dir = edge_store.path.with_suffix(
+                edge_store.path.suffix + ".journal")
         self.log = GraphDeltaLog(node_store.num_partitions,
                                  has_relations=edge_store.has_relations,
-                                 spill_dir=spill_dir,
-                                 spill_threshold=spill_threshold,
+                                 journal_dir=journal_dir,
                                  wal_dir=wal_dir, fsync_every=fsync_every,
                                  wal_segment_bytes=wal_segment_bytes)
         self.nodes_added = 0

@@ -1,18 +1,19 @@
-"""Write-ahead journal for the graph delta log.
+"""The delta log's journal: its one on-disk store of events.
 
-Every acknowledged stream mutation — an edge insert/delete batch or a
-node-growth step — is framed and written here *before* the in-memory
-delta log acknowledges it, closing the window where a crash between an
-append and the next spill/snapshot silently lost the suffix. Frames are
-self-describing and self-checking:
+Every accepted stream mutation — an edge insert/delete batch or a
+node-growth step — is framed and written here *before* the
+:class:`~repro.stream.delta_log.GraphDeltaLog` acknowledges it, and the
+log keeps no other copy of its events: it indexes runs of these frames
+and reads them back through read-only maps. Frames are self-describing
+and self-checking:
 
 ``[magic "WFRM" | kind u8 | seq_lo u64 | count u32 | paylen u32 | crc u32
 | payload]``
 
 * ``EDGES`` frames carry an ``(n, 6)`` int64 payload of columns
   ``(op, src, dst, rel, bi, bj)``; the events' sequence numbers are
-  ``seq_lo .. seq_lo + n`` (the delta log assigns them densely, so they
-  need not be stored per event).
+  ``seq_lo .. seq_lo + n`` in row order (the delta log assigns them
+  densely, so they need not be stored per event).
 * ``NODES`` frames carry ``(old_total, new_total)`` — node rows
   themselves are a deterministic function of ``(stream seed, node id)``
   (:meth:`~repro.stream.live.LiveGraph._init_rows`), so replay only
@@ -24,14 +25,17 @@ The crc covers the header fields and the payload, so a torn tail write
 loudly**, and physically truncated; a bad frame that is *not* the tail
 of the final segment is real corruption and raises.
 
-Durability knobs: ``fsync_every=1`` fsyncs each frame before the append
+Durability: ``fsync_every=1`` fsyncs each frame before the append
 returns (no acknowledged event can be lost); ``fsync_every=N`` group-
 commits every N frames, trading a bounded ack'd-loss window for
-throughput. Segments rotate at ``segment_bytes`` and are deleted by
-:meth:`truncate_covered` only once everything in them is durable
-elsewhere — edge frames below the spill/compaction horizon, node frames
-at or below the node count recorded in ``wal-meta.json`` (which is
-written atomically *before* any segment is unlinked).
+throughput; ``fsync_every=0`` is a scratch journal that never fsyncs and
+deletes the segments it finds when it opens (nothing is ever recovered
+from it). Every frame is flushed to the OS as it is written, so a map of
+the segment sees it. Segments rotate at ``segment_bytes`` and are deleted
+by :meth:`truncate_covered` only once everything in them is durable
+elsewhere — edge frames below the compaction horizon, node frames at or
+below the node count recorded in ``wal-meta.json`` (which is written
+atomically *before* any segment is unlinked).
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ class WalFrame:
     count: int
     edges: Optional[np.ndarray] = None          # (n, 6) int64 for EDGES
     node_totals: Optional[Tuple[int, int]] = None  # (old, new) for NODES
+    segment: int = 0                            # EDGES payload location:
+    offset: int = 0                             # segment index, byte offset
 
     @property
     def seq_end(self) -> int:
@@ -157,7 +163,8 @@ def _valid_frame_after(data: bytes, start: int) -> bool:
     return False
 
 
-def _parse_segment(path: Path, is_last: bool) -> Tuple[List[WalFrame], int]:
+def _parse_segment(path: Path, index: int,
+                   is_last: bool) -> Tuple[List[WalFrame], int]:
     """Decode a segment's frames; returns (frames, torn_bytes_truncated).
 
     A short/corrupt frame at the tail of the *final* segment is the
@@ -195,7 +202,8 @@ def _parse_segment(path: Path, is_last: bool) -> Tuple[List[WalFrame], int]:
                 bad_at, reason = offset, "payload/count mismatch"
                 break
             frames.append(WalFrame(kind=kind, seq_lo=seq_lo, count=count,
-                                   edges=arr.reshape(count, _EDGE_COLS)))
+                                   edges=arr.reshape(count, _EDGE_COLS),
+                                   segment=index, offset=body_off))
         else:
             old_total, new_total = _NODES_PAYLOAD.unpack(payload)
             frames.append(WalFrame(kind=kind, seq_lo=seq_lo, count=count,
@@ -232,20 +240,25 @@ def _parse_segment(path: Path, is_last: bool) -> Tuple[List[WalFrame], int]:
 class WriteAheadLog:
     """Framed, fsync'd, segment-rotating journal (see module docstring).
 
-    ``fault_hook`` (test-only) fires named crash points:
-    ``wal-frame-mid`` after the first half of a frame has been flushed to
-    disk but before the rest, and ``wal-truncate-pre`` after the meta
-    write but before covered segments are unlinked.
+    ``append_edges`` returns where the payload landed, so the delta log
+    can index it in place. ``fault_hook`` (test-only) fires named crash
+    points: ``wal-frame-mid`` after the first half of a frame has been
+    flushed to disk but before the rest, and ``wal-truncate-pre`` after
+    the meta write but before covered segments are unlinked.
     """
 
     def __init__(self, wal_dir: os.PathLike, fsync_every: int = 1,
                  segment_bytes: int = 4 << 20,
                  resume: Optional[WalRecovery] = None) -> None:
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be at least 1")
+        if fsync_every < 0:
+            raise ValueError("fsync_every must be non-negative")
         self.wal_dir = Path(wal_dir)
         self.wal_dir.mkdir(parents=True, exist_ok=True)
         self.fsync_every = int(fsync_every)
+        self.durable = self.fsync_every > 0
+        if not self.durable:
+            for stale in self.wal_dir.glob("wal-*.log"):
+                stale.unlink()
         self.segment_bytes = int(segment_bytes)
         self.fault_hook: Optional[Callable[[str], None]] = None
         self._closed_segments: List[_SegmentInfo] = []
@@ -293,7 +306,8 @@ class WriteAheadLog:
         for pos, path in enumerate(paths):
             index = int(path.stem.split("-")[1])
             info = _SegmentInfo(index, path)
-            frames, torn = _parse_segment(path, is_last=(pos == len(paths) - 1))
+            frames, torn = _parse_segment(path, index,
+                                          is_last=(pos == len(paths) - 1))
             for frame in frames:
                 info.note(frame)
             recovery.frames.extend(frames)
@@ -306,10 +320,10 @@ class WriteAheadLog:
     # -- append path ---------------------------------------------------
     def append_edges(self, seq_lo: int, op: int, src: np.ndarray,
                      dst: np.ndarray, rel: np.ndarray, bi: np.ndarray,
-                     bj: np.ndarray) -> None:
+                     bj: np.ndarray) -> Tuple[int, int]:
+        """Journal one batch; returns ``(segment index, byte offset)`` of
+        its ``(n, 6)`` payload (see :meth:`segment_path`)."""
         n = len(src)
-        if n == 0:
-            return
         payload = np.empty((n, _EDGE_COLS), dtype=np.int64)
         payload[:, 0] = op
         payload[:, 1] = src
@@ -317,8 +331,9 @@ class WriteAheadLog:
         payload[:, 3] = rel
         payload[:, 4] = bi
         payload[:, 5] = bj
-        self._write_frame(KIND_EDGES, seq_lo, n, payload.tobytes())
+        where = self._write_frame(KIND_EDGES, seq_lo, n, payload.tobytes())
         self.edge_events += n
+        return where
 
     def append_nodes(self, seq_lo: int, old_total: int,
                      new_total: int) -> None:
@@ -329,7 +344,9 @@ class WriteAheadLog:
         self.node_events += int(new_total - old_total)
 
     def _write_frame(self, kind: int, seq_lo: int, count: int,
-                     payload: bytes) -> None:
+                     payload: bytes) -> Tuple[int, int]:
+        where = (self._segment.index,
+                 self._cur_bytes + _HEADER.size + _CRC.size)
         header = _HEADER.pack(MAGIC, kind, int(seq_lo), int(count),
                               len(payload))
         crc = zlib.crc32(header[4:] + payload)
@@ -345,6 +362,7 @@ class WriteAheadLog:
             self._fh.write(buf[half:])
         else:
             self._fh.write(buf)
+        self._fh.flush()
         self._segment.note(WalFrame(
             kind=kind, seq_lo=seq_lo, count=count,
             node_totals=(0, self._latest_nodes) if kind == KIND_NODES
@@ -353,18 +371,18 @@ class WriteAheadLog:
         self.bytes_written += len(buf)
         self.frames_written += 1
         self._pending += 1
-        if self._pending >= self.fsync_every:
+        if self.durable and self._pending >= self.fsync_every:
             self.sync()
         if self._cur_bytes >= self.segment_bytes:
             self._rotate()
+        return where
 
     def sync(self) -> None:
         """Group-commit flush: after this returns, every frame written so
         far survives a crash."""
-        if self._pending == 0:
+        if self._pending == 0 or not self.durable:
             return
         t0 = time.perf_counter()
-        self._fh.flush()
         os.fsync(self._fh.fileno())
         get_registry().histogram("stream.wal.fsync_ms").observe(
             1000.0 * (time.perf_counter() - t0))
@@ -379,7 +397,8 @@ class WriteAheadLog:
         index = self._segment.index + 1
         self._segment = _SegmentInfo(index, self.wal_dir / _segment_name(index))
         self._fh = open(self._segment.path, "ab")
-        fsync_dir(self.wal_dir)
+        if self.durable:
+            fsync_dir(self.wal_dir)
         self._cur_bytes = 0
         self.rotations += 1
 
@@ -388,8 +407,8 @@ class WriteAheadLog:
                          num_nodes: Optional[int] = None) -> int:
         """Delete closed segments whose entire contents are durable
         elsewhere: edge frames with ``seq_end <= covered_seq`` (merged by
-        compaction or captured by a fsync'd spill file) and node frames
-        whose totals are at or below the node count being recorded.
+        compaction) and node frames whose totals are at or below the node
+        count being recorded.
 
         The meta file — the durable claim that "events below
         ``covered_seq`` and nodes up to ``num_nodes`` need no journal" —
@@ -405,20 +424,25 @@ class WriteAheadLog:
         doomed = [seg for seg in self._closed_segments
                   if seg.end_seq <= covered_seq and seg.max_nodes <= num_nodes]
         self._meta = {"covered_seq": covered_seq, "num_nodes": num_nodes}
-        atomic_write_json(self.wal_dir / META_NAME, self._meta)
+        if self.durable:
+            atomic_write_json(self.wal_dir / META_NAME, self._meta)
         if self.fault_hook is not None:
             self.fault_hook("wal-truncate-pre")
         if not doomed:
             return 0
         for seg in doomed:
             seg.path.unlink(missing_ok=True)
-        fsync_dir(self.wal_dir)
+        if self.durable:
+            fsync_dir(self.wal_dir)
         self._closed_segments = [seg for seg in self._closed_segments
                                  if seg not in doomed]
         self.truncated_segments += len(doomed)
         return len(doomed)
 
     # ------------------------------------------------------------------
+    def segment_path(self, index: int) -> Path:
+        return self.wal_dir / _segment_name(index)
+
     @property
     def covered_seq(self) -> int:
         return int(self._meta.get("covered_seq", 0))

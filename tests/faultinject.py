@@ -59,8 +59,9 @@ class CrashPoint:
     WAL_TRUNCATE_PRE = "wal-truncate-pre"    # meta written, segments not yet
                                              # unlinked
 
-    # GraphDeltaLog spill hook
-    SPILL_POST_WRITE = "spill-post-write"    # spill durable, WAL not truncated
+    # GraphDeltaLog append hook (the name predates the journal-only log)
+    SPILL_POST_WRITE = "spill-post-write"    # frame journaled, bucket index
+                                             # not yet updated
 
     # EdgeBucketStore compaction hooks
     REWRITE_STAGED = "rewrite-staged"        # layout.next staged, bucket file

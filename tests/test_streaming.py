@@ -39,8 +39,7 @@ REPO = Path(__file__).resolve().parent.parent
 # ---------------------------------------------------------------------------
 
 def make_live(tmp_path, num_nodes=120, num_edges=600, p=6, dim=8,
-              with_rel=False, seed=0, spill_threshold=1 << 20,
-              name="live", wal=False, fsync_every=1,
+              with_rel=False, seed=0, name="live", wal=False, fsync_every=1,
               wal_segment_bytes=4 << 20) -> LiveGraph:
     rng = np.random.default_rng(seed)
     graph = Graph(num_nodes=num_nodes,
@@ -54,17 +53,16 @@ def make_live(tmp_path, num_nodes=120, num_edges=600, p=6, dim=8,
     store.initialize(rng=np.random.default_rng(seed + 1))
     edges = EdgeBucketStore(tmp_path / f"{name}-edges.bin", graph, scheme)
     return LiveGraph(store, edges, seed=seed + 7,
-                     spill_threshold=spill_threshold,
                      wal_dir=tmp_path / f"{name}-wal" if wal else None,
                      fsync_every=fsync_every,
                      wal_segment_bytes=wal_segment_bytes)
 
 
 def recover_live(tmp_path, base_nodes, p=6, dim=8, seed=0,
-                 spill_threshold=1 << 20, name="live") -> LiveGraph:
+                 name="live") -> LiveGraph:
     """The crash-recovery composition (mirrors StreamJob's build): reattach
     the durable stores at the *acknowledged* node count, restore the delta
-    log from spills + WAL, replay the suffix."""
+    log from the WAL, replay the suffix."""
     wal_dir = tmp_path / f"{name}-wal"
     recovery = WriteAheadLog.scan(wal_dir)
     acked = max(base_nodes, recovery.num_nodes, recovery.max_nodes_recorded)
@@ -76,8 +74,7 @@ def recover_live(tmp_path, base_nodes, p=6, dim=8, seed=0,
     store = NodeStore.open(nodes_path, scheme, dim, learnable=True,
                            truncate=True)
     edges = EdgeBucketStore.open(tmp_path / f"{name}-edges.bin", scheme)
-    live = LiveGraph(store, edges, seed=seed + 7,
-                     spill_threshold=spill_threshold)
+    live = LiveGraph(store, edges, seed=seed + 7)
     frames = live.log.restore(edges.compacted_seq, recovery, wal_dir=wal_dir)
     live.replay_wal(frames)
     return live
@@ -144,37 +141,117 @@ def rebuild_offline(tmp_path, live: LiveGraph, ref: np.ndarray,
 
 class TestDeltaLog:
     def test_spill_roundtrip(self, tmp_path):
-        """Spilled segments serve bucket reads identically to memory."""
+        """Journal reads equal an independent filter of the appended
+        events, across segment rotations and remaps of the active segment
+        (reads interleave with appends)."""
         rng = np.random.default_rng(0)
-        kwargs = dict(num_partitions=4, has_relations=False)
-        spilly = GraphDeltaLog(spill_dir=tmp_path / "spill",
-                               spill_threshold=25, **kwargs)
-        memory = GraphDeltaLog(spill_dir=None, **kwargs)
-        for _ in range(10):
-            n = int(rng.integers(5, 20))
+        log = GraphDeltaLog(4, journal_dir=tmp_path / "journal",
+                            wal_segment_bytes=600)
+        ref = np.empty((0, 6), dtype=np.int64)   # op, src, dst, bi, bj, seq
+        for step in range(30):
+            n = int(rng.integers(1, 20))
+            op = int(rng.integers(0, 2))
             src = rng.integers(0, 100, n)
             dst = rng.integers(0, 100, n)
             bi, bj = src % 4, dst % 4
-            for log in (spilly, memory):
-                log.append(0, src, dst, None, bi, bj)
-        assert spilly.spills > 0
+            lo, hi = log.append(op, src, dst, None, bi, bj)
+            assert (lo, hi) == (len(ref), len(ref) + n)
+            # Seqs follow the batch's stable sort by bucket.
+            seq = np.empty(n, dtype=np.int64)
+            seq[np.argsort(bi * 4 + bj, kind="stable")] = np.arange(lo, hi)
+            ref = np.concatenate([ref, np.stack(
+                [np.full(n, op), src, dst, bi, bj, seq], axis=1)])
+            if step % 3 == 0:
+                i, j = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+                self._check_bucket(log, ref, i, j,
+                                   int(rng.integers(0, log.seq + 1)))
+        assert log.wal.stats()["rotations"] > 0
         for i in range(4):
             for j in range(4):
-                a = spilly.events_for_bucket(i, j)
-                b = memory.events_for_bucket(i, j)
-                for col in ("op", "src", "dst", "seq"):
-                    assert np.array_equal(a[col], b[col])
+                self._check_bucket(log, ref, i, j, log.seq)
+
+    @staticmethod
+    def _check_bucket(log, ref, i, j, upto):
+        events = log.events_for_bucket(i, j, upto_seq=upto)
+        want = ref[(ref[:, 3] == i) & (ref[:, 4] == j) & (ref[:, 5] < upto)]
+        for col, k in (("op", 0), ("src", 1), ("dst", 2), ("seq", 5)):
+            assert np.array_equal(events[col], want[:, k]), col
 
     def test_mark_compacted_forgets(self, tmp_path):
-        log = GraphDeltaLog(4, spill_dir=tmp_path / "spill", spill_threshold=5)
-        ids = np.arange(20)
-        log.append(0, ids, ids, None, ids % 4, ids % 4)
-        assert log.spills >= 1 and log.pending_events == 20
+        log = GraphDeltaLog(4, journal_dir=tmp_path / "journal",
+                            wal_segment_bytes=256)
+        for k in range(5):
+            ids = np.arange(4 * k, 4 * k + 4)
+            log.append(0, ids, ids, None, ids % 4, ids % 4)
+        segments = sorted((tmp_path / "journal").glob("wal-*.log"))
+        assert len(segments) > 1 and log.pending_events == 20
         log.mark_compacted(log.seq)
         assert log.pending_events == 0
-        assert len(list((tmp_path / "spill").glob("*.npz"))) == 0
+        # Every closed segment was covered, so only the active one is left.
+        assert sorted((tmp_path / "journal").glob("wal-*.log")) == \
+            segments[-1:]
         for i in range(4):
             assert len(log.events_for_bucket(i, i)["seq"]) == 0
+
+    def test_reads_race_compaction_deleting_segments(self, tmp_path):
+        """A bucket read racing compaction never trips over a deleted
+        segment, and arrays it returned stay readable afterwards."""
+        log = GraphDeltaLog(4, journal_dir=tmp_path / "journal",
+                            wal_segment_bytes=256)
+        ids = np.arange(8)
+        kept = log.events_for_bucket(0, 0)
+        stop, errors = threading.Event(), []
+
+        def read():
+            while not stop.is_set():
+                try:
+                    for i in range(4):
+                        log.events_for_bucket(i, i)["src"].sum()
+                except Exception as exc:   # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for step in range(300):
+                log.append(0, ids, ids, None, ids % 4, ids % 4)
+                if step == 0:
+                    kept = log.events_for_bucket(0, 0)
+                if step % 5 == 4:
+                    log.mark_compacted(log.seq - 8)
+        finally:
+            stop.set()
+            reader.join(timeout=60)
+        assert not errors
+        assert kept["src"].tolist() == [0, 4]
+        assert log.wal.stats()["truncated_segments"] > 0
+
+    def test_scratch_journal_opens_empty_over_stale_segments(self, tmp_path):
+        first = GraphDeltaLog(4, journal_dir=tmp_path / "journal")
+        ids = np.arange(8)
+        first.append(0, ids, ids, None, ids % 4, ids % 4)
+        first.close()
+        stale = sorted((tmp_path / "journal").glob("wal-*.log"))
+        assert stale and stale[0].stat().st_size > 0
+        second = GraphDeltaLog(4, journal_dir=tmp_path / "journal")
+        assert second.wal is None                # opened on first append
+        second.append(0, ids[:2], ids[:2], None, ids[:2] % 4, ids[:2] % 4)
+        assert [len(second.events_for_bucket(i, i)["seq"])
+                for i in range(4)] == [1, 1, 0, 0]
+        assert second.wal.stats()["frames"] == 1
+        assert WriteAheadLog.scan(tmp_path / "journal").max_seq == 2
+
+    def test_one_frame_per_append(self, tmp_path):
+        log = GraphDeltaLog(4, journal_dir=tmp_path / "journal")
+        rng = np.random.default_rng(1)
+        for _ in range(7):
+            src = rng.integers(0, 40, 25)
+            dst = rng.integers(0, 40, 25)
+            log.append(0, src, dst, None, src % 4, dst % 4)
+        log.append(0, np.empty(0), np.empty(0), None, np.empty(0),
+                   np.empty(0))                  # empty batch: no frame
+        assert log.wal.stats()["frames"] == 7
 
     def test_horizon_cannot_move_backwards(self):
         log = GraphDeltaLog(2)
@@ -1013,7 +1090,7 @@ class TestWriteAheadLog:
 
 
 # ---------------------------------------------------------------------------
-# Crash matrix: every WAL/spill/compaction boundary recovers bit-identically
+# Crash matrix: every journal/compaction boundary recovers bit-identically
 # ---------------------------------------------------------------------------
 
 CRASH_MATRIX = (CrashPoint.WAL_FRAME_MID, CrashPoint.WAL_TRUNCATE_PRE,
@@ -1040,8 +1117,9 @@ class TestCrashMatrix:
         ref = base_order_edges(live)
         width = live.width
         # The op that crashes is durable iff its WAL write completed before
-        # the crash point fired: true for spill/truncate boundaries (the
-        # journal accepted the batch first), false for a torn frame.
+        # the crash point fired: true for the post-write and truncate
+        # boundaries (the journal accepted the batch first), false for a
+        # torn frame.
         durable = injector.crash_at in (CrashPoint.WAL_TRUNCATE_PRE,
                                         CrashPoint.SPILL_POST_WRITE)
         for step in range(400):
@@ -1088,7 +1166,7 @@ class TestCrashMatrix:
     def test_recovers_bit_identical(self, tmp_path, point, after):
         seed = CRASH_MATRIX.index(point) * 10 + after
         live = make_live(tmp_path, num_nodes=self.BASE_NODES, num_edges=400,
-                         p=4, seed=seed, spill_threshold=60, wal=True,
+                         p=4, seed=seed, wal=True,
                          wal_segment_bytes=2048)
         compactor = Compactor(live)
         injector = FaultInjector(point, after=after)
@@ -1101,7 +1179,7 @@ class TestCrashMatrix:
         del live                   # "process death": in-memory state is gone
 
         live2 = recover_live(tmp_path, base_nodes=self.BASE_NODES, p=4,
-                             seed=seed, spill_threshold=60)
+                             seed=seed)
         assert live2.num_nodes == nodes_acked
         self._assert_matches_rebuild(tmp_path, live2, ref, "rebuilt-crash")
 
@@ -1587,3 +1665,31 @@ class TestDurableStreamJob:
         assert second["num_nodes"] >= first["num_nodes"]
         # Deletes can come up short when a sampled bucket is empty.
         assert 250 <= second["events_appended"] <= 300
+
+    @staticmethod
+    def _wal_spec(tmp_path, **stream):
+        from repro.api import (DataSpec, JobSpec, ModelSpec, StorageSpec,
+                               StreamSpec)
+        return JobSpec(
+            kind="stream", data=DataSpec(dataset="fb15k237", scale=0.02),
+            model=ModelSpec(dim=8),
+            storage=StorageSpec(partitions=4, buffer=2,
+                                workdir=str(tmp_path / "wd")),
+            stream=StreamSpec(event_batch=200, wal=True, **stream))
+
+    def test_older_spill_workdir_is_refused(self, tmp_path):
+        """Recovery over a workdir holding the older format's npz spill
+        files fails loudly instead of replaying the journal without them."""
+        from repro.api import JobError
+        from repro.api import run as api_run
+        api_run(self._wal_spec(tmp_path, events=400, compact_every=0))
+        spill = tmp_path / "wd" / "edges.bin.spill" / "spill-00000000.npz"
+        spill.parent.mkdir()
+        np.savez(spill, **{"0:0:seq": np.arange(3)})
+        with pytest.raises(JobError, match="spill-00000000.npz"):
+            api_run(self._wal_spec(tmp_path, events=0))
+
+    def test_wal_without_fsync_is_refused(self, tmp_path):
+        from repro.api import run as api_run
+        with pytest.raises(ValueError, match="fsync_every"):
+            api_run(self._wal_spec(tmp_path, events=200, fsync_every=0))
