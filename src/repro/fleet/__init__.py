@@ -4,7 +4,8 @@ One :class:`~repro.fleet.fleet.Fleet` runs the paper's out-of-core
 serving engine as a deployable service: worker processes each own a
 read-only :class:`~repro.serve.engine.ServingEngine` plus a
 :class:`~repro.serve.batcher.RequestBatcher` over the same snapshot,
-speaking a length-prefixed JSON protocol (:mod:`~repro.fleet.protocol`);
+speaking a length-prefixed frame protocol (:mod:`~repro.fleet.protocol`)
+whose replies carry the rendered HTTP body;
 an HTTP/JSON gateway (:mod:`~repro.fleet.gateway`, stdlib
 ``ThreadingHTTPServer``) exposes the four query families as POST
 endpoints plus ``/healthz`` and ``/statz``; and the

@@ -13,7 +13,8 @@
 3. **Gateway** — an HTTP front door (:class:`~repro.fleet.gateway.
    Gateway`) that routes each request's lead node id through the router
    and speaks the frame protocol to the owning worker through a
-   per-worker :class:`~repro.fleet.pool.ConnectionPool`.
+   per-worker :class:`~repro.fleet.pool.ConnectionPool`, forwarding the
+   worker's rendered reply bytes unchanged.
 
 A worker whose process has died is marked dead: requests routed to its
 range fail fast with 503 and ``/healthz`` reports ``degraded``. There is
@@ -36,12 +37,12 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .affinity import AffinityRouter
 from .gateway import Gateway
 from .pool import ConnectionPool
-from .protocol import WorkerUnavailable
+from .protocol import WorkerUnavailable, parse_reply
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["Fleet"]
@@ -144,11 +145,18 @@ class Fleet:
     def route(self, node_id: int) -> int:
         return self.router.route(node_id)
 
-    def request(self, worker: int, op: str, **fields: Any) -> Dict[str, Any]:
+    def request_raw(self, worker: int, op: str,
+                    **fields: Any) -> Tuple[int, bytes]:
+        """One op on ``worker``: the reply's ``(HTTP status, body)``."""
         with self._lock:
             if worker in self._dead:
                 raise WorkerUnavailable(f"worker {worker} is down")
-        return self._pools[worker].request(op, **fields)
+        return self._pools[worker].request_raw(op, **fields)
+
+    def request(self, worker: int, op: str, **fields: Any) -> Dict[str, Any]:
+        """:meth:`request_raw`, through :func:`~repro.fleet.protocol.
+        parse_reply`."""
+        return parse_reply(*self.request_raw(worker, op, **fields))
 
     def note_unavailable(self, worker: int) -> None:
         """Called on a connection failure: a dead process means the range
@@ -177,7 +185,7 @@ class Fleet:
                 out.append(entry)
                 continue
             try:
-                reply = self._pools[i].request("health")
+                reply = self.request(i, "health")
                 entry.update(alive=True,
                              status=reply.get("status", "ok"),
                              pid=reply.get("pid"))
@@ -209,7 +217,7 @@ class Fleet:
             if not proc.is_alive():
                 continue
             try:
-                self._pools[i].request("drain")
+                self._pools[i].request_raw("drain")
             except (WorkerUnavailable, IndexError):
                 try:
                     os.kill(proc.pid, signal.SIGTERM)

@@ -15,9 +15,12 @@ counters, the router's ownership ranges).
 The gateway validates just enough to *route* — the body must be a JSON
 object carrying the request's lead node id (first looked-up id, first
 source, the top-k source). Everything else is validated by the owning
-worker, whose structured error DTO ``{"error": {"code", "message"}}``
-forwards unchanged with the matching HTTP status (``bad_request`` → 400,
-``draining``/``unavailable``/``overloaded`` → 503, ``timeout`` → 504).
+worker, which renders every reply's HTTP status and body itself (see
+:mod:`~repro.fleet.protocol`): the gateway forwards unchanged the
+answer bytes and the structured error DTO ``{"error": {"code",
+"message"}}`` alike, parsing neither. It renders only its own replies:
+the lead-id 400s, the 503 of an unreachable worker, 404/405 and the
+``/healthz`` and ``/statz`` documents.
 A worker whose socket is gone and whose process is dead yields 503 for
 its partition range and flips ``/healthz`` to ``degraded``; other
 ranges keep serving.
@@ -34,18 +37,17 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from .protocol import MAX_FRAME, WorkerUnavailable
+from .protocol import _ERROR_STATUS, MAX_FRAME, WorkerUnavailable
 
 __all__ = ["Gateway"]
 
-#: worker error code -> HTTP status for forwarded error DTOs.
-_ERROR_STATUS = {"bad_request": 400, "not_found": 404, "draining": 503,
-                 "unavailable": 503, "overloaded": 503, "timeout": 504,
-                 "internal": 500}
+Reply = Tuple[int, bytes]
 
 
-def _error_body(code: str, message: str) -> Dict[str, Any]:
-    return {"error": {"code": code, "message": message}}
+def _error(code: str, message: str, status: Optional[int] = None) -> Reply:
+    """One of the gateway's own error DTOs, rendered."""
+    body = json.dumps({"error": {"code": code, "message": message}})
+    return status or _ERROR_STATUS[code], body.encode("utf-8")
 
 
 class _LeadIdError(ValueError):
@@ -152,32 +154,42 @@ class Gateway:
                 status, body = self._statz()
             elif method == "POST" and path in _OPS:
                 status, body = self._query(path, handler)
-            elif path in _OPS or path in ("/healthz", "/statz"):
-                status = 405
-                body = _error_body("bad_request",
-                                   f"{method} not allowed on {path}")
             else:
-                status = 404
-                body = _error_body("not_found", f"no route for {path}")
+                handler.close_connection = True     # any body stays unread
+                if path in _OPS or path in ("/healthz", "/statz"):
+                    status, body = _error(
+                        "bad_request", f"{method} not allowed on {path}", 405)
+                else:
+                    status, body = _error("not_found", f"no route for {path}")
         except Exception as exc:    # a gateway bug must still answer JSON
-            status = 500
-            body = _error_body("internal", f"{type(exc).__name__}: {exc}")
+            status, body = _error("internal",
+                                  f"{type(exc).__name__}: {exc}")
         self._count(f"http.{path}.{status}")
-        payload = json.dumps(body).encode("utf-8")
         try:
             handler.send_response(status)
             handler.send_header("Content-Type", "application/json")
-            handler.send_header("Content-Length", str(len(payload)))
+            handler.send_header("Content-Length", str(len(body)))
+            if handler.close_connection:
+                handler.send_header("Connection", "close")
             handler.end_headers()
-            handler.wfile.write(payload)
+            handler.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             pass                    # client went away; nothing to salvage
 
     def _read_body(self, handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
-        length = int(handler.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _LeadIdError("request body required")
-        if length > MAX_FRAME:
+        try:
+            length = int(handler.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 < length <= MAX_FRAME:
+            # A body left unread on the socket would be parsed as the next
+            # request line: answer, then hang up.
+            handler.close_connection = True
+            if length < 0:
+                raise _LeadIdError("Content-Length must be a non-negative "
+                                   "integer")
+            if length == 0:
+                raise _LeadIdError("request body required")
             raise _LeadIdError(f"request body of {length} bytes exceeds "
                                f"the {MAX_FRAME} byte limit")
         raw = handler.rfile.read(length)
@@ -189,45 +201,38 @@ class Gateway:
             raise _LeadIdError("request body must be a JSON object")
         return body
 
-    def _query(self, path: str,
-               handler: BaseHTTPRequestHandler) -> Tuple[int, Dict[str, Any]]:
+    def _query(self, path: str, handler: BaseHTTPRequestHandler) -> Reply:
         try:
             body = self._read_body(handler)
             lead = _lead_id(path, body)
         except _LeadIdError as exc:
-            return 400, _error_body("bad_request", str(exc))
+            return _error("bad_request", str(exc))
         worker = self.fleet.route(lead)
         self._count(f"routed.worker-{worker}")
         try:
-            response = self.fleet.request(worker, _OPS[path], **body)
+            return self.fleet.request_raw(worker, _OPS[path], **body)
         except WorkerUnavailable as exc:
             self.fleet.note_unavailable(worker)
-            return 503, _error_body(
+            return _error(
                 "unavailable",
                 f"worker {worker} (partitions "
                 f"{self.fleet.owned_range(worker)}) is unavailable: {exc}")
-        if response.get("ok"):
-            out = {k: v for k, v in response.items() if k != "ok"}
-            out["worker"] = worker
-            return 200, out
-        error = response.get("error") or {}
-        code = error.get("code", "internal")
-        return (_ERROR_STATUS.get(code, 500),
-                _error_body(code, error.get("message", "worker error")))
 
     # ------------------------------------------------------------------
-    def _healthz(self) -> Tuple[int, Dict[str, Any]]:
+    def _healthz(self) -> Reply:
         workers = self.fleet.health()
         degraded = any(not w["alive"] for w in workers)
         status = "degraded" if degraded else "ok"
-        return (503 if degraded else 200,
-                {"status": status, "workers": workers})
+        body = json.dumps({"status": status, "workers": workers})
+        return 503 if degraded else 200, body.encode("utf-8")
 
-    def _statz(self) -> Tuple[int, Dict[str, Any]]:
+    def _statz(self) -> Reply:
         with self._lock:
             counters = dict(self.counters)
-        return 200, {"gateway": counters,
-                     "router": {"policy": self.fleet.router.policy,
-                                "ranges": {str(w): parts for w, parts in
-                                           self.fleet.router.ranges().items()}},
-                     "workers": self.fleet.worker_stats()}
+        ranges = {str(w): parts
+                  for w, parts in self.fleet.router.ranges().items()}
+        body = json.dumps({"gateway": counters,
+                           "router": {"policy": self.fleet.router.policy,
+                                      "ranges": ranges},
+                           "workers": self.fleet.worker_stats()})
+        return 200, body.encode("utf-8")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 from .protocol import WorkerClient, WorkerUnavailable
 
@@ -57,11 +57,12 @@ class ConnectionPool:
     def discard(self, client: WorkerClient) -> None:
         client.close()
 
-    def request(self, op: str, **fields):
-        """Checkout / request / checkin, with error connections dropped."""
+    def request_raw(self, op: str, **fields) -> Tuple[int, bytes]:
+        """Checkout / request / checkin, with error connections dropped:
+        the reply's ``(HTTP status, body)``."""
         client = self.checkout()
         try:
-            response = client.request(op, **fields)
+            response = client.request_raw(op, **fields)
         except Exception:
             self.discard(client)
             raise

@@ -1,12 +1,14 @@
-"""Length-prefixed JSON frames: the gateway <-> worker wire protocol.
+"""Length-prefixed frames: the gateway <-> worker wire protocol.
 
-One frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON. Requests are objects with an ``op`` field
-(``embed`` / ``score`` / ``topk`` / ``encode`` / ``health`` / ``stats``
-/ ``drain``); responses are ``{"ok": true, ...}`` or ``{"ok": false,
-"error": {"code": ..., "message": ...}}`` — the same error DTO shape the
-HTTP gateway returns, so a worker-side failure forwards without
-translation.
+A request frame is a 4-byte big-endian unsigned length followed by that
+many bytes of UTF-8 JSON: an object with an ``op`` field (``embed`` /
+``score`` / ``topk`` / ``encode`` / ``health`` / ``stats`` / ``drain``).
+A reply frame is a 4-byte big-endian unsigned length, a 2-byte
+big-endian HTTP status, then that many bytes of the exact UTF-8 HTTP
+body. The worker renders that body once: an answer's keys plus the
+answering ``"worker"`` index under 200, or the error DTO ``{"error":
+{"code": ..., "message": ...}}`` under the status :data:`_ERROR_STATUS`
+maps its code to. The gateway writes those bytes without parsing them.
 
 Floats cross the wire as JSON numbers printed by Python's
 shortest-round-trip ``repr``: a float32 table value widens exactly to
@@ -25,17 +27,24 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["MAX_FRAME", "ProtocolError", "WorkerUnavailable",
-           "send_frame", "recv_frame", "WorkerClient"]
+           "send_frame", "recv_frame", "send_reply", "recv_reply",
+           "parse_reply", "WorkerClient"]
 
 #: Upper bound on one frame's JSON payload. Generous for real batches
 #: (a 64 MiB frame is ~2M embedding floats) while refusing a corrupt or
 #: hostile length prefix before allocating anything.
 MAX_FRAME = 64 << 20
 
+#: error code -> HTTP status of its error DTO.
+_ERROR_STATUS = {"bad_request": 400, "not_found": 404, "draining": 503,
+                 "unavailable": 503, "overloaded": 503, "timeout": 504,
+                 "internal": 500}
+
 _LEN = struct.Struct("!I")
+_REPLY = struct.Struct("!IH")
 
 
 class ProtocolError(RuntimeError):
@@ -46,12 +55,22 @@ class WorkerUnavailable(ConnectionError):
     """The worker's socket is gone (crashed, draining, or never up)."""
 
 
+def _check_size(length: int) -> None:
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds the "
+                            f"{MAX_FRAME} byte limit")
+
+
 def send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
     data = json.dumps(payload).encode("utf-8")
-    if len(data) > MAX_FRAME:
-        raise ProtocolError(f"frame of {len(data)} bytes exceeds the "
-                            f"{MAX_FRAME} byte limit")
+    _check_size(len(data))
     sock.sendall(_LEN.pack(len(data)) + data)
+
+
+def send_reply(sock: socket.socket, status: int, body: bytes) -> None:
+    """One reply frame: ``body`` is the HTTP body, sent as is."""
+    _check_size(len(body))
+    sock.sendall(_REPLY.pack(len(body), status) + body)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -70,25 +89,52 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """The next frame's payload, or ``None`` when the peer closed cleanly."""
-    header = _recv_exact(sock, _LEN.size)
-    if header is None:
+def _recv_framed(sock: socket.socket, header: struct.Struct
+                 ) -> Optional[Tuple[tuple, bytes]]:
+    """``(header fields, body)`` of the next frame, whose header leads
+    with the body length; ``None`` on clean EOF."""
+    head = _recv_exact(sock, header.size)
+    if head is None:
         return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame length {length} exceeds the "
-                            f"{MAX_FRAME} byte limit")
-    data = _recv_exact(sock, length)
+    fields = header.unpack(head)
+    _check_size(fields[0])
+    data = _recv_exact(sock, fields[0])
     if data is None:
         raise WorkerUnavailable("connection closed between header and body")
+    return fields, data
+
+
+def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
+    """The next frame's payload, or ``None`` when the peer closed cleanly."""
+    frame = _recv_framed(sock, _LEN)
+    if frame is None:
+        return None
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(frame[1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("frame payload must be a JSON object")
     return payload
+
+
+def recv_reply(sock: socket.socket) -> Optional[Tuple[int, bytes]]:
+    """The next reply's ``(status, body)``, or ``None`` on clean EOF."""
+    frame = _recv_framed(sock, _REPLY)
+    if frame is None:
+        return None
+    return frame[0][1], frame[1]
+
+
+def parse_reply(status: int, body: bytes) -> Dict[str, Any]:
+    """A reply as a dict: the body's keys plus ``"ok"``, true for a 200."""
+    try:
+        reply = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"reply is not valid JSON: {exc}") from exc
+    if not isinstance(reply, dict):
+        raise ProtocolError("reply body must be a JSON object")
+    return {"ok": status == 200, **reply}
 
 
 class WorkerClient:
@@ -113,12 +159,12 @@ class WorkerClient:
         self._sock.settimeout(timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def request(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """Send one op, block for its response frame."""
+    def request_raw(self, op: str, **fields: Any) -> Tuple[int, bytes]:
+        """Send one op, block for its reply: ``(HTTP status, body)``."""
         payload = {"op": op, **fields}
         try:
             send_frame(self._sock, payload)
-            response = recv_frame(self._sock)
+            response = recv_reply(self._sock)
         except (OSError, WorkerUnavailable) as exc:
             self.close()
             raise WorkerUnavailable(
@@ -129,6 +175,10 @@ class WorkerClient:
             raise WorkerUnavailable(
                 f"worker at {self.host}:{self.port} closed the connection")
         return response
+
+    def request(self, op: str, **fields: Any) -> Dict[str, Any]:
+        """:meth:`request_raw`, through :func:`parse_reply`."""
+        return parse_reply(*self.request_raw(op, **fields))
 
     def close(self) -> None:
         try:

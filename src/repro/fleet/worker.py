@@ -6,7 +6,9 @@ entry point. The worker builds its own read-only
 (each worker maps its own copy of the table and reads it in place),
 fronts it with a :class:`~repro.serve.batcher.RequestBatcher`, and
 answers length-prefixed JSON requests (:mod:`~repro.fleet.protocol`) on
-an ephemeral port it reports back through the ready queue. Every
+an ephemeral port it reports back through the ready queue. Each reply
+is rendered here, once, as the HTTP status and body the gateway
+forwards unchanged. Every
 connection gets a handler thread; concurrent connections therefore reach
 the batcher as concurrent submissions and coalesce into one engine call
 — the same micro-batching win as in-process serving, per worker.
@@ -28,19 +30,20 @@ periodic metrics with engine/storage/batcher pull sources. ``repro top
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from ..serve.batcher import (BatcherStopped, Overloaded, RequestBatcher,
                              RequestTimeout)
 from ..serve.lifecycle import GracefulDrain
-from .protocol import ProtocolError, recv_frame, send_frame
+from .protocol import _ERROR_STATUS, ProtocolError, recv_frame, send_reply
 
 __all__ = ["WorkerConfig", "worker_main"]
 
@@ -171,6 +174,16 @@ class _Dispatcher:
         return {"ok": True, "draining": True}
 
 
+def _render(reply: Dict[str, Any], worker: int) -> Tuple[int, bytes]:
+    """A dispatcher reply as its HTTP status and body: an answer's keys
+    plus the answering ``worker`` index, or the bare error DTO."""
+    ok = reply.pop("ok")
+    if ok:
+        reply["worker"] = worker
+    status = 200 if ok else _ERROR_STATUS.get(reply["error"]["code"], 500)
+    return status, json.dumps(reply).encode("utf-8")
+
+
 def _serve_connection(conn: socket.socket, dispatcher: _Dispatcher) -> None:
     """One connection's request loop: answer until EOF or drain."""
     conn.settimeout(0.5)
@@ -187,7 +200,8 @@ def _serve_connection(conn: socket.socket, dispatcher: _Dispatcher) -> None:
             if request is None:
                 break
             try:
-                send_frame(conn, dispatcher.handle(request))
+                send_reply(conn, *_render(dispatcher.handle(request),
+                                          dispatcher.cfg.index))
             except OSError:
                 break
     finally:

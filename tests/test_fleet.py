@@ -11,14 +11,18 @@ The load-bearing guarantees:
   503s and flips ``/healthz`` to degraded; the other ranges keep serving.
 * **Drain** — stopping the fleet answers every accepted request; nothing
   hangs or dies with a half-written response.
+* **Render once** — a 200 body is the worker's rendering, forwarded byte
+  for byte; the gateway parses only the request body.
 """
 
 import json
 import os
 import signal
 import socket
+import struct
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -27,10 +31,13 @@ import pytest
 
 from repro import api
 from repro.api.jobs import build_serving_engine
-from repro.fleet import (AffinityRouter, Fleet, ProtocolError, WorkerClient,
-                         WorkerUnavailable, recv_frame, send_frame)
+from repro.fleet import (MAX_FRAME, AffinityRouter, Fleet, Gateway,
+                         ProtocolError, WorkerClient, WorkerUnavailable,
+                         recv_frame, send_frame)
 from repro.fleet.affinity import range_assignment
-from repro.fleet.worker import WorkerConfig, _Dispatcher
+from repro.fleet.protocol import _ERROR_STATUS
+from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error,
+                                _serve_connection)
 from repro.graph import load_fb15k237
 from repro.serve import GracefulDrain, RequestBatcher
 from repro.train import DiskConfig, DiskLinkPredictionTrainer, \
@@ -82,14 +89,20 @@ def oracle(lp_snapshot, tmp_path_factory):
     return engine
 
 
-def post(url, path, body):
+def post_raw(url, path, body):
+    """``(status, body bytes)`` exactly as the gateway wrote them."""
     req = urllib.request.Request(url + path, data=json.dumps(body).encode(),
                                  headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=30) as resp:
-            return resp.status, json.loads(resp.read())
+            return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        return exc.code, exc.read()
+
+
+def post(url, path, body):
+    status, raw = post_raw(url, path, body)
+    return status, json.loads(raw)
 
 
 def get(url, path):
@@ -155,6 +168,113 @@ def test_frame_float_fidelity():
         assert back.tobytes() == values.tobytes()
     finally:
         a.close(), b.close()
+
+
+def _recv_bytes(sock, n):
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        assert chunk, "peer closed early"
+        data += chunk
+    return data
+
+
+@pytest.mark.parametrize("code,status", sorted(_ERROR_STATUS.items()))
+def test_worker_reply_carries_mapped_status(code, status, tmp_path):
+    """Every error code leaves the worker as its HTTP status and the bare
+    DTO bytes; ``WorkerClient.request`` still reads it as ``ok: False``."""
+    cfg = WorkerConfig(index=0, spec={}, workdir=str(tmp_path))
+    dispatcher = _Dispatcher(cfg, None, None,
+                             GracefulDrain(exit_after=False))
+    message = f"stub {code}"
+    dispatcher.handle = lambda request: _error(code, message)
+    dto = {"error": {"code": code, "message": message}}
+    want = json.dumps(dto).encode()
+
+    a, b = socket.socketpair()
+    server = threading.Thread(target=_serve_connection, args=(b, dispatcher))
+    server.start()
+    try:
+        send_frame(a, {"op": "embed", "ids": [1]})
+        frame = _recv_bytes(a, 6 + len(want))
+        assert frame == struct.pack("!IH", len(want), status) + want
+    finally:
+        a.close()
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(
+            target=lambda: _serve_connection(listener.accept()[0],
+                                             dispatcher))
+        server.start()
+        with WorkerClient("127.0.0.1", listener.getsockname()[1]) as client:
+            assert client.request_raw("embed", ids=[1]) == (status, want)
+            assert client.request("embed", ids=[1]) == {"ok": False, **dto}
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# Gateway over a stub fleet
+# ---------------------------------------------------------------------------
+
+STUB_REPLY = b'{"embeddings": [[0.1]], "worker": 0}'
+
+
+class _StubFleet:
+    """Routes everything to worker 0, which answers one canned reply."""
+
+    def route(self, lead):
+        return 0
+
+    def request_raw(self, worker, op, **fields):
+        return 200, STUB_REPLY
+
+
+@pytest.fixture
+def stub_gateway():
+    gateway = Gateway(_StubFleet()).start()
+    yield gateway
+    gateway.stop()
+
+
+def test_gateway_forwards_reply_bytes(stub_gateway):
+    assert post_raw(stub_gateway.url, "/v1/embeddings",
+                    {"ids": [1]}) == (200, STUB_REPLY)
+
+
+@pytest.mark.parametrize("path,length,status,code", [
+    ("/v1/embeddings", "abc", 400, "bad_request"),
+    ("/v1/embeddings", str(MAX_FRAME + 1), 400, "bad_request"),
+    ("/v1/embeddings", None, 400, "bad_request"),
+    ("/v1/nope", "12", 404, "not_found"),
+])
+def test_gateway_hangs_up_on_an_unread_body(stub_gateway, path, length,
+                                            status, code):
+    """A body the gateway did not read must not be parsed as the next
+    request: one JSON error, then the connection closes."""
+    head = f"POST {path} HTTP/1.1\r\nHost: gateway\r\n".encode()
+    if length is not None:
+        head += b"Content-Length: " + length.encode() + b"\r\n"
+    raw = (head + b"\r\n" + b'{"ids": [1]}'
+           + b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
+    with socket.create_connection((stub_gateway.host, stub_gateway.port),
+                                  timeout=10) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    assert reply.count(b"HTTP/1.1 ") == 1, reply
+    headers, _, body = reply.partition(b"\r\n\r\n")
+    assert headers.startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"Connection: close" in headers
+    error = json.loads(body)["error"]
+    assert error["code"] == code and error["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +455,40 @@ def test_dispatcher_maps_stopped_batcher_to_draining(tmp_path):
     batcher.stop()
     reply = dispatcher.handle({"op": "embed", "ids": [1]})
     assert not reply["ok"] and reply["error"]["code"] == "draining"
+
+
+def test_gateway_renders_no_answer(fleet, oracle, monkeypatch):
+    """A 200 body is the worker's rendering, forwarded byte for byte: the
+    gateway parses each request body once and renders nothing."""
+    import repro.fleet.gateway as gateway_module
+    calls = {"loads": 0, "dumps": 0}
+
+    def counted(name):
+        real = getattr(json, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(gateway_module, "json", types.SimpleNamespace(
+        loads=counted("loads"), dumps=counted("dumps"),
+        JSONDecodeError=json.JSONDecodeError))
+    n = int(oracle.store.num_nodes)
+    ids = [n - 1, 0, 1, n // 2, 7, 7, 3, n - 2]
+    status, raw = post_raw(fleet.url, "/v1/embeddings", {"ids": ids})
+    assert status == 200
+    rows = oracle.get_embeddings(np.asarray(ids))
+    assert raw == json.dumps({"embeddings": rows.tolist(),
+                              "worker": fleet.router.route(ids[0])}).encode()
+    status, raw = post_raw(fleet.url, "/v1/topk",
+                           {"source": 3, "k": 5, "exclude": [3]})
+    assert status == 200
+    top_ids, scores = oracle.topk_targets(3, 5, rel=0, exclude=[3])
+    assert raw == json.dumps({"ids": top_ids.tolist(),
+                              "scores": scores.tolist(),
+                              "worker": fleet.router.route(3)}).encode()
+    assert calls == {"loads": 2, "dumps": 0}
 
 
 # Keep last among the module-fleet tests: it kills worker 1 for good.
