@@ -10,9 +10,8 @@ two-level :class:`~repro.graph.csr.PartitionedAdjacencyIndex` and a
 partition-buffer swap costs only an incremental :meth:`update_graph` — the
 "preparing each S_i for training" cost of Section 6, Quantity 2: it sorts
 the buckets of entering partitions and copies the resident edges once,
-instead of re-sorting the whole in-buffer edge list (:meth:`set_graph`,
-kept as the fallback). Both indexes hold the same flat neighbor layout, so
-a one-hop sample is one gather either way.
+instead of re-sorting the whole in-buffer edge list. Both indexes hold the
+same flat neighbor layout, so a one-hop sample is one gather either way.
 
 The sampler also owns the reusable per-``num_nodes`` scratch arrays of the
 batch fast path: the boolean membership array that replaces ``np.isin``
@@ -73,7 +72,6 @@ class DenseSampler:
             self.index = AdjacencyIndex(graph, directions=self.directions)
         else:
             raise ValueError("need a graph or a pre-built index")
-        self.index_builds = 1
         self.index_updates = 0
         self._member: Optional[np.ndarray] = None
         self._rows: Optional[np.ndarray] = None
@@ -101,22 +99,17 @@ class DenseSampler:
         return len(self.fanouts)
 
     # ------------------------------------------------------------------
-    def set_graph(self, graph: Graph) -> None:
-        """Full-rebuild fallback: re-sort the whole in-memory edge list."""
-        self.index = AdjacencyIndex(graph, directions=self.directions)
-        self.index_builds += 1
-
     def update_graph(self, added_parts: Iterable[int] = (),
                      removed_parts: Iterable[int] = ()) -> None:
         """Incremental swap (Steps A-D): re-index only partitions that moved.
 
         Requires a partition-aware index (see :meth:`from_partitions`); the
-        flat index has no notion of partitions, so callers holding one must
-        use :meth:`set_graph` instead.
+        flat index has no notion of partitions.
         """
         if not isinstance(self.index, PartitionedAdjacencyIndex):
             raise TypeError("update_graph needs a partition-aware index; "
-                            "use set_graph (full rebuild) instead")
+                            "build the sampler with "
+                            "DenseSampler.from_partitions")
         self.index.update_partitions(added_parts, removed_parts)
         self.index_updates += 1
 

@@ -43,6 +43,7 @@ import numpy as np
 from ..serve.batcher import (BatcherStopped, Overloaded, RequestBatcher,
                              RequestTimeout)
 from ..serve.lifecycle import GracefulDrain
+from . import protocol
 from .protocol import _ERROR_STATUS, ProtocolError, recv_frame, send_reply
 
 __all__ = ["WorkerConfig", "worker_main"]
@@ -99,7 +100,9 @@ class _Dispatcher:
                                                "worker": self.cfg.index})
         try:
             return getattr(self, f"_op_{op}")(request)
-        except (ValueError, KeyError, TypeError) as exc:
+        except KeyError as exc:       # str() would quote the message
+            return _error("bad_request", str(exc.args[0]) if exc.args else "")
+        except (ValueError, TypeError) as exc:
             return _error("bad_request", str(exc))
         except Overloaded as exc:
             return _error("overloaded", str(exc))
@@ -176,12 +179,20 @@ class _Dispatcher:
 
 def _render(reply: Dict[str, Any], worker: int) -> Tuple[int, bytes]:
     """A dispatcher reply as its HTTP status and body: an answer's keys
-    plus the answering ``worker`` index, or the bare error DTO."""
+    plus the answering ``worker`` index, or the bare error DTO. An answer
+    too large for one reply frame becomes a ``bad_request`` DTO, so the
+    connection stays up."""
     ok = reply.pop("ok")
     if ok:
         reply["worker"] = worker
     status = 200 if ok else _ERROR_STATUS.get(reply["error"]["code"], 500)
-    return status, json.dumps(reply).encode("utf-8")
+    body = json.dumps(reply).encode("utf-8")
+    if ok and len(body) > protocol.MAX_FRAME:
+        return _render(_error(
+            "bad_request", f"answer of {len(body)} bytes exceeds the "
+            f"{protocol.MAX_FRAME} byte frame limit; ask for fewer rows"),
+            worker)
+    return status, body
 
 
 def _serve_connection(conn: socket.socket, dispatcher: _Dispatcher) -> None:

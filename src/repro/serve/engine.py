@@ -76,11 +76,10 @@ class ServingEngine:
         # Protects the engine's own shared state (the sampler index and its
         # draw stream) between queries and live-stream
         # listener callbacks. Re-entrant: classify -> encode_nodes. Over a
-        # live graph, queries additionally take the graph's shared lock and
-        # validate the table seqlock — see _query_guard / _table_read.
+        # live graph, queries additionally take the graph's shared lock —
+        # see _query_guard.
         self._live_lock = threading.RLock()
         self._live = None             # set by over_live
-        self._table_version = None    # live.table_version when streaming
         self.stats = ServeStats()
         self.decoder = getattr(model, "decoder", None)
         self.sampler: Optional[DenseSampler] = None
@@ -108,29 +107,29 @@ class ServingEngine:
         exactly the touched resident buckets and node additions extend
         the index. Lookups and top-k need no overlay handling at all:
         streamed nodes grow the node table at ingest time, and both read
-        the table in place.
+        the table in place. Every query runs inside the shared side of
+        ``live.rw``, and every write to the table rows or structure it
+        reads (growth, compaction, WAL replay, a refresh's write-back)
+        holds the exclusive side, so a query never sees one half done.
         """
         engine = cls(model, live.node_store, buffer_capacity,
                      edge_source=live.bucket_endpoints, fanouts=fanouts,
                      directions=directions, seed=seed)
         # Queries take the live graph's *shared* lock (so they run
         # concurrently with ingest and with each other's lock-free
-        # sections, but drain for structural mutations — growth,
-        # compaction, WAL replay, which take the exclusive side) plus the
-        # engine's own lock for its sampler state. Node-table row
-        # rewrites (refresh write-back) are not excluded at all: reads
-        # that touch the store validate live.table_version around
-        # themselves and retry on a raced write window.
+        # sections, but drain for every write they could observe —
+        # growth, compaction, WAL replay and refresh write-back, which
+        # take the exclusive side) plus the engine's own lock for its
+        # sampler state.
         engine._live = live
-        engine._table_version = live.table_version
         live.add_bucket_listener(engine._on_live_buckets)
         live.add_growth_listener(engine._on_live_growth)
         return engine
 
     @contextlib.contextmanager
     def _query_guard(self):
-        """Per-query locking: shared side of the live graph's structural
-        lock (when streaming) + the engine-private lock."""
+        """Per-query locking: shared side of the live graph's ``rw`` lock
+        (when streaming) + the engine-private lock."""
         if self._live is not None:
             with self._live.rw.shared():
                 with self._live_lock:
@@ -138,28 +137,6 @@ class ServingEngine:
         else:
             with self._live_lock:
                 yield
-
-    def _table_read(self, fn):
-        """Run ``fn`` under the node-table seqlock protocol.
-
-        A refresh write-back rewrites table rows without excluding
-        readers; any store read that overlaps its write window may be
-        torn. The protocol: snapshot the version (waits out an in-flight
-        write), run, and accept only if the version is unchanged. After
-        repeated collisions the read runs inside the write lock itself
-        (guaranteed quiescent, and writers are rare enough that this is
-        the cold path of a cold path).
-        """
-        version = self._table_version
-        if version is None:
-            return fn()
-        for _ in range(8):
-            token = version.begin()
-            out = fn()
-            if not version.changed(token):
-                return out
-        with version.write():
-            return fn()
 
     # The stream listeners run on the writer's thread (under the live
     # graph's writer mutex) while queries run under its shared lock on
@@ -204,8 +181,7 @@ class ServingEngine:
         """
         t0 = time.perf_counter()
         with self._query_guard():
-            out = self._table_read(
-                lambda: self.store.read_rows(self._check_ids(node_ids)))
+            out = self.store.read_rows(self._check_ids(node_ids))
         self.stats.requests += 1
         self.stats.lookups += len(out)
         get_registry().histogram("serve.embed.latency_ms").observe(
@@ -249,14 +225,13 @@ class ServingEngine:
         t0 = time.perf_counter()
         with self._query_guard():
             if getattr(self.model, "encoder", None) is None:
-                embs = self._table_read(lambda: self.store.read_rows(
-                    self._check_ids(np.concatenate([src, dst]))))
+                embs = self.store.read_rows(
+                    self._check_ids(np.concatenate([src, dst])))
                 src_repr = Tensor(embs[: len(src)])
                 dst_repr = Tensor(embs[len(src):])
             else:
                 targets = np.unique(np.concatenate([src, dst]))
-                reprs = self._table_read(
-                    lambda: self._encode_rows(targets, seed=None))
+                reprs = self._encode_rows(targets, seed=None)
                 rows = np.searchsorted(targets, np.concatenate([src, dst]))
                 src_repr = Tensor(reprs[rows[: len(src)]])
                 dst_repr = Tensor(reprs[rows[len(src):]])
@@ -323,20 +298,19 @@ class ServingEngine:
         excluded = np.asarray(sorted(set(int(x) for x in exclude)),
                               dtype=np.int64)
 
-        def sweep() -> Tuple[np.ndarray, np.ndarray]:
+        t0 = time.perf_counter()
+        with self._query_guard(), no_grad():
             self._check_ids(srcs)
             total = int(self.scheme.num_nodes)
             valid = excluded[(excluded >= 0) & (excluded < total)]
             k_eff = min(k, total - len(valid))
-            if k_eff <= 0:
-                return (np.empty((n, 0), dtype=np.int64),
-                        np.empty((n, 0), dtype=np.float32))
-            src_t = Tensor(self.store.read_rows(srcs))
-            return self._sweep(decoder, src_t, rel_arr, valid, k_eff)
-
-        t0 = time.perf_counter()
-        with self._query_guard(), no_grad():
-            best_ids, best_scores = self._table_read(sweep)
+            if k_eff > 0:
+                best_ids, best_scores = self._sweep(
+                    decoder, Tensor(self.store.read_rows(srcs)), rel_arr,
+                    valid, k_eff)
+            else:
+                best_ids = np.empty((n, 0), dtype=np.int64)
+                best_scores = np.empty((n, 0), dtype=np.float32)
         self.stats.requests += 1
         self.stats.topk_queries += n
         get_registry().histogram("serve.topk.latency_ms").observe(
@@ -417,8 +391,7 @@ class ServingEngine:
         """
         t0 = time.perf_counter()
         with self._query_guard():
-            out = self._table_read(
-                lambda: self._encode_rows(self._check_ids(node_ids), seed))
+            out = self._encode_rows(self._check_ids(node_ids), seed)
         self.stats.requests += 1
         self.stats.nodes_encoded += len(out)
         get_registry().histogram("serve.encode.latency_ms").observe(

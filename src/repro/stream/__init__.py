@@ -18,7 +18,7 @@ from .compactor import BackgroundCompactor, CompactionReport, Compactor
 from .delta_log import OP_DELETE, OP_INSERT, GraphDeltaLog
 from .events import synth_events
 from .live import LiveGraph
-from .locks import SharedExclusiveLock, VersionCounter
+from .locks import SharedExclusiveLock
 from .refresh import ContinualTrainer, pack_pairs
 from .wal import WalCorruption, WalFrame, WalRecovery, WriteAheadLog
 
@@ -26,4 +26,4 @@ __all__ = ["GraphDeltaLog", "LiveGraph", "Compactor", "CompactionReport",
            "BackgroundCompactor", "ContinualTrainer", "pack_pairs",
            "synth_events", "OP_INSERT", "OP_DELETE",
            "WriteAheadLog", "WalRecovery", "WalFrame", "WalCorruption",
-           "SharedExclusiveLock", "VersionCounter"]
+           "SharedExclusiveLock"]

@@ -33,7 +33,6 @@ insertion of the same edge re-adds it.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 import time
@@ -46,7 +45,7 @@ from ..graph.partition import PartitionScheme
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
 from .delta_log import OP_DELETE, OP_INSERT, GraphDeltaLog
-from .locks import SharedExclusiveLock, VersionCounter
+from .locks import SharedExclusiveLock
 from .wal import KIND_NODES, WalFrame
 
 BucketListener = Callable[[List[Tuple[int, int]]], None]
@@ -98,13 +97,10 @@ class LiveGraph:
         # * ``lock`` — the writer mutex. Every writer holds it: ingest,
         #   node growth, compaction, WAL replay, refresh write-back.
         # * ``rw`` — shared/exclusive. Queries take the shared side;
-        #   growth/compaction/replay also take the exclusive side because
-        #   they swap schemes and rename files under the readers.
-        # * ``table_version`` — seqlock over node-table *rows*: refresh
-        #   write-back bumps it instead of blocking every query.
+        #   growth/compaction/replay and refresh write-back also take the
+        #   exclusive side because they change what queries read.
         self.lock = threading.RLock()
         self.rw = SharedExclusiveLock()
-        self.table_version = VersionCounter()
         self._bucket_listeners: List[BucketListener] = []
         self._growth_listeners: List[GrowthListener] = []
         self._health_sources: Dict[str, Callable[[], dict]] = {}
@@ -296,19 +292,6 @@ class LiveGraph:
         return self.log.pending_events
 
     # ------------------------------------------------------------------
-    # Concurrency surface
-    # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def table_write(self):
-        """Guard for node-table *row* rewrites (the continual trainer's
-        refresh write-back). Takes the structural mutex plus a seqlock
-        write window — concurrent queries validate ``table_version``
-        around their reads and retry instead of blocking for the whole
-        write-back."""
-        with self.lock:
-            with self.table_version.write():
-                yield
-
     def replay_wal(self, frames: Sequence[WalFrame],
                    ) -> Dict[str, int]:
         """Re-apply recovered WAL frames in acknowledged order (see
@@ -357,14 +340,13 @@ class LiveGraph:
 
     def health(self) -> dict:
         """One dict describing the service's liveness: overlay staleness,
-        journal state, the table version, and every registered source
+        journal state, and every registered source
         (e.g. background-compaction status)."""
         out = {"ts": time.time(),
                "num_nodes": self.num_nodes,
                "nodes_added": self.nodes_added,
                "base_edges": self.edge_store.num_edges,
                "staleness": self.staleness(),
-               "table_version": self.table_version.value,
                "log": self.log.stats()}
         for name, fn in self._health_sources.items():
             out[name] = fn()

@@ -3,20 +3,20 @@
 :class:`~repro.stream.live.LiveGraph` follows one rule:
 
 * **Writers** hold the writer mutex ``LiveGraph.lock``: ingest, node
-  growth, compaction, WAL replay and a refresh's write-back window. So
+  growth, compaction, WAL replay and a refresh's write-back windows. So
   one writer runs at a time, and every listener it fires (index
   refreshes, buffer re-syncs) runs with no other writer beside it.
-* **Structural writers** — growth, compaction, replay: they swap
-  partition schemes, rename bucket files, resize slab maps — also take
-  the exclusive side of the :class:`SharedExclusiveLock` ``LiveGraph.rw``.
+* **Exclusive writers** — every write a serving query could observe:
+  growth, compaction and replay (they swap partition schemes, rename
+  bucket files, resize slab maps) and a refresh's node-table row
+  write-backs — also take the exclusive side of the
+  :class:`SharedExclusiveLock` ``LiveGraph.rw``, as
+  ``with live.lock, live.rw.exclusive():``. The exclusive side waits for
+  the queries already inside the shared side to finish.
 * **Serving queries** take its shared side, so they run concurrently
-  with each other and with ingest, and drain for a structural writer.
-* **Row write-back** (the continual trainer's refresh) touches table
-  *rows*, not structure: inside ``LiveGraph.lock`` it opens a
-  :class:`VersionCounter` seqlock window instead of blocking queries. A
-  query validates the counter around its read and retries on a
-  concurrent write, and after repeated collisions reads inside a write
-  window of its own so progress is guaranteed.
+  with each other and with ingest (which appends to the delta log but
+  rewrites no node-table row), and never see an exclusive writer's
+  half-done work.
 
 Lock order (outermost first), the same everywhere so it stays
 deadlock-free: ``LiveGraph.lock`` → ``LiveGraph.rw`` → engine-local lock
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["SharedExclusiveLock", "VersionCounter"]
+__all__ = ["SharedExclusiveLock"]
 
 
 class SharedExclusiveLock:
@@ -38,7 +38,8 @@ class SharedExclusiveLock:
     within a thread, and the exclusive holder may freely acquire the
     shared side (a compaction composes bucket reads while holding the
     exclusive lock). Writer-preference: a waiting writer blocks *new*
-    readers, so a steady query stream cannot starve compaction.
+    readers, so a steady query stream cannot starve compaction or a
+    refresh write-back.
     """
 
     def __init__(self) -> None:
@@ -128,51 +129,3 @@ class SharedExclusiveLock:
     def exclusive(self) -> "_Guard":
         return self._Guard(self.acquire_exclusive, self.release_exclusive)
 
-
-class VersionCounter:
-    """Seqlock-style version counter: odd while a write is in flight.
-
-    Writers wrap row updates in :meth:`write` (the counter goes odd, the
-    rows change, the counter lands even+2). Readers call :meth:`begin`
-    (waits out any in-flight write, returns an even version), do the
-    read, then check :meth:`changed`; a change means the read may be
-    torn and must retry.
-    """
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._cond = threading.Condition()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def begin(self) -> int:
-        with self._cond:
-            while self._value % 2:
-                self._cond.wait()
-            return self._value
-
-    def changed(self, token: int) -> bool:
-        return self._value != token
-
-    class _Write:
-        __slots__ = ("_counter",)
-
-        def __init__(self, counter) -> None:
-            self._counter = counter
-
-        def __enter__(self):
-            with self._counter._cond:
-                while self._counter._value % 2:
-                    self._counter._cond.wait()
-                self._counter._value += 1          # odd: write in flight
-            return self
-
-        def __exit__(self, *exc):
-            with self._counter._cond:
-                self._counter._value += 1          # even: settled
-                self._counter._cond.notify_all()
-
-    def write(self) -> "_Write":
-        return self._Write(self)

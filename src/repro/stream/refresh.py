@@ -179,11 +179,10 @@ class ContinualTrainer(ListenerHooks):
         for parts, group_pairs in pack_pairs(pairs, self.buffer.capacity):
             # The swap queues the previous group's dirty partitions for
             # write-back to the shared store; waiting for it inside the
-            # table-version seqlock window means a concurrent serving query
-            # detects the write and retries instead of reading a
+            # exclusive side of ``rw`` keeps serving queries from reading a
             # half-written row. (Gradient application between swaps touches
             # only this trainer's private slab.)
-            with live.table_write():
+            with live.lock, live.rw.exclusive():
                 self.buffer.load_step(parts)
                 self.buffer.wait()
             self.negatives.set_allowed(self.buffer.resident_nodes())
@@ -193,9 +192,8 @@ class ContinualTrainer(ListenerHooks):
                 edges, self.sampler, self.negatives, self.buffer.gather,
                 self.buffer.apply_gradients, record)
         # Land the updates: the snapshot table and readers of the store
-        # must reflect the refresh. The row writes happen inside a
-        # table-version write window, so queries racing them retry.
-        with live.table_write():
+        # must reflect the refresh.
+        with live.lock, live.rw.exclusive():
             self.buffer.finish()
         if not explicit:
             # The cursor only advances when the default full-coverage pass

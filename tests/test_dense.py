@@ -121,12 +121,6 @@ class TestDenseSampler:
         with pytest.raises(TypeError):
             DenseSampler(medium_kg, [5.5])
 
-    def test_set_graph_rebuilds(self, medium_kg):
-        sampler = DenseSampler(medium_kg, [5])
-        before = sampler.index_builds
-        sampler.set_graph(medium_kg)
-        assert sampler.index_builds == before + 1
-
     def test_dense_samples_fewer_than_layerwise(self, medium_kg):
         """The headline property (Table 6): DENSE materializes fewer nodes and
         edges than per-layer resampling at equal fanouts."""

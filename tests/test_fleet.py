@@ -34,6 +34,7 @@ from repro.api.jobs import build_serving_engine
 from repro.fleet import (MAX_FRAME, AffinityRouter, Fleet, Gateway,
                          ProtocolError, WorkerClient, WorkerUnavailable,
                          recv_frame, send_frame)
+from repro.fleet import protocol
 from repro.fleet.affinity import range_assignment
 from repro.fleet.protocol import _ERROR_STATUS
 from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error,
@@ -211,6 +212,39 @@ def test_worker_reply_carries_mapped_status(code, status, tmp_path):
         with WorkerClient("127.0.0.1", listener.getsockname()[1]) as client:
             assert client.request_raw("embed", ids=[1]) == (status, want)
             assert client.request("embed", ids=[1]) == {"ok": False, **dto}
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+
+
+def test_oversized_answer_is_a_bad_request(tmp_path, monkeypatch):
+    """An answer over the frame limit leaves as a 400 ``bad_request`` DTO
+    instead of killing the connection; the next request is answered on
+    the same connection."""
+    monkeypatch.setattr(protocol, "MAX_FRAME", 256)
+    cfg = WorkerConfig(index=0, spec={}, workdir=str(tmp_path))
+    dispatcher = _Dispatcher(cfg, None, None,
+                             GracefulDrain(exit_after=False))
+    dispatcher.handle = lambda request: {
+        "ok": True, "embeddings": [[0.5] * request["n"]]}
+    big = json.dumps({"embeddings": [[0.5] * 100], "worker": 0})
+    refused = json.dumps({"error": {
+        "code": "bad_request",
+        "message": f"answer of {len(big)} bytes exceeds the 256 byte "
+                   "frame limit; ask for fewer rows"}}).encode()
+    small = b'{"embeddings": [[0.5, 0.5]], "worker": 0}'
+
+    a, b = socket.socketpair()
+    server = threading.Thread(target=_serve_connection, args=(b, dispatcher))
+    server.start()
+    try:
+        send_frame(a, {"op": "embed", "n": 100})
+        assert (_recv_bytes(a, 6 + len(refused))
+                == struct.pack("!IH", len(refused), 400) + refused)
+        send_frame(a, {"op": "embed", "n": 2})
+        assert (_recv_bytes(a, 6 + len(small))
+                == struct.pack("!IH", len(small), 200) + small)
+    finally:
+        a.close()
         server.join(timeout=10.0)
     assert not server.is_alive()
 
@@ -419,6 +453,21 @@ def test_malformed_requests_get_error_dtos(fleet):
     # GET on a POST endpoint
     status, payload = get(fleet.url, "/v1/embeddings")
     assert status == 405 and payload["error"]["code"] == "bad_request"
+
+
+def test_key_error_messages_are_not_quoted(fleet, oracle):
+    """An engine ``KeyError`` (bad node or relation id) answers its
+    message as written, not ``str(KeyError)``'s quoted form."""
+    num = oracle.decoder.num_relations
+    cases = [
+        ("/v1/embeddings", {"ids": [10 ** 9]},
+         "query node ids out of range: [1000000000]"),
+        ("/v1/score", {"pairs": [[1, 10 ** 6, 2]]},
+         f"relation ids out of range [0, {num}): [1000000]"),
+    ]
+    for path, body, message in cases:
+        assert post(fleet.url, path, body) == (400, {"error": {
+            "code": "bad_request", "message": message}})
 
 
 def test_healthz_and_statz(fleet):

@@ -26,7 +26,7 @@ from repro.storage.edge_store import EdgeBucketStore
 from repro.storage.node_store import NodeStore
 from repro.stream import (BackgroundCompactor, Compactor, ContinualTrainer,
                           GraphDeltaLog, LiveGraph, SharedExclusiveLock,
-                          VersionCounter, WriteAheadLog, pack_pairs)
+                          WriteAheadLog, pack_pairs)
 from tests.faultinject import CrashPoint, FaultInjector, SimulatedCrash
 from repro.train import LinkPredictionConfig
 from repro.train.link_prediction import LinkPredictionModel
@@ -56,6 +56,20 @@ def make_live(tmp_path, num_nodes=120, num_edges=600, p=6, dim=8,
                      wal_dir=tmp_path / f"{name}-wal" if wal else None,
                      fsync_every=fsync_every,
                      wal_segment_bytes=wal_segment_bytes)
+
+
+def takes_side(rw: SharedExclusiveLock, side: str,
+               timeout: float = 1.0) -> bool:
+    """Whether a fresh thread acquires ``rw``'s ``side`` ("shared" or
+    "exclusive") within ``timeout`` seconds."""
+    got = threading.Event()
+
+    def take():
+        with getattr(rw, side)():
+            got.set()
+
+    threading.Thread(target=take, daemon=True).start()
+    return got.wait(timeout=timeout)
 
 
 def recover_live(tmp_path, base_nodes, p=6, dim=8, seed=0,
@@ -841,30 +855,68 @@ class TestContinualTrainer:
 
     def test_refresh_writes_only_inside_the_seqlock_window(self, tmp_path):
         """Every partition write a refresh makes — write-backs on the I/O
-        thread between groups and the final flush — sees an odd
-        ``table_version``: a concurrent query can always detect it."""
+        thread between groups and the final flush — runs while the
+        refreshing thread holds ``live.rw`` exclusively, so no query can
+        read a half-written row; ``rw`` is free once the refresh returns."""
         live, trainer = self._ingested(tmp_path, "guard", seed=38, capacity=2)
         seen = []
         write = live.node_store.write_partition
 
         def guarded(part, data, state=None):
-            seen.append((live.table_version.value,
+            seen.append((live.rw._writer,
                          threading.current_thread() is threading.main_thread()))
             write(part, data, state)
 
         live.node_store.write_partition = guarded
         trainer.refresh()
-        assert seen and all(version % 2 for version, _ in seen)
+        main = threading.main_thread().ident
+        assert seen and all(writer == main for writer, _ in seen)
         assert {on_main for _, on_main in seen} == {True, False}
-        assert live.table_version.value % 2 == 0
+        assert takes_side(live.rw, "exclusive")
+
+    def test_refresh_writes_wait_for_in_flight_queries(self, tmp_path):
+        """A refresh's write windows take the exclusive side of ``rw``:
+        while a query holds the shared side no partition is written, and
+        once it lets go the refresh finishes with its writes."""
+        live, trainer = self._ingested(tmp_path, "wait", seed=40, capacity=2)
+        writes = []
+        write = live.node_store.write_partition
+
+        def counted(part, data, state=None):
+            writes.append(part)
+            write(part, data, state)
+
+        live.node_store.write_partition = counted
+        in_query, release = threading.Event(), threading.Event()
+
+        def query():
+            with live.rw.shared():
+                in_query.set()
+                release.wait(timeout=30)
+
+        reader = threading.Thread(target=query)
+        reader.start()
+        assert in_query.wait(timeout=5)
+        refresher = threading.Thread(target=trainer.refresh)
+        refresher.start()
+        try:
+            refresher.join(timeout=0.2)
+            assert refresher.is_alive() and not writes
+        finally:
+            release.set()
+        reader.join(timeout=5)
+        refresher.join(timeout=60)
+        assert not refresher.is_alive() and writes
+        assert trainer.refreshes == 1
 
     @pytest.mark.slow
     def test_writeback_crash_in_refresh_resumes_bit_identically(
             self, tmp_path):
         """A write-back that dies on the I/O thread mid-refresh surfaces as
-        PrefetchError, leaves ``table_version`` even, and a resume from the
-        snapshot before the refresh followed by the same refresh lands the
-        uninterrupted table, optimizer state and parameters."""
+        PrefetchError, releases ``live.rw`` (a query gets the shared side at
+        once), and a resume from the snapshot before the refresh followed
+        by the same refresh lands the uninterrupted table, optimizer state
+        and parameters."""
         from repro.storage import PrefetchError
         straight_live, straight = self._ingested(
             tmp_path, "straight", seed=39, capacity=2,
@@ -880,7 +932,7 @@ class TestContinualTrainer:
         with pytest.raises(PrefetchError):
             trainer.refresh()
         assert injector.fired
-        assert live.table_version.value % 2 == 0
+        assert takes_side(live.rw, "shared")
         trainer.resume()
         trainer.refresh()
         assert np.array_equal(live.node_store.read_all(),
@@ -1407,16 +1459,6 @@ class TestLockPrimitives:
             with lock.shared():
                 pass
 
-    def test_version_counter_detects_writes(self):
-        version = VersionCounter()
-        token = version.begin()
-        assert not version.changed(token)
-        with version.write():
-            pass
-        assert version.changed(token)
-        token2 = version.begin()
-        assert not version.changed(token2)
-
 
 # ---------------------------------------------------------------------------
 # Bounded request batcher (satellite)
@@ -1588,8 +1630,10 @@ class TestConcurrentIngestServe:
         assert np.array_equal(a, b)
 
     def test_refresh_writeback_overlaps_queries(self, tmp_path):
-        """Seqlock write-back: queries running concurrently with a
-        refresh's table write-back always see finite, well-formed rows."""
+        """Queries running beside a refresh's table write-back always see
+        finite, well-formed rows, and both keep making progress: the
+        write windows wait for them and they for the windows, no retry."""
+        import time
         live = make_live(tmp_path, num_nodes=160, num_edges=800, p=4,
                          seed=17)
         cfg = LinkPredictionConfig(embedding_dim=8, encoder="none",
@@ -1606,30 +1650,36 @@ class TestConcurrentIngestServe:
         live.insert_edges(ins)
         Compactor(live).compact()
         errors = []
+        answered = [0, 0]
         stop = threading.Event()
 
-        def query():
-            qrng = np.random.default_rng(5)
+        def query(k):
+            qrng = np.random.default_rng(5 + k)
             try:
                 while not stop.is_set():
                     rows = engine.get_embeddings(qrng.integers(0, 160, 8))
                     assert np.isfinite(rows).all()
+                    answered[k] += 1
             except Exception as exc:    # pragma: no cover - failure path
                 errors.append(exc)
 
-        readers = [threading.Thread(target=query) for _ in range(2)]
+        readers = [threading.Thread(target=query, args=(k,))
+                   for k in range(2)]
         for t in readers:
             t.start()
         try:
             for _ in range(3):
                 trainer.refresh()
+            deadline = time.monotonic() + 10
+            while not all(answered) and time.monotonic() < deadline:
+                time.sleep(0.01)
         finally:
             stop.set()
             for t in readers:
                 t.join(timeout=60)
         assert not errors
-        assert live.table_version.value % 2 == 0
-        assert live.table_version.value > 0
+        assert all(answered)
+        assert takes_side(live.rw, "exclusive")
 
 
 # ---------------------------------------------------------------------------
