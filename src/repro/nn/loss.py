@@ -70,11 +70,14 @@ def decoder_ranking_loss(decoder, out: Tensor, rows_src: np.ndarray,
         pos = decoder.score_edges(Tensor(s), rel, Tensor(t)).data
         neg = decoder.score_against(Tensor(s), rel, Tensor(negs)).data
     # F.cross_entropy's arithmetic, so the loss value matches the tape's.
-    logits = np.concatenate([pos.reshape(-1, 1), neg], axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    batch = len(pos)
+    shifted = np.empty((batch, 1 + neg.shape[1]),
+                       dtype=np.result_type(pos, neg))
+    shifted[:, 0] = pos.reshape(-1)
+    shifted[:, 1:] = neg
+    shifted -= shifted.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     exp_sum = exp.sum(axis=1, keepdims=True)
-    batch = len(pos)
     loss = -((shifted[:, 0] - np.log(exp_sum[:, 0])).sum()
              * np.float32(1.0 / batch))
     relations = getattr(decoder, "relations", None)

@@ -181,22 +181,28 @@ class RowAdagrad:
 
         Duplicate rows in a batch are merged (gradient accumulation) before the
         state update so the result is independent of duplicate ordering.
-        Strictly increasing rows (a batch's unique node ids) skip the check.
+        One sort finds them; only a batch that has some pays for the inverse.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) == 0:
             return
-        if not np.all(rows[1:] > rows[:-1]):
+        ordered = np.sort(rows)
+        if (ordered[1:] == ordered[:-1]).any():
             unique, inverse = np.unique(rows, return_inverse=True)
-            if len(unique) != len(rows):
-                grads = scatter_add_rows(inverse, grads, len(unique))
-                rows = unique
+            grads = scatter_add_rows(inverse, grads, len(unique))
+            rows = unique
         # One gather and one scatter of the state rows (what a fancy ``+=``
-        # does), and the gathered rows serve the table step.
+        # does); then ``lr * g / (sqrt(acc) + eps)`` in the same order,
+        # reusing the two temporaries in place.
         acc = state[rows]
-        acc += grads**2
+        step = grads * grads
+        acc += step
         state[rows] = acc
-        table[rows] -= self.lr * grads / (np.sqrt(acc) + self.eps)
+        denom = np.sqrt(acc, out=acc)
+        denom += self.eps
+        np.multiply(self.lr, grads, out=step)
+        step /= denom
+        table[rows] = table[rows] - step
 
 
 OPTIMIZER_REGISTRY = {"sgd": SGD, "adagrad": Adagrad, "adam": Adam}

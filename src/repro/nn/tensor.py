@@ -18,13 +18,15 @@ Design notes
   by summing over broadcast axes.
 * Gather gradients are a scatter-add (PyTorch's ``index_select`` backward)
   through :func:`scatter_add_rows`, not ``np.add.at``: one sort of the
-  index, then each duplicate "layer" is one vectorised ``+=`` — the same
-  values as ``np.add.at`` (additions land in index order), several times
-  faster on 2-D gradients.
+  index assigns the first value of every row, and the repeated rows,
+  padded with ``-0.0`` to power-of-two length classes, are summed with one
+  reduction per class. Additions land in index order, so the bits are
+  those of ``np.add.at``; width-1 rows go to ``np.add.at`` itself.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,64 +58,97 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
     return np.asarray(value, dtype=dtype)
 
 
-#: Below this many rows still carrying duplicates, one ``np.add.at`` over
-#: the remainder is cheaper than another Python-level layer.
-_SCATTER_TAIL = 32
-
-
 def scatter_add_rows(index: np.ndarray, values: np.ndarray,
                      num_rows: int) -> np.ndarray:
     """``out[index[i]] += values[i]`` into a fresh zero ``(num_rows, ...)``.
 
-    Equal to ``np.add.at`` value for value: one stable sort groups equal
-    indices, the first occurrence of every row is assigned, and the k-th
-    occurrences are added as one fancy-indexed ``+=`` per k (rows inside
-    one such layer are distinct, so each row's additions keep index order).
-    The few rows with very many repeats finish in one ``np.add.at``.
-    1-D values go straight to ``np.add.at``, which has a fast path for them.
+    Every touched row is ``-0.0 + v1 + ... + vk`` over its values in index
+    order: the bits of ``np.add.at``, except that a row whose values are
+    all ``-0.0`` stays ``-0.0``. One stable key sort groups equal indices,
+    and the first value of every row is assigned. Repeated rows are padded
+    with ``-0.0`` (``x + -0.0 == x`` for every ``x``) to the next power of
+    two, gathered with one fancy index, and summed with one
+    ``np.add.reduce`` along axis 1 per length class: with rows wider than
+    one element numpy adds along that axis in order. The padded scratch is
+    at most twice the repeated rows. Rows of width 1 (and 1-D values) go
+    to ``np.add.at``: their reduction would run over contiguous memory,
+    which numpy sums pairwise.
     """
     index = np.asarray(index, dtype=np.int64)
     values = values.reshape((index.size,) + values.shape[index.ndim:])
     index = index.ravel()
-    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
-    m = len(index)
-    if m == 0:
-        return out
-    if values.ndim == 1:
-        np.add.at(out, index, values)
-        return out
+    row_shape = values.shape[1:]
+    m, width = len(index), math.prod(row_shape)
+    if m == 0 or width == 0:
+        return np.zeros((num_rows,) + row_shape, dtype=values.dtype)
+    values = values.reshape(m, width)
+    if width == 1:
+        out = np.zeros(num_rows, dtype=values.dtype)
+        out[index] = -0.0
+        np.add.at(out, index, values.reshape(m))
+        return out.reshape((num_rows,) + row_shape)
     index = np.where(index < 0, index + num_rows, index)
     if num_rows <= np.iinfo(np.int64).max // m:
         # Sorting (row, position) keys is a stable sort by row, and sorting
         # values is several times faster than a stable argsort.
-        key = np.sort(index * m + np.arange(m))
-        order, rows = key % m, key // m
+        rows, order = np.divmod(np.sort(index * m + np.arange(m)), m)
     else:
         order = np.argsort(index, kind="stable")
         rows = index[order]
+    if rows[0] < 0 or rows[-1] >= num_rows:
+        raise IndexError(f"row index out of range for {num_rows} rows")
     first = np.empty(m, dtype=bool)
     first[0] = True
     np.not_equal(rows[1:], rows[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    if len(starts) == m:                     # no duplicates: one assignment
-        out[index] = values
-        return out
-    out[rows[starts]] = values[order[starts]]
-    ends = np.append(starts[1:], m)
-    pos = starts + 1
-    live = pos < ends
-    pos, ends = pos[live], ends[live]
-    while len(pos) >= _SCATTER_TAIL:
-        out[rows[pos]] += values[order[pos]]
-        pos += 1
-        live = pos < ends
-        pos, ends = pos[live], ends[live]
-    if len(pos):
-        counts = ends - pos
-        rest = (np.repeat(pos - np.cumsum(counts) + counts, counts)
-                + np.arange(counts.sum()))
-        np.add.at(out, rows[rest], values[order[rest]])
-    return out
+    touched = rows[starts]
+    if len(starts) == num_rows:              # every row touched: one gather
+        out = np.take(values, order[starts], axis=0)
+    else:
+        out = np.zeros((num_rows, width), dtype=values.dtype)
+        out[touched] = np.take(values, order[starts], axis=0)
+    if len(starts) < m:
+        ends = np.append(starts[1:], m)
+        repeated = ends - starts > 1
+        _sum_repeated_segments(out, touched[repeated], values, order,
+                               starts[repeated], ends[repeated])
+    return out.reshape((num_rows,) + row_shape)
+
+
+def _sum_repeated_segments(out: np.ndarray, targets: np.ndarray,
+                           values: np.ndarray, order: np.ndarray,
+                           starts: np.ndarray, ends: np.ndarray) -> None:
+    """``out[target] = -0.0 + values[order[start]] + ... +
+    values[order[end - 1]]`` for every segment (see
+    :func:`scatter_add_rows`)."""
+    # Length class: the exponent of the next power of two >= the length.
+    exps = np.frexp((ends - starts - 1).astype(np.float64))[1]
+    by_class = np.argsort(exps, kind="stable")
+    starts, ends, exps = starts[by_class], ends[by_class], exps[by_class]
+    targets = targets[by_class]
+    padded = np.left_shift(1, exps)
+    first_slot = np.cumsum(padded)
+    total = int(first_slot[-1])
+    first_slot -= padded
+    # Slot j of a segment reads sorted position start + j; past the end it
+    # reads -0.0.
+    pos = np.arange(total)
+    pos -= np.repeat(first_slot - starts, padded)
+    pad = pos >= np.repeat(ends, padded)
+    np.minimum(pos, len(order) - 1, out=pos)
+    gathered = np.take(values, order[pos], axis=0)
+    gathered[pad] = -0.0
+    width = values.shape[1]
+    sums = np.empty((len(starts), width), dtype=values.dtype)
+    per_class = np.bincount(exps)
+    lo = 0
+    for e in np.flatnonzero(per_class).tolist():
+        hi = lo + int(per_class[e])
+        block = gathered[first_slot[lo]:first_slot[lo] + ((hi - lo) << e)]
+        np.add.reduce(block.reshape(hi - lo, 1 << e, width), axis=1,
+                      initial=-0.0, out=sums[lo:hi])
+        lo = hi
+    out[targets] = sums
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -439,11 +439,11 @@ class PartitionBuffer:
         rows = self._slab_row[node_ids]
         if (rows < 0).any():
             raise KeyError("gradient rows must be resident in the buffer")
-        parts = [int(p) for p in np.unique(self._partition_of_row[node_ids])]
         if self._state_slab is None:
-            raise RuntimeError(f"partitions {parts} have no optimizer state")
+            raise RuntimeError("resident partitions have no optimizer state")
         self.optimizer.update(self._slab, self._state_slab, rows, grads)
-        for part in parts:
+        touched = np.bincount(self._partition_of_row[node_ids])
+        for part in np.flatnonzero(touched).tolist():
             self._dirty[part] = True
 
     def resident_nodes(self) -> np.ndarray:

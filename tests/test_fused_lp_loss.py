@@ -6,6 +6,8 @@ closed-form backward; the composed tape path (``index_select`` ->
 ``score_*`` -> ``link_prediction_loss``) is its oracle here.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,71 @@ def test_scatter_edge_shapes():
     values = np.ones((3, 2), dtype=np.float32)
     np.testing.assert_array_equal(scatter_add_rows(index, values, 4),
                                   _add_at(index, values, 4))
+
+
+#: Repeat counts of one hot row: every power-of-two length class from 2 up
+#: to 4096, with the lengths on both sides of each class boundary.
+HOT_COUNTS = sorted({2, 3, 2100} | {c for e in range(2, 12)
+                                    for c in (2**e - 1, 2**e, 2**e + 1)})
+
+
+@pytest.mark.parametrize("row_shape", [(1,), (2,), (32,), (128,), (2, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_scatter_length_classes(row_shape):
+    rng = np.random.default_rng(7)
+
+    def check(index, num_rows):
+        values = rng.normal(0, 1, (len(index),) + row_shape).astype(np.float32)
+        got = scatter_add_rows(index, values, num_rows)
+        want = _add_at(index, values, num_rows)
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+    lone = np.arange(1, 40)
+    for count in HOT_COUNTS:                 # one hot row among lone rows
+        check(rng.permutation(np.concatenate([np.zeros(count, np.int64),
+                                              lone])), 60)
+    # Every class in one call, untouched rows in between.
+    index = np.repeat(np.arange(0, 2 * len(HOT_COUNTS), 2), HOT_COUNTS)
+    check(rng.permutation(np.concatenate([index, lone + 2 * len(HOT_COUNTS)])),
+          2 * len(HOT_COUNTS) + 50)
+
+    # A lone -0.0 row stays -0.0, and so does a repeated one whose values
+    # are all -0.0; untouched rows are +0.0.
+    values = np.ones((5,) + row_shape, dtype=np.float32)
+    values[[0, 2, 3]] = -0.0
+    out = scatter_add_rows(np.array([0, 1, 2, 2, 1]), values, 4)
+    assert np.signbit(out[[0, 2]]).all()
+    assert not np.signbit(out[[1, 3]]).any() and not out[3].any()
+
+
+def _train_lp_disk(data, workdir, encoder):
+    config = LinkPredictionConfig(embedding_dim=16, encoder=encoder,
+                                  num_layers=1, fanouts=(5,), batch_size=128,
+                                  num_negatives=16, num_epochs=2,
+                                  eval_negatives=32, eval_max_edges=50)
+    disk = DiskConfig(workdir=workdir, num_partitions=8, num_logical=4,
+                      buffer_capacity=4)
+    trainer = DiskLinkPredictionTrainer(data, config, disk)
+    result = trainer.train()
+    params = {name: p.data.tobytes()
+              for name, p in trainer.model.named_parameters()}
+    return ([r.loss for r in result.epochs], params,
+            (workdir / "embeddings.bin").read_bytes())
+
+
+@pytest.mark.parametrize("encoder", ["none", "graphsage"])
+def test_training_bit_identical_to_add_at_oracle(small_lp_data, tmp_path,
+                                                  monkeypatch, encoder):
+    """Every gradient scatter of a disk training run, swapped for
+    ``np.add.at``, leaves the losses and the trained tables byte-equal."""
+    shipped = _train_lp_disk(small_lp_data, tmp_path / "shipped", encoder)
+    for module in ("tensor", "loss", "optim"):
+        monkeypatch.setattr(sys.modules[f"repro.nn.{module}"],
+                            "scatter_add_rows", _add_at)
+    oracle = _train_lp_disk(small_lp_data, tmp_path / "oracle", encoder)
+    assert shipped[0] == oracle[0]
+    assert shipped[1] == oracle[1]
+    assert shipped[2] == oracle[2]
 
 
 @pytest.fixture(scope="module")

@@ -95,6 +95,25 @@ class TestRowAdagrad:
         np.testing.assert_allclose(table_a, table_b)
         np.testing.assert_allclose(state_a, state_b)
 
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_matches_the_plain_expression_bit_for_bit(self, duplicates):
+        rng = np.random.default_rng(3)
+        rows = rng.permutation(50)[:20]
+        if duplicates:
+            rows[:6] = rows[6:12]
+        grads = rng.normal(0, 1, (20, 4)).astype(np.float32)
+        table = rng.normal(0, 1, (50, 4)).astype(np.float32)
+        state = rng.random((50, 4)).astype(np.float32)
+        unique, inverse = np.unique(rows, return_inverse=True)
+        merged = np.zeros((len(unique), 4), dtype=np.float32)
+        np.add.at(merged, inverse, grads)
+        acc = state[unique] + merged**2
+        want = table.copy()
+        want[unique] -= 0.1 * merged / (np.sqrt(acc) + 1e-10)
+        RowAdagrad(lr=0.1).update(table, state, rows, grads)
+        assert table.tobytes() == want.tobytes()
+        assert state[unique].tobytes() == acc.tobytes()
+
     def test_empty_rows_noop(self):
         table = np.ones((2, 2), dtype=np.float32)
         state = np.zeros_like(table)
