@@ -66,7 +66,7 @@ def build_job(spec: JobSpec, verbose: bool = False, on_event=None):
     trainer/engine is reachable (``job.trainer`` / ``job.engine``) for
     callers that need more than :func:`run`'s result object. ``on_event``
     is an optional ``fn(event, payload)`` progress/checkpoint listener
-    (see :mod:`repro.train.hooks`). With ``spec.telemetry.sink`` set, a
+    (see :mod:`repro.train.loop`). With ``spec.telemetry.sink`` set, a
     :class:`~repro.obs.sinks.Recorder` rides the same listener hook and
     is reachable as ``job.recorder`` (closed by :func:`run`; direct
     ``build_job`` callers close it themselves).

@@ -38,7 +38,7 @@ from ..train import (DiskConfig, DiskLinkPredictionTrainer,
                      LinkPredictionTrainer, NodeClassificationConfig,
                      NodeClassificationTrainer, SnapshotManager)
 from ..train.checkpoint import Snapshot, SnapshotError, resolve_snapshot_dir
-from ..train.hooks import ProgressListener
+from ..train.loop import ProgressListener
 from . import registry
 from .registry import JobError
 from .specs import CheckpointSpec, JobSpec
@@ -582,7 +582,7 @@ class StreamJob(Job):
         self.config = LinkPredictionConfig(
             embedding_dim=model.dim, encoder="none",
             batch_size=train.batch_size, num_negatives=train.negatives,
-            num_epochs=1, eval_every=train.eval_every, seed=train.seed)
+            num_epochs=1, seed=train.seed)
         ckpt = _checkpoint_kwargs(spec.checkpoint, storage.workdir, verbose)
         self.trainer = ContinualTrainer(self.live, self.config,
                                         num_relations=num_relations,
@@ -642,7 +642,7 @@ class StreamJob(Job):
 
     def snapshot(self) -> Path:
         self._ensure_snapshot_manager()
-        return self.trainer.save_snapshot()
+        return self.trainer.save_snapshot(self.trainer.refreshes)
 
     # ------------------------------------------------------------------
     def run(self, verbose: bool = False) -> Dict[str, Any]:

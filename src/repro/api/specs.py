@@ -294,6 +294,9 @@ class JobSpec:
                 raise JobError("storage.buffer must be positive")
             if storage.partitions is not None and storage.partitions <= 0:
                 raise JobError("storage.partitions must be positive")
+        if "stream" in info.sections and self.train.eval_every > 0:
+            raise JobError(f"{self.kind} jobs need train.eval_every=0: a "
+                           "live graph has no evaluation split")
         from ..obs.sinks import SINK_KINDS
         if self.telemetry.sink not in SINK_KINDS:
             raise JobError(f"telemetry.sink must be one of "

@@ -7,7 +7,7 @@ one JSON object per line in the :class:`JsonlSink` form::
     {"ts": 1724.1, "type": "metrics", "label": "periodic", "metrics": {...}}
 
 Event records mirror the trainer listener hook
-(:mod:`repro.train.hooks`) verbatim; metrics records carry the registry
+(:mod:`repro.train.loop`) verbatim; metrics records carry the registry
 delta since the recorder started (counters as numbers, histograms as
 tail summaries) merged with any registered pull *sources* (e.g. a
 serving engine's :class:`~repro.serve.stats.ServeStats`).
@@ -169,8 +169,8 @@ class Recorder:
     """One run's telemetry pump: listener events in, records out.
 
     Attach :meth:`listener` wherever a ``fn(event, payload)`` progress
-    hook is accepted (every trainer, via
-    :class:`~repro.train.hooks.ListenerHooks`); each event becomes an
+    hook is accepted (every trainer, via the training loop,
+    :mod:`repro.train.loop`); each event becomes an
     event record, and every ``flush_every`` events a metrics record is
     written alongside — the registry's delta since the recorder was
     created, merged with the registered pull sources. :meth:`close`
@@ -199,7 +199,7 @@ class Recorder:
 
     # ------------------------------------------------------------------
     def listener(self, event: str, payload: Dict[str, Any]) -> None:
-        """The trainer hook shape (:mod:`repro.train.hooks`)."""
+        """The trainer hook shape (:mod:`repro.train.loop`)."""
         self.sink.emit({"ts": time.time(), "type": "event", "event": event,
                         "payload": payload})
         with self._lock:

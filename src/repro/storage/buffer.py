@@ -124,6 +124,12 @@ class PartitionBuffer:
     def resident(self) -> List[int]:
         return sorted(self._slot_of)
 
+    @property
+    def num_nodes(self) -> int:
+        """Node IDs the slab maps cover: the store's count at the last
+        construction or :meth:`refresh_from_store`."""
+        return len(self._slab_row)
+
     def dirty_partitions(self) -> List[int]:
         """Resident partitions holding updates not yet written back."""
         return sorted(p for p, dirty in self._dirty.items() if dirty)

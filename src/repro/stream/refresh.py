@@ -2,13 +2,20 @@
 
 A streamed graph drifts away from the embeddings trained on its base
 snapshot. :class:`ContinualTrainer` closes that gap incrementally between
-compactions: each :meth:`refresh` takes the edge buckets touched by delta
-events since the previous refresh, greedily packs their partition pairs
-into resident sets that fit the partition buffer, and runs the standard
-mini-batch lifecycle (the same :class:`~repro.train.link_prediction.
-_BatchStep` the offline trainers use) over each set's touched buckets —
-sampling neighborhoods from the *live* composed view, negatives restricted
-to resident nodes, row-sparse Adagrad updates applied through the buffer.
+compactions: each :meth:`~ContinualTrainer.refresh` takes the edge buckets
+touched by delta events since the previous refresh, greedily packs their
+partition pairs into resident sets that fit the partition buffer, and runs
+the standard mini-batch lifecycle (the same :class:`~repro.train.
+link_prediction._BatchStep` the offline trainers use) over each set's
+touched buckets — sampling neighborhoods from the *live* composed view,
+negatives restricted to resident nodes, row-sparse Adagrad updates applied
+through the buffer.
+
+A refresh is one epoch of the one training loop (:mod:`repro.train.loop`),
+with a one-step plan: timing, IO accounting, events, checkpoint cadence and
+snapshot/resume are the loop's. Snapshots add the stream's **log
+position** (sequence / compaction / refresh cursors), so a restarted
+stream replays only the event suffix its durable state does not reflect.
 
 Because the sampler index, the buffer, and the batch step are byte-for-byte
 the machinery of :class:`~repro.train.link_prediction.
@@ -16,18 +23,12 @@ DiskLinkPredictionTrainer`, a refresh over a streamed graph is
 bit-identical to the same refresh over an offline rebuild of the final
 edge list given equal tables, parameters, and RNG streams — the property
 ``tests/test_streaming.py`` enforces.
-
-Snapshots extend the crash-safe checkpoint subsystem: alongside model and
-table state they record the **log position** (sequence / compaction /
-refresh cursors), so a restarted stream knows exactly which events its
-durable state already reflects and replays only the suffix.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,14 +36,11 @@ from ..api import registry as job_registry
 from ..core.sampler import DenseSampler
 from ..nn.optim import RowAdagrad
 from ..storage.buffer import PartitionBuffer
-from ..train.checkpoint import (SnapshotManager, _config_to_dict,
-                                pack_model_state, resolve_snapshot,
-                                restore_store_table, rng_state, set_rng_state,
-                                unpack_model_state, validate_meta)
+from ..train.checkpoint import restore_store_table
 from ..train.evaluation import EpochRecord
-from ..train.hooks import ListenerHooks, ProgressListener
 from ..train.link_prediction import (LinkPredictionConfig,
                                      LinkPredictionModel, _BatchStep)
+from ..train.loop import ProgressListener, _TrainingLoop
 from ..train.negative_sampling import UniformNegativeSampler
 from .live import LiveGraph
 
@@ -78,15 +76,16 @@ def pack_pairs(pairs: Sequence[Tuple[int, int]], capacity: int
     return groups
 
 
-class ContinualTrainer(ListenerHooks):
+class ContinualTrainer(_TrainingLoop):
     """Streams embedding updates into a live graph between compactions.
 
     Parameters
     ----------
     live:
         The :class:`LiveGraph` to follow. The trainer registers bucket /
-        growth listeners so its buffer (and, with an encoder, its sampler
-        index) stays coherent with every ingest.
+        growth listeners so its sampler index stays coherent with every
+        ingest; its buffer follows node growth at the trainer's next
+        locked window.
     config:
         Standard :class:`LinkPredictionConfig` (model shape, batch size,
         learning rates, seed).
@@ -101,6 +100,7 @@ class ContinualTrainer(ListenerHooks):
     """
 
     KIND = job_registry.LP_STREAM
+    EPOCH_EVENT = "refresh"
 
     def __init__(self, live: LiveGraph,
                  config: Optional[LinkPredictionConfig] = None,
@@ -108,11 +108,11 @@ class ContinualTrainer(ListenerHooks):
                  checkpoint_dir: Optional[Path] = None,
                  checkpoint_every: int = 0,
                  listeners: Optional[Sequence[ProgressListener]] = None) -> None:
-        self._init_hooks(listeners)
+        super().__init__(config or LinkPredictionConfig(), checkpoint_dir,
+                         checkpoint_every, listeners)
         self.live = live
-        self.config = config or LinkPredictionConfig()
         cfg = self.config
-        self.rng = np.random.default_rng(cfg.seed)
+        self.io = live.node_store.stats
         self.model = LinkPredictionModel(cfg, num_relations, rng=self.rng)
         self.buffer = PartitionBuffer(live.node_store, buffer_capacity,
                                       optimizer=RowAdagrad(lr=cfg.embedding_lr))
@@ -132,24 +132,21 @@ class ContinualTrainer(ListenerHooks):
         self._pending_pairs: set = set()
         live.add_bucket_listener(
             lambda pairs: self._pending_pairs.update(pairs))
-        # Growth re-reads the grown partition. Compaction needs no
-        # listener: it rewrites edge buckets only, never node rows.
-        live.add_growth_listener(self._on_growth)
+        # Growth extends the index synchronously: the bucket listeners that
+        # fire after it index rows in the grown scheme. The buffer is left
+        # to the trainer's own thread (_sync_growth); compaction needs no
+        # listener, it rewrites edge buckets only, never node rows.
+        live.add_growth_listener(self.sampler.index.extend_nodes)
         self.negatives = UniformNegativeSampler(live.num_nodes,
                                                 cfg.num_negatives, rng=self.rng)
         self.step_runner = _BatchStep(self.model, cfg, self.rng)
-        self.snapshots = (SnapshotManager(checkpoint_dir)
-                          if checkpoint_dir is not None else None)
-        self.checkpoint_every = int(checkpoint_every)
-        self.refreshes = 0
         self._refreshed_seq = live.log.compacted_seq
+        self._pairs: Optional[Sequence[Tuple[int, int]]] = None
 
-    # ------------------------------------------------------------------
-    def _on_growth(self, new_scheme) -> None:
-        self.sampler.index.extend_nodes(new_scheme)
-        # Only the last partition's rows changed (the growth rule).
-        self.buffer.refresh_from_store(parts=[new_scheme.num_partitions - 1])
-        self.negatives.num_nodes = new_scheme.num_nodes
+    @property
+    def refreshes(self) -> int:
+        """Refreshes run so far: the loop's epoch cursor."""
+        return self._epoch
 
     @property
     def refreshed_seq(self) -> int:
@@ -168,13 +165,20 @@ class ContinualTrainer(ListenerHooks):
         not in isolation). Passing explicit ``pairs`` trains exactly those
         buckets and leaves the pending accumulator untouched.
         """
+        self._pairs = pairs
+        record = self._run_epoch(self._epoch)
+        self._epoch += 1
+        return record
+
+    def _plan_epoch(self, epoch: int) -> Sequence[Optional[Sequence]]:
+        return (self._pairs,)
+
+    def _run_step(self, steps, idx: int, record: EpochRecord) -> List[float]:
         live = self.live
+        pairs = steps[idx]
         explicit = pairs is not None
         if not explicit:
             pairs = sorted(self._pending_pairs)
-        t0 = time.perf_counter()
-        record = EpochRecord(epoch=self.refreshes, loss=0.0, seconds=0.0,
-                             metric=0.0)
         losses: List[float] = []
         for parts, group_pairs in pack_pairs(pairs, self.buffer.capacity):
             # The swap queues the previous group's dirty partitions for
@@ -183,17 +187,19 @@ class ContinualTrainer(ListenerHooks):
             # half-written row. (Gradient application between swaps touches
             # only this trainer's private slab.)
             with live.lock, live.rw.exclusive():
+                self._sync_growth()
                 self.buffer.load_step(parts)
                 self.buffer.wait()
             self.negatives.set_allowed(self.buffer.resident_nodes())
             edges = np.concatenate([live.bucket_edges(i, j)
                                     for i, j in group_pairs], axis=0)
             losses += self.step_runner.train_edges(
-                edges, self.sampler, self.negatives, self.buffer.gather,
+                edges, self.sampler, self.negatives, self._gather,
                 self.buffer.apply_gradients, record)
         # Land the updates: the snapshot table and readers of the store
         # must reflect the refresh.
         with live.lock, live.rw.exclusive():
+            self._sync_growth()
             self.buffer.finish()
         if not explicit:
             # The cursor only advances when the default full-coverage pass
@@ -202,66 +208,55 @@ class ContinualTrainer(ListenerHooks):
             # would let a resume skip them forever.
             self._pending_pairs.clear()
             self._refreshed_seq = live.log.seq
-        self.refreshes += 1
-        record.seconds = time.perf_counter() - t0
-        record.loss = float(np.mean(losses)) if losses else 0.0
-        self._emit("refresh", trainer=self.KIND, refreshes=self.refreshes,
-                   loss=record.loss, seconds=record.seconds,
-                   num_batches=record.num_batches)
-        if (self.snapshots is not None and self.checkpoint_every
-                and self.refreshes % self.checkpoint_every == 0):
-            self.save_snapshot()
-        return record
+        return losses
+
+    def _gather(self, node_ids: np.ndarray) -> np.ndarray:
+        with self.live.lock, self.live.rw.exclusive():
+            self._sync_growth()
+        return self.buffer.gather(node_ids)
+
+    def _sync_growth(self) -> None:
+        """Re-sync the buffer after node growth; the caller holds
+        ``live.lock`` and ``live.rw`` exclusively. Running only on the
+        trainer's thread, between batches, it never remaps the slab under
+        a batch's gather or gradient update."""
+        live = self.live
+        if self.buffer.num_nodes < live.num_nodes:
+            # Only the last partition's rows changed (the growth rule).
+            self.buffer.refresh_from_store(parts=[live.num_partitions - 1])
+            self.negatives.num_nodes = live.num_nodes
 
     # ------------------------------------------------------------------
-    def _store_fingerprints(self) -> Dict[str, str]:
+    @property
+    def _gnn_optimizer(self):
+        return self.step_runner.gnn_optimizer
+
+    def _fingerprints(self) -> dict:
         return {"node": self.live.node_store.fingerprint(),
                 "edge": self.live.edge_store.fingerprint()}
 
-    def save_snapshot(self) -> Path:
-        """Atomic snapshot of model, table, and the stream log position."""
-        if self.snapshots is None:
-            raise RuntimeError("trainer was built without a checkpoint_dir")
-        arrays: Dict[str, np.ndarray] = {}
+    def _pack_state(self, arrays: dict, meta: dict):
+        live, log = self.live, self.live.log
+        meta["stream"] = {"seq": int(log.seq),
+                          "compacted_seq": int(log.compacted_seq),
+                          "refreshed_seq": int(self._refreshed_seq),
+                          "num_nodes": int(live.num_nodes),
+                          "nodes_added": int(live.nodes_added),
+                          "pending_pairs": sorted(
+                              [int(i), int(j)]
+                              for i, j in self._pending_pairs)}
         self.buffer.flush()      # the snapshot reads the store's partitions
-        pack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
-        log = self.live.log
-        meta = {"trainer": self.KIND,
-                "stream": {"seq": int(log.seq),
-                           "compacted_seq": int(log.compacted_seq),
-                           "refreshed_seq": int(self._refreshed_seq),
-                           "num_nodes": int(self.live.num_nodes),
-                           "nodes_added": int(self.live.nodes_added),
-                           "pending_pairs": sorted(
-                               [int(i), int(j)]
-                               for i, j in self._pending_pairs)},
-                "rng": rng_state(self.rng),
-                "stores": self._store_fingerprints(),
-                "config": _config_to_dict(self.config)}
-        path = self.snapshots.save(log.seq, meta, arrays,
-                                   self.live.node_store)
-        self._emit("snapshot", trainer=self.KIND, path=str(path),
-                   seq=int(log.seq), linked=self.snapshots.linked)
-        return path
+        return live.node_store
 
-    def resume(self, path: Optional[Path] = None) -> dict:
-        """Restore a snapshot; the caller replays events from
-        ``meta["stream"]["compacted_seq"]`` onward from its event source —
-        events past the compaction horizon were still log-only at snapshot
-        time and do not survive a process restart (the snapshot's store
-        fingerprints pin exactly the compacted base that horizon refers
-        to). In-process resumes keep the live log's own numbering; after a
-        restart the fresh log is fast-forwarded to the horizon so stream
-        cursors stay in one consistent numbering.
-        """
-        meta, arrays = resolve_snapshot(path, self.snapshots)
-        validate_meta(meta, self.KIND, stores=self._store_fingerprints(),
-                      config=self.config)
+    def _restore_state(self, meta: dict, arrays) -> None:
+        """The caller replays events from ``meta["stream"]
+        ["compacted_seq"]`` on: later ones were log-only at snapshot time
+        (the store fingerprints pin the compacted base). After a restart
+        the fresh log is fast-forwarded to that horizon, so the stream
+        cursors stay in one numbering."""
         stream = meta["stream"]
         self.buffer.reset()
         restore_store_table(arrays, self.live.node_store)
-        unpack_model_state(arrays, self.model, self.step_runner.gnn_optimizer)
-        set_rng_state(self.rng, meta["rng"])
         log = self.live.log
         horizon = int(stream["compacted_seq"])
         if log.seq < horizon:      # fresh log after a restart: align
@@ -271,4 +266,3 @@ class ContinualTrainer(ListenerHooks):
         self._pending_pairs.clear()
         self._pending_pairs.update(
             (int(i), int(j)) for i, j in stream.get("pending_pairs", []))
-        return meta

@@ -41,8 +41,7 @@ from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
 from .checkpoint import Snapshot, dataset_fingerprint, restore_store_table
 from .evaluation import EpochRecord, RankingMetrics, ranking_metrics, ranks_from_scores
-from .hooks import ProgressListener
-from .loop import _TrainingLoop, _TrainingResult
+from .loop import ProgressListener, _TrainingLoop, _TrainingResult
 from .negative_sampling import UniformNegativeSampler
 
 

@@ -4,12 +4,13 @@ The paper has one mini-batch lifecycle (Figure 2: select, sample into
 DENSE, gather, forward/backward, update, write back); only the data
 organisation around it changes — a table in memory, or a partition buffer
 driven by an epoch plan (COMET/BETA for link prediction, Section 5.1;
-training-node caching for node classification, Section 5.2).
-:class:`_TrainingLoop` owns everything around the lifecycle: ``for epoch ->
-for step in plan -> run step -> maybe snapshot``, evaluation every
-``eval_every`` epochs, the ``"epoch"``/``"snapshot"`` listener events, the
-verbose line, per-epoch timing and IO accounting, and the one
-snapshot/resume path. A trainer kind supplies only its seams:
+training-node caching for node classification, Section 5.2; the touched
+edge buckets of a live graph for the streaming kind, where one refresh is
+one epoch). :class:`_TrainingLoop` owns everything around the lifecycle:
+``for epoch -> for step in plan -> run step -> maybe snapshot``, evaluation
+every ``eval_every`` epochs, the listener events, the verbose line,
+per-epoch timing and IO accounting, and the one snapshot/resume path. A
+trainer kind supplies only its seams:
 
 * ``_plan_epoch(epoch)`` — the steps of an epoch (default: one step, the
   in-memory kinds' plan);
@@ -18,17 +19,28 @@ snapshot/resume path. A trainer kind supplies only its seams:
 * ``_end_epoch()`` — work after an epoch's last step (default: none);
 * ``_pack_state`` / ``_restore_state`` — the kind's snapshot state beyond
   model, optimizer, RNG and cursors (table, buffer residency, policy
-  state);
+  state, stream cursors);
 * ``_fingerprints()``, ``_gnn_optimizer``, ``_epoch_metric()`` and
   ``_result(records)``.
+
+**Listeners.** The job API (:mod:`repro.api`) observes training through
+one callback shape, ``listener(event, payload)`` with a short event name
+and a JSON-able payload, run synchronously on the training thread between
+steps (cheap, and never mutating trainer state). The loop emits:
+
+* ``EPOCH_EVENT`` after each epoch — ``"epoch"``, or ``"refresh"`` for the
+  streaming kind (``epoch``, ``loss``, ``seconds``, ``metric``,
+  ``io_bytes``);
+* ``"snapshot"`` after each atomic snapshot lands (``path``, ``epoch``,
+  ``step``, ``linked``).
 
 **Checkpoint cadence, one rule for every kind.** The loop counts *global
 plan steps*: plan steps completed since epoch 0, step 0. After a step, when
 that count is a multiple of ``checkpoint_every``, it snapshots the cursor of
 the next step. The count is stored in the snapshot (``global_step``), so a
 resumed run snapshots at exactly the cursors the uninterrupted run would
-have. The in-memory kinds have one plan step per epoch, so for them
-``checkpoint_every`` counts epochs.
+have. The in-memory and streaming kinds have one plan step per epoch, so
+for them ``checkpoint_every`` counts epochs (refreshes).
 
 Collaborators are always looked up through their attribute at call time
 (``self.step_runner.run``, ``self.evaluate``, ``self.policy.plan_epoch``),
@@ -40,7 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +62,8 @@ from .checkpoint import (Snapshot, SnapshotManager, _config_to_dict,
                          pack_model_state, resolve_snapshot, rng_state,
                          set_rng_state, unpack_model_state, validate_meta)
 from .evaluation import EpochRecord
-from .hooks import ListenerHooks, ProgressListener
+
+ProgressListener = Callable[[str, Dict[str, Any]], None]
 
 
 @dataclass
@@ -66,16 +79,17 @@ class _TrainingResult:
         return float(np.mean([e.seconds for e in self.epochs]))
 
 
-class _TrainingLoop(ListenerHooks):
-    """Epoch/step loop, checkpoint cadence, snapshot and resume."""
+class _TrainingLoop:
+    """Epoch/step loop, listeners, checkpoint cadence, snapshot and resume."""
 
     KIND = ""
     METRIC = ""      # name of the per-epoch metric in the verbose line
+    EPOCH_EVENT = "epoch"
 
     def __init__(self, config: Any, checkpoint_dir: Optional[Path],
                  checkpoint_every: int,
                  listeners: Optional[Sequence[ProgressListener]]) -> None:
-        self._init_hooks(listeners)
+        self.listeners: List[ProgressListener] = list(listeners or [])
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.io = IOStats()      # stays zero for the in-memory kinds
@@ -84,6 +98,14 @@ class _TrainingLoop(ListenerHooks):
         self.checkpoint_every = int(checkpoint_every)  # in global plan steps
         # The cursor train() starts at, and the plan steps done before it.
         self._epoch = self._step = self._global_step = 0
+
+    def add_listener(self, fn: ProgressListener) -> None:
+        """Register ``fn(event, payload)`` for progress/snapshot events."""
+        self.listeners.append(fn)
+
+    def _emit(self, event: str, **payload: Any) -> None:
+        for fn in list(self.listeners):
+            fn(event, dict(payload))
 
     # Seams with a default (the rest are listed in the module docstring).
     def _plan_epoch(self, epoch: int) -> Sequence[Any]:
@@ -103,43 +125,45 @@ class _TrainingLoop(ListenerHooks):
 
     # ------------------------------------------------------------------
     def train(self, verbose: bool = False) -> Any:
-        cfg = self.config
-        records: List[EpochRecord] = []
-        for epoch in range(self._epoch, cfg.num_epochs):
-            t0 = time.perf_counter()
-            record = EpochRecord(epoch=epoch, loss=0.0, seconds=0.0, metric=0.0)
-            io_before = self.io.snapshot()
-            steps = self._plan_epoch(epoch)
-            losses: List[float] = []
-            # Steps before a resumed cursor were trained before the
-            # snapshot; its rng state and residency account for them.
-            for idx in range(self._step, len(steps)):
-                losses += self._run_step(steps, idx, record)
-                self._global_step += 1
-                if (self.snapshots is not None and self.checkpoint_every
-                        and self._global_step % self.checkpoint_every == 0):
-                    self.save_snapshot(epoch, idx + 1, len(steps))
-            self._step = 0
-            self._end_epoch()
-            io_epoch = self.io.diff(io_before)
-            record.io_bytes = io_epoch.total_bytes
-            record.partition_loads = io_epoch.partition_loads
-            record.seconds = time.perf_counter() - t0
-            record.loss = float(np.mean(losses)) if losses else 0.0
-            if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-                record.metric = self._epoch_metric()
-            records.append(record)
-            self._emit("epoch", trainer=self.KIND, epoch=epoch,
-                       loss=record.loss, seconds=record.seconds,
-                       metric=record.metric, io_bytes=record.io_bytes)
-            if verbose:
-                print(f"[epoch {epoch}] loss={record.loss:.4f} "
-                      f"time={record.seconds:.1f}s "
-                      f"io={record.io_bytes >> 20}MiB "
-                      f"loads={record.partition_loads} "
-                      f"{self.METRIC}={record.metric:.4f}")
+        records = [self._run_epoch(epoch, verbose)
+                   for epoch in range(self._epoch, self.config.num_epochs)]
         self._epoch = 0          # a later train() starts over at epoch 0
         return self._result(records)
+
+    def _run_epoch(self, epoch: int, verbose: bool = False) -> EpochRecord:
+        cfg = self.config
+        t0 = time.perf_counter()
+        record = EpochRecord(epoch=epoch, loss=0.0, seconds=0.0, metric=0.0)
+        io_before = self.io.snapshot()
+        steps = self._plan_epoch(epoch)
+        losses: List[float] = []
+        # Steps before a resumed cursor were trained before the
+        # snapshot; its rng state and residency account for them.
+        for idx in range(self._step, len(steps)):
+            losses += self._run_step(steps, idx, record)
+            self._global_step += 1
+            if (self.snapshots is not None and self.checkpoint_every
+                    and self._global_step % self.checkpoint_every == 0):
+                self.save_snapshot(epoch, idx + 1, len(steps))
+        self._step = 0
+        self._end_epoch()
+        io_epoch = self.io.diff(io_before)
+        record.io_bytes = io_epoch.total_bytes
+        record.partition_loads = io_epoch.partition_loads
+        record.seconds = time.perf_counter() - t0
+        record.loss = float(np.mean(losses)) if losses else 0.0
+        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
+            record.metric = self._epoch_metric()
+        self._emit(self.EPOCH_EVENT, trainer=self.KIND, epoch=epoch,
+                   loss=record.loss, seconds=record.seconds,
+                   metric=record.metric, io_bytes=record.io_bytes)
+        if verbose:
+            print(f"[epoch {epoch}] loss={record.loss:.4f} "
+                  f"time={record.seconds:.1f}s "
+                  f"io={record.io_bytes >> 20}MiB "
+                  f"loads={record.partition_loads} "
+                  f"{self.METRIC}={record.metric:.4f}")
+        return record
 
     # ------------------------------------------------------------------
     def save_snapshot(self, epoch: int, next_step: int = 0,
@@ -177,11 +201,12 @@ class _TrainingLoop(ListenerHooks):
         self._restore_state(meta, arrays)
         unpack_model_state(arrays, self.model, self._gnn_optimizer)
         set_rng_state(self.rng, meta["rng"])
-        self._epoch = int(meta["epoch"])
-        # An older snapshot may lack the step cursor (in-memory kinds) or
-        # the global count; it resumes at step 0 counting one step per
-        # epoch — exact for one-step plans, and for a disk kind it only
-        # shifts which later cursors the cadence picks.
+        # An older snapshot may lack the epoch cursor (a streaming one
+        # resumes at refresh 0), the step cursor (in-memory kinds) or the
+        # global count; it resumes at step 0 counting one step per epoch —
+        # exact for one-step plans, and for a disk kind it only shifts
+        # which later cursors the cadence picks.
+        self._epoch = int(meta.get("epoch", 0))
         self._step = int(meta.get("step", 0))
         self._global_step = int(meta.get("global_step", self._epoch))
         return meta

@@ -33,8 +33,7 @@ from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
 from .checkpoint import Snapshot, nc_dataset_fingerprint
 from .evaluation import EpochRecord, multiclass_accuracy
-from .hooks import ProgressListener
-from .loop import _TrainingLoop, _TrainingResult
+from .loop import ProgressListener, _TrainingLoop, _TrainingResult
 
 
 @dataclass

@@ -107,6 +107,13 @@ def test_removed_stream_field_rejected():
         JobSpec.from_dict({"kind": "stream", "stream": {"lock_stripes": 4}})
 
 
+@pytest.mark.parametrize("kind", ["lp-stream", "stream"])
+def test_stream_kinds_reject_eval_every(kind):
+    with pytest.raises(api.JobError, match="no evaluation split"):
+        JobSpec.from_dict({"kind": kind,
+                           "train": {"eval_every": 1}}).resolve()
+
+
 def test_missing_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         JobSpec.from_dict({"train": {"epochs": 3}})

@@ -723,7 +723,7 @@ class TestContinualTrainer:
         live.insert_edges(ins)
         Compactor(live).compact()
         trainer.refresh()
-        path = trainer.save_snapshot()     # flushes the buffer first
+        path = trainer.save_snapshot(trainer.refreshes)   # flushes the buffer
         table_at_snap = live.node_store.read_all()
         assert path.is_dir()
         # Damage the table, then resume: state comes back from the snapshot
@@ -752,6 +752,148 @@ class TestContinualTrainer:
                                     rng.integers(0, live.num_nodes, 150)],
                                    axis=1))
         return live, trainer
+
+    def _grown_refresh(self, tmp_path, name, threaded):
+        """Ingest into the last partition's own bucket and refresh it, with
+        ``live.add_nodes(5)`` landing at the batch loop's second gather:
+        on the trainer's thread, or on another thread whose table
+        write-backs (if it makes any) are held until the fifth gather."""
+        live = make_live(tmp_path, seed=41, name=name)
+        trainer = ContinualTrainer(
+            live, LinkPredictionConfig(**{**self.CFG, "batch_size": 8}),
+            buffer_capacity=2)
+        last = live.num_partitions - 1
+        lo, hi = live.scheme.boundaries[last:last + 2]
+        rng = np.random.default_rng(141)
+        live.insert_edges(np.stack([rng.integers(lo, hi, 80),
+                                    rng.integers(lo, hi, 80)], axis=1))
+        grower = threading.Thread(target=live.add_nodes, args=(5,))
+        entered, release = threading.Event(), threading.Event()
+        write_span = live.node_store.write_span
+
+        def held_write_span(*args, **kw):
+            if threading.current_thread() is grower:
+                entered.set()
+                release.wait(timeout=10)
+            return write_span(*args, **kw)
+
+        live.node_store.write_span = held_write_span
+        gather = trainer.buffer.gather
+        calls = []
+
+        def growing_gather(ids):
+            calls.append(len(ids))
+            if len(calls) == 2 and not threaded:
+                live.add_nodes(5)
+            elif len(calls) == 2:
+                grower.start()
+                while grower.is_alive() and not entered.wait(0.01):
+                    pass
+            elif len(calls) == 5:
+                release.set()
+            return gather(ids)
+
+        trainer.buffer.gather = growing_gather
+        try:
+            trainer.refresh()
+        finally:
+            release.set()
+            if threaded:
+                grower.join(timeout=30)
+        assert len(calls) > 5 and not grower.is_alive()
+        assert live.num_nodes == 125
+        trainer.buffer.flush()
+        return live
+
+    def test_growth_during_refresh_batch_loop(self, tmp_path):
+        """Node growth on another thread in the middle of a refresh's batch
+        loop must not remap the refresh's buffer under its batches: the
+        refresh lands the same table and optimizer state as one whose
+        growth ran on the trainer's own thread."""
+        inline = self._grown_refresh(tmp_path, "inline", threaded=False)
+        raced = self._grown_refresh(tmp_path, "raced", threaded=True)
+        assert np.array_equal(raced.node_store.read_all(),
+                              inline.node_store.read_all())
+        assert np.array_equal(raced.node_store.read_all_state(),
+                              inline.node_store.read_all_state())
+
+    def test_refresh_record_counts_partition_io(self, tmp_path):
+        """A refresh is a loop epoch: its record and its ``refresh`` event
+        carry the live store's IO delta, partition loads included."""
+        live, trainer = self._ingested(tmp_path, "io", seed=42, capacity=2)
+        events = []
+        trainer.add_listener(lambda event, payload: events.append(
+            (event, payload)))
+        before = live.node_store.stats.snapshot()
+        record = trainer.refresh()
+        delta = live.node_store.stats.diff(before)
+        assert record.partition_loads == delta.partition_loads > 0
+        assert record.io_bytes == delta.total_bytes > 0
+        assert [event for event, _ in events] == ["refresh"]
+        payload = events[0][1]
+        assert payload["epoch"] == 0 and payload["io_bytes"] == record.io_bytes
+
+    def test_resumed_refresh_cadence_matches_uninterrupted(self, tmp_path):
+        """With ``checkpoint_every=2`` a trainer restarted from a snapshot
+        taken after refresh 3 snapshots after refreshes 4 and 6, as the
+        uninterrupted run does, and lands the same table."""
+        def world(name):
+            live = make_live(tmp_path, seed=43, name=name)
+            return live, np.random.default_rng(143)
+
+        def trainer_over(live, name, cursors):
+            trainer = ContinualTrainer(
+                live, LinkPredictionConfig(**self.CFG), buffer_capacity=3,
+                checkpoint_dir=tmp_path / f"{name}-ckpt", checkpoint_every=2)
+            trainer.add_listener(lambda event, payload: cursors.append(
+                payload["epoch"]) if event == "snapshot" else None)
+            return trainer
+
+        def ingest_and_refresh(live, rng, trainer):
+            live.insert_edges(np.stack([rng.integers(0, live.num_nodes, 40),
+                                        rng.integers(0, live.num_nodes, 40)],
+                                       axis=1))
+            trainer.refresh()
+
+        straight_live, rng = world("straight")
+        straight_cursors = []
+        straight = trainer_over(straight_live, "straight", straight_cursors)
+        for _ in range(6):
+            ingest_and_refresh(straight_live, rng, straight)
+        assert straight_cursors == [2, 4, 6]
+
+        live, rng = world("restarted")
+        first = trainer_over(live, "restarted", [])
+        for _ in range(3):
+            ingest_and_refresh(live, rng, first)
+        first.save_snapshot(first.refreshes)
+        cursors = []
+        second = trainer_over(live, "restarted", cursors)
+        second.resume()
+        assert second.refreshes == 3
+        for _ in range(3):
+            ingest_and_refresh(live, rng, second)
+        assert cursors == [4, 6] and second.refreshes == 6
+        assert np.array_equal(live.node_store.read_all(),
+                              straight_live.node_store.read_all())
+
+    def test_manifest_without_cursor_resumes_at_refresh_zero(self, tmp_path):
+        """A stream snapshot written before refreshes were loop epochs has
+        no ``epoch``/``step``/``global_step``; it still resumes, at refresh
+        0. (The manifest's CRCs cover only the array files.)"""
+        live, trainer = self._ingested(tmp_path, "old", seed=44,
+                                       checkpoint_dir=tmp_path / "ckpt")
+        trainer.refresh()
+        trainer.refresh()
+        path = trainer.save_snapshot(trainer.refreshes)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["meta"]["epoch"] == 2
+        for key in ("epoch", "step", "global_step"):
+            del manifest["meta"][key]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        meta = trainer.resume(path)
+        assert meta["stream"]["refreshed_seq"] == trainer.refreshed_seq
+        assert trainer.refreshes == 0 and trainer._global_step == 0
 
     def test_compaction_racing_a_refresh_leaves_its_buffer_alone(
             self, tmp_path):
@@ -921,12 +1063,12 @@ class TestContinualTrainer:
         straight_live, straight = self._ingested(
             tmp_path, "straight", seed=39, capacity=2,
             checkpoint_dir=tmp_path / "straight-ckpt")
-        straight.save_snapshot()
+        straight.save_snapshot(straight.refreshes)
         straight.refresh()
         live, trainer = self._ingested(
             tmp_path, "crashed", seed=39, capacity=2,
             checkpoint_dir=tmp_path / "crashed-ckpt")
-        trainer.save_snapshot()
+        trainer.save_snapshot(trainer.refreshes)
         injector = FaultInjector(CrashPoint.WRITEBACK_PENDING, after=1)
         trainer.buffer.fault_hook = injector.fire
         with pytest.raises(PrefetchError):
