@@ -485,7 +485,7 @@ class StreamJob(Job):
             tempfile.mkdtemp(prefix="repro-stream-"))
         workdir.mkdir(parents=True, exist_ok=True)
         self.workdir = workdir
-        nodes_path, edges_path = workdir / "nodes.bin", workdir / "edges.bin"
+        nodes_path, edges_path = workdir / "nodes", workdir / "edges.bin"
         state_path = workdir / "stream-state.json"
         wal_dir = workdir / "wal" if stream.wal else None
         recovery = None
@@ -498,7 +498,7 @@ class StreamJob(Job):
             if not (nodes_path.exists() and edges_path.exists()):
                 raise JobError(
                     "checkpoint.resume_from needs the original workdir: its "
-                    "nodes.bin/edges.bin hold the compacted base state the "
+                    "nodes/ and edges.bin hold the compacted base state the "
                     "snapshot pins")
             stream_meta = _stream_snapshot_meta(
                 Path(spec.checkpoint.resume_from))
@@ -535,7 +535,7 @@ class StreamJob(Job):
             base_nodes = int(state["base_nodes"])
             acked = max(base_nodes, recovery.num_nodes,
                         recovery.max_nodes_recorded)
-            file_rows = nodes_path.stat().st_size // (4 * model.dim)
+            file_rows = NodeStore.stored_rows(nodes_path)
             attach = min(acked, file_rows)
             recovered_nodes_added = attach - base_nodes
             scheme = PartitionScheme.uniform(
@@ -550,6 +550,7 @@ class StreamJob(Job):
                                              storage.partitions)
             store = NodeStore(nodes_path, scheme, model.dim, learnable=True)
             store.initialize(rng=np.random.default_rng(train.seed))
+            store.flush()     # WAL recovery reattaches to these files
             edge_store = EdgeBucketStore(edges_path, graph, scheme)
             num_relations = graph.num_relations
             atomic_write_json(state_path,

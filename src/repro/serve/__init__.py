@@ -1,7 +1,7 @@
 """Out-of-core inference serving over trained snapshots.
 
 The serving layer reuses the training stack's out-of-core machinery — the
-partitioned node store, read in place through its memmap, and the DENSE
+partitioned node store, read in place through read-only maps, and the DENSE
 sampler — to answer embedding, link scoring, and encode-on-read queries
 against a :class:`~repro.train.checkpoint.SnapshotManager` snapshot without
 ever holding the full table in memory. See ``docs/serving.md``.

@@ -1,16 +1,18 @@
 """The out-of-core query engine: batched inference over the node table.
 
-The served table is a partition-major :class:`~repro.storage.node_store.
-NodeStore` memmap, and every query family reads it in place — the OS page
-cache is the serving buffer. A read-only server has neither an epoch plan
-nor gradients to write back, so it keeps no partition cache of its own:
+The served table is a :class:`~repro.storage.node_store.NodeStore` — for a
+disk snapshot, the snapshot's own partition files — mapped read-only one
+partition at a time, and every query family reads it in place: the OS
+page cache is the serving buffer. A read-only server has neither an epoch
+plan nor gradients to write back, so it keeps no partition cache of its
+own:
 
 * :meth:`ServingEngine.get_embeddings` — row gather from the store.
 * :meth:`ServingEngine.score_edges` / :meth:`ServingEngine.topk_targets` —
   decoder scoring; top-k scores the partitions in chunks of at most
-  ``buffer_capacity``, each partition's contiguous row range of the map as
-  one block, and folds each chunk's candidates into a running best-k, with
-  no residency side effects.
+  ``buffer_capacity``, each partition's map as one block, and folds each
+  chunk's candidates into a running best-k, with no residency side
+  effects.
 * :meth:`ServingEngine.encode_nodes` / :meth:`ServingEngine.classify` —
   GNN encode-on-read: multi-hop neighborhoods are sampled over the
   subgraph of at most ``buffer_capacity`` partitions (exactly the
@@ -177,7 +179,7 @@ class ServingEngine:
     def get_embeddings(self, node_ids: np.ndarray) -> np.ndarray:
         """Rows of the served table for ``node_ids`` (any order, dups ok).
 
-        One gather from the table map, rows aligned with the input.
+        One gather per touched partition map, rows aligned with the input.
         """
         t0 = time.perf_counter()
         with self._query_guard():
@@ -263,7 +265,7 @@ class ServingEngine:
         """Best-``k`` destinations for *many* sources in one exact sweep.
 
         Every candidate is scored: the sweep reads each partition once, in
-        place in the table map, and scores it against all sources with one
+        place in its map, and scores it against all sources with one
         dense ``score_against`` (see :meth:`_sweep`). ``exact`` is accepted
         and ignored — every sweep is exact.
 
@@ -323,7 +325,7 @@ class ServingEngine:
 
         A chunk is at most ``buffer_capacity`` consecutive partitions — one
         contiguous row range, the chunking encode-on-read uses. Each
-        partition in it is one block of the table map and one dense
+        partition in it is one block of its map and one dense
         ``score_against``, written into a shared ``(n, chunk_rows)``
         float32 array: that array is the sweep's working set, whatever the
         table size. One selection per chunk finds each source's k-th best

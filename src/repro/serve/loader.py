@@ -6,15 +6,17 @@ parameter files and the node table's partition files are opened —
 optimizer moments, policy state, RNG streams and training cursors are
 never touched, so any snapshot a trainer can resume from can also be
 served, and snapshots from a *finished* run (whose trainer state no longer
-matters) serve equally well. The table is copied into the served store a
-partition file at a time, never as one whole-table array.
+matters) serve equally well.
 
-The served table lives in a read-only :class:`NodeStore` memmap under the
-serving workdir, partitioned uniformly like the training store; the
-snapshot's recorded store fingerprint is checked against the rebuilt
-layout (ignoring the learnable flag — serving never carries optimizer
-state) so a partition-count mismatch is rejected up front instead of
-silently changing which rows a partition holds.
+A disk snapshot's table files are the training store's own layout, so the
+served :class:`NodeStore` opens them in place, read-only, after checking
+each file's CRC: the serving workdir holds no table bytes. An lp-mem
+snapshot's one ``emb_table.npy`` is written into a store under the serving
+workdir, partitioned uniformly. The snapshot's recorded store fingerprint
+is checked against the served layout (ignoring the learnable flag —
+serving never carries optimizer state) so a partition-count mismatch is
+rejected up front instead of silently changing which rows a partition
+holds.
 """
 
 from __future__ import annotations
@@ -108,17 +110,28 @@ def serve_link_prediction(snapshot: os.PathLike, workdir: os.PathLike,
     model = LinkPredictionModel(config, num_relations)
     model.load_state_dict(restore.model_state)
 
-    num_nodes, dim = restore.shape(restore.table_name)
-    p = num_partitions or _partitions_from_meta(restore, num_nodes)
-    scheme = PartitionScheme.uniform(num_nodes, p)
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    store = NodeStore(workdir / "serve-table.bin", scheme, dim,
-                      learnable=False)
-    _check_store_fingerprint(restore, store)
-    for lo, rows in restore.partitions(restore.table_name):
-        store.write_span(lo, rows)
-    store.flush()
+    bounds = restore.tables.get(restore.table_name)
+    if bounds is not None:      # the training store's own partition files
+        if num_partitions not in (None, len(bounds) - 1):
+            raise SnapshotError(
+                f"snapshot node store layout has {len(bounds) - 1} "
+                f"partitions, not {num_partitions}; pass the training "
+                f"partition count (num_partitions)")
+        restore.verify(f"{restore.table_name}/")
+        scheme = PartitionScheme(bounds[-1], len(bounds) - 1,
+                                 np.asarray(bounds, dtype=np.int64))
+        store = NodeStore.open(restore.path, scheme, config.embedding_dim,
+                               learnable=False, read_only=True)
+    else:
+        table = restore[restore.table_name]
+        scheme = PartitionScheme.uniform(len(table), num_partitions or
+                                         _partitions_from_meta(restore,
+                                                               len(table)))
+        store = NodeStore(workdir / "table", scheme, table.shape[1],
+                          learnable=False)
+        store.initialize(values=table)
 
     edge_source = None
     fanouts = ()
@@ -170,7 +183,7 @@ def serve_node_classification(snapshot: os.PathLike,
     scheme = PartitionScheme.uniform(num_nodes, p)
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    store = NodeStore(workdir / "serve-features.bin", scheme,
+    store = NodeStore(workdir / "serve-features", scheme,
                       features.shape[1], learnable=False)
     _check_store_fingerprint(restore, store)
     store.initialize(values=features)

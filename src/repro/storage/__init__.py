@@ -1,4 +1,5 @@
-"""Storage layer: node store (positional I/O; a read-only map for serving),
+"""Storage layer: node store (one file per partition, in the snapshot
+layout; positional I/O, read-only maps for serving),
 memmap-backed edge store, the partition buffer (which also prefetches on
 its own I/O thread), IO stats."""
 

@@ -12,7 +12,9 @@ each resident global node ID to its slab row. :meth:`gather` and
 the slab — no per-partition Python loop on the mini-batch hot path. Disk
 reads land directly in a slot (``NodeStore.read_partition(out=...)``) and
 write-backs go straight from it: a partition's bytes are copied once each
-way.
+way. A write-back to a partition file a snapshot links replaces the file
+instead of writing into it (the store's link rule), so it never changes a
+snapshot.
 
 Swapping to the next partition set (:meth:`set_partitions`) is a diff that
 only remaps rows: leaving partitions are *detached* and arriving ones
@@ -46,8 +48,8 @@ argument for COMET (Section 7.5) is about.
 
 Inference serving keeps no partition buffer: a read-only server has no
 epoch plan and nothing to write back, so
-:class:`~repro.serve.engine.ServingEngine` reads the store's table map in
-place.
+:class:`~repro.serve.engine.ServingEngine` reads the store's partition
+maps in place.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ class PartitionBuffer:
         # Global node id -> row in the slab; -1 if not resident.
         self._slab_row = np.full(store.num_nodes, -1, dtype=np.int64)
         self._partition_of_row = np.full(store.num_nodes, -1, dtype=np.int32)
+        self._resident_ids: Optional[np.ndarray] = None   # resident_nodes()
         self._swap_listeners: List[SwapListener] = []
 
     # ------------------------------------------------------------------
@@ -169,6 +172,7 @@ class PartitionBuffer:
         """Make a filled slot the resident copy of ``part``."""
         self._slot_of[part] = slot
         self._dirty[part] = dirty
+        self._resident_ids = None
         lo, hi = self.store.scheme.boundaries[part : part + 2]
         base = slot * self._slot_size
         self._slab_row[lo:hi] = np.arange(base, base + (hi - lo), dtype=np.int64)
@@ -177,6 +181,7 @@ class PartitionBuffer:
     def _unmap(self, part: int) -> int:
         """Drop ``part`` from residency; returns its (still filled) slot."""
         del self._dirty[part]
+        self._resident_ids = None
         lo, hi = self.store.scheme.boundaries[part : part + 2]
         self._slab_row[lo:hi] = -1
         self._partition_of_row[lo:hi] = -1
@@ -272,6 +277,8 @@ class PartitionBuffer:
         """
         self.wait()
         moved = self.set_partitions(partitions)
+        # Built before the I/O thread competes for the interpreter lock.
+        self.resident_nodes()
         incoming = sorted({int(p) for p in next_partitions or ()}
                           - set(self._slot_of))
         writes, reads = self.stage(incoming)
@@ -453,9 +460,12 @@ class PartitionBuffer:
             self._dirty[part] = True
 
     def resident_nodes(self) -> np.ndarray:
-        """All node IDs currently resident (for in-memory negative sampling)."""
-        parts = sorted(self._slot_of)
-        ranges = [np.arange(self.store.scheme.boundaries[p],
-                            self.store.scheme.boundaries[p + 1], dtype=np.int64)
-                  for p in parts]
-        return np.concatenate(ranges) if ranges else np.empty(0, dtype=np.int64)
+        """All node IDs currently resident (for in-memory negative
+        sampling), built once per residency; callers must not modify it."""
+        if self._resident_ids is None:
+            bounds = self.store.scheme.boundaries
+            self._resident_ids = np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [np.arange(bounds[p], bounds[p + 1], dtype=np.int64)
+                   for p in sorted(self._slot_of)])
+        return self._resident_ids

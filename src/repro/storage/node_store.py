@@ -2,41 +2,60 @@
 
 Base vector representations are "stored sequentially in a lookup table split
 into p physical partitions on disk" (paper Section 3). :class:`NodeStore`
-implements that table as a raw float32 file: partition ``i`` is the
-contiguous row range given by the :class:`~repro.graph.partition.
-PartitionScheme`, so loading a partition is one sequential read — the
-property the auto-tuning rules in Section 6 rely on when comparing partition
-size to the disk block size.
+keeps that table as a directory with one file per partition,
+``node_table/<part>.npy``: a plain float32 ``.npy`` of shape (partition
+rows, dim), so loading a partition is one sequential read — the property
+the auto-tuning rules in Section 6 rely on when comparing partition size to
+the disk block size. Learnable representations carry per-row Adagrad state
+in ``node_state/<part>.npy`` files that page in and out with their
+partition (as in Marius).
 
-Learnable representations carry per-row Adagrad state in a second file that
-pages in and out with its partition (as in Marius).
+This is the snapshot's layout too (:mod:`repro.train.checkpoint`): a save
+hard-links the store's files, a resume links a snapshot's files back
+(:meth:`NodeStore.link_from`), and a serving store opens a snapshot's
+files in place (``NodeStore.open(..., read_only=True)``). One write rule
+keeps a linked file unchanged: a same-shape write goes in place while the
+file has one link, and otherwise writes the whole partition to
+``<part>.npy.tmp`` and renames it over the file, breaking the link.
+Shape changes (:meth:`NodeStore.grow`, ``open(truncate=True)``) always
+take the temp-plus-rename route. A crash between the temp write and the
+rename leaves the old file intact plus a ``.tmp`` that the next
+:meth:`NodeStore.open` sweeps.
 
-Every training-side transfer is positional I/O on the store's open files:
-``os.preadv`` straight into the caller's array (a partition buffer's slab
-slot, a snapshot's partition-sized scratch) and ``os.pwrite`` from it. The
-table therefore lives only in the OS page cache, never in a training
-process's address space. Serving alone reads through a read-only memory
-map of the table (:meth:`NodeStore.read_rows`,
-:meth:`NodeStore.partition_block`), created on first use; positional writes
-land in the same page cache, so the map sees them.
-
-The store also knows which partitions it has written since a given moment
-(:meth:`NodeStore.written_since`): every write path stamps what it touches,
-so a snapshot rewrites exactly those partition files and links the rest.
+Every training-side transfer is positional I/O on the store's open files
+at the ``.npy`` header's data offset: ``os.preadv`` straight into the
+caller's array (a partition buffer's slab slot) and ``os.pwrite`` from it.
+The table therefore lives only in the OS page cache, never in a training
+process's address space. Serving alone reads through read-only memory maps,
+one per partition (:meth:`NodeStore.read_rows`,
+:meth:`NodeStore.partition_block`), created on first use; in-place writes
+land in the same page cache, so the maps see them.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+import shutil
 import zlib
 from pathlib import Path
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.partition import PartitionScheme
 from .io_stats import IOStats
+
+
+# Up to this many ids over several partitions, ``read_rows`` copies a row
+# at a time: on a 2-vCPU box, 8 Zipf ids over a 100k x 64 table in 16
+# partitions took ~7 us that way against ~18 us grouped by partition, and
+# the two met near 64 ids.
+_ROW_BY_ROW = 64
+
+
+def table_file(name: str, part: int) -> str:
+    """A partition file's path relative to its store or snapshot."""
+    return f"{name}/{part:05d}.npy"
 
 
 def _bytes_of(rows: np.ndarray) -> memoryview:
@@ -46,100 +65,124 @@ def _bytes_of(rows: np.ndarray) -> memoryview:
     return memoryview(rows.reshape(-1).view(np.uint8))
 
 
+def _pwrite(fh, offset: int, data: np.ndarray) -> None:
+    """Write ``data`` (as float32) at byte ``offset`` of ``fh``."""
+    buf = _bytes_of(np.ascontiguousarray(data, dtype=np.float32))
+    while buf:
+        put = os.pwrite(fh.fileno(), buf, offset)
+        buf, offset = buf[put:], offset + put
+
+
+def _new_file(path: Path, rows: int, dim: int):
+    """Create a table file: the ``.npy`` header, then ``rows`` zero rows.
+    Returns the open file, positioned at the first row."""
+    fh = open(path, "wb", buffering=0)
+    np.lib.format.write_array_header_1_0(
+        fh, {"descr": "<f4", "fortran_order": False, "shape": (rows, dim)})
+    fh.truncate(fh.tell() + rows * dim * 4)
+    return fh
+
+
 class NodeStore:
     """Partitioned on-disk array of per-node vectors.
 
     Parameters
     ----------
     path:
-        Backing file location (created/overwritten).
+        Store directory (created; existing partition files are replaced).
     scheme:
         Node-to-partition assignment; partitions are contiguous row ranges.
     dim:
         Vector dimension.
     learnable:
-        If True, an Adagrad state file is kept alongside the table.
+        If True, Adagrad state files are kept alongside the table.
     stats:
         Shared :class:`IOStats` to account traffic against.
     """
 
     def __init__(self, path: os.PathLike, scheme: PartitionScheme, dim: int,
                  learnable: bool = True, stats: Optional[IOStats] = None) -> None:
+        self._setup(path, scheme, dim, learnable, stats, read_only=False)
+        for name in self.tables:
+            # Unlink, never truncate: a snapshot may link the old files.
+            shutil.rmtree(self.path / name, ignore_errors=True)
+            (self.path / name).mkdir(parents=True)
+            for part in range(self.num_partitions):
+                rows = scheme.partition_size(part)
+                _new_file(self.path / table_file(name, part), rows,
+                          self.dim).close()
+                self._reopen(name, part, rows)
+
+    def _setup(self, path, scheme, dim, learnable, stats, read_only) -> None:
         self.path = Path(path)
         self.scheme = scheme
         self.dim = int(dim)
         self.learnable = learnable
+        self.read_only = read_only
         self.stats = stats if stats is not None else IOStats()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._attach("w+b")
-        for fh in self._files():
-            os.ftruncate(fh.fileno(), self._file_bytes)
-
-    @property
-    def _state_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".state")
-
-    @property
-    def _file_bytes(self) -> int:
-        return self.num_nodes * self.dim * 4
-
-    def _attach(self, mode: str) -> None:
-        """Open the table (and state) files: ``w+b`` creates, ``r+b``
-        attaches. Unbuffered: every transfer is one positional call."""
-        self._table_fh = open(self.path, mode, buffering=0)
-        self._state_fh = (open(self._state_path, mode, buffering=0)
-                          if self.learnable else None)
-        self._map: Optional[np.memmap] = None   # serving's, made on first use
-        self.writes = 0       # bumped by every write: a mark for written_since
-        self._written_at = np.zeros(self.scheme.num_partitions, dtype=np.int64)
-        self._stamp_lock = threading.Lock()   # I/O and ingest threads write
-
-    def _files(self):
-        return [self._table_fh] + ([self._state_fh] if self.learnable else [])
+        self.tables = ("node_table", "node_state") if learnable else (
+            "node_table",)
+        # Per table and partition: the open file and its data offset.
+        self._files = {name: [None] * scheme.num_partitions
+                       for name in self.tables}
+        # Serving's read-only maps of the table files, made on first use.
+        self._maps: List[Optional[np.ndarray]] = [None] * scheme.num_partitions
 
     @classmethod
     def open(cls, path: os.PathLike, scheme: PartitionScheme, dim: int,
              learnable: bool = True, stats: Optional[IOStats] = None,
-             truncate: bool = False) -> "NodeStore":
-        """Reattach to an existing table file without overwriting it
-        (stream-workdir resume). The file must match ``scheme`` x ``dim``;
-        with ``truncate=True`` a *larger* file is cut back to the scheme's
-        size — node growth is append-only, so rows past the target are
-        exactly the post-snapshot additions a resume discards. Contents
-        are validated downstream by the resuming trainer's snapshot
-        fingerprints."""
+             truncate: bool = False, read_only: bool = False) -> "NodeStore":
+        """Attach to existing partition files without overwriting them
+        (stream-workdir resume; with ``read_only=True`` a serving store
+        over a snapshot directory, which writes nothing there). Each
+        file's header must match ``scheme`` x ``dim``; with
+        ``truncate=True`` a *longer* last partition is cut back to the
+        scheme's size — node growth is append-only, so rows past the
+        target are exactly the post-snapshot additions a resume discards.
+        Contents are validated downstream by the resuming trainer's
+        snapshot fingerprints."""
         self = cls.__new__(cls)
-        self.path = Path(path)
-        self.scheme = scheme
-        self.dim = int(dim)
-        self.learnable = learnable
-        self.stats = stats if stats is not None else IOStats()
-        expected = self._file_bytes
-        for target in [self.path] + ([self._state_path] if learnable else []):
-            actual = target.stat().st_size
-            if actual > expected and truncate:
-                os.truncate(target, expected)
-                actual = expected
-            if actual != expected:
-                raise ValueError(f"table file {target} is {actual} bytes, "
-                                 f"scheme x dim expects {expected}")
-        self._attach("r+b")
+        self._setup(path, scheme, dim, learnable, stats, read_only)
+        last = self.num_partitions - 1
+        for name in self.tables:
+            if not read_only:
+                for leftover in (self.path / name).glob("*.tmp"):
+                    leftover.unlink()
+            if truncate:
+                rows = np.load(self.path / table_file(name, last))
+                if len(rows) > scheme.partition_size(last):
+                    self._replace(name, last, rows[:scheme.partition_size(last)])
+            for part in range(self.num_partitions):
+                self._reopen(name, part, scheme.partition_size(part))
         return self
 
-    def _stamp(self, parts) -> None:
-        """Record that ``parts`` (an index or slice) were just written."""
-        with self._stamp_lock:
-            self.writes += 1
-            self._written_at[parts] = self.writes
+    @staticmethod
+    def stored_rows(path: os.PathLike) -> int:
+        """Rows in a store directory's table files, from their headers."""
+        return sum(np.load(file, mmap_mode="r").shape[0]
+                   for file in (Path(path) / "node_table").glob("*.npy"))
 
-    def written_since(self, mark: int) -> Set[int]:
-        """Partitions written after ``mark`` (an earlier :attr:`writes`).
+    def _reopen(self, name: str, part: int, rows: int) -> None:
+        """Open partition ``part``'s current ``name`` file, check its
+        shape, and drop the handle and map of the file it replaced."""
+        path = self.path / table_file(name, part)
+        fh = open(path, "rb" if self.read_only else "r+b", buffering=0)
+        np.lib.format.read_magic(fh)
+        header = np.lib.format.read_array_header_1_0(fh)
+        if header != ((rows, self.dim), False, np.float32):
+            fh.close()
+            raise ValueError(f"partition file {path} holds {header}, the "
+                             f"scheme x dim expects {(rows, self.dim)}")
+        old, self._files[name][part] = self._files[name][part], (fh, fh.tell())
+        if name == "node_table":
+            self._maps[part] = None
+        if old is not None:
+            old[0].close()
 
-        The one place a snapshot decides which partition files changed:
-        ``write_partition``, ``write_span``, ``initialize`` and ``grow``
-        all stamp the partitions they touch.
-        """
-        return set(np.flatnonzero(self._written_at > mark).tolist())
+    def files(self) -> List[str]:
+        """Every partition file, relative to :attr:`path`."""
+        return [table_file(name, part) for name in self.tables
+                for part in range(self.num_partitions)]
 
     # ------------------------------------------------------------------
     @property
@@ -150,43 +193,55 @@ class NodeStore:
     def num_partitions(self) -> int:
         return self.scheme.num_partitions
 
-    def partition_bytes(self, part: int) -> int:
-        return self.scheme.partition_size(part) * self.dim * 4
-
     def _bounds(self, part: int) -> Tuple[int, int]:
         return (int(self.scheme.boundaries[part]),
                 int(self.scheme.boundaries[part + 1]))
 
-    def _state_file(self):
-        if self._state_fh is None:
-            raise ValueError("store has no optimizer state file")
-        return self._state_fh
-
-    # -- positional I/O (no stats, no stamps) ----------------------------
-    def _pread(self, fh, row: int, out: np.ndarray) -> None:
-        """Fill ``out`` from the rows starting at ``row``."""
-        buf = _bytes_of(out)
-        offset = row * self.dim * 4
+    # -- positional I/O (no stats) ---------------------------------------
+    def _pread(self, name: str, part: int, row: int, out: np.ndarray) -> None:
+        """Fill ``out`` from partition ``part``'s rows starting at ``row``."""
+        fh, offset = self._files[name][part]
+        buf, offset = _bytes_of(out), offset + row * self.dim * 4
         while buf:
             got = os.preadv(fh.fileno(), [buf], offset)
             if got == 0:
                 raise EOFError(f"{fh.name}: short read at byte {offset}")
             buf, offset = buf[got:], offset + got
 
-    def _pwrite(self, fh, row: int, data: np.ndarray) -> None:
-        """Write ``data``'s rows (as float32) starting at row ``row``."""
-        buf = _bytes_of(np.ascontiguousarray(data, dtype=np.float32))
-        offset = row * self.dim * 4
-        while buf:
-            put = os.pwrite(fh.fileno(), buf, offset)
-            buf, offset = buf[put:], offset + put
+    def _write_rows(self, name: str, part: int, row: int,
+                    data: np.ndarray) -> None:
+        """The one write rule: in place while the file has one link; else
+        (a snapshot links it) the whole partition goes to a new file."""
+        fh, offset = self._files[name][part]
+        if os.fstat(fh.fileno()).st_nlink == 1:
+            _pwrite(fh, offset + row * self.dim * 4, data)
+            return
+        whole = data
+        if len(data) != self.scheme.partition_size(part):
+            whole = np.empty((self.scheme.partition_size(part), self.dim),
+                             dtype=np.float32)
+            self._pread(name, part, 0, whole)
+            whole[row:row + len(data)] = data
+        self._replace(name, part, whole)
+
+    def _replace(self, name: str, part: int, rows: np.ndarray) -> None:
+        """Write ``rows`` as partition ``part``'s new ``name`` file: to
+        ``<part>.npy.tmp``, then renamed over the current file."""
+        final = self.path / table_file(name, part)
+        tmp = final.with_name(final.name + ".tmp")
+        with _new_file(tmp, len(rows), self.dim) as fh:
+            _pwrite(fh, fh.tell(), rows)
+        os.replace(tmp, final)
+        self._reopen(name, part, len(rows))
 
     # ------------------------------------------------------------------
     def initialize(self, values: Optional[np.ndarray] = None,
                    scale: Optional[float] = None,
                    rng: Optional[np.random.Generator] = None) -> None:
         """Fill the table, one partition at a time: either copy ``values``
-        or uniform-random init (the same bytes as one whole-table draw)."""
+        or uniform-random init (the same bytes as one whole-table draw).
+        Not fsynced: a snapshot fsyncs the files it links, and a store
+        that must outlive a crash on its own calls :meth:`flush`."""
         if values is not None:
             if values.shape != (self.num_nodes, self.dim):
                 raise ValueError(f"initializer shape {values.shape} != "
@@ -199,9 +254,7 @@ class NodeStore:
             lo, hi = self._bounds(part)
             rows = (values[lo:hi] if values is not None else
                     rng.uniform(-scale, scale, size=(hi - lo, self.dim)))
-            self._pwrite(self._table_fh, lo, rows)
-        self.flush()
-        self._stamp(slice(None))
+            self._write_rows("node_table", part, 0, rows)
 
     # ------------------------------------------------------------------
     def read_partition(self, part: int,
@@ -216,16 +269,16 @@ class NodeStore:
         lo, hi = self._bounds(part)
         if out is None:
             data = np.empty((hi - lo, self.dim), dtype=np.float32)
-            state = None if self._state_fh is None else np.empty_like(data)
+            state = np.empty_like(data) if self.learnable else None
         else:
             data, state = out
             if data.shape != (hi - lo, self.dim):
                 raise ValueError(f"partition {part} expects shape {(hi - lo, self.dim)}, got {data.shape}")
-            if self._state_fh is None:
+            if not self.learnable:
                 state = None
-        self._pread(self._table_fh, lo, data)
+        self._pread("node_table", part, 0, data)
         if state is not None:
-            self._pread(self._state_fh, lo, state)
+            self._pread("node_state", part, 0, state)
         self.stats.record_read(data.nbytes, partition_loads=1)
         if state is not None:
             self.stats.record_read(state.nbytes)
@@ -237,46 +290,36 @@ class NodeStore:
         lo, hi = self._bounds(part)
         if data.shape != (hi - lo, self.dim):
             raise ValueError(f"partition {part} expects shape {(hi - lo, self.dim)}, got {data.shape}")
-        self._pwrite(self._table_fh, lo, data)
-        self._stamp(part)
+        self._write_rows("node_table", part, 0, data)
         self.stats.record_write(data.nbytes, partition_evictions=1)
         if state is not None:
-            self._pwrite(self._state_file(), lo, state)
+            self._write_rows("node_state", part, 0, state)
             self.stats.record_write(state.nbytes)
 
     def write_span(self, start_row: int, data: np.ndarray,
                    state: Optional[np.ndarray] = None) -> None:
-        """Write a contiguous row span (buffer re-sync after table growth:
-        the in-buffer copy of a grown partition covers only its old rows;
-        a snapshot restore, a partition file at a time)."""
+        """Write a contiguous row span, a partition file at a time (buffer
+        re-sync after table growth: the in-buffer copy of a grown
+        partition covers only its old rows)."""
         stop = start_row + len(data)
         if start_row < 0 or stop > self.num_nodes:
             raise ValueError(f"span [{start_row}, {stop}) outside the table")
-        self._pwrite(self._table_fh, start_row, data)
-        bounds = self.scheme.boundaries
-        self._stamp(slice(np.searchsorted(bounds, start_row, side="right") - 1,
-                          np.searchsorted(bounds, stop, side="left")))
+        for part in range(self.num_partitions):
+            lo, hi = self._bounds(part)
+            a, b = max(lo, start_row), min(hi, stop)
+            for name, rows in (("node_table", data), ("node_state", state)):
+                if a < b and rows is not None:
+                    self._write_rows(name, part, a - lo,
+                                     rows[a - start_row:b - start_row])
         self.stats.record_write(data.nbytes)
         if state is not None:
-            self._pwrite(self._state_file(), start_row, state)
             self.stats.record_write(state.nbytes)
-
-    def read_block(self, part: int, out: np.ndarray,
-                   state: bool = False) -> np.ndarray:
-        """Partition ``part``'s rows (``state=True``: its optimizer state)
-        read positionally into the first rows of ``out`` — a snapshot
-        reuses one partition-sized array for every partition. Returns the
-        filled rows; counted as bytes read, not as a partition load."""
-        lo, hi = self._bounds(part)
-        rows = out[: hi - lo]
-        self._pread(self._state_file() if state else self._table_fh, lo, rows)
-        self.stats.record_read(rows.nbytes)
-        return rows
 
     def gather_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rows ``rows`` (any order, duplicates allowed) by positional
-        reads: one read per run of consecutive ids among the sorted unique
-        ones. Evaluation's gather — it never maps the table."""
+        reads: one read per run of consecutive ids within a partition
+        among the sorted unique ones. Evaluation's gather — it never maps
+        the table."""
         uniq, inverse = np.unique(np.asarray(rows, dtype=np.int64),
                                   return_inverse=True)
         out = np.empty((len(uniq), self.dim), dtype=np.float32)
@@ -284,51 +327,77 @@ class NodeStore:
             return out
         if uniq[0] < 0 or uniq[-1] >= self.num_nodes:
             raise IndexError(f"rows outside [0, {self.num_nodes})")
-        cuts = np.flatnonzero(np.diff(uniq) != 1) + 1
+        bounds = self.scheme.boundaries
+        parts = bounds.searchsorted(uniq, side="right") - 1
+        cuts = np.flatnonzero((np.diff(uniq) != 1) | (np.diff(parts) != 0)) + 1
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(uniq)]):
-            self._pread(self._table_fh, int(uniq[lo]), out[lo:hi])
+            part = int(parts[lo])
+            self._pread("node_table", part, int(uniq[lo] - bounds[part]),
+                        out[lo:hi])
         self.stats.record_read(out.nbytes)
         return out[inverse]
 
-    # -- serving's read-only map ----------------------------------------
-    def _mapped(self) -> np.memmap:
-        """The read-only map of the table file, made on first use and
-        dropped by :meth:`grow` and :meth:`close`."""
-        if self._map is None:
-            self._map = np.memmap(self.path, dtype=np.float32, mode="r",
-                                  shape=(self.num_nodes, self.dim))
-        return self._map
+    # -- serving's read-only maps ---------------------------------------
+    def _mapped(self, part: int) -> np.ndarray:
+        """Partition ``part``'s table file mapped read-only, made on first
+        use and dropped when the file is replaced or the store closes."""
+        if self._maps[part] is None:
+            self._maps[part] = np.load(
+                self.path / table_file("node_table", part),
+                mmap_mode="r").view(np.ndarray)
+        return self._maps[part]
 
     def read_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Row gather from the mapped table: serving's lookups."""
+        """Row gather from the mapped partition files: serving's lookups.
+        Ids in one partition are one gather; up to ``_ROW_BY_ROW`` ids
+        over several partitions are copied a row at a time (cheaper than
+        grouping them); more are gathered once per partition they touch."""
         rows = np.asarray(rows, dtype=np.int64)
-        data = np.array(self._mapped()[rows])
+        bounds = self.scheme.boundaries
+        parts = bounds.searchsorted(rows, side="right") - 1
+        local = rows - bounds[parts]
+        touched = parts.tolist()
+        if touched and (min(touched) < 0
+                        or max(touched) >= self.num_partitions):
+            raise IndexError(f"rows outside [0, {self.num_nodes})")
+        if touched and touched.count(touched[0]) == len(touched):
+            data = self._mapped(touched[0])[local]
+        elif len(touched) <= _ROW_BY_ROW:
+            data = np.empty((len(rows), self.dim), dtype=np.float32)
+            for k, (part, row) in enumerate(zip(touched, local.tolist())):
+                data[k] = self._mapped(part)[row]
+        else:
+            data = np.empty((len(rows), self.dim), dtype=np.float32)
+            order = np.argsort(parts, kind="stable")
+            counts = np.bincount(parts)
+            ends = np.cumsum(counts)
+            for part in np.flatnonzero(counts).tolist():
+                sel = order[ends[part] - counts[part]:ends[part]]
+                data[sel] = self._mapped(part)[local[sel]]
         self.stats.record_read(data.nbytes)
         return data
 
     def partition_block(self, part: int) -> np.ndarray:
-        """Partition ``part``'s rows in place: a read-only view of the map,
+        """Partition ``part``'s rows in place: a read-only view of its map,
         no copy (serving scores whole partitions straight from the page
         cache). Counted as bytes read, not as a partition load; callers
-        must not hold it across :meth:`grow`, which drops the map."""
-        lo, hi = self._bounds(part)
-        block = self._mapped()[lo:hi].view(np.ndarray)
+        must not hold it across a write that replaces the file."""
+        block = self._mapped(part)
         self.stats.record_read(block.nbytes)
         return block
 
     def read_all(self) -> np.ndarray:
         """A copy of the entire table (an oracle for tests and examples;
         training never holds the whole table)."""
-        return self._read_whole(self._table_fh)
+        return self._read_whole("node_table")
 
     def read_all_state(self) -> Optional[np.ndarray]:
         """Full optimizer-state table (``None`` for fixed-feature stores)."""
-        return None if self._state_fh is None else self._read_whole(
-            self._state_fh)
+        return self._read_whole("node_state") if self.learnable else None
 
-    def _read_whole(self, fh) -> np.ndarray:
-        data = np.empty((self.num_nodes, self.dim), dtype=np.float32)
-        self._pread(fh, 0, data)
+    def _read_whole(self, name: str) -> np.ndarray:
+        data = np.concatenate([np.load(self.path / table_file(name, part))
+                               for part in range(self.num_partitions)])
         self.stats.record_read(data.nbytes)
         return data
 
@@ -339,11 +408,11 @@ class NodeStore:
         ``new_scheme`` must extend this store's scheme by exactly
         ``len(values)`` nodes under the last-partition growth rule
         (:meth:`PartitionScheme.extended`), so existing rows keep their
-        offsets and the append is a pure file extension: ``ftruncate`` the
-        files to the new size (new state rows read as zeros), write the
-        new rows, and drop the read-only map so the next serving read maps
-        the new size. Callers holding partition buffer copies must re-sync
-        afterwards.
+        offsets: the last partition's files are rewritten with the new
+        rows appended (new state rows are zeros unless ``state`` is
+        given) and fsynced — state first, so the table file never holds
+        more rows than the state file. Callers holding partition buffer
+        copies must re-sync afterwards.
         """
         extra = new_scheme.num_nodes - self.num_nodes
         if extra != len(values):
@@ -358,17 +427,36 @@ class NodeStore:
                              f"got {values.shape}")
         if extra == 0:
             return
-        lo = self.num_nodes
+        last, old = self.num_partitions - 1, self.scheme.partition_size(
+            self.num_partitions - 1)
+        added = {"node_table": values, "node_state": np.zeros_like(values)
+                 if state is None else state}
+        for name in reversed(self.tables):
+            rows = np.empty((old + extra, self.dim), dtype=np.float32)
+            self._pread(name, last, 0, rows[:old])
+            rows[old:] = added[name]
+            self._replace(name, last, rows)
+            os.fsync(self._files[name][last][0].fileno())
         self.scheme = new_scheme
-        for fh in self._files():
-            os.ftruncate(fh.fileno(), self._file_bytes)
-        self._map = None
-        self._pwrite(self._table_fh, lo, values)
         self.stats.record_write(values.nbytes)
-        if self._state_fh is not None and state is not None:
-            self._pwrite(self._state_fh, lo, state)
-        self._stamp(new_scheme.num_partitions - 1)
-        self.flush()
+
+    def link_from(self, source: os.PathLike) -> None:
+        """Make every partition file the same file as ``source``'s (a
+        snapshot directory, which shares this layout): each is hard-linked
+        to ``<part>.npy.tmp`` — copied if the link fails — and renamed
+        into place. No table bytes move through the store; the next write
+        to each partition breaks its link once."""
+        for name in self.tables:
+            for part in range(self.num_partitions):
+                target = self.path / table_file(name, part)
+                tmp = target.with_name(target.name + ".tmp")
+                tmp.unlink(missing_ok=True)
+                try:
+                    os.link(Path(source) / table_file(name, part), tmp)
+                except OSError:
+                    shutil.copyfile(Path(source) / table_file(name, part), tmp)
+                os.replace(tmp, target)
+                self._reopen(name, part, self.scheme.partition_size(part))
 
     def fingerprint(self) -> str:
         """Layout identity (not contents): partition boundaries + dim.
@@ -380,16 +468,19 @@ class NodeStore:
         learnable = 1 if self.learnable else 0
         return f"node:{self.num_nodes}:{self.dim}:{learnable}:{crc:08x}"
 
+    def _handles(self):
+        return [fh for files in self._files.values() for fh, _ in files]
+
     def flush(self) -> None:
-        """Make every write so far durable (``fsync`` both files)."""
-        for fh in self._files():
+        """Make every write so far durable (``fsync`` every file)."""
+        for fh in self._handles():
             os.fsync(fh.fileno())
 
     def close(self) -> None:
-        """Flush, close both files and drop the read-only map."""
-        if self._table_fh.closed:
+        """Flush, close every file and drop the read-only maps."""
+        if self._handles()[0].closed:
             return
         self.flush()
-        for fh in self._files():
+        for fh in self._handles():
             fh.close()
-        self._map = None
+        self._maps = [None] * self.num_partitions

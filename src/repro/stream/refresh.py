@@ -95,8 +95,7 @@ class ContinualTrainer(_TrainingLoop):
         Physical partitions resident during a refresh.
     checkpoint_dir / checkpoint_every:
         Snapshot root and auto-snapshot cadence in *refreshes* (0 = manual
-        only). A save rewrites only the table partitions written since the
-        previous one and links the rest.
+        only). A save hard-links the store's partition files.
     """
 
     KIND = job_registry.LP_STREAM
@@ -178,7 +177,30 @@ class ContinualTrainer(_TrainingLoop):
         pairs = steps[idx]
         explicit = pairs is not None
         if not explicit:
-            pairs = sorted(self._pending_pairs)
+            # The pairs and the cursor are taken together: an event logged
+            # after this point lands in pending again and stays past the
+            # cursor, whether or not its bucket is trained below.
+            with live.lock:
+                pairs = sorted(self._pending_pairs)
+                self._pending_pairs.clear()
+                seq = live.log.seq
+        try:
+            losses = self._train_pairs(pairs, record)
+        except BaseException:
+            if not explicit:
+                self._pending_pairs.update(pairs)
+            raise
+        if not explicit:
+            # The cursor only advances when the default full-coverage pass
+            # ran; an explicit-pairs refresh may leave other touched
+            # buckets untrained, and recording their events as refreshed
+            # would let a resume skip them forever.
+            self._refreshed_seq = seq
+        return losses
+
+    def _train_pairs(self, pairs: Sequence[Tuple[int, int]],
+                     record: EpochRecord) -> List[float]:
+        live = self.live
         losses: List[float] = []
         for parts, group_pairs in pack_pairs(pairs, self.buffer.capacity):
             # The swap queues the previous group's dirty partitions for
@@ -201,13 +223,6 @@ class ContinualTrainer(_TrainingLoop):
         with live.lock, live.rw.exclusive():
             self._sync_growth()
             self.buffer.finish()
-        if not explicit:
-            # The cursor only advances when the default full-coverage pass
-            # ran; an explicit-pairs refresh may leave other touched
-            # buckets untrained, and recording their events as refreshed
-            # would let a resume skip them forever.
-            self._pending_pairs.clear()
-            self._refreshed_seq = live.log.seq
         return losses
 
     def _gather(self, node_ids: np.ndarray) -> np.ndarray:
@@ -235,6 +250,14 @@ class ContinualTrainer(_TrainingLoop):
         return {"node": self.live.node_store.fingerprint(),
                 "edge": self.live.edge_store.fingerprint()}
 
+    def save_snapshot(self, epoch: int, next_step: int = 0,
+                      num_steps: int = 1) -> Path:
+        """The loop's save, under the writer lock: no growth, replay or
+        write-back can change the store between its fingerprint, its
+        partition bounds and the links to its files."""
+        with self.live.lock:
+            return super().save_snapshot(epoch, next_step, num_steps)
+
     def _pack_state(self, arrays: dict, meta: dict):
         live, log = self.live, self.live.log
         meta["stream"] = {"seq": int(log.seq),
@@ -245,7 +268,7 @@ class ContinualTrainer(_TrainingLoop):
                           "pending_pairs": sorted(
                               [int(i), int(j)]
                               for i, j in self._pending_pairs)}
-        self.buffer.flush()      # the snapshot reads the store's partitions
+        self.buffer.flush()      # the snapshot links the store's partitions
         return live.node_store
 
     def _restore_state(self, meta: dict, arrays) -> None:

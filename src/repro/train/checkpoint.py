@@ -5,12 +5,13 @@ is a directory ``snap-<step_id>`` holding ``manifest.json`` (format
 version, a CRC-32 per file, and the JSON-able metadata: cursors, buffer
 residency, RNG states, store fingerprints, policy state) and one raw
 ``.npy`` per array (``model/*``, ``gnn_opt/*``, lp-mem's ``emb_table``).
-A disk trainer's node table and Adagrad state keep their
-:class:`~repro.storage.node_store.NodeStore` layout, one file per
-partition (``node_table/<part>.npy``, ``node_state/<part>.npy``); a
-partition the store has not written since the manager's previous save is
-hard-linked from that snapshot, so a save costs only what changed and
-every snapshot directory is still complete on its own.
+A disk trainer's node table and Adagrad state are the
+:class:`~repro.storage.node_store.NodeStore`'s own partition files
+(``node_table/<part>.npy``, ``node_state/<part>.npy``): a save hard-links
+them and reads no table bytes, and a resume links them back. The store
+never modifies a file a snapshot links (it writes a new file and renames
+it over the linked one), so every snapshot directory stays complete and
+unchanged on its own.
 
 Writes follow the classic atomicity protocol: **write-temp + fsync +
 rename** — the temp directory only becomes visible under its final name
@@ -43,6 +44,7 @@ from ..nn.module import Module
 from ..obs.trace import traced
 from ..storage.atomic import fsync_dir
 from ..storage.io_stats import crc_file as _crc_file
+from ..storage.node_store import table_file as _table_file
 
 SNAPSHOT_VERSION = 2
 _SNAP_PREFIX = "snap-"
@@ -80,16 +82,19 @@ class SnapshotError(RuntimeError):
     """A snapshot is missing, truncated, or fails validation."""
 
 
-def _table_file(name: str, part: int) -> str:
-    return f"{name}/{part:05d}.npy"
+def _same_file(path: Path, other: Path) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
 
 
 class Snapshot(Mapping):
     """A published snapshot opened for reading: ``meta`` plus a mapping
     of array names whose files are read (and CRC-checked) on access, so a
     reader touches only what it asks for. A partitioned table indexes as
-    the whole table, or comes a partition at a time from
-    :meth:`partitions`."""
+    the whole table; its files sit at :func:`~repro.storage.node_store.
+    table_file` paths under :attr:`path`."""
 
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
@@ -119,33 +124,20 @@ class Snapshot(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name in self.tables:
-            return np.concatenate([rows for _, rows in self.partitions(name)])
+            return np.concatenate(
+                [self._read(_table_file(name, part))
+                 for part in range(len(self.tables[name]) - 1)])
         if f"{name}.npy" not in self.files:
             raise KeyError(name)
         return self._read(f"{name}.npy")
 
-    def partitions(self, name: str) -> Iterator[Tuple[int, np.ndarray]]:
-        """Array ``name`` a file at a time, ``(first row, rows)``: one per
-        table partition, or the whole array when it is one file."""
-        if name not in self.tables:
-            yield 0, self[name]
-            return
-        bounds = self.tables[name]
-        for part in range(len(bounds) - 1):
-            yield bounds[part], self._read(_table_file(name, part))
-
-    def shape(self, name: str) -> Tuple[int, ...]:
-        """An array's shape from the ``.npy`` headers, reading no data."""
-        if name not in self.tables:
-            return np.load(self.path / f"{name}.npy", mmap_mode="r").shape
-        first = np.load(self.path / _table_file(name, 0), mmap_mode="r")
-        return (self.tables[name][-1],) + first.shape[1:]
-
-    def verify(self) -> "Snapshot":
-        """CRC-check every file up front (the resume path restores nothing
-        before it knows the whole snapshot is intact)."""
+    def verify(self, prefix: str = "") -> "Snapshot":
+        """CRC-check every file (under ``prefix``) up front: the resume
+        path restores nothing, and serving opens no table file, before it
+        knows they are intact."""
         for rel in self.files:
-            self._check(rel)
+            if rel.startswith(prefix):
+                self._check(rel)
         return self
 
     def _check(self, rel: str) -> None:
@@ -165,11 +157,9 @@ class Snapshot(Mapping):
         return np.load(self.path / rel)
 
 
-class _Saved(NamedTuple):     # a manager's last save, to link files from
+class _Saved(NamedTuple):     # a manager's last save, to reuse CRCs from
     path: Path
     files: Dict[str, int]
-    store: Any
-    mark: int
 
 
 class SnapshotManager:
@@ -217,13 +207,14 @@ class SnapshotManager:
 
         ``meta`` must be JSON-serializable; ``arrays`` maps names to numpy
         arrays, one ``<name>.npy`` each. ``store`` (a ``NodeStore``) adds
-        its table and optimizer state a partition file at a time, each read
-        positionally into one partition-sized array and written from it,
-        or — when the store has not written the partition since this
-        manager's previous save of it — hard-linked from that snapshot with
-        its CRC. ``step_id`` seeds the directory ordinal
-        (bumped past any existing snapshots so this save sorts latest).
-        The snapshot becomes visible only after the final rename.
+        its table and optimizer state by hard-linking each partition file
+        (copied if the link fails). A linked file that is the same file as
+        in this manager's previous save keeps that save's CRC; any other
+        is fsynced and CRC-checked. No writer may run during the save: a
+        live store's caller holds the writer lock. ``step_id`` seeds the
+        directory ordinal (bumped past any existing snapshots so this save
+        sorts latest). The snapshot becomes visible only after the final
+        rename.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep_tmp()
@@ -248,29 +239,13 @@ class SnapshotManager:
         files: Dict[str, int] = {}
         tables: Dict[str, List[int]] = {}
         self.linked = 0
-        # Taken before any partition is read: a write racing the save
-        # counts as after it, so the next save rewrites that partition.
-        mark = store.writes if store is not None else 0
         if store is not None:
-            unchanged: set = set()
-            if self._last is not None and self._last.store is store:
-                unchanged = (set(range(store.num_partitions))
-                             - store.written_since(self._last.mark))
             bounds = [int(b) for b in store.scheme.boundaries]
-            # One partition-sized array every written partition is read into.
-            scratch = np.empty((int(store.scheme.sizes().max()), store.dim),
-                               dtype=np.float32)
-            for name, state in (("node_table", False), ("node_state", True)):
-                if state and not store.learnable:
-                    continue
-                tables[name] = bounds
-                for part in range(store.num_partitions):
-                    self._put(tmp, files, _table_file(name, part),
-                              lambda: store.read_block(part, scratch,
-                                                       state=state),
-                              self._last if part in unchanged else None)
+            tables = {name: bounds for name in store.tables}
+            for rel in store.files():
+                self._link(tmp, files, store.path / rel, rel)
         for name, value in arrays.items():
-            self._put(tmp, files, f"{name}.npy", lambda: value)
+            self._put(tmp, files, f"{name}.npy", value)
 
         manifest = {"version": SNAPSHOT_VERSION, "step_id": int(step_id),
                     "files": files, "tables": tables, "meta": meta}
@@ -284,34 +259,47 @@ class SnapshotManager:
         self._fire("snapshot-pre-rename")
         os.rename(tmp, final)
         fsync_dir(self.root)
-        self._last = _Saved(final, files, store, mark)
+        self._last = _Saved(final, files)
         self._fire("snapshot-post-rename")
         self._prune()
         return final
 
-    def _put(self, tmp: Path, files: Dict[str, int], rel: str,
-             array: Callable[[], np.ndarray],
-             link_from: Optional[_Saved] = None) -> None:
-        """Add one file to the snapshot being written: hard-linked from
-        ``link_from`` when given (written if the link fails), else written
-        from ``array()`` and fsynced."""
+    def _link(self, tmp: Path, files: Dict[str, int], source: Path,
+              rel: str) -> None:
+        """Add a store partition file to the snapshot being written."""
         target = tmp / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        if link_from is not None:
-            try:
-                os.link(link_from.path / rel, target)
-            except OSError:
-                link_from = None
-        if link_from is not None:
-            files[rel] = link_from.files[rel]
+        try:
+            os.link(source, target)
+        except OSError:          # e.g. EXDEV: another filesystem
+            shutil.copyfile(source, target)
+        last = self._last
+        if last is not None and rel in last.files and _same_file(
+                target, last.path / rel):
+            # Exact: while that snapshot links the file, every write to
+            # the partition replaces it instead.
+            files[rel] = last.files[rel]
             self.linked += 1
         else:
-            with open(target, "wb") as fh:
-                np.lib.format.write_array(fh, np.asarray(array()),
-                                          allow_pickle=False)
-                fh.flush()
+            with open(target, "rb") as fh:
                 os.fsync(fh.fileno())
             files[rel] = _crc_file(target)
+        self._added(files)
+
+    def _put(self, tmp: Path, files: Dict[str, int], rel: str,
+             array: np.ndarray) -> None:
+        """Write one array to the snapshot being written, fsynced."""
+        target = tmp / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(target, "wb") as fh:
+            np.lib.format.write_array(fh, np.asarray(array),
+                                      allow_pickle=False)
+            fh.flush()
+            os.fsync(fh.fileno())
+        files[rel] = _crc_file(target)
+        self._added(files)
+
+    def _added(self, files: Dict[str, int]) -> None:
         if len(files) == 1:
             self._fire("snapshot-mid-files")
 
@@ -486,15 +474,12 @@ def unpack_model_state(arrays: Mapping[str, np.ndarray], model: Module,
 
 
 def restore_store_table(snapshot: Snapshot, store) -> None:
-    """Rewrite every partition of a node store (table and optimizer state)
-    from a snapshot, one partition file at a time. The caller has dropped
-    the buffer without write-back, so partition writes torn by a crash
-    after the snapshot cannot leak into the resumed run."""
-    states = (snapshot.partitions("node_state")
-              if "node_state" in snapshot else None)
-    for lo, rows in snapshot.partitions("node_table"):
-        store.write_span(lo, rows, next(states)[1] if states else None)
-    store.flush()
+    """Point every partition file of a node store (table and optimizer
+    state) at the snapshot's: linked back, reading and writing no table
+    bytes. The caller has dropped the buffer without write-back, so
+    partition writes torn by a crash after the snapshot cannot leak into
+    the resumed run."""
+    store.link_from(snapshot.path)
 
 
 # Config fields a resume may legitimately change: they steer how *long* or

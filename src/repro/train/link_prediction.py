@@ -400,14 +400,14 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
     """Out-of-core trainer: partition buffer + COMET/BETA epoch plans.
 
     Each epoch: the policy produces (S, X); for each step the buffer swaps to
-    S_i (positional reads and writes of the table file on an I/O thread:
+    S_i (positional reads and writes of the partition files on an I/O thread:
     leaving partitions are written back and the next step's read into
     spare buffer slots meanwhile),
     the sampler re-indexes the in-buffer subgraph, and mini batches are
     drawn from X_i's buckets with negatives restricted to resident nodes.
     ``checkpoint_every`` counts plan steps, so snapshots land mid-epoch;
-    each one rewrites only the partition files written since the previous
-    save and links the rest (:mod:`repro.train.checkpoint`).
+    each one hard-links the store's partition files
+    (:mod:`repro.train.checkpoint`).
     """
 
     KIND = job_registry.LP_DISK
@@ -426,7 +426,7 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
         graph = self._train_graph()
         self.scheme = PartitionScheme.uniform(graph.num_nodes, dsk.num_partitions)
         dsk.workdir.mkdir(parents=True, exist_ok=True)
-        self.node_store = NodeStore(dsk.workdir / "embeddings.bin", self.scheme,
+        self.node_store = NodeStore(dsk.workdir / "embeddings", self.scheme,
                                     cfg.embedding_dim, learnable=True, stats=self.io)
         self.node_store.initialize(rng=self.rng)
         self.edge_store = EdgeBucketStore(dsk.workdir / "edges.bin", graph,
@@ -487,8 +487,8 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
     def _pack_state(self, arrays: dict, meta: dict) -> NodeStore:
         meta["resident"] = self.buffer.resident
         meta["policy"] = self.policy.state_dict()
-        # The snapshot reads the store: flush the buffer's exact values
-        # first (the same bytes an eviction would write later).
+        # The snapshot links the store's files: flush the buffer's exact
+        # values first (the same bytes an eviction would write later).
         self.buffer.flush()
         return self.node_store
 

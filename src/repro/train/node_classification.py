@@ -280,7 +280,7 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
         graph = self.dataset.graph
         self.scheme = PartitionScheme.uniform(graph.num_nodes, dsk.num_partitions)
         dsk.workdir.mkdir(parents=True, exist_ok=True)
-        self.node_store = NodeStore(dsk.workdir / "features.bin", self.scheme,
+        self.node_store = NodeStore(dsk.workdir / "features", self.scheme,
                                     graph.node_features.shape[1], learnable=False,
                                     stats=self.io)
         self.node_store.initialize(values=graph.node_features)

@@ -11,7 +11,9 @@ a recovery training, and shares a module-scoped uninterrupted baseline).
 """
 
 import dataclasses
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -643,8 +645,10 @@ class TestLinkedSnapshots:
         np.testing.assert_array_equal(arrays["node_table"],
                                       trainer.node_store.read_all())
 
-    def test_in_process_resume_rewrites_every_partition(self, lp_data,
-                                                        tmp_path):
+    def test_in_process_resume_links_every_partition(self, lp_data,
+                                                     tmp_path):
+        """A resume links the snapshot's files back into the store, so the
+        next save finds the same files again and reuses every CRC."""
         trainer = make_disk_lp(lp_data, tmp_path / "w",
                                checkpoint_dir=tmp_path / "c",
                                checkpoint_every=2)
@@ -653,8 +657,136 @@ class TestLinkedSnapshots:
         trainer.save_snapshot(LP_CFG.num_epochs)
         assert trainer.snapshots.linked == 16    # nothing written since
         trainer.resume()
-        trainer.save_snapshot(LP_CFG.num_epochs)
-        assert trainer.snapshots.linked == 0
+        latest, store = trainer.snapshots.latest(), trainer.node_store
+        assert all(os.path.samefile(store.path / rel, latest / rel)
+                   for rel in store.files())
+        path = trainer.save_snapshot(LP_CFG.num_epochs)
+        assert trainer.snapshots.linked == 16
+        trainer.snapshots.load(path)             # every reused CRC holds
+
+
+class TestStoreLayoutIsTheSnapshotLayout:
+    """The store's partition files are the snapshot's: a save links them,
+    a resume links them back, and a write to a linked file replaces it."""
+
+    def test_save_links_every_file_and_moves_no_table_bytes(self, lp_data,
+                                                            tmp_path):
+        trainer = make_disk_lp(lp_data, tmp_path / "w",
+                               checkpoint_dir=tmp_path / "c")
+        trainer.train()
+        trainer.buffer.flush()
+        before = trainer.node_store.stats.snapshot()
+        path = trainer.save_snapshot(LP_CFG.num_epochs)
+        saved = trainer.node_store.stats.diff(before)
+        assert (saved.bytes_read, saved.bytes_written) == (0, 0)
+        files = sorted(path.glob("node_*/*.npy"))
+        assert len(files) == 16
+        assert all(f.stat().st_nlink >= 2 for f in files)
+
+    def test_writes_after_a_save_leave_the_snapshot_unchanged(self, lp_data,
+                                                              tmp_path):
+        """Copy-on-write: training on until every partition has been
+        written back replaces the store's files, never the snapshot's."""
+        trainer = make_disk_lp(lp_data, tmp_path / "w",
+                               checkpoint_dir=tmp_path / "c")
+        trainer.train()
+        path = trainer.save_snapshot(LP_CFG.num_epochs)
+        store = trainer.node_store
+        table, state = store.read_all(), store.read_all_state()
+        saved_bytes = {f: f.read_bytes() for f in path.rglob("node_*/*.npy")}
+        written = set()
+        write_partition = store.write_partition
+
+        def on_partition(part, data, state=None):
+            written.add(int(part))
+            write_partition(part, data, state)
+
+        store.write_partition = on_partition
+        trainer.train()
+        assert written == set(range(store.num_partitions))
+        assert not np.array_equal(store.read_all(), table)
+        _, arrays = trainer.snapshots.load(path)        # every CRC holds
+        np.testing.assert_array_equal(arrays["node_table"], table)
+        np.testing.assert_array_equal(arrays["node_state"], state)
+        assert all(f.read_bytes() == data for f, data in saved_bytes.items())
+
+    def test_restore_moves_no_table_bytes(self, lp_data, tmp_path):
+        from repro.train.checkpoint import restore_store_table
+        trainer = make_disk_lp(lp_data, tmp_path / "w",
+                               checkpoint_dir=tmp_path / "c")
+        trainer.train()
+        path = trainer.save_snapshot(LP_CFG.num_epochs)
+        table = trainer.node_store.read_all()
+        other = make_disk_lp(lp_data, tmp_path / "w2")
+        _, arrays = trainer.snapshots.load(path)
+        before = other.node_store.stats.snapshot()
+        restore_store_table(arrays, other.node_store)
+        moved = other.node_store.stats.diff(before)
+        assert (moved.bytes_read, moved.bytes_written) == (0, 0)
+        np.testing.assert_array_equal(other.node_store.read_all(), table)
+
+    def test_link_failure_falls_back_to_copies(self, lp_data, lp_baseline,
+                                               tmp_path, monkeypatch):
+        """With ``os.link`` failing as across filesystems (EXDEV), saves
+        copy the store's files and a resume copies them back: every
+        snapshot verifies and the resumed run is bit-identical."""
+        def no_link(src, dst, *args, **kwargs):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", no_link)
+        first = make_disk_lp(lp_data, tmp_path / "w",
+                             checkpoint_dir=tmp_path / "c",
+                             checkpoint_every=2)
+        first.snapshots.keep = 100
+        first.train()
+        snaps = first.snapshots.list()
+        assert len(snaps) >= 2 and first.snapshots.linked == 0
+        for snap in snaps:
+            first.snapshots.load(snap)
+            assert all(f.stat().st_nlink == 1
+                       for f in snap.glob("node_*/*.npy"))
+        resumed = make_disk_lp(lp_data, tmp_path / "w2")
+        resumed.resume(snaps[0])
+        resumed.train()
+        ref_table, ref_model = lp_baseline
+        np.testing.assert_array_equal(resumed.node_store.read_all(),
+                                      ref_table)
+        assert _models_equal(resumed.model, ref_model)
+
+    @pytest.mark.parametrize("failing", ["node_state", "node_table"])
+    def test_crash_during_growth_leaves_the_old_file(self, tmp_path,
+                                                     monkeypatch, failing):
+        """A fault between the temp write and the rename of a grown last
+        partition leaves its old file intact plus a ``.tmp``, which the
+        next open sweeps; the store reopens at its old size."""
+        from repro.graph.partition import PartitionScheme
+        from repro.storage import NodeStore
+        scheme = PartitionScheme.uniform(40, 4)
+        store = NodeStore(tmp_path / "s", scheme, dim=4, learnable=True)
+        store.initialize(rng=np.random.default_rng(0))
+        table = store.read_all()
+        last = {name: (tmp_path / "s" / name / "00003.npy").read_bytes()
+                for name in store.tables}
+        real_replace = os.replace
+
+        def crash(src, dst):
+            if Path(src).parent.name == failing:
+                raise SimulatedCrash(f"crash before renaming {src}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(SimulatedCrash):
+            store.grow(scheme.extended(3), np.ones((3, 4), dtype=np.float32))
+        monkeypatch.undo()
+        assert (tmp_path / "s" / failing / "00003.npy.tmp").exists()
+        assert (tmp_path / "s" / failing / "00003.npy").read_bytes() == \
+            last[failing]
+        reopened = NodeStore.open(tmp_path / "s", scheme, dim=4,
+                                  truncate=True)
+        assert not list((tmp_path / "s").rglob("*.tmp"))
+        np.testing.assert_array_equal(reopened.read_all(), table)
+        assert all((tmp_path / "s" / name / "00003.npy").read_bytes()
+                   == data for name, data in last.items())
 
 
 class TestIncrementalSnapshots:

@@ -78,10 +78,9 @@ class TestCrashConsistency:
         buf.finish()
         store.flush()
 
-        # Simulate a crash + restart: new memmap over the same file.
-        reopened = np.memmap(tmp_path / "a.bin", dtype=np.float32,
-                             mode="r", shape=(40, 4))
-        np.testing.assert_allclose(np.array(reopened[[1, 12]]), updated)
+        # Simulate a crash + restart: a new store over the same files.
+        reopened = NodeStore.open(tmp_path / "a.bin", scheme, dim=4)
+        np.testing.assert_allclose(reopened.read_all()[[1, 12]], updated)
 
     def test_unflushed_updates_stay_in_buffer_only(self, tmp_path):
         """Without a flush or an eviction, disk still holds the old values
@@ -93,9 +92,8 @@ class TestCrashConsistency:
         buf = PartitionBuffer(store, 2, optimizer=RowAdagrad(lr=0.5))
         buf.load_step([0])
         buf.apply_gradients(np.array([5]), np.ones((1, 4), dtype=np.float32))
-        raw = np.memmap(tmp_path / "b.bin", dtype=np.float32, mode="r",
-                        shape=(40, 4))
-        np.testing.assert_allclose(np.array(raw[5]), original[0])
+        raw = NodeStore.open(tmp_path / "b.bin", scheme, dim=4)
+        np.testing.assert_allclose(raw.read_all()[5], original[0])
 
 
 class TestBadInputs:

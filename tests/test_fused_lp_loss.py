@@ -212,7 +212,7 @@ def _train_lp_disk(data, workdir, encoder):
     params = {name: p.data.tobytes()
               for name, p in trainer.model.named_parameters()}
     return ([r.loss for r in result.epochs], params,
-            (workdir / "embeddings.bin").read_bytes())
+            trainer.node_store.read_all().tobytes())
 
 
 @pytest.mark.parametrize("encoder", ["none", "graphsage"])

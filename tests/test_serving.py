@@ -15,6 +15,7 @@ The load-bearing guarantees:
 """
 
 import json
+import os
 import shutil
 import threading
 
@@ -112,6 +113,41 @@ def test_get_embeddings_edge_cases(lp_snapshot, lp_engine):
         lp_engine.get_embeddings(np.array([len(table) + 5]))
     with pytest.raises(KeyError, match="out of range"):
         lp_engine.get_embeddings(np.array([-1]))
+
+
+def test_disk_snapshot_is_served_in_place(lp_snapshot, lp_engine, tmp_path):
+    """The served store is the snapshot's own partition files, opened
+    read-only: the serving workdir holds no table bytes."""
+    snapshot, _, _ = lp_snapshot
+    store = lp_engine.store
+    assert store.path == snapshot
+    for part in range(store.num_partitions):
+        rel = f"node_table/{part:05d}.npy"
+        assert os.path.samefile(store.path / rel, snapshot / rel)
+    assert sum(f.stat().st_size for f in (tmp_path / "serve").rglob("*")
+               if f.is_file()) == 0
+
+
+def test_lp_mem_snapshot_serves_the_trainers_table(lp_data, tmp_path):
+    """An lp-mem snapshot (one ``emb_table.npy``) serves lookups and
+    top-k answers over exactly the trainer's table."""
+    from repro.train import LinkPredictionTrainer
+    trainer = LinkPredictionTrainer(lp_data, LP_CFG,
+                                    checkpoint_dir=tmp_path / "ckpt",
+                                    checkpoint_every=1)
+    trainer.train()
+    table = trainer.embeddings.table
+    engine = serve_link_prediction(trainer.snapshots.latest(),
+                                   tmp_path / "serve", buffer_capacity=2)
+    ids = np.random.default_rng(3).integers(0, len(table), 50)
+    np.testing.assert_array_equal(engine.get_embeddings(ids), table[ids])
+    n, src, k = len(table), 7, 10
+    everything = np.stack([np.full(n, src), np.zeros(n, dtype=np.int64),
+                           np.arange(n)], axis=1)
+    full = score_edges_offline(trainer.model, table, everything)
+    got, scores = engine.topk_targets(src, k)
+    np.testing.assert_array_equal(full[got], scores)
+    np.testing.assert_array_equal(scores, np.sort(full)[-k:][::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Storage layer tests: node/edge stores, partition buffer, IO stats."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -141,8 +142,9 @@ class TestNodeStore:
         s = NodeStore(tmp_path / "p.bin", scheme, dim=2, learnable=False)
         s.initialize(values=np.ones((10, 2), dtype=np.float32))
         s.flush()
-        raw = np.memmap(tmp_path / "p.bin", dtype=np.float32, shape=(10, 2))
-        np.testing.assert_array_equal(np.array(raw), np.ones((10, 2)))
+        raw = np.concatenate([np.load(tmp_path / "p.bin" / "node_table" /
+                                      f"{part:05d}.npy") for part in (0, 1)])
+        np.testing.assert_array_equal(raw, np.ones((10, 2)))
 
     @pytest.mark.parametrize("parts", [4, 16])
     def test_initialize_draws_one_partition_at_a_time(self, tmp_path, parts):
@@ -167,15 +169,6 @@ class TestNodeStore:
         assert store.gather_rows(np.empty(0, dtype=np.int64)).shape == (0, 8)
         with pytest.raises(IndexError):
             store.gather_rows(np.array([100]))
-
-    def test_read_block_fills_a_reused_array(self, store):
-        scratch = np.empty((25, 8), dtype=np.float32)
-        for part in range(store.num_partitions):
-            want_data, want_state = store.read_partition(part)
-            np.testing.assert_array_equal(
-                store.read_block(part, scratch), want_data)
-            np.testing.assert_array_equal(
-                store.read_block(part, scratch, state=True), want_state)
 
     def test_grow_is_seen_by_reads_and_the_map(self, store):
         block = store.partition_block(3)           # maps the table
@@ -206,6 +199,9 @@ class TestNodeStore:
         def fds():
             return len(os.listdir("/proc/self/fd"))
         scheme = PartitionScheme.uniform(40, 4)
+        # Earlier tests' trainers sit in reference cycles with their open
+        # stores; collect them now, not in the middle of the count.
+        gc.collect()
         before = fds()
         for i in range(50):
             s = NodeStore(tmp_path / f"s{i}.bin", scheme, dim=4)
@@ -343,6 +339,29 @@ class TestPartitionBuffer:
         assert not mask[0:10].any()
         nodes = buf.resident_nodes()
         assert len(nodes) == 20
+
+    def test_resident_nodes_cache_matches_a_fresh_build(self, tmp_path):
+        """The per-residency cache of resident_nodes equals the ids built
+        afresh after every way residency changes."""
+        store, buf = self.make(tmp_path)
+
+        def fresh():
+            bounds = store.scheme.boundaries
+            return np.concatenate(
+                [np.arange(bounds[p], bounds[p + 1]) for p in buf.resident]
+                or [np.empty(0, dtype=np.int64)])
+
+        buf.load_step([0, 3], next_partitions=[1, 2])
+        np.testing.assert_array_equal(buf.resident_nodes(), fresh())
+        buf.load_step([1, 3])
+        np.testing.assert_array_equal(buf.resident_nodes(), fresh())
+        store.grow(store.scheme.extended(5),
+                   np.ones((5, 4), dtype=np.float32))
+        buf.refresh_from_store(parts=[3])
+        assert len(fresh()) == 25
+        np.testing.assert_array_equal(buf.resident_nodes(), fresh())
+        buf.drop_all()
+        assert len(buf.resident_nodes()) == 0
 
     def test_flush_without_evict(self, tmp_path):
         store, buf = self.make(tmp_path)

@@ -81,7 +81,7 @@ def recover_live(tmp_path, base_nodes, p=6, dim=8, seed=0,
     recovery = WriteAheadLog.scan(wal_dir)
     acked = max(base_nodes, recovery.num_nodes, recovery.max_nodes_recorded)
     nodes_path = tmp_path / f"{name}-nodes.bin"
-    file_rows = nodes_path.stat().st_size // (4 * dim)
+    file_rows = NodeStore.stored_rows(nodes_path)
     attach = min(acked, file_rows)
     scheme = PartitionScheme.uniform(base_nodes, p).extended(
         attach - base_nodes)
@@ -711,6 +711,30 @@ class TestContinualTrainer:
         trainer.refresh()                              # full pass advances
         assert trainer.refreshed_seq == live.log.seq
         assert not trainer._pending_pairs
+
+    def test_edges_ingested_mid_refresh_stay_pending(self, tmp_path):
+        """An edge logged while a refresh of bucket (0, 0) runs lands in
+        bucket (3, 3), which that refresh does not train: it stays pending
+        and past the cursor."""
+        cfg = LinkPredictionConfig(**self.CFG)
+        live = make_live(tmp_path, seed=36)
+        trainer = ContinualTrainer(live, cfg, buffer_capacity=3)
+        first = live.scheme.boundaries
+        live.insert_edges(np.array([[first[0], first[0] + 1]]))
+        assert trainer._pending_pairs == {(0, 0)}
+        gather, mid = trainer.buffer.gather, []
+
+        def gather_and_ingest(node_ids):
+            if not mid:
+                mid.append(live.insert_edges(
+                    np.array([[first[3], first[3] + 1]])))
+            return gather(node_ids)
+
+        trainer.buffer.gather = gather_and_ingest
+        trainer.refresh()
+        assert mid
+        assert trainer._pending_pairs == {(3, 3)}
+        assert trainer.refreshed_seq < live.log.seq
 
     def test_snapshot_records_log_position_and_resumes(self, tmp_path):
         cfg = LinkPredictionConfig(**self.CFG)
