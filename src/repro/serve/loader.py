@@ -12,11 +12,12 @@ A disk snapshot's table files are the training store's own layout, so the
 served :class:`NodeStore` opens them in place, read-only, after checking
 each file's CRC: the serving workdir holds no table bytes. An lp-mem
 snapshot's one ``emb_table.npy`` is written into a store under the serving
-workdir, partitioned uniformly. The snapshot's recorded store fingerprint
-is checked against the served layout (ignoring the learnable flag —
-serving never carries optimizer state) so a partition-count mismatch is
-rejected up front instead of silently changing which rows a partition
-holds.
+workdir, partitioned uniformly, and so is an NC job's feature table. A
+disk snapshot's partition count, and an nc-disk snapshot's recorded store
+fingerprint (ignoring the learnable flag — serving never carries
+optimizer state), are checked against the served layout, so a
+partition-count mismatch is rejected up front instead of silently
+changing which rows a partition holds.
 """
 
 from __future__ import annotations
