@@ -22,18 +22,6 @@ from .atomic import atomic_write, fsync_dir
 from .io_stats import IOStats, crc_file
 
 
-def _crc_chunks(arrays) -> int:
-    """Streamed CRC-32 over int64 array chunks (never the whole file at
-    once — bucket files can be table-sized)."""
-    crc = 0
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        step = max(1, (1 << 20) // max(arr.shape[-1] * 8, 1))
-        for start in range(0, len(arr), step):
-            crc = zlib.crc32(arr[start : start + step].tobytes(), crc)
-    return crc
-
-
 class EdgeBucketStore:
     """Edge buckets written bucket-major to a single on-disk file.
 
@@ -65,7 +53,7 @@ class EdgeBucketStore:
         self._edges[:] = flat
         self._edges.flush()
         self.num_edges = len(flat)
-        self._file_crc = _crc_chunks(iter([flat]))
+        self._file_crc = zlib.crc32(flat)
         self._write_layout()
 
     def _fire(self, point: str) -> None:
@@ -206,8 +194,9 @@ class EdgeBucketStore:
         data = self.read_bucket(i, j, record_io=record_io)
         return data[:, 0], data[:, -1]
 
-    def read_buckets(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        parts = [self.read_bucket(i, j) for i, j in pairs]
+    def read_buckets(self, pairs: Sequence[Tuple[int, int]],
+                     record_io: bool = True) -> np.ndarray:
+        parts = [self.read_bucket(i, j, record_io) for i, j in pairs]
         if not parts:
             return np.empty((0, self.width), dtype=np.int64)
         return np.concatenate(parts, axis=0)
@@ -220,18 +209,8 @@ class EdgeBucketStore:
         (e.g. after only the training-example set X_i changed), skipping the
         disk accounting.
         """
-        pairs = [(i, j) for i in partitions for j in partitions]
-        if record_io:
-            edges = self.read_buckets(pairs)
-        else:
-            chunks = []
-            p = self.num_partitions
-            for i, j in pairs:
-                b = i * p + j
-                lo, hi = int(self.bucket_offsets[b]), int(self.bucket_offsets[b + 1])
-                chunks.append(np.array(self._edges[lo:hi]))
-            edges = (np.concatenate(chunks, axis=0) if chunks
-                     else np.empty((0, self.width), dtype=np.int64))
+        edges = self.read_buckets(
+            [(i, j) for i in partitions for j in partitions], record_io)
         return Graph(
             num_nodes=self.scheme.num_nodes,
             src=edges[:, 0],

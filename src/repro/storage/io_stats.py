@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
@@ -84,36 +84,24 @@ class IOStats:
                 "partition_evictions": self.partition_evictions,
                 "smallest_read": self.smallest_read}
 
+    def _counters(self) -> Dict[str, int]:
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.init}
+
     def reset(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.num_reads = 0
-        self.num_writes = 0
-        self.partition_loads = 0
-        self.partition_evictions = 0
-        self.smallest_read = 0
+        with self._lock:
+            for name in self._counters():
+                setattr(self, name, 0)
 
     def snapshot(self) -> "IOStats":
         with self._lock:
-            return IOStats(
-                bytes_read=self.bytes_read,
-                bytes_written=self.bytes_written,
-                num_reads=self.num_reads,
-                num_writes=self.num_writes,
-                partition_loads=self.partition_loads,
-                partition_evictions=self.partition_evictions,
-                smallest_read=self.smallest_read,
-            )
+            return IOStats(**self._counters())
 
     def diff(self, earlier: "IOStats") -> "IOStats":
         """Traffic since an earlier snapshot."""
-        return IOStats(
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            num_reads=self.num_reads - earlier.num_reads,
-            num_writes=self.num_writes - earlier.num_writes,
-            partition_loads=self.partition_loads - earlier.partition_loads,
-            partition_evictions=self.partition_evictions - earlier.partition_evictions,
-            smallest_read=(self.smallest_read
-                           if self.num_reads > earlier.num_reads else 0),
-        )
+        before = earlier._counters()
+        out = IOStats(**{name: value - before[name]
+                         for name, value in self._counters().items()})
+        out.smallest_read = (self.smallest_read
+                             if self.num_reads > earlier.num_reads else 0)
+        return out

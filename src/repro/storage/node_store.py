@@ -46,13 +46,6 @@ from ..graph.partition import PartitionScheme
 from .io_stats import IOStats
 
 
-# Up to this many ids over several partitions, ``read_rows`` copies a row
-# at a time: on a 2-vCPU box, 8 Zipf ids over a 100k x 64 table in 16
-# partitions took ~7 us that way against ~18 us grouped by partition, and
-# the two met near 64 ids.
-_ROW_BY_ROW = 64
-
-
 def table_file(name: str, part: int) -> str:
     """A partition file's path relative to its store or snapshot."""
     return f"{name}/{part:05d}.npy"
@@ -71,6 +64,15 @@ def _pwrite(fh, offset: int, data: np.ndarray) -> None:
     while buf:
         put = os.pwrite(fh.fileno(), buf, offset)
         buf, offset = buf[put:], offset + put
+
+
+def link_or_copy(source: Path, target: Path) -> None:
+    """Hard-link ``source`` as ``target``, or copy it where the link fails
+    (``EXDEV``: the two are on different filesystems)."""
+    try:
+        os.link(source, target)
+    except OSError:
+        shutil.copyfile(source, target)
 
 
 def _new_file(path: Path, rows: int, dim: int):
@@ -304,7 +306,9 @@ class NodeStore:
         stop = start_row + len(data)
         if start_row < 0 or stop > self.num_nodes:
             raise ValueError(f"span [{start_row}, {stop}) outside the table")
-        for part in range(self.num_partitions):
+        bounds = self.scheme.boundaries
+        for part in range(bounds.searchsorted(start_row, side="right") - 1,
+                          bounds.searchsorted(stop)):
             lo, hi = self._bounds(part)
             a, b = max(lo, start_row), min(hi, stop)
             for name, rows in (("node_table", data), ("node_state", state)):
@@ -349,31 +353,19 @@ class NodeStore:
 
     def read_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row gather from the mapped partition files: serving's lookups.
-        Ids in one partition are one gather; up to ``_ROW_BY_ROW`` ids
-        over several partitions are copied a row at a time (cheaper than
-        grouping them); more are gathered once per partition they touch."""
+        The ids are sorted once, then each partition they touch is one
+        gather."""
         rows = np.asarray(rows, dtype=np.int64)
-        bounds = self.scheme.boundaries
-        parts = bounds.searchsorted(rows, side="right") - 1
-        local = rows - bounds[parts]
-        touched = parts.tolist()
-        if touched and (min(touched) < 0
-                        or max(touched) >= self.num_partitions):
+        order = np.argsort(rows, kind="stable")
+        ids, bounds = rows[order], self.scheme.boundaries
+        edges = ids.searchsorted(bounds).tolist()
+        if edges[0] > 0 or edges[-1] < len(rows):
             raise IndexError(f"rows outside [0, {self.num_nodes})")
-        if touched and touched.count(touched[0]) == len(touched):
-            data = self._mapped(touched[0])[local]
-        elif len(touched) <= _ROW_BY_ROW:
-            data = np.empty((len(rows), self.dim), dtype=np.float32)
-            for k, (part, row) in enumerate(zip(touched, local.tolist())):
-                data[k] = self._mapped(part)[row]
-        else:
-            data = np.empty((len(rows), self.dim), dtype=np.float32)
-            order = np.argsort(parts, kind="stable")
-            counts = np.bincount(parts)
-            ends = np.cumsum(counts)
-            for part in np.flatnonzero(counts).tolist():
-                sel = order[ends[part] - counts[part]:ends[part]]
-                data[sel] = self._mapped(part)[local[sel]]
+        data = np.empty((len(rows), self.dim), dtype=np.float32)
+        for part, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if lo < hi:
+                data[lo:hi] = self._mapped(part)[ids[lo:hi] - bounds[part]]
+        data = data[np.argsort(order)]
         self.stats.record_read(data.nbytes)
         return data
 
@@ -451,10 +443,7 @@ class NodeStore:
                 target = self.path / table_file(name, part)
                 tmp = target.with_name(target.name + ".tmp")
                 tmp.unlink(missing_ok=True)
-                try:
-                    os.link(Path(source) / table_file(name, part), tmp)
-                except OSError:
-                    shutil.copyfile(Path(source) / table_file(name, part), tmp)
+                link_or_copy(Path(source) / table_file(name, part), tmp)
                 os.replace(tmp, target)
                 self._reopen(name, part, self.scheme.partition_size(part))
 

@@ -110,6 +110,10 @@ class ContinualTrainer(_TrainingLoop):
         super().__init__(config or LinkPredictionConfig(), checkpoint_dir,
                          checkpoint_every, listeners)
         self.live = live
+        # A save holds the writer lock while it reads the stream cursors,
+        # the fingerprint and the bounds and links the store's files, so no
+        # growth, replay or write-back lands in between.
+        self._store_writers = live.lock
         cfg = self.config
         self.io = live.node_store.stats
         self.model = LinkPredictionModel(cfg, num_relations, rng=self.rng)
@@ -119,18 +123,21 @@ class ContinualTrainer(_TrainingLoop):
             live.scheme, live.bucket_endpoints, (), list(cfg.fanouts),
             directions=cfg.directions, rng=self.rng)
         if self.model.encoder is not None:
-            # A decoder-only model never reads the neighbor index.
+            # A decoder-only model never reads the neighbor index. The
+            # listener holds the sampler, not the trainer (no reference
+            # cycle), and looks ``update_graph`` up at call time.
+            sampler = self.sampler
             self.buffer.add_swap_listener(
-                lambda added, removed: self.sampler.update_graph(added, removed))
+                lambda added, removed: sampler.update_graph(added, removed))
             live.add_bucket_listener(self.sampler.index.refresh_buckets)
         # The trainer's own touched-pair accumulator: unlike the log (which
         # forgets merged events at compaction), this survives compactions,
         # so a post-compaction refresh still knows what drifted. The
-        # listener closes over the attribute, not the set object — resume()
-        # replaces the contents and must not orphan the subscription.
+        # listener is the set's own ``update`` (no reference back to the
+        # trainer), so the set is never rebound: resume() and a refresh
+        # replace its contents.
         self._pending_pairs: set = set()
-        live.add_bucket_listener(
-            lambda pairs: self._pending_pairs.update(pairs))
+        live.add_bucket_listener(self._pending_pairs.update)
         # Growth extends the index synchronously: the bucket listeners that
         # fire after it index rows in the grown scheme. The buffer is left
         # to the trainer's own thread (_sync_growth); compaction needs no
@@ -249,14 +256,6 @@ class ContinualTrainer(_TrainingLoop):
     def _fingerprints(self) -> dict:
         return {"node": self.live.node_store.fingerprint(),
                 "edge": self.live.edge_store.fingerprint()}
-
-    def save_snapshot(self, epoch: int, next_step: int = 0,
-                      num_steps: int = 1) -> Path:
-        """The loop's save, under the writer lock: no growth, replay or
-        write-back can change the store between its fingerprint, its
-        partition bounds and the links to its files."""
-        with self.live.lock:
-            return super().save_snapshot(epoch, next_step, num_steps)
 
     def _pack_state(self, arrays: dict, meta: dict):
         live, log = self.live, self.live.log

@@ -44,7 +44,7 @@ from ..nn.module import Module
 from ..obs.trace import traced
 from ..storage.atomic import fsync_dir
 from ..storage.io_stats import crc_file as _crc_file
-from ..storage.node_store import table_file as _table_file
+from ..storage.node_store import link_or_copy, table_file as _table_file
 
 SNAPSHOT_VERSION = 2
 _SNAP_PREFIX = "snap-"
@@ -162,6 +162,13 @@ class _Saved(NamedTuple):     # a manager's last save, to reuse CRCs from
     files: Dict[str, int]
 
 
+class _Staged(NamedTuple):    # a save's temp directory and the files linked
+    tmp: Path
+    step_id: int
+    tables: Dict[str, List[int]]
+    store_files: List[str]
+
+
 class SnapshotManager:
     """Versioned, atomic on-disk snapshots under one root directory.
 
@@ -200,22 +207,27 @@ class SnapshotManager:
             shutil.rmtree(leftover, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    @traced("snapshot.save")
     def save(self, step_id: int, meta: Dict[str, Any],
              arrays: Dict[str, np.ndarray], store=None) -> Path:
         """Write a snapshot atomically; returns its directory.
 
         ``meta`` must be JSON-serializable; ``arrays`` maps names to numpy
-        arrays, one ``<name>.npy`` each. ``store`` (a ``NodeStore``) adds
-        its table and optimizer state by hard-linking each partition file
-        (copied if the link fails). A linked file that is the same file as
-        in this manager's previous save keeps that save's CRC; any other
-        is fsynced and CRC-checked. No writer may run during the save: a
-        live store's caller holds the writer lock. ``step_id`` seeds the
-        directory ordinal (bumped past any existing snapshots so this save
-        sorts latest). The snapshot becomes visible only after the final
-        rename.
+        arrays, one ``<name>.npy`` each; ``store`` (a ``NodeStore``) adds
+        its table and optimizer state, partition file by partition file.
+        ``step_id`` seeds the directory ordinal (bumped past any existing
+        snapshots so this save sorts latest). The snapshot becomes visible
+        only after the final rename. A save is :meth:`stage` then
+        :meth:`publish`; a caller whose store has concurrent writers calls
+        the two itself, holding the writer lock for :meth:`stage` only.
         """
+        return self.publish(self.stage(step_id, store), meta, arrays)
+
+    def stage(self, step_id: int, store=None) -> _Staged:
+        """Start a save: make its temp directory and hard-link each of
+        ``store``'s partition files into it (copied if the link fails).
+        No writer may run meanwhile. Once linked, a file is never modified
+        (a write to it replaces the store's file instead), so the rest of
+        the save needs no lock."""
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep_tmp()
         # The directory ordinal is the *save* sequence, not the training
@@ -228,27 +240,47 @@ class SnapshotManager:
         existing = self.list()
         if existing:
             ordinal = max(ordinal, self._step_of(existing[-1]) + 1)
-        final = self.root / f"{_SNAP_PREFIX}{ordinal:012d}"
-        while final.exists():   # debris of an incomplete snapshot
-            ordinal += 1
-            final = self.root / f"{_SNAP_PREFIX}{ordinal:012d}"
+        while (self.root / f"{_SNAP_PREFIX}{ordinal:012d}").exists():
+            ordinal += 1        # debris of an incomplete snapshot
         tmp = self.root / f"{_TMP_PREFIX}{ordinal:012d}"
         tmp.mkdir()
         self._fire("snapshot-begin")
+        if store is None:
+            return _Staged(tmp, int(step_id), {}, [])
+        for rel in store.files():
+            (tmp / rel).parent.mkdir(parents=True, exist_ok=True)
+            link_or_copy(store.path / rel, tmp / rel)
+        bounds = [int(b) for b in store.scheme.boundaries]
+        return _Staged(tmp, int(step_id),
+                       {name: bounds for name in store.tables}, store.files())
 
-        files: Dict[str, int] = {}
-        tables: Dict[str, List[int]] = {}
+    @traced("snapshot.save")
+    def publish(self, staged: _Staged, meta: Dict[str, Any],
+                arrays: Dict[str, np.ndarray]) -> Path:
+        """Finish a save: CRC the staged files, write ``arrays`` and the
+        manifest, fsync, rename into place and prune. A staged file that
+        is the same file as in this manager's previous save keeps that
+        save's CRC; any other is fsynced and CRC-checked."""
+        tmp, files, last = staged.tmp, {}, self._last
         self.linked = 0
-        if store is not None:
-            bounds = [int(b) for b in store.scheme.boundaries]
-            tables = {name: bounds for name in store.tables}
-            for rel in store.files():
-                self._link(tmp, files, store.path / rel, rel)
+        for rel in staged.store_files:
+            if last is not None and rel in last.files and _same_file(
+                    tmp / rel, last.path / rel):
+                # Exact: while that snapshot links the file, every write
+                # to the partition replaces it instead.
+                files[rel] = last.files[rel]
+                self.linked += 1
+            else:
+                with open(tmp / rel, "rb") as fh:
+                    os.fsync(fh.fileno())
+                files[rel] = _crc_file(tmp / rel)
+            self._added(files)
         for name, value in arrays.items():
             self._put(tmp, files, f"{name}.npy", value)
 
-        manifest = {"version": SNAPSHOT_VERSION, "step_id": int(step_id),
-                    "files": files, "tables": tables, "meta": meta}
+        manifest = {"version": SNAPSHOT_VERSION,
+                    "step_id": staged.step_id,
+                    "files": files, "tables": staged.tables, "meta": meta}
         with open(tmp / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
             fh.flush()
@@ -257,34 +289,13 @@ class SnapshotManager:
             fsync_dir(sub)
 
         self._fire("snapshot-pre-rename")
+        final = self.root / f"{_SNAP_PREFIX}{tmp.name[len(_TMP_PREFIX):]}"
         os.rename(tmp, final)
         fsync_dir(self.root)
         self._last = _Saved(final, files)
         self._fire("snapshot-post-rename")
         self._prune()
         return final
-
-    def _link(self, tmp: Path, files: Dict[str, int], source: Path,
-              rel: str) -> None:
-        """Add a store partition file to the snapshot being written."""
-        target = tmp / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            os.link(source, target)
-        except OSError:          # e.g. EXDEV: another filesystem
-            shutil.copyfile(source, target)
-        last = self._last
-        if last is not None and rel in last.files and _same_file(
-                target, last.path / rel):
-            # Exact: while that snapshot links the file, every write to
-            # the partition replaces it instead.
-            files[rel] = last.files[rel]
-            self.linked += 1
-        else:
-            with open(target, "rb") as fh:
-                os.fsync(fh.fileno())
-            files[rel] = _crc_file(target)
-        self._added(files)
 
     def _put(self, tmp: Path, files: Dict[str, int], rel: str,
              array: np.ndarray) -> None:

@@ -445,8 +445,12 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
             list(cfg.fanouts), directions=cfg.directions, rng=self.rng)
         self.model = LinkPredictionModel(cfg, graph.num_relations, rng=self.rng)
         if self.model.encoder is not None:
+            # Through the sampler, not the trainer: no reference cycle keeps a
+            # dropped trainer's store files open, and a wrapper set on
+            # ``sampler.update_graph`` later still sees every swap.
+            sampler = self.sampler
             self.buffer.add_swap_listener(
-                lambda added, removed: self.sampler.update_graph(added, removed))
+                lambda added, removed: sampler.update_graph(added, removed))
         self.policy = self._make_policy()
         self.negatives = UniformNegativeSampler(graph.num_nodes, cfg.num_negatives,
                                                 rng=self.rng)

@@ -49,6 +49,7 @@ never cached as bound methods, so instance-level wrappers see every call.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,6 +86,9 @@ class _TrainingLoop:
     KIND = ""
     METRIC = ""      # name of the per-epoch metric in the verbose line
     EPOCH_EVENT = "epoch"
+    # Held while a save reads the node store's state and links its files:
+    # the lock of any writer that runs beside the trainer.
+    _store_writers = contextlib.nullcontext()
 
     def __init__(self, config: Any, checkpoint_dir: Optional[Path],
                  checkpoint_every: int,
@@ -180,13 +184,15 @@ class _TrainingLoop:
         if next_step >= num_steps:
             epoch, next_step = epoch + 1, 0
         arrays: Dict[str, np.ndarray] = {}
-        meta = {"trainer": self.KIND, "epoch": int(epoch),
-                "step": int(next_step), "global_step": self._global_step,
-                "rng": rng_state(self.rng), "stores": self._fingerprints(),
-                "config": _config_to_dict(self.config)}
-        store = self._pack_state(arrays, meta)
+        with self._store_writers:   # the store's state and links agree
+            meta = {"trainer": self.KIND, "epoch": int(epoch),
+                    "step": int(next_step), "global_step": self._global_step,
+                    "rng": rng_state(self.rng), "stores": self._fingerprints(),
+                    "config": _config_to_dict(self.config)}
+            store = self._pack_state(arrays, meta)
+            staged = self.snapshots.stage(self._global_step, store)
         pack_model_state(arrays, self.model, self._gnn_optimizer)
-        path = self.snapshots.save(self._global_step, meta, arrays, store)
+        path = self.snapshots.publish(staged, meta, arrays)
         self._emit("snapshot", trainer=self.KIND, path=str(path),
                    epoch=int(epoch), step=int(next_step),
                    linked=self.snapshots.linked)

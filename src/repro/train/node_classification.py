@@ -292,8 +292,12 @@ class DiskNodeClassificationTrainer(_NodeClassificationLoop):
         self.sampler = DenseSampler.from_partitions(
             self.scheme, self.edge_store.bucket_endpoints, (),
             list(cfg.fanouts), directions=cfg.directions, rng=self.rng)
+        # Through the sampler, not the trainer: no reference cycle keeps a
+        # dropped trainer's store files open, and a wrapper set on
+        # ``sampler.update_graph`` later still sees every swap.
+        sampler = self.sampler
         self.buffer.add_swap_listener(
-            lambda added, removed: self.sampler.update_graph(added, removed))
+            lambda added, removed: sampler.update_graph(added, removed))
         self.policy = TrainingNodeCachePolicy(dsk.num_partitions, dsk.buffer_capacity,
                                               train_parts, self.dataset.train_nodes,
                                               scheme=self.scheme)

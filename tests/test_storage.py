@@ -1,6 +1,5 @@
 """Storage layer tests: node/edge stores, partition buffer, IO stats."""
 
-import gc
 import os
 import subprocess
 import sys
@@ -199,9 +198,6 @@ class TestNodeStore:
         def fds():
             return len(os.listdir("/proc/self/fd"))
         scheme = PartitionScheme.uniform(40, 4)
-        # Earlier tests' trainers sit in reference cycles with their open
-        # stores; collect them now, not in the middle of the count.
-        gc.collect()
         before = fds()
         for i in range(50):
             s = NodeStore(tmp_path / f"s{i}.bin", scheme, dim=4)

@@ -736,6 +736,31 @@ class TestContinualTrainer:
         assert trainer._pending_pairs == {(3, 3)}
         assert trainer.refreshed_seq < live.log.seq
 
+    def test_save_holds_the_writer_lock_only_to_link(self, tmp_path):
+        """Another thread cannot take ``live.lock`` while a save links the
+        store's files, and can while the save CRCs them and writes the
+        rest, so ingest does not wait for those."""
+        live = make_live(tmp_path, seed=37)
+        trainer = ContinualTrainer(live, LinkPredictionConfig(**self.CFG),
+                                   buffer_capacity=3,
+                                   checkpoint_dir=tmp_path / "ckpt")
+        free = {}
+
+        def probe(point):
+            def other_thread():
+                free[point] = live.lock.acquire(timeout=0.2)
+                if free[point]:
+                    live.lock.release()
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join()
+
+        trainer.snapshots.fault_hook = probe
+        trainer.save_snapshot(0)
+        assert free == {"snapshot-begin": False, "snapshot-mid-files": True,
+                        "snapshot-pre-rename": True,
+                        "snapshot-post-rename": True}
+
     def test_snapshot_records_log_position_and_resumes(self, tmp_path):
         cfg = LinkPredictionConfig(**self.CFG)
         live = make_live(tmp_path, seed=32)
