@@ -753,7 +753,8 @@ class TestContinualTrainer:
                     live.lock.release()
             thread = threading.Thread(target=other_thread)
             thread.start()
-            thread.join()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
         trainer.snapshots.fault_hook = probe
         trainer.save_snapshot(0)
