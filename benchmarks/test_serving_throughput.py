@@ -10,8 +10,8 @@ skewed (Zipf) query mix:
 
 * **naive** — one engine call per query, arrival order: every lookup
   pays the per-call overhead by itself.
-* **batched** — the :class:`RequestBatcher` shape: micro-batches of
-  ``max_batch`` arrival-ordered queries per engine call, one gather each.
+* **batched** — ``max_batch`` arrival-ordered queries per engine call,
+  one gather each: the per-call overhead amortized over the batch.
 
 Lookups never swap a partition (``swaps_per_1k`` is 0 in every arm, and
 asserted so): the counter only moves for encode-on-read.
@@ -202,8 +202,7 @@ def _fleet_spec(snapshot, workdir, workers, affinity, capacity):
         "kind": "serve-fleet",
         "serve": {"snapshot": str(snapshot)},
         "storage": {"workdir": str(workdir), "buffer": capacity},
-        "fleet": {"workers": workers, "affinity": affinity, "port": 0,
-                  "max_batch": 64, "max_wait_ms": 1.0},
+        "fleet": {"workers": workers, "affinity": affinity, "port": 0},
     }).resolve()
 
 

@@ -10,13 +10,14 @@ memmap — a ``serve`` job over the same unified API:
 * edge scoring, bit-identical to offline evaluation scoring,
 * top-k link prediction, scoring candidate partitions blockwise,
 
-first directly against the engine, then through the micro-batching
-`RequestBatcher` with per-request latency accounting.
+then times a stream of single-node lookups against the engine, one call
+per request, as a fleet worker answers them.
 
 Run:  python examples/serving_queries.py
 """
 
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from repro import api
 from repro.api import (DataSpec, JobSpec, ModelSpec, ServeSpec, StorageSpec,
                        TrainSpec)
-from repro.serve import RequestBatcher
 from repro.train import score_edges_offline
 
 P, C = 16, 4  # physical partitions; buffer capacity (training: 25% resident)
@@ -79,19 +79,17 @@ def main() -> None:
     print(f"top-5 targets for ({src}, rel {rel}): "
           + ", ".join(f"{i} ({s:.3f})" for i, s in zip(top_ids, top_scores)))
 
-    # --- micro-batched serving ----------------------------------------
-    print("\nmicro-batched serving (max_batch=128):")
+    # --- one engine call per request ----------------------------------
+    print("\nsingle-node lookups, one engine call each:")
     queries = np.random.default_rng(1).zipf(1.3, size=2000)
     queries = np.minimum(queries, data.graph.num_nodes) - 1
-    with RequestBatcher(engine, max_batch=128) as batcher:
-        requests = [batcher.submit("embed", queries[i : i + 1])
-                    for i in range(len(queries))]
-        for request in requests:
-            request.wait()
-        summary = batcher.latency_percentiles()
-    print(f"  {summary['n']} requests, p50 {summary['p50_ms']:.2f}ms, "
-          f"p99 {summary['p99_ms']:.2f}ms, "
-          f"mean batch {batcher.stats()['mean_batch']:.0f}")
+    latency_ms = []
+    for node in queries:
+        t0 = time.perf_counter()
+        engine.get_embeddings([node])
+        latency_ms.append(1000.0 * (time.perf_counter() - t0))
+    p50, p99 = np.percentile(latency_ms, [50, 99])
+    print(f"  {len(queries)} requests, p50 {p50:.3f}ms, p99 {p99:.3f}ms")
     print(f"  engine totals: {engine.stats.lookups} lookups")
 
 

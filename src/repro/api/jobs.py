@@ -314,14 +314,11 @@ class ServeJob(Job):
         engine = self.engine
         results: Dict[str, Any] = {}
         if serve.embed or serve.score or serve.topk:
-            # Query execution rides a micro-batcher wrapped in a drain
-            # guard: SIGINT/SIGTERM stops admitting, finishes what's
-            # queued, then exits 128+signum — the same drain discipline
-            # the fleet workers reuse (docs/serving.md).
-            from ..serve import GracefulDrain, RequestBatcher
-            with RequestBatcher(engine, max_batch=serve.max_batch) as batcher:
-                with GracefulDrain(batcher.stop):
-                    self._run_queries(batcher, results, verbose)
+            # The queries call the engine on this thread under a drain
+            # guard: SIGINT/SIGTERM exits 128+signum (docs/serving.md).
+            from ..serve import GracefulDrain
+            with GracefulDrain():
+                self._run_queries(results, verbose)
         if serve.classify:
             preds = engine.classify(_parse_ids(serve.classify), seed=0)
             results["classify"] = preds
@@ -339,12 +336,12 @@ class ServeJob(Job):
         results["stats"] = engine.stats
         return results
 
-    def _run_queries(self, batcher, results: Dict[str, Any],
-                     verbose: bool) -> None:
+    def _run_queries(self, results: Dict[str, Any], verbose: bool) -> None:
         serve = self.spec.serve
+        engine = self.engine
         if serve.embed:
             ids = _parse_ids(serve.embed)
-            rows = batcher.get_embeddings(ids)
+            rows = engine.get_embeddings(ids)
             results["embed"] = (ids, rows)   # parallel arrays, duplicates kept
             if verbose:
                 for node, row in zip(ids, rows):
@@ -362,7 +359,7 @@ class ServeJob(Job):
                                      f"expected SRC:DST or SRC:REL:DST")
                 rows.append(fields)
             pairs = np.array(rows, dtype=np.int64)
-            scores = batcher.score_edges(pairs)
+            scores = engine.score_edges(pairs)
             results["score"] = scores        # aligned with serve.score order
             if verbose:
                 for edge_spec, score in zip(serve.score, scores):
@@ -370,8 +367,8 @@ class ServeJob(Job):
         if serve.topk:
             src, k = int(serve.topk[0]), int(serve.topk[1])
             try:
-                ids, scores = batcher.topk_targets(src, k, rel=serve.rel,
-                                                   exclude=[src])
+                ids, scores = engine.topk_targets(src, k, rel=serve.rel,
+                                                  exclude=[src])
             except RuntimeError as exc:  # e.g. encoder snapshots refuse top-k
                 raise JobError(f"serve.topk: {exc}") from exc
             results["topk"] = (ids, scores)

@@ -119,7 +119,7 @@ class ServeSpec:
     classify: Optional[str] = _f(None, "comma-separated node ids to classify")
     bench: int = _f(0, "N-query lookup throughput probe (0 = off)")
     mix: str = _f("zipf", "bench query mix: zipf | random")
-    max_batch: int = _f(256, "bench micro-batch size")
+    max_batch: int = _f(256, "bench lookups per engine call")
     seed: int = _f(0, "bench query-stream seed")
 
 
@@ -149,7 +149,7 @@ class StreamSpec:
 
 @dataclass
 class FleetSpec:
-    """Serving-fleet topology: workers, gateway, routing, batching."""
+    """Serving-fleet topology: workers, gateway, routing, admission."""
 
     workers: int = _f(2, "serving worker processes (each owns a full "
                          "read-only engine over the snapshot)")
@@ -157,11 +157,14 @@ class FleetSpec:
     port: int = _f(0, "gateway HTTP port (0 = ephemeral; printed at start)")
     affinity: str = _f("range", "request routing: range (partition "
                                 "ownership) | random (round-robin control)")
-    max_batch: int = _f(256, "per-worker micro-batch size")
-    max_wait_ms: float = _f(2.0, "ignored: batches dispatch as soon as "
-                                 "the worker is idle and never wait")
-    max_queue: int = _f(1024, "per-worker admission bound (0 = unbounded)")
-    timeout_ms: float = _f(0.0, "per-request queue deadline (0 = none)")
+    max_batch: int = _f(256, "ignored: a worker calls the engine once "
+                             "per request")
+    max_wait_ms: float = _f(2.0, "ignored: a worker calls the engine once "
+                                 "per request")
+    max_queue: int = _f(1024, "per-worker bound on queries in flight "
+                              "(0 = unbounded)")
+    timeout_ms: float = _f(0.0, "longest a query waits for its engine call "
+                                "to start (0 = no limit)")
     duration: float = _f(0.0, "seconds to serve before draining "
                               "(0 = until SIGINT/SIGTERM)")
 

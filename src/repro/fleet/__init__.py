@@ -2,16 +2,14 @@
 
 One :class:`~repro.fleet.fleet.Fleet` runs the paper's out-of-core
 serving engine as a deployable service: worker processes each own a
-read-only :class:`~repro.serve.engine.ServingEngine` plus a
-:class:`~repro.serve.batcher.RequestBatcher` over the same snapshot,
-speaking a length-prefixed frame protocol (:mod:`~repro.fleet.protocol`)
+read-only :class:`~repro.serve.engine.ServingEngine` over the same
+snapshot behind a small admission gate, speaking a length-prefixed frame protocol (:mod:`~repro.fleet.protocol`)
 whose replies carry the rendered HTTP body;
 an HTTP/JSON gateway (:mod:`~repro.fleet.gateway`, stdlib
 ``ThreadingHTTPServer``) exposes the four query families as POST
 endpoints plus ``/healthz`` and ``/statz``; and the
 :class:`~repro.fleet.affinity.AffinityRouter` maps each request's lead
-node id to the worker owning its partition range, so micro-batches
-coalesce per worker.
+node id to the worker owning its partition range.
 Run it as the ``serve-fleet`` job kind (``repro run fleet.json``); see
 ``docs/serving.md``.
 """

@@ -5,8 +5,7 @@ source, the top-k source). The router maps that id to its partition
 (the same uniform boundaries the served store uses) and the partition to
 the worker *owning* it, so queries against one partition always land on
 the same worker — the pages of that partition's rows stay hot in the
-page cache behind the worker's table map, and micro-batches coalesce per
-worker.
+page cache behind the worker's table map.
 
 Ownership starts as a static contiguous range split: worker ``w`` of
 ``W`` owns partitions ``[floor(w*p/W), floor((w+1)*p/W))`` — contiguous

@@ -9,7 +9,7 @@ query families as POST endpoints::
     POST /v1/encode      {"ids": [0, 1], "seed": null}
 
 plus ``GET /healthz`` (``ok`` / ``degraded``, HTTP 503 when degraded)
-and ``GET /statz`` (per-worker engine/storage/batcher stats, gateway
+and ``GET /statz`` (per-worker engine/storage/admission stats, gateway
 counters, the router's ownership ranges).
 
 The gateway validates just enough to *route* — the body must be a JSON
@@ -26,8 +26,8 @@ its partition range and flips ``/healthz`` to ``degraded``; other
 ranges keep serving.
 
 Each HTTP handler thread checks a private worker connection out of the
-per-worker pool, so concurrent HTTP requests hit the worker's batcher
-concurrently and coalesce there.
+per-worker pool, so concurrent HTTP requests reach the worker
+concurrently, each on its own worker handler thread.
 """
 
 from __future__ import annotations

@@ -2,12 +2,11 @@
 
 The wire protocol is strictly request/response per connection, so one
 shared connection would serialize every request to a worker: each would
-wait for the previous reply, and the worker's :class:`~repro.serve.
-batcher.RequestBatcher`, which batches whatever queues while an engine
-call runs, would only ever see one request at a time. The pool checks a
-private connection out per in-flight request (growing on demand, up to a
-cap) so concurrent gateway handler threads reach the worker concurrently
-and their queries coalesce into one engine call there.
+wait for the previous reply, and the worker's decode, validation and
+rendering could never overlap another request's engine call. The pool
+checks a private connection out per in-flight request (growing on
+demand, up to a cap) so concurrent gateway handler threads reach the
+worker concurrently, each on its own worker handler thread.
 
 A connection that errors is closed and dropped, never returned; the next
 checkout dials fresh. :meth:`ConnectionPool.close` poisons the pool for

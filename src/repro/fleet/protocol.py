@@ -141,9 +141,8 @@ class WorkerClient:
     """One blocking request/response connection to a worker.
 
     Not thread-safe by design — the gateway keeps a pool of these per
-    worker and checks one out per in-flight request, which is also what
-    lets concurrent HTTP requests reach the worker's batcher *as*
-    concurrent submissions and coalesce into one engine call.
+    worker and checks one out per in-flight request, so concurrent HTTP
+    requests reach the worker concurrently.
     """
 
     def __init__(self, host: str, port: int,

@@ -1,30 +1,30 @@
-"""One fleet worker: a serving engine + batcher behind a socket server.
+"""One fleet worker: a serving engine behind a socket server.
 
 ``worker_main`` is the ``multiprocessing`` (spawn-safe, module-level)
 entry point. The worker builds its own read-only
 :class:`~repro.serve.engine.ServingEngine` from the shared snapshot
-(each worker maps its own copy of the table and reads it in place),
-fronts it with a :class:`~repro.serve.batcher.RequestBatcher`, and
+(each worker maps its own copy of the table and reads it in place) and
 answers length-prefixed JSON requests (:mod:`~repro.fleet.protocol`) on
 an ephemeral port it reports back through the ready queue. Each reply
 is rendered here, once, as the HTTP status and body the gateway
-forwards unchanged. Every
-connection gets a handler thread; concurrent connections therefore reach
-the batcher as concurrent submissions and coalesce into one engine call
-— the same micro-batching win as in-process serving, per worker.
+forwards unchanged. Every connection gets a handler thread, and each
+query calls the engine on that thread, behind the worker's admission
+gate (:class:`_Gate`): at most ``max_queue`` queries in flight, one
+engine call at a time, and a wait for that turn bounded by
+``timeout_ms``.
 
 Shutdown is drain-first, from either trigger (SIGTERM/SIGINT via
 :class:`~repro.serve.lifecycle.GracefulDrain`, or the gateway's
-``drain`` op): stop accepting connections, stop the batcher (new
-submits are rejected, queued requests finish and their responses are
-sent), let handler threads retire, write the final telemetry record,
-exit 0. A request the worker has accepted is never dropped without a
-response.
+``drain`` op): stop accepting connections, close the gate (a query that
+arrives after it closes is answered ``draining``; one already admitted
+finishes and its response is sent), let handler threads retire, write
+the final telemetry record, exit 0. A request the worker has accepted is
+never dropped without a response.
 
 With telemetry on, each worker writes its own run log
 (``<workdir>/worker-<i>/telemetry.jsonl``) through a private
 :class:`~repro.obs.sinks.Recorder` — one event per protocol request,
-periodic metrics with engine/storage/batcher pull sources. ``repro top
+periodic metrics with engine/storage/gate pull sources. ``repro top
 <workdir>`` merges the per-worker logs.
 """
 
@@ -40,8 +40,6 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from ..serve.batcher import (BatcherStopped, Overloaded, RequestBatcher,
-                             RequestTimeout)
 from ..serve.lifecycle import GracefulDrain
 from . import protocol
 from .protocol import _ERROR_STATUS, ProtocolError, recv_frame, send_reply
@@ -79,14 +77,80 @@ def _int_list(value: Any, name: str) -> np.ndarray:
     return np.asarray(value, dtype=np.int64)
 
 
-class _Dispatcher:
-    """Maps protocol ops onto the worker's batcher/engine."""
+class _Refused(Exception):
+    """A query the gate turned away; ``code`` is its error DTO's code."""
 
-    def __init__(self, cfg: WorkerConfig, engine, batcher: RequestBatcher,
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+class _Gate:
+    """Admission for engine calls on the handler threads.
+
+    At most ``max_queue`` queries are in flight (0 = unbounded); one past
+    it is ``overloaded`` at once. One engine call runs at a time, and a
+    query waits at most ``timeout_ms`` for its turn (0 = as long as it
+    takes) before it is answered ``timeout`` without reaching the engine.
+    After :meth:`close`, new queries are answered ``draining``.
+    """
+
+    def __init__(self, max_queue: int = 0, timeout_ms: float = 0.0) -> None:
+        self.max_queue = int(max_queue)
+        self.timeout_ms = float(timeout_ms)
+        self.closed = False
+        self.in_flight = self.requests = self.overloads = self.timeouts = 0
+        self._lock = threading.Lock()       # guards the counters
+        # The one engine call. The engine's own query lock serializes
+        # calls too, but only a wait here can be bounded.
+        self._turn = threading.Lock()
+
+    def close(self) -> None:
+        self.closed = True
+
+    def call(self, fn, *args, **kwargs):
+        with self._lock:
+            if self.closed:
+                raise _Refused("draining", "worker is draining")
+            if self.max_queue and self.in_flight >= self.max_queue:
+                self.overloads += 1
+                raise _Refused("overloaded", (
+                    f"worker has {self.in_flight} queries in flight "
+                    f"(max_queue={self.max_queue}); back off and retry"))
+            self.in_flight += 1
+        try:
+            if not self._turn.acquire(timeout=self.timeout_ms / 1000.0 or -1):
+                with self._lock:
+                    self.timeouts += 1
+                raise _Refused("timeout", (
+                    f"query waited {self.timeout_ms:g} ms for the engine "
+                    f"without starting"))
+            try:
+                self.requests += 1          # only the turn's holder writes it
+                return fn(*args, **kwargs)
+            finally:
+                self._turn.release()
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def stats(self) -> Dict[str, Any]:
+        """``/statz`` section ``batcher``: every engine call serves one
+        request, so ``batches`` equals ``requests``."""
+        return {"requests": self.requests, "batches": self.requests,
+                "in_flight": self.in_flight, "overloads": self.overloads,
+                "timeouts": self.timeouts, "max_queue": self.max_queue,
+                "timeout_ms": self.timeout_ms}
+
+
+class _Dispatcher:
+    """Maps protocol ops onto the worker's engine, through its gate."""
+
+    def __init__(self, cfg: WorkerConfig, engine, gate: _Gate,
                  drain: GracefulDrain, recorder=None) -> None:
         self.cfg = cfg
         self.engine = engine
-        self.batcher = batcher
+        self.gate = gate
         self.drain = drain
         self.recorder = recorder
 
@@ -104,19 +168,15 @@ class _Dispatcher:
             return _error("bad_request", str(exc.args[0]) if exc.args else "")
         except (ValueError, TypeError) as exc:
             return _error("bad_request", str(exc))
-        except Overloaded as exc:
-            return _error("overloaded", str(exc))
-        except RequestTimeout as exc:
-            return _error("timeout", str(exc))
-        except BatcherStopped:
-            return _error("draining", "worker is draining")
+        except _Refused as exc:
+            return _error(exc.code, str(exc))
         except Exception as exc:      # answer, never kill the connection
             return _error("internal", f"{type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     def _op_embed(self, request: Dict[str, Any]) -> Dict[str, Any]:
         ids = _int_list(request.get("ids"), "ids")
-        rows = self.batcher.get_embeddings(ids)
+        rows = self.gate.call(self.engine.get_embeddings, ids)
         return {"ok": True, "embeddings": rows.tolist()}
 
     def _op_score(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -131,7 +191,8 @@ class _Dispatcher:
         width = len(pairs[0])
         if any(len(p) != width for p in pairs):
             raise ValueError("'pairs' rows must all be the same width")
-        scores = self.batcher.score_edges(np.asarray(pairs, dtype=np.int64))
+        scores = self.gate.call(self.engine.score_edges,
+                                np.asarray(pairs, dtype=np.int64))
         return {"ok": True, "scores": scores.tolist()}
 
     def _op_topk(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -145,8 +206,8 @@ class _Dispatcher:
         if not isinstance(rel, int) or isinstance(rel, bool):
             raise ValueError("'rel' must be an integer relation id")
         exclude = _int_list(request.get("exclude", []), "exclude")
-        ids, scores = self.batcher.topk_targets(src, k, rel=rel,
-                                                exclude=exclude)
+        ids, scores = self.gate.call(self.engine.topk_targets, src, k,
+                                     rel=rel, exclude=exclude)
         return {"ok": True, "ids": ids.tolist(), "scores": scores.tolist()}
 
     def _op_encode(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -155,7 +216,7 @@ class _Dispatcher:
         if seed is not None and (not isinstance(seed, int)
                                  or isinstance(seed, bool)):
             raise ValueError("'seed' must be an integer or null")
-        rows = self.batcher.encode_nodes(ids, seed=seed)
+        rows = self.gate.call(self.engine.encode_nodes, ids, seed=seed)
         return {"ok": True, "embeddings": rows.tolist()}
 
     def _op_health(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -167,12 +228,11 @@ class _Dispatcher:
         return {"ok": True, "worker": self.cfg.index,
                 "serve": self.engine.stats.as_dict(),
                 "storage": self.engine.store.stats.as_dict(),
-                "batcher": self.batcher.stats(),
-                "latency": self.batcher.latency_percentiles()}
+                "batcher": self.gate.stats()}
 
     def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        # Reply first setting only the flag: the batcher is stopped by the
-        # main loop after the listener closes, so queued requests finish.
+        # Reply first setting only the flag: the main loop closes the gate
+        # after the listener closes, so admitted queries finish.
         self.drain.request_drain()
         return {"ok": True, "draining": True}
 
@@ -250,17 +310,14 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
                          "error": f"{type(exc).__name__}: {exc}"})
         return
     fleet = cfg.spec.get("fleet", {})
-    batcher = RequestBatcher(
-        engine,
-        max_batch=int(fleet.get("max_batch", 256)),
-        max_queue=int(fleet.get("max_queue", 0)) or None,
-        timeout_ms=float(fleet.get("timeout_ms", 0.0)) or None)
+    gate = _Gate(max_queue=int(fleet.get("max_queue", 0)),
+                 timeout_ms=float(fleet.get("timeout_ms", 0.0)))
     recorder = _make_recorder(cfg)
     if recorder is not None:
         recorder.add_source("serve", engine.stats.as_dict)
         recorder.add_source("storage", engine.store.stats.as_dict)
-        recorder.add_source("batcher", batcher.stats)
-    dispatcher = _Dispatcher(cfg, engine, batcher, drain, recorder)
+        recorder.add_source("batcher", gate.stats)
+    dispatcher = _Dispatcher(cfg, engine, gate, drain, recorder)
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -270,7 +327,7 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
     port = listener.getsockname()[1]
 
     threads = []
-    with drain, batcher:
+    with drain:
         ready_queue.put({"worker": cfg.index, "port": port,
                          "pid": os.getpid(),
                          "num_nodes": int(engine.store.num_nodes),
@@ -299,9 +356,10 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
             t.start()
             threads.append(t)
         listener.close()
-        # The with-block's batcher.stop() drains queued requests before the
-        # worker thread exits; handler threads then observe the drain flag
-        # on their next receive timeout and retire.
+        # Admitted queries finish on their handler threads; later ones are
+        # answered ``draining``, and each handler retires on its next
+        # receive timeout once it sees the drain flag.
+        gate.close()
     for t in threads:
         t.join(timeout=5.0)
     if recorder is not None:

@@ -2,28 +2,19 @@
 
 A ``serve`` job (and every fleet worker) answers queries until it is told
 to stop — and "told to stop" in any deployment is a signal, not a method
-call. :class:`GracefulDrain` turns SIGINT/SIGTERM into an orderly drain:
-the moment the signal lands, registered drain callables run (typically
-:meth:`~repro.serve.batcher.RequestBatcher.stop`, which rejects new
-submits and finishes every queued request) and a shutdown event is set
-for loops that poll instead of block. Without it, teardown relied on the
-batcher's daemon worker thread being killed mid-batch — accepted
-requests could die with the process.
-
-The handler body is deliberately tiny and reentrant-safe: Python runs
-signal handlers on the main thread between bytecodes, so the drain
-callables must themselves be safe to call from there (``RequestBatcher.
-stop`` is: it flags the queue closed, joins the worker after it finishes
-the queued tail, and is idempotent). A second signal during the drain is
-absorbed — the drain is already running, and re-entering it could only
-corrupt the join.
+call. :class:`GracefulDrain` turns SIGINT/SIGTERM into an orderly stop:
+the moment the signal lands, a shutdown event is set for loops that poll
+instead of block (a fleet worker stops accepting, closes its admission
+gate and lets admitted queries finish), or, in the ``serve`` job's mode,
+the query loop unwinds with the conventional exit code. A second signal
+during the drain is absorbed: the drain is already running.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 __all__ = ["GracefulDrain"]
 
@@ -35,16 +26,11 @@ class GracefulDrain:
 
     Parameters
     ----------
-    drain:
-        Zero-arg callables to run (in order) when the first signal lands.
-        Each must be idempotent and main-thread-safe; exceptions out of a
-        drain callable are suppressed (shutdown must proceed past a
-        half-dead component).
     signals:
         Which signals trigger the drain (default SIGINT + SIGTERM).
     exit_after:
         When true (the ``serve`` job mode), the handler raises
-        ``SystemExit(128 + signum)`` after draining — the conventional
+        ``SystemExit(128 + signum)`` — the conventional
         "killed by signal N" exit code — so a blocking query loop
         unwinds. When false (the fleet-worker mode), the handler only
         sets :attr:`triggered` and the serving loop is expected to poll
@@ -55,14 +41,11 @@ class GracefulDrain:
     whose :meth:`request_drain` can still be called programmatically.
     """
 
-    def __init__(self, *drain: Callable[[], None],
-                 signals: Iterable[int] = _DEFAULT_SIGNALS,
+    def __init__(self, signals: Iterable[int] = _DEFAULT_SIGNALS,
                  exit_after: bool = True) -> None:
-        self._drain: Tuple[Callable[[], None], ...] = tuple(drain)
         self._signals = tuple(signals)
         self._exit_after = bool(exit_after)
         self._event = threading.Event()
-        self._drained = threading.Event()
         self._old = {}
         self.signum: Optional[int] = None
 
@@ -78,20 +61,11 @@ class GracefulDrain:
 
     def request_drain(self, signum: int = 0) -> None:
         """Programmatic trigger: exactly the handler minus the exit."""
-        self._event.set()
-        if self._drained.is_set():
-            return
-        self._drained.set()
         self.signum = signum or self.signum
-        for fn in self._drain:
-            try:
-                fn()
-            except Exception:
-                pass
+        self._event.set()
 
     def _handle(self, signum, frame) -> None:
         already = self.triggered
-        self.signum = signum
         self.request_drain(signum)
         if self._exit_after and not already:
             raise SystemExit(128 + signum)

@@ -1,9 +1,9 @@
-"""Serving telemetry: engine counters and latency summaries."""
+"""Serving telemetry: engine counters and the benchmark query stream."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -50,15 +50,3 @@ def make_query_stream(mix: str, num_queries: int, num_nodes: int,
         raise ValueError(f"unknown query mix {mix!r} (expected zipf/random)")
     return rng.integers(0, num_nodes, size=num_queries)
 
-
-def latency_summary(latencies_ms: Sequence[float]) -> Dict[str, float]:
-    """p50/p99/mean/max of a per-request latency sample, in milliseconds."""
-    lat = np.asarray(latencies_ms, dtype=np.float64)
-    if lat.size == 0:
-        return {"n": 0, "p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0,
-                "max_ms": 0.0}
-    return {"n": int(lat.size),
-            "p50_ms": float(np.percentile(lat, 50)),
-            "p99_ms": float(np.percentile(lat, 99)),
-            "mean_ms": float(lat.mean()),
-            "max_ms": float(lat.max())}

@@ -37,10 +37,10 @@ from repro.fleet import (MAX_FRAME, AffinityRouter, Fleet, Gateway,
 from repro.fleet import protocol
 from repro.fleet.affinity import range_assignment
 from repro.fleet.protocol import _ERROR_STATUS
-from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error,
+from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error, _Gate,
                                 _serve_connection)
 from repro.graph import load_fb15k237
-from repro.serve import GracefulDrain, RequestBatcher
+from repro.serve import GracefulDrain
 from repro.train import DiskConfig, DiskLinkPredictionTrainer, \
     LinkPredictionConfig
 
@@ -361,14 +361,13 @@ def test_random_policy_spreads_round_robin():
 # ---------------------------------------------------------------------------
 
 def test_graceful_drain_signal_sets_flag_and_runs_callbacks():
-    calls = []
-    with GracefulDrain(lambda: calls.append(1), exit_after=False) as drain:
+    with GracefulDrain(exit_after=False) as drain:
         assert not drain.triggered
         os.kill(os.getpid(), signal.SIGTERM)
         assert drain.wait(5.0)
-        assert calls == [1]
+        assert drain.signum == signal.SIGTERM
         drain.request_drain()                            # idempotent
-        assert calls == [1]
+        assert drain.triggered and drain.signum == signal.SIGTERM
     # handlers restored: a later SIGTERM must not re-trigger this drain
     assert signal.getsignal(signal.SIGTERM) != drain._handle
 
@@ -496,14 +495,20 @@ def test_worker_protocol_direct(fleet):
 
 
 def test_dispatcher_maps_stopped_batcher_to_draining(tmp_path):
-    """A submit after stop() is answered with the ``draining`` DTO."""
+    """A query after the gate closes is answered with the ``draining``
+    DTO and never reaches the engine."""
     cfg = WorkerConfig(index=0, spec={}, workdir=str(tmp_path))
-    batcher = RequestBatcher(engine=None).start()
-    dispatcher = _Dispatcher(cfg, None, batcher,
+    calls = []
+    engine = types.SimpleNamespace(
+        get_embeddings=lambda ids: calls.append(ids) or np.zeros((1, 4)))
+    gate = _Gate()
+    dispatcher = _Dispatcher(cfg, engine, gate,
                              GracefulDrain(exit_after=False))
-    batcher.stop()
+    assert dispatcher.handle({"op": "embed", "ids": [1]})["ok"]
+    gate.close()
     reply = dispatcher.handle({"op": "embed", "ids": [1]})
     assert not reply["ok"] and reply["error"]["code"] == "draining"
+    assert len(calls) == 1
 
 
 def test_gateway_renders_no_answer(fleet, oracle, monkeypatch):

@@ -25,7 +25,7 @@ import pytest
 from repro.graph.edge_list import Graph
 from repro.graph.partition import PartitionScheme
 from repro.nn.tensor import Tensor
-from repro.serve import RequestBatcher, ServingEngine
+from repro.serve import ServingEngine
 from repro.storage import NodeStore
 from repro.storage.edge_store import EdgeBucketStore
 from repro.stream import LiveGraph
@@ -352,32 +352,3 @@ def test_live_growth_reranks_and_reclamps(tmp_path):
     ids_off, sc_off = offline.topk_targets(3, 12)
     np.testing.assert_array_equal(ids_live, ids_off)
     np.testing.assert_allclose(sc_live, sc_off, atol=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# Batcher coalescing
-# ---------------------------------------------------------------------------
-
-def test_batcher_legacy_payload_and_helper(tmp_path):
-    """The raw payload is ``[src, rel, k, *exclude]``; requests group by
-    ``(k, exclude)`` and each gets its own row of the shared sweep."""
-    table = make_table(200, 8, "uniform", seed=14)
-    engine = make_engine(tmp_path, table, 4, capacity=2)
-    with RequestBatcher(engine, max_batch=8) as batcher:
-        plain = batcher.submit("topk", np.array([7, 0, 4], dtype=np.int64))
-        excl = batcher.submit("topk", np.array([7, 0, 4, 7, 9],
-                                               dtype=np.int64))
-        other = batcher.submit("topk", np.array([30, 2, 4, 7, 9],
-                                                dtype=np.int64))
-        ids_helper, _ = batcher.topk_targets(7, 4, exclude=[9, 7])
-        results = [r.wait() for r in (plain, excl, other)]
-    want_ids, want_sc = engine.topk_targets(7, 4)
-    np.testing.assert_array_equal(results[0][0], want_ids)
-    assert results[0][1].tobytes() == want_sc.tobytes()
-    # The two requests with exclude (7, 9) share one sweep.
-    want_ids, want_sc = engine.topk_targets_batch([7, 30], 4, rel=[0, 2],
-                                                  exclude=(7, 9))
-    for row in (0, 1):
-        np.testing.assert_array_equal(results[row + 1][0], want_ids[row])
-        assert results[row + 1][1].tobytes() == want_sc[row].tobytes()
-    np.testing.assert_array_equal(ids_helper, want_ids[0])

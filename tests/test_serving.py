@@ -1,4 +1,4 @@
-"""Serving subsystem tests: parity, in-place reads, batching, encode.
+"""Serving subsystem tests: parity, in-place reads, encode, restore.
 
 The load-bearing guarantees:
 
@@ -17,14 +17,12 @@ The load-bearing guarantees:
 import json
 import os
 import shutil
-import threading
 
 import numpy as np
 import pytest
 
 from repro.graph import load_fb15k237, load_papers100m_mini
-from repro.serve import (BatcherStopped, RequestBatcher, ServingEngine,
-                         latency_summary, serve_link_prediction,
+from repro.serve import (ServingEngine, serve_link_prediction,
                          serve_node_classification)
 from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
                          DiskNodeClassificationConfig,
@@ -220,87 +218,6 @@ def test_stats_count_each_query_once(lp_data, lp_engine):
     assert (s.requests, s.topk_queries, s.lookups) == (2, 1, 3)
     lp_engine.score_edges(lp_data.split.test[:4])
     assert (s.requests, s.edges_scored, s.lookups) == (3, 4, 3)
-
-
-# ---------------------------------------------------------------------------
-# RequestBatcher
-# ---------------------------------------------------------------------------
-
-def test_batcher_results_match_direct_calls(lp_data, lp_snapshot, lp_engine):
-    _, table, trainer = lp_snapshot
-    edges = lp_data.split.test[:20]
-    offline = score_edges_offline(trainer.model, table, edges)
-    with RequestBatcher(lp_engine, max_batch=8) as batcher:
-        embed_reqs = [batcher.submit("embed", np.array([i, i + 1]))
-                      for i in range(10)]
-        score_req = batcher.submit("score", edges)
-        for i, req in enumerate(embed_reqs):
-            np.testing.assert_array_equal(req.wait(), table[[i, i + 1]])
-        np.testing.assert_array_equal(score_req.wait(), offline)
-    # Latencies and batch sizes live in bounded histograms, not lists.
-    assert batcher.latency_hist.count == 11
-    assert batcher.latency_hist.min >= 0.0
-    assert batcher.batch_hist.max <= 8
-    summary = batcher.latency_percentiles()
-    assert summary["n"] == 11 and summary["p99_ms"] >= summary["p50_ms"]
-    assert batcher.stats()["requests"] == 11
-
-
-def test_batcher_blocking_helpers_and_errors(lp_snapshot, lp_engine):
-    _, table, _ = lp_snapshot
-    with RequestBatcher(lp_engine, max_batch=4) as batcher:
-        np.testing.assert_array_equal(batcher.get_embeddings([3, 1]),
-                                      table[[3, 1]])
-        # A 2-d id payload is flattened at submit time, so per-request
-        # result slicing stays aligned with the merged engine result.
-        got = batcher.submit("embed", np.array([[1, 2], [3, 4]])).wait()
-        np.testing.assert_array_equal(got, table[[1, 2, 3, 4]])
-        with pytest.raises(KeyError, match="out of range"):
-            batcher.get_embeddings([10 ** 6])
-        # The worker survives a failed batch and keeps serving.
-        np.testing.assert_array_equal(batcher.get_embeddings([2]), table[[2]])
-    with pytest.raises(BatcherStopped):
-        batcher.get_embeddings([0])
-
-
-class _GatedEngine:
-    """Stub engine whose first call blocks on ``gate`` (once ``entered``)."""
-
-    def __init__(self, gate=None):
-        self.gate = gate
-        self.entered = threading.Event()
-
-    def get_embeddings(self, ids):
-        if self.gate is not None and not self.entered.is_set():
-            self.entered.set()
-            assert self.gate.wait(timeout=10)
-        return np.zeros((len(ids), 4), dtype=np.float32)
-
-
-def test_batcher_dispatches_lone_request_without_waiting():
-    """A lone request is dispatched at once, whatever max_wait_ms says."""
-    with RequestBatcher(_GatedEngine(), max_wait_ms=10_000) as batcher:
-        assert batcher.get_embeddings([1]).shape == (1, 4)
-    assert batcher.stats()["batches"] == 1
-    assert batcher.latency_hist.max < 5000
-
-
-def test_batcher_batches_what_queues_while_busy():
-    gate = threading.Event()
-    engine = _GatedEngine(gate)
-    with RequestBatcher(engine) as batcher:
-        first = batcher.submit("embed", np.array([0]))
-        assert engine.entered.wait(timeout=10)        # worker is busy
-        rest = [batcher.submit("embed", np.array([i])) for i in range(1, 7)]
-        gate.set()
-        for request in [first] + rest:
-            assert request.wait().shape == (1, 4)
-    assert batcher.stats()["batches"] == 2
-    assert batcher.batch_hist.max == 6
-
-
-def test_latency_summary_empty():
-    assert latency_summary([])["n"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -476,10 +476,9 @@ class TestLiveServing:
                               offline.encode_nodes(ids, seed=9))
 
     def test_concurrent_ingest_and_batched_queries(self, tmp_path):
-        """Ingest/compact/grow on one thread while a RequestBatcher worker
-        serves queries: the shared live lock must keep every result
+        """Ingest/compact/grow on one thread while the test thread queries
+        the engine: the shared live lock must keep every result
         well-formed (no torn scheme/buffer views, no spurious errors)."""
-        from repro.serve.batcher import RequestBatcher
         live = make_live(tmp_path, num_nodes=240, num_edges=1200, p=6,
                          seed=14)
         cfg = LinkPredictionConfig(embedding_dim=8, encoder="none", seed=5)
@@ -502,17 +501,16 @@ class TestLiveServing:
             except Exception as exc:       # pragma: no cover - failure path
                 errors.append(exc)
 
-        with RequestBatcher(engine, max_batch=8) as batcher:
-            writer = threading.Thread(target=mutate)
-            writer.start()
-            while writer.is_alive():
-                rows = batcher.get_embeddings(np.arange(0, 200, 5))
-                assert rows.shape == (40, live.node_store.dim)
-                assert np.isfinite(rows).all()
-                ids, scores = batcher.topk_targets(3, 5)
-                assert len(ids) == 5
-                assert (ids < live.num_nodes).all()
-            writer.join()
+        writer = threading.Thread(target=mutate)
+        writer.start()
+        while writer.is_alive():
+            rows = engine.get_embeddings(np.arange(0, 200, 5))
+            assert rows.shape == (40, live.node_store.dim)
+            assert np.isfinite(rows).all()
+            ids, scores = engine.topk_targets(3, 5)
+            assert len(ids) == 5
+            assert (ids < live.num_nodes).all()
+        writer.join()
         assert not errors
 
     def test_new_nodes_queryable_immediately(self, tmp_path):
@@ -591,26 +589,6 @@ class TestBatchedTopK:
         p = batch_engine.scheme.num_partitions
         assert batch_scanned <= p
         assert batch_scanned < loop_engine.stats.topk_parts_scanned
-
-    def test_through_request_batcher(self, tmp_path):
-        from repro.serve.batcher import RequestBatcher
-        engine = self._engine(tmp_path)
-        with RequestBatcher(engine, max_batch=8) as batcher:
-            requests = [batcher.submit(
-                "topk", np.array([s, 0, 5], dtype=np.int64))
-                for s in (2, 30, 60)]
-            results = [r.wait() for r in requests]
-        for (ids, scores), src in zip(results, (2, 30, 60)):
-            ids_1, sc_1 = engine.topk_targets(src, 5)
-            assert np.array_equal(ids, ids_1)
-            assert np.allclose(scores, sc_1, rtol=1e-5)
-
-    def test_blocking_helper(self, tmp_path):
-        from repro.serve.batcher import RequestBatcher
-        engine = self._engine(tmp_path)
-        with RequestBatcher(engine, max_batch=4) as batcher:
-            ids, scores = batcher.topk_targets(11, 4)
-        assert len(ids) == len(scores) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1653,95 +1631,152 @@ class TestLockPrimitives:
 
 
 # ---------------------------------------------------------------------------
-# Bounded request batcher (satellite)
+# Fleet worker admission gate: in-flight bound, one engine turn, deadline
 # ---------------------------------------------------------------------------
 
 class _StubEngine:
     """Minimal engine: optional gate event stalls execution; ``entered``
-    is set once a call reaches the gate."""
+    is set once a call reaches the gate, and ``calls`` records each call's
+    ids."""
 
     def __init__(self, gate=None, dim=4):
         self.gate = gate
         self.dim = dim
         self.entered = threading.Event()
-
-    def _maybe_block(self):
-        self.entered.set()
-        if self.gate is not None:
-            assert self.gate.wait(timeout=10)
+        self.calls = []
 
     def get_embeddings(self, ids):
-        self._maybe_block()
+        self.calls.append(np.asarray(ids).tolist())
+        self.entered.set()
+        if self.gate is not None:
+            assert self.gate.wait(timeout=5)
         return np.zeros((len(np.asarray(ids)), self.dim), dtype=np.float32)
 
-    def score_edges(self, pairs):
-        self._maybe_block()
-        return np.zeros(len(pairs), dtype=np.float32)
 
-    def topk_targets_batch(self, srcs, k, rel=None):
-        self._maybe_block()
-        n = len(np.asarray(srcs))
-        return (np.zeros((n, k), dtype=np.int64),
-                np.zeros((n, k), dtype=np.float32))
+def _gated_dispatcher(tmp_path, engine, **gate_args):
+    from repro.fleet.worker import WorkerConfig, _Dispatcher, _Gate
+    from repro.serve import GracefulDrain
+    cfg = WorkerConfig(index=0, spec={}, workdir=str(tmp_path))
+    gate = _Gate(**gate_args)
+    return gate, _Dispatcher(cfg, engine, gate,
+                             GracefulDrain(exit_after=False))
+
+
+def _embed(dispatcher, ids, replies):
+    replies.append(dispatcher.handle({"op": "embed", "ids": ids}))
 
 
 class TestBatcherBounds:
-    def test_overload_raises_typed_error_and_counts(self):
-        from repro.serve import Overloaded, RequestBatcher
-        gate = threading.Event()
-        engine = _StubEngine(gate=gate)
-        max_queue = 3
-        with RequestBatcher(engine, max_batch=64,
-                            max_queue=max_queue) as batcher:
-            # The worker dequeues as soon as it is idle: park it at the
-            # gate with one request first, so the queue count is exact.
-            pending = [batcher.submit("embed", np.arange(2))]
-            assert engine.entered.wait(timeout=10)
-            pending += [batcher.submit("embed", np.arange(2))
-                        for _ in range(max_queue)]
-            with pytest.raises(Overloaded):
-                batcher.submit("embed", np.arange(2))
-            assert batcher.stats()["overloads"] == 1
-            gate.set()
-            for req in pending:
-                assert req.wait().shape == (2, 4)
-        assert batcher.stats()["requests"] == max_queue + 1
-
-    def test_timeout_delivered_and_counted(self):
-        from repro.serve import RequestBatcher, RequestTimeout
-        gate = threading.Event()
-        engine = _StubEngine(gate=gate)
-        batcher = RequestBatcher(engine, max_batch=4, timeout_ms=30.0)
-        with batcher:
-            req = batcher.submit("embed", np.arange(3))
-            with pytest.raises(RequestTimeout):
-                req.wait()
-            gate.set()
-        assert batcher.stats()["timeouts"] == 1
-
-    def test_expired_requests_dropped_by_worker(self):
+    def test_overload_raises_typed_error_and_counts(self, tmp_path):
         import time
-        from repro.serve import RequestBatcher, RequestTimeout
-        gate = threading.Event()
-        engine = _StubEngine(gate=gate)
-        with RequestBatcher(engine, max_batch=1) as batcher:
-            slow = batcher.submit("embed", np.arange(2))    # occupies worker
-            doomed = batcher.submit("embed", np.arange(2), timeout_ms=20.0)
-            time.sleep(0.1)                                 # let it expire
-            gate.set()
-            assert slow.wait().shape == (2, 4)
-            with pytest.raises(RequestTimeout):
-                doomed.wait()
-        assert batcher.stats()["timeouts"] == 1
+        engine = _StubEngine(gate=threading.Event())
+        max_queue = 3
+        gate, dispatcher = _gated_dispatcher(tmp_path, engine,
+                                             max_queue=max_queue)
+        replies = []
+        threads = [threading.Thread(target=_embed,
+                                    args=(dispatcher, [0, 1], replies))
+                   for _ in range(max_queue)]
+        threads[0].start()
+        assert engine.entered.wait(timeout=10)     # one in the engine
+        for t in threads[1:]:
+            t.start()
+        deadline = time.monotonic() + 10
+        while gate.stats()["in_flight"] < max_queue:  # two wait their turn
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        reply = dispatcher.handle({"op": "embed", "ids": [0, 1]})
+        assert not reply["ok"] and reply["error"]["code"] == "overloaded"
+        assert gate.stats()["overloads"] == 1
+        engine.gate.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert [r["ok"] for r in replies] == [True] * max_queue
+        assert all(len(r["embeddings"]) == 2 for r in replies)
+        assert gate.stats()["requests"] == max_queue
+        assert gate.stats()["in_flight"] == 0
 
-    def test_per_request_override_beats_default(self):
-        from repro.serve import RequestBatcher
-        engine = _StubEngine()
-        with RequestBatcher(engine, max_batch=4, timeout_ms=1.0) as batcher:
-            # Generous per-request override on a stalled-free engine: must
-            # complete even though the batcher default is 1ms.
-            req = batcher.submit("embed", np.arange(2), timeout_ms=5000.0)
-            assert req.wait().shape == (2, 4)
+    def test_timeout_delivered_and_counted(self, tmp_path):
+        engine = _StubEngine(gate=threading.Event())
+        gate, dispatcher = _gated_dispatcher(tmp_path, engine,
+                                             timeout_ms=30.0)
+        replies = []
+        busy = threading.Thread(target=_embed,
+                                args=(dispatcher, [0, 1, 2], replies))
+        busy.start()
+        assert engine.entered.wait(timeout=10)
+        reply = dispatcher.handle({"op": "embed", "ids": [3]})
+        assert not reply["ok"] and reply["error"]["code"] == "timeout"
+        engine.gate.set()
+        busy.join(timeout=10)
+        assert replies[0]["ok"]
+        assert gate.stats()["timeouts"] == 1
+
+    def test_expired_requests_dropped_by_worker(self, tmp_path):
+        engine = _StubEngine(gate=threading.Event())
+        gate, dispatcher = _gated_dispatcher(tmp_path, engine,
+                                             timeout_ms=20.0)
+        replies = []
+        slow = threading.Thread(target=_embed,
+                                args=(dispatcher, [0, 1], replies))
+        slow.start()                                   # occupies the engine
+        assert engine.entered.wait(timeout=10)
+        doomed = dispatcher.handle({"op": "embed", "ids": [7, 8]})
+        engine.gate.set()
+        slow.join(timeout=10)
+        assert replies[0]["ok"] and len(replies[0]["embeddings"]) == 2
+        assert doomed["error"]["code"] == "timeout"
+        # The timed-out query never reached the engine, then or later.
+        assert engine.calls == [[0, 1]]
+        assert gate.stats()["requests"] == 1
+
+    def test_one_engine_call_at_a_time_under_load(self, tmp_path):
+        """More handler threads than cores, a short switch interval: the
+        engine never runs two calls at once, and no count is lost."""
+        import sys
+        import time
+
+        class _Overlap:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.active = self.most = 0
+
+            def get_embeddings(self, ids):
+                with self.lock:
+                    self.active += 1
+                    self.most = max(self.most, self.active)
+                time.sleep(0.0001)
+                with self.lock:
+                    self.active -= 1
+                return np.zeros((len(ids), 2), dtype=np.float32)
+
+        engine = _Overlap()
+        gate, dispatcher = _gated_dispatcher(tmp_path, engine)
+        replies = []
+        workers, per_worker = 8, 50
+
+        def client():
+            for i in range(per_worker):
+                _embed(dispatcher, [i], replies)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client)
+                       for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert engine.most == 1
+        assert len(replies) == workers * per_worker
+        assert all(r["ok"] for r in replies)
+        stats = gate.stats()
+        assert stats["requests"] == workers * per_worker
+        assert stats["in_flight"] == 0
 
 
 # ---------------------------------------------------------------------------
