@@ -31,7 +31,12 @@ P, C = 16, 4  # physical partitions; buffer capacity (training: 25% resident)
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="repro-serve-example-"))
+    with tempfile.TemporaryDirectory(prefix="repro-serve-example-") as name:
+        _demo(Path(name))
+
+
+def _demo(tmp: Path) -> None:
+    """Train into ``tmp``, snapshot, then serve from the snapshot."""
 
     # --- train out-of-core and snapshot -------------------------------
     train_spec = JobSpec(

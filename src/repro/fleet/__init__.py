@@ -5,8 +5,8 @@ serving engine as a deployable service: worker processes each own a
 read-only :class:`~repro.serve.engine.ServingEngine` over the same
 snapshot behind a small admission gate, speaking a length-prefixed frame protocol (:mod:`~repro.fleet.protocol`)
 whose replies carry the rendered HTTP body;
-an HTTP/JSON gateway (:mod:`~repro.fleet.gateway`, stdlib
-``ThreadingHTTPServer``) exposes the four query families as POST
+an HTTP/JSON gateway (:mod:`~repro.fleet.gateway`, a keep-alive
+loop on stdlib ``socketserver`` threads) exposes the four query families as POST
 endpoints plus ``/healthz`` and ``/statz``; and the
 :class:`~repro.fleet.affinity.AffinityRouter` maps each request's lead
 node id to the worker owning its partition range.

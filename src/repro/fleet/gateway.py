@@ -1,7 +1,7 @@
 """HTTP/JSON front door for a serving fleet.
 
-A stdlib ``ThreadingHTTPServer`` (no third-party deps) exposing the four
-query families as POST endpoints::
+A small HTTP/1.1 server on the stdlib ``socketserver`` (no third-party
+deps) exposing the four query families as POST endpoints::
 
     POST /v1/embeddings  {"ids": [0, 1, 2]}
     POST /v1/score       {"pairs": [[0, 5], [1, 9]]}       # or [s, r, d]
@@ -12,6 +12,18 @@ plus ``GET /healthz`` (``ok`` / ``degraded``, HTTP 503 when degraded)
 and ``GET /statz`` (per-worker engine/storage/admission stats, gateway
 counters, the router's ownership ranges).
 
+The HTTP it speaks is the subset those endpoints need. Each connection
+is a keep-alive loop: the request line and headers are read as bytes,
+and of the headers only ``Content-Length``, ``Connection`` and
+``Expect: 100-continue`` matter. A body must come with a
+``Content-Length`` (no chunked bodies). A line over :data:`MAX_LINE`
+bytes or a head of more than :data:`MAX_HEADERS` header lines is
+answered with a 400 DTO, and so is a body length that is missing, not
+an integer or over the frame limit; each of those closes the
+connection, since the bytes that follow cannot be trusted to start the
+next request. Every reply leaves in one ``sendall``. HTTP/1.0 clients
+get ``Connection: close`` unless they ask for ``keep-alive``.
+
 The gateway validates just enough to *route* — the body must be a JSON
 object carrying the request's lead node id (first looked-up id, first
 source, the top-k source). Everything else is validated by the owning
@@ -19,8 +31,8 @@ worker, which renders every reply's HTTP status and body itself (see
 :mod:`~repro.fleet.protocol`): the gateway forwards unchanged the
 answer bytes and the structured error DTO ``{"error": {"code",
 "message"}}`` alike, parsing neither. It renders only its own replies:
-the lead-id 400s, the 503 of an unreachable worker, 404/405 and the
-``/healthz`` and ``/statz`` documents.
+the 400s of a malformed request, the 503 of an unreachable worker,
+404/405 and the ``/healthz`` and ``/statz`` documents.
 A worker whose socket is gone and whose process is dead yields 503 for
 its partition range and flips ``/healthz`` to ``degraded``; other
 ranges keep serving.
@@ -33,21 +45,101 @@ concurrently, each on its own worker handler thread.
 from __future__ import annotations
 
 import json
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
 
 from .protocol import _ERROR_STATUS, MAX_FRAME, WorkerUnavailable
 
-__all__ = ["Gateway"]
+__all__ = ["Gateway", "MAX_LINE", "MAX_HEADERS"]
 
 Reply = Tuple[int, bytes]
+
+#: Longest request line or header line read, terminator included.
+MAX_LINE = 64 << 10
+#: Most header lines in one request head.
+MAX_HEADERS = 100
+
+_STATUS_LINE = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode("ascii")
+                for s in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 def _error(code: str, message: str, status: Optional[int] = None) -> Reply:
     """One of the gateway's own error DTOs, rendered."""
     body = json.dumps({"error": {"code": code, "message": message}})
     return status or _ERROR_STATUS[code], body.encode("utf-8")
+
+
+class _BadRequest(ValueError):
+    """A request the gateway answers 400 without routing it."""
+
+
+#: A request head: method, path, keep-alive, ``Content-Length`` (``None``
+#: if absent, -1 if not a valid length) and ``Expect: 100-continue``.
+_Head = Tuple[bytes, str, bool, Optional[int], bool]
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise _BadRequest(f"request line or header line exceeds "
+                          f"{MAX_LINE} bytes")
+    return line
+
+
+def _read_head(rfile) -> Optional[_Head]:
+    """The next request's head; ``None`` when the client closed."""
+    line = _read_line(rfile)
+    if line in (b"\r\n", b"\n"):      # a stray CRLF after a previous body
+        line = _read_line(rfile)
+    if not line:
+        return None
+    parts = line.split()
+    if len(parts) != 3 or not parts[2].startswith(b"HTTP/1."):
+        raise _BadRequest(f"malformed request line {line[:80]!r}")
+    http11 = parts[2] != b"HTTP/1.0"
+    keep_alive, length, expect = http11, None, False
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if line in (b"\r\n", b"\n", b""):
+            path = parts[1].split(b"?", 1)[0].decode("latin-1")
+            return parts[0], path, keep_alive, length, expect
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            value = value.strip()
+            value = int(value) if value.isdigit() else -1
+            length = value if length in (None, value) else -1
+        elif name == b"connection":
+            tokens = {t.strip() for t in value.lower().split(b",")}
+            if b"close" in tokens:
+                keep_alive = False
+            elif b"keep-alive" in tokens:
+                keep_alive = True
+        elif name == b"expect":
+            expect = http11 and value.strip().lower() == b"100-continue"
+    raise _BadRequest(f"request head has more than {MAX_HEADERS} "
+                      f"header lines")
+
+
+def _read_body(rfile, sock, length: Optional[int],
+               expect: bool) -> Optional[bytes]:
+    """The request body; ``None`` if the client closed mid-body."""
+    if not length:
+        raise _BadRequest("request body required")
+    if length < 0:
+        raise _BadRequest("Content-Length must be a non-negative integer")
+    if length > MAX_FRAME:
+        raise _BadRequest(f"request body of {length} bytes exceeds the "
+                          f"{MAX_FRAME} byte limit")
+    if expect:
+        sock.sendall(_CONTINUE)
+    raw = rfile.read(length)
+    return raw if len(raw) == length else None
 
 
 class _LeadIdError(ValueError):
@@ -84,26 +176,21 @@ _OPS = {"/v1/embeddings": "embed", "/v1/score": "score",
         "/v1/topk": "topk", "/v1/encode": "encode"}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # One TCP segment per response: Nagle off, and a buffered wfile so
-    # status line + headers + body leave in a single write (the default
-    # unbuffered wfile's small writes interact with delayed ACK into a
-    # ~40ms per-request latency floor on loopback).
+class _Handler(socketserver.StreamRequestHandler):
+    """One client connection: answer requests until one closes it."""
+
     disable_nagle_algorithm = True
-    wbufsize = -1
 
-    def log_message(self, fmt, *args):      # quiet: telemetry covers this
-        pass
-
-    def do_GET(self) -> None:
-        self.server.gateway._dispatch(self, "GET")     # type: ignore[attr-defined]
-
-    def do_POST(self) -> None:
-        self.server.gateway._dispatch(self, "POST")    # type: ignore[attr-defined]
+    def handle(self) -> None:
+        gateway = self.server.gateway                 # type: ignore[attr-defined]
+        try:
+            while gateway._exchange(self.rfile, self.connection):
+                pass
+        except OSError:
+            pass                    # client went away; nothing to salvage
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = False      # join in-flight handlers on server_close
     block_on_close = True
     allow_reuse_address = True
@@ -120,6 +207,7 @@ class Gateway:
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self.counters: Dict[str, int] = {}
+        self._date = (0, b"")       # (second, its Date header line)
 
     # ------------------------------------------------------------------
     def start(self) -> "Gateway":
@@ -145,65 +233,71 @@ class Gateway:
             self.counters[key] = self.counters.get(key, 0) + 1
 
     # ------------------------------------------------------------------
-    def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        path = handler.path.split("?", 1)[0]
+    def _exchange(self, rfile, sock) -> bool:
+        """Read one request, send its reply; whether the connection
+        stays open for the next one."""
         try:
-            if method == "GET" and path == "/healthz":
+            head = _read_head(rfile)
+        except _BadRequest as exc:
+            self._send(sock, "-", *_error("bad_request", str(exc)), False)
+            return False
+        if head is None:
+            return False
+        method, path, keep, length, expect = head
+        try:
+            if method == b"POST" and path in _OPS:
+                raw = _read_body(rfile, sock, length, expect)
+                if raw is None:
+                    return False                    # closed mid-body
+                status, body = self._query(path, raw)
+            elif method == b"GET" and path == "/healthz":
                 status, body = self._healthz()
-            elif method == "GET" and path == "/statz":
+            elif method == b"GET" and path == "/statz":
                 status, body = self._statz()
-            elif method == "POST" and path in _OPS:
-                status, body = self._query(path, handler)
             else:
-                handler.close_connection = True     # any body stays unread
+                keep = False                        # any body stays unread
                 if path in _OPS or path in ("/healthz", "/statz"):
+                    verb = method.decode("latin-1")
                     status, body = _error(
-                        "bad_request", f"{method} not allowed on {path}", 405)
+                        "bad_request", f"{verb} not allowed on {path}", 405)
                 else:
                     status, body = _error("not_found", f"no route for {path}")
+            if method == b"GET" and length:
+                keep = False                        # a GET's body is unread
+        except _BadRequest as exc:
+            # A body left unread on the socket would be parsed as the next
+            # request line: answer, then hang up.
+            keep = False
+            status, body = _error("bad_request", str(exc))
         except Exception as exc:    # a gateway bug must still answer JSON
             status, body = _error("internal",
                                   f"{type(exc).__name__}: {exc}")
-        self._count(f"http.{path}.{status}")
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", "application/json")
-            handler.send_header("Content-Length", str(len(body)))
-            if handler.close_connection:
-                handler.send_header("Connection", "close")
-            handler.end_headers()
-            handler.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass                    # client went away; nothing to salvage
+        self._send(sock, path, status, body, keep)
+        return keep
 
-    def _read_body(self, handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
-        try:
-            length = int(handler.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if not 0 < length <= MAX_FRAME:
-            # A body left unread on the socket would be parsed as the next
-            # request line: answer, then hang up.
-            handler.close_connection = True
-            if length < 0:
-                raise _LeadIdError("Content-Length must be a non-negative "
-                                   "integer")
-            if length == 0:
-                raise _LeadIdError("request body required")
-            raise _LeadIdError(f"request body of {length} bytes exceeds "
-                               f"the {MAX_FRAME} byte limit")
-        raw = handler.rfile.read(length)
+    def _send(self, sock, path: str, status: int, body: bytes,
+              keep: bool) -> None:
+        """The whole reply, head and body, in one ``sendall``."""
+        self._count(f"http.{path}.{status}")
+        second = int(time.time())
+        stamp, date = self._date
+        if stamp != second:
+            date = f"Date: {formatdate(second, usegmt=True)}\r\n".encode()
+            self._date = (second, date)
+        sock.sendall(b"%s%sContent-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n%s\r\n%s" % (
+                         _STATUS_LINE[status], date, len(body),
+                         b"" if keep else b"Connection: close\r\n", body))
+
+    def _query(self, path: str, raw: bytes) -> Reply:
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _LeadIdError(f"request body is not valid JSON: {exc}")
+            return _error("bad_request",
+                          f"request body is not valid JSON: {exc}")
         if not isinstance(body, dict):
-            raise _LeadIdError("request body must be a JSON object")
-        return body
-
-    def _query(self, path: str, handler: BaseHTTPRequestHandler) -> Reply:
+            return _error("bad_request", "request body must be a JSON object")
         try:
-            body = self._read_body(handler)
             lead = _lead_id(path, body)
         except _LeadIdError as exc:
             return _error("bad_request", str(exc))

@@ -10,16 +10,19 @@ answering ``"worker"`` index under 200, or the error DTO ``{"error":
 {"code": ..., "message": ...}}`` under the status :data:`_ERROR_STATUS`
 maps its code to. The gateway writes those bytes without parsing them.
 
-Floats cross the wire as JSON numbers printed by Python's
-shortest-round-trip ``repr``: a float32 table value widens exactly to
-double, prints losslessly, parses back to the same double, and narrows
-back to the identical float32 — which is what makes the fleet's HTTP
-responses bit-identical to in-process engine results.
+A float32 answer (embeddings, scores) crosses the wire as JSON numbers
+printed with ``%.9g``: nine significant digits identify every float32,
+so the number parses back to a double that narrows to the identical
+float32 — which is what makes the fleet's HTTP responses bit-identical
+to in-process engine results. Zeros and non-finite values print as
+``json.dumps`` prints them, so ``-0.0`` keeps its sign. Request frames
+are plain ``json.dumps``.
 
 Framing is deliberately dumb: no pipelining, one response per request in
 order, so a connection is a unit of mutual exclusion and the gateway's
 per-worker :class:`~repro.fleet.pool.ConnectionPool` provides the
-concurrency instead.
+concurrency instead. It also means a frame's header and body can be
+taken from one ``recv``: nothing past the frame can be waiting.
 """
 
 from __future__ import annotations
@@ -92,15 +95,31 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 def _recv_framed(sock: socket.socket, header: struct.Struct
                  ) -> Optional[Tuple[tuple, bytes]]:
     """``(header fields, body)`` of the next frame, whose header leads
-    with the body length; ``None`` on clean EOF."""
-    head = _recv_exact(sock, header.size)
-    if head is None:
+    with the body length; ``None`` on clean EOF.
+
+    One ``recv`` takes the header and, when it has arrived, the whole
+    body: the protocol never pipelines, so no bytes past this frame can
+    be waiting behind it."""
+    head = sock.recv(1 << 16)
+    if not head:
         return None
-    fields = header.unpack(head)
+    if len(head) < header.size:
+        rest = _recv_exact(sock, header.size - len(head))
+        if rest is None:
+            raise WorkerUnavailable("connection closed mid-frame")
+        head += rest
+    fields = header.unpack_from(head)
     _check_size(fields[0])
-    data = _recv_exact(sock, fields[0])
-    if data is None:
-        raise WorkerUnavailable("connection closed between header and body")
+    data = head[header.size:]
+    if len(data) < fields[0]:
+        rest = _recv_exact(sock, fields[0] - len(data))
+        if rest is None:
+            raise WorkerUnavailable("connection closed between header and "
+                                    "body")
+        data += rest
+    elif len(data) > fields[0]:
+        raise ProtocolError(f"{len(data) - fields[0]} bytes past the end "
+                            f"of a frame")
     return fields, data
 
 

@@ -31,6 +31,7 @@ periodic metrics with engine/storage/gate pull sources. ``repro top
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import threading
@@ -177,7 +178,7 @@ class _Dispatcher:
     def _op_embed(self, request: Dict[str, Any]) -> Dict[str, Any]:
         ids = _int_list(request.get("ids"), "ids")
         rows = self.gate.call(self.engine.get_embeddings, ids)
-        return {"ok": True, "embeddings": rows.tolist()}
+        return {"ok": True, "embeddings": rows}
 
     def _op_score(self, request: Dict[str, Any]) -> Dict[str, Any]:
         pairs = request.get("pairs")
@@ -193,7 +194,7 @@ class _Dispatcher:
             raise ValueError("'pairs' rows must all be the same width")
         scores = self.gate.call(self.engine.score_edges,
                                 np.asarray(pairs, dtype=np.int64))
-        return {"ok": True, "scores": scores.tolist()}
+        return {"ok": True, "scores": scores}
 
     def _op_topk(self, request: Dict[str, Any]) -> Dict[str, Any]:
         src = request.get("source")
@@ -208,7 +209,7 @@ class _Dispatcher:
         exclude = _int_list(request.get("exclude", []), "exclude")
         ids, scores = self.gate.call(self.engine.topk_targets, src, k,
                                      rel=rel, exclude=exclude)
-        return {"ok": True, "ids": ids.tolist(), "scores": scores.tolist()}
+        return {"ok": True, "ids": ids, "scores": scores}
 
     def _op_encode(self, request: Dict[str, Any]) -> Dict[str, Any]:
         ids = _int_list(request.get("ids"), "ids")
@@ -217,7 +218,7 @@ class _Dispatcher:
                                  or isinstance(seed, bool)):
             raise ValueError("'seed' must be an integer or null")
         rows = self.gate.call(self.engine.encode_nodes, ids, seed=seed)
-        return {"ok": True, "embeddings": rows.tolist()}
+        return {"ok": True, "embeddings": rows}
 
     def _op_health(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True,
@@ -237,16 +238,53 @@ class _Dispatcher:
         return {"ok": True, "draining": True}
 
 
+def _float32_text(x: float) -> str:
+    return "%.9g" % x if x and math.isfinite(x) else json.dumps(x)
+
+
+def _float32_json(values: np.ndarray) -> str:
+    """A 1-d or 2-d float32 array as JSON text, laid out as ``json.dumps``
+    lays out its ``tolist()``, but each number printed with ``%.9g``.
+
+    Nine significant digits identify every float32, so the text parses
+    back (through a double) to the same float32 bits, in about two
+    thirds of the bytes of the double's shortest repr. Zeros and
+    non-finite values print as ``json.dumps`` prints them: ``0.0`` and
+    ``-0.0`` (``%.9g`` would print ``-0``, which parses as the integer
+    0), ``NaN``, ``Infinity``, ``-Infinity``.
+    """
+    if values.all() and np.isfinite(values).all():
+        fmt = "[" + ", ".join(["%.9g"] * values.shape[-1]) + "]"
+        row = fmt.__mod__
+    else:
+        def row(xs):
+            return "[" + ", ".join([_float32_text(x) for x in xs]) + "]"
+    if values.ndim == 1:
+        return row(tuple(values.tolist()))
+    return "[" + ", ".join([row(tuple(r)) for r in values.tolist()]) + "]"
+
+
+def _json(value: Any) -> str:
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float32:
+            return _float32_json(value)
+        value = value.tolist()
+    return json.dumps(value)
+
+
 def _render(reply: Dict[str, Any], worker: int) -> Tuple[int, bytes]:
     """A dispatcher reply as its HTTP status and body: an answer's keys
-    plus the answering ``worker`` index, or the bare error DTO. An answer
-    too large for one reply frame becomes a ``bad_request`` DTO, so the
-    connection stays up."""
+    plus the answering ``worker`` index, or the bare error DTO. Arrays
+    print as JSON lists, float32 ones through :func:`_float32_json`. An
+    answer too large for one reply frame becomes a ``bad_request`` DTO,
+    so the connection stays up."""
     ok = reply.pop("ok")
     if ok:
         reply["worker"] = worker
     status = 200 if ok else _ERROR_STATUS.get(reply["error"]["code"], 500)
-    body = json.dumps(reply).encode("utf-8")
+    body = ("{" + ", ".join([f'"{key}": {_json(value)}'
+                             for key, value in reply.items()])
+            + "}").encode("utf-8")
     if ok and len(body) > protocol.MAX_FRAME:
         return _render(_error(
             "bad_request", f"answer of {len(body)} bytes exceeds the "

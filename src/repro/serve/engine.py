@@ -328,9 +328,11 @@ class ServingEngine:
         partition in it is one block of its map and one dense
         ``score_against``, written into a shared ``(n, chunk_rows)``
         float32 array: that array is the sweep's working set, whatever the
-        table size. One selection per chunk finds each source's k-th best
-        score; the columns at or above it (ties included) are the chunk's
-        candidates, folded into the running best-k by :func:`_fold_topk`.
+        table size. A source's chunk candidates are the columns at or
+        above a threshold (ties included), folded into the running best-k
+        by :func:`_fold_topk`: once the running best-k holds k non-NaN
+        scores, its k-th best is the threshold, else one selection over
+        the chunk finds it (:func:`_chunk_candidates`).
         """
         n = src_t.data.shape[0]
         bounds = self.scheme.boundaries
@@ -355,7 +357,9 @@ class ServingEngine:
                 keep = np.ones(hi - lo, dtype=bool)
                 keep[hit - lo] = False
                 ids, scores = ids[keep], scores[:, keep]
-            rows, cols = _chunk_candidates(scores, k)
+            floor = (best_scores[:, k - 1] if best_scores.shape[1] == k
+                     else np.full(n, np.nan, dtype=np.float32))
+            rows, cols = _chunk_candidates(scores, k, floor)
             best_ids, best_scores = _fold_topk(
                 best_ids, best_scores, rows, ids[cols], scores[rows, cols], k)
         return best_ids, best_scores
@@ -457,23 +461,27 @@ class ServingEngine:
         return logits.argmax(axis=1)
 
 
-def _chunk_candidates(scores: np.ndarray,
-                      k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _chunk_candidates(scores: np.ndarray, k: int, floor: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` of every score that can reach its row's best-k.
 
-    One float32 selection per chunk: a row's k-th best score is the
-    threshold, and every column at or above it is kept, ties included, so
-    the id tie-break happens in :func:`_fold_topk` over the whole set. A
-    selection sorts NaN last, so a NaN threshold means the row has fewer
-    than ``k`` non-NaN scores and keeps every column (NaN rows included:
-    the width contract ranks them after every other score).
+    ``floor`` is each row's running k-th best score, NaN while the row
+    holds fewer than ``k`` non-NaN scores. A lower score can never enter
+    the best-k, so a row with a floor keeps the columns at or above it,
+    ties included: the id tie-break happens in :func:`_fold_topk` over
+    the whole set. Every other row takes one float32 selection over the
+    chunk: its k-th best score there is the threshold. A selection sorts
+    NaN last, so a NaN threshold means the row has fewer than ``k``
+    non-NaN scores and keeps every column (NaN rows included: the width
+    contract ranks them after every other score).
     """
     n, width = scores.shape
-    if width <= k:
-        return np.divmod(np.arange(n * width), width)
-    neg = np.negative(scores)
-    neg.partition(k - 1, axis=1)
-    kth = -neg[:, k - 1 : k]
+    kth = floor[:, None].copy()
+    need = np.isnan(floor)
+    if need.any() and width > k:
+        neg = np.negative(scores if need.all() else scores[need])
+        neg.partition(k - 1, axis=1)
+        kth[need] = -neg[:, k - 1 : k]
     # flatnonzero + divmod: ~15x faster than a 2-d nonzero here.
     return np.divmod(np.flatnonzero((scores >= kth) | np.isnan(kth)), width)
 

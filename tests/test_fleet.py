@@ -4,7 +4,7 @@ The load-bearing guarantees:
 
 * **HTTP parity** — every endpoint's response, parsed back from JSON, is
   bit-identical to the same query against an in-process engine over the
-  same snapshot (float32 -> repr -> parse -> float32 is lossless).
+  same snapshot (float32 -> %.9g -> parse -> float32 is lossless).
 * **Affinity** — a request's lead node id lands on the worker owning its
   partition under the range policy.
 * **Degradation** — a crashed worker turns its range into structured
@@ -37,8 +37,9 @@ from repro.fleet import (MAX_FRAME, AffinityRouter, Fleet, Gateway,
 from repro.fleet import protocol
 from repro.fleet.affinity import range_assignment
 from repro.fleet.protocol import _ERROR_STATUS
-from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error, _Gate,
-                                _serve_connection)
+from repro.fleet.gateway import MAX_HEADERS, MAX_LINE
+from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error,
+                                _float32_json, _Gate, _serve_connection)
 from repro.graph import load_fb15k237
 from repro.serve import GracefulDrain
 from repro.train import DiskConfig, DiskLinkPredictionTrainer, \
@@ -171,6 +172,31 @@ def test_frame_float_fidelity():
         a.close(), b.close()
 
 
+def test_float32_json_round_trips_every_bit_pattern():
+    """The worker's ``%.9g`` number text parses back, through a double,
+    to the same float32 bits: random finite bit patterns, signed zeros,
+    subnormals and the extremes. Zeros and non-finite values print as
+    ``json.dumps`` prints them."""
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 1 << 32, size=200_000, dtype=np.uint64)
+    values = bits.astype(np.uint32).view(np.float32)
+    values = values[np.isfinite(values)][:160_000].reshape(-1, 64)
+    info = np.finfo(np.float32)
+    special = np.array([0.0, -0.0, info.max, -info.max, info.tiny,
+                        -info.tiny, info.smallest_subnormal,
+                        -info.smallest_subnormal, info.tiny / 3, 1.0, -1.0,
+                        info.eps], dtype=np.float32)
+    for array in (values, special, special[None, :], special[:0]):
+        text = _float32_json(array)
+        back = np.asarray(json.loads(text), dtype=np.float32)
+        assert back.shape == array.shape
+        assert back.tobytes() == array.tobytes()
+    assert _float32_json(special[:2]) == json.dumps([0.0, -0.0])
+    odd = np.array([[np.nan, np.inf, -np.inf, 0.5]], dtype=np.float32)
+    assert _float32_json(odd) == json.dumps(odd.tolist())
+    assert _float32_json(odd) == "[[NaN, Infinity, -Infinity, 0.5]]"
+
+
 def _recv_bytes(sock, n):
     data = b""
     while len(data) < n:
@@ -265,6 +291,9 @@ class _StubFleet:
     def request_raw(self, worker, op, **fields):
         return 200, STUB_REPLY
 
+    def health(self):
+        return [{"worker": 0, "alive": True}]
+
 
 @pytest.fixture
 def stub_gateway():
@@ -283,13 +312,23 @@ def test_gateway_forwards_reply_bytes(stub_gateway):
     ("/v1/embeddings", str(MAX_FRAME + 1), 400, "bad_request"),
     ("/v1/embeddings", None, 400, "bad_request"),
     ("/v1/nope", "12", 404, "not_found"),
+    pytest.param("/v1/embeddings?" + "x" * MAX_LINE, "12", 400,
+                 "bad_request", id="request-line-over-limit"),
+    pytest.param("/v1/embeddings",
+                 b"X-Pad: 1\r\n" * MAX_HEADERS + b"Content-Length: 12\r\n",
+                 400, "bad_request", id="more-than-max-headers"),
+    pytest.param("/v1/embeddings", b"content-length: abc\r\n", 400,
+                 "bad_request", id="lowercase-content-length"),
 ])
 def test_gateway_hangs_up_on_an_unread_body(stub_gateway, path, length,
                                             status, code):
     """A body the gateway did not read must not be parsed as the next
-    request: one JSON error, then the connection closes."""
+    request: one JSON error, then the connection closes. ``length`` is
+    the ``Content-Length`` value, or (as bytes) the raw header lines."""
     head = f"POST {path} HTTP/1.1\r\nHost: gateway\r\n".encode()
-    if length is not None:
+    if isinstance(length, bytes):
+        head += length
+    elif length is not None:
         head += b"Content-Length: " + length.encode() + b"\r\n"
     raw = (head + b"\r\n" + b'{"ids": [1]}'
            + b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
@@ -309,6 +348,60 @@ def test_gateway_hangs_up_on_an_unread_body(stub_gateway, path, length,
     assert b"Connection: close" in headers
     error = json.loads(body)["error"]
     assert error["code"] == code and error["message"]
+    # A sent length, whatever the case of its header name, was read.
+    assert (error["message"] == "request body required") == (length is None)
+
+
+def _read_reply(sock, buf=b""):
+    """``(status line, headers, body, unread bytes)`` of one reply."""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        assert chunk, "peer closed early"
+        buf += chunk
+    head, _, buf = buf.partition(b"\r\n\r\n")
+    status, *lines = head.split(b"\r\n")
+    headers = dict(line.split(b": ", 1) for line in lines)
+    length = int(headers[b"Content-Length"])
+    while len(buf) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "peer closed early"
+        buf += chunk
+    return status, headers, buf[:length], buf[length:]
+
+
+def test_gateway_keeps_the_connection_alive(stub_gateway):
+    """Three requests on one socket: each answered in turn on the same
+    connection, a body sent only after ``100 Continue``, and the third,
+    with ``Connection: close``, answered and then hung up on."""
+    body = b'{"ids": [1]}'
+    post = (b"POST /v1/embeddings HTTP/1.1\r\nHost: gateway\r\n"
+            b"Content-Length: %d\r\n" % len(body))
+    with socket.create_connection((stub_gateway.host, stub_gateway.port),
+                                  timeout=10) as sock:
+        sock.sendall(post + b"\r\n" + body)
+        status, headers, reply, rest = _read_reply(sock)
+        assert (status, reply, rest) == (b"HTTP/1.1 200 OK", STUB_REPLY, b"")
+        assert headers[b"Content-Type"] == b"application/json"
+        assert b"Connection" not in headers and b"Date" in headers
+
+        sock.sendall(post + b"Expect: 100-continue\r\n\r\n")
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        got = b""
+        while len(got) < len(interim):
+            chunk = sock.recv(len(interim) - len(got))
+            assert chunk, "peer closed early"
+            got += chunk
+        assert got == interim
+        sock.sendall(body)
+        assert _read_reply(sock)[2:] == (STUB_REPLY, b"")
+
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n"
+                     b"Connection: close\r\n\r\n")
+        status, headers, reply, rest = _read_reply(sock)
+        assert status == b"HTTP/1.1 200 OK"
+        assert headers[b"Connection"] == b"close"
+        assert json.loads(reply)["status"] == "ok"
+        assert rest == b"" and sock.recv(65536) == b""
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +626,19 @@ def test_gateway_renders_no_answer(fleet, oracle, monkeypatch):
     status, raw = post_raw(fleet.url, "/v1/embeddings", {"ids": ids})
     assert status == 200
     rows = oracle.get_embeddings(np.asarray(ids))
-    assert raw == json.dumps({"embeddings": rows.tolist(),
-                              "worker": fleet.router.route(ids[0])}).encode()
+    assert raw == ('{"embeddings": %s, "worker": %d}' % (
+        _float32_json(rows), fleet.router.route(ids[0]))).encode()
+    got = np.asarray(json.loads(raw)["embeddings"], dtype=np.float32)
+    assert got.tobytes() == rows.tobytes()
     status, raw = post_raw(fleet.url, "/v1/topk",
                            {"source": 3, "k": 5, "exclude": [3]})
     assert status == 200
     top_ids, scores = oracle.topk_targets(3, 5, rel=0, exclude=[3])
-    assert raw == json.dumps({"ids": top_ids.tolist(),
-                              "scores": scores.tolist(),
-                              "worker": fleet.router.route(3)}).encode()
+    assert raw == ('{"ids": %s, "scores": %s, "worker": %d}' % (
+        json.dumps(top_ids.tolist()), _float32_json(scores),
+        fleet.router.route(3))).encode()
+    got = np.asarray(json.loads(raw)["scores"], dtype=np.float32)
+    assert got.tobytes() == scores.tobytes()
     assert calls == {"loads": 2, "dumps": 0}
 
 

@@ -69,6 +69,7 @@ class BufferMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.buffer.reset()
+        self.store.close()      # its descriptors go now, not at collection
         self._tmp.cleanup()
 
     # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Storage layer tests: node/edge stores, partition buffer, IO stats."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -198,6 +199,9 @@ class TestNodeStore:
         def fds():
             return len(os.listdir("/proc/self/fd"))
         scheme = PartitionScheme.uniform(40, 4)
+        # Earlier tests' unreachable stores must not close their files
+        # during the loop and shift the count.
+        gc.collect()
         before = fds()
         for i in range(50):
             s = NodeStore(tmp_path / f"s{i}.bin", scheme, dim=4)
