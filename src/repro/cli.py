@@ -83,6 +83,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Pull-source fields that are settings or gauges, not counters: ``top``
+#: shows their last value, neither summed across logs nor rated.
+_GAUGES = ("max_queue", "timeout_ms", "in_flight", "smallest_read")
+
+
 def _last_metrics(records: List[dict]) -> Dict[str, Any]:
     """The metrics dict of the last metrics record (cumulative deltas)."""
     last = None
@@ -99,11 +104,17 @@ def _span_rows(records: List[dict]) -> List[Tuple[str, dict]]:
             if isinstance(value, dict) and value.get("count")]
 
 
-def _scalar_metrics(records: List[dict]) -> Dict[str, float]:
-    """Numeric (counter / gauge / source) entries of the last metrics
-    record."""
-    return {name: value for name, value in _last_metrics(records).items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)}
+def _scalar_metrics(records: List[dict]
+                    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Numeric entries of the last metrics record: ``(counters,
+    gauges)``, a gauge being a field named in :data:`_GAUGES`."""
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, float] = {}
+    for name, value in _last_metrics(records).items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            kind = gauges if name.rsplit(".", 1)[-1] in _GAUGES else counters
+            kind[name] = value
+    return counters, gauges
 
 
 def _top_logs(raw: str) -> List[Path]:
@@ -130,7 +141,8 @@ def _top_logs(raw: str) -> List[Path]:
 
 def _render_sections(header: str, seconds: float, record_count: int,
                      events: Dict[str, int], rows: List[Tuple[str, dict]],
-                     scalars: Dict[str, float]) -> None:
+                     scalars: Dict[str, float],
+                     gauges: Dict[str, float]) -> None:
     print(f"{header} — {record_count} records over {seconds:.1f}s")
     if events:
         line = ", ".join(f"{name} x{count}"
@@ -148,6 +160,10 @@ def _render_sections(header: str, seconds: float, record_count: int,
         for name, value in sorted(scalars.items()):
             rate = value / seconds if seconds > 0 else 0.0
             print(f"  {name:<36} {value:>12,.0f} {rate:>10,.1f}")
+    if gauges:
+        print(f"  {'gauge':<36} {'last':>12}")
+        for name, value in sorted(gauges.items()):
+            print(f"  {name:<36} {value:>12,}")
     print()
 
 
@@ -156,11 +172,13 @@ def cmd_top(args: argparse.Namespace) -> int:
 
     Multiple logs (a directory of per-worker fleet logs, or a glob) each
     render individually and then as one merged view — counters summed,
-    histograms merged exactly by bucket addition."""
+    histograms merged exactly by bucket addition, gauges at the value of
+    the log that ends last."""
     from .obs import read_jsonl
     logs = _top_logs(args.run_dir)
     merged_events: Dict[str, int] = {}
     merged_scalars: Dict[str, float] = {}
+    merged_gauges: Dict[str, Tuple[float, float]] = {}   # name -> (ts, v)
     merged_hists: Dict[str, List[dict]] = {}
     merged_records = 0
     m_lo = m_hi = None
@@ -181,9 +199,9 @@ def cmd_top(args: argparse.Namespace) -> int:
                 events[name] = events.get(name, 0) + 1
         seconds = (t_hi - t_lo) if (t_lo is not None and t_hi is not None) \
             else 0.0
-        scalars = _scalar_metrics(records)
+        scalars, gauges = _scalar_metrics(records)
         _render_sections(str(path), seconds, len(records), events,
-                         _span_rows(records), scalars)
+                         _span_rows(records), scalars, gauges)
         if len(logs) > 1:
             merged_records += len(records)
             if t_lo is not None:
@@ -193,6 +211,10 @@ def cmd_top(args: argparse.Namespace) -> int:
                 merged_events[name] = merged_events.get(name, 0) + count
             for name, value in scalars.items():
                 merged_scalars[name] = merged_scalars.get(name, 0) + value
+            end = t_hi or 0.0
+            for name, value in gauges.items():
+                if end >= merged_gauges.get(name, (end, value))[0]:
+                    merged_gauges[name] = (end, value)
             for name, state in _last_metrics(records).items():
                 if isinstance(state, dict) and state.get("count"):
                     merged_hists.setdefault(name, []).append(state)
@@ -203,7 +225,8 @@ def cmd_top(args: argparse.Namespace) -> int:
         seconds = (m_hi - m_lo) if (m_lo is not None and m_hi is not None) \
             else 0.0
         _render_sections(f"merged ({len(logs)} logs)", seconds,
-                         merged_records, merged_events, rows, merged_scalars)
+                         merged_records, merged_events, rows, merged_scalars,
+                         {name: v for name, (_, v) in merged_gauges.items()})
     return 0
 
 

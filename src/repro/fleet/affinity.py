@@ -7,13 +7,11 @@ the worker *owning* it, so queries against one partition always land on
 the same worker — the pages of that partition's rows stay hot in the
 page cache behind the worker's table map.
 
-Ownership starts as a static contiguous range split: worker ``w`` of
-``W`` owns partitions ``[floor(w*p/W), floor((w+1)*p/W))`` — contiguous
+Ownership is a static contiguous range split: worker ``w`` of ``W``
+owns partitions ``[floor(w*p/W), floor((w+1)*p/W))`` — contiguous
 because the store's partitions are contiguous id ranges, so range
-queries and locality-ordered sweeps stay within one owner.
-:meth:`AffinityRouter.set_assignment` is the rebalance hook: a future
-load balancer (or an operator) can install any partition->worker map
-atomically between requests; this table is O(p) and exact.
+queries and locality-ordered sweeps stay within one owner. Every worker
+serves the whole snapshot, so ownership is locality, never correctness.
 
 ``policy="random"`` ignores ids and deals workers round-robin — the
 control arm the benchmark compares against.
@@ -22,7 +20,6 @@ control arm the benchmark compares against.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -54,9 +51,8 @@ class AffinityRouter:
         self.num_partitions = len(self.boundaries) - 1
         self.num_workers = int(num_workers)
         self.policy = policy
-        self._lock = threading.Lock()
-        self._assignment = range_assignment(self.num_partitions,
-                                            self.num_workers)
+        self.owners = range_assignment(self.num_partitions,
+                                       self.num_workers)
         self._rr = itertools.count()
 
     # ------------------------------------------------------------------
@@ -68,43 +64,15 @@ class AffinityRouter:
                                 side="right")) - 1
         return min(max(i, 0), self.num_partitions - 1)
 
-    def owner(self, partition: int) -> int:
-        """The worker currently owning ``partition``."""
-        with self._lock:
-            return self._assignment[int(partition)]
-
     def route(self, node_id: int) -> int:
         """Worker index for a request led by ``node_id``."""
         if self.policy == "random":
             return next(self._rr) % self.num_workers
-        return self.owner(self.partition_of(node_id))
-
-    # ------------------------------------------------------------------
-    def assignment(self) -> List[int]:
-        with self._lock:
-            return list(self._assignment)
-
-    def set_assignment(self, assignment: Sequence[int]) -> None:
-        """Rebalance hook: install a new partition->worker map atomically.
-
-        Future routes see the new owners immediately; requests already in
-        flight complete against the old owner (both hold a correct copy
-        of the snapshot — ownership is a locality optimization, never a
-        correctness requirement).
-        """
-        assignment = [int(w) for w in assignment]
-        if len(assignment) != self.num_partitions:
-            raise ValueError(f"assignment must cover all "
-                             f"{self.num_partitions} partitions")
-        bad = [w for w in assignment if not 0 <= w < self.num_workers]
-        if bad:
-            raise ValueError(f"assignment names unknown workers {bad[:5]}")
-        with self._lock:
-            self._assignment = assignment
+        return self.owners[self.partition_of(node_id)]
 
     def ranges(self) -> Dict[int, List[int]]:
         """worker -> owned partitions (diagnostics / ``/statz``)."""
         out: Dict[int, List[int]] = {w: [] for w in range(self.num_workers)}
-        for part, w in enumerate(self.assignment()):
+        for part, w in enumerate(self.owners):
             out[w].append(part)
         return out

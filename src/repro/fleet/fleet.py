@@ -12,21 +12,20 @@
    the same table, so ownership is purely a locality assignment.
 3. **Gateway** — an HTTP front door (:class:`~repro.fleet.gateway.
    Gateway`) that routes each request's lead node id through the router
-   and speaks the frame protocol to the owning worker through a
-   per-worker :class:`~repro.fleet.pool.ConnectionPool`, forwarding the
-   worker's rendered reply bytes unchanged.
+   and speaks the frame protocol to the owning worker over a connection
+   its handler dialed (:meth:`Fleet.connect`), forwarding the worker's
+   rendered reply bytes unchanged.
 
-A worker whose process has died is marked dead: requests routed to its
-range fail fast with 503 and ``/healthz`` reports ``degraded``. There is
-no failover — every worker holds a full copy of the snapshot, but
-re-assigning ranges on crash is a policy decision left to
-:meth:`~repro.fleet.affinity.AffinityRouter.set_assignment` callers.
+The fleet keeps only each worker's port and the set of dead workers. A
+worker whose process has died is marked dead: requests routed to its
+range fail fast with 503 and ``/healthz`` reports ``degraded``; there is
+no failover. Control calls (``health``, ``stats``, ``drain``) each dial
+a short-lived connection.
 
-:meth:`stop` is drain-ordered: the gateway stops accepting and joins
-in-flight handlers (which still need live pools and workers), then each
-worker is asked to drain (protocol ``drain`` op, SIGTERM as fallback) —
-rejecting new submits while finishing queued batches — then pools close
-and processes are joined.
+:meth:`stop` is drain-ordered: the gateway stops accepting, ends idle
+client connections and joins its handlers once their in-flight requests
+are answered; then each worker is asked to drain (``drain`` op, SIGTERM
+as fallback), finishing its admitted queries, and is joined.
 """
 
 from __future__ import annotations
@@ -34,15 +33,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .affinity import AffinityRouter
 from .gateway import Gateway
-from .pool import ConnectionPool
-from .protocol import WorkerUnavailable, parse_reply
+from .protocol import WorkerClient, WorkerUnavailable
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["Fleet"]
@@ -71,9 +68,7 @@ class Fleet:
         self.gateway: Optional[Gateway] = None
         self.worker_info: List[Dict[str, Any]] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._pools: List[ConnectionPool] = []
-        self._dead: set = set()
-        self._lock = threading.Lock()
+        self._dead: set = set()     # only grows; set ops are GIL-atomic
         self._started = False
         self._stopped = False
 
@@ -120,15 +115,11 @@ class Fleet:
             self.router = AffinityRouter(first["boundaries"],
                                          self.num_workers,
                                          policy=self.affinity)
-            self._pools = [ConnectionPool(self.host, info["port"])
-                           for info in self.worker_info]
             self.gateway = Gateway(self, host=self.host,
                                    port=self.gateway_port).start()
         except Exception:
             # A failure anywhere in startup (a worker died, the gateway
             # port is taken, ...) must not leak N live child processes.
-            for pool in self._pools:
-                pool.close()
             self._kill_all()
             raise
         self._started = True
@@ -142,29 +133,24 @@ class Fleet:
 
     # ------------------------------------------------------------------
     # The surface the gateway drives.
-    def route(self, node_id: int) -> int:
-        return self.router.route(node_id)
-
-    def request_raw(self, worker: int, op: str,
-                    **fields: Any) -> Tuple[int, bytes]:
-        """One op on ``worker``: the reply's ``(HTTP status, body)``."""
-        with self._lock:
-            if worker in self._dead:
-                raise WorkerUnavailable(f"worker {worker} is down")
-        return self._pools[worker].request_raw(op, **fields)
+    def connect(self, worker: int) -> WorkerClient:
+        """A new connection to ``worker``; :class:`WorkerUnavailable` at
+        once if the worker is marked dead."""
+        if worker in self._dead:
+            raise WorkerUnavailable(f"worker {worker} is down")
+        return WorkerClient(self.host, self.worker_info[worker]["port"])
 
     def request(self, worker: int, op: str, **fields: Any) -> Dict[str, Any]:
-        """:meth:`request_raw`, through :func:`~repro.fleet.protocol.
-        parse_reply`."""
-        return parse_reply(*self.request_raw(worker, op, **fields))
+        """One control op on a short-lived connection: the reply as a
+        dict (see :meth:`WorkerClient.request`)."""
+        with self.connect(worker) as client:
+            return client.request(op, **fields)
 
     def note_unavailable(self, worker: int) -> None:
         """Called on a connection failure: a dead process means the range
-        is down; a live process just lost one connection (the pool
-        already discarded it)."""
+        is down; a live process just lost one connection."""
         if not self._procs[worker].is_alive():
-            with self._lock:
-                self._dead.add(worker)
+            self._dead.add(worker)
 
     def owned_range(self, worker: int) -> str:
         parts = self.router.ranges().get(worker, [])
@@ -177,9 +163,7 @@ class Fleet:
         for i, proc in enumerate(self._procs):
             entry: Dict[str, Any] = {"worker": i,
                                      "partitions": self.owned_range(i)}
-            with self._lock:
-                dead = i in self._dead
-            if dead or not proc.is_alive():
+            if i in self._dead or not proc.is_alive():
                 self.note_unavailable(i)
                 entry.update(alive=False, status="down")
                 out.append(entry)
@@ -217,14 +201,12 @@ class Fleet:
             if not proc.is_alive():
                 continue
             try:
-                self._pools[i].request_raw("drain")
+                self.request(i, "drain")
             except (WorkerUnavailable, IndexError):
                 try:
                     os.kill(proc.pid, signal.SIGTERM)
                 except (OSError, TypeError):
                     pass
-        for pool in self._pools:
-            pool.close()
         deadline = time.monotonic() + 15.0
         for proc in self._procs:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))

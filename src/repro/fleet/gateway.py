@@ -37,14 +37,18 @@ A worker whose socket is gone and whose process is dead yields 503 for
 its partition range and flips ``/healthz`` to ``degraded``; other
 ranges keep serving.
 
-Each HTTP handler thread checks a private worker connection out of the
-per-worker pool, so concurrent HTTP requests reach the worker
-concurrently, each on its own worker handler thread.
+Each client connection's handler thread owns its worker connections:
+it dials a worker on the first query routed there, drops the connection
+if the worker becomes unreachable, and closes them all when the client
+connection ends. :meth:`Gateway.stop` shuts the read side of every
+client connection: an idle handler sees the end of the stream and
+retires, while one answering a request still sends its reply.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import socketserver
 import threading
 import time
@@ -52,7 +56,8 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
 
-from .protocol import _ERROR_STATUS, MAX_FRAME, WorkerUnavailable
+from .protocol import (_ERROR_STATUS, MAX_FRAME, WorkerClient,
+                       WorkerUnavailable)
 
 __all__ = ["Gateway", "MAX_LINE", "MAX_HEADERS"]
 
@@ -142,17 +147,13 @@ def _read_body(rfile, sock, length: Optional[int],
     return raw if len(raw) == length else None
 
 
-class _LeadIdError(ValueError):
-    """The body lacks the lead node id the router needs."""
-
-
 def _lead_id(path: str, body: Dict[str, Any]) -> int:
     """The routing key: the node id the request is 'about'."""
     if path in ("/v1/embeddings", "/v1/encode"):
         ids = body.get("ids")
         if (not isinstance(ids, list) or not ids
                 or not isinstance(ids[0], int) or isinstance(ids[0], bool)):
-            raise _LeadIdError("'ids' must be a non-empty list of integers")
+            raise ValueError("'ids' must be a non-empty list of integers")
         return ids[0]
     if path == "/v1/score":
         pairs = body.get("pairs")
@@ -160,20 +161,22 @@ def _lead_id(path: str, body: Dict[str, Any]) -> int:
                 or not isinstance(pairs[0], list) or not pairs[0]
                 or not isinstance(pairs[0][0], int)
                 or isinstance(pairs[0][0], bool)):
-            raise _LeadIdError("'pairs' must be a non-empty list of "
+            raise ValueError("'pairs' must be a non-empty list of "
                                "[src, dst] or [src, rel, dst] rows")
         return pairs[0][0]
     if path == "/v1/topk":
         src = body.get("source")
         if not isinstance(src, int) or isinstance(src, bool):
-            raise _LeadIdError("'source' must be an integer node id")
+            raise ValueError("'source' must be an integer node id")
         return src
-    raise _LeadIdError(f"no route for {path}")
+    raise ValueError(f"no route for {path}")
 
 
 #: HTTP path -> worker protocol op.
 _OPS = {"/v1/embeddings": "embed", "/v1/score": "score",
         "/v1/topk": "topk", "/v1/encode": "encode"}
+#: The paths ``/statz`` counts by name; any other counts as ``other``.
+_ROUTES = {*_OPS, "/healthz", "/statz"}
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -183,17 +186,31 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         gateway = self.server.gateway                 # type: ignore[attr-defined]
+        clients: Dict[int, WorkerClient] = {}   # worker -> its client
         try:
-            while gateway._exchange(self.rfile, self.connection):
+            while gateway._exchange(self.rfile, self.connection, clients):
                 pass
         except OSError:
             pass                    # client went away; nothing to salvage
+        finally:
+            for client in clients.values():
+                client.close()
 
 
 class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = False      # join in-flight handlers on server_close
     block_on_close = True
     allow_reuse_address = True
+
+    def process_request(self, request, client_address) -> None:
+        # On the accept thread, so once shutdown() returns every accepted
+        # connection is in the set.
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self.connections.discard(request)
+        super().shutdown_request(request)
 
 
 class Gateway:
@@ -203,6 +220,7 @@ class Gateway:
         self.fleet = fleet
         self._server = _Server((host, port), _Handler)
         self._server.gateway = self
+        self._server.connections = set()    # open client sockets
         self.host, self.port = self._server.server_address[:2]
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -217,8 +235,14 @@ class Gateway:
         return self
 
     def stop(self) -> None:
-        """Stop accepting and join in-flight handler threads."""
+        """Stop accepting, end idle connections and join the handler
+        threads once their in-flight requests are answered."""
         self._server.shutdown()
+        for conn in list(self._server.connections):
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass                # its handler closed it meanwhile
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
@@ -233,9 +257,11 @@ class Gateway:
             self.counters[key] = self.counters.get(key, 0) + 1
 
     # ------------------------------------------------------------------
-    def _exchange(self, rfile, sock) -> bool:
+    def _exchange(self, rfile, sock,
+                  clients: Dict[int, WorkerClient]) -> bool:
         """Read one request, send its reply; whether the connection
-        stays open for the next one."""
+        stays open for the next one. ``clients`` holds the connection's
+        worker clients."""
         try:
             head = _read_head(rfile)
         except _BadRequest as exc:
@@ -249,7 +275,7 @@ class Gateway:
                 raw = _read_body(rfile, sock, length, expect)
                 if raw is None:
                     return False                    # closed mid-body
-                status, body = self._query(path, raw)
+                status, body = self._query(path, raw, clients)
             elif method == b"GET" and path == "/healthz":
                 status, body = self._healthz()
             elif method == b"GET" and path == "/statz":
@@ -278,7 +304,7 @@ class Gateway:
     def _send(self, sock, path: str, status: int, body: bytes,
               keep: bool) -> None:
         """The whole reply, head and body, in one ``sendall``."""
-        self._count(f"http.{path}.{status}")
+        self._count(f"http.{path if path in _ROUTES else 'other'}.{status}")
         second = int(time.time())
         stamp, date = self._date
         if stamp != second:
@@ -289,7 +315,8 @@ class Gateway:
                          _STATUS_LINE[status], date, len(body),
                          b"" if keep else b"Connection: close\r\n", body))
 
-    def _query(self, path: str, raw: bytes) -> Reply:
+    def _query(self, path: str, raw: bytes,
+               clients: Dict[int, WorkerClient]) -> Reply:
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -299,18 +326,26 @@ class Gateway:
             return _error("bad_request", "request body must be a JSON object")
         try:
             lead = _lead_id(path, body)
-        except _LeadIdError as exc:
+        except ValueError as exc:         # no lead id to route by
             return _error("bad_request", str(exc))
-        worker = self.fleet.route(lead)
+        worker = self.fleet.router.route(lead)
         self._count(f"routed.worker-{worker}")
+        client = clients.get(worker)
         try:
-            return self.fleet.request_raw(worker, _OPS[path], **body)
+            if client is None:
+                client = clients[worker] = self.fleet.connect(worker)
+            return client.request_raw(_OPS[path], **body)
         except WorkerUnavailable as exc:
+            clients.pop(worker, None)       # a failed client closes itself
             self.fleet.note_unavailable(worker)
             return _error(
                 "unavailable",
                 f"worker {worker} (partitions "
                 f"{self.fleet.owned_range(worker)}) is unavailable: {exc}")
+        except Exception:
+            if clients.pop(worker, None) is not None:
+                client.close()              # its stream may be out of step
+            raise
 
     # ------------------------------------------------------------------
     def _healthz(self) -> Reply:

@@ -19,10 +19,11 @@ to in-process engine results. Zeros and non-finite values print as
 are plain ``json.dumps``.
 
 Framing is deliberately dumb: no pipelining, one response per request in
-order, so a connection is a unit of mutual exclusion and the gateway's
-per-worker :class:`~repro.fleet.pool.ConnectionPool` provides the
-concurrency instead. It also means a frame's header and body can be
-taken from one ``recv``: nothing past the frame can be waiting.
+order, so a connection is a unit of mutual exclusion. Concurrency comes
+from connections instead: each gateway client connection holds its own
+connection to every worker it has queried. It also means a frame's
+header and body can be taken from one ``recv``: nothing past the frame
+can be waiting.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ def parse_reply(status: int, body: bytes) -> Dict[str, Any]:
 class WorkerClient:
     """One blocking request/response connection to a worker.
 
-    Not thread-safe by design — the gateway keeps a pool of these per
-    worker and checks one out per in-flight request, so concurrent HTTP
-    requests reach the worker concurrently.
+    Not thread-safe by design — each gateway connection handler owns
+    its own, at most one per worker, so concurrent HTTP connections
+    reach the worker concurrently. A request that fails with
+    :class:`WorkerUnavailable` closes the client.
     """
 
     def __init__(self, host: str, port: int,

@@ -11,7 +11,9 @@ forwards unchanged. Every connection gets a handler thread, and each
 query calls the engine on that thread, behind the worker's admission
 gate (:class:`_Gate`): at most ``max_queue`` queries in flight, one
 engine call at a time, and a wait for that turn bounded by
-``timeout_ms``.
+``timeout_ms``. The gateway holds one connection here per client
+connection that has sent this worker a query, so the handler threads
+follow the client connections, not the number of queries in flight.
 
 Shutdown is drain-first, from either trigger (SIGTERM/SIGINT via
 :class:`~repro.serve.lifecycle.GracefulDrain`, or the gateway's
@@ -392,7 +394,7 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
                                  args=(conn, dispatcher),
                                  name=f"fleet-worker-{cfg.index}-conn")
             t.start()
-            threads.append(t)
+            threads = [t] + [x for x in threads if x.is_alive()]
         listener.close()
         # Admitted queries finish on their handler threads; later ones are
         # answered ``draining``, and each handler retires on its next

@@ -282,14 +282,48 @@ def test_oversized_answer_is_a_bad_request(tmp_path, monkeypatch):
 STUB_REPLY = b'{"embeddings": [[0.1]], "worker": 0}'
 
 
-class _StubFleet:
-    """Routes everything to worker 0, which answers one canned reply."""
+class _StubClient:
+    """A worker connection answering one canned reply once its fleet's
+    ``release`` is set; it fails (and closes) while its worker is in
+    ``fail``."""
 
-    def route(self, lead):
-        return 0
+    def __init__(self, fleet, worker):
+        self.fleet, self.worker, self.closed = fleet, worker, False
 
-    def request_raw(self, worker, op, **fields):
+    def request_raw(self, op, **fields):
+        if self.worker in self.fleet.fail:
+            self.fleet.fail.discard(self.worker)
+            self.closed = True
+            raise WorkerUnavailable("stub worker dropped the connection")
+        self.fleet.entered.set()
+        assert self.fleet.release.wait(30.0)
         return 200, STUB_REPLY
+
+    def close(self):
+        self.closed = True
+
+
+class _StubFleet:
+    """Routes lead id ``n`` to worker ``n % 2``; records every client
+    the gateway dials."""
+
+    router = types.SimpleNamespace(route=lambda lead: lead % 2)
+
+    def __init__(self):
+        self.clients = []
+        self.fail = set()
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.release.set()
+
+    def connect(self, worker):
+        self.clients.append(_StubClient(self, worker))
+        return self.clients[-1]
+
+    def note_unavailable(self, worker):
+        pass
+
+    def owned_range(self, worker):
+        return str(worker)
 
     def health(self):
         return [{"worker": 0, "alive": True}]
@@ -404,6 +438,109 @@ def test_gateway_keeps_the_connection_alive(stub_gateway):
         assert rest == b"" and sock.recv(65536) == b""
 
 
+def _post(sock, ids, buf=b""):
+    """One keep-alive POST to ``/v1/embeddings``: ``(status line, body,
+    unread bytes)``."""
+    body = json.dumps({"ids": ids}).encode()
+    sock.sendall(b"POST /v1/embeddings HTTP/1.1\r\nHost: gateway\r\n"
+                 b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+    status, _, reply, rest = _read_reply(sock, buf)
+    return status, reply, rest
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_gateway_dials_each_worker_once_per_connection(stub_gateway):
+    """Queries on one keep-alive connection reuse one client per worker;
+    a client that fails is dropped and the next query redials; every
+    client closes when the client connection ends."""
+    fleet = stub_gateway.fleet
+    with socket.create_connection((stub_gateway.host, stub_gateway.port),
+                                  timeout=10) as sock:
+        for lead in range(8):
+            assert _post(sock, [lead])[:2] == (b"HTTP/1.1 200 OK",
+                                               STUB_REPLY)
+        assert [c.worker for c in fleet.clients] == [0, 1]
+        assert not any(c.closed for c in fleet.clients)
+        fleet.fail.add(1)
+        status, reply, _ = _post(sock, [3])
+        assert status == b"HTTP/1.1 503 Service Unavailable"
+        assert json.loads(reply)["error"]["code"] == "unavailable"
+        assert fleet.clients[1].closed
+        assert _post(sock, [5])[:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
+        assert [c.worker for c in fleet.clients] == [0, 1, 1]
+        assert not fleet.clients[0].closed and not fleet.clients[2].closed
+    _wait_for(lambda: all(c.closed for c in fleet.clients))
+
+
+def test_gateway_stop_ends_idle_keep_alive_connections():
+    """``stop`` returns while a client holds an idle keep-alive
+    connection, and the client sees the connection close."""
+    gateway = Gateway(_StubFleet()).start()
+    sock = socket.create_connection((gateway.host, gateway.port), timeout=10)
+    stopper = threading.Thread(target=gateway.stop)
+    try:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
+        assert _read_reply(sock)[0] == b"HTTP/1.1 200 OK"
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() hangs on an idle connection"
+        assert sock.recv(65536) == b""
+    finally:
+        sock.close()
+        if stopper.is_alive():
+            stopper.join(timeout=10.0)
+        else:
+            gateway.stop()
+
+
+def test_gateway_stop_answers_the_request_in_flight(stub_gateway):
+    """A query waiting on its worker when ``stop`` starts is still
+    answered; ``stop`` returns once it is."""
+    fleet = stub_gateway.fleet
+    fleet.release.clear()
+    with socket.create_connection((stub_gateway.host, stub_gateway.port),
+                                  timeout=10) as sock:
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(
+            _post(sock, [0])))
+        client.start()
+        assert fleet.entered.wait(10.0)
+        stopper = threading.Thread(target=stub_gateway.stop)
+        stopper.start()
+        stopper.join(timeout=0.3)
+        assert stopper.is_alive()           # waits for the reply
+        fleet.release.set()
+        stopper.join(timeout=10.0)
+        client.join(timeout=10.0)
+        assert not stopper.is_alive() and not client.is_alive()
+        assert replies[0][:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
+        assert sock.recv(65536) == b""
+    assert all(c.closed for c in fleet.clients)
+
+
+def test_statz_counts_unknown_paths_under_one_key(stub_gateway):
+    """Distinct unknown paths leave one ``/statz`` counter, not one each."""
+    for i in range(300):
+        with socket.create_connection(
+                (stub_gateway.host, stub_gateway.port), timeout=10) as sock:
+            sock.sendall(f"GET /nope/{i} HTTP/1.1\r\nHost: gateway\r\n"
+                         f"\r\n".encode())
+            assert _read_reply(sock)[0] == b"HTTP/1.1 404 Not Found"
+    assert stub_gateway.counters == {"http.other.404": 300}
+    with socket.create_connection((stub_gateway.host, stub_gateway.port),
+                                  timeout=10) as sock:
+        assert _post(sock, [1])[0] == b"HTTP/1.1 200 OK"
+    assert stub_gateway.counters == {"http.other.404": 300,
+                                     "http./v1/embeddings.200": 1,
+                                     "routed.worker-1": 1}
+
+
 # ---------------------------------------------------------------------------
 # Affinity routing
 # ---------------------------------------------------------------------------
@@ -420,7 +557,7 @@ def test_range_assignment_contiguous_and_covering():
 def test_router_routes_to_partition_owner():
     boundaries = [0, 100, 200, 300, 400]
     router = AffinityRouter(boundaries, num_workers=2)
-    assert router.assignment() == [0, 0, 1, 1]
+    assert router.ranges() == {0: [0, 1], 1: [2, 3]}
     assert router.partition_of(0) == 0
     assert router.partition_of(99) == 0
     assert router.partition_of(100) == 1
@@ -428,17 +565,6 @@ def test_router_routes_to_partition_owner():
     assert router.partition_of(10 ** 9) == 3             # clamped
     assert router.route(50) == 0
     assert router.route(250) == 1
-
-
-def test_router_rebalance_hook():
-    router = AffinityRouter([0, 10, 20, 30, 40], num_workers=2)
-    router.set_assignment([1, 1, 0, 0])
-    assert router.route(5) == 1
-    assert router.ranges() == {0: [2, 3], 1: [0, 1]}
-    with pytest.raises(ValueError, match="cover"):
-        router.set_assignment([0, 1])
-    with pytest.raises(ValueError, match="unknown workers"):
-        router.set_assignment([0, 1, 2, 0])
     with pytest.raises(ValueError, match="policy"):
         AffinityRouter([0, 10], 1, policy="hash")
 
@@ -769,3 +895,31 @@ def test_top_merges_worker_logs(tmp_path, capsys):
     counter = next(line for line in merged.splitlines()
                    if "serve.requests" in line)
     assert counter.split()[1] == "42"          # counters summed
+
+
+def test_top_shows_settings_and_gauges_at_their_last_value(tmp_path,
+                                                           capsys):
+    """Settings and gauges are neither summed across logs nor rated:
+    the merged view shows the latest log's value, counters still sum."""
+    from repro.cli import main
+    for i, (in_flight, smallest) in enumerate([(3, 512), (1, 4096)]):
+        d = tmp_path / f"worker-{i}"
+        d.mkdir(parents=True)
+        record = {"ts": 110.0 + i, "type": "metrics", "label": "final",
+                  "metrics": {"batcher.requests": 10 * (i + 1),
+                              "batcher.max_queue": 2048,
+                              "batcher.timeout_ms": 250.0,
+                              "batcher.in_flight": in_flight,
+                              "storage.smallest_read": smallest}}
+        (d / "telemetry.jsonl").write_text(
+            json.dumps({"ts": 100.0, "type": "event", "event": "request",
+                        "payload": {}}) + "\n" + json.dumps(record) + "\n")
+    assert main(["top", str(tmp_path)]) == 0
+    merged = capsys.readouterr().out.split("merged (2 logs)")[1]
+    rows = {line.split()[0]: line.split()[1:]
+            for line in merged.splitlines()[1:] if line.strip()}
+    assert rows["batcher.requests"][0] == "30"          # counter: summed
+    assert rows["batcher.max_queue"] == ["2,048"]       # no per-sec rate
+    assert rows["batcher.timeout_ms"] == ["250.0"]
+    assert rows["batcher.in_flight"] == ["1"]           # worker-1's, later
+    assert rows["storage.smallest_read"] == ["4,096"]
