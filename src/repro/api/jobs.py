@@ -400,8 +400,9 @@ class ServeJob(Job):
 
 
 class ServeFleetJob(Job):
-    """``serve-fleet``: N engine workers behind the partition-affinity
-    HTTP gateway (docs/serving.md, "Serving fleet")."""
+    """``serve-fleet``: N engine workers, each answering the HTTP
+    connections the fleet host hands it (docs/serving.md, "Serving
+    fleet")."""
 
     def build(self, verbose: bool = False,
               listeners: Iterable[ProgressListener] = ()) -> "ServeFleetJob":
@@ -434,8 +435,8 @@ class ServeFleetJob(Job):
                           f"({info['num_nodes']:,} nodes x {info['dim']}, "
                           f"{info['num_partitions']} partitions, "
                           f"{info['kind']} snapshot)")
-                    print(f"gateway listening on {fleet.url} "
-                          f"(affinity={fleet.affinity}); Ctrl-C drains")
+                    print(f"gateway listening on {fleet.url}; "
+                          f"Ctrl-C drains")
                 if duration > 0:
                     drain.wait(duration)
                 else:

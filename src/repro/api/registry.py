@@ -134,8 +134,8 @@ _declare(KindInfo(
     defaults={"storage.buffer": 4, "data.feat_dim": 32, "data.seed": 0}))
 _declare(KindInfo(
     kind=SERVE_FLEET,
-    description="multi-worker serving fleet behind a partition-affinity "
-                "HTTP gateway",
+    description="multi-worker serving fleet: each worker answers the "
+                "HTTP connections the host hands it",
     sections=("data", "storage", "serve", "fleet", "telemetry"),
     defaults={"storage.buffer": 4, "data.feat_dim": 32, "data.seed": 0}))
 _declare(KindInfo(

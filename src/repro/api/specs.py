@@ -155,8 +155,8 @@ class FleetSpec:
                          "read-only engine over the snapshot)")
     host: str = _f("127.0.0.1", "bind address for gateway and workers")
     port: int = _f(0, "gateway HTTP port (0 = ephemeral; printed at start)")
-    affinity: str = _f("range", "request routing: range (partition "
-                                "ownership) | random (round-robin control)")
+    affinity: str = _f("range", "ignored: the host hands each connection "
+                                "to the next live worker (range | random)")
     max_batch: int = _f(256, "ignored: a worker calls the engine once "
                              "per request")
     max_wait_ms: float = _f(2.0, "ignored: a worker calls the engine once "

@@ -97,6 +97,15 @@ def _last_metrics(records: List[dict]) -> Dict[str, Any]:
     return {} if last is None else (last.get("metrics") or {})
 
 
+def _last_run(records: List[dict]) -> Tuple[List[dict], int]:
+    """``(the records of a log's last run, how many runs it holds)``: a
+    run ends with its ``final`` metrics record, and a rerun over the same
+    workdir appends a new run to the same log."""
+    starts = [0] + [i + 1 for i, r in enumerate(records[:-1])
+                    if (r.get("type"), r.get("label")) == ("metrics", "final")]
+    return records[starts[-1]:], len(starts)
+
+
 def _span_rows(records: List[dict]) -> List[Tuple[str, dict]]:
     """(name, summary) histogram rows of the last metrics record."""
     return [(name, value)
@@ -173,7 +182,9 @@ def cmd_top(args: argparse.Namespace) -> int:
     Multiple logs (a directory of per-worker fleet logs, or a glob) each
     render individually and then as one merged view — counters summed,
     histograms merged exactly by bucket addition, gauges at the value of
-    the log that ends last."""
+    the log that ends last. A log holding several runs (a fleet rerun
+    over the same workdir) shows only its last one, so counters are rated
+    over that run's span."""
     from .obs import read_jsonl
     logs = _top_logs(args.run_dir)
     merged_events: Dict[str, int] = {}
@@ -184,7 +195,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     m_lo = m_hi = None
     for path in logs:
         try:
-            records = read_jsonl(path)
+            records, runs = _last_run(read_jsonl(path))
         except ValueError as exc:
             raise SystemExit(str(exc)) from exc
         events: Dict[str, int] = {}
@@ -200,7 +211,8 @@ def cmd_top(args: argparse.Namespace) -> int:
         seconds = (t_hi - t_lo) if (t_lo is not None and t_hi is not None) \
             else 0.0
         scalars, gauges = _scalar_metrics(records)
-        _render_sections(str(path), seconds, len(records), events,
+        header = f"{path} (last of {runs} runs)" if runs > 1 else str(path)
+        _render_sections(header, seconds, len(records), events,
                          _span_rows(records), scalars, gauges)
         if len(logs) > 1:
             merged_records += len(records)

@@ -1,63 +1,35 @@
-"""HTTP/JSON front door for a serving fleet.
+"""The fleet's HTTP front door, and the HTTP subset host and workers speak.
 
-A small HTTP/1.1 server on the stdlib ``socketserver`` (no third-party
-deps) exposing the four query families as POST endpoints::
+The host (:class:`Gateway`) accepts every client connection and peeks
+at its first request line (``MSG_PEEK``: nothing is consumed). It
+answers ``GET /healthz`` (503 when degraded) and ``GET /statz`` itself
+and passes any other connection, unread, to one worker
+(:meth:`~repro.fleet.fleet.Fleet.hand_off` over an AF_UNIX channel),
+which answers it and every later query on it; a control request there
+comes back to the host the same way (:func:`serve_http`).
 
-    POST /v1/embeddings  {"ids": [0, 1, 2]}
-    POST /v1/score       {"pairs": [[0, 5], [1, 9]]}       # or [s, r, d]
-    POST /v1/topk        {"source": 0, "k": 5, "rel": 0, "exclude": [0]}
-    POST /v1/encode      {"ids": [0, 1], "seed": null}
-
-plus ``GET /healthz`` (``ok`` / ``degraded``, HTTP 503 when degraded)
-and ``GET /statz`` (per-worker engine/storage/admission stats, gateway
-counters, the router's ownership ranges).
-
-The HTTP it speaks is the subset those endpoints need. Each connection
-is a keep-alive loop: the request line and headers are read as bytes,
-and of the headers only ``Content-Length``, ``Connection`` and
-``Expect: 100-continue`` matter. A body must come with a
-``Content-Length`` (no chunked bodies). A line over :data:`MAX_LINE`
-bytes or a head of more than :data:`MAX_HEADERS` header lines is
-answered with a 400 DTO, and so is a body length that is missing, not
-an integer or over the frame limit; each of those closes the
-connection, since the bytes that follow cannot be trusted to start the
-next request. Every reply leaves in one ``sendall``. HTTP/1.0 clients
-get ``Connection: close`` unless they ask for ``keep-alive``.
-
-The gateway validates just enough to *route* — the body must be a JSON
-object carrying the request's lead node id (first looked-up id, first
-source, the top-k source). Everything else is validated by the owning
-worker, which renders every reply's HTTP status and body itself (see
-:mod:`~repro.fleet.protocol`): the gateway forwards unchanged the
-answer bytes and the structured error DTO ``{"error": {"code",
-"message"}}`` alike, parsing neither. It renders only its own replies:
-the 400s of a malformed request, the 503 of an unreachable worker,
-404/405 and the ``/healthz`` and ``/statz`` documents.
-A worker whose socket is gone and whose process is dead yields 503 for
-its partition range and flips ``/healthz`` to ``degraded``; other
-ranges keep serving.
-
-Each client connection's handler thread owns its worker connections:
-it dials a worker on the first query routed there, drops the connection
-if the worker becomes unreachable, and closes them all when the client
-connection ends. :meth:`Gateway.stop` shuts the read side of every
-client connection: an idle handler sees the end of the stream and
-retires, while one answering a request still sends its reply.
+The HTTP is what ``POST /v1/embeddings``, ``/v1/score``, ``/v1/topk``
+and ``/v1/encode`` need: keep-alive; of the headers only
+``Content-Length`` (required for a body), ``Connection`` and ``Expect:
+100-continue`` matter. A line over :data:`MAX_LINE` bytes, a head over
+:data:`MAX_HEADERS` header lines, or a body length that is missing, not
+an integer or over the frame limit gets a 400 DTO and closes the
+connection: the bytes that follow cannot be trusted to start the next
+request. Every reply leaves in one ``sendall``; HTTP/1.0 clients get
+``Connection: close`` unless they ask for ``keep-alive``.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import socketserver
 import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Any, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from .protocol import (_ERROR_STATUS, MAX_FRAME, WorkerClient,
-                       WorkerUnavailable)
+from .protocol import _ERROR_STATUS, MAX_FRAME
 
 __all__ = ["Gateway", "MAX_LINE", "MAX_HEADERS"]
 
@@ -71,16 +43,113 @@ MAX_HEADERS = 100
 _STATUS_LINE = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode("ascii")
                 for s in HTTPStatus}
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+#: The request lines the host answers itself.
+_CONTROL = (b"GET /healthz", b"GET /statz")
+#: HTTP path -> worker protocol op.
+_OPS = {"/v1/embeddings": "embed", "/v1/score": "score",
+        "/v1/topk": "topk", "/v1/encode": "encode"}
+#: The paths ``/statz`` counts by name; any other counts as ``other``.
+_ROUTES = {*_OPS, "/healthz", "/statz"}
+#: Largest passed message: a tag byte plus the bytes received but not
+#: parsed, which are at most one ``recv`` (64 KiB) past a request line's
+#: first 14 bytes.
+_PASS_BYTES = 1 << 17
 
 
 def _error(code: str, message: str, status: Optional[int] = None) -> Reply:
-    """One of the gateway's own error DTOs, rendered."""
+    """An error DTO, rendered."""
     body = json.dumps({"error": {"code": code, "message": message}})
     return status or _ERROR_STATUS[code], body.encode("utf-8")
 
 
 class _BadRequest(ValueError):
-    """A request the gateway answers 400 without routing it."""
+    """A request answered 400 before any of it is served."""
+
+
+class _Conn:
+    """A client socket and the bytes received from it but not yet parsed."""
+
+    __slots__ = ("sock", "buf")
+
+    def __init__(self, sock: socket.socket, buf: bytes = b"") -> None:
+        self.sock, self.buf = sock, buf
+
+    def fill(self) -> bool:
+        """One ``recv`` onto the buffer; false at the end of the stream."""
+        chunk = self.sock.recv(1 << 16)
+        self.buf += chunk
+        return bool(chunk)
+
+    def readline(self, limit: int) -> bytes:
+        """Up to and including the next ``\\n``, at most ``limit`` bytes
+        (fewer at the end of the stream)."""
+        while True:
+            end = self.buf.find(b"\n", 0, limit) + 1
+            if not end and len(self.buf) < limit and self.fill():
+                continue
+            end = end or min(limit, len(self.buf))
+            line, self.buf = self.buf[:end], self.buf[end:]
+            return line
+
+    def read(self, n: int) -> bytes:
+        """``n`` bytes, fewer if the stream ends first."""
+        while len(self.buf) < n and self.fill():
+            pass
+        data, self.buf = self.buf[:n], self.buf[n:]
+        return data
+
+
+def _classify(data: bytes) -> Optional[bool]:
+    """Whether a request starting with ``data`` is a control request;
+    ``None`` while ``data`` is too short to tell."""
+    data = data.lstrip(b"\r\n")
+    for line in _CONTROL:
+        if data[:len(line) + 1] in (line + b" ", line + b"?"):
+            return True
+        if len(data) <= len(line) and line.startswith(data):
+            return None
+    return False
+
+
+def next_is_control(conn: _Conn, peek: bool = False) -> Optional[bool]:
+    """Whether the connection's next request is one the host answers;
+    ``None`` when the client has closed. With ``peek``, a first request
+    line that arrived whole stays unread on the socket."""
+    while True:
+        data = conn.buf
+        if not data and peek:
+            data = conn.sock.recv(64, socket.MSG_PEEK)
+            if not data:
+                return None
+        verdict = _classify(data)
+        if verdict is not None:
+            return verdict
+        if not conn.fill():         # ended inside a request line
+            return False if conn.buf else None
+
+
+def send_connection(channel: socket.socket, conn: _Conn) -> None:
+    """Pass ``conn`` over an AF_UNIX ``SOCK_SEQPACKET`` channel with its
+    unparsed bytes, then close this process's copy without a shutdown."""
+    socket.send_fds(channel, [b"C" + conn.buf], [conn.sock.fileno()])
+    conn.sock.close()
+
+
+def recv_connection(channel: socket.socket) -> Optional[_Conn]:
+    """The next connection passed over ``channel``; ``None`` once the
+    other end has closed."""
+    data, fds, _, _ = socket.recv_fds(channel, _PASS_BYTES, 1)
+    if not fds:
+        return None
+    return _Conn(socket.socket(fileno=fds[0]), data[1:])
+
+
+def _read_line(conn: _Conn) -> bytes:
+    line = conn.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise _BadRequest(f"request line or header line exceeds "
+                          f"{MAX_LINE} bytes")
+    return line
 
 
 #: A request head: method, path, keep-alive, ``Content-Length`` (``None``
@@ -88,19 +157,11 @@ class _BadRequest(ValueError):
 _Head = Tuple[bytes, str, bool, Optional[int], bool]
 
 
-def _read_line(rfile) -> bytes:
-    line = rfile.readline(MAX_LINE + 1)
-    if len(line) > MAX_LINE:
-        raise _BadRequest(f"request line or header line exceeds "
-                          f"{MAX_LINE} bytes")
-    return line
-
-
-def _read_head(rfile) -> Optional[_Head]:
+def read_head(conn: _Conn) -> Optional[_Head]:
     """The next request's head; ``None`` when the client closed."""
-    line = _read_line(rfile)
+    line = _read_line(conn)
     if line in (b"\r\n", b"\n"):      # a stray CRLF after a previous body
-        line = _read_line(rfile)
+        line = _read_line(conn)
     if not line:
         return None
     parts = line.split()
@@ -109,7 +170,7 @@ def _read_head(rfile) -> Optional[_Head]:
     http11 = parts[2] != b"HTTP/1.0"
     keep_alive, length, expect = http11, None, False
     for _ in range(MAX_HEADERS + 1):
-        line = _read_line(rfile)
+        line = _read_line(conn)
         if line in (b"\r\n", b"\n", b""):
             path = parts[1].split(b"?", 1)[0].decode("latin-1")
             return parts[0], path, keep_alive, length, expect
@@ -131,8 +192,8 @@ def _read_head(rfile) -> Optional[_Head]:
                       f"header lines")
 
 
-def _read_body(rfile, sock, length: Optional[int],
-               expect: bool) -> Optional[bytes]:
+def read_body(conn: _Conn, length: Optional[int],
+              expect: bool) -> Optional[bytes]:
     """The request body; ``None`` if the client closed mid-body."""
     if not length:
         raise _BadRequest("request body required")
@@ -142,94 +203,158 @@ def _read_body(rfile, sock, length: Optional[int],
         raise _BadRequest(f"request body of {length} bytes exceeds the "
                           f"{MAX_FRAME} byte limit")
     if expect:
-        sock.sendall(_CONTINUE)
-    raw = rfile.read(length)
+        conn.sock.sendall(_CONTINUE)
+    raw = conn.read(length)
     return raw if len(raw) == length else None
 
 
-def _lead_id(path: str, body: Dict[str, Any]) -> int:
-    """The routing key: the node id the request is 'about'."""
-    if path in ("/v1/embeddings", "/v1/encode"):
-        ids = body.get("ids")
-        if (not isinstance(ids, list) or not ids
-                or not isinstance(ids[0], int) or isinstance(ids[0], bool)):
-            raise ValueError("'ids' must be a non-empty list of integers")
-        return ids[0]
-    if path == "/v1/score":
-        pairs = body.get("pairs")
-        if (not isinstance(pairs, list) or not pairs
-                or not isinstance(pairs[0], list) or not pairs[0]
-                or not isinstance(pairs[0][0], int)
-                or isinstance(pairs[0][0], bool)):
-            raise ValueError("'pairs' must be a non-empty list of "
-                               "[src, dst] or [src, rel, dst] rows")
-        return pairs[0][0]
-    if path == "/v1/topk":
-        src = body.get("source")
-        if not isinstance(src, int) or isinstance(src, bool):
-            raise ValueError("'source' must be an integer node id")
-        return src
-    raise ValueError(f"no route for {path}")
+class Counters(dict):
+    """``http.<route>.<status>`` reply counts; copy with ``dict()``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def note(self, path: str, status: int) -> None:
+        key = f"http.{path if path in _ROUTES else 'other'}.{status}"
+        with self._lock:
+            self[key] = self.get(key, 0) + 1
 
 
-#: HTTP path -> worker protocol op.
-_OPS = {"/v1/embeddings": "embed", "/v1/score": "score",
-        "/v1/topk": "topk", "/v1/encode": "encode"}
-#: The paths ``/statz`` counts by name; any other counts as ``other``.
-_ROUTES = {*_OPS, "/healthz", "/statz"}
+_date = (0, b"")        # (second, its Date header line)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One client connection: answer requests until one closes it."""
+def send_http(sock: socket.socket, status: int, body: bytes,
+              keep: bool) -> None:
+    """The whole reply, head and body, in one ``sendall``."""
+    global _date
+    second = int(time.time())
+    stamp, date = _date
+    if stamp != second:
+        date = f"Date: {formatdate(second, usegmt=True)}\r\n".encode()
+        _date = (second, date)
+    sock.sendall(b"%s%sContent-Type: application/json\r\n"
+                 b"Content-Length: %d\r\n%s\r\n%s" % (
+                     _STATUS_LINE[status], date, len(body),
+                     b"" if keep else b"Connection: close\r\n", body))
 
-    disable_nagle_algorithm = True
 
-    def handle(self) -> None:
-        gateway = self.server.gateway                 # type: ignore[attr-defined]
-        clients: Dict[int, WorkerClient] = {}   # worker -> its client
+#: Answers one request from its head, reading any body it takes: status,
+#: body and whether to keep the connection, or ``None`` if the client
+#: closed mid-body.
+Answer = Callable[[_Conn, _Head], Optional[Tuple[int, bytes, bool]]]
+
+
+def _exchange(conn: _Conn, answer: Answer, counters: Counters) -> bool:
+    """Read one request, send its reply; whether the connection stays
+    open for the next one."""
+    path = "-"
+    try:
+        head = read_head(conn)
+        if head is None:
+            return False
+        path = head[1]
+        reply = answer(conn, head)
+        if reply is None:
+            return False
+        status, body, keep = reply
+    except _BadRequest as exc:
+        # Bytes left unread on the socket would be parsed as the next
+        # request line: answer, then hang up.
+        (status, body), keep = _error("bad_request", str(exc)), False
+    except OSError:
+        raise                   # the client went away: no reply to count
+    except Exception as exc:    # a bug must still answer JSON
+        (status, body), keep = _error(
+            "internal", f"{type(exc).__name__}: {exc}"), False
+    counters.note(path, status)
+    send_http(conn.sock, status, body, keep)
+    return keep
+
+
+def serve_http(conn: _Conn, control: bool, answer: Answer,
+               counters: Counters, pass_on: Callable[[_Conn], bool]) -> None:
+    """One client connection's keep-alive loop, on the host (``control``:
+    it answers ``/healthz`` and ``/statz``) or on a worker (it answers the
+    rest). At the first request of the other kind, ``pass_on`` takes the
+    connection, unread; if it cannot, the connection closes."""
+    try:
+        while True:
+            kind = next_is_control(conn, peek=control)
+            if kind is None:
+                break
+            if kind != control:
+                if pass_on(conn):
+                    return
+                break
+            if not _exchange(conn, answer, counters):
+                break
+    except OSError:
+        pass                    # client went away; nothing to salvage
+    conn.sock.close()
+
+
+class Handlers:
+    """One thread per client connection, each running ``serve`` on it.
+
+    :meth:`stop` shuts the read side of every connection still served, so
+    an idle one sees the end of the stream, then joins the threads: a
+    request being answered still gets its reply."""
+
+    def __init__(self, serve: Callable[[_Conn], None], name: str) -> None:
+        self._serve, self._name = serve, name
+        self._live: Dict[threading.Thread, _Conn] = {}
+        self._lock = threading.Lock()
+        self._stopped = False
+
+    def start(self, conn: _Conn) -> bool:
+        """Serve ``conn`` on a new thread; false once stopped."""
+        thread = threading.Thread(target=self._run, args=(conn,),
+                                  name=self._name, daemon=True)
+        with self._lock:
+            if self._stopped:
+                return False
+            self._live[thread] = conn
+            thread.start()
+        return True
+
+    def _run(self, conn: _Conn) -> None:
         try:
-            while gateway._exchange(self.rfile, self.connection, clients):
-                pass
-        except OSError:
-            pass                    # client went away; nothing to salvage
+            self._serve(conn)
         finally:
-            for client in clients.values():
-                client.close()
+            with self._lock:
+                del self._live[threading.current_thread()]
 
-
-class _Server(socketserver.ThreadingTCPServer):
-    daemon_threads = False      # join in-flight handlers on server_close
-    block_on_close = True
-    allow_reuse_address = True
-
-    def process_request(self, request, client_address) -> None:
-        # On the accept thread, so once shutdown() returns every accepted
-        # connection is in the set.
-        self.connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        self.connections.discard(request)
-        super().shutdown_request(request)
+    def stop(self, timeout: float = 10.0) -> None:
+        with self._lock:
+            self._stopped = True
+            live = dict(self._live)
+        for conn in live.values():
+            try:
+                conn.sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass                # its handler closed it meanwhile
+        for thread in live:
+            thread.join(timeout)
 
 
 class Gateway:
-    """The fleet's HTTP server; routes each request to its owning worker."""
+    """The fleet host's HTTP listener: answers control requests, passes
+    every other connection to a worker."""
 
     def __init__(self, fleet, host: str = "127.0.0.1", port: int = 0) -> None:
         self.fleet = fleet
-        self._server = _Server((host, port), _Handler)
-        self._server.gateway = self
-        self._server.connections = set()    # open client sockets
-        self.host, self.port = self._server.server_address[:2]
+        self._listener = socket.create_server((host, port), backlog=128)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self.counters = Counters()
+        self.handlers = Handlers(lambda conn: serve_http(
+            conn, True, self._answer, self.counters, self._hand_off),
+            "fleet-gateway-conn")
         self._thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
-        self.counters: Dict[str, int] = {}
-        self._date = (0, b"")       # (second, its Date header line)
 
     # ------------------------------------------------------------------
     def start(self) -> "Gateway":
-        self._thread = threading.Thread(target=self._server.serve_forever,
+        self._thread = threading.Thread(target=self._accept_loop,
                                         name="fleet-gateway", daemon=True)
         self._thread.start()
         return self
@@ -237,115 +362,47 @@ class Gateway:
     def stop(self) -> None:
         """Stop accepting, end idle connections and join the handler
         threads once their in-flight requests are answered."""
-        self._server.shutdown()
-        for conn in list(self._server.connections):
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass                # its handler closed it meanwhile
-        self._server.server_close()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)   # wakes accept()
+        except OSError:
+            pass
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        self._listener.close()
+        self.handlers.stop()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self.counters[key] = self.counters.get(key, 0) + 1
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if not self.serve(_Conn(sock)):
+                sock.close()
 
-    # ------------------------------------------------------------------
-    def _exchange(self, rfile, sock,
-                  clients: Dict[int, WorkerClient]) -> bool:
-        """Read one request, send its reply; whether the connection
-        stays open for the next one. ``clients`` holds the connection's
-        worker clients."""
-        try:
-            head = _read_head(rfile)
-        except _BadRequest as exc:
-            self._send(sock, "-", *_error("bad_request", str(exc)), False)
-            return False
-        if head is None:
-            return False
-        method, path, keep, length, expect = head
-        try:
-            if method == b"POST" and path in _OPS:
-                raw = _read_body(rfile, sock, length, expect)
-                if raw is None:
-                    return False                    # closed mid-body
-                status, body = self._query(path, raw, clients)
-            elif method == b"GET" and path == "/healthz":
-                status, body = self._healthz()
-            elif method == b"GET" and path == "/statz":
-                status, body = self._statz()
-            else:
-                keep = False                        # any body stays unread
-                if path in _OPS or path in ("/healthz", "/statz"):
-                    verb = method.decode("latin-1")
-                    status, body = _error(
-                        "bad_request", f"{verb} not allowed on {path}", 405)
-                else:
-                    status, body = _error("not_found", f"no route for {path}")
-            if method == b"GET" and length:
-                keep = False                        # a GET's body is unread
-        except _BadRequest as exc:
-            # A body left unread on the socket would be parsed as the next
-            # request line: answer, then hang up.
-            keep = False
-            status, body = _error("bad_request", str(exc))
-        except Exception as exc:    # a gateway bug must still answer JSON
-            status, body = _error("internal",
-                                  f"{type(exc).__name__}: {exc}")
-        self._send(sock, path, status, body, keep)
-        return keep
+    def serve(self, conn: _Conn) -> bool:
+        """Take a connection, accepted here or passed back by a worker;
+        false once stopped."""
+        return self.handlers.start(conn)
 
-    def _send(self, sock, path: str, status: int, body: bytes,
-              keep: bool) -> None:
-        """The whole reply, head and body, in one ``sendall``."""
-        self._count(f"http.{path if path in _ROUTES else 'other'}.{status}")
-        second = int(time.time())
-        stamp, date = self._date
-        if stamp != second:
-            date = f"Date: {formatdate(second, usegmt=True)}\r\n".encode()
-            self._date = (second, date)
-        sock.sendall(b"%s%sContent-Type: application/json\r\n"
-                     b"Content-Length: %d\r\n%s\r\n%s" % (
-                         _STATUS_LINE[status], date, len(body),
-                         b"" if keep else b"Connection: close\r\n", body))
+    def _hand_off(self, conn: _Conn) -> bool:
+        if self.fleet.hand_off(conn):
+            return True
+        self.counters.note("-", 503)
+        send_http(conn.sock, *_error("unavailable",
+                                     "no fleet worker is available"), False)
+        return False
 
-    def _query(self, path: str, raw: bytes,
-               clients: Dict[int, WorkerClient]) -> Reply:
-        try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return _error("bad_request",
-                          f"request body is not valid JSON: {exc}")
-        if not isinstance(body, dict):
-            return _error("bad_request", "request body must be a JSON object")
-        try:
-            lead = _lead_id(path, body)
-        except ValueError as exc:         # no lead id to route by
-            return _error("bad_request", str(exc))
-        worker = self.fleet.router.route(lead)
-        self._count(f"routed.worker-{worker}")
-        client = clients.get(worker)
-        try:
-            if client is None:
-                client = clients[worker] = self.fleet.connect(worker)
-            return client.request_raw(_OPS[path], **body)
-        except WorkerUnavailable as exc:
-            clients.pop(worker, None)       # a failed client closes itself
-            self.fleet.note_unavailable(worker)
-            return _error(
-                "unavailable",
-                f"worker {worker} (partitions "
-                f"{self.fleet.owned_range(worker)}) is unavailable: {exc}")
-        except Exception:
-            if clients.pop(worker, None) is not None:
-                client.close()              # its stream may be out of step
-            raise
+    def _answer(self, conn: _Conn, head: _Head) -> Tuple[int, bytes, bool]:
+        _, path, keep, length, _ = head
+        status, body = self._healthz() if path == "/healthz" else self._statz()
+        return status, body, keep and not length    # a GET's body is unread
 
     # ------------------------------------------------------------------
     def _healthz(self) -> Reply:
@@ -356,12 +413,19 @@ class Gateway:
         return 503 if degraded else 200, body.encode("utf-8")
 
     def _statz(self) -> Reply:
-        with self._lock:
-            counters = dict(self.counters)
-        ranges = {str(w): parts
-                  for w, parts in self.fleet.router.ranges().items()}
+        """The host's counters merged with every worker's: its HTTP
+        replies by route and status, and under ``routed.worker-N`` the
+        queries that worker answered."""
+        counters = dict(self.counters)
+        workers = self.fleet.worker_stats()
+        for stats in workers:
+            http = stats.pop("http", {})
+            for key, n in http.items():
+                counters[key] = counters.get(key, 0) + n
+            counters[f"routed.worker-{stats['worker']}"] = sum(
+                n for key, n in http.items() if key.startswith("http./v1/"))
         body = json.dumps({"gateway": counters,
-                           "router": {"policy": self.fleet.router.policy,
-                                      "ranges": ranges},
-                           "workers": self.fleet.worker_stats()})
+                           "router": {"policy": self.fleet.affinity,
+                                      "ranges": self.fleet.ranges},
+                           "workers": workers})
         return 200, body.encode("utf-8")

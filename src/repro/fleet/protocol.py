@@ -1,29 +1,17 @@
-"""Length-prefixed frames: the gateway <-> worker wire protocol.
+"""Length-prefixed frames: the host's control calls and direct queries.
 
-A request frame is a 4-byte big-endian unsigned length followed by that
-many bytes of UTF-8 JSON: an object with an ``op`` field (``embed`` /
-``score`` / ``topk`` / ``encode`` / ``health`` / ``stats`` / ``drain``).
-A reply frame is a 4-byte big-endian unsigned length, a 2-byte
-big-endian HTTP status, then that many bytes of the exact UTF-8 HTTP
-body. The worker renders that body once: an answer's keys plus the
-answering ``"worker"`` index under 200, or the error DTO ``{"error":
-{"code": ..., "message": ...}}`` under the status :data:`_ERROR_STATUS`
-maps its code to. The gateway writes those bytes without parsing them.
+A request frame is a 4-byte big-endian length, then that many bytes of
+UTF-8 JSON: an object with an ``op`` (``embed`` / ``score`` / ``topk``
+/ ``encode`` / ``health`` / ``stats`` / ``drain``). A reply frame is a
+4-byte big-endian length, a 2-byte big-endian HTTP status, then the
+exact HTTP body a worker would send an HTTP client: an answer's keys
+plus the answering ``"worker"`` under 200, or the error DTO ``{"error":
+{"code", "message"}}`` under the status :data:`_ERROR_STATUS` maps its
+code to. Float32 answers print with ``%.9g``, which parses back to the
+identical float32, so replies are bit-identical to in-process results.
 
-A float32 answer (embeddings, scores) crosses the wire as JSON numbers
-printed with ``%.9g``: nine significant digits identify every float32,
-so the number parses back to a double that narrows to the identical
-float32 — which is what makes the fleet's HTTP responses bit-identical
-to in-process engine results. Zeros and non-finite values print as
-``json.dumps`` prints them, so ``-0.0`` keeps its sign. Request frames
-are plain ``json.dumps``.
-
-Framing is deliberately dumb: no pipelining, one response per request in
-order, so a connection is a unit of mutual exclusion. Concurrency comes
-from connections instead: each gateway client connection holds its own
-connection to every worker it has queried. It also means a frame's
-header and body can be taken from one ``recv``: nothing past the frame
-can be waiting.
+No pipelining: one reply per request, in order, so a frame's header and
+body can be taken from one ``recv``.
 """
 
 from __future__ import annotations
@@ -34,8 +22,7 @@ import struct
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["MAX_FRAME", "ProtocolError", "WorkerUnavailable",
-           "send_frame", "recv_frame", "send_reply", "recv_reply",
-           "parse_reply", "WorkerClient"]
+           "send_frame", "recv_frame", "send_reply", "WorkerClient"]
 
 #: Upper bound on one frame's JSON payload. Generous for real batches
 #: (a 64 MiB frame is ~2M embedding floats) while refusing a corrupt or
@@ -124,45 +111,25 @@ def _recv_framed(sock: socket.socket, header: struct.Struct
     return fields, data
 
 
+def _json_object(data: bytes, what: str) -> Dict[str, Any]:
+    try:
+        value = json.loads(data)
+    except ValueError as exc:           # not UTF-8, or not JSON
+        raise ProtocolError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{what} must be a JSON object")
+    return value
+
+
 def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """The next frame's payload, or ``None`` when the peer closed cleanly."""
     frame = _recv_framed(sock, _LEN)
-    if frame is None:
-        return None
-    try:
-        payload = json.loads(frame[1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("frame payload must be a JSON object")
-    return payload
-
-
-def recv_reply(sock: socket.socket) -> Optional[Tuple[int, bytes]]:
-    """The next reply's ``(status, body)``, or ``None`` on clean EOF."""
-    frame = _recv_framed(sock, _REPLY)
-    if frame is None:
-        return None
-    return frame[0][1], frame[1]
-
-
-def parse_reply(status: int, body: bytes) -> Dict[str, Any]:
-    """A reply as a dict: the body's keys plus ``"ok"``, true for a 200."""
-    try:
-        reply = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"reply is not valid JSON: {exc}") from exc
-    if not isinstance(reply, dict):
-        raise ProtocolError("reply body must be a JSON object")
-    return {"ok": status == 200, **reply}
+    return None if frame is None else _json_object(frame[1], "frame")
 
 
 class WorkerClient:
-    """One blocking request/response connection to a worker.
-
-    Not thread-safe by design — each gateway connection handler owns
-    its own, at most one per worker, so concurrent HTTP connections
-    reach the worker concurrently. A request that fails with
+    """One blocking request/response connection to a worker's frame
+    port; not thread-safe. A request that fails with
     :class:`WorkerUnavailable` closes the client.
     """
 
@@ -184,7 +151,7 @@ class WorkerClient:
         payload = {"op": op, **fields}
         try:
             send_frame(self._sock, payload)
-            response = recv_reply(self._sock)
+            response = _recv_framed(self._sock, _REPLY)
         except (OSError, WorkerUnavailable) as exc:
             self.close()
             raise WorkerUnavailable(
@@ -194,11 +161,13 @@ class WorkerClient:
             self.close()
             raise WorkerUnavailable(
                 f"worker at {self.host}:{self.port} closed the connection")
-        return response
+        return response[0][1], response[1]
 
     def request(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """:meth:`request_raw`, through :func:`parse_reply`."""
-        return parse_reply(*self.request_raw(op, **fields))
+        """A reply as a dict: the body's keys plus ``"ok"``, true for a
+        200."""
+        status, body = self.request_raw(op, **fields)
+        return {"ok": status == 200, **_json_object(body, "reply")}
 
     def close(self) -> None:
         try:

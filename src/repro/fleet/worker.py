@@ -1,33 +1,24 @@
-"""One fleet worker: a serving engine behind a socket server.
+"""One fleet worker: a serving engine that answers HTTP itself.
 
-``worker_main`` is the ``multiprocessing`` (spawn-safe, module-level)
-entry point. The worker builds its own read-only
-:class:`~repro.serve.engine.ServingEngine` from the shared snapshot
-(each worker maps its own copy of the table and reads it in place) and
-answers length-prefixed JSON requests (:mod:`~repro.fleet.protocol`) on
-an ephemeral port it reports back through the ready queue. Each reply
-is rendered here, once, as the HTTP status and body the gateway
-forwards unchanged. Every connection gets a handler thread, and each
-query calls the engine on that thread, behind the worker's admission
-gate (:class:`_Gate`): at most ``max_queue`` queries in flight, one
-engine call at a time, and a wait for that turn bounded by
-``timeout_ms``. The gateway holds one connection here per client
-connection that has sent this worker a query, so the handler threads
-follow the client connections, not the number of queries in flight.
+``worker_main`` is the ``multiprocessing`` (spawn-safe) entry point. The
+worker builds its own read-only :class:`~repro.serve.engine.
+ServingEngine` over the shared snapshot. Client connections come from
+the host over the worker's AF_UNIX channel, still unread, and each gets
+a thread running :func:`_serve_http`: parse a request, call
+:meth:`_Dispatcher.handle`, render the reply once (:func:`_render`),
+send it in one ``sendall``; a control request passes the connection
+back to the host. Each query calls the engine through the admission
+gate (:class:`_Gate`). The worker also answers frames
+(:mod:`~repro.fleet.protocol`) on a TCP port it reports through the
+ready queue: the host's ``health``, ``stats`` and ``drain``, and direct
+queries.
 
-Shutdown is drain-first, from either trigger (SIGTERM/SIGINT via
-:class:`~repro.serve.lifecycle.GracefulDrain`, or the gateway's
-``drain`` op): stop accepting connections, close the gate (a query that
-arrives after it closes is answered ``draining``; one already admitted
-finishes and its response is sent), let handler threads retire, write
-the final telemetry record, exit 0. A request the worker has accepted is
-never dropped without a response.
-
-With telemetry on, each worker writes its own run log
-(``<workdir>/worker-<i>/telemetry.jsonl``) through a private
-:class:`~repro.obs.sinks.Recorder` — one event per protocol request,
-periodic metrics with engine/storage/gate pull sources. ``repro top
-<workdir>`` merges the per-worker logs.
+Shutdown is drain-first, from any trigger (SIGTERM/SIGINT, the ``drain``
+op, or the host closing the channel): stop accepting, close the gate (a
+later query is answered ``draining``; an admitted one is answered), shut
+the read side of every connection so idle ones end, join the handler
+threads, write the final telemetry record
+(``<workdir>/worker-<i>/telemetry.jsonl``, merged by ``repro top``).
 """
 
 from __future__ import annotations
@@ -35,17 +26,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..serve.lifecycle import GracefulDrain
-from . import protocol
-from .protocol import _ERROR_STATUS, ProtocolError, recv_frame, send_reply
+from . import gateway, protocol
+from .gateway import _OPS, Counters, Handlers, _Conn
+from .protocol import _ERROR_STATUS, ProtocolError, recv_frame
 
 __all__ = ["WorkerConfig", "worker_main"]
 
@@ -73,10 +67,11 @@ def _error(code: str, message: str) -> Dict[str, Any]:
     return {"ok": False, "error": {"code": code, "message": message}}
 
 
-def _int_list(value: Any, name: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(
+def _int_list(value: Any, name: str, nonempty: bool = False) -> np.ndarray:
+    if not isinstance(value, list) or (nonempty and not value) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in value):
-        raise ValueError(f"{name!r} must be a list of integers")
+        raise ValueError(f"{name!r} must be a {'non-empty ' * nonempty}"
+                         f"list of integers")
     return np.asarray(value, dtype=np.int64)
 
 
@@ -147,7 +142,8 @@ class _Gate:
 
 
 class _Dispatcher:
-    """Maps protocol ops onto the worker's engine, through its gate."""
+    """Maps protocol ops onto the worker's engine, through its gate;
+    ``http`` counts the HTTP replies the worker sent."""
 
     def __init__(self, cfg: WorkerConfig, engine, gate: _Gate,
                  drain: GracefulDrain, recorder=None) -> None:
@@ -156,6 +152,7 @@ class _Dispatcher:
         self.gate = gate
         self.drain = drain
         self.recorder = recorder
+        self.http = Counters()
 
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request.get("op")
@@ -178,7 +175,7 @@ class _Dispatcher:
 
     # ------------------------------------------------------------------
     def _op_embed(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        ids = _int_list(request.get("ids"), "ids")
+        ids = _int_list(request.get("ids"), "ids", nonempty=True)
         rows = self.gate.call(self.engine.get_embeddings, ids)
         return {"ok": True, "embeddings": rows}
 
@@ -214,7 +211,7 @@ class _Dispatcher:
         return {"ok": True, "ids": ids, "scores": scores}
 
     def _op_encode(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        ids = _int_list(request.get("ids"), "ids")
+        ids = _int_list(request.get("ids"), "ids", nonempty=True)
         seed = request.get("seed")
         if seed is not None and (not isinstance(seed, int)
                                  or isinstance(seed, bool)):
@@ -231,11 +228,11 @@ class _Dispatcher:
         return {"ok": True, "worker": self.cfg.index,
                 "serve": self.engine.stats.as_dict(),
                 "storage": self.engine.store.stats.as_dict(),
-                "batcher": self.gate.stats()}
+                "batcher": self.gate.stats(), "http": dict(self.http)}
 
     def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
         # Reply first setting only the flag: the main loop closes the gate
-        # after the listener closes, so admitted queries finish.
+        # after it stops accepting, so admitted queries finish.
         self.drain.request_drain()
         return {"ok": True, "draining": True}
 
@@ -296,30 +293,50 @@ def _render(reply: Dict[str, Any], worker: int) -> Tuple[int, bytes]:
 
 
 def _serve_connection(conn: socket.socket, dispatcher: _Dispatcher) -> None:
-    """One connection's request loop: answer until EOF or drain."""
-    conn.settimeout(0.5)
+    """One frame connection's request loop: answer until EOF."""
     try:
         while True:
-            try:
-                request = recv_frame(conn)
-            except socket.timeout:
-                if dispatcher.drain.triggered:
-                    break
-                continue
-            except (ProtocolError, ConnectionError):
-                break
+            request = recv_frame(conn)
             if request is None:
                 break
-            try:
-                send_reply(conn, *_render(dispatcher.handle(request),
-                                          dispatcher.cfg.index))
-            except OSError:
-                break
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+            protocol.send_reply(conn, *_render(dispatcher.handle(request),
+                                               dispatcher.cfg.index))
+    except (ProtocolError, OSError):
+        pass
+    conn.close()
+
+
+def _answer(dispatcher: _Dispatcher, conn: _Conn, head: gateway._Head
+            ) -> Optional[Tuple[int, bytes, bool]]:
+    """One HTTP query through the dispatcher, rendered."""
+    method, path, keep, length, expect = head
+    if method != b"POST" or path not in _OPS:   # any body stays unread
+        if path in gateway._ROUTES:
+            verb = method.decode("latin-1")
+            return (*gateway._error("bad_request", f"{verb} not allowed on "
+                                    f"{path}", 405), False)
+        return (*gateway._error("not_found", f"no route for {path}"), False)
+    raw = gateway.read_body(conn, length, expect)
+    if raw is None:
+        return None                             # closed mid-body
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:                   # not UTF-8, or not JSON
+        return (*gateway._error("bad_request", f"request body is not "
+                                f"valid JSON: {exc}"), keep)
+    if not isinstance(body, dict):
+        return (*gateway._error("bad_request", "request body must be a "
+                                "JSON object"), keep)
+    return (*_render(dispatcher.handle({**body, "op": _OPS[path]}),
+                     dispatcher.cfg.index), keep)
+
+
+def _serve_http(conn: _Conn, dispatcher: _Dispatcher,
+                hand_back: Callable[[_Conn], bool]) -> None:
+    """A connection the host passed: answer its queries; ``hand_back``
+    passes it to the host at a control request."""
+    gateway.serve_http(conn, False, partial(_answer, dispatcher),
+                       dispatcher.http, hand_back)
 
 
 def _build_engine(cfg: WorkerConfig):
@@ -340,8 +357,10 @@ def _make_recorder(cfg: WorkerConfig):
                     flush_every=cfg.flush_every)
 
 
-def worker_main(cfg: WorkerConfig, ready_queue) -> None:
-    """The spawned worker process body (module-level for pickling)."""
+def worker_main(cfg: WorkerConfig, ready_queue,
+                channel: socket.socket) -> None:
+    """The spawned worker process body (module-level for pickling);
+    ``channel`` is its end of the host's AF_UNIX connection channel."""
     drain = GracefulDrain(exit_after=False)
     try:
         snap, kind, engine = _build_engine(cfg)
@@ -359,16 +378,23 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
         recorder.add_source("batcher", gate.stats)
     dispatcher = _Dispatcher(cfg, engine, gate, drain, recorder)
 
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((cfg.host, 0))
-    listener.listen(128)
-    listener.settimeout(0.2)
-    port = listener.getsockname()[1]
+    def hand_back(conn: _Conn) -> bool:
+        try:
+            gateway.send_connection(channel, conn)
+            return True
+        except OSError:
+            return False            # the host has stopped
 
-    threads = []
+    name = f"fleet-worker-{cfg.index}"
+    http = Handlers(lambda conn: _serve_http(conn, dispatcher, hand_back),
+                    f"{name}-http")
+    frames = Handlers(lambda conn: _serve_connection(conn.sock, dispatcher),
+                      f"{name}-frames")
+    listener = socket.create_server((cfg.host, 0), backlog=128)
+
     with drain:
-        ready_queue.put({"worker": cfg.index, "port": port,
+        ready_queue.put({"worker": cfg.index,
+                         "port": listener.getsockname()[1],
                          "pid": os.getpid(),
                          "num_nodes": int(engine.store.num_nodes),
                          "num_partitions": int(engine.scheme.num_partitions),
@@ -376,31 +402,28 @@ def worker_main(cfg: WorkerConfig, ready_queue) -> None:
                          "boundaries": [int(b) for b in
                                         engine.scheme.boundaries],
                          "kind": kind})
-        parent = os.getppid()
         while not drain.triggered:
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                if os.getppid() != parent:
-                    # Orphaned: the fleet parent died without draining us
-                    # (crash, SIGKILL). Serving with no gateway is useless
-                    # — drain and exit instead of leaking forever.
+            ready, _, _ = select.select([listener, channel], [], [], 0.2)
+            if listener in ready:
+                try:
+                    frames.start(_Conn(listener.accept()[0]))
+                except OSError:
+                    pass            # the peer gave up before the accept
+            if channel in ready:
+                conn = gateway.recv_connection(channel)
+                if conn is None:
+                    # The host is gone (stopped, crashed or killed):
+                    # serving with no front door is useless.
                     drain.request_drain()
-                    break
-                continue
-            except OSError:
-                break
-            t = threading.Thread(target=_serve_connection,
-                                 args=(conn, dispatcher),
-                                 name=f"fleet-worker-{cfg.index}-conn")
-            t.start()
-            threads = [t] + [x for x in threads if x.is_alive()]
+                else:
+                    http.start(conn)
         listener.close()
         # Admitted queries finish on their handler threads; later ones are
-        # answered ``draining``, and each handler retires on its next
-        # receive timeout once it sees the drain flag.
+        # answered ``draining``. Shutting the read side of each connection
+        # ends the idle ones.
         gate.close()
-    for t in threads:
-        t.join(timeout=5.0)
+    http.stop()
+    frames.stop()
+    channel.close()
     if recorder is not None:
         recorder.close()

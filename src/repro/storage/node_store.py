@@ -353,19 +353,27 @@ class NodeStore:
 
     def read_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row gather from the mapped partition files: serving's lookups.
-        The ids are sorted once, then each partition they touch is one
-        gather."""
+        Ids inside one partition (every single-id lookup) are one gather;
+        otherwise the ids are sorted once and each partition they touch
+        is one gather."""
         rows = np.asarray(rows, dtype=np.int64)
+        bounds = self.scheme.boundaries
+        if rows.size:
+            low, high = rows.min(), rows.max()
+            if low < bounds[0] or high >= bounds[-1]:
+                raise IndexError(f"rows outside [0, {self.num_nodes})")
+            part = int(bounds.searchsorted(low, side="right")) - 1
+            if high < bounds[part + 1]:
+                data = self._mapped(part)[rows - bounds[part]]
+                self.stats.record_read(data.nbytes)
+                return data
         order = np.argsort(rows, kind="stable")
-        ids, bounds = rows[order], self.scheme.boundaries
-        edges = ids.searchsorted(bounds).tolist()
-        if edges[0] > 0 or edges[-1] < len(rows):
-            raise IndexError(f"rows outside [0, {self.num_nodes})")
+        ids = rows[order]
+        edges = ids.searchsorted(bounds)
         data = np.empty((len(rows), self.dim), dtype=np.float32)
-        for part, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            if lo < hi:
-                data[lo:hi] = self._mapped(part)[ids[lo:hi] - bounds[part]]
-        data = data[np.argsort(order)]
+        for part in np.flatnonzero(np.diff(edges)).tolist():
+            lo, hi = edges[part], edges[part + 1]
+            data[order[lo:hi]] = self._mapped(part)[ids[lo:hi] - bounds[part]]
         self.stats.record_read(data.nbytes)
         return data
 

@@ -1,18 +1,22 @@
-"""Serving-fleet tests: protocol, routing, HTTP parity, crash, drain.
+"""Serving-fleet tests: protocol, connection hand-off, HTTP parity,
+crash, drain.
 
 The load-bearing guarantees:
 
 * **HTTP parity** — every endpoint's response, parsed back from JSON, is
   bit-identical to the same query against an in-process engine over the
   same snapshot (float32 -> %.9g -> parse -> float32 is lossless).
-* **Affinity** — a request's lead node id lands on the worker owning its
-  partition under the range policy.
-* **Degradation** — a crashed worker turns its range into structured
-  503s and flips ``/healthz`` to degraded; the other ranges keep serving.
+* **One hop** — the host passes each query connection, unread, to one
+  worker, which answers every request on it; the host parses no query.
+* **Degradation** — a SIGKILL'd worker costs only its own connections:
+  fresh connections are answered by the others for every node id, and
+  ``/healthz`` reads degraded.
 * **Drain** — stopping the fleet answers every accepted request; nothing
   hangs or dies with a half-written response.
-* **Render once** — a 200 body is the worker's rendering, forwarded byte
-  for byte; the gateway parses only the request body.
+
+The HTTP-parsing tests (caps, unread bodies, keep-alive) run against a
+worker's HTTP loop on threads of the test process, behind a real host
+(:class:`_StubFleet`).
 """
 
 import json
@@ -31,15 +35,16 @@ import pytest
 
 from repro import api
 from repro.api.jobs import build_serving_engine
-from repro.fleet import (MAX_FRAME, AffinityRouter, Fleet, Gateway,
-                         ProtocolError, WorkerClient, WorkerUnavailable,
-                         recv_frame, send_frame)
+from repro.fleet import (MAX_FRAME, Fleet, Gateway, ProtocolError,
+                         WorkerClient, WorkerUnavailable, recv_frame,
+                         send_frame)
 from repro.fleet import protocol
-from repro.fleet.affinity import range_assignment
+from repro.fleet.fleet import range_assignment
 from repro.fleet.protocol import _ERROR_STATUS
-from repro.fleet.gateway import MAX_HEADERS, MAX_LINE
+from repro.fleet.gateway import MAX_HEADERS, MAX_LINE, Counters, Handlers
 from repro.fleet.worker import (WorkerConfig, _Dispatcher, _error,
-                                _float32_json, _Gate, _serve_connection)
+                                _float32_json, _Gate, _serve_connection,
+                                _serve_http)
 from repro.graph import load_fb15k237
 from repro.serve import GracefulDrain
 from repro.train import DiskConfig, DiskLinkPredictionTrainer, \
@@ -276,64 +281,63 @@ def test_oversized_answer_is_a_bad_request(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Gateway over a stub fleet
+# A real host in front of a worker's HTTP loop on threads of this process
 # ---------------------------------------------------------------------------
 
 STUB_REPLY = b'{"embeddings": [[0.1]], "worker": 0}'
 
 
-class _StubClient:
-    """A worker connection answering one canned reply once its fleet's
-    ``release`` is set; it fails (and closes) while its worker is in
-    ``fail``."""
-
-    def __init__(self, fleet, worker):
-        self.fleet, self.worker, self.closed = fleet, worker, False
-
-    def request_raw(self, op, **fields):
-        if self.worker in self.fleet.fail:
-            self.fleet.fail.discard(self.worker)
-            self.closed = True
-            raise WorkerUnavailable("stub worker dropped the connection")
-        self.fleet.entered.set()
-        assert self.fleet.release.wait(30.0)
-        return 200, STUB_REPLY
-
-    def close(self):
-        self.closed = True
-
-
 class _StubFleet:
-    """Routes lead id ``n`` to worker ``n % 2``; records every client
-    the gateway dials."""
+    """One worker's HTTP loop on threads of this process: its dispatcher
+    answers every query with one canned row once ``release`` is set, and
+    a connection it passes back goes straight to the gateway."""
 
-    router = types.SimpleNamespace(route=lambda lead: lead % 2)
+    affinity = "range"
+    ranges = {"0": [0]}
 
-    def __init__(self):
-        self.clients = []
-        self.fail = set()
+    def __init__(self, tmp_path):
+        self.gateway = None
         self.entered, self.release = threading.Event(), threading.Event()
         self.release.set()
+        self.dispatcher = _Dispatcher(
+            WorkerConfig(index=0, spec={}, workdir=str(tmp_path)), None, None,
+            GracefulDrain(exit_after=False))
+        self.dispatcher.handle = self._handle
+        self.worker = Handlers(lambda conn: _serve_http(
+            conn, self.dispatcher, self.gateway.serve), "stub-worker")
 
-    def connect(self, worker):
-        self.clients.append(_StubClient(self, worker))
-        return self.clients[-1]
+    def _handle(self, request):
+        self.entered.set()
+        assert self.release.wait(30.0)
+        return {"ok": True, "embeddings": [[0.1]]}
 
-    def note_unavailable(self, worker):
-        pass
-
-    def owned_range(self, worker):
-        return str(worker)
+    def hand_off(self, conn):
+        self.worker.start(conn)
+        return True
 
     def health(self):
         return [{"worker": 0, "alive": True}]
 
+    def worker_stats(self):
+        return [{"worker": 0, "http": dict(self.dispatcher.http)}]
+
+    def stop(self):
+        """The fleet's drain order: the host first, then the worker."""
+        self.gateway.stop()
+        self.worker.stop()
+
 
 @pytest.fixture
-def stub_gateway():
-    gateway = Gateway(_StubFleet()).start()
-    yield gateway
-    gateway.stop()
+def stub_fleet(tmp_path):
+    fleet = _StubFleet(tmp_path)
+    fleet.gateway = Gateway(fleet).start()
+    yield fleet
+    fleet.stop()
+
+
+@pytest.fixture
+def stub_gateway(stub_fleet):
+    return stub_fleet.gateway
 
 
 def test_gateway_forwards_reply_bytes(stub_gateway):
@@ -455,94 +459,127 @@ def _wait_for(predicate, timeout=10.0):
         time.sleep(0.01)
 
 
-def test_gateway_dials_each_worker_once_per_connection(stub_gateway):
-    """Queries on one keep-alive connection reuse one client per worker;
-    a client that fails is dropped and the next query redials; every
-    client closes when the client connection ends."""
-    fleet = stub_gateway.fleet
-    with socket.create_connection((stub_gateway.host, stub_gateway.port),
-                                  timeout=10) as sock:
-        for lead in range(8):
-            assert _post(sock, [lead])[:2] == (b"HTTP/1.1 200 OK",
-                                               STUB_REPLY)
-        assert [c.worker for c in fleet.clients] == [0, 1]
-        assert not any(c.closed for c in fleet.clients)
-        fleet.fail.add(1)
-        status, reply, _ = _post(sock, [3])
-        assert status == b"HTTP/1.1 503 Service Unavailable"
-        assert json.loads(reply)["error"]["code"] == "unavailable"
-        assert fleet.clients[1].closed
-        assert _post(sock, [5])[:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
-        assert [c.worker for c in fleet.clients] == [0, 1, 1]
-        assert not fleet.clients[0].closed and not fleet.clients[2].closed
-    _wait_for(lambda: all(c.closed for c in fleet.clients))
-
-
-def test_gateway_stop_ends_idle_keep_alive_connections():
-    """``stop`` returns while a client holds an idle keep-alive
-    connection, and the client sees the connection close."""
-    gateway = Gateway(_StubFleet()).start()
-    sock = socket.create_connection((gateway.host, gateway.port), timeout=10)
-    stopper = threading.Thread(target=gateway.stop)
+def test_gateway_stop_ends_idle_keep_alive_connections(stub_fleet):
+    """The drain returns while clients hold idle keep-alive connections,
+    one on the host and one on the worker, and both see them close."""
+    gateway = stub_fleet.gateway
+    on_host = socket.create_connection((gateway.host, gateway.port), 10)
+    on_worker = socket.create_connection((gateway.host, gateway.port), 10)
+    stopper = threading.Thread(target=stub_fleet.stop)
     try:
-        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
-        assert _read_reply(sock)[0] == b"HTTP/1.1 200 OK"
+        on_host.sendall(b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
+        assert _read_reply(on_host)[0] == b"HTTP/1.1 200 OK"
+        assert _post(on_worker, [1])[:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
         stopper.start()
         stopper.join(timeout=5.0)
         assert not stopper.is_alive(), "stop() hangs on an idle connection"
-        assert sock.recv(65536) == b""
+        assert on_host.recv(65536) == b""
+        assert on_worker.recv(65536) == b""
     finally:
-        sock.close()
-        if stopper.is_alive():
-            stopper.join(timeout=10.0)
-        else:
-            gateway.stop()
+        on_host.close(), on_worker.close()
+        stopper.join(timeout=10.0)
 
 
-def test_gateway_stop_answers_the_request_in_flight(stub_gateway):
-    """A query waiting on its worker when ``stop`` starts is still
-    answered; ``stop`` returns once it is."""
-    fleet = stub_gateway.fleet
-    fleet.release.clear()
-    with socket.create_connection((stub_gateway.host, stub_gateway.port),
+def test_gateway_stop_answers_the_request_in_flight(stub_fleet):
+    """A query waiting on the engine when the drain starts is still
+    answered; the drain returns once it is."""
+    stub_fleet.release.clear()
+    gateway = stub_fleet.gateway
+    with socket.create_connection((gateway.host, gateway.port),
                                   timeout=10) as sock:
         replies = []
         client = threading.Thread(target=lambda: replies.append(
             _post(sock, [0])))
         client.start()
-        assert fleet.entered.wait(10.0)
-        stopper = threading.Thread(target=stub_gateway.stop)
+        assert stub_fleet.entered.wait(10.0)
+        stopper = threading.Thread(target=stub_fleet.stop)
         stopper.start()
         stopper.join(timeout=0.3)
         assert stopper.is_alive()           # waits for the reply
-        fleet.release.set()
+        stub_fleet.release.set()
         stopper.join(timeout=10.0)
         client.join(timeout=10.0)
         assert not stopper.is_alive() and not client.is_alive()
         assert replies[0][:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
         assert sock.recv(65536) == b""
-    assert all(c.closed for c in fleet.clients)
+
+
+def _statz(sock):
+    sock.sendall(b"GET /statz HTTP/1.1\r\nHost: gateway\r\n\r\n")
+    status, _, body, rest = _read_reply(sock)
+    assert status == b"HTTP/1.1 200 OK" and rest == b""
+    return json.loads(body)
 
 
 def test_statz_counts_unknown_paths_under_one_key(stub_gateway):
-    """Distinct unknown paths leave one ``/statz`` counter, not one each."""
+    """Distinct unknown paths leave one ``/statz`` counter, not one each;
+    a worker's replies are merged in, its queries under ``routed``."""
     for i in range(300):
         with socket.create_connection(
                 (stub_gateway.host, stub_gateway.port), timeout=10) as sock:
             sock.sendall(f"GET /nope/{i} HTTP/1.1\r\nHost: gateway\r\n"
                          f"\r\n".encode())
             assert _read_reply(sock)[0] == b"HTTP/1.1 404 Not Found"
-    assert stub_gateway.counters == {"http.other.404": 300}
     with socket.create_connection((stub_gateway.host, stub_gateway.port),
                                   timeout=10) as sock:
+        assert _statz(sock)["gateway"] == {"http.other.404": 300,
+                                           "routed.worker-0": 0}
         assert _post(sock, [1])[0] == b"HTTP/1.1 200 OK"
-    assert stub_gateway.counters == {"http.other.404": 300,
-                                     "http./v1/embeddings.200": 1,
-                                     "routed.worker-1": 1}
+        assert _statz(sock)["gateway"] == {"http.other.404": 300,
+                                           "http./statz.200": 1,
+                                           "http./v1/embeddings.200": 1,
+                                           "routed.worker-0": 1}
+
+
+def test_statz_after_a_post_on_the_same_connection(stub_fleet):
+    """A control request on a worker's connection goes back to the host,
+    which answers it; a query after it goes to a worker again. Pipelined
+    requests go across with the bytes already received."""
+    gateway = stub_fleet.gateway
+    with socket.create_connection((gateway.host, gateway.port),
+                                  timeout=10) as sock:
+        assert _post(sock, [1])[:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
+        assert _statz(sock)["router"] == {"policy": "range",
+                                          "ranges": {"0": [0]}}
+        assert _post(sock, [2])[:2] == (b"HTTP/1.1 200 OK", STUB_REPLY)
+        body = b'{"ids": [3]}'
+        sock.sendall(b"POST /v1/embeddings HTTP/1.1\r\nContent-Length: "
+                     b"%d\r\n\r\n%sGET /statz HTTP/1.1\r\n\r\n"
+                     b"POST /v1/embeddings HTTP/1.1\r\nContent-Length: "
+                     b"%d\r\n\r\n%s" % (len(body), body, len(body), body))
+        status, _, reply, rest = _read_reply(sock)
+        assert (status, reply) == (b"HTTP/1.1 200 OK", STUB_REPLY)
+        status, _, reply, rest = _read_reply(sock, rest)
+        assert status == b"HTTP/1.1 200 OK" and "router" in json.loads(reply)
+        status, _, reply, rest = _read_reply(sock, rest)
+        assert (status, reply, rest) == (b"HTTP/1.1 200 OK", STUB_REPLY, b"")
+    assert dict(stub_fleet.dispatcher.http) == {
+        "http./v1/embeddings.200": 4}
+
+
+def test_reply_counters_lose_no_count_across_threads():
+    """Every handler thread of a host or worker notes its replies in one
+    ``Counters``: concurrent notes lose no count."""
+    import sys
+    counters = Counters()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: [
+            counters.note("/v1/embeddings", 200) for _ in range(2000)])
+            for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert dict(counters) == {"http./v1/embeddings.200": 12000}
 
 
 # ---------------------------------------------------------------------------
-# Affinity routing
+# The reported partition split
 # ---------------------------------------------------------------------------
 
 def test_range_assignment_contiguous_and_covering():
@@ -552,27 +589,6 @@ def test_range_assignment_contiguous_and_covering():
         assert assignment == sorted(assignment)          # contiguous
         assert set(assignment) <= set(range(workers))
     assert range_assignment(8, 1) == [0] * 8
-
-
-def test_router_routes_to_partition_owner():
-    boundaries = [0, 100, 200, 300, 400]
-    router = AffinityRouter(boundaries, num_workers=2)
-    assert router.ranges() == {0: [0, 1], 1: [2, 3]}
-    assert router.partition_of(0) == 0
-    assert router.partition_of(99) == 0
-    assert router.partition_of(100) == 1
-    assert router.partition_of(399) == 3
-    assert router.partition_of(10 ** 9) == 3             # clamped
-    assert router.route(50) == 0
-    assert router.route(250) == 1
-    with pytest.raises(ValueError, match="policy"):
-        AffinityRouter([0, 10], 1, policy="hash")
-
-
-def test_random_policy_spreads_round_robin():
-    router = AffinityRouter([0, 10, 20], num_workers=2, policy="random")
-    hits = [router.route(0) for _ in range(10)]          # same id every time
-    assert set(hits) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -632,15 +648,6 @@ def test_encode_bit_identical(fleet, oracle):
     served = np.asarray(body["embeddings"], dtype=np.float32)
     expected = oracle.encode_nodes(np.asarray([2, 9]))
     assert served.tobytes() == expected.tobytes()
-
-
-def test_affinity_routing_lands_on_owner(fleet, oracle):
-    boundaries = fleet.worker_info[0]["boundaries"]
-    for node in (0, boundaries[-1] - 1, boundaries[len(boundaries) // 2]):
-        status, body = post(fleet.url, "/v1/embeddings", {"ids": [int(node)]})
-        assert status == 200
-        owner = fleet.router.route(int(node))
-        assert body["worker"] == owner
 
 
 def test_malformed_requests_get_error_dtos(fleet):
@@ -731,8 +738,8 @@ def test_dispatcher_maps_stopped_batcher_to_draining(tmp_path):
 
 
 def test_gateway_renders_no_answer(fleet, oracle, monkeypatch):
-    """A 200 body is the worker's rendering, forwarded byte for byte: the
-    gateway parses each request body once and renders nothing."""
+    """A 200 body is the answering worker's rendering: the host neither
+    parses a query nor renders its answer."""
     import repro.fleet.gateway as gateway_module
     calls = {"loads": 0, "dumps": 0}
 
@@ -753,7 +760,7 @@ def test_gateway_renders_no_answer(fleet, oracle, monkeypatch):
     assert status == 200
     rows = oracle.get_embeddings(np.asarray(ids))
     assert raw == ('{"embeddings": %s, "worker": %d}' % (
-        _float32_json(rows), fleet.router.route(ids[0]))).encode()
+        _float32_json(rows), json.loads(raw)["worker"])).encode()
     got = np.asarray(json.loads(raw)["embeddings"], dtype=np.float32)
     assert got.tobytes() == rows.tobytes()
     status, raw = post_raw(fleet.url, "/v1/topk",
@@ -762,35 +769,84 @@ def test_gateway_renders_no_answer(fleet, oracle, monkeypatch):
     top_ids, scores = oracle.topk_targets(3, 5, rel=0, exclude=[3])
     assert raw == ('{"ids": %s, "scores": %s, "worker": %d}' % (
         json.dumps(top_ids.tolist()), _float32_json(scores),
-        fleet.router.route(3))).encode()
+        json.loads(raw)["worker"])).encode()
     got = np.asarray(json.loads(raw)["scores"], dtype=np.float32)
     assert got.tobytes() == scores.tobytes()
-    assert calls == {"loads": 2, "dumps": 0}
+    assert calls == {"loads": 0, "dumps": 0}
+
+
+def _connect(fleet):
+    return socket.create_connection((fleet.gateway.host, fleet.gateway.port),
+                                    timeout=30)
+
+
+def _worker_of(sock, ids):
+    status, body, rest = _post(sock, ids)
+    assert status == b"HTTP/1.1 200 OK" and rest == b"", body
+    return json.loads(body)["worker"]
+
+
+def test_keep_alive_connection_stays_on_one_worker(fleet, oracle):
+    """Every reply on one keep-alive connection comes from the same
+    worker, whatever the node id; two connections land on different
+    workers."""
+    n = int(oracle.store.num_nodes)
+    with _connect(fleet) as a, _connect(fleet) as b:
+        first = {_worker_of(a, [node]) for node in (0, n - 1, n // 2, 1)}
+        second = {_worker_of(b, [node]) for node in (n - 1, 0, 2, n // 2)}
+    assert len(first) == 1 and len(second) == 1
+    assert first != second
+
+
+def test_statz_after_a_post_on_a_worker_connection(fleet):
+    """``GET /statz`` after a POST on the same connection is answered (the
+    worker passes the connection back), and so is a POST after it."""
+    with _connect(fleet) as sock:
+        worker = _worker_of(sock, [0])
+        statz = _statz(sock)
+        assert statz["gateway"][f"routed.worker-{worker}"] >= 1
+        assert [w["worker"] for w in statz["workers"]] == [0, 1]
+        _worker_of(sock, [1])
+
+
+def test_connection_outlives_the_host_handler(fleet):
+    """A passed connection belongs to its worker: once the host's handler
+    has returned, 50 more queries on it are still answered."""
+    with _connect(fleet) as sock:
+        worker = _worker_of(sock, [0])
+        _wait_for(lambda: not fleet.gateway.handlers._live)
+        for node in range(50):
+            assert _worker_of(sock, [node]) == worker
 
 
 # Keep last among the module-fleet tests: it kills worker 1 for good.
-def test_worker_crash_degrades_its_range(fleet):
+def test_killed_worker_costs_only_its_own_connections(fleet, oracle):
+    """SIGKILL one worker: the connection it held is gone, but fresh
+    connections are answered 200 for node ids in both halves of the id
+    space, and ``/healthz`` reads degraded."""
+    n = int(oracle.store.num_nodes)
+    held = {}
+    for _ in range(2):
+        sock = _connect(fleet)
+        held[_worker_of(sock, [0])] = sock
+    assert sorted(held) == [0, 1]
     victim = 1
-    pid = fleet.worker_info[victim]["pid"]
-    os.kill(pid, signal.SIGKILL)
+    os.kill(fleet.worker_info[victim]["pid"], signal.SIGKILL)
     fleet._procs[victim].join(timeout=10.0)
     assert not fleet._procs[victim].is_alive()
-    boundaries = fleet.worker_info[0]["boundaries"]
-    dead_node = int(boundaries[-1]) - 1                  # owned by worker 1
-    live_node = 0                                        # owned by worker 0
-    status, body = post(fleet.url, "/v1/embeddings", {"ids": [dead_node]})
-    assert status == 503
-    assert body["error"]["code"] == "unavailable"
+    try:
+        assert _worker_of(held[0], [n - 1]) == 0    # the survivor's stays
+        for _ in range(4):
+            for node in (0, n // 2 - 1, n // 2, n - 1):
+                status, body = post(fleet.url, "/v1/embeddings",
+                                    {"ids": [node]})
+                assert status == 200 and body["worker"] == 0, body
+    finally:
+        for sock in held.values():
+            sock.close()
     status, body = get(fleet.url, "/healthz")
     assert status == 503 and body["status"] == "degraded"
-    down = [w for w in body["workers"] if not w["alive"]]
-    assert [w["worker"] for w in down] == [victim]
-    # the surviving range keeps serving
-    status, body = post(fleet.url, "/v1/embeddings", {"ids": [live_node]})
-    assert status == 200 and body["worker"] == 0
-    # ... and fails fast on the dead range thereafter
-    status, body = post(fleet.url, "/v1/embeddings", {"ids": [dead_node]})
-    assert status == 503
+    assert [w["worker"] for w in body["workers"] if not w["alive"]] == [victim]
 
 
 # ---------------------------------------------------------------------------
@@ -923,3 +979,28 @@ def test_top_shows_settings_and_gauges_at_their_last_value(tmp_path,
     assert rows["batcher.timeout_ms"] == ["250.0"]
     assert rows["batcher.in_flight"] == ["1"]           # worker-1's, later
     assert rows["storage.smallest_read"] == ["4,096"]
+
+
+def test_top_rates_a_rerun_over_its_own_span(tmp_path, capsys):
+    """A log holding two runs (a rerun over the same workdir) shows the
+    last run only: its records, and counters rated over its own span."""
+    from repro.cli import main
+    log = tmp_path / "worker-0" / "telemetry.jsonl"
+    log.parent.mkdir()
+    records = []
+    for start, requests in ((100.0, 90), (120.0, 40)):
+        records += [
+            {"ts": start, "type": "event", "event": "request",
+             "payload": {}},
+            {"ts": start + 2.0, "type": "metrics", "label": "periodic",
+             "metrics": {"serve.requests": requests // 2}},
+            {"ts": start + 4.0, "type": "metrics", "label": "final",
+             "metrics": {"serve.requests": requests}}]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["top", str(log)]) == 0
+    out = capsys.readouterr().out
+    assert "(last of 2 runs) — 3 records over 4.0s" in out
+    assert "request x1" in out
+    row = next(line for line in out.splitlines()
+               if "serve.requests" in line)
+    assert row.split()[1:] == ["40", "10.0"]

@@ -137,6 +137,47 @@ class TestNodeStore:
         rows = store.read_rows(np.array([0, 50, 99]))
         assert rows.shape == (3, 8)
 
+    def test_read_rows_matches_the_partition_loop(self, tmp_path):
+        """``read_rows`` returns the bits of the sort-then-loop-over-every-
+        partition gather on random id sets: single ids, ids inside one
+        partition, duplicates, unsorted ids over several partitions; ids
+        out of range raise ``IndexError``."""
+        scheme = PartitionScheme.uniform(1000, 16)
+        s = NodeStore(tmp_path / "r.bin", scheme, dim=5, learnable=False)
+        s.initialize(rng=np.random.default_rng(3))
+
+        def loop(rows):
+            order = np.argsort(rows, kind="stable")
+            ids, bounds = rows[order], scheme.boundaries
+            edges = ids.searchsorted(bounds).tolist()
+            if edges[0] > 0 or edges[-1] < len(rows):
+                raise IndexError("rows outside the table")
+            data = np.empty((len(rows), 5), dtype=np.float32)
+            for part, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                if lo < hi:
+                    data[lo:hi] = s._mapped(part)[ids[lo:hi] - bounds[part]]
+            return data[np.argsort(order)]
+
+        rng = np.random.default_rng(5)
+        cases = [np.array([0]), np.array([999]), np.array([63, 62, 63]),
+                 np.empty(0, dtype=np.int64)]
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            part = int(rng.integers(0, 16))
+            lo, hi = scheme.boundaries[part], scheme.boundaries[part + 1]
+            cases += [rng.integers(lo, hi, n), rng.integers(0, 1000, n),
+                      rng.integers(0, 1000, n).repeat(2)]
+        for rows in cases:
+            got = s.read_rows(rows)
+            assert got.shape == (len(rows), 5)
+            assert got.tobytes() == loop(rows).tobytes()
+        for rows in ([-1], [1000], [5, 1000], [7, -3, 7]):
+            with pytest.raises(IndexError):
+                s.read_rows(np.array(rows))
+            with pytest.raises(IndexError):
+                loop(np.array(rows))
+        s.close()
+
     def test_persistence_across_reopen(self, tmp_path):
         scheme = PartitionScheme.uniform(10, 2)
         s = NodeStore(tmp_path / "p.bin", scheme, dim=2, learnable=False)
