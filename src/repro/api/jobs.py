@@ -37,11 +37,11 @@ from ..train import (DiskConfig, DiskLinkPredictionTrainer,
                      DiskNodeClassificationTrainer, LinkPredictionConfig,
                      LinkPredictionTrainer, NodeClassificationConfig,
                      NodeClassificationTrainer, SnapshotManager)
-from ..train.checkpoint import Snapshot, SnapshotError, resolve_snapshot_dir
+from ..train.checkpoint import Snapshot, SnapshotError
 from ..train.loop import ProgressListener
 from . import registry
 from .registry import JobError
-from .specs import CheckpointSpec, JobSpec
+from .specs import JobSpec
 
 LP_DATASETS = {
     "fb15k237": lambda scale, seed=0: load_fb15k237(scale=scale, seed=seed),
@@ -79,16 +79,25 @@ def _parse_ids(text: str) -> np.ndarray:
     return np.array([int(x) for x in text.split(",") if x], dtype=np.int64)
 
 
-def _checkpoint_kwargs(ck: CheckpointSpec, workdir: Optional[str],
-                       verbose: bool) -> Dict[str, Any]:
+def _checkpoint_root(spec: JobSpec) -> Path:
+    """The one snapshot-root rule, for a configured cadence and for an
+    on-demand ``job.snapshot()`` alike: ``checkpoint.dir``, else
+    ``<storage.workdir>/checkpoints``, else a temp dir."""
+    workdir = spec.storage.workdir if "storage" in spec.sections else None
+    if spec.checkpoint.dir:
+        return Path(spec.checkpoint.dir)
+    if workdir:
+        return Path(workdir) / "checkpoints"
+    return Path(tempfile.mkdtemp(prefix="repro-ckpt-"))
+
+
+def _checkpoint_kwargs(spec: JobSpec, verbose: bool) -> Dict[str, Any]:
     """Shared checkpoint plumbing for every trainer kind: a cadence or an
-    explicit dir enables the snapshot subsystem; the dir falls back to
-    ``<storage.workdir>/checkpoints`` and then to a temp dir."""
+    explicit dir enables the snapshot subsystem at :func:`_checkpoint_root`."""
+    ck = spec.checkpoint
     if not ck.every and not ck.dir:
         return {}
-    checkpoint_dir = Path(ck.dir) if ck.dir else (
-        Path(workdir) / "checkpoints" if workdir else
-        Path(tempfile.mkdtemp(prefix="repro-ckpt-")))
+    checkpoint_dir = _checkpoint_root(spec)
     if verbose:
         if ck.every:
             print(f"checkpointing every {ck.every} to {checkpoint_dir}")
@@ -142,12 +151,10 @@ class Job:
 
     def _ensure_snapshot_manager(self) -> None:
         """``job.snapshot()`` always works: a trainer built without a
-        checkpoint dir (no cadence requested) gets a manager on demand at
-        ``checkpoint.dir`` or a temp root."""
+        checkpoint dir (no cadence requested) gets a manager on demand, at
+        the root a cadence would have used."""
         if self.trainer.snapshots is None:
-            ck = self.spec.checkpoint
-            root = Path(ck.dir) if ck.dir else Path(
-                tempfile.mkdtemp(prefix="repro-ckpt-"))
+            root = _checkpoint_root(self.spec)
             self.trainer.snapshots = SnapshotManager(root)
 
     def resume(self, path: Optional[Path] = None,
@@ -179,9 +186,8 @@ class TrainingJob(Job):
         spec = self.spec
         model, train, storage = spec.model, spec.train, spec.storage
         workdir = storage.workdir if "storage" in spec.sections else None
-        kwargs: Dict[str, Any] = dict(
-            listeners=listeners,
-            **_checkpoint_kwargs(spec.checkpoint, workdir, verbose))
+        kwargs: Dict[str, Any] = dict(listeners=listeners,
+                                      **_checkpoint_kwargs(spec, verbose))
         if spec.kind in registry.LP_SNAPSHOT_KINDS:
             self.dataset = _lp_dataset(spec)
             fanouts = tuple(model.fanouts) if model.encoder != "none" else ()
@@ -261,9 +267,8 @@ def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
     """
     from ..serve import serve_link_prediction, serve_node_classification
     storage = spec.storage
-    snap = _resolve_snapshot_dir(spec.serve.snapshot)
-    meta = json.loads((snap / "manifest.json").read_text())["meta"]
-    kind = meta["trainer"]
+    snap = Snapshot(spec.serve.snapshot)
+    kind = snap.meta["trainer"]
     if workdir is None:
         workdir = Path(storage.workdir) if storage.workdir else Path(
             tempfile.mkdtemp(prefix="repro-serve-"))
@@ -274,7 +279,7 @@ def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
             buffer_capacity=storage.buffer)
     else:
         graph = None
-        if meta.get("config", {}).get("encoder", "none") != "none":
+        if snap.meta.get("config", {}).get("encoder", "none") != "none":
             # Encoder snapshots sample neighborhoods on read; the job
             # regenerates the training graph the same way the LP trainers do.
             if not spec.data.dataset:
@@ -287,7 +292,7 @@ def build_serving_engine(spec: JobSpec, workdir: Optional[Path] = None):
                                        num_partitions=storage.partitions,
                                        buffer_capacity=storage.buffer,
                                        graph=graph)
-    return snap, kind, engine
+    return snap.path, kind, engine
 
 
 class ServeJob(Job):
@@ -408,9 +413,10 @@ class ServeFleetJob(Job):
               listeners: Iterable[ProgressListener] = ()) -> "ServeFleetJob":
         from ..fleet import Fleet
         spec = self.spec
-        # The snapshot is resolved eagerly so a bad path fails here, not
+        # The snapshot is opened eagerly so a bad path fails here, not
         # in N spawned children.
-        self.snapshot_path = _resolve_snapshot_dir(spec.serve.snapshot)
+        with _snapshot_errors():
+            self.snapshot_path = Snapshot(spec.serve.snapshot).path
         workdir = Path(spec.storage.workdir) if spec.storage.workdir else Path(
             tempfile.mkdtemp(prefix="repro-fleet-"))
         self.workdir = workdir
@@ -488,6 +494,7 @@ class StreamJob(Job):
         wal_dir = workdir / "wal" if stream.wal else None
         recovery = None
         recovered_nodes_added = None
+        base_nodes = None   # set when reattaching to the workdir's stores
         self._wal_replay: list = []
         if spec.checkpoint.resume_from:
             # Reattach to the workdir's existing stores: the snapshot's
@@ -498,20 +505,14 @@ class StreamJob(Job):
                     "checkpoint.resume_from needs the original workdir: its "
                     "nodes/ and edges.bin hold the compacted base state the "
                     "snapshot pins")
-            stream_meta = _stream_snapshot_meta(
-                Path(spec.checkpoint.resume_from))
-            base_nodes = stream_meta["num_nodes"] - stream_meta["nodes_added"]
-            scheme = PartitionScheme.uniform(
-                base_nodes, storage.partitions).extended(
-                    stream_meta["nodes_added"])
-            # truncate=True: nodes appended after the snapshot are discarded
-            # (growth is append-only) — with the WAL on they come back via
-            # replay after resume(). Edge-bucket drift past the snapshot
-            # (a post-snapshot compaction) is caught by the fingerprint check.
-            store = NodeStore.open(nodes_path, scheme, model.dim,
-                                   learnable=True, truncate=True)
-            edge_store = EdgeBucketStore.open(edges_path, scheme)
-            num_relations = edge_store.num_relations
+            with _snapshot_errors():
+                snap = Snapshot(spec.checkpoint.resume_from)
+            if "stream" not in snap.meta:
+                raise JobError(
+                    f"snapshot {snap.path.name} was not written by the "
+                    f"streaming trainer (trainer={snap.meta.get('trainer')!r})")
+            added = snap.meta["stream"]["nodes_added"]
+            base_nodes = snap.meta["stream"]["num_nodes"] - added
             if wal_dir is not None:
                 recovery = WriteAheadLog.scan(wal_dir)
         elif (stream.wal and state_path.exists()
@@ -533,11 +534,15 @@ class StreamJob(Job):
             base_nodes = int(state["base_nodes"])
             acked = max(base_nodes, recovery.num_nodes,
                         recovery.max_nodes_recorded)
-            file_rows = NodeStore.stored_rows(nodes_path)
-            attach = min(acked, file_rows)
-            recovered_nodes_added = attach - base_nodes
+            added = recovered_nodes_added = min(
+                acked, NodeStore.stored_rows(nodes_path)) - base_nodes
+        if base_nodes is not None:
             scheme = PartitionScheme.uniform(
-                base_nodes, storage.partitions).extended(attach - base_nodes)
+                base_nodes, storage.partitions).extended(added)
+            # truncate=True: nodes appended past the reattach point are
+            # discarded (growth is append-only) — with the WAL on they come
+            # back via replay. Edge-bucket drift past a snapshot (a later
+            # compaction) is caught by the resume's fingerprint check.
             store = NodeStore.open(nodes_path, scheme, model.dim,
                                    learnable=True, truncate=True)
             edge_store = EdgeBucketStore.open(edges_path, scheme)
@@ -582,7 +587,7 @@ class StreamJob(Job):
             embedding_dim=model.dim, encoder="none",
             batch_size=train.batch_size, num_negatives=train.negatives,
             num_epochs=1, seed=train.seed)
-        ckpt = _checkpoint_kwargs(spec.checkpoint, storage.workdir, verbose)
+        ckpt = _checkpoint_kwargs(spec, verbose)
         self.trainer = ContinualTrainer(self.live, self.config,
                                         num_relations=num_relations,
                                         buffer_capacity=storage.buffer,
@@ -776,23 +781,6 @@ class StreamJob(Job):
             print(f"verify OK: {final.num_edges:,} live edges match an "
                   f"offline rebuild bucket-for-bucket; seeded sampling "
                   f"identical")
-
-
-@_snapshot_errors()
-def _resolve_snapshot_dir(path) -> Path:
-    """checkpoint.py's dir-or-root rule. Opening the manifest checks its
-    format version, so a bad snapshot fails here, before any worker starts."""
-    return Snapshot(resolve_snapshot_dir(path)).path
-
-
-def _stream_snapshot_meta(path: Path) -> dict:
-    """The ``stream`` block of a snapshot's manifest (snap dir or root)."""
-    path = _resolve_snapshot_dir(path)
-    meta = json.loads((path / "manifest.json").read_text())["meta"]
-    if "stream" not in meta:
-        raise JobError(f"snapshot {path.name} was not written by the "
-                         f"streaming trainer (trainer={meta.get('trainer')!r})")
-    return meta["stream"]
 
 
 # ---------------------------------------------------------------------------

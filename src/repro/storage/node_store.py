@@ -46,6 +46,9 @@ from ..graph.partition import PartitionScheme
 from .io_stats import IOStats
 
 
+_TABLES = ("node_table", "node_state")     # the table, its Adagrad state
+
+
 def table_file(name: str, part: int) -> str:
     """A partition file's path relative to its store or snapshot."""
     return f"{name}/{part:05d}.npy"
@@ -104,31 +107,15 @@ class NodeStore:
 
     def __init__(self, path: os.PathLike, scheme: PartitionScheme, dim: int,
                  learnable: bool = True, stats: Optional[IOStats] = None) -> None:
-        self._setup(path, scheme, dim, learnable, stats, read_only=False)
-        for name in self.tables:
+        path = Path(path)
+        for name in _TABLES[:2 if learnable else 1]:
             # Unlink, never truncate: a snapshot may link the old files.
-            shutil.rmtree(self.path / name, ignore_errors=True)
-            (self.path / name).mkdir(parents=True)
-            for part in range(self.num_partitions):
-                rows = scheme.partition_size(part)
-                _new_file(self.path / table_file(name, part), rows,
-                          self.dim).close()
-                self._reopen(name, part, rows)
-
-    def _setup(self, path, scheme, dim, learnable, stats, read_only) -> None:
-        self.path = Path(path)
-        self.scheme = scheme
-        self.dim = int(dim)
-        self.learnable = learnable
-        self.read_only = read_only
-        self.stats = stats if stats is not None else IOStats()
-        self.tables = ("node_table", "node_state") if learnable else (
-            "node_table",)
-        # Per table and partition: the open file and its data offset.
-        self._files = {name: [None] * scheme.num_partitions
-                       for name in self.tables}
-        # Serving's read-only maps of the table files, made on first use.
-        self._maps: List[Optional[np.ndarray]] = [None] * scheme.num_partitions
+            shutil.rmtree(path / name, ignore_errors=True)
+            (path / name).mkdir(parents=True)
+            for part in range(scheme.num_partitions):
+                _new_file(path / table_file(name, part),
+                          scheme.partition_size(part), int(dim)).close()
+        self._attach(path, scheme, dim, learnable, stats)
 
     @classmethod
     def open(cls, path: os.PathLike, scheme: PartitionScheme, dim: int,
@@ -144,7 +131,26 @@ class NodeStore:
         Contents are validated downstream by the resuming trainer's
         snapshot fingerprints."""
         self = cls.__new__(cls)
-        self._setup(path, scheme, dim, learnable, stats, read_only)
+        self._attach(path, scheme, dim, learnable, stats, truncate, read_only)
+        return self
+
+    def _attach(self, path, scheme, dim, learnable, stats, truncate=False,
+                read_only=False) -> None:
+        """The one attach path, for a new store and an existing one: sweep
+        leftover ``.tmp`` files, cut a longer last partition back (with
+        ``truncate``) and open every partition file."""
+        self.path = Path(path)
+        self.scheme = scheme
+        self.dim = int(dim)
+        self.learnable = learnable
+        self.read_only = read_only
+        self.stats = stats if stats is not None else IOStats()
+        self.tables = _TABLES[:2 if learnable else 1]
+        # Per table and partition: the open file and its data offset.
+        self._files = {name: [None] * scheme.num_partitions
+                       for name in self.tables}
+        # Serving's read-only maps of the table files, made on first use.
+        self._maps: List[Optional[np.ndarray]] = [None] * scheme.num_partitions
         last = self.num_partitions - 1
         for name in self.tables:
             if not read_only:
@@ -156,7 +162,6 @@ class NodeStore:
                     self._replace(name, last, rows[:scheme.partition_size(last)])
             for part in range(self.num_partitions):
                 self._reopen(name, part, scheme.partition_size(part))
-        return self
 
     @staticmethod
     def stored_rows(path: os.PathLike) -> int:

@@ -36,7 +36,6 @@ from ..api import registry as job_registry
 from ..core.sampler import DenseSampler
 from ..nn.optim import RowAdagrad
 from ..storage.buffer import PartitionBuffer
-from ..train.checkpoint import restore_store_table
 from ..train.evaluation import EpochRecord
 from ..train.link_prediction import (LinkPredictionConfig,
                                      LinkPredictionModel, _BatchStep)
@@ -278,7 +277,7 @@ class ContinualTrainer(_TrainingLoop):
         cursors stay in one numbering."""
         stream = meta["stream"]
         self.buffer.reset()
-        restore_store_table(arrays, self.live.node_store)
+        self.live.node_store.link_from(arrays.path)
         log = self.live.log
         horizon = int(stream["compacted_seq"])
         if log.seq < horizon:      # fresh log after a restart: align

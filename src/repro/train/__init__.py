@@ -1,7 +1,7 @@
 """Training harness: trainers, negative sampling, evaluation, snapshots."""
 
-from .checkpoint import (InferenceRestore, SnapshotError, SnapshotManager,
-                         nc_dataset_fingerprint, restore_for_inference)
+from .checkpoint import (Snapshot, SnapshotError, SnapshotManager,
+                         nc_dataset_fingerprint)
 from .evaluation import (EpochRecord, RankingMetrics, TripleFilter,
                          filtered_ranks, multiclass_accuracy, ranking_metrics,
                          ranks_from_scores)
@@ -29,7 +29,6 @@ __all__ = [
     "RankingMetrics", "EpochRecord", "ranking_metrics", "ranks_from_scores",
     "multiclass_accuracy",
     "TripleFilter", "filtered_ranks",
-    "SnapshotManager", "SnapshotError",
-    "InferenceRestore", "restore_for_inference", "nc_dataset_fingerprint",
+    "Snapshot", "SnapshotManager", "SnapshotError", "nc_dataset_fingerprint",
     "score_edges_offline",
 ]

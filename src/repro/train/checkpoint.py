@@ -53,20 +53,6 @@ _TMP_PREFIX = "tmp-"
 FaultHook = Callable[[str], None]
 
 
-# ---------------------------------------------------------------------------
-# RNG stream state
-# ---------------------------------------------------------------------------
-
-def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """JSON-able state of a numpy Generator (PCG64 ints serialize fine)."""
-    return rng.bit_generator.state
-
-
-def set_rng_state(rng: np.random.Generator, state: Dict[str, Any]) -> None:
-    """Restore a Generator *in place* (every holder of the object sees it)."""
-    rng.bit_generator.state = state
-
-
 def unflatten_arrays(prefix: str, arrays: Mapping[str, np.ndarray]
                      ) -> Dict[str, np.ndarray]:
     """The arrays stored under ``prefix/`` keys, with the prefix stripped."""
@@ -94,10 +80,19 @@ class Snapshot(Mapping):
     of array names whose files are read (and CRC-checked) on access, so a
     reader touches only what it asks for. A partitioned table indexes as
     the whole table; its files sit at :func:`~repro.storage.node_store.
-    table_file` paths under :attr:`path`."""
+    table_file` paths under :attr:`path`.
+
+    ``path`` is one ``snap-*`` directory or a checkpoint root, which opens
+    the root's latest complete snapshot. This is the one way to open a
+    snapshot: trainer resume, serving and stream resume all read it."""
 
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
+        if not (self.path / "manifest.json").is_file():
+            latest = SnapshotManager(self.path).latest()
+            if latest is None:
+                raise SnapshotError(f"no snapshots under {self.path}")
+            self.path = latest
         try:
             manifest = json.loads((self.path / "manifest.json").read_text())
         except (OSError, ValueError) as exc:
@@ -201,8 +196,6 @@ class SnapshotManager:
             self.fault_hook(point)
 
     def _sweep_tmp(self) -> None:
-        if not self.root.is_dir():
-            return
         for leftover in self.root.glob(f"{_TMP_PREFIX}*"):
             shutil.rmtree(leftover, ignore_errors=True)
 
@@ -335,9 +328,8 @@ class SnapshotManager:
         Ordered by the numeric step id, not the directory name — a step id
         wider than the 12-digit zero padding must still sort after the
         padded ones (lexicographic order would call it oldest and prune it).
+        A root that does not exist holds none.
         """
-        if not self.root.is_dir():
-            return []
         out = [cand for cand in self.root.glob(f"{_SNAP_PREFIX}*")
                if self._step_of(cand) >= 0
                and (cand / "manifest.json").is_file()]
@@ -355,82 +347,8 @@ class SnapshotManager:
         version and every file's CRC, so a torn copy is rejected before
         anything is restored. Returns ``(meta, arrays)``; ``arrays`` is the
         :class:`Snapshot`, which reads each array on access."""
-        snapshot = Snapshot(resolve_snapshot_dir(
-            self.root if path is None else path)).verify()
+        snapshot = Snapshot(self.root if path is None else path).verify()
         return snapshot.meta, snapshot
-
-
-def resolve_snapshot_dir(path: os.PathLike) -> Path:
-    """Normalize a snapshot argument that may name either one ``snap-*``
-    directory or a checkpoint root: the root resolves to its latest
-    complete snapshot. The single place the dir-or-root rule lives —
-    serving, stream resume and trainer resume all route here."""
-    path = Path(path)
-    if (path / "manifest.json").is_file():
-        return path
-    latest = SnapshotManager(path).latest()
-    if latest is None:
-        raise SnapshotError(f"no snapshots under {path}")
-    return latest
-
-
-class InferenceRestore(Snapshot):
-    """A snapshot opened for read-only inference (no trainer round-trip).
-
-    Serving needs the model parameters, the node table (when the snapshot
-    carries one), and enough metadata to validate the store layout — and
-    nothing else. Optimizer moments, policy state, RNG stream positions and
-    training cursors stay untouched in the snapshot (their files are never
-    opened): they are replay state, meaningful only to a resuming trainer.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        super().__init__(path)
-        self.model_state = unflatten_arrays("model", self)
-
-    @property
-    def trainer_kind(self) -> str:
-        return str(self.meta.get("trainer", ""))
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        return dict(self.meta.get("config", {}))
-
-    def store_fingerprint(self, name: str) -> Optional[str]:
-        return self.meta.get("stores", {}).get(name)
-
-    @property
-    def table_name(self) -> Optional[str]:
-        """``node_table`` (disk kinds, one file per partition),
-        ``emb_table`` (lp-mem) or ``None`` (NC snapshots carry no table)."""
-        return next((name for name in ("node_table", "emb_table")
-                     if name in self), None)
-
-    @property
-    def node_table(self) -> Optional[np.ndarray]:
-        """The whole table as one array."""
-        return None if self.table_name is None else self[self.table_name]
-
-
-def restore_for_inference(path: os.PathLike) -> InferenceRestore:
-    """Open a snapshot read-only for serving: model params + node table.
-
-    Accepts either one ``snap-*`` directory or a checkpoint root (latest
-    snapshot wins). Only the ``model/*`` files are read here, and the table
-    files as the caller reads them; optimizer state is never opened, so a
-    damaged ``node_state`` or ``gnn_opt`` file does not stop serving.
-    """
-    return InferenceRestore(resolve_snapshot_dir(path))
-
-
-def resolve_snapshot(path: Optional[os.PathLike],
-                     manager: Optional[SnapshotManager]
-                     ) -> Tuple[Dict[str, Any], Snapshot]:
-    """The trainers' shared resume dispatch: an explicit path wins,
-    otherwise the trainer's own manager provides its latest snapshot."""
-    if path is None and manager is None:
-        raise RuntimeError("no checkpoint_dir and no explicit snapshot path")
-    return (manager or SnapshotManager(path)).load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +400,6 @@ def unpack_model_state(arrays: Mapping[str, np.ndarray], model: Module,
     model.load_state_dict(unflatten_arrays("model", arrays))
     if gnn_optimizer is not None:
         gnn_optimizer.load_state_dict(unflatten_arrays("gnn_opt", arrays))
-
-
-def restore_store_table(snapshot: Snapshot, store) -> None:
-    """Point every partition file of a node store (table and optimizer
-    state) at the snapshot's: linked back, reading and writing no table
-    bytes. The caller has dropped the buffer without write-back, so
-    partition writes torn by a crash after the snapshot cannot leak into
-    the resumed run."""
-    store.link_from(snapshot.path)
 
 
 # Config fields a resume may legitimately change: they steer how *long* or

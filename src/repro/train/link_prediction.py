@@ -39,7 +39,7 @@ from ..policies.base import EpochStep, PartitionPolicy
 from ..storage.buffer import PartitionBuffer
 from ..storage.edge_store import EdgeBucketStore
 from ..storage.node_store import NodeStore
-from .checkpoint import Snapshot, dataset_fingerprint, restore_store_table
+from .checkpoint import Snapshot, dataset_fingerprint
 from .evaluation import EpochRecord, RankingMetrics, ranking_metrics, ranks_from_scores
 from .loop import ProgressListener, _TrainingLoop, _TrainingResult
 from .negative_sampling import UniformNegativeSampler
@@ -498,7 +498,7 @@ class DiskLinkPredictionTrainer(_LinkPredictionLoop):
 
     def _restore_state(self, meta: dict, arrays: Snapshot) -> None:
         self.buffer.reset()
-        restore_store_table(arrays, self.node_store)
+        self.node_store.link_from(arrays.path)
         self.policy.load_state_dict(meta.get("policy", {}))
         self.buffer.load_step(meta["resident"])
         self.negatives.set_allowed(self.buffer.resident_nodes())

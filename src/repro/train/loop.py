@@ -60,8 +60,7 @@ import numpy as np
 from ..storage.io_stats import IOStats
 from ..storage.node_store import NodeStore
 from .checkpoint import (Snapshot, SnapshotManager, _config_to_dict,
-                         pack_model_state, resolve_snapshot, rng_state,
-                         set_rng_state, unpack_model_state, validate_meta)
+                         pack_model_state, unpack_model_state, validate_meta)
 from .evaluation import EpochRecord
 
 ProgressListener = Callable[[str, Dict[str, Any]], None]
@@ -187,7 +186,8 @@ class _TrainingLoop:
         with self._store_writers:   # the store's state and links agree
             meta = {"trainer": self.KIND, "epoch": int(epoch),
                     "step": int(next_step), "global_step": self._global_step,
-                    "rng": rng_state(self.rng), "stores": self._fingerprints(),
+                    "rng": self.rng.bit_generator.state,
+                    "stores": self._fingerprints(),
                     "config": _config_to_dict(self.config)}
             store = self._pack_state(arrays, meta)
             staged = self.snapshots.stage(self._global_step, store)
@@ -201,12 +201,15 @@ class _TrainingLoop:
     def resume(self, path: Optional[Path] = None) -> dict:
         """Restore the latest (or given) snapshot; the next :meth:`train`
         continues from its cursor bit-identically."""
-        meta, arrays = resolve_snapshot(path, self.snapshots)
+        if path is None and self.snapshots is None:
+            raise RuntimeError(
+                "no checkpoint_dir and no explicit snapshot path")
+        meta, arrays = (self.snapshots or SnapshotManager(path)).load(path)
         validate_meta(meta, self.KIND, stores=self._fingerprints(),
                       config=self.config)
         self._restore_state(meta, arrays)
         unpack_model_state(arrays, self.model, self._gnn_optimizer)
-        set_rng_state(self.rng, meta["rng"])
+        self.rng.bit_generator.state = meta["rng"]
         # An older snapshot may lack the epoch cursor (a streaming one
         # resumes at refresh 0), the step cursor (in-memory kinds) or the
         # global count; it resumes at step 0 counting one step per epoch —

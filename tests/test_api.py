@@ -144,8 +144,8 @@ def test_registry_owns_trainer_kind_strings():
     assert NodeClassificationTrainer.KIND == registry.NC_MEM
     assert DiskNodeClassificationTrainer.KIND == registry.NC_DISK
     assert ContinualTrainer.KIND == registry.LP_STREAM
-    assert serve_loader.LP_KINDS == registry.LP_SNAPSHOT_KINDS
-    assert serve_loader.NC_KINDS == registry.NC_SNAPSHOT_KINDS
+    assert serve_loader.LP_SNAPSHOT_KINDS is registry.LP_SNAPSHOT_KINDS
+    assert serve_loader.NC_SNAPSHOT_KINDS is registry.NC_SNAPSHOT_KINDS
 
 
 def test_every_kind_has_a_factory():

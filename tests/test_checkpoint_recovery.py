@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.graph import load_fb15k237, load_papers100m_mini
-from repro.storage import PrefetchError
+from repro.storage import NodeStore, PrefetchError
 from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
                          DiskNodeClassificationConfig,
                          DiskNodeClassificationTrainer, LinkPredictionConfig,
@@ -31,6 +31,25 @@ from tests.faultinject import (CrashPoint, FaultInjector, FaultyStorage,
                                SimulatedCrash)
 
 CRASHES = (SimulatedCrash, PrefetchError)
+
+
+@pytest.fixture(autouse=True)
+def close_stores(monkeypatch):
+    """Close every node store a test opens, at its teardown. A crashed
+    trainer (its store wrapped by ``FaultyStorage``) or a hook closing over
+    its store sits in a reference cycle, which would otherwise keep the
+    partition files open until a cyclic collection."""
+    opened = []
+    attach = NodeStore._attach
+
+    def tracked(store, *args, **kwargs):
+        attach(store, *args, **kwargs)
+        opened.append(store)
+
+    monkeypatch.setattr(NodeStore, "_attach", tracked)
+    yield
+    for store in opened:
+        store.close()
 
 LP_CFG = LinkPredictionConfig(embedding_dim=8, num_layers=1, fanouts=(4,),
                               batch_size=256, num_negatives=16, num_epochs=2,
@@ -578,7 +597,8 @@ def linked_run(lp_data, tmp_path_factory):
     store.write_partition, store.write_span = on_partition, on_span
     trainer.add_listener(on_event)
     trainer.train()
-    return trainer, saves
+    yield trainer, saves
+    store.close()
 
 
 class TestLinkedSnapshots:
@@ -626,11 +646,10 @@ class TestLinkedSnapshots:
         assert min(sizes[1:]) < sizes[0]
 
     def test_restore_for_inference_reads_a_linked_snapshot(self, linked_run):
-        from repro.train import restore_for_inference
+        from repro.train import Snapshot
         _, saves = linked_run
         path, table, _, _, linked = next(s for s in reversed(saves) if s[4])
-        restore = restore_for_inference(path)
-        np.testing.assert_array_equal(restore.node_table, table)
+        np.testing.assert_array_equal(Snapshot(path)["node_table"], table)
 
     def test_keep_one_survives_pruning_its_link_source(self, lp_data,
                                                       tmp_path):
@@ -711,7 +730,6 @@ class TestStoreLayoutIsTheSnapshotLayout:
         assert all(f.read_bytes() == data for f, data in saved_bytes.items())
 
     def test_restore_moves_no_table_bytes(self, lp_data, tmp_path):
-        from repro.train.checkpoint import restore_store_table
         trainer = make_disk_lp(lp_data, tmp_path / "w",
                                checkpoint_dir=tmp_path / "c")
         trainer.train()
@@ -720,7 +738,7 @@ class TestStoreLayoutIsTheSnapshotLayout:
         other = make_disk_lp(lp_data, tmp_path / "w2")
         _, arrays = trainer.snapshots.load(path)
         before = other.node_store.stats.snapshot()
-        restore_store_table(arrays, other.node_store)
+        other.node_store.link_from(arrays.path)
         moved = other.node_store.stats.diff(before)
         assert (moved.bytes_read, moved.bytes_written) == (0, 0)
         np.testing.assert_array_equal(other.node_store.read_all(), table)

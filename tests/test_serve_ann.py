@@ -332,8 +332,12 @@ def make_live(tmp_path, num_nodes=120, num_edges=600, p=6, dim=8, seed=0):
     return LiveGraph(store, edges, seed=seed + 7)
 
 
-def test_live_growth_reranks_and_reclamps(tmp_path):
+def test_live_growth_reranks_and_reclamps(tmp_path, request):
     live = make_live(tmp_path, seed=10)
+    # The live view's listeners keep it in a reference cycle: close its
+    # stores here rather than leave their files to the cyclic collector.
+    request.addfinalizer(live.edge_store.close)
+    request.addfinalizer(live.node_store.close)
     cfg = LinkPredictionConfig(embedding_dim=8, encoder="none", seed=0)
     model = LinkPredictionModel(cfg, 1, rng=np.random.default_rng(3))
     engine = ServingEngine.over_live(live, model, buffer_capacity=3)

@@ -27,8 +27,9 @@ from repro.serve import (ServingEngine, serve_link_prediction,
 from repro.train import (DiskConfig, DiskLinkPredictionTrainer,
                          DiskNodeClassificationConfig,
                          DiskNodeClassificationTrainer, LinkPredictionConfig,
-                         NodeClassificationConfig, SnapshotError,
-                         restore_for_inference, score_edges_offline)
+                         NodeClassificationConfig, Snapshot, SnapshotError,
+                         score_edges_offline)
+from repro.train.checkpoint import unflatten_arrays
 
 LP_CFG = LinkPredictionConfig(embedding_dim=8, encoder="none",
                               decoder="distmult", batch_size=256,
@@ -321,23 +322,31 @@ def test_decoder_only_encode_is_the_table_gather(lp_engine):
 # Inference-only restore
 # ---------------------------------------------------------------------------
 
-def test_restore_for_inference_reads_only_model_and_table(lp_snapshot):
+def test_restore_for_inference_reads_only_model_and_table(lp_snapshot,
+                                                          tmp_path):
+    """Serving opens the snapshot and CRC-checks only its ``model/`` and
+    ``node_table/`` files: optimizer, policy and rng state stay untouched."""
     snapshot, table, _ = lp_snapshot
-    restore = restore_for_inference(snapshot)
-    assert restore.trainer_kind == "lp-disk"
-    np.testing.assert_array_equal(restore.node_table, table)
-    assert "decoder.relations" in restore.model_state
-    # Optimizer / policy / rng state stay untouched in the snapshot: the
-    # restore object carries none of them.
-    assert not any(k.startswith("gnn_opt") for k in restore.model_state)
-    assert restore.config["encoder"] == "none"
+    snap = Snapshot(snapshot)
+    assert snap.meta["trainer"] == "lp-disk"
+    assert snap.meta["config"]["encoder"] == "none"
+    engine = serve_link_prediction(snap, tmp_path / "serve")
+    np.testing.assert_array_equal(engine.get_embeddings(np.arange(9)),
+                                  table[:9])
+    assert {rel.partition("/")[0] for rel in snap._checked} == {
+        "model", "node_table"}
+    state = unflatten_arrays("model", snap)
+    assert "decoder.relations" in state
+    assert not any(k.startswith("gnn_opt") for k in state)
+    np.testing.assert_array_equal(snap["node_table"], table)
+    engine.store.close()
 
 
 def test_damaged_optimizer_state_still_serves_but_not_resumes(
         lp_data, lp_snapshot, tmp_path):
     """Serving opens only the model and node_table files: one flipped byte
-    in a node_state partition file leaves restore_for_inference and a
-    serve job answering, while a resume refuses the snapshot."""
+    in a node_state partition file leaves the snapshot's table readable
+    and a serve job answering, while a resume refuses the snapshot."""
     from repro import api
     snapshot, table, _ = lp_snapshot
     damaged = tmp_path / "ckpt" / snapshot.name
@@ -347,8 +356,7 @@ def test_damaged_optimizer_state_still_serves_but_not_resumes(
     payload[-1] ^= 0xFF
     victim.write_bytes(bytes(payload))
 
-    np.testing.assert_array_equal(
-        restore_for_inference(damaged).node_table, table)
+    np.testing.assert_array_equal(Snapshot(damaged)["node_table"], table)
     job = api.build_job(api.JobSpec(
         kind="serve", serve=api.ServeSpec(snapshot=str(damaged)),
         storage=api.StorageSpec(workdir=str(tmp_path / "serve"))))
